@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from fractions import Fraction
 from io import StringIO
 
 from .config import ConfigError, load_config
-from .da import DaMode, DaParams, FailedCopyPolicy, TraceRequiredError
+from .da import (
+    DEFAULT_VIRTUAL_DEFER_LIMIT_NS,
+    DaMode,
+    DaParams,
+    FailedCopyPolicy,
+    TraceRequiredError,
+)
 from .metrics import (
     compute_report,
     report_to_dict,
@@ -31,28 +35,20 @@ from .metrics import (
     write_sweep_csv,
 )
 from .sim import Deferral, SimConfigError, generate_run
-from .trace import InvalidRunError, LogFormatError, export_csv, read_log, write_log
+from .trace import (
+    InvalidRunError,
+    LogFormatError,
+    export_csv,
+    read_log,
+    write_atomic,
+    write_log,
+)
 from .units import ns_to_us, parse_duration_ns
-
-VIRTUAL_DEFER_GUARD_NS = 1_000_000
-
-
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _write_text(out, text)
+        write_atomic(out, lambda sink: sink.write(text))
     else:
         sys.stdout.write(text)
 
@@ -84,9 +80,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     run = generate_run(config)
     write_log(run, args.out)
     if args.csv:
-        buffer = StringIO()
-        export_csv(run, buffer)
-        _write_text(args.csv, buffer.getvalue())
+        write_atomic(args.csv, lambda sink: export_csv(run, sink))
     wall = time.perf_counter() - started
     losses = " ".join(
         f"{c.label}={sum(p.copies[c].lost for p in run.packets)}"
@@ -161,11 +155,11 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
     if not td_values or not seeds:
         raise ConfigError("--td-list and --seeds must not be empty")
     if not args.force:
-        over = [td for td in td_values if abs(td) > VIRTUAL_DEFER_GUARD_NS]
+        over = [td for td in td_values if abs(td) > DEFAULT_VIRTUAL_DEFER_LIMIT_NS]
         if over:
             raise ConfigError(
-                f"displacements beyond the {VIRTUAL_DEFER_GUARD_NS} ns stationarity "
-                "guard; pass --force to run anyway"
+                f"displacements beyond the {DEFAULT_VIRTUAL_DEFER_LIMIT_NS} ns "
+                "stationarity guard; pass --force to run anyway"
             )
     t_lre = parse_duration_ns(args.tlre)
 

@@ -3,18 +3,24 @@
 Every ratio is kept as an exact rational internally and only rounded at
 rendering time (4 significant digits, percentage style). Latency statistics
 use nearest-rank percentiles (rank = ceil(q*n), 1-based) and population
-standard deviation; both are computed from exact integer sums.
+standard deviation. They are computed in numpy: an int64 sort, and the sum
+and sum of squares from int64 limb products combined as Python ints, so
+both sums are exact for any int64 latencies.
 
 Duplex logs go through a vectorized evaluation of the same per-packet
 definitions implemented in :mod:`prpwifi.da`; logs with more channels use
 the per-packet functions directly. The two paths are interchangeable and
-cross-checked by the test suite.
+cross-checked by the test suite. On the vectorized path each delivered-
+latency population is reduced once per set of extracted columns: a sweep
+computes the channel populations once, the link population on recorded
+timestamps once, and the virtually displaced link population once per
+distinct ``T_D``.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -32,13 +38,7 @@ from .da import (
     tdd_flags,
     tdd_latency,
 )
-from .trace import (
-    RunLog,
-    copy_latency,
-    final_attempt_start,
-    link_outcome,
-    receive_time,
-)
+from .trace import CopyRecord, PhyParams, RunLog, copy_latency, link_outcome
 
 MISS_THRESHOLDS_NS = (10_000_000, 100_000_000)  # 10 ms and 100 ms deadlines
 
@@ -67,20 +67,51 @@ class LatencyStats:
     population: int
 
 
-def _nearest_rank(ordered: Sequence[int], q: Fraction) -> int:
+def _nearest_rank(ordered: np.ndarray, q: Fraction) -> int:
     # exact rational arithmetic: rank = ceil(q*n), 1-based
     rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    return int(ordered[rank - 1])
 
 
-def latency_stats(samples: Sequence[int]) -> LatencyStats | None:
+_LIMB_BITS = 22  # three limbs hold any offset below 2^64
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+_SUM_CHUNK = 1 << 18  # limb products are < 2^44, so chunk sums stay < 2^62
+
+
+def _exact_sums(ordered: np.ndarray) -> tuple[int, int]:
+    """Exact sum and sum of squares of a sorted int64 array, as Python ints.
+
+    Values are taken relative to the smallest one; the offsets (below 2^64,
+    held as uint64) are split into three 22-bit limbs. Limb sums and limb
+    dot products are taken in int64 over chunks small enough not to
+    overflow, then combined as Python ints.
+    """
+    n = len(ordered)
+    base = int(ordered[0])
+    offsets = ordered.view(np.uint64) - np.uint64(base % (1 << 64))
+    limbs = [
+        ((offsets >> np.uint64(_LIMB_BITS * k)) & _LIMB_MASK).astype(np.int64)
+        for k in range(3)
+    ]
+    t1 = t2 = 0  # sum and sum of squares of the offsets
+    for lo in range(0, n, _SUM_CHUNK):
+        chunk = [limb[lo : lo + _SUM_CHUNK] for limb in limbs]
+        for i in range(3):
+            t1 += int(chunk[i].sum()) << (_LIMB_BITS * i)
+            for j in range(i, 3):
+                term = int(np.dot(chunk[i], chunk[j])) << (_LIMB_BITS * (i + j))
+                t2 += term if i == j else 2 * term
+    # x = base + offset
+    return n * base + t1, n * base * base + 2 * base * t1 + t2
+
+
+def latency_stats(samples: Sequence[int] | np.ndarray) -> LatencyStats | None:
     """Statistics over a delivered-latency population; ``None`` when empty."""
-    n = len(samples)
+    ordered = np.sort(np.asarray(samples, dtype=np.int64))
+    n = len(ordered)
     if n == 0:
         return None
-    ordered = sorted(samples)
-    s1 = sum(ordered)
-    s2 = sum(x * x for x in ordered)
+    s1, s2 = _exact_sums(ordered)
     # population variance from exact integer sums: (n*s2 - s1^2) / n^2
     var = Fraction(n * s2 - s1 * s1, n * n)
     return LatencyStats(
@@ -88,7 +119,7 @@ def latency_stats(samples: Sequence[int]) -> LatencyStats | None:
         std_ns=math.sqrt(var),
         median_ns=_nearest_rank(ordered, _MEDIAN_Q),
         p99_99_ns=_nearest_rank(ordered, _P9999_Q),
-        max_ns=ordered[-1],
+        max_ns=int(ordered[-1]),
         population=n,
     )
 
@@ -170,6 +201,22 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
 
 
 @dataclass(frozen=True, slots=True)
+class _Population:
+    """One delivered-latency population, reduced to what reports use."""
+
+    stats: LatencyStats | None
+    miss: tuple[int, int]  # samples above each of MISS_THRESHOLDS_NS
+
+
+def _population(samples: np.ndarray) -> _Population:
+    miss = (
+        int((samples > MISS_THRESHOLDS_NS[0]).sum()),
+        int((samples > MISS_THRESHOLDS_NS[1]).sum()),
+    )
+    return _Population(latency_stats(samples), miss)
+
+
+@dataclass(frozen=True, slots=True)
 class _Accumulated:
     """Raw per-run tallies, independent of the evaluation path."""
 
@@ -179,10 +226,8 @@ class _Accumulated:
     attempts_delivered: list[int]
     lost_count: list[int]
     max_delivered_attempts: int
-    chan_latencies: list[list[int]]
-    chan_miss: list[list[int]]
-    link_latencies: list[int]
-    link_miss: list[int]
+    chan_latency: list[_Population]
+    link_latency: _Population
     link_lost: int
 
 
@@ -203,11 +248,9 @@ def _accumulate_generic(
     attempts_delivered = [0] * m
     lost_count = [0] * m
     chan_latencies: list[list[int]] = [[] for _ in range(m)]
-    chan_miss = [[0, 0] for _ in range(m)]
     max_delivered_attempts = 0
     simplex_link_count = 0
     link_latencies: list[int] = []
-    link_miss = [0, 0]
     link_lost = 0
 
     for packet in run.packets:
@@ -234,12 +277,7 @@ def _accumulate_generic(
             if copy.attempts > max_delivered_attempts:
                 max_delivered_attempts = copy.attempts
             attempts_delivered[j] += copy.attempts
-            latency = copy_latency(copy, phy_by[c])
-            chan_latencies[j].append(latency)
-            if latency > MISS_THRESHOLDS_NS[0]:
-                chan_miss[j][0] += 1
-                if latency > MISS_THRESHOLDS_NS[1]:
-                    chan_miss[j][1] += 1
+            chan_latencies[j].append(copy_latency(copy, phy_by[c]))
 
         if recorded:
             link_latency = link_outcome(packet, phy_by).latency_ns
@@ -249,10 +287,6 @@ def _accumulate_generic(
             link_lost += 1
         else:
             link_latencies.append(link_latency)
-            if link_latency > MISS_THRESHOLDS_NS[0]:
-                link_miss[0] += 1
-                if link_latency > MISS_THRESHOLDS_NS[1]:
-                    link_miss[1] += 1
 
     return _Accumulated(
         early_sum,
@@ -261,66 +295,123 @@ def _accumulate_generic(
         attempts_delivered,
         lost_count,
         max_delivered_attempts,
-        chan_latencies,
-        chan_miss,
-        link_latencies,
-        link_miss,
+        [_population(np.array(s, dtype=np.int64)) for s in chan_latencies],
+        _population(np.array(link_latencies, dtype=np.int64)),
         link_lost,
     )
 
 
 @dataclass(frozen=True, slots=True)
 class _DuplexColumns:
-    """Per-packet arrays of a duplex log, in channel-index order."""
+    """Per-packet arrays of a duplex log, in channel-index order.
 
-    policy: FailedCopyPolicy
+    Everything derived from the columns alone (final-attempt starts per
+    failed-copy policy, latency populations) is computed on first use and
+    kept, so the grid points of a sweep share it.
+    """
+
+    copies: tuple[list[CopyRecord], list[CopyRecord]]
+    phys: tuple[PhyParams, PhyParams]
     req: np.ndarray  # (2, n) request times
     end: np.ndarray  # (2, n) end-of-transmission times
     rx: np.ndarray  # (2, n) receive times, valid where not lost
-    tw: np.ndarray  # (2, n) final-attempt starts, _TW_EXCLUDED when unusable
+    start: np.ndarray  # (2, n) final-attempt starts, valid where not lost
     lost: np.ndarray  # (2, n) bool
-    attempts: np.ndarray  # (2, n)
+    single: np.ndarray  # (2, n) bool, delivered or lost after one attempt
+    xack: np.ndarray  # (n,) quickest delivered end, _FAR when lost on the link
+    attempts_delivered: list[int]  # attempts summed over delivered copies
+    max_delivered_attempts: int
+    _tw: dict[FailedCopyPolicy, np.ndarray] = field(default_factory=dict)
+    _populations: dict[tuple, _Population] = field(default_factory=dict)
 
+    def tw(self, policy: FailedCopyPolicy) -> np.ndarray:
+        """(2, n) final-attempt starts for the termination test, with
+        _TW_EXCLUDED where the policy excludes a lost copy."""
+        if policy not in self._tw:
+            tw = np.where(self.lost, _TW_EXCLUDED, self.start)
+            if policy is not FailedCopyPolicy.PESSIMISTIC_ZERO:
+                for j in (0, 1):
+                    for i in np.flatnonzero(self.lost[j]):
+                        start = policy_final_start(
+                            self.copies[j][i], self.phys[j], policy
+                        )
+                        tw[j, i] = _TW_EXCLUDED if start is None else start
+            self._tw[policy] = tw
+        return self._tw[policy]
 
-def _extract_duplex(run: RunLog, policy: FailedCopyPolicy) -> _DuplexColumns:
-    channels = run.channels
-    phys = [run.phy_by_channel()[c] for c in channels]
-    req: list[list[int]] = [[], []]
-    end: list[list[int]] = [[], []]
-    rx: list[list[int]] = [[], []]
-    tw: list[list[int]] = [[], []]
-    lost: list[list[bool]] = [[], []]
-    attempts: list[list[int]] = [[], []]
-    for packet in run.packets:
-        for j in (0, 1):
-            copy = packet.copies[channels[j]]
-            req[j].append(copy.request_ns)
-            end[j].append(copy.end_ns)
-            attempts[j].append(copy.attempts)
-            lost[j].append(copy.lost)
-            if copy.lost:
-                rx[j].append(0)
-                start = policy_final_start(copy, phys[j], policy)
-                tw[j].append(_TW_EXCLUDED if start is None else start)
+    def channel_latency(self, j: int) -> _Population:
+        key = ("channel", j)
+        if key not in self._populations:
+            samples = (self.rx[j] - self.req[j])[~self.lost[j]]
+            self._populations[key] = _population(samples)
+        return self._populations[key]
+
+    def link_latency(self, t_d: int, recorded: bool) -> _Population:
+        """PRP link latency on recorded timestamps, or with the second
+        channel's requests virtually displaced by ``t_d``."""
+        key = ("link", None) if recorded else ("link", t_d)
+        if key not in self._populations:
+            lost = self.lost
+            if recorded:
+                req_min = np.minimum(self.req[0], self.req[1])
+                latency = np.where(lost, _FAR, self.rx).min(axis=0) - req_min
             else:
-                rx[j].append(receive_time(copy, phys[j]))
-                tw[j].append(final_attempt_start(copy, phys[j]))
+                d0 = self.rx[0] - self.req[0] + max(0, -t_d)
+                d1 = self.rx[1] - self.req[1] + max(0, t_d)
+                latency = np.minimum(
+                    np.where(lost[0], _FAR, d0), np.where(lost[1], _FAR, d1)
+                )
+            samples = latency[~(lost[0] & lost[1])]
+            self._populations[key] = _population(samples)
+        return self._populations[key]
+
+
+def _extract_duplex(run: RunLog) -> _DuplexColumns:
+    channels = run.channels
+    phy_by = run.phy_by_channel()
+    phys = (phy_by[channels[0]], phy_by[channels[1]])
+    copies = tuple([p.copies[c] for p in run.packets] for c in channels)
+    n = len(run.packets)
+    # one flat pass over the raw fields; lost copies may lack frame durations
+    flat = (
+        value
+        for channel_copies in copies
+        for c in channel_copies
+        for value in (
+            c.lost,
+            c.request_ns,
+            c.end_ns,
+            c.attempts,
+            c.final_data_ns or 0,
+            c.final_ack_ns or 0,
+        )
+    )
+    fields = np.fromiter(flat, np.int64, 12 * n).reshape(2, n, 6)
+    lost, req, end, attempts, data, ack = fields.transpose(2, 0, 1).copy()
+    sifs = np.array([[phy.sifs_ns] for phy in phys], dtype=np.int64)
+    # the reconstructions of trace.receive_time and trace.final_attempt_start
+    rx = end - (sifs + ack)
+    lost = lost.astype(bool)
+    delivered = ~lost
     return _DuplexColumns(
-        policy=policy,
-        req=np.array(req, dtype=np.int64),
-        end=np.array(end, dtype=np.int64),
-        rx=np.array(rx, dtype=np.int64),
-        tw=np.array(tw, dtype=np.int64),
-        lost=np.array(lost, dtype=bool),
-        attempts=np.array(attempts, dtype=np.int64),
+        copies=copies,
+        phys=phys,
+        req=req,
+        end=end,
+        rx=rx,
+        start=rx - data,
+        lost=lost,
+        single=attempts == 1,
+        xack=np.where(lost, _FAR, end).min(axis=0),
+        attempts_delivered=[int(attempts[j][delivered[j]].sum()) for j in (0, 1)],
+        max_delivered_attempts=(
+            int(attempts[delivered].max()) if delivered.any() else 0
+        ),
     )
 
 
-def _count_misses(samples: np.ndarray) -> list[int]:
-    return [
-        int((samples > MISS_THRESHOLDS_NS[0]).sum()),
-        int((samples > MISS_THRESHOLDS_NS[1]).sum()),
-    ]
+def _counts(flags: np.ndarray) -> list[int]:
+    return [int(np.count_nonzero(row)) for row in flags]
 
 
 def _accumulate_duplex(
@@ -328,62 +419,33 @@ def _accumulate_duplex(
 ) -> _Accumulated:
     """Vectorized evaluation of the duplex per-packet definitions."""
     lost = cols.lost
-    delivered_link = ~(lost[0] & lost[1])
+    lost_link = lost[0] & lost[1]
     t_lre = params.t_lre_ns
 
     if params.mode is DaMode.POW:
         early = np.zeros_like(lost)
-        simplex = np.zeros_like(lost)
-    elif recorded:
-        # cross-ACK at the quickest delivered end; the quickest channel's
-        # own flag is structurally false (its final start precedes its end)
-        eff_end = np.where(lost, _FAR, cols.end)
-        xack = eff_end.min(axis=0)
-        early = delivered_link[None, :] & (xack[None, :] + t_lre < cols.tw)
-        simplex = early & (cols.attempts == 1)
     else:
-        early = np.empty_like(lost)
-        early[1] = ~lost[0] & (cols.end[0] + t_lre < cols.tw[1] + t_d)
-        early[0] = ~lost[1] & (cols.end[1] + t_d + t_lre < cols.tw[0])
-        simplex = early & (cols.attempts == 1)
-
-    delivered = ~lost
-    if recorded:
-        req_min = np.minimum(cols.req[0], cols.req[1])
-        eff_rx = np.where(lost, _FAR, cols.rx)
-        link_lat_all = eff_rx.min(axis=0) - req_min
-    else:
-        d0 = cols.rx[0] - cols.req[0] + max(0, -t_d)
-        d1 = cols.rx[1] - cols.req[1] + max(0, t_d)
-        link_lat_all = np.minimum(
-            np.where(lost[0], _FAR, d0), np.where(lost[1], _FAR, d1)
-        )
-    link_samples = link_lat_all[delivered_link]
-
-    chan_latencies = []
-    chan_miss = []
-    for j in (0, 1):
-        samples = (cols.rx[j] - cols.req[j])[delivered[j]]
-        chan_latencies.append(samples.tolist())
-        chan_miss.append(_count_misses(samples))
+        tw = cols.tw(params.failed_copy_policy)
+        if recorded:
+            # cross-ACK at the quickest delivered end; the quickest channel's
+            # own flag is structurally false (its final start precedes its end)
+            early = ~lost_link & (cols.xack + t_lre < tw)
+        else:
+            early = np.empty_like(lost)
+            early[1] = ~lost[0] & (cols.end[0] + t_lre < tw[1] + t_d)
+            early[0] = ~lost[1] & (cols.end[1] + t_d + t_lre < tw[0])
+    simplex = early & cols.single
 
     return _Accumulated(
-        early_sum=[int(early[0].sum()), int(early[1].sum())],
-        simplex_sum=[int(simplex[0].sum()), int(simplex[1].sum())],
-        simplex_link_count=int((simplex[0] | simplex[1]).sum()),
-        attempts_delivered=[
-            int(cols.attempts[0][delivered[0]].sum()),
-            int(cols.attempts[1][delivered[1]].sum()),
-        ],
-        lost_count=[int(lost[0].sum()), int(lost[1].sum())],
-        max_delivered_attempts=(
-            int(cols.attempts[delivered].max()) if delivered.any() else 0
-        ),
-        chan_latencies=chan_latencies,
-        chan_miss=chan_miss,
-        link_latencies=link_samples.tolist(),
-        link_miss=_count_misses(link_samples),
-        link_lost=int((~delivered_link).sum()),
+        early_sum=_counts(early),
+        simplex_sum=_counts(simplex),
+        simplex_link_count=int(np.count_nonzero(simplex[0] | simplex[1])),
+        attempts_delivered=cols.attempts_delivered,
+        lost_count=_counts(lost),
+        max_delivered_attempts=cols.max_delivered_attempts,
+        chan_latency=[cols.channel_latency(0), cols.channel_latency(1)],
+        link_latency=cols.link_latency(t_d, recorded),
+        link_lost=int(np.count_nonzero(lost_link)),
     )
 
 
@@ -407,20 +469,22 @@ def _assemble(
         attempts_total = acc.attempts_delivered[j] + acc.lost_count[j] * charge
         delivered = n - acc.lost_count[j]
         w_bar = Fraction(attempts_total, n)
+        latency = acc.chan_latency[j]
         channel_metrics[c.label] = ChannelMetrics(
             early_bar=Fraction(acc.early_sum[j], n),
             simplex_bar=Fraction(acc.simplex_sum[j], n),
             attempts_bar=w_bar,
             efficiency=1 / w_bar,
-            latency=latency_stats(acc.chan_latencies[j]),
-            miss_10ms=Fraction(acc.chan_miss[j][0], delivered) if delivered else None,
-            miss_100ms=Fraction(acc.chan_miss[j][1], delivered) if delivered else None,
+            latency=latency.stats,
+            miss_10ms=Fraction(latency.miss[0], delivered) if delivered else None,
+            miss_100ms=Fraction(latency.miss[1], delivered) if delivered else None,
             loss=Fraction(acc.lost_count[j], n),
         )
 
     e_bar_link = sum((m.early_bar for m in channel_metrics.values()), Fraction(0))
     w_bar_pow = sum((m.attempts_bar for m in channel_metrics.values()), Fraction(0))
     delivered_link = n - acc.link_lost
+    link_latency = acc.link_latency
     link = LinkMetrics(
         early_bar=e_bar_link,
         simplex_bar=Fraction(acc.simplex_link_count, n),
@@ -429,12 +493,12 @@ def _assemble(
         efficiency_floor=1 / (w_bar_pow - e_bar_link),
         load_vs_pow=1 - e_bar_link / w_bar_pow,
         load_vs_simplex=len(channels) * (1 - e_bar_link / w_bar_pow),
-        latency=latency_stats(acc.link_latencies),
+        latency=link_latency.stats,
         miss_10ms=(
-            Fraction(acc.link_miss[0], delivered_link) if delivered_link else None
+            Fraction(link_latency.miss[0], delivered_link) if delivered_link else None
         ),
         miss_100ms=(
-            Fraction(acc.link_miss[1], delivered_link) if delivered_link else None
+            Fraction(link_latency.miss[1], delivered_link) if delivered_link else None
         ),
         loss=Fraction(acc.link_lost, n),
     )
@@ -454,47 +518,47 @@ def _assemble(
     )
 
 
+def _evaluate(
+    run: RunLog, params: DaParams, cols: _DuplexColumns | None
+) -> MetricsReport:
+    params.validate()
+    t_d, recorded = _resolve(run, params)
+    if cols is None:
+        acc = _accumulate_generic(run, params, t_d, recorded)
+    else:
+        acc = _accumulate_duplex(cols, params, t_d, recorded)
+    return _assemble(run, params, t_d, acc)
+
+
+def _columns(run: RunLog) -> _DuplexColumns | None:
+    return _extract_duplex(run) if len(run.channels) == 2 else None
+
+
 def compute_report(run: RunLog, params: DaParams) -> MetricsReport:
     """Evaluate all per-channel and link metrics of a run under one
     duplication-avoidance configuration."""
-    params.validate()
-    t_d, recorded = _resolve(run, params)
-    if len(run.channels) == 2:
-        cols = _extract_duplex(run, params.failed_copy_policy)
-        acc = _accumulate_duplex(cols, params, t_d, recorded)
-    else:
-        acc = _accumulate_generic(run, params, t_d, recorded)
-    return _assemble(run, params, t_d, acc)
+    return _evaluate(run, params, _columns(run))
 
 
 def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
     """Same result as :func:`compute_report` via the per-packet functions
     only; slower, used to cross-check the vectorized path."""
-    params.validate()
-    t_d, recorded = _resolve(run, params)
-    return _assemble(run, params, t_d, _accumulate_generic(run, params, t_d, recorded))
+    return _evaluate(run, params, None)
 
 
 def sweep(run: RunLog, grid: Sequence[DaParams]) -> list[MetricsReport]:
     """Evaluate one report per grid point, all from the same base log, so
-    different mechanisms and parameters are compared on identical data."""
+    different mechanisms and parameters are compared on identical data.
+
+    The points share one set of duplex columns, so each latency population
+    is reduced once for the whole grid."""
     if not grid:
         raise ValueError("sweep grid must not be empty")
-    duplex = len(run.channels) == 2
-    cols_by_policy: dict[FailedCopyPolicy, _DuplexColumns] = {}
+    cols = _columns(run)
     reports = []
     for point, params in enumerate(grid):
         try:
-            params.validate()
-            t_d, recorded = _resolve(run, params)
-            if duplex:
-                policy = params.failed_copy_policy
-                if policy not in cols_by_policy:
-                    cols_by_policy[policy] = _extract_duplex(run, policy)
-                acc = _accumulate_duplex(cols_by_policy[policy], params, t_d, recorded)
-            else:
-                acc = _accumulate_generic(run, params, t_d, recorded)
-            reports.append(_assemble(run, params, t_d, acc))
+            reports.append(_evaluate(run, params, cols))
         except ValueError as exc:
             raise SweepError(point, exc) from exc
     return reports

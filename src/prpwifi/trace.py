@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping
 
 TimeNs = int
 DurationNs = int
@@ -444,35 +444,74 @@ def _copy_to_dict(channel: ChannelId, copy: CopyRecord) -> dict:
     return d
 
 
-def _copy_from_dict(d: dict, record_index: int) -> tuple[str, CopyRecord]:
+def _not_int(d: dict, required: tuple[str, ...], optional: tuple[str, ...]) -> str:
+    """Name of the first field of ``d`` that is not an int; optional fields
+    may also be absent or null."""
+    for key in required:
+        if type(d[key]) is not int:
+            return key
+    return next(k for k in optional if type(d.get(k, 0)) not in (int, type(None)))
+
+
+def _trace_from_list(entries: list, record_index: int) -> tuple[AttemptTrace, ...]:
+    trace = []
+    for pos, e in enumerate(entries, start=1):
+        start_ns, data_ns, ack_ns, ok = e["tW"], e["Td"], e.get("Ta"), e["ok"]
+        if not (
+            type(start_ns) is int
+            and type(data_ns) is int
+            and (ack_ns is None or type(ack_ns) is int)
+            and type(ok) is int
+        ):
+            name = _not_int(e, ("tW", "Td", "ok"), ("Ta",))
+            raise LogFormatError(
+                f"trace field {name!r} must be an integer", record_index
+            )
+        trace.append(AttemptTrace(pos, start_ns, data_ns, ack_ns, bool(ok)))
+    return tuple(trace)
+
+
+def _copy_from_dict(
+    d: dict, by_label: Mapping[str, ChannelId], record_index: int
+) -> tuple[ChannelId, CopyRecord]:
+    """Decode one copy entry; every timestamp, duration and count must be an
+    int (``bool`` and ``float`` are rejected) to keep times in integer ns."""
     try:
         label = d["ch"]
-        lost = bool(d["l"])
+        lost = d["l"]
+        request_ns, end_ns, attempts = d["t_T"], d["t_X"], d["w"]
+        data_ns, ack_ns = d.get("Td"), d.get("Ta")
+        if not (
+            type(lost) is int
+            and type(request_ns) is int
+            and type(end_ns) is int
+            and type(attempts) is int
+            and (data_ns is None or type(data_ns) is int)
+            and (ack_ns is None or type(ack_ns) is int)
+        ):
+            name = _not_int(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"))
+            raise LogFormatError(f"field {name!r} must be an integer", record_index)
         trace_entries = d.get("trace")
         trace = None
         if trace_entries is not None:
-            trace = tuple(
-                AttemptTrace(
-                    ordinal=pos + 1,
-                    start_ns=e["tW"],
-                    data_ns=e["Td"],
-                    ack_ns=e.get("Ta"),
-                    succeeded=bool(e["ok"]),
-                )
-                for pos, e in enumerate(trace_entries)
-            )
-        copy = CopyRecord(
-            lost=lost,
-            request_ns=d["t_T"],
-            end_ns=d["t_X"],
-            attempts=d["w"],
-            final_data_ns=d.get("Td"),
-            final_ack_ns=d.get("Ta"),
-            trace=trace,
-        )
+            if type(trace_entries) is not list:
+                raise LogFormatError("'trace' must be a list", record_index)
+            trace = _trace_from_list(trace_entries, record_index)
+        channel = by_label.get(label) if type(label) is str else None
     except (KeyError, TypeError) as exc:
         raise LogFormatError(f"bad copy entry: {exc}", record_index) from exc
-    return label, copy
+    if channel is None:
+        raise LogFormatError(f"unknown channel {label!r}", record_index)
+    copy = CopyRecord(
+        lost=bool(lost),
+        request_ns=request_ns,
+        end_ns=end_ns,
+        attempts=attempts,
+        final_data_ns=data_ns,
+        final_ack_ns=ack_ns,
+        trace=trace,
+    )
+    return channel, copy
 
 
 def encode_log(run: RunLog, sink: IO[str]) -> None:
@@ -515,6 +554,8 @@ def decode_log(
         meta_dict = json.loads(header)
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"meta header is not valid JSON: {exc}", 1) from exc
+    if type(meta_dict) is not dict:
+        raise LogFormatError("meta header must be a JSON object", 1)
     if meta_dict.get("format") != LOG_FORMAT:
         raise LogFormatError("not a run log (bad format marker)", 1)
     if meta_dict.get("version") != LOG_VERSION:
@@ -542,8 +583,8 @@ def decode_log(
         raise LogFormatError(f"bad meta header: {exc}", 1) from exc
     try:
         meta.validate()
-    except InvalidRunError as exc:
-        raise LogFormatError(str(exc), 1) from exc
+    except (InvalidRunError, TypeError) as exc:
+        raise LogFormatError(f"bad meta header: {exc}", 1) from exc
 
     by_label = {cm.channel.label: cm.channel for cm in meta.channels}
     packets = []
@@ -559,12 +600,15 @@ def decode_log(
             entries = d["copies"]
         except (KeyError, TypeError) as exc:
             raise LogFormatError(f"bad packet record: {exc}", lineno) from exc
-        copies: dict[ChannelId, CopyRecord] = {}
-        for entry in entries:
-            label, copy = _copy_from_dict(entry, lineno)
-            if label not in by_label:
-                raise LogFormatError(f"unknown channel {label!r}", lineno)
-            copies[by_label[label]] = copy
+        if type(index) is not int:
+            raise LogFormatError("packet index 'i' must be an integer", lineno)
+        if type(entries) is not list:
+            raise LogFormatError("'copies' must be a list", lineno)
+        copies = dict(_copy_from_dict(entry, by_label, lineno) for entry in entries)
+        if len(copies) != len(entries):
+            labels = [entry["ch"] for entry in entries]
+            duplicate = next(x for x in labels if labels.count(x) > 1)
+            raise LogFormatError(f"duplicate copy for channel {duplicate!r}", lineno)
         packets.append(PacketRecord(index=index, copies=copies))
     run = RunLog(meta=meta, packets=tuple(packets))
     if validate:
@@ -575,19 +619,25 @@ def decode_log(
     return run
 
 
-def write_log(run: RunLog, path: str | os.PathLike) -> None:
-    """Atomically write a run log file (temp file + rename)."""
+def write_atomic(path: str | os.PathLike, write: Callable[[IO[str]], None]) -> None:
+    """Create or replace a text file atomically: ``write`` fills a temp file
+    in the same directory, which is then renamed over ``path``."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as sink:
-            encode_log(run, sink)
+            write(sink)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_log(run: RunLog, path: str | os.PathLike) -> None:
+    """Atomically write a run log file."""
+    write_atomic(path, lambda sink: encode_log(run, sink))
 
 
 def read_log(

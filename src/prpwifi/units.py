@@ -43,11 +43,3 @@ def parse_duration_ns(text: str) -> int:
 def ns_to_us(value_ns: int | float) -> float:
     return value_ns / NS_PER_US
 
-
-def format_ns(value_ns: int) -> str:
-    """Render a duration with the largest suffix that keeps it integral."""
-    for suffix in ("s", "ms", "us"):
-        scale = _SUFFIXES[suffix]
-        if value_ns != 0 and value_ns % scale == 0:
-            return f"{value_ns // scale}{suffix}"
-    return f"{value_ns}ns"

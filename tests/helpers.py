@@ -1,6 +1,7 @@
 """Shared builders for hand-made logs and desk-scale simulation setups."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from prpwifi import (
@@ -11,6 +12,7 @@ from prpwifi import (
     CopyRecord,
     ErrorModel,
     InterferenceParams,
+    LatencyStats,
     PacketRecord,
     PhyParams,
     RunLog,
@@ -219,3 +221,29 @@ def worked_example_run() -> RunLog:
 
 def frac(num: int, den: int) -> Fraction:
     return Fraction(num, den)
+
+
+def latency_stats_spec(samples: list[int]) -> LatencyStats | None:
+    """Pure-Python statistics that ``metrics.latency_stats`` must reproduce
+    exactly: nearest-rank median and 99.99th percentile (rank = ceil(q*n),
+    1-based), and mean and population standard deviation from exact
+    integer sums."""
+    n = len(samples)
+    if n == 0:
+        return None
+    ordered = sorted(samples)
+    s1 = sum(ordered)
+    s2 = sum(x * x for x in ordered)
+    var = Fraction(n * s2 - s1 * s1, n * n)
+
+    def nearest_rank(q: Fraction) -> int:
+        return ordered[max(1, math.ceil(q * n)) - 1]
+
+    return LatencyStats(
+        mean_ns=s1 / n,
+        std_ns=math.sqrt(var),
+        median_ns=nearest_rank(Fraction(1, 2)),
+        p99_99_ns=nearest_rank(Fraction(9999, 10000)),
+        max_ns=ordered[-1],
+        population=n,
+    )

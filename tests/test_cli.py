@@ -156,6 +156,55 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--log", str(tmp_path / "no.jsonl"), "--mode", "pow"]) == 2
 
 
+def _set_first_copy(field, value):
+    def edit(record):
+        record["copies"][0][field] = value
+
+    return edit
+
+
+def _duplicate_first_copy(record):
+    record["copies"][1] = dict(record["copies"][0])
+
+
+class TestMalformedLog:
+    """Bad packet records exit 2 with a message naming the line, never with
+    a traceback and never silently accepted."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda record: record.update(copies=7),
+            lambda record: record.update(copies={"A": record["copies"][0]}),
+            _set_first_copy("t_T", "12"),
+            _set_first_copy("Td", "300000"),
+            _set_first_copy("w", True),
+            _set_first_copy("t_X", 4.5e9),
+            _duplicate_first_copy,
+            _set_first_copy("ch", ["A"]),
+        ],
+        ids=[
+            "copies-not-a-list",
+            "copies-an-object",
+            "string-timestamp",
+            "string-duration",
+            "bool-attempt-count",
+            "float-timestamp",
+            "duplicate-channel",
+            "unhashable-channel",
+        ],
+    )
+    def test_exits_2_naming_the_line(self, edit, log_file, tmp_path, capsys):
+        lines = log_file.read_text().splitlines()
+        record = json.loads(lines[5])
+        edit(record)
+        lines[5] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--log", str(bad), "--mode", "rda"]) == 2
+        assert capsys.readouterr().err.startswith("error: record 6: ")
+
+
 class TestSweepCommand:
     def test_tlre_grid_row_count(self, log_file, capsys):
         rc = main(

@@ -1,14 +1,19 @@
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prpwifi import (
     ChannelId,
     DaMode,
     DaParams,
+    LatencyStats,
     PacketRecord,
+    PhyParams,
     compute_report,
     generate_run,
     latency_stats,
@@ -19,7 +24,8 @@ from prpwifi import (
     virtual_defer,
     write_sweep_csv,
 )
-from prpwifi.da import FailedCopyPolicy
+from prpwifi import metrics
+from prpwifi.da import FailedCopyPolicy, TraceRequiredError
 from prpwifi.metrics import SweepError, compute_report_reference
 
 from helpers import (
@@ -31,6 +37,7 @@ from helpers import (
     WORKED_W_A,
     WORKED_W_B,
     desk_config,
+    latency_stats_spec,
     make_lost_copy,
     make_run,
     make_success_copy,
@@ -102,6 +109,52 @@ def brute_force_worked_example():
         "theta_hat": 1 - e_link / w_pow,
         "Theta_hat": 2 * (1 - e_link / w_pow),
     }
+
+
+_BOUND = 1 << 62
+
+
+@st.composite
+def populations(draw):
+    """Int populations up to 2^62 in magnitude: short ones drawn value by
+    value, long ones (up to a few thousand) from a drawn numpy seed."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-_BOUND, _BOUND), min_size=1, max_size=40))
+    n = draw(st.integers(min_value=1, max_value=3000))
+    high = 1 << draw(st.integers(min_value=0, max_value=62))
+    low = -high if draw(st.booleans()) else 0
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return rng.integers(low, high, n, endpoint=True).tolist()
+
+
+def assert_same_stats(got: LatencyStats, want: LatencyStats) -> None:
+    assert got == want
+    for f in fields(LatencyStats):
+        # Python scalars only, so reports and JSON rendering are unaffected
+        assert type(getattr(got, f.name)) is type(getattr(want, f.name))
+
+
+class TestLatencyStatsExactness:
+    @settings(max_examples=80, deadline=None)
+    @given(populations())
+    def test_matches_spec(self, samples):
+        assert_same_stats(latency_stats(samples), latency_stats_spec(samples))
+
+    def test_crosses_every_chunk_boundary(self):
+        # more than two summation chunks, over the whole int64 range, where
+        # n * max^2 is far beyond 2^63
+        n = 2 * metrics._SUM_CHUNK + 3
+        rng = np.random.default_rng(2022)
+        samples = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True).tolist()
+        samples[:2] = [-(2**63), 2**63 - 1]
+        assert_same_stats(latency_stats(samples), latency_stats_spec(samples))
+
+    def test_accepts_int64_arrays(self):
+        samples = [5 * MS, 1 * MS, 3 * MS, 3 * MS]
+        assert_same_stats(
+            latency_stats(np.array(samples, dtype=np.int64)),
+            latency_stats_spec(samples),
+        )
 
 
 class TestWorkedExample:
@@ -332,6 +385,101 @@ class TestSweep:
         with pytest.raises(SweepError) as exc:
             sweep(run, grid)
         assert exc.value.point == 1
+
+
+@pytest.fixture(scope="module")
+def lossy_runs():
+    """Full-trace and adapter-view runs with lost copies on either channel
+    and on the link (retry limit 2 at 35 % attempt loss)."""
+    runs = {}
+    for full_trace in (True, False):
+        config = desk_config(
+            n_packets=400, seed=21, loss_prob=0.35, full_trace=full_trace
+        )
+        channels = tuple(
+            replace(c, phy=PhyParams(retry_limit=2)) for c in config.channels
+        )
+        runs[full_trace] = generate_run(replace(config, channels=channels))
+    return runs
+
+
+def mixed_grid(policies) -> list[DaParams]:
+    """POW, RDA at several T_LRE and TDD with repeated and distinct T_D."""
+    grid = [DaParams(mode=DaMode.POW, failed_copy_policy=p) for p in policies]
+    for p in policies:
+        grid += [
+            DaParams(mode=DaMode.RDA, t_lre_ns=t, failed_copy_policy=p)
+            for t in (0, 50_000, 400_000, 50_000)
+        ]
+        grid += [
+            DaParams(mode=DaMode.TDD, t_lre_ns=t, t_d_ns=td, failed_copy_policy=p)
+            for t, td in (
+                (0, 0),
+                (30_000, 100_000),
+                (0, 100_000),
+                (30_000, -250_000),
+                (80_000, 0),
+            )
+        ]
+    return grid
+
+
+BOTH_POLICIES = tuple(FailedCopyPolicy)
+
+
+class TestSweepSharing:
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
+    def test_mixed_grid_equals_single_reports(self, name, request):
+        run = request.getfixturevalue(name)
+        grid = mixed_grid(BOTH_POLICIES)
+        reports = sweep(run, grid)
+        assert reports == [compute_report(run, p) for p in grid]
+        assert reports == [compute_report_reference(run, p) for p in grid]
+
+    def test_mixed_grid_with_lost_copies(self, lossy_runs):
+        for full_trace, run in lossy_runs.items():
+            lost = [[p.copies[c].lost for p in run.packets] for c in run.channels]
+            assert all(any(flags) for flags in lost)
+            assert any(a and b for a, b in zip(*lost))
+            # adapter-view lost copies carry no frame durations: the oracle
+            # policy is only available without flags there
+            if full_trace:
+                grid = mixed_grid(BOTH_POLICIES)
+            else:
+                grid = mixed_grid((FailedCopyPolicy.PESSIMISTIC_ZERO,)) + [
+                    DaParams(mode=DaMode.POW, failed_copy_policy=FailedCopyPolicy.ORACLE)
+                ]
+            reports = sweep(run, grid)
+            assert reports == [compute_report(run, p) for p in grid]
+            assert reports == [compute_report_reference(run, p) for p in grid]
+
+    def test_oracle_flags_need_traces_on_both_paths(self, lossy_runs):
+        params = DaParams(mode=DaMode.RDA, failed_copy_policy=FailedCopyPolicy.ORACLE)
+        for evaluate in (compute_report, compute_report_reference):
+            with pytest.raises(TraceRequiredError):
+                evaluate(lossy_runs[False], params)
+
+    def test_each_population_reduced_once(self, adapter_run, monkeypatch):
+        calls = []
+        real = metrics.latency_stats
+
+        def counted(samples):
+            calls.append(len(samples))
+            return real(samples)
+
+        monkeypatch.setattr(metrics, "latency_stats", counted)
+        tlre = [
+            DaParams(mode=DaMode.RDA, t_lre_ns=t) for t in range(0, 1_000_001, 50_000)
+        ]
+        sweep(adapter_run, tlre)
+        assert len(calls) == 3  # two channels and the recorded link
+        calls.clear()
+        td = [
+            DaParams(mode=DaMode.TDD, t_d_ns=t)
+            for t in range(-300_000, 300_001, 25_000)
+        ]
+        sweep(adapter_run, td)
+        assert len(calls) == 2 + 25  # two channels and the link per T_D
 
 
 class TestOracleSummary:

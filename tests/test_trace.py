@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given
@@ -159,6 +160,26 @@ class TestCodec:
         with pytest.raises(LogFormatError) as exc:
             decode_log(io.StringIO("\n".join(lines)))
         assert exc.value.record_index == 4
+
+    def test_header_must_be_an_object(self):
+        with pytest.raises(LogFormatError) as exc:
+            decode_log(io.StringIO("[1, 2]\n"))
+        assert exc.value.record_index == 1
+
+    @pytest.mark.parametrize(
+        "field, value", [("tW", 1.5), ("Td", "300000"), ("Ta", 24000.0), ("ok", None)]
+    )
+    def test_trace_fields_must_be_ints(self, traced_run, field, value):
+        buf = io.StringIO()
+        encode_log(traced_run, buf)
+        lines = buf.getvalue().splitlines()
+        record = json.loads(lines[2])
+        entry = record["copies"][1]["trace"][-1]
+        entry[field] = value
+        lines[2] = json.dumps(record)
+        with pytest.raises(LogFormatError, match=repr(field)) as exc:
+            decode_log(io.StringIO("\n".join(lines)), validate=False)
+        assert exc.value.record_index == 3
 
     @given(duplex_runs())
     def test_roundtrip_random_runs(self, run):
