@@ -32,12 +32,11 @@ from .sim import (
     InterferenceParams,
     SimConfig,
     SimConfigError,
-    apply_real_deferral,
-    generate_interference,
     generate_run,
     simulate_copy,
 )
 from .trace import (
+    AttemptTable,
     AttemptTrace,
     ChannelId,
     ChannelMeta,

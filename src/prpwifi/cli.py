@@ -83,8 +83,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_atomic(args.csv, lambda sink: export_csv(run, sink))
     wall = time.perf_counter() - started
     losses = " ".join(
-        f"{c.label}={sum(p.copies[c].lost for p in run.packets)}"
-        for c in run.channels
+        f"{c.label}={k}" for c, k in zip(run.channels, run.lost.sum(axis=1).tolist())
     )
     print(f"N={run.meta.n_packets} losses {losses} wall={wall:.2f}s")
     return 0
@@ -170,14 +169,17 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
     real_e: dict[int, list[Fraction]] = {td: [] for td in td_values}
     real_d: dict[int, list[float]] = {td: [] for td in td_values}
     for seed in seeds:
-        base = generate_run(replace(base_config, seed=seed))
+        seed_config = replace(base_config, seed=seed)
+        base = generate_run(seed_config)
         for td in td_values:
             virtual = compute_report(
                 base, DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=td)
             )
-            deferred = replace(base_config, seed=seed, deferral=Deferral(offset_ns=td))
+            # only the deferred channel differs from the base run
+            deferred = replace(seed_config, deferral=Deferral(offset_ns=td))
             real = compute_report(
-                generate_run(deferred), DaParams(mode=DaMode.TDD, t_lre_ns=t_lre)
+                generate_run(deferred, (seed_config, base)),
+                DaParams(mode=DaMode.TDD, t_lre_ns=t_lre),
             )
             virt_e[td].append(virtual.link.early_bar)
             real_e[td].append(real.link.early_bar)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
+import numpy as np
+
 from .trace import (
     ChannelId,
     CopyRecord,
@@ -254,20 +256,23 @@ def virtual_defer(
             f"virtual displacement of {t_d_ns} ns (cumulative {total} ns) exceeds "
             f"the {max_offset_ns} ns stationarity guard; pass force=True to override"
         )
-    shifted_pos = 1 if t_d_ns > 0 else 0
-    target = run.channels[shifted_pos]
+    j = 1 if t_d_ns > 0 else 0
     offset = abs(t_d_ns)
-    packets = tuple(
-        PacketRecord(
-            index=p.index,
-            copies={
-                c: (shift_copy(copy, offset) if c == target else copy)
-                for c, copy in p.copies.items()
-            },
-        )
-        for p in run.packets
+    shift = np.zeros_like(run.req)
+    shift[j] = offset
+    trace = run.trace
+    if trace is not None:
+        n = len(run.index)
+        start = trace.start.copy()
+        start[trace.offsets[j * n] : trace.offsets[(j + 1) * n]] += offset
+        trace = replace(trace, start=start)
+    return replace(
+        run,
+        meta=replace(run.meta, deferral_ns=total),
+        req=run.req + shift,
+        end=run.end + shift,
+        trace=trace,
     )
-    return RunLog(meta=replace(run.meta, deferral_ns=total), packets=packets)
 
 
 def oracle_saved_attempts(
@@ -287,27 +292,27 @@ def oracle_saved_attempts(
             raise TraceRequiredError(
                 "exact early-termination analysis needs per-attempt traces"
             )
+    copies = packet.copies
     if t_d_ns != 0:
         first, second = _duplex_pair(packet)
-        shift = {first: max(0, -t_d_ns), second: max(0, t_d_ns)}
-    else:
-        shift = {c: 0 for c in packet.copies}
+        copies = {
+            first: shift_copy(copies[first], max(0, -t_d_ns)),
+            second: shift_copy(copies[second], max(0, t_d_ns)),
+        }
 
-    delivered = [c for c, copy in packet.copies.items() if not copy.lost]
-    saved: dict[ChannelId, int] = {}
+    delivered = [c for c, copy in copies.items() if not copy.lost]
     if not delivered:
-        return {c: copy.attempts for c, copy in packet.copies.items()}
-    quickest = min(
-        delivered, key=lambda c: (packet.copies[c].end_ns + shift[c], c.index)
-    )
-    xack_ns = packet.copies[quickest].end_ns + shift[quickest]
-    for channel, copy in packet.copies.items():
+        return {c: copy.attempts for c, copy in copies.items()}
+    quickest = min(delivered, key=lambda c: (copies[c].end_ns, c.index))
+    xack_ns = copies[quickest].end_ns
+    saved: dict[ChannelId, int] = {}
+    for channel, copy in copies.items():
         if channel == quickest:
             saved[channel] = copy.attempts
             continue
         kept = copy.attempts
         for attempt in copy.trace:
-            if xack_ns + t_lre_ns < attempt.start_ns + shift[channel]:
+            if xack_ns + t_lre_ns < attempt.start_ns:
                 kept = attempt.ordinal - 1
                 break
         saved[channel] = kept

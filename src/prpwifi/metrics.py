@@ -7,11 +7,11 @@ standard deviation. They are computed in numpy: an int64 sort, and the sum
 and sum of squares from int64 limb products combined as Python ints, so
 both sums are exact for any int64 latencies.
 
-Duplex logs go through a vectorized evaluation of the same per-packet
-definitions implemented in :mod:`prpwifi.da`; logs with more channels use
-the per-packet functions directly. The two paths are interchangeable and
-cross-checked by the test suite. On the vectorized path each delivered-
-latency population is reduced once per set of extracted columns: a sweep
+Reports are computed over the run's per-channel columns for any channel
+count; the per-packet functions of :mod:`prpwifi.da` define the same
+quantities and are kept as the reference path
+(:func:`compute_report_reference`) that the test suite cross-checks.
+Each delivered-latency population is reduced once per call: a sweep
 computes the channel populations once, the link population on recorded
 timestamps once, and the virtually displaced link population once per
 distinct ``T_D``.
@@ -31,14 +31,14 @@ from .da import (
     DaMode,
     DaParams,
     FailedCopyPolicy,
-    policy_final_start,
+    TraceRequiredError,
     oracle_saved_attempts,
     rda_flags,
     simplex_flags,
     tdd_flags,
     tdd_latency,
 )
-from .trace import CopyRecord, PhyParams, RunLog, copy_latency, link_outcome
+from .trace import RunLog, copy_latency, link_outcome
 
 MISS_THRESHOLDS_NS = (10_000_000, 100_000_000)  # 10 ms and 100 ms deadlines
 
@@ -231,10 +231,10 @@ class _Accumulated:
     link_lost: int
 
 
-def _accumulate_generic(
+def _accumulate_reference(
     run: RunLog, params: DaParams, t_d: int, recorded: bool
 ) -> _Accumulated:
-    """Per-packet evaluation; works for any channel count."""
+    """Per-packet evaluation with the functions of :mod:`prpwifi.da`."""
     channels = run.channels
     phy_by = run.phy_by_channel()
     mode = params.mode
@@ -302,47 +302,52 @@ def _accumulate_generic(
 
 
 @dataclass(frozen=True, slots=True)
-class _DuplexColumns:
-    """Per-packet arrays of a duplex log, in channel-index order.
+class _Derived:
+    """Arrays derived from a run's columns, shared by the grid points of one
+    ``compute_report`` or ``sweep`` call.
 
-    Everything derived from the columns alone (final-attempt starts per
-    failed-copy policy, latency populations) is computed on first use and
-    kept, so the grid points of a sweep share it.
+    Final-attempt starts per failed-copy policy and latency populations are
+    computed on first use and kept.
     """
 
-    copies: tuple[list[CopyRecord], list[CopyRecord]]
-    phys: tuple[PhyParams, PhyParams]
-    req: np.ndarray  # (2, n) request times
-    end: np.ndarray  # (2, n) end-of-transmission times
-    rx: np.ndarray  # (2, n) receive times, valid where not lost
-    start: np.ndarray  # (2, n) final-attempt starts, valid where not lost
-    lost: np.ndarray  # (2, n) bool
-    single: np.ndarray  # (2, n) bool, delivered or lost after one attempt
-    xack: np.ndarray  # (n,) quickest delivered end, _FAR when lost on the link
+    run: RunLog
+    rx: np.ndarray  # (m, n) receive times, valid where delivered
+    start: np.ndarray  # (m, n) final-attempt starts, valid where delivered
     attempts_delivered: list[int]  # attempts summed over delivered copies
     max_delivered_attempts: int
     _tw: dict[FailedCopyPolicy, np.ndarray] = field(default_factory=dict)
     _populations: dict[tuple, _Population] = field(default_factory=dict)
 
     def tw(self, policy: FailedCopyPolicy) -> np.ndarray:
-        """(2, n) final-attempt starts for the termination test, with
-        _TW_EXCLUDED where the policy excludes a lost copy."""
+        """(m, n) final-attempt starts for the termination test (those of
+        ``da.policy_final_start``), with _TW_EXCLUDED where the policy
+        excludes a lost copy."""
         if policy not in self._tw:
-            tw = np.where(self.lost, _TW_EXCLUDED, self.start)
-            if policy is not FailedCopyPolicy.PESSIMISTIC_ZERO:
-                for j in (0, 1):
-                    for i in np.flatnonzero(self.lost[j]):
-                        start = policy_final_start(
-                            self.copies[j][i], self.phys[j], policy
-                        )
-                        tw[j, i] = _TW_EXCLUDED if start is None else start
+            run = self.run
+            lost = run.lost
+            tw = np.where(lost, _TW_EXCLUDED, self.start)
+            if policy is not FailedCopyPolicy.PESSIMISTIC_ZERO and lost.any():
+                timeout = _per_channel(run, "ack_timeout_ns")
+                final = run.end - (run.td + timeout)
+                known = run.has_td
+                t = run.trace
+                if t is not None:
+                    traced = t.present & (t.lengths().reshape(lost.shape) > 0)
+                    final = np.where(traced, t.per_copy(t.start), final)
+                    known = known | traced
+                if (lost & ~known).any():
+                    raise TraceRequiredError(
+                        "oracle policy needs traces or frame durations for lost copies"
+                    )
+                tw = np.where(lost, final, tw)
             self._tw[policy] = tw
         return self._tw[policy]
 
     def channel_latency(self, j: int) -> _Population:
         key = ("channel", j)
         if key not in self._populations:
-            samples = (self.rx[j] - self.req[j])[~self.lost[j]]
+            run = self.run
+            samples = (self.rx[j] - run.req[j])[~run.lost[j]]
             self._populations[key] = _population(samples)
         return self._populations[key]
 
@@ -351,61 +356,41 @@ class _DuplexColumns:
         channel's requests virtually displaced by ``t_d``."""
         key = ("link", None) if recorded else ("link", t_d)
         if key not in self._populations:
-            lost = self.lost
+            run = self.run
+            lost = run.lost
             if recorded:
-                req_min = np.minimum(self.req[0], self.req[1])
-                latency = np.where(lost, _FAR, self.rx).min(axis=0) - req_min
+                arrival = np.where(lost, _FAR, self.rx).min(axis=0)
+                latency = arrival - run.req.min(axis=0)
             else:
-                d0 = self.rx[0] - self.req[0] + max(0, -t_d)
-                d1 = self.rx[1] - self.req[1] + max(0, t_d)
-                latency = np.minimum(
-                    np.where(lost[0], _FAR, d0), np.where(lost[1], _FAR, d1)
-                )
-            samples = latency[~(lost[0] & lost[1])]
-            self._populations[key] = _population(samples)
+                own = self.rx - run.req + _shift(t_d)
+                latency = np.where(lost, _FAR, own).min(axis=0)
+            self._populations[key] = _population(latency[~lost.all(axis=0)])
         return self._populations[key]
 
 
-def _extract_duplex(run: RunLog) -> _DuplexColumns:
-    channels = run.channels
-    phy_by = run.phy_by_channel()
-    phys = (phy_by[channels[0]], phy_by[channels[1]])
-    copies = tuple([p.copies[c] for p in run.packets] for c in channels)
-    n = len(run.packets)
-    # one flat pass over the raw fields; lost copies may lack frame durations
-    flat = (
-        value
-        for channel_copies in copies
-        for c in channel_copies
-        for value in (
-            c.lost,
-            c.request_ns,
-            c.end_ns,
-            c.attempts,
-            c.final_data_ns or 0,
-            c.final_ack_ns or 0,
-        )
-    )
-    fields = np.fromiter(flat, np.int64, 12 * n).reshape(2, n, 6)
-    lost, req, end, attempts, data, ack = fields.transpose(2, 0, 1).copy()
-    sifs = np.array([[phy.sifs_ns] for phy in phys], dtype=np.int64)
+def _per_channel(run: RunLog, name: str) -> np.ndarray:
+    """(m, 1) PHY parameter ``name`` of each channel."""
+    return np.array([[getattr(cm.phy, name)] for cm in run.meta.channels])
+
+
+def _shift(t_d: int) -> np.ndarray:
+    """(2, 1) request shift of a virtual displacement by ``t_d``."""
+    return np.array([[max(0, -t_d)], [max(0, t_d)]])
+
+
+def _derive(run: RunLog) -> _Derived:
     # the reconstructions of trace.receive_time and trace.final_attempt_start
-    rx = end - (sifs + ack)
-    lost = lost.astype(bool)
-    delivered = ~lost
-    return _DuplexColumns(
-        copies=copies,
-        phys=phys,
-        req=req,
-        end=end,
+    rx = run.end - (_per_channel(run, "sifs_ns") + run.ta)
+    delivered = ~run.lost
+    return _Derived(
+        run=run,
         rx=rx,
-        start=rx - data,
-        lost=lost,
-        single=attempts == 1,
-        xack=np.where(lost, _FAR, end).min(axis=0),
-        attempts_delivered=[int(attempts[j][delivered[j]].sum()) for j in (0, 1)],
+        start=rx - run.td,
+        attempts_delivered=[
+            int(w[ok].sum()) for w, ok in zip(run.attempts, delivered)
+        ],
         max_delivered_attempts=(
-            int(attempts[delivered].max()) if delivered.any() else 0
+            int(run.attempts[delivered].max()) if delivered.any() else 0
         ),
     )
 
@@ -414,36 +399,38 @@ def _counts(flags: np.ndarray) -> list[int]:
     return [int(np.count_nonzero(row)) for row in flags]
 
 
-def _accumulate_duplex(
-    cols: _DuplexColumns, params: DaParams, t_d: int, recorded: bool
+def _accumulate(
+    cols: _Derived, params: DaParams, t_d: int, recorded: bool
 ) -> _Accumulated:
-    """Vectorized evaluation of the duplex per-packet definitions."""
-    lost = cols.lost
-    lost_link = lost[0] & lost[1]
-    t_lre = params.t_lre_ns
-
-    if params.mode is DaMode.POW:
-        early = np.zeros_like(lost)
-    else:
+    """Vectorized evaluation of the per-packet definitions, for any number
+    of channels (virtual displacement, like TDD itself, is duplex only)."""
+    run = cols.run
+    lost = run.lost
+    lost_link = lost.all(axis=0)
+    early = simplex = np.zeros_like(lost)
+    simplex_link = 0
+    if params.mode is not DaMode.POW:
+        shift = 0 if recorded else _shift(t_d)
+        # the cross-ACK fires at the quickest delivered (shifted) end
+        ends = np.where(lost, _FAR, run.end + shift)
+        quickest = ends.argmin(axis=0)
+        columns = np.arange(lost.shape[1])
         tw = cols.tw(params.failed_copy_policy)
-        if recorded:
-            # cross-ACK at the quickest delivered end; the quickest channel's
-            # own flag is structurally false (its final start precedes its end)
-            early = ~lost_link & (cols.xack + t_lre < tw)
-        else:
-            early = np.empty_like(lost)
-            early[1] = ~lost[0] & (cols.end[0] + t_lre < tw[1] + t_d)
-            early[0] = ~lost[1] & (cols.end[1] + t_d + t_lre < tw[0])
-    simplex = early & cols.single
-
+        early = ~lost_link & (ends[quickest, columns] + params.t_lre_ns < tw + shift)
+        early[quickest, columns] = False
+        simplex = early & (run.attempts == 1)
+        # a simplex packet has every copy but the quickest's prevented
+        fully = simplex.copy()
+        fully[quickest, columns] = True
+        simplex_link = int(np.count_nonzero(fully.all(axis=0) & ~lost_link))
     return _Accumulated(
         early_sum=_counts(early),
         simplex_sum=_counts(simplex),
-        simplex_link_count=int(np.count_nonzero(simplex[0] | simplex[1])),
+        simplex_link_count=simplex_link,
         attempts_delivered=cols.attempts_delivered,
         lost_count=_counts(lost),
         max_delivered_attempts=cols.max_delivered_attempts,
-        chan_latency=[cols.channel_latency(0), cols.channel_latency(1)],
+        chan_latency=[cols.channel_latency(j) for j in range(len(lost))],
         link_latency=cols.link_latency(t_d, recorded),
         link_lost=int(np.count_nonzero(lost_link)),
     )
@@ -518,26 +505,20 @@ def _assemble(
     )
 
 
-def _evaluate(
-    run: RunLog, params: DaParams, cols: _DuplexColumns | None
-) -> MetricsReport:
+def _evaluate(run: RunLog, params: DaParams, cols: _Derived | None) -> MetricsReport:
     params.validate()
     t_d, recorded = _resolve(run, params)
     if cols is None:
-        acc = _accumulate_generic(run, params, t_d, recorded)
+        acc = _accumulate_reference(run, params, t_d, recorded)
     else:
-        acc = _accumulate_duplex(cols, params, t_d, recorded)
+        acc = _accumulate(cols, params, t_d, recorded)
     return _assemble(run, params, t_d, acc)
-
-
-def _columns(run: RunLog) -> _DuplexColumns | None:
-    return _extract_duplex(run) if len(run.channels) == 2 else None
 
 
 def compute_report(run: RunLog, params: DaParams) -> MetricsReport:
     """Evaluate all per-channel and link metrics of a run under one
     duplication-avoidance configuration."""
-    return _evaluate(run, params, _columns(run))
+    return _evaluate(run, params, _derive(run))
 
 
 def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
@@ -550,11 +531,11 @@ def sweep(run: RunLog, grid: Sequence[DaParams]) -> list[MetricsReport]:
     """Evaluate one report per grid point, all from the same base log, so
     different mechanisms and parameters are compared on identical data.
 
-    The points share one set of duplex columns, so each latency population
-    is reduced once for the whole grid."""
+    The points share the arrays derived from the run, so each latency
+    population is reduced once for the whole grid."""
     if not grid:
         raise ValueError("sweep grid must not be empty")
-    cols = _columns(run)
+    cols = _derive(run)
     reports = []
     for point, params in enumerate(grid):
         try:

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .trace import (
-    AttemptTrace,
+    AttemptTable,
     ChannelId,
     ChannelMeta,
-    CopyRecord,
-    PacketRecord,
     PhyParams,
     RunLog,
     RunMeta,
@@ -268,26 +266,31 @@ def interference_arrays(
     return _merge_intervals(np.concatenate(all_starts), np.concatenate(all_ends))
 
 
-def generate_interference(
-    params: InterferenceParams, horizon_ns: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Busy-interval list for one channel, merged across its interferers."""
-    starts, ends = interference_arrays(params, horizon_ns, rng)
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 # --- per-channel MAC --------------------------------------------------------
 
 
 @dataclass(slots=True)
 class ChannelState:
-    """Mutable per-channel cursor: busy intervals, scan position, and the
-    time the adapter becomes free after its previous copy."""
+    """Mutable per-channel MAC state and output columns.
+
+    The state is the busy intervals, the scan position in them, and the
+    time the adapter becomes free after its previous copy. Each simulated
+    copy appends its loss flag, end of transmission, attempt count and
+    final DATA duration; with traces, each attempt appends its start, DATA
+    duration and outcome.
+    """
 
     busy_starts: list[int]
     busy_ends: list[int]
     cursor: int = 0
     free_at_ns: int = 0
+    lost: list[bool] = field(default_factory=list)
+    end: list[int] = field(default_factory=list)
+    attempts: list[int] = field(default_factory=list)
+    final_data: list[int] = field(default_factory=list)
+    attempt_start: list[int] = field(default_factory=list)
+    attempt_data: list[int] = field(default_factory=list)
+    attempt_ok: list[bool] = field(default_factory=list)
 
 
 def _acquire(
@@ -340,8 +343,9 @@ def simulate_copy(
     backoff_rng: random.Random,
     error_rng: random.Random,
     collect_trace: bool = True,
-) -> CopyRecord:
-    """Transmit one packet copy: initial try plus retries up to the limit.
+) -> None:
+    """Transmit one packet copy (initial try plus retries up to the limit)
+    and append its outcome to the state's columns.
 
     The contention window starts at cw_min and doubles after each failed
     attempt, saturating at cw_max. A successful attempt ends with
@@ -365,9 +369,11 @@ def simulate_copy(
     ends = state.busy_ends
     k = state.cursor
     n_busy = len(starts)
+    trace_start = state.attempt_start
+    trace_data = state.attempt_data
+    trace_ok = state.attempt_ok
 
     cw = phy.cw_min
-    trace: list[AttemptTrace] = []
     attempt = 0
     while True:
         attempt += 1
@@ -382,46 +388,34 @@ def simulate_copy(
         ok = error_uniform() >= prob
         end = start + data_ns + (sifs_ack if ok else ack_to)
         if collect_trace:
-            trace.append(
-                AttemptTrace(
-                    ordinal=attempt,
-                    start_ns=start,
-                    data_ns=data_ns,
-                    ack_ns=phy.ack_frame_ns if ok else None,
-                    succeeded=ok,
-                )
-            )
+            trace_start.append(start)
+            trace_data.append(data_ns)
+            trace_ok.append(ok)
         t = end
         if ok or attempt == retry_limit:
             break
         cw = min(2 * cw + 1, cw_max)
     state.cursor = k
     state.free_at_ns = end
-    lost = not ok
-    if lost and not collect_trace:
-        # adapter view: the driver exposes no frame durations for lost copies
-        final_data = None
-        final_ack = None
-    else:
-        final_data = data_ns
-        final_ack = phy.ack_frame_ns if ok else None
-    return CopyRecord(
-        lost=lost,
-        request_ns=request_ns,
-        end_ns=end,
-        attempts=attempt,
-        final_data_ns=final_data,
-        final_ack_ns=final_ack,
-        trace=tuple(trace) if collect_trace else None,
-    )
+    state.lost.append(not ok)
+    state.end.append(end)
+    state.attempts.append(attempt)
+    state.final_data.append(data_ns)
 
 
 # --- run generation ---------------------------------------------------------
 
+# One channel's share of a run, keyed like the fields of RunLog and
+# AttemptTable: its copy columns, each of shape (n,), and its attempt rows
+# (None without traces).
+_COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "has_td", "ta", "has_ta")
+_ATTEMPT_COLUMNS = ("start", "data", "ack", "has_ack", "ok")
+_Channel = tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]
+
 
 def _simulate_channel(
     setup: ChannelSetup, config: SimConfig, request_offset_ns: int
-) -> list[CopyRecord]:
+) -> _Channel:
     label = setup.channel.label
     horizon = (config.n_packets - 1) * config.period_ns + request_offset_ns
     horizon += config.interference_margin_ns
@@ -433,41 +427,58 @@ def _simulate_channel(
     state = ChannelState(busy_starts=busy_s.tolist(), busy_ends=busy_e.tolist())
     backoff_rng = mac_stream(config.seed, setup.seed_salt, label, "backoff")
     error_rng = mac_stream(config.seed, setup.seed_salt, label, "error")
-    period = config.period_ns
-    copies = []
-    for i in range(config.n_packets):
-        copies.append(
-            simulate_copy(
-                state,
-                i * period + request_offset_ns,
-                setup.phy,
-                setup.errors,
-                backoff_rng,
-                error_rng,
-                collect_trace=config.emit_full_trace,
-            )
+    n, period = config.n_packets, config.period_ns
+    for i in range(n):
+        simulate_copy(
+            state,
+            i * period + request_offset_ns,
+            setup.phy,
+            setup.errors,
+            backoff_rng,
+            error_rng,
+            collect_trace=config.emit_full_trace,
         )
-    return copies
+    lost = np.array(state.lost, dtype=bool)
+    delivered = ~lost
+    # adapter view: the driver exposes no frame durations for lost copies
+    has_td = np.ones(n, dtype=bool) if config.emit_full_trace else delivered
+    copies = {
+        "lost": lost,
+        "req": np.arange(n, dtype=np.int64) * period + request_offset_ns,
+        "end": np.array(state.end, dtype=np.int64),
+        "attempts": np.array(state.attempts, dtype=np.int64),
+        "td": np.where(has_td, np.array(state.final_data, dtype=np.int64), 0),
+        "has_td": has_td,
+        "ta": np.where(delivered, setup.phy.ack_frame_ns, 0),
+        "has_ta": delivered,
+    }
+    if not config.emit_full_trace:
+        return copies, None
+    ok = np.array(state.attempt_ok, dtype=bool)
+    attempts = {
+        "start": np.array(state.attempt_start, dtype=np.int64),
+        "data": np.array(state.attempt_data, dtype=np.int64),
+        "ack": np.where(ok, setup.phy.ack_frame_ns, 0),
+        "has_ack": ok,
+        "ok": ok,
+    }
+    return copies, attempts
 
 
-def generate_run(config: SimConfig) -> RunLog:
-    """Generate a full duplex run; identical config and seed reproduce it
-    bit-for-bit, and each channel evolves from its own substreams."""
-    config.validate()
+def _channel_of(run: RunLog, j: int) -> _Channel:
+    """Channel ``j``'s columns of an existing run."""
+    copies = {name: getattr(run, name)[j] for name in _COPY_COLUMNS}
+    t = run.trace
+    if t is None:
+        return copies, None
+    n = len(run.index)
+    rows = slice(t.offsets[j * n], t.offsets[(j + 1) * n])
+    return copies, {name: getattr(t, name)[rows] for name in _ATTEMPT_COLUMNS}
+
+
+def _run_meta(config: SimConfig) -> RunMeta:
     offsets = config.request_offsets()
-    per_channel = [
-        _simulate_channel(setup, config, offset)
-        for setup, offset in zip(config.channels, offsets)
-    ]
-    ids = [setup.channel for setup in config.channels]
-    packets = tuple(
-        PacketRecord(
-            index=i + 1,
-            copies={ids[0]: per_channel[0][i], ids[1]: per_channel[1][i]},
-        )
-        for i in range(config.n_packets)
-    )
-    meta = RunMeta(
+    return RunMeta(
         n_packets=config.n_packets,
         period_ns=config.period_ns,
         seed=config.seed,
@@ -484,13 +495,54 @@ def generate_run(config: SimConfig) -> RunLog:
         deferral_ns=offsets[1] - offsets[0],
         request_epsilon_ns=0,
     )
-    run = RunLog(meta=meta, packets=packets)
+
+
+def generate_run(
+    config: SimConfig, base: tuple[SimConfig, RunLog] | None = None
+) -> RunLog:
+    """Generate a full duplex run; identical config and seed reproduce it
+    bit-for-bit, and each channel evolves from its own substreams.
+
+    ``base`` is an earlier ``(base_config, generate_run(base_config))``
+    where ``base_config`` differs from ``config`` at most in its deferral.
+    A channel's records depend only on the config apart from the deferral
+    and on its own request offset, so channels whose offset is the same in
+    both configs are taken from the base run instead of simulated again.
+    A base from any other config is refused with :class:`SimConfigError`.
+    """
+    config.validate()
+    offsets = config.request_offsets()
+    reused: tuple[int, ...] = ()
+    if base is not None:
+        base_config, base_run = base
+        if replace(base_config, deferral=None) != replace(
+            config, deferral=None
+        ) or base_run.meta != _run_meta(base_config):
+            raise SimConfigError("base run was generated from another config")
+        base_offsets = base_config.request_offsets()
+        reused = tuple(j for j in (0, 1) if base_offsets[j] == offsets[j])
+    channels = [
+        _channel_of(base[1], j)
+        if j in reused
+        else _simulate_channel(setup, config, offset)
+        for j, (setup, offset) in enumerate(zip(config.channels, offsets))
+    ]
+    copies = {name: np.stack([c[name] for c, _ in channels]) for name in _COPY_COLUMNS}
+    trace = None
+    if config.emit_full_trace:
+        # every copy's trace holds exactly its attempts
+        offsets = np.zeros(copies["attempts"].size + 1, dtype=np.int64)
+        np.cumsum(copies["attempts"], out=offsets[1:])
+        trace = AttemptTable(
+            offsets=offsets,
+            present=np.ones_like(copies["lost"]),
+            **{name: np.concatenate([a[name] for _, a in channels]) for name in _ATTEMPT_COLUMNS},
+        )
+    run = RunLog(
+        meta=_run_meta(config),
+        index=np.arange(1, config.n_packets + 1, dtype=np.int64),
+        trace=trace,
+        **copies,
+    )
     validate_run(run)  # attempt ordering and reconstruction identities
     return run
-
-
-def apply_real_deferral(config: SimConfig) -> RunLog:
-    """Generate a run whose secondary-channel requests are actually delayed."""
-    if config.deferral is None:
-        raise SimConfigError("config has no deferral set")
-    return generate_run(config)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
+import io
+import json
+
 import pytest
 from hypothesis import strategies as st
 
-from prpwifi import PacketRecord, RunLog, VIEW_FULL_TRACE, generate_run
+from prpwifi import PacketRecord, RunLog, VIEW_FULL_TRACE, encode_log, generate_run
 
-from helpers import CH_A, CH_B, copy_from_starts, desk_config, make_run
+from helpers import CH_A, CH_B, copy_from_starts, desk_config, lossy_config, make_run
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +61,56 @@ def duplex_runs(draw):
     for i in range(n):
         packets.append(draw(duplex_packets(index=i + 1, request_ns=i * period)))
     return make_run(packets, period_ns=period, view=VIEW_FULL_TRACE)
+
+
+# --- malformed logs ----------------------------------------------------------
+#
+# A small valid log (either view, lost copies included) with one field of
+# one line changed: a wrong type, an out-of-range or merely odd int, another
+# channel label, a deleted key or list entry (missing copy, trace shorter
+# than ``w``), or a duplicated list entry (duplicate copy, extra attempt).
+
+
+def _encoded(full_trace: bool) -> list[str]:
+    buf = io.StringIO()
+    encode_log(generate_run(lossy_config(12, seed=3, full_trace=full_trace)), buf)
+    return buf.getvalue().splitlines()
+
+
+_VALID_LOGS = (_encoded(True), _encoded(False))
+_ODD_VALUES = (
+    "x", "A", "B", "Z", 1.5, True, None, [], {}, 0, -1, 1, 2, 7,
+    2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70,
+)
+
+
+def _slots(node, path=()):
+    """Paths to every dict value and list entry below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, path + (key,))
+
+
+@st.composite
+def mutated_logs(draw) -> str:
+    lines = list(draw(st.sampled_from(_VALID_LOGS)))
+    line = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    record = json.loads(lines[line])
+    path = draw(st.sampled_from(list(_slots(record))))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = draw(st.sampled_from(("set", "set", "set", "delete", "duplicate")))
+    if action == "set":
+        parent[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = [parent[key], parent[key]]
+    lines[line] = json.dumps(record)
+    return "\n".join(lines) + "\n"

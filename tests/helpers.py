@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from prpwifi import (
@@ -12,6 +13,7 @@ from prpwifi import (
     CopyRecord,
     ErrorModel,
     InterferenceParams,
+    InvalidRunError,
     LatencyStats,
     PacketRecord,
     PhyParams,
@@ -20,6 +22,7 @@ from prpwifi import (
     SimConfig,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
+    final_attempt_start,
 )
 
 CH_A = ChannelId(0, "A")
@@ -145,7 +148,7 @@ def make_run(
         channels=tuple(ChannelMeta(channel=c, phy=phy) for c in channels),
         deferral_ns=deferral_ns,
     )
-    return RunLog(meta=meta, packets=tuple(packets))
+    return RunLog.from_packets(meta, packets)
 
 
 def trace_from_starts(
@@ -247,3 +250,97 @@ def latency_stats_spec(samples: list[int]) -> LatencyStats | None:
         max_ns=ordered[-1],
         population=n,
     )
+
+
+def _validate_copy_spec(copy: CopyRecord) -> None:
+    if copy.request_ns < 0:
+        raise InvalidRunError("request time must be non-negative")
+    if copy.end_ns <= copy.request_ns:
+        raise InvalidRunError("end of transmission must follow the request")
+    if copy.attempts < 1:
+        raise InvalidRunError("attempt count must be >= 1")
+    if not copy.lost:
+        if copy.final_data_ns is None or copy.final_ack_ns is None:
+            raise InvalidRunError("delivered copies need both frame durations")
+    if copy.trace is not None:
+        if len(copy.trace) != copy.attempts:
+            raise InvalidRunError("trace length must equal the attempt count")
+        for prev, cur in zip(copy.trace, copy.trace[1:]):
+            if cur.start_ns <= prev.start_ns:
+                raise InvalidRunError("attempt starts must strictly increase")
+        if any(a.succeeded for a in copy.trace[:-1]):
+            raise InvalidRunError("only the final attempt may succeed")
+        if copy.trace[-1].succeeded == copy.lost:
+            raise InvalidRunError("trace outcome contradicts the loss flag")
+        for a in copy.trace:
+            if (a.ack_ns is not None) != a.succeeded:
+                raise InvalidRunError(
+                    "an attempt carries an ACK duration iff it succeeded"
+                )
+
+
+def validate_run_spec(run: RunLog, request_epsilon_ns: int | None = None) -> None:
+    """Per-packet pass over every structural invariant, in the order that
+    ``trace.validate_run`` must reproduce: the first offending packet, and
+    for it the first failing check, decide the message."""
+    run.meta.validate()
+    packets = run.packets
+    if len(packets) != run.meta.n_packets:
+        raise InvalidRunError(
+            f"meta says {run.meta.n_packets} packets, log has {len(packets)}"
+        )
+    if request_epsilon_ns is None:
+        request_epsilon_ns = run.meta.request_epsilon_ns
+    channels = run.channels
+    phy_by = run.phy_by_channel()
+    last_end = {c: -1 for c in channels}
+    expected = 1
+    for packet in packets:
+        if packet.index != expected:
+            raise InvalidRunError(
+                f"packet indices must run 1..N without gaps (saw {packet.index})"
+            )
+        expected += 1
+        if run.meta.deferral_ns == 0:
+            requests = [packet.copies[c].request_ns for c in channels]
+            if max(requests) - min(requests) > request_epsilon_ns:
+                raise InvalidRunError(
+                    f"packet {packet.index}: request skew exceeds epsilon"
+                )
+        elif len(channels) == 2:
+            skew = (
+                packet.copies[channels[1]].request_ns
+                - packet.copies[channels[0]].request_ns
+            )
+            if skew != run.meta.deferral_ns:
+                raise InvalidRunError(
+                    f"packet {packet.index}: request skew {skew} does not match "
+                    f"the recorded displacement {run.meta.deferral_ns}"
+                )
+        for channel in channels:
+            copy = packet.copies[channel]
+            _validate_copy_spec(copy)
+            if copy.trace is not None:
+                if copy.trace[0].start_ns <= last_end[channel]:
+                    raise InvalidRunError(
+                        f"packet {packet.index}: attempts overlap the previous packet"
+                    )
+                if copy.final_data_ns is not None:
+                    if (
+                        final_attempt_start(copy, phy_by[channel])
+                        != copy.trace[-1].start_ns
+                    ):
+                        raise InvalidRunError(
+                            f"packet {packet.index}: final-attempt reconstruction mismatch"
+                        )
+            last_end[channel] = copy.end_ns
+
+
+def lossy_config(n_packets: int, seed: int, full_trace: bool) -> SimConfig:
+    """Interfered desk run with lost copies on either channel and on the
+    link (retry limit 2 at 30 % attempt loss)."""
+    config = desk_config(
+        n_packets, seed, interferers_a=1, loss_prob=0.3, full_trace=full_trace
+    )
+    channels = tuple(replace(c, phy=PhyParams(retry_limit=2)) for c in config.channels)
+    return replace(config, channels=channels)

@@ -1,9 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
+from prpwifi import LogFormatError, RunLog, decode_log
 from prpwifi.cli import main
 from prpwifi.config import ConfigError, load_config, parse_config
+
+from conftest import mutated_logs
 
 BASE_CONFIG = """
 # duplex desk-scale run
@@ -203,6 +209,52 @@ class TestMalformedLog:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--log", str(bad), "--mode", "rda"]) == 2
         assert capsys.readouterr().err.startswith("error: record 6: ")
+
+
+def test_commands_build_no_per_packet_records(config_file, tmp_path, monkeypatch, capsys):
+    """Every subcommand works on the columns; the per-packet view is for
+    the reference functions only."""
+
+    def forbidden(run):
+        raise AssertionError("per-packet records built on a command path")
+
+    monkeypatch.setattr(RunLog, "packets", property(forbidden))
+    traced = tmp_path / "traced.cfg"
+    traced.write_text(BASE_CONFIG.replace("full_trace = false", "full_trace = true"))
+    for config in (config_file, traced):
+        log = tmp_path / "run.jsonl"
+        argv = ["simulate", str(config), "--out", str(log), "--csv", str(tmp_path / "run.csv")]
+        assert main(argv) == 0
+        for mode in ("pow", "rda", "tdd"):
+            assert main(["analyze", "--log", str(log), "--mode", mode, "--td", "50us"]) == 0
+        for param, grid in (("tlre", "0:200us"), ("td", "-100us:100us")):
+            argv = ["sweep", "--log", str(log), "--param", param, f"--range={grid}"]
+            assert main(argv + ["--step", "50us"]) == 0
+    oracle = ["--mode", "rda", "--failed-copy-policy", "oracle"]
+    assert main(["analyze", "--log", str(log), *oracle]) == 0
+    argv = ["validate-deferral", str(config_file), "--td-list=-50us,50us", "--seeds", "1"]
+    assert main(argv + ["--tol-e", "0.1", "--tol-latency", "0.1"]) == 0
+    capsys.readouterr()
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_logs())
+def test_mutated_log_exits_2_without_traceback(text, tmp_path_factory):
+    """A log the decoder rejects exits 2 with a one-line error; one it
+    accepts is analyzed (exit 0)."""
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_text(text)
+    try:
+        decode_log(io.StringIO(text))
+        expected = 0
+    except LogFormatError:
+        expected = 2
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["analyze", "--log", str(path), "--mode", "rda"])
+    assert rc == expected
+    if expected:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestSweepCommand:

@@ -14,6 +14,7 @@ from prpwifi import (
     LatencyStats,
     PacketRecord,
     PhyParams,
+    RunLog,
     compute_report,
     generate_run,
     latency_stats,
@@ -38,6 +39,7 @@ from helpers import (
     WORKED_W_B,
     desk_config,
     latency_stats_spec,
+    lossy_config,
     make_lost_copy,
     make_run,
     make_success_copy,
@@ -330,6 +332,25 @@ class TestNplexReport:
         assert report.link.early_bar == 2  # both non-quickest copies terminated
         assert report.link.attempts_bar_pow == 4
         assert report.link.load_vs_simplex == 3 * report.link.load_vs_pow
+
+    def test_vector_path_equals_reference(self, lossy_runs):
+        # a third channel C carrying the copies of A from another seed
+        ch_c = ChannelId(2, "C")
+        base = lossy_runs[True]
+        other = generate_run(lossy_config(400, seed=22, full_trace=True))
+        packets = [
+            PacketRecord(p.index, {**p.copies, ch_c: q.copies[CH_A]})
+            for p, q in zip(base.packets, other.packets)
+        ]
+        meta = replace(
+            base.meta,
+            channels=base.meta.channels + (replace(base.meta.channels[0], channel=ch_c),),
+        )
+        run = RunLog.from_packets(meta, packets)
+        assert run.lost.all(axis=0).any()
+        for params in mixed_grid(BOTH_POLICIES):
+            if params.mode is not DaMode.TDD:
+                assert compute_report(run, params) == compute_report_reference(run, params)
 
     def test_tdd_rejected(self):
         run, _ = self.build_run()

@@ -4,6 +4,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from prpwifi import (
@@ -16,14 +17,12 @@ from prpwifi import (
     PhyParams,
     SimConfig,
     SimConfigError,
-    apply_real_deferral,
     encode_log,
-    generate_interference,
     generate_run,
     simulate_copy,
     validate_run,
 )
-from prpwifi.sim import bulk_stream, mac_stream
+from prpwifi.sim import bulk_stream, interference_arrays, mac_stream
 
 from helpers import CH_A, CH_B, DESK_PERIOD_NS, desk_config, desk_interference
 
@@ -103,7 +102,8 @@ def merged_busy(cfg, channel_pos):
         + cfg.interference_margin_ns
     )
     stream = bulk_stream(cfg.seed, setup.seed_salt, setup.channel.label, "interference")
-    return generate_interference(setup.interference, horizon, stream)
+    starts, ends = interference_arrays(setup.interference, horizon, stream)
+    return starts.tolist(), ends.tolist()
 
 
 class TestAttemptOrderingAndCarrierSense:
@@ -112,8 +112,7 @@ class TestAttemptOrderingAndCarrierSense:
         run = generate_run(cfg)
         validate_run(run)
         for pos, channel in enumerate(run.channels):
-            busy = merged_busy(cfg, pos)
-            starts = [s for s, _ in busy]
+            starts, ends = merged_busy(cfg, pos)
             previous_end = -1
             for packet in run.packets:
                 copy = packet.copies[channel]
@@ -127,9 +126,9 @@ class TestAttemptOrderingAndCarrierSense:
                     # the on-air interval must fall into an idle gap
                     k = bisect_right(starts, attempt.start_ns) - 1
                     if k >= 0:
-                        assert busy[k][1] <= attempt.start_ns
-                    if k + 1 < len(busy):
-                        assert end <= busy[k + 1][0]
+                        assert ends[k] <= attempt.start_ns
+                    if k + 1 < len(starts):
+                        assert end <= starts[k + 1]
                     previous_end = end
 
 
@@ -144,7 +143,7 @@ class TestSimulateCopy:
     def test_two_forced_failures_then_success(self):
         state = ChannelState(busy_starts=[], busy_ends=[])
         phy = PhyParams()
-        copy = simulate_copy(
+        simulate_copy(
             state,
             request_ns=0,
             phy=phy,
@@ -152,13 +151,15 @@ class TestSimulateCopy:
             backoff_rng=self.ScriptedRng([0.0, 0.0, 0.0]),
             error_rng=self.ScriptedRng([0.1, 0.2, 0.9]),
         )
-        assert copy.attempts == 3 and not copy.lost
-        assert [a.ordinal for a in copy.trace] == [1, 2, 3]
-        assert copy.trace[0].start_ns < copy.trace[1].start_ns < copy.trace[2].start_ns
+        assert state.attempts == [3] and state.lost == [False]
+        assert state.attempt_ok == [False, False, True]
+        starts = state.attempt_start
+        assert starts[0] < starts[1] < starts[2]
+        assert state.end == [starts[2] + phy.data_frame_ns + phy.sifs_ns + phy.ack_frame_ns]
 
     def test_retry_limit_21_all_failures(self):
         state = ChannelState(busy_starts=[], busy_ends=[])
-        copy = simulate_copy(
+        simulate_copy(
             state,
             request_ns=0,
             phy=PhyParams(retry_limit=21),
@@ -166,12 +167,13 @@ class TestSimulateCopy:
             backoff_rng=mac_stream(1, "", "A", "backoff"),
             error_rng=mac_stream(1, "", "A", "error"),
         )
-        assert copy.lost and copy.attempts == 21
+        assert state.lost == [True] and state.attempts == [21]
+        assert len(state.attempt_start) == 21 and not any(state.attempt_ok)
 
     def test_data_frame_schedule_applies_per_attempt(self):
         state = ChannelState(busy_starts=[], busy_ends=[])
         phy = PhyParams(data_frame_schedule_ns=(300_000, 500_000))
-        copy = simulate_copy(
+        simulate_copy(
             state,
             0,
             phy,
@@ -179,23 +181,26 @@ class TestSimulateCopy:
             self.ScriptedRng([0.0, 0.0, 0.0]),
             self.ScriptedRng([0.1, 0.1, 0.9]),
         )
-        assert [a.data_ns for a in copy.trace] == [300_000, 500_000, 500_000]
+        assert state.attempt_data == [300_000, 500_000, 500_000]
+        assert state.final_data == [500_000]
 
 
 class TestInterference:
     def test_no_interferers_is_empty(self):
         stream = bulk_stream(1, "", "A", "interference")
-        assert generate_interference(InterferenceParams(), 60_000_000_000, stream) == []
+        starts, ends = interference_arrays(InterferenceParams(), 60_000_000_000, stream)
+        assert len(starts) == 0 and len(ends) == 0
 
     def test_non_positive_horizon_rejected(self):
         stream = bulk_stream(1, "", "A", "interference")
         with pytest.raises(SimConfigError):
-            generate_interference(InterferenceParams(), 0, stream)
+            interference_arrays(InterferenceParams(), 0, stream)
 
     def test_gaps_are_capped(self):
         params = desk_interference(1)
         stream = bulk_stream(3, "", "B", "interference")
-        busy = generate_interference(params, 60_000_000_000, stream)
+        starts, ends = interference_arrays(params, 60_000_000_000, stream)
+        busy = list(zip(starts.tolist(), ends.tolist()))
         assert busy, "expected some interference"
         for (s0, e0), (s1, e1) in zip(busy, busy[1:]):
             assert e0 <= s1  # merged and ordered
@@ -206,8 +211,8 @@ class TestInterference:
 
         def busy_fraction(count, seed):
             stream = bulk_stream(seed, "", "B", "interference")
-            busy = generate_interference(desk_interference(count), horizon, stream)
-            return sum(min(e, horizon) - s for s, e in busy) / horizon
+            starts, ends = interference_arrays(desk_interference(count), horizon, stream)
+            return int((np.minimum(ends, horizon) - starts).sum()) / horizon
 
         for count_low, count_high in [(1, 4)]:
             low = statistics.mean(busy_fraction(count_low, s) for s in range(10))
@@ -224,7 +229,7 @@ class TestRealDeferral:
 
     def test_positive_offset_defers_second_channel(self):
         cfg = replace(desk_config(300, seed=8), deferral=Deferral(offset_ns=100_000))
-        run = apply_real_deferral(cfg)
+        run = generate_run(cfg)
         validate_run(run)
         assert run.meta.deferral_ns == 100_000
         for p in run.packets:
@@ -232,7 +237,7 @@ class TestRealDeferral:
 
     def test_negative_offset_swaps_roles(self):
         cfg = replace(desk_config(300, seed=8), deferral=Deferral(offset_ns=-100_000))
-        run = apply_real_deferral(cfg)
+        run = generate_run(cfg)
         assert run.meta.deferral_ns == -100_000
         for p in run.packets:
             assert p.copies[CH_A].request_ns - p.copies[CH_B].request_ns == 100_000
@@ -243,7 +248,7 @@ class TestRealDeferral:
             desk_config(50, seed=8),
             deferral=Deferral(offset_ns=100_000, primary="B"),
         )
-        run = apply_real_deferral(cfg)
+        run = generate_run(cfg)
         assert run.meta.deferral_ns == -100_000
         for p in run.packets:
             assert p.copies[CH_A].request_ns - p.copies[CH_B].request_ns == 100_000
@@ -266,9 +271,34 @@ class TestRealDeferral:
         with pytest.raises(SimConfigError):
             generate_run(cfg)
 
-    def test_apply_real_deferral_requires_deferral(self):
+    @pytest.mark.parametrize("t_d_us", [-250, 100])
+    def test_reused_base_channel_equals_full_run(self, t_d_us):
+        # criterion 5's config: desk bursts, one interferer on A, two on B
+        cfg = desk_config(600, seed=201, interferers_a=1, full_trace=False)
+        deferred = replace(cfg, deferral=Deferral(offset_ns=t_d_us * 1_000))
+        reused = generate_run(deferred, (cfg, generate_run(cfg)))
+        assert reused == generate_run(deferred)
+
+    def test_reuse_with_traces(self):
+        cfg = desk_config(300, seed=4, interferers_a=1)
+        deferred = replace(cfg, deferral=Deferral(offset_ns=-150_000))
+        assert generate_run(deferred, (cfg, generate_run(cfg))) == generate_run(deferred)
+
+    def test_reuse_refused_for_another_config(self):
+        cfg = desk_config(200, seed=201, interferers_a=1, full_trace=False)
+        deferred = replace(cfg, deferral=Deferral(offset_ns=100_000))
+        other_seed = replace(cfg, seed=202)
         with pytest.raises(SimConfigError):
-            apply_real_deferral(desk_config(10, seed=1))
+            generate_run(deferred, (other_seed, generate_run(other_seed)))
+        # the run must come from the config it is paired with
+        with pytest.raises(SimConfigError):
+            generate_run(deferred, (cfg, generate_run(other_seed)))
+        other_loss = replace(
+            cfg,
+            channels=tuple(replace(c, errors=ErrorModel(0.3)) for c in cfg.channels),
+        )
+        with pytest.raises(SimConfigError):
+            generate_run(deferred, (other_loss, generate_run(other_loss)))
 
 
 class TestMacSanity:

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from prpwifi import (
     ChannelId,
@@ -10,25 +12,31 @@ from prpwifi import (
     LogFormatError,
     MissingFrameDurationError,
     PacketRecord,
+    RunLog,
     copy_latency,
     decode_log,
     encode_log,
     export_csv,
     final_attempt_start,
+    generate_run,
     link_outcome,
     receive_time,
     validate_run,
+    write_log,
 )
+from prpwifi.cli import main
 from prpwifi.trace import shift_copy
 
-from conftest import duplex_runs
+from conftest import duplex_runs, mutated_logs
 from helpers import (
     CH_A,
     CH_B,
     HAND_PHY,
+    lossy_config,
     make_lost_copy,
     make_run,
     make_success_copy,
+    validate_run_spec,
 )
 
 PHY_BY = {CH_A: HAND_PHY, CH_B: HAND_PHY}
@@ -261,3 +269,144 @@ def test_shift_copy_moves_trace_too(traced_run):
         s.start_ns == o.start_ns + 50_000 for s, o in zip(shifted.trace, copy.trace)
     )
     assert shifted.attempts == copy.attempts and shifted.lost == copy.lost
+
+
+# sha256 of the outputs of the per-packet implementation that the columnar
+# run replaced, on lossy_config(400, seed=31): log, CSV export, and the
+# `analyze` JSON of an RDA and a TDD report (oracle policy on the traced log)
+FENCE_DIGESTS = {
+    "traced": {
+        "jsonl": "4255eceaf090de3ccb1933f082c9e7ddbae9aa5914ad78ad4a2d59c1dce6821d",
+        "csv": "6cfe5228f1fd49f977b07d21401228cc8ab657cab8110de2f8f5091a1abacd40",
+        "rda": "012d51f6d2e1bbde740544ff959c9fc91cead3254d525778f93dd15a11da6965",
+        "tdd": "f83a202aa1dd13f7c3660db58073370eee9ddef8cda1e1999d6f539262707d81",
+    },
+    "adapter": {
+        "jsonl": "f87b66b0f5cfebf7a3f99cfc76eaa88d2ab62f08b11a6f18548754cf1d858f8e",
+        "csv": "971260ee377b7a56d441935cdca3ad0ecfadcaee218b73b0e515f3bdc0c7de33",
+        "rda": "012d51f6d2e1bbde740544ff959c9fc91cead3254d525778f93dd15a11da6965",
+        "tdd": "16c25987c23bc466376a0a3e03acf84980e42b5026fed6a95de906baa23250c4",
+    },
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("view", ["traced", "adapter"])
+    def test_outputs_match_pinned_digests(self, view, tmp_path, capsys):
+        run = generate_run(lossy_config(400, seed=31, full_trace=view == "traced"))
+        assert run.lost.any(axis=1).all() and run.lost.all(axis=0).any()
+        digests = {}
+        for name, write in (("jsonl", encode_log), ("csv", export_csv)):
+            buf = io.StringIO()
+            write(run, buf)
+            digests[name] = _sha256(buf.getvalue())
+        log = tmp_path / "run.jsonl"
+        write_log(run, log)
+        tdd = ["--mode", "tdd", "--td", "100us", "--tlre", "30us"]
+        if view == "traced":
+            tdd += ["--failed-copy-policy", "oracle"]
+        for name, argv in (("rda", ["--mode", "rda", "--tlre", "50us"]), ("tdd", tdd)):
+            out = tmp_path / f"{name}.json"
+            assert main(["analyze", "--log", str(log), *argv, "--out", str(out)]) == 0
+            digests[name] = _sha256(out.read_text())
+        capsys.readouterr()
+        assert digests == FENCE_DIGESTS[view]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
+    def test_from_packets_roundtrip(self, name, request):
+        run = request.getfixturevalue(name)
+        assert RunLog.from_packets(run.meta, run.packets) == run
+
+    def test_equality_compares_array_values(self, adapter_run):
+        same = replace(adapter_run, end=adapter_run.end.copy())
+        assert same.end is not adapter_run.end and same == adapter_run
+        bumped = adapter_run.end.copy()
+        bumped[1, 7] += 1
+        assert replace(adapter_run, end=bumped) != adapter_run
+
+    def test_columns_are_read_only(self, traced_run):
+        with pytest.raises(ValueError):
+            traced_run.end[0, 0] = 0
+        with pytest.raises(ValueError):
+            traced_run.trace.start[0] = 0
+
+    def test_from_packets_needs_every_copy(self):
+        p = PacketRecord(index=1, copies={CH_A: make_success_copy(0, 400_000)})
+        with pytest.raises(InvalidRunError, match="missing channel copies"):
+            make_run([p])
+
+
+class TestDecoderHoles:
+    @pytest.mark.parametrize(
+        "line, edit, field",
+        [
+            (4, lambda r: r["copies"][0].update(t_T=2**70), "t_T"),
+            (6, lambda r: r["copies"][1].update(w=-(2**63) - 1), "w"),
+            (3, lambda r: r["copies"][1]["trace"][0].update(tW=2**64), "tW"),
+            (5, lambda r: r.update(i=2**63), "i"),
+        ],
+    )
+    def test_ints_beyond_int64_name_the_line(self, traced_run, line, edit, field):
+        buf = io.StringIO()
+        encode_log(traced_run, buf)
+        lines = buf.getvalue().splitlines()
+        record = json.loads(lines[line - 1])
+        edit(record)
+        lines[line - 1] = json.dumps(record)
+        with pytest.raises(LogFormatError, match=repr(field)) as exc:
+            decode_log(io.StringIO("\n".join(lines)))
+        assert exc.value.record_index == line
+
+    @pytest.mark.parametrize("field, value", [("epsilon", 2**70), ("t_m", 4.0e6)])
+    def test_header_ints_are_int64(self, adapter_run, field, value):
+        buf = io.StringIO()
+        encode_log(adapter_run, buf)
+        lines = buf.getvalue().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+        with pytest.raises(LogFormatError, match=field) as exc:
+            decode_log(io.StringIO("\n".join(lines)))
+        assert exc.value.record_index == 1
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_deeply_nested_json_names_the_line(self, adapter_run, line):
+        buf = io.StringIO()
+        encode_log(adapter_run, buf)
+        lines = buf.getvalue().splitlines()
+        lines[line - 1] = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(LogFormatError) as exc:
+            decode_log(io.StringIO("\n".join(lines)))
+        assert exc.value.record_index == line
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_logs())
+    def test_mutated_log_decodes_or_raises_log_format_error(self, text):
+        try:
+            decode_log(io.StringIO(text))
+        except LogFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_logs())
+    def test_validation_matches_per_packet_spec(self, text):
+        """The column checks report what a per-packet pass would: the same
+        first offending packet and message, or no error."""
+        try:
+            run = decode_log(io.StringIO(text), validate=False)
+        except LogFormatError:
+            return
+        errors = []
+        for check in (validate_run, validate_run_spec):
+            try:
+                check(run)
+                errors.append(None)
+            except InvalidRunError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
