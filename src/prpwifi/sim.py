@@ -74,35 +74,17 @@ class InterferenceParams:
 
 @dataclass(frozen=True, slots=True)
 class ErrorModel:
-    """Per-attempt loss probability, optionally piecewise-constant in time.
+    """Per-attempt loss probability.
 
     An error hits the attempt as a whole (DATA and ACK together), never the
-    ACK alone. ``schedule`` entries are (start_ns, probability); the base
-    probability applies before the first entry.
+    ACK alone.
     """
 
     attempt_loss_prob: float = 0.0
-    schedule: tuple[tuple[int, float], ...] | None = None
 
     def validate(self) -> None:
-        probs = [self.attempt_loss_prob]
-        if self.schedule is not None:
-            starts = [s for s, _ in self.schedule]
-            if starts != sorted(starts):
-                raise SimConfigError("error schedule must be time-ordered")
-            probs.extend(p for _, p in self.schedule)
-        if any(not 0.0 <= p <= 1.0 for p in probs):
+        if not 0.0 <= self.attempt_loss_prob <= 1.0:
             raise SimConfigError("loss probabilities must be within [0, 1]")
-
-    def prob_at(self, t_ns: int) -> float:
-        prob = self.attempt_loss_prob
-        if self.schedule:
-            for start, p in self.schedule:
-                if t_ns >= start:
-                    prob = p
-                else:
-                    break
-        return prob
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,13 +178,20 @@ def bulk_stream(seed: int, salt: str, label: str, purpose: str) -> np.random.Gen
 
 
 def _interferer_intervals(
-    params: InterferenceParams, horizon_ns: int, rng: np.random.Generator
+    params: InterferenceParams,
+    horizon_ns: int,
+    rng: np.random.Generator,
+    chunk_horizon_ns: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Busy intervals of a single interferer up to the horizon."""
+    """Busy intervals of a single interferer up to the horizon.
+
+    Bursts are drawn in chunks sized from ``chunk_horizon_ns``, so for a
+    given chunk horizon a longer horizon only appends draws.
+    """
     spacing = params.intra_burst_spacing_ns
     airtime = params.payload_airtime_ns
     cycle_estimate = params.burst_len_mean * spacing + params.gap_mean_ns
-    chunk = max(16, int(horizon_ns / cycle_estimate * 1.3) + 8)
+    chunk = max(16, int(chunk_horizon_ns / cycle_estimate * 1.3) + 8)
 
     starts_chunks: list[np.ndarray] = []
     ends_chunks: list[np.ndarray] = []
@@ -246,9 +235,21 @@ def _merge_intervals(
 
 
 def interference_arrays(
-    params: InterferenceParams, horizon_ns: int, rng: np.random.Generator
+    params: InterferenceParams,
+    horizon_ns: int,
+    rng: np.random.Generator,
+    chunk_horizon_ns: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merged busy intervals of all interferers on one channel."""
+    """Merged busy intervals of all interferers on one channel, starting
+    before the horizon.
+
+    The random draws depend on ``chunk_horizon_ns`` (default: the horizon)
+    but not on the horizon itself: with the same chunk horizon, the
+    intervals up to a horizon are a prefix of those up to a later one (the
+    last merged interval may extend further).
+    """
+    if chunk_horizon_ns is None:
+        chunk_horizon_ns = horizon_ns
     if horizon_ns <= 0:
         raise SimConfigError("horizon must be positive")
     params.validate()
@@ -260,7 +261,7 @@ def interference_arrays(
     all_ends = []
     for child_seed in child_seeds:
         child = np.random.default_rng(int(child_seed))
-        s, e = _interferer_intervals(params, horizon_ns, child)
+        s, e = _interferer_intervals(params, horizon_ns, child, chunk_horizon_ns)
         all_starts.append(s)
         all_ends.append(e)
     return _merge_intervals(np.concatenate(all_starts), np.concatenate(all_ends))
@@ -362,7 +363,7 @@ def simulate_copy(
     cw_max = phy.cw_max
     retry_limit = phy.retry_limit
     fixed_data = None if phy.data_frame_schedule_ns else phy.data_frame_ns
-    fixed_prob = None if errors.schedule else errors.attempt_loss_prob
+    loss_prob = errors.attempt_loss_prob
     backoff_uniform = backoff_rng.random
     error_uniform = error_rng.random
     starts = state.busy_starts
@@ -384,8 +385,7 @@ def simulate_copy(
             start = t + difs + slots * slot  # idle medium from here on
         else:
             start, k = _acquire(starts, ends, k, t, difs, slot, slots, data_ns + tail)
-        prob = fixed_prob if fixed_prob is not None else errors.prob_at(start)
-        ok = error_uniform() >= prob
+        ok = error_uniform() >= loss_prob
         end = start + data_ns + (sifs_ack if ok else ack_to)
         if collect_trace:
             trace_start.append(start)
@@ -417,12 +417,14 @@ def _simulate_channel(
     setup: ChannelSetup, config: SimConfig, request_offset_ns: int
 ) -> _Channel:
     label = setup.channel.label
-    horizon = (config.n_packets - 1) * config.period_ns + request_offset_ns
-    horizon += config.interference_margin_ns
+    # a deferred channel draws the interference of its undeferred run and
+    # only extends it, so real and virtual deferral see the same medium
+    undeferred = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
     busy_s, busy_e = interference_arrays(
         setup.interference,
-        horizon,
+        undeferred + request_offset_ns,
         bulk_stream(config.seed, setup.seed_salt, label, "interference"),
+        chunk_horizon_ns=undeferred,
     )
     state = ChannelState(busy_starts=busy_s.tolist(), busy_ends=busy_e.tolist())
     backoff_rng = mac_stream(config.seed, setup.seed_salt, label, "backoff")

@@ -19,14 +19,17 @@ so every reconstruction below is exact integer arithmetic.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
+
+from .logblocks import BlockParser, line_blocks
 
 TimeNs = int
 DurationNs = int
@@ -904,32 +907,63 @@ def _decode_copy(
     return j
 
 
-def decode_log(
-    source: IO[str],
-    validate: bool = True,
-    request_epsilon_ns: int | None = None,
-) -> RunLog:
-    """Read a run written by :func:`encode_log`.
+@dataclass
+class _FileRows:
+    """Decoded int64 rows in file order: per packet line its index and the
+    channel position of each copy, per copy its ``_COPY_FIELDS`` row and
+    trace length (-1 without a trace), per attempt its ``_ATTEMPT_FIELDS``
+    row."""
 
-    Raises :class:`LogFormatError` (carrying the record index) on malformed
-    input; with ``validate`` the decoded run is also checked against all
-    structural invariants. ``request_epsilon_ns`` overrides the allowed
-    request skew recorded in the header (for logs imported from real
-    testbeds, whose request times only approximately coincide).
-    """
-    lines = iter(enumerate(source, start=1))
+    index: array = field(default_factory=lambda: array("q"))
+    positions: array = field(default_factory=lambda: array("q"))
+    copies: array = field(default_factory=lambda: array("q"))
+    lengths: array = field(default_factory=lambda: array("q"))
+    attempts: array = field(default_factory=lambda: array("q"))
+
+    def extend(
+        self,
+        m: int,
+        index: np.ndarray,
+        copies: np.ndarray,
+        lengths: np.ndarray,
+        attempts: np.ndarray,
+    ) -> None:
+        """Append the rows of packet lines whose ``m`` copies are in
+        channel order."""
+        self.index.frombytes(index.tobytes())
+        self.positions.frombytes(np.tile(np.arange(m, dtype=np.int64), len(index)).tobytes())
+        self.copies.frombytes(copies.tobytes())
+        self.lengths.frombytes(lengths.tobytes())
+        self.attempts.frombytes(attempts.tobytes())
+
+
+def _require_utf8(raw: str, lineno: int) -> None:
+    """Reject a line that cannot be UTF-8 text. :func:`read_log` reads with
+    ``errors="surrogateescape"``, which turns each byte that is not UTF-8
+    into a lone surrogate."""
     try:
-        _, header = next(lines)
-    except StopIteration:
-        raise LogFormatError("empty input, expected a meta header") from None
-    meta = _decode_meta(header)
-    position = {cm.channel.label: j for j, cm in enumerate(meta.channels)}
-    m = len(position)
+        raw.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(raw[exc.start])
+        what = (
+            f"byte 0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF
+            else f"character U+{code:04X}"
+        )
+        raise LogFormatError(
+            f"{what} at column {exc.start + 1} is not valid UTF-8", lineno
+        ) from None
 
-    # int64 rows in file order; each packet line holds exactly m copies
-    index, positions = array("q"), array("q")
-    copies, lengths, attempts = array("q"), array("q"), array("q")
-    for lineno, raw in lines:
+
+def _decode_lines(
+    lines: Sequence[str], first_lineno: int, position: Mapping[str, int], rows: _FileRows
+) -> None:
+    """Decode packet lines of any JSON layout one by one with ``json.loads``;
+    ``first_lineno`` is the line number of ``lines[0]``. Each line needs
+    exactly one copy per channel."""
+    m = len(position)
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        if not raw.isascii():
+            _require_utf8(raw, lineno)
         if not raw.strip():
             continue
         try:
@@ -946,7 +980,7 @@ def decode_log(
         if type(entries) is not list:
             raise LogFormatError("'copies' must be a list", lineno)
         line_positions = [
-            _decode_copy(e, position, lineno, copies, lengths, attempts)
+            _decode_copy(e, position, lineno, rows.copies, rows.lengths, rows.attempts)
             for e in entries
         ]
         if len(set(line_positions)) != len(line_positions):
@@ -957,27 +991,72 @@ def decode_log(
             raise LogFormatError(
                 f"packet {packet_index}: missing channel copies", lineno
             )
-        _extend(index, (packet_index,), ("i",), lineno)
-        positions.extend(line_positions)
+        _extend(rows.index, (packet_index,), ("i",), lineno)
+        rows.positions.extend(line_positions)
+
+
+_DECODE_BLOCK = 1 << 16  # characters of packet lines per block, to bound memory
+
+
+def decode_log(
+    source: IO[str],
+    validate: bool = True,
+    request_epsilon_ns: int | None = None,
+) -> RunLog:
+    """Read a run written by :func:`encode_log`.
+
+    Raises :class:`LogFormatError` (carrying the record index) on malformed
+    input; with ``validate`` the decoded run is also checked against all
+    structural invariants. ``request_epsilon_ns`` overrides the allowed
+    request skew recorded in the header (for logs imported from real
+    testbeds, whose request times only approximately coincide).
+
+    Packet lines in the encoder's exact layout are parsed in blocks; any
+    other JSON layout is decoded line by line, with the same result.
+    """
+    header = source.readline()
+    if not header:
+        raise LogFormatError("empty input, expected a meta header")
+    if not header.isascii():
+        _require_utf8(header, 1)
+    meta = _decode_meta(header)
+    labels = [cm.channel.label for cm in meta.channels]
+    position = {label: j for j, label in enumerate(labels)}
+    m = len(position)
+    parser = BlockParser(labels, _COPY_FIELDS, _ATTEMPT_FIELDS)
+
+    decoded = _FileRows()
+    lineno = 2
+    for block in line_blocks(source, _DECODE_BLOCK):
+        parsed = parser.parse(block)
+        if parsed is None:  # split at '\n' only, as iterating the source would
+            lines = io.StringIO(block, newline="\n").readlines()
+            _decode_lines(lines, lineno, position, decoded)
+        else:
+            decoded.extend(m, *parsed)
+        lineno += block.count("\n")
 
     # file order (packet-major, channels in line order) to channel-major
-    n = len(index)
+    n = len(decoded.index)
     order = np.argsort(
-        np.frombuffer(positions, dtype=np.int64) * n + np.arange(m * n) // m,
+        np.frombuffer(decoded.positions, dtype=np.int64) * n + np.arange(m * n) // m,
         kind="stable",
     )
-    file_lengths = np.frombuffer(lengths, dtype=np.int64)
+    file_lengths = np.frombuffer(decoded.lengths, dtype=np.int64)
     file_offsets = np.concatenate(([0], np.cumsum(np.maximum(file_lengths, 0))))
     kept = np.maximum(file_lengths[order], 0)
     offsets = np.concatenate(([0], np.cumsum(kept)))
     rows = np.repeat(file_offsets[:-1][order] - offsets[:-1], kept) + np.arange(offsets[-1])
-    run = _from_rows(
-        meta,
-        np.frombuffer(index, dtype=np.int64).copy(),
-        np.frombuffer(copies, dtype=np.int64).reshape(-1, len(_COPY_FIELDS))[order],
+    channel_major = (
+        np.frombuffer(decoded.index, dtype=np.int64).copy(),
+        np.frombuffer(decoded.copies, dtype=np.int64).reshape(-1, len(_COPY_FIELDS))[order],
         file_lengths[order],
-        np.frombuffer(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS))[rows],
+        np.frombuffer(decoded.attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS))[rows],
     )
+    # free the file-order rows before _from_rows copies, and its input after
+    del decoded, file_lengths
+    run = _from_rows(meta, *channel_major)
+    del channel_major
     if validate:
         try:
             validate_run(run, request_epsilon_ns=request_epsilon_ns)
@@ -1012,7 +1091,7 @@ def read_log(
     validate: bool = True,
     request_epsilon_ns: int | None = None,
 ) -> RunLog:
-    with open(path) as source:
+    with open(path, encoding="utf-8", errors="surrogateescape") as source:
         return decode_log(
             source, validate=validate, request_epsilon_ns=request_epsilon_ns
         )

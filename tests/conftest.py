@@ -7,7 +7,19 @@ import json
 import pytest
 from hypothesis import strategies as st
 
-from prpwifi import PacketRecord, RunLog, VIEW_FULL_TRACE, encode_log, generate_run
+from prpwifi import (
+    AttemptTrace,
+    ChannelId,
+    ChannelMeta,
+    CopyRecord,
+    PacketRecord,
+    PhyParams,
+    RunLog,
+    RunMeta,
+    VIEW_FULL_TRACE,
+    encode_log,
+    generate_run,
+)
 
 from helpers import CH_A, CH_B, copy_from_starts, desk_config, lossy_config, make_run
 
@@ -114,3 +126,72 @@ def mutated_logs(draw) -> str:
         parent[key] = [parent[key], parent[key]]
     lines[line] = json.dumps(record)
     return "\n".join(lines) + "\n"
+
+
+# --- logs in the encoder's layout ---------------------------------------------
+#
+# Runs that only need to be encodable, not valid: 2 or 3 channels with
+# labels that hold digits, '-', ':', '"', braces, brackets or non-ASCII, any int
+# the block grammar accepts (up to +-(10^18 - 1)), lost copies without
+# frame durations, and traces that are absent, empty or hold attempts with
+# and without an ACK duration.
+
+_LABELS = ("A", "B", "ch-2", "7", "a:1", 'q"5', 'x,{"}', "\u00e9", "\u03a9-0", "[x]", "-1")
+_BIG = 10**18 - 1
+_VALUES = st.one_of(
+    st.sampled_from((0, 1, -1, 2, 300_000, _BIG, -_BIG)),
+    st.integers(min_value=-_BIG, max_value=_BIG),
+)
+_OPTIONAL_VALUES = st.none() | _VALUES
+
+
+@st.composite
+def _attempts(draw) -> tuple[AttemptTrace, ...]:
+    size = draw(st.integers(min_value=0, max_value=3))
+    return tuple(
+        AttemptTrace(
+            ordinal=k + 1,
+            start_ns=draw(_VALUES),
+            data_ns=draw(_VALUES),
+            ack_ns=draw(_OPTIONAL_VALUES),
+            succeeded=draw(st.booleans()),
+        )
+        for k in range(size)
+    )
+
+
+_TRACES = st.none() | _attempts()
+
+
+@st.composite
+def encodable_runs(draw) -> RunLog:
+    m = draw(st.integers(min_value=2, max_value=3))
+    labels = draw(st.lists(st.sampled_from(_LABELS), min_size=m, max_size=m, unique=True))
+    channels = tuple(ChannelId(j, label) for j, label in enumerate(labels))
+    n = draw(st.integers(min_value=1, max_value=5))
+    meta = RunMeta(
+        n_packets=n,
+        period_ns=1_000_000,
+        seed=0,
+        view=VIEW_FULL_TRACE,
+        channels=tuple(ChannelMeta(channel, PhyParams()) for channel in channels),
+    )
+    packets = [
+        PacketRecord(
+            index=draw(_VALUES),
+            copies={
+                channel: CopyRecord(
+                    lost=draw(st.booleans()),
+                    request_ns=draw(_VALUES),
+                    end_ns=draw(_VALUES),
+                    attempts=draw(_VALUES),
+                    final_data_ns=draw(_OPTIONAL_VALUES),
+                    final_ack_ns=draw(_OPTIONAL_VALUES),
+                    trace=draw(_TRACES),
+                )
+                for channel in channels
+            },
+        )
+        for _ in range(n)
+    ]
+    return RunLog.from_packets(meta, packets)

@@ -210,6 +210,15 @@ class TestMalformedLog:
         assert main(["analyze", "--log", str(bad), "--mode", "rda"]) == 2
         assert capsys.readouterr().err.startswith("error: record 6: ")
 
+    def test_non_utf8_byte_exits_2_naming_the_line(self, log_file, tmp_path, capsys):
+        lines = log_file.read_bytes().split(b"\n")
+        lines[3] = lines[3][:40] + b"\xff" + lines[3][41:]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        assert main(["analyze", "--log", str(bad), "--mode", "rda"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: record 4: byte 0xff at column 41 is not valid UTF-8\n"
+
 
 def test_commands_build_no_per_packet_records(config_file, tmp_path, monkeypatch, capsys):
     """Every subcommand works on the columns; the per-packet view is for

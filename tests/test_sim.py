@@ -22,6 +22,7 @@ from prpwifi import (
     simulate_copy,
     validate_run,
 )
+from prpwifi import sim
 from prpwifi.sim import bulk_stream, interference_arrays, mac_stream
 
 from helpers import CH_A, CH_B, DESK_PERIOD_NS, desk_config, desk_interference
@@ -219,8 +220,43 @@ class TestInterference:
             high = statistics.mean(busy_fraction(count_high, s) for s in range(10))
             assert high > low
 
+    @pytest.mark.parametrize("extra_ns", [1, 250_000, 40_000_000, 3_000_000_000])
+    def test_later_horizon_extends_the_same_draws(self, extra_ns):
+        # 1013 periods of 3.9 ms plus the 2 s margin: +250 us changes the
+        # chunk size a horizon-sized draw would use
+        horizon = 1013 * 3_900_000 + 2_000_000_000
+
+        def busy(horizon_ns):
+            stream = bulk_stream(1, "", "B", "interference")
+            return interference_arrays(
+                desk_interference(2), horizon_ns, stream, chunk_horizon_ns=horizon
+            )
+
+        (s0, e0), (s1, e1) = busy(horizon), busy(horizon + extra_ns)
+        k = len(s0)
+        assert s0[-1] < horizon and (k == len(s1) or s1[k] >= horizon)
+        assert np.array_equal(s0, s1[:k])
+        assert np.array_equal(e0[:-1], e1[: k - 1]) and e0[-1] <= e1[k - 1]
+
 
 class TestRealDeferral:
+    def test_deferred_channel_extends_base_interference(self, monkeypatch):
+        # period 3.9 ms, 1014 packets, T_D 250 us, seed 1: the deferral used
+        # to change the deferred channel's interference draws
+        busy = []
+
+        def recording(*args, **kwargs):
+            busy.append(interference_arrays(*args, **kwargs))
+            return busy[-1]
+
+        monkeypatch.setattr(sim, "interference_arrays", recording)
+        cfg = desk_config(1014, seed=1, period_ns=3_900_000, full_trace=False)
+        generate_run(cfg)
+        generate_run(replace(cfg, deferral=Deferral(offset_ns=250_000)))
+        (_, (s0, e0)), (_, (s1, e1)) = busy[:2], busy[2:]
+        k = len(s0)
+        assert np.array_equal(s0, s1[:k]) and np.array_equal(e0[:-1], e1[: k - 1])
+
     def test_zero_offset_equals_plain_run(self):
         cfg = desk_config(n_packets=200, seed=6)
         assert generate_run(replace(cfg, deferral=None)) == generate_run(

@@ -1,10 +1,13 @@
 import hashlib
 import io
 import json
+import re
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prpwifi import (
     ChannelId,
@@ -20,14 +23,17 @@ from prpwifi import (
     final_attempt_start,
     generate_run,
     link_outcome,
+    read_log,
     receive_time,
     validate_run,
     write_log,
 )
+from prpwifi import trace
 from prpwifi.cli import main
+from prpwifi.logblocks import BlockParser
 from prpwifi.trace import shift_copy
 
-from conftest import duplex_runs, mutated_logs
+from conftest import duplex_runs, encodable_runs, mutated_logs
 from helpers import (
     CH_A,
     CH_B,
@@ -410,3 +416,174 @@ class TestDecoderHoles:
             except InvalidRunError as exc:
                 errors.append(str(exc))
         assert errors[0] == errors[1]
+
+
+# --- block decoding ------------------------------------------------------------
+#
+# Edits of one packet line (index ``k``, choice ``c``) of an encoded log.
+# Each returns the new text and whether it is still in the encoder's exact
+# layout, which the block decoder must accept.
+
+_NUMBER_TOKEN = re.compile(r"(?<=:)-?[0-9]+")
+_NUMBERS = (
+    ("-0", True), ("0", True), (str(10**18 - 1), True), (str(-(10**18 - 1)), True),
+    ("007", False), ("-00", False), ("1234567890123456789", False),
+    ("-1234567890123456789", False), (str(2**63 - 1), False), (str(2**63), False),
+    (str(-(2**63)), False), ("1e3", False), ("1.5", False),
+)
+
+
+def _set_number(lines, k, c):
+    tokens = list(_NUMBER_TOKEN.finditer(lines[k]))
+    token = tokens[c % len(tokens)]
+    value, canonical = _NUMBERS[c % len(_NUMBERS)]
+    lines[k] = lines[k][: token.start()] + value + lines[k][token.end() :]
+    return "".join(lines), canonical
+
+
+def _redump(edit_record, **dumps):
+    """Edit the decoded line and write it back; it stays in the encoder's
+    layout only if its text does not change."""
+
+    def edit(lines, k, c):
+        record = json.loads(lines[k])
+        edit_record(record, c)
+        line = json.dumps(record, **dumps) + "\n"
+        canonical = line == lines[k]
+        lines[k] = line
+        return "".join(lines), canonical
+
+    return edit
+
+
+def _move_label_last(record, c):
+    entry = record["copies"][c % len(record["copies"])]
+    entry["ch"] = entry.pop("ch")
+
+
+def _drop_field(record, c):
+    entry = record["copies"][c % len(record["copies"])]
+    del entry[("ch", "l", "t_T", "t_X", "w")[c % 5]]
+
+
+LINE_EDITS = {
+    "canonical": lambda lines, k, c: ("".join(lines), True),
+    "number": _set_number,
+    "other-channel-order": _redump(
+        lambda r, c: r["copies"].reverse(), separators=(",", ":")
+    ),
+    "spaces": _redump(lambda r, c: None),
+    "unescaped-labels": _redump(
+        lambda r, c: None, separators=(",", ":"), ensure_ascii=False
+    ),
+    "label-last": _redump(_move_label_last, separators=(",", ":")),
+    "required-field-dropped": _redump(_drop_field, separators=(",", ":")),
+    "no-final-newline": lambda lines, k, c: ("".join(lines)[:-1], False),
+    "blank-line": lambda lines, k, c: (
+        "".join(lines[:k] + [" " * (c % 3) + "\n"] + lines[k:]), False
+    ),
+    "crlf-line": lambda lines, k, c: (
+        "".join(lines[:k] + [lines[k][:-1] + "\r\n"] + lines[k + 1 :]), False
+    ),
+    "crlf-all": lambda lines, k, c: ("".join(lines).replace("\n", "\r\n"), False),
+}
+
+
+def _outcome(text: str, validate: bool):
+    """The decoded run, or the message and line of the decoder's error."""
+    try:
+        return decode_log(io.StringIO(text), validate=validate)
+    except LogFormatError as exc:
+        return str(exc), exc.record_index
+
+
+def _decoded_both_ways(text: str, block: int, validate: bool):
+    """(block decoder outcome, whether it parsed every packet line in
+    blocks, outcome of the per-line helper over all lines)."""
+    with mock.patch.object(trace, "_DECODE_BLOCK", block):
+        with mock.patch.object(trace, "_decode_lines", wraps=trace._decode_lines) as lines:
+            outcome = _outcome(text, validate)
+        with mock.patch.object(BlockParser, "parse", return_value=None):
+            reference = _outcome(text, validate)
+    return outcome, lines.call_count == 0, reference
+
+
+class TestBlockDecoder:
+    @pytest.mark.parametrize(
+        "edit, choice",
+        [("number", c) for c in range(len(_NUMBERS))]
+        + [(edit, c) for edit in sorted(LINE_EDITS) if edit != "number" for c in (0, 1)],
+    )
+    def test_edits_decode_as_line_by_line(self, edit, choice, traced_run):
+        buf = io.StringIO()
+        encode_log(traced_run, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        text, canonical = LINE_EDITS[edit](lines, 1 + choice * 57, choice)
+        for validate in (False, True):
+            outcome, in_blocks, reference = _decoded_both_ways(text, 3000, validate)
+            assert outcome == reference
+            assert in_blocks == canonical
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        run=encodable_runs(),
+        edit=st.sampled_from(sorted(LINE_EDITS)),
+        line=st.integers(min_value=1),
+        choice=st.integers(min_value=0, max_value=100),
+        block=st.sampled_from((1, 200, 1 << 16)),
+    )
+    def test_random_logs_decode_as_line_by_line(self, run, edit, line, choice, block):
+        buf = io.StringIO()
+        encode_log(run, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        text, canonical = LINE_EDITS[edit](lines, 1 + line % (len(lines) - 1), choice)
+        for validate in (False, True):
+            outcome, in_blocks, reference = _decoded_both_ways(text, block, validate)
+            assert outcome == reference
+            assert in_blocks == canonical
+        if text == buf.getvalue():
+            assert _outcome(text, validate=False) == run
+
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run", "lossy_traced", "lossy_adapter"])
+    def test_simulated_logs_never_decode_line_by_line(self, name, block, request):
+        if name.startswith("lossy"):
+            run = generate_run(lossy_config(300, seed=4, full_trace=name == "lossy_traced"))
+        else:
+            run = request.getfixturevalue(name)
+        buf = io.StringIO()
+        encode_log(run, buf)
+        per_line = AssertionError("a canonical log was decoded line by line")
+        with mock.patch.object(trace, "_DECODE_BLOCK", block), mock.patch.object(
+            trace, "_decode_lines", side_effect=per_line
+        ):
+            assert decode_log(io.StringIO(buf.getvalue())) == run
+
+
+class TestTextDecoding:
+    @pytest.mark.parametrize("line", [1, 4])
+    def test_non_utf8_byte_names_its_line(self, adapter_run, tmp_path, line):
+        path = tmp_path / "run.jsonl"
+        write_log(adapter_run, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:40] + b"\xff" + lines[line - 1][41:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(LogFormatError, match="byte 0xff at column 41") as exc:
+            read_log(path)
+        assert exc.value.record_index == line
+
+    def test_lone_surrogate_in_text_names_its_line(self, adapter_run):
+        buf = io.StringIO()
+        encode_log(adapter_run, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[2] = lines[2].replace('"A"', '"A\ud800"')
+        with pytest.raises(LogFormatError, match="character U\\+D800 at column") as exc:
+            decode_log(io.StringIO("".join(lines)))
+        assert exc.value.record_index == 3
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+    def test_files_split_lines_on_any_newline(self, adapter_run, tmp_path, newline):
+        path = tmp_path / "run.jsonl"
+        write_log(adapter_run, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        assert read_log(path) == adapter_run
