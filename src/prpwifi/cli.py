@@ -6,9 +6,10 @@ Subcommands:
     sweep              reaction-latency or displacement sweeps as CSV
     validate-deferral  compare virtual against real request displacement
 
-Exit codes: 0 success, 1 analysis/validation failure, 2 usage or config
-error. All outputs are deterministic for a given config and seed; files
-are written atomically (temp file + rename).
+Exit codes: 0 success, 1 ``validate-deferral`` found a displacement
+outside its tolerance, 2 any error (usage, config, log, or an analysis the
+log cannot support). All outputs are deterministic for a given config and
+seed; files are written atomically (temp file + rename).
 """
 from __future__ import annotations
 
@@ -21,28 +22,15 @@ from fractions import Fraction
 from io import StringIO
 
 from .config import ConfigError, load_config
-from .da import (
-    DEFAULT_VIRTUAL_DEFER_LIMIT_NS,
-    DaMode,
-    DaParams,
-    FailedCopyPolicy,
-    TraceRequiredError,
-)
+from .da import DEFAULT_VIRTUAL_DEFER_LIMIT_NS, DaMode, DaParams, FailedCopyPolicy
 from .metrics import (
     compute_report,
     report_to_dict,
     sweep,
     write_sweep_csv,
 )
-from .sim import Deferral, SimConfigError, generate_run
-from .trace import (
-    InvalidRunError,
-    LogFormatError,
-    export_csv,
-    read_log,
-    write_atomic,
-    write_log,
-)
+from .sim import Deferral, generate_run
+from .trace import InvalidRunError, export_csv, read_log, write_atomic, write_log
 from .units import ns_to_us, parse_duration_ns
 
 
@@ -314,15 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        SimConfigError,
-        LogFormatError,
-        InvalidRunError,
-        TraceRequiredError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,7 @@ from .sim import (
     InterferenceParams,
     SimConfig,
 )
-from .trace import ChannelId, PhyParams
+from .trace import PHY_KEYS, ChannelId, PhyParams
 from .units import parse_duration_ns
 
 
@@ -57,16 +57,6 @@ _RUN_KEYS = {
     "margin",
 }
 
-_PHY_DURATIONS = {
-    "sifs": "sifs_ns",
-    "ack_timeout": "ack_timeout_ns",
-    "slot": "slot_ns",
-    "difs": "difs_ns",
-    "data_frame": "data_frame_ns",
-    "ack_frame": "ack_frame_ns",
-}
-_PHY_INTS = {"cw_min": "cw_min", "cw_max": "cw_max", "retry_limit": "retry_limit"}
-
 _INTF_DURATIONS = {
     "payload_airtime": "payload_airtime_ns",
     "burst_spacing": "intra_burst_spacing_ns",
@@ -76,8 +66,7 @@ _INTF_DURATIONS = {
 _INTF_INTS = {"interferers": "interferer_count", "burst_cap": "burst_len_cap"}
 
 _CHANNEL_KEYS = (
-    set(_PHY_DURATIONS)
-    | set(_PHY_INTS)
+    set(PHY_KEYS)
     | set(_INTF_DURATIONS)
     | set(_INTF_INTS)
     | {"data_frame_schedule", "loss_prob", "burst_mean", "seed_salt"}
@@ -183,12 +172,10 @@ def _build_channel(
     values.update(overrides)
 
     phy_kwargs = {}
-    for key, field in _PHY_DURATIONS.items():
+    for key, field in PHY_KEYS.items():
         if key in values:
-            phy_kwargs[field] = parse_duration_ns(values[key])
-    for key, field in _PHY_INTS.items():
-        if key in values:
-            phy_kwargs[field] = int(values[key])
+            parse = parse_duration_ns if field.endswith("_ns") else int
+            phy_kwargs[field] = parse(values[key])
     if "data_frame_schedule" in values:
         phy_kwargs["data_frame_schedule_ns"] = tuple(
             parse_duration_ns(part) for part in values["data_frame_schedule"].split(",")
@@ -217,8 +204,17 @@ def _build_channel(
 def load_config(path: str | os.PathLike) -> SimConfig:
     path = os.fspath(path)
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte, with a stand-in for it
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ConfigError(
+            f"{path}:{len(lines)}: byte 0x{data[exc.start]:02x} at column "
+            f"{len(lines[-1])} is not valid UTF-8"
+        ) from None
     return parse_config(text, source=path)

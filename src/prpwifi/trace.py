@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
@@ -284,12 +284,6 @@ class RunLog(_Columns):
     def phy_by_channel(self) -> dict[ChannelId, PhyParams]:
         return {cm.channel: cm.phy for cm in self.meta.channels}
 
-    def channel_by_label(self, label: str) -> ChannelId:
-        for cm in self.meta.channels:
-            if cm.channel.label == label:
-                return cm.channel
-        raise KeyError(label)
-
     @property
     def packets(self) -> tuple[PacketRecord, ...]:
         """Per-packet records, built from the columns on every access.
@@ -337,12 +331,12 @@ class RunLog(_Columns):
     def from_packets(cls, meta: RunMeta, packets: Sequence[PacketRecord]) -> RunLog:
         """Columns of per-packet records (hand-made logs, tests); each packet
         needs exactly one copy per channel of ``meta``."""
+        channels = [cm.channel for cm in meta.channels]
         copies = []
-        for channel in (cm.channel for cm in meta.channels):
-            for p in packets:
-                if channel not in p.copies or len(p.copies) != len(meta.channels):
-                    raise InvalidRunError(f"packet {p.index}: missing channel copies")
-                copies.append(p.copies[channel])
+        for p in packets:
+            if len(p.copies) != len(channels) or not all(c in p.copies for c in channels):
+                raise InvalidRunError(f"packet {p.index}: missing channel copies")
+            copies += [p.copies[c] for c in channels]
         rows = [
             (
                 c.lost, c.request_ns, c.end_ns, c.attempts,
@@ -360,11 +354,11 @@ class RunLog(_Columns):
         return _from_rows(
             meta,
             np.array([p.index for p in packets], dtype=np.int64),
-            np.array(rows, dtype=np.int64),
+            np.array(rows, dtype=np.int64).reshape(-1, len(_COPY_FIELDS)),
             np.array(
                 [-1 if c.trace is None else len(c.trace) for c in copies], dtype=np.int64
             ),
-            np.array(attempts, dtype=np.int64),
+            np.array(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
         )
 
 
@@ -383,24 +377,33 @@ def _from_rows(
     lengths: np.ndarray,
     attempts: np.ndarray,
 ) -> RunLog:
-    """Build a run from channel-major copy rows (the fields of
-    ``_COPY_FIELDS``, presence flags after each duration), per-copy trace
-    lengths (-1 where a copy has no trace) and the attempt rows of all
-    traced copies in the same order (``_ATTEMPT_FIELDS``)."""
+    """Build a run from packet-major copy rows (row ``i * m + j`` is packet
+    ``i`` on channel ``j``; the fields of ``_COPY_FIELDS``, presence flags
+    after each duration), per-copy trace lengths (-1 where a copy has no
+    trace) and the attempt rows of all traced copies in the same order
+    (``_ATTEMPT_FIELDS``)."""
     m, n = len(meta.channels), len(index)
     lost, req, end, w, td, has_td, ta, has_ta = (
-        copies.reshape(m, n, len(_COPY_FIELDS)).transpose(2, 0, 1).copy()
+        copies.reshape(n, m, len(_COPY_FIELDS)).transpose(2, 1, 0).copy()
     )
     trace = None
-    if (lengths >= 0).any():
+    present = np.ascontiguousarray((lengths >= 0).reshape(n, m).T)
+    if present.any():
+        kept = np.maximum(lengths, 0)
+        # first attempt row of each copy, taken to channel-major copy order
+        first_row = (np.cumsum(kept) - kept).reshape(n, m).T.ravel()
+        kept = kept.reshape(n, m).T.ravel()
         offsets = np.zeros(m * n + 1, dtype=np.int64)
-        np.cumsum(np.maximum(lengths, 0), out=offsets[1:])
+        np.cumsum(kept, out=offsets[1:])
+        rows = np.repeat(first_row - offsets[:-1], kept)
+        rows += np.arange(offsets[-1])
+        # one column at a time, so no second copy of the whole table exists
         start, data, ack, has_ack, ok = (
-            attempts.reshape(-1, len(_ATTEMPT_FIELDS)).T.copy()
+            attempts[rows, k] for k in range(len(_ATTEMPT_FIELDS))
         )
         trace = AttemptTable(
             offsets=offsets,
-            present=(lengths >= 0).reshape(m, n),
+            present=present,
             start=start,
             data=data,
             ack=ack,
@@ -648,18 +651,23 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
 # {"tW": ..., "Td": ..., "Ta": ..., "ok": 0|1} with Ta omitted on failures.
 
 
+# PHY keys of the log header and of config files, in header order, with
+# their PhyParams fields; a field ending in ``_ns`` is a duration
+PHY_KEYS = {
+    "sifs": "sifs_ns",
+    "ack_timeout": "ack_timeout_ns",
+    "slot": "slot_ns",
+    "difs": "difs_ns",
+    "cw_min": "cw_min",
+    "cw_max": "cw_max",
+    "retry_limit": "retry_limit",
+    "data_frame": "data_frame_ns",
+    "ack_frame": "ack_frame_ns",
+}
+
+
 def _phy_to_dict(phy: PhyParams) -> dict:
-    d = {
-        "sifs": phy.sifs_ns,
-        "ack_timeout": phy.ack_timeout_ns,
-        "slot": phy.slot_ns,
-        "difs": phy.difs_ns,
-        "cw_min": phy.cw_min,
-        "cw_max": phy.cw_max,
-        "retry_limit": phy.retry_limit,
-        "data_frame": phy.data_frame_ns,
-        "ack_frame": phy.ack_frame_ns,
-    }
+    d = {key: getattr(phy, name) for key, name in PHY_KEYS.items()}
     if phy.data_frame_schedule_ns is not None:
         d["data_frame_schedule"] = list(phy.data_frame_schedule_ns)
     return d
@@ -668,15 +676,7 @@ def _phy_to_dict(phy: PhyParams) -> dict:
 def _phy_from_dict(d: dict) -> PhyParams:
     schedule = d.get("data_frame_schedule")
     return PhyParams(
-        sifs_ns=d["sifs"],
-        ack_timeout_ns=d["ack_timeout"],
-        slot_ns=d["slot"],
-        difs_ns=d["difs"],
-        cw_min=d["cw_min"],
-        cw_max=d["cw_max"],
-        retry_limit=d["retry_limit"],
-        data_frame_ns=d["data_frame"],
-        ack_frame_ns=d["ack_frame"],
+        **{name: d[key] for key, name in PHY_KEYS.items()},
         data_frame_schedule_ns=tuple(schedule) if schedule is not None else None,
     )
 
@@ -721,13 +721,13 @@ def _header_ints(meta: RunMeta) -> list[tuple[str, object]]:
     return values
 
 
-def _not_int(d: dict, required: tuple[str, ...], optional: tuple[str, ...]) -> str:
-    """Name of the first field of ``d`` that is not an int; optional fields
-    may also be absent or null."""
+def _not_int(d: dict, required: tuple[str, ...], optional: tuple[str, ...]) -> str | None:
+    """Name of the first field of ``d`` that is not an int, or None;
+    optional fields may also be absent or null."""
     for key in required:
         if type(d[key]) is not int:
             return key
-    return next(k for k in optional if type(d.get(k, 0)) not in (int, type(None)))
+    return next((k for k in optional if type(d.get(k, 0)) not in (int, type(None))), None)
 
 
 _ENCODE_BLOCK = 4096  # packets formatted per write, to bound memory
@@ -838,61 +838,42 @@ def _decode_meta(header: str) -> RunMeta:
     return meta
 
 
-def _extend(out: array, row: tuple, names: tuple[str, ...], record_index: int) -> None:
-    """Append a row of decoded ints to an int64 array; a value outside the
-    int64 range raises :class:`LogFormatError` naming its field."""
-    try:
-        out.extend(row)
-    except OverflowError:
-        name = next(k for k, v in zip(names, row) if not _INT64_MIN <= v <= _INT64_MAX)
-        raise LogFormatError(
-            f"field {name!r} is outside the int64 range", record_index
-        ) from None
+def _int64_row(row: tuple, names: tuple[str, ...], record_index: int) -> tuple:
+    """``row`` of decoded ints if each fits an int64; otherwise raise
+    :class:`LogFormatError` naming the first field that does not."""
+    for name, value in zip(names, row):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise LogFormatError(f"field {name!r} is outside the int64 range", record_index)
+    return row
 
 
 def _decode_copy(
-    d: dict,
-    position: Mapping[str, int],
-    record_index: int,
-    copies: array,
-    lengths: array,
-    attempts: array,
-) -> int:
-    """Append one copy entry's fields to the int64 row arrays and return its
-    channel position. Every timestamp, duration and count must be an int
-    (``bool`` and ``float`` are rejected) to keep times in integer ns."""
+    d: dict, position: Mapping[str, int], record_index: int
+) -> tuple[int, tuple, int, list[tuple]]:
+    """(channel position, ``_COPY_FIELDS`` row, trace length or -1,
+    ``_ATTEMPT_FIELDS`` rows) of one copy entry. Every timestamp, duration
+    and count must be an int (``bool`` and ``float`` are rejected) to keep
+    times in integer ns."""
     try:
         label = d["ch"]
-        lost = d["l"]
-        request_ns, end_ns, w = d["t_T"], d["t_X"], d["w"]
+        lost, request_ns, end_ns, w = d["l"], d["t_T"], d["t_X"], d["w"]
         data_ns, ack_ns = d.get("Td"), d.get("Ta")
-        if not (
-            type(lost) is int
-            and type(request_ns) is int
-            and type(end_ns) is int
-            and type(w) is int
-            and (data_ns is None or type(data_ns) is int)
-            and (ack_ns is None or type(ack_ns) is int)
-        ):
-            name = _not_int(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"))
+        name = _not_int(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"))
+        if name is not None:
             raise LogFormatError(f"field {name!r} must be an integer", record_index)
         trace_entries = d.get("trace")
         if trace_entries is not None and type(trace_entries) is not list:
             raise LogFormatError("'trace' must be a list", record_index)
+        attempts = []
         for e in trace_entries or ():
             start, data, ack, ok = e["tW"], e["Td"], e.get("Ta"), e["ok"]
-            if not (
-                type(start) is int
-                and type(data) is int
-                and (ack is None or type(ack) is int)
-                and type(ok) is int
-            ):
-                name = _not_int(e, ("tW", "Td", "ok"), ("Ta",))
+            name = _not_int(e, ("tW", "Td", "ok"), ("Ta",))
+            if name is not None:
                 raise LogFormatError(
                     f"trace field {name!r} must be an integer", record_index
                 )
             row = (start, data, ack or 0, ack is not None, ok != 0)
-            _extend(attempts, row, _ATTEMPT_FIELDS, record_index)
+            attempts.append(_int64_row(row, _ATTEMPT_FIELDS, record_index))
         j = position.get(label) if type(label) is str else None
     except (KeyError, TypeError) as exc:
         raise LogFormatError(f"bad copy entry: {exc}", record_index) from exc
@@ -902,39 +883,8 @@ def _decode_copy(
         lost != 0, request_ns, end_ns, w,
         data_ns or 0, data_ns is not None, ack_ns or 0, ack_ns is not None,
     )
-    _extend(copies, row, _COPY_FIELDS, record_index)
-    lengths.append(-1 if trace_entries is None else len(trace_entries))
-    return j
-
-
-@dataclass
-class _FileRows:
-    """Decoded int64 rows in file order: per packet line its index and the
-    channel position of each copy, per copy its ``_COPY_FIELDS`` row and
-    trace length (-1 without a trace), per attempt its ``_ATTEMPT_FIELDS``
-    row."""
-
-    index: array = field(default_factory=lambda: array("q"))
-    positions: array = field(default_factory=lambda: array("q"))
-    copies: array = field(default_factory=lambda: array("q"))
-    lengths: array = field(default_factory=lambda: array("q"))
-    attempts: array = field(default_factory=lambda: array("q"))
-
-    def extend(
-        self,
-        m: int,
-        index: np.ndarray,
-        copies: np.ndarray,
-        lengths: np.ndarray,
-        attempts: np.ndarray,
-    ) -> None:
-        """Append the rows of packet lines whose ``m`` copies are in
-        channel order."""
-        self.index.frombytes(index.tobytes())
-        self.positions.frombytes(np.tile(np.arange(m, dtype=np.int64), len(index)).tobytes())
-        self.copies.frombytes(copies.tobytes())
-        self.lengths.frombytes(lengths.tobytes())
-        self.attempts.frombytes(attempts.tobytes())
+    length = -1 if trace_entries is None else len(trace_entries)
+    return j, _int64_row(row, _COPY_FIELDS, record_index), length, attempts
 
 
 def _require_utf8(raw: str, lineno: int) -> None:
@@ -955,12 +905,15 @@ def _require_utf8(raw: str, lineno: int) -> None:
 
 
 def _decode_lines(
-    lines: Sequence[str], first_lineno: int, position: Mapping[str, int], rows: _FileRows
-) -> None:
+    lines: Sequence[str], first_lineno: int, position: Mapping[str, int]
+) -> tuple[np.ndarray, ...]:
     """Decode packet lines of any JSON layout one by one with ``json.loads``;
     ``first_lineno`` is the line number of ``lines[0]``. Each line needs
-    exactly one copy per channel."""
+    exactly one copy per channel. Returns rows laid out as
+    :meth:`BlockParser.parse` returns them, each line's copies in channel
+    order."""
     m = len(position)
+    index, copies, lengths, attempts = [], [], [], []
     for lineno, raw in enumerate(lines, start=first_lineno):
         if not raw.isascii():
             _require_utf8(raw, lineno)
@@ -979,20 +932,26 @@ def _decode_lines(
             raise LogFormatError("packet index 'i' must be an integer", lineno)
         if type(entries) is not list:
             raise LogFormatError("'copies' must be a list", lineno)
-        line_positions = [
-            _decode_copy(e, position, lineno, rows.copies, rows.lengths, rows.attempts)
-            for e in entries
-        ]
-        if len(set(line_positions)) != len(line_positions):
+        decoded = [_decode_copy(e, position, lineno) for e in entries]
+        if len({c[0] for c in decoded}) != len(decoded):
             labels = [entry["ch"] for entry in entries]
             duplicate = next(x for x in labels if labels.count(x) > 1)
             raise LogFormatError(f"duplicate copy for channel {duplicate!r}", lineno)
-        if len(line_positions) != m:
+        if len(decoded) != m:
             raise LogFormatError(
                 f"packet {packet_index}: missing channel copies", lineno
             )
-        _extend(rows.index, (packet_index,), ("i",), lineno)
-        rows.positions.extend(line_positions)
+        index += _int64_row((packet_index,), ("i",), lineno)
+        for _, row, length, rows in sorted(decoded, key=lambda c: c[0]):
+            copies.append(row)
+            lengths.append(length)
+            attempts += rows
+    return (
+        np.array(index, dtype=np.int64),
+        np.array(copies, dtype=np.int64).reshape(-1, len(_COPY_FIELDS)),
+        np.array(lengths, dtype=np.int64),
+        np.array(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
+    )
 
 
 _DECODE_BLOCK = 1 << 16  # characters of packet lines per block, to bound memory
@@ -1022,41 +981,29 @@ def decode_log(
     meta = _decode_meta(header)
     labels = [cm.channel.label for cm in meta.channels]
     position = {label: j for j, label in enumerate(labels)}
-    m = len(position)
     parser = BlockParser(labels, _COPY_FIELDS, _ATTEMPT_FIELDS)
 
-    decoded = _FileRows()
+    # packet indices, copy rows, trace lengths and attempt rows, packet-major
+    buffers = [array("q") for _ in range(4)]
     lineno = 2
     for block in line_blocks(source, _DECODE_BLOCK):
         parsed = parser.parse(block)
         if parsed is None:  # split at '\n' only, as iterating the source would
             lines = io.StringIO(block, newline="\n").readlines()
-            _decode_lines(lines, lineno, position, decoded)
-        else:
-            decoded.extend(m, *parsed)
+            parsed = _decode_lines(lines, lineno, position)
+        for buffer, rows in zip(buffers, parsed):
+            buffer.frombytes(rows.tobytes())
         lineno += block.count("\n")
 
-    # file order (packet-major, channels in line order) to channel-major
-    n = len(decoded.index)
-    order = np.argsort(
-        np.frombuffer(decoded.positions, dtype=np.int64) * n + np.arange(m * n) // m,
-        kind="stable",
+    index, copies, lengths, attempts = (np.frombuffer(b, dtype=np.int64) for b in buffers)
+    run = _from_rows(
+        meta,
+        index,
+        copies.reshape(-1, len(_COPY_FIELDS)),
+        lengths,
+        attempts.reshape(-1, len(_ATTEMPT_FIELDS)),
     )
-    file_lengths = np.frombuffer(decoded.lengths, dtype=np.int64)
-    file_offsets = np.concatenate(([0], np.cumsum(np.maximum(file_lengths, 0))))
-    kept = np.maximum(file_lengths[order], 0)
-    offsets = np.concatenate(([0], np.cumsum(kept)))
-    rows = np.repeat(file_offsets[:-1][order] - offsets[:-1], kept) + np.arange(offsets[-1])
-    channel_major = (
-        np.frombuffer(decoded.index, dtype=np.int64).copy(),
-        np.frombuffer(decoded.copies, dtype=np.int64).reshape(-1, len(_COPY_FIELDS))[order],
-        file_lengths[order],
-        np.frombuffer(decoded.attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS))[rows],
-    )
-    # free the file-order rows before _from_rows copies, and its input after
-    del decoded, file_lengths
-    run = _from_rows(meta, *channel_major)
-    del channel_major
+    del buffers, copies, lengths, attempts  # free the rows before validation
     if validate:
         try:
             validate_run(run, request_epsilon_ns=request_epsilon_ns)

@@ -64,6 +64,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="nope.cfg"):
             load_config(missing)
 
+    def test_non_utf8_byte_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"channels = A,B\npackets = 10\nseed = 5\xff\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:3: byte 0xff at column 9 is not valid UTF-8\n"
+
 
 class TestSimulateCommand:
     def test_writes_deterministic_log(self, config_file, tmp_path, capsys):
@@ -160,6 +167,19 @@ class TestAnalyzeCommand:
 
     def test_bad_log_path_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--log", str(tmp_path / "no.jsonl"), "--mode", "pow"]) == 2
+
+    def test_oracle_policy_without_traces_exits_2(self, tmp_path, capsys):
+        """An analysis the log cannot support is an error (exit 2), not a
+        validation failure: adapter-view lost copies carry no durations."""
+        config = tmp_path / "lossy.cfg"
+        config.write_text(BASE_CONFIG + "retry_limit = 1\n")
+        log = tmp_path / "lossy.jsonl"
+        assert main(["simulate", str(config), "--out", str(log)]) == 0
+        capsys.readouterr()
+        argv = ["analyze", "--log", str(log), "--mode", "rda"]
+        assert main(argv + ["--failed-copy-policy", "oracle"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle policy needs traces") and err.count("\n") == 1
 
 
 def _set_first_copy(field, value):
@@ -324,6 +344,11 @@ class TestValidateDeferralCommand:
         # zero displacement reduces both sides to the same analysis
         zero_row = [line for line in out.splitlines() if line.strip().startswith("0.0 ")]
         assert zero_row and " 0.0000 " in zero_row[0]
+
+    def test_displacement_outside_tolerance_exits_1(self, config_file, capsys):
+        argv = ["validate-deferral", str(config_file), "--td-list=50us", "--seeds", "1"]
+        assert main(argv + ["--tol-e=-1"]) == 1
+        assert "validation FAILED for 1 of 1 displacements" in capsys.readouterr().out
 
     def test_guard_refuses_large_displacement(self, config_file, capsys):
         rc = main(

@@ -162,6 +162,20 @@ class TestCodec:
         with pytest.raises(InvalidRunError):
             encode_log(make_run([]), io.StringIO())
 
+    def test_header_only_log(self, traced_run):
+        buf = io.StringIO()
+        encode_log(traced_run, buf)
+        header = buf.getvalue().splitlines(keepends=True)[0]
+        run = decode_log(io.StringIO(header), validate=False)
+        assert run.meta == traced_run.meta and run.trace is None
+        assert run.index.shape == (0,) and run.index.dtype == "int64"
+        for column in (run.req, run.end, run.attempts, run.td, run.ta):
+            assert column.shape == (len(traced_run.channels), 0)
+            assert column.dtype == "int64"
+        n = traced_run.meta.n_packets
+        with pytest.raises(LogFormatError, match=f"meta says {n} packets, log has 0$"):
+            decode_log(io.StringIO(header))
+
     def test_garbage_header(self):
         with pytest.raises(LogFormatError):
             decode_log(io.StringIO("not json\n"))
