@@ -26,14 +26,12 @@ from .metrics import (
 )
 from .sim import (
     ChannelSetup,
-    ChannelState,
     Deferral,
     ErrorModel,
     InterferenceParams,
     SimConfig,
     SimConfigError,
     generate_run,
-    simulate_copy,
 )
 from .trace import (
     AttemptTable,

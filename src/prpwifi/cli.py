@@ -135,12 +135,21 @@ def _mean_fraction(values: list[Fraction]) -> Fraction:
     return sum(values, Fraction(0)) / len(values)
 
 
+def _list_arg(flag: str, text: str, parse) -> list:
+    """The parsed entries of a comma-separated flag value."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(parse(part))
+        except ValueError:
+            raise ConfigError(f"{flag}: invalid entry {part!r} in {text!r}") from None
+    return values
+
+
 def cmd_validate_deferral(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    td_values = [parse_duration_ns(part) for part in args.td_list.split(",")]
-    seeds = [int(part) for part in args.seeds.split(",")]
-    if not td_values or not seeds:
-        raise ConfigError("--td-list and --seeds must not be empty")
+    td_values = _list_arg("--td-list", args.td_list, parse_duration_ns)
+    seeds = _list_arg("--seeds", args.seeds, int)
     if not args.force:
         over = [td for td in td_values if abs(td) > DEFAULT_VIRTUAL_DEFER_LIMIT_NS]
         if over:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -268,42 +269,59 @@ def interference_arrays(
 
 
 # --- per-channel MAC --------------------------------------------------------
+#
+# The MAC is computed with numpy from the same draws as a loop that calls
+# random() once per attempt on each of the channel's two mac_streams; the
+# tests keep that loop as the specification.
+
+# Copies are simulated in blocks of _BLOCK, so no per-attempt array covers
+# more than one block. A wave stops when _WAVE_LANES lanes are left or
+# after _WAVE_STEPS steps, and the copies still waiting are replayed.
+_BLOCK, _WAVE_LANES, _WAVE_STEPS = 8192, 32, 64
 
 
-@dataclass(slots=True)
-class ChannelState:
-    """Mutable per-channel MAC state and output columns.
+def _uniforms(rng: random.Random) -> Callable[[int], np.ndarray]:
+    """``draw(n)``, the next ``n`` values of ``rng.random()``, bit for bit
+    (``rng`` itself does not advance): its Mersenne Twister state is loaded
+    into numpy's MT19937, whose 32-bit outputs are then combined in pairs
+    as CPython's ``genrand_res53`` combines them."""
+    state = rng.getstate()[1]
+    bits = np.random.MT19937()
+    key = np.array(state[:-1], dtype=np.uint32)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": state[-1]}}
 
-    The state is the busy intervals, the scan position in them, and the
-    time the adapter becomes free after its previous copy. Each simulated
-    copy appends its loss flag, end of transmission, attempt count and
-    final DATA duration; with traces, each attempt appends its start, DATA
-    duration and outcome.
-    """
+    def draw(n: int) -> np.ndarray:
+        raw = bits.random_raw(2 * n)
+        return ((raw[0::2] >> 5) * 67108864 + (raw[1::2] >> 6)) / 9007199254740992.0
 
-    busy_starts: list[int]
-    busy_ends: list[int]
-    cursor: int = 0
-    free_at_ns: int = 0
-    lost: list[bool] = field(default_factory=list)
-    end: list[int] = field(default_factory=list)
-    attempts: list[int] = field(default_factory=list)
-    final_data: list[int] = field(default_factory=list)
-    attempt_start: list[int] = field(default_factory=list)
-    attempt_data: list[int] = field(default_factory=list)
-    attempt_ok: list[bool] = field(default_factory=list)
+    return draw
 
 
-def _acquire(
-    starts: list[int],
-    ends: list[int],
-    k: int,
-    t: int,
-    difs: int,
-    slot: int,
-    slots: int,
-    span: int,
-) -> tuple[int, int]:
+def _outcomes(draw, n: int, loss_prob: float, retry_limit: int):
+    """Per block of up to ``_BLOCK`` copies: the success flag and ordinal of
+    each attempt, and each copy's last attempt. A copy ends at a success
+    (error draw >= loss_prob) or at its ``retry_limit``-th failure, so an
+    attempt's ordinal is its distance from the previous success, modulo
+    the retry limit; draws left over from a block start the next one."""
+    mean = retry_limit if loss_prob == 1 else (1 - loss_prob**retry_limit) / (1 - loss_prob)
+    u = np.empty(0)
+    for i in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - i)
+        while True:
+            ok = u >= loss_prob
+            j = np.arange(len(u))
+            success = np.maximum.accumulate(np.where(ok, j, -1))
+            ordinal = (j - np.append(-1, success[:-1]) - 1) % retry_limit + 1
+            last = np.flatnonzero(ok | (ordinal == retry_limit))
+            if len(last) >= m:
+                break
+            u = np.concatenate((u, draw(int((m - len(last)) * mean * 1.02) + 64)))
+        size = last[m - 1] + 1
+        yield ok[:size], ordinal[:size], last[:m]
+        u = u[size:]
+
+
+def _acquire(starts, ends, k: int, t: int, difs: int, slot: int, slots: int, span: int):
     """Earliest start time for an attempt of length ``span`` from time ``t``,
     plus the advanced busy cursor.
 
@@ -336,71 +354,87 @@ def _acquire(
         k += 1
 
 
-def simulate_copy(
-    state: ChannelState,
-    request_ns: int,
-    phy: PhyParams,
-    errors: ErrorModel,
-    backoff_rng: random.Random,
-    error_rng: random.Random,
-    collect_trace: bool = True,
-) -> None:
-    """Transmit one packet copy (initial try plus retries up to the limit)
-    and append its outcome to the state's columns.
-
-    The contention window starts at cw_min and doubles after each failed
-    attempt, saturating at cw_max. A successful attempt ends with
-    DATA + SIFS + ACK, a failed one with DATA + ACK timeout; medium
-    acquisition reserves the longer of the two so the outcome never
-    retroactively conflicts with interference.
-    """
-    t = max(request_ns, state.free_at_ns)
-    sifs_ack = phy.sifs_ns + phy.ack_frame_ns
-    ack_to = phy.ack_timeout_ns
-    tail = sifs_ack if sifs_ack > ack_to else ack_to
-    difs = phy.difs_ns
-    slot = phy.slot_ns
-    cw_max = phy.cw_max
-    retry_limit = phy.retry_limit
-    fixed_data = None if phy.data_frame_schedule_ns else phy.data_frame_ns
-    loss_prob = errors.attempt_loss_prob
-    backoff_uniform = backoff_rng.random
-    error_uniform = error_rng.random
-    starts = state.busy_starts
-    ends = state.busy_ends
-    k = state.cursor
-    n_busy = len(starts)
-    trace_start = state.attempt_start
-    trace_data = state.attempt_data
-    trace_ok = state.attempt_ok
-
-    cw = phy.cw_min
-    attempt = 0
-    while True:
-        attempt += 1
-        # uniform backoff draw in [0, cw]; one draw per attempt
-        slots = int(backoff_uniform() * (cw + 1))
-        data_ns = fixed_data if fixed_data is not None else phy.data_frame_for_attempt(attempt)
-        if k >= n_busy:
-            start = t + difs + slots * slot  # idle medium from here on
-        else:
-            start, k = _acquire(starts, ends, k, t, difs, slot, slots, data_ns + tail)
-        ok = error_uniform() >= loss_prob
-        end = start + data_ns + (sifs_ack if ok else ack_to)
-        if collect_trace:
-            trace_start.append(start)
-            trace_data.append(data_ns)
-            trace_ok.append(ok)
-        t = end
-        if ok or attempt == retry_limit:
+def _acquire_lanes(starts, ends, difs: int, slot: int, t, pending, span) -> np.ndarray:
+    """``_acquire`` for many attempts at once (busy intervals closed by a
+    ``_FOREVER`` one): each step retires a lane or moves it past one busy
+    interval. Lanes still waiting when the wave stops get -1."""
+    k = np.searchsorted(ends, t, side="right")
+    inside = starts[k] <= t
+    t = np.where(inside, ends[k], t)
+    k += inside
+    out, lane = np.full_like(t, -1), np.arange(len(t))
+    for _ in range(_WAVE_STEPS):
+        if len(lane) <= _WAVE_LANES:
             break
-        cw = min(2 * cw + 1, cw_max)
-    state.cursor = k
-    state.free_at_ns = end
-    state.lost.append(not ok)
-    state.end.append(end)
-    state.attempts.append(attempt)
-    state.final_data.append(data_ns)
+        next_busy = starts[k]
+        ready = t + difs + pending * slot
+        fits = ready + span <= next_busy
+        out[lane[fits]] = ready[fits]
+        wait = ~fits
+        lane, k, pending, span = lane[wait], k[wait], pending[wait], span[wait]
+        ticked = np.maximum((next_busy[wait] - t[wait] - difs) // slot, 0)
+        pending = pending - np.minimum(ticked, pending)
+        t = ends[k]
+        k += 1
+    return out
+
+
+def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, slots, data, dur):
+    """Start of every attempt of a block (an attempt reserves its DATA plus
+    ``tail``) and end of every copy, each copy beginning at its request or
+    when the previous copy ends (the first at ``free_at``), whichever is
+    later. ``busy`` holds the busy intervals closed by a ``_FOREVER`` one.
+
+    The block is timed in waves, one per attempt ordinal, as if no copy
+    were queued; the copies queued after all, or still waiting when their
+    wave stopped, are then replayed in order with the scalar ``_acquire``.
+    """
+    starts, ends = busy
+    difs, slot = phy.difs_ns, phy.slot_ns
+    first = np.append(0, last[:-1] + 1)
+    start, end = np.empty(len(slots), dtype=np.int64), np.full(len(req), -1, dtype=np.int64)
+    # copy ends without interference (a queue of the bare service times) are
+    # lower bounds of the real ones, as are a wave's times; a copy whose
+    # predecessor's bound passes its request is queued, so it leaves the
+    # waves (end -1) and is replayed
+    service = np.add.reduceat(difs + slots * slot + dur, first)
+    done_by = np.cumsum(service)
+    bound = done_by + np.maximum(free_at, np.maximum.accumulate(req - done_by + service))
+    lane, a, t = np.arange(len(req)), first, req
+    while True:
+        stay = np.where(lane > 0, bound[lane - 1], free_at) <= req[lane]
+        lane, a, t = lane[stay], a[stay], t[stay]
+        if not len(lane):
+            break
+        s = start[a] = _acquire_lanes(starts, ends, difs, slot, t, slots[a], data[a] + tail)
+        t = np.where(s < 0, -1, s + dur[a])
+        bound[lane] = np.maximum(bound[lane], t)
+        done = (s < 0) | (a == last[lane])
+        end[lane[done]] = t[done]
+        lane, a, t = lane[~done], a[~done] + 1, t[~done]
+    # replay the unresolved copies (end -1) and those whose predecessor ends
+    # after their request, in order; a replay can queue successors. The
+    # memoryviews hand the scalar path Python ints without building lists.
+    previous = np.append(free_at, end[:-1])
+    todo = np.flatnonzero((end < 0) | (previous > req))
+    busy_s, busy_e = map(memoryview, busy)
+    req_mv, first_mv, last_mv, start_mv, end_mv = map(memoryview, (req, first, last, start, end))
+    slots_mv, data_mv, dur_mv = map(memoryview, (slots, data, dur))
+    c = 0
+    k_at = ends.searchsorted(np.maximum(previous, req)[todo], "right").tolist()
+    for x, k in zip(todo.tolist(), k_at):
+        if x < c:
+            continue
+        c, t = x, end_mv[x - 1] if x else free_at
+        while c < len(req) and (t > req_mv[c] or end_mv[c] < 0):
+            t = max(t, req_mv[c])
+            for a in range(first_mv[c], last_mv[c] + 1):
+                s, k = _acquire(busy_s, busy_e, k, t, difs, slot, slots_mv[a], data_mv[a] + tail)
+                start_mv[a] = s
+                t = s + dur_mv[a]
+            end_mv[c] = t
+            c += 1
+    return start, end
 
 
 # --- run generation ---------------------------------------------------------
@@ -416,55 +450,55 @@ _Channel = tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]
 def _simulate_channel(
     setup: ChannelSetup, config: SimConfig, request_offset_ns: int
 ) -> _Channel:
-    label = setup.channel.label
+    label, phy = setup.channel.label, setup.phy
     # a deferred channel draws the interference of its undeferred run and
     # only extends it, so real and virtual deferral see the same medium
     undeferred = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
-    busy_s, busy_e = interference_arrays(
+    busy = interference_arrays(
         setup.interference,
         undeferred + request_offset_ns,
         bulk_stream(config.seed, setup.seed_salt, label, "interference"),
         chunk_horizon_ns=undeferred,
     )
-    state = ChannelState(busy_starts=busy_s.tolist(), busy_ends=busy_e.tolist())
-    backoff_rng = mac_stream(config.seed, setup.seed_salt, label, "backoff")
-    error_rng = mac_stream(config.seed, setup.seed_salt, label, "error")
-    n, period = config.n_packets, config.period_ns
-    for i in range(n):
-        simulate_copy(
-            state,
-            i * period + request_offset_ns,
-            setup.phy,
-            setup.errors,
-            backoff_rng,
-            error_rng,
-            collect_trace=config.emit_full_trace,
+    busy = tuple(np.append(b, _FOREVER) for b in busy)
+    error_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "error"))
+    backoff_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "backoff"))
+    # the contention window starts at cw_min and doubles per failed attempt;
+    # the backoff is int(random() * (cw + 1)) slots
+    cw = [phy.cw_min]
+    while len(cw) < phy.retry_limit and cw[-1] < phy.cw_max:
+        cw.append(min(2 * cw[-1] + 1, phy.cw_max))
+    window = np.array(cw, dtype=np.int64) + 1
+    # success ends with SIFS + ACK, failure with the ACK timeout; acquisition
+    # reserves the longer of the two
+    sifs_ack, ack_to = phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns
+    tail = max(sifs_ack, ack_to)
+    n, loss_prob = config.n_packets, setup.errors.attempt_loss_prob
+    req = np.arange(n, dtype=np.int64) * config.period_ns + request_offset_ns
+    parts, free_at = [], 0
+    for i, (ok, ordinal, last) in zip(
+        range(0, n, _BLOCK), _outcomes(error_draws, n, loss_prob, phy.retry_limit)
+    ):
+        slots = (backoff_draws(len(ok)) * window[np.minimum(ordinal, len(cw)) - 1]).astype(np.int64)
+        data = phy.data_frame_for_attempt(ordinal)
+        dur = data + np.where(ok, sifs_ack, ack_to)
+        start, end = _attempt_starts(
+            busy, phy, tail, free_at, req[i : i + _BLOCK], last, slots, data, dur
         )
-    lost = np.array(state.lost, dtype=bool)
-    delivered = ~lost
+        free_at = int(end[-1])
+        trace = (start, data, ok) if config.emit_full_trace else ()
+        parts.append((end, np.diff(last, prepend=-1), ok[last], data[last], *trace))
+    end, attempts, delivered, td, *trace = (np.concatenate(c) for c in zip(*parts))
     # adapter view: the driver exposes no frame durations for lost copies
     has_td = np.ones(n, dtype=bool) if config.emit_full_trace else delivered
-    copies = {
-        "lost": lost,
-        "req": np.arange(n, dtype=np.int64) * period + request_offset_ns,
-        "end": np.array(state.end, dtype=np.int64),
-        "attempts": np.array(state.attempts, dtype=np.int64),
-        "td": np.where(has_td, np.array(state.final_data, dtype=np.int64), 0),
-        "has_td": has_td,
-        "ta": np.where(delivered, setup.phy.ack_frame_ns, 0),
-        "has_ta": delivered,
-    }
-    if not config.emit_full_trace:
+    ta = np.where(delivered, phy.ack_frame_ns, 0)
+    copies = dict(lost=~delivered, req=req, end=end, attempts=attempts)
+    copies.update(td=np.where(has_td, td, 0), has_td=has_td, ta=ta, has_ta=delivered)
+    if not trace:
         return copies, None
-    ok = np.array(state.attempt_ok, dtype=bool)
-    attempts = {
-        "start": np.array(state.attempt_start, dtype=np.int64),
-        "data": np.array(state.attempt_data, dtype=np.int64),
-        "ack": np.where(ok, setup.phy.ack_frame_ns, 0),
-        "has_ack": ok,
-        "ok": ok,
-    }
-    return copies, attempts
+    start, data, ok = trace
+    ack = np.where(ok, phy.ack_frame_ns, 0)
+    return copies, dict(start=start, data=data, ack=ack, has_ack=ok, ok=ok)
 
 
 def _channel_of(run: RunLog, j: int) -> _Channel:

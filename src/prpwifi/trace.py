@@ -90,11 +90,10 @@ class PhyParams:
     ack_frame_ns: int = 24_000
     data_frame_schedule_ns: tuple[int, ...] | None = None
 
-    def data_frame_for_attempt(self, ordinal: int) -> int:
-        if self.data_frame_schedule_ns:
-            idx = min(ordinal, len(self.data_frame_schedule_ns)) - 1
-            return self.data_frame_schedule_ns[idx]
-        return self.data_frame_ns
+    def data_frame_for_attempt(self, ordinal: np.ndarray) -> np.ndarray:
+        """DATA duration of each attempt, by 1-based ordinal."""
+        frames = np.array(self.data_frame_schedule_ns or (self.data_frame_ns,), dtype=np.int64)
+        return frames[np.minimum(ordinal, len(frames)) - 1]
 
     def validate(self) -> None:
         durations = (

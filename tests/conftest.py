@@ -11,11 +11,16 @@ from prpwifi import (
     AttemptTrace,
     ChannelId,
     ChannelMeta,
+    ChannelSetup,
     CopyRecord,
+    Deferral,
+    ErrorModel,
+    InterferenceParams,
     PacketRecord,
     PhyParams,
     RunLog,
     RunMeta,
+    SimConfig,
     VIEW_FULL_TRACE,
     encode_log,
     generate_run,
@@ -195,3 +200,66 @@ def encodable_runs(draw) -> RunLog:
         for _ in range(n)
     ]
     return RunLog.from_packets(meta, packets)
+
+
+# --- simulation configs --------------------------------------------------------
+
+_FRAME_NS = st.integers(min_value=20_000, max_value=600_000)
+
+
+@st.composite
+def _phy(draw) -> PhyParams:
+    cw_min = draw(st.sampled_from([0, 1, 3, 7, 15, 31]))
+    return PhyParams(
+        cw_min=cw_min,
+        cw_max=cw_min + draw(st.sampled_from([0, 1, 100, 1023, 5000])),
+        retry_limit=draw(st.integers(min_value=1, max_value=21)),
+        data_frame_ns=draw(_FRAME_NS),
+        ack_frame_ns=draw(st.integers(min_value=10_000, max_value=60_000)),
+        data_frame_schedule_ns=draw(
+            st.none() | st.lists(_FRAME_NS, min_size=1, max_size=4).map(tuple)
+        ),
+    )
+
+
+@st.composite
+def _interference(draw) -> InterferenceParams:
+    burst_len_mean = draw(st.sampled_from([1.0, 3.0, 10.0]))
+    gap_mean_ns = draw(st.integers(min_value=300_000, max_value=5_000_000))
+    return InterferenceParams(
+        interferer_count=draw(st.integers(min_value=0, max_value=3)),
+        payload_airtime_ns=draw(st.integers(min_value=50_000, max_value=600_000)),
+        intra_burst_spacing_ns=draw(st.integers(min_value=100_000, max_value=800_000)),
+        burst_len_mean=burst_len_mean,
+        burst_len_cap=int(burst_len_mean) * draw(st.sampled_from([1, 4])),
+        gap_mean_ns=gap_mean_ns,
+        gap_cap_ns=gap_mean_ns * 100,
+    )
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    """Valid duplex configs across the MAC's regimes: contention windows
+    from 0, retry limits 1-21, certain and no loss, per-attempt frame
+    schedules, 0-3 interferers, and periods from shorter than one copy
+    (queues that never drain) to milliseconds, with or without deferral."""
+    period = draw(
+        st.integers(min_value=100_000, max_value=1_000_000)
+        | st.integers(min_value=1_000_000, max_value=10_000_000)
+    )
+    offset = draw(st.none() | st.integers(min_value=1 - period, max_value=period - 1))
+    return SimConfig(
+        channels=tuple(
+            ChannelSetup(
+                channel=channel,
+                phy=draw(_phy()),
+                interference=draw(_interference()),
+                errors=ErrorModel(draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))),
+            )
+            for channel in (CH_A, CH_B)
+        ),
+        n_packets=draw(st.integers(min_value=50, max_value=2000)),
+        period_ns=period,
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        deferral=None if offset is None else Deferral(offset_ns=offset),
+    )

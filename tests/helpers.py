@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import random
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+
+import numpy as np
 
 from prpwifi import (
     AttemptTrace,
@@ -24,6 +27,7 @@ from prpwifi import (
     VIEW_FULL_TRACE,
     final_attempt_start,
 )
+from prpwifi.sim import _acquire, bulk_stream, interference_arrays, mac_stream
 
 CH_A = ChannelId(0, "A")
 CH_B = ChannelId(1, "B")
@@ -344,3 +348,149 @@ def lossy_config(n_packets: int, seed: int, full_trace: bool) -> SimConfig:
     )
     channels = tuple(replace(c, phy=PhyParams(retry_limit=2)) for c in config.channels)
     return replace(config, channels=channels)
+
+
+# --- sequential MAC (the specification of sim._simulate_channel) -------------
+
+
+@dataclass(slots=True)
+class ChannelState:
+    """Mutable per-channel MAC state and output columns.
+
+    The state is the busy intervals, the scan position in them, and the
+    time the adapter becomes free after its previous copy. Each simulated
+    copy appends its loss flag, end of transmission, attempt count and
+    final DATA duration; with traces, each attempt appends its start, DATA
+    duration and outcome.
+    """
+
+    busy_starts: list[int]
+    busy_ends: list[int]
+    cursor: int = 0
+    free_at_ns: int = 0
+    lost: list[bool] = field(default_factory=list)
+    end: list[int] = field(default_factory=list)
+    attempts: list[int] = field(default_factory=list)
+    final_data: list[int] = field(default_factory=list)
+    attempt_start: list[int] = field(default_factory=list)
+    attempt_data: list[int] = field(default_factory=list)
+    attempt_ok: list[bool] = field(default_factory=list)
+
+
+def simulate_copy(
+    state: ChannelState,
+    request_ns: int,
+    phy: PhyParams,
+    errors: ErrorModel,
+    backoff_rng: random.Random,
+    error_rng: random.Random,
+    collect_trace: bool = True,
+) -> None:
+    """Transmit one packet copy (initial try plus retries up to the limit)
+    and append its outcome to the state's columns.
+
+    The contention window starts at cw_min and doubles after each failed
+    attempt, saturating at cw_max. A successful attempt ends with
+    DATA + SIFS + ACK, a failed one with DATA + ACK timeout; medium
+    acquisition reserves the longer of the two so the outcome never
+    retroactively conflicts with interference.
+    """
+    t = max(request_ns, state.free_at_ns)
+    sifs_ack = phy.sifs_ns + phy.ack_frame_ns
+    ack_to = phy.ack_timeout_ns
+    tail = sifs_ack if sifs_ack > ack_to else ack_to
+    difs = phy.difs_ns
+    slot = phy.slot_ns
+    cw_max = phy.cw_max
+    retry_limit = phy.retry_limit
+    fixed_data = None if phy.data_frame_schedule_ns else phy.data_frame_ns
+    loss_prob = errors.attempt_loss_prob
+    backoff_uniform = backoff_rng.random
+    error_uniform = error_rng.random
+    starts = state.busy_starts
+    ends = state.busy_ends
+    k = state.cursor
+    n_busy = len(starts)
+    trace_start = state.attempt_start
+    trace_data = state.attempt_data
+    trace_ok = state.attempt_ok
+
+    cw = phy.cw_min
+    attempt = 0
+    while True:
+        attempt += 1
+        # uniform backoff draw in [0, cw]; one draw per attempt
+        slots = int(backoff_uniform() * (cw + 1))
+        data_ns = fixed_data if fixed_data is not None else int(phy.data_frame_for_attempt(attempt))
+        if k >= n_busy:
+            start = t + difs + slots * slot  # idle medium from here on
+        else:
+            start, k = _acquire(starts, ends, k, t, difs, slot, slots, data_ns + tail)
+        ok = error_uniform() >= loss_prob
+        end = start + data_ns + (sifs_ack if ok else ack_to)
+        if collect_trace:
+            trace_start.append(start)
+            trace_data.append(data_ns)
+            trace_ok.append(ok)
+        t = end
+        if ok or attempt == retry_limit:
+            break
+        cw = min(2 * cw + 1, cw_max)
+    state.cursor = k
+    state.free_at_ns = end
+    state.lost.append(not ok)
+    state.end.append(end)
+    state.attempts.append(attempt)
+    state.final_data.append(data_ns)
+
+
+def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset_ns: int):
+    """One channel's columns from the sequential MAC, keyed like
+    ``sim._simulate_channel``'s (attempt rows only with traces)."""
+    label = setup.channel.label
+    undeferred = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
+    busy_s, busy_e = interference_arrays(
+        setup.interference,
+        undeferred + request_offset_ns,
+        bulk_stream(config.seed, setup.seed_salt, label, "interference"),
+        chunk_horizon_ns=undeferred,
+    )
+    state = ChannelState(busy_starts=busy_s.tolist(), busy_ends=busy_e.tolist())
+    backoff_rng = mac_stream(config.seed, setup.seed_salt, label, "backoff")
+    error_rng = mac_stream(config.seed, setup.seed_salt, label, "error")
+    n, period = config.n_packets, config.period_ns
+    for i in range(n):
+        simulate_copy(
+            state,
+            i * period + request_offset_ns,
+            setup.phy,
+            setup.errors,
+            backoff_rng,
+            error_rng,
+            collect_trace=config.emit_full_trace,
+        )
+    lost = np.array(state.lost, dtype=bool)
+    delivered = ~lost
+    # adapter view: the driver exposes no frame durations for lost copies
+    has_td = np.ones(n, dtype=bool) if config.emit_full_trace else delivered
+    copies = {
+        "lost": lost,
+        "req": np.arange(n, dtype=np.int64) * period + request_offset_ns,
+        "end": np.array(state.end, dtype=np.int64),
+        "attempts": np.array(state.attempts, dtype=np.int64),
+        "td": np.where(has_td, np.array(state.final_data, dtype=np.int64), 0),
+        "has_td": has_td,
+        "ta": np.where(delivered, setup.phy.ack_frame_ns, 0),
+        "has_ta": delivered,
+    }
+    if not config.emit_full_trace:
+        return copies, None
+    ok = np.array(state.attempt_ok, dtype=bool)
+    attempts = {
+        "start": np.array(state.attempt_start, dtype=np.int64),
+        "data": np.array(state.attempt_data, dtype=np.int64),
+        "ack": np.where(ok, setup.phy.ack_frame_ns, 0),
+        "has_ack": ok,
+        "ok": ok,
+    }
+    return copies, attempts

@@ -357,6 +357,24 @@ class TestValidateDeferralCommand:
         assert rc == 2
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--td-list=100us", "--seeds", "5,x"], "error: --seeds: invalid entry 'x' in '5,x'\n"),
+            (
+                ["--td-list=100us,,200us", "--seeds", "1"],
+                "error: --td-list: invalid entry '' in '100us,,200us'\n",
+            ),
+            (["--td-list=", "--seeds", "1"], "error: --td-list: invalid entry '' in ''\n"),
+            (["--td-list=100us", "--seeds", ""], "error: --seeds: invalid entry '' in ''\n"),
+        ],
+        ids=["seed-x", "td-empty-entry", "td-empty", "seeds-empty"],
+    )
+    def test_bad_list_entry_names_flag(self, config_file, capsys, flags, message):
+        assert main(["validate-deferral", str(config_file), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:

@@ -3,14 +3,15 @@ import math
 import statistics
 from bisect import bisect_right
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prpwifi import (
     ChannelId,
     ChannelSetup,
-    ChannelState,
     Deferral,
     ErrorModel,
     InterferenceParams,
@@ -19,13 +20,22 @@ from prpwifi import (
     SimConfigError,
     encode_log,
     generate_run,
-    simulate_copy,
     validate_run,
 )
 from prpwifi import sim
 from prpwifi.sim import bulk_stream, interference_arrays, mac_stream
 
-from helpers import CH_A, CH_B, DESK_PERIOD_NS, desk_config, desk_interference
+from helpers import (
+    CH_A,
+    CH_B,
+    DESK_PERIOD_NS,
+    ChannelState,
+    desk_config,
+    desk_interference,
+    simulate_channel_spec,
+    simulate_copy,
+)
+from conftest import sim_configs
 
 
 def clean_config(n=4, seed=1, loss=0.0, **kwargs):
@@ -357,3 +367,85 @@ class TestMacSanity:
         for c in run.channels:
             observed = statistics.mean(pk.copies[c].attempts for pk in run.packets)
             assert abs(observed - mean) <= 3 * math.sqrt(var / n)
+
+
+class TestUniformBridge:
+    """``sim._uniforms`` rebuilds ``random.Random.random()`` from numpy's
+    MT19937. It relies on CPython's ``genrand_res53``: two 32-bit outputs
+    a, b give ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``."""
+
+    def test_equals_random_for_a_named_stream(self):
+        rng = mac_stream(5, "", "A", "backoff")
+        draw = sim._uniforms(rng)
+        got = np.concatenate([draw(1), draw(623), draw(100_000)])
+        assert got.tolist() == [rng.random() for _ in range(100_624)]
+
+    def test_state_mid_block(self):
+        rng = mac_stream(7919, "salt", "B", "error")
+        for _ in range(1000):
+            rng.random()
+        assert 0 < rng.getstate()[1][-1] < 624  # position inside the 624-word block
+        got = sim._uniforms(rng)(100_000)
+        assert got.tolist() == [rng.random() for _ in range(100_000)]
+
+    def test_backoff_slots_equal_int_of_product(self):
+        # int(random() * (cw + 1)) per attempt, as numpy computes it per array
+        u = np.concatenate(
+            [sim._uniforms(mac_stream(1, "", "A", "backoff"))(500), [0.0, 0.5, 1 - 2**-53]]
+        )
+        for cw in range(1024):
+            window = np.full(len(u), cw + 1, dtype=np.int64)
+            assert (u * window).astype(np.int64).tolist() == [int(x * (cw + 1)) for x in u.tolist()]
+
+
+def assert_channels_match_spec(config):
+    """Every channel of ``config`` comes out of the batched MAC exactly as
+    out of the sequential one, column for column, in both views."""
+    for full_trace in (True, False):
+        cfg = replace(config, emit_full_trace=full_trace)
+        for setup, offset in zip(cfg.channels, cfg.request_offsets()):
+            got = sim._simulate_channel(setup, cfg, offset)
+            want = simulate_channel_spec(setup, cfg, offset)
+            for got_columns, want_columns in zip(got, want):
+                assert (got_columns is None) == (want_columns is None)
+                assert (got_columns or {}).keys() == (want_columns or {}).keys()
+                for name, column in (want_columns or {}).items():
+                    where = f"{setup.channel.label} {name} full_trace={full_trace}"
+                    assert got_columns[name].dtype == column.dtype, where
+                    assert np.array_equal(got_columns[name], column), where
+
+
+class TestBatchedMac:
+    """``sim._simulate_channel`` against the sequential MAC in ``helpers``;
+    the derandomized property run takes about 7 s."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(config=sim_configs(), block=st.sampled_from([5, 64, sim._BLOCK]))
+    def test_equals_sequential_spec(self, config, block):
+        # small blocks carry the leftover error draws and the time the
+        # adapter is free across many block boundaries
+        with mock.patch.object(sim, "_BLOCK", block):
+            assert_channels_match_spec(config)
+
+    def test_retry_limit_70_certain_loss(self):
+        # windows double 69 times: saturated at the default cw_max on A and
+        # at 2**20 slots (a 9.4 s backoff) on B
+        config = clean_config(n=60, seed=3, loss=1.0)
+        phys = (PhyParams(retry_limit=70), PhyParams(retry_limit=70, cw_min=0, cw_max=2**20))
+        config = replace(
+            config,
+            channels=tuple(replace(c, phy=phy) for c, phy in zip(config.channels, phys)),
+        )
+        assert_channels_match_spec(config)
+        run = generate_run(config)
+        assert (run.attempts == 70).all() and run.lost.all()
+
+    def test_saturated_500us_period(self):
+        # copies last longer than the period on average, so the adapter
+        # queue grows for the whole run
+        config = desk_config(2000, seed=5, interferers_a=1, period_ns=500_000)
+        assert_channels_match_spec(config)
+        with mock.patch.object(sim, "_BLOCK", 64):
+            assert_channels_match_spec(config)
+        run = generate_run(config)
+        assert (run.end[:, -1] - run.req[:, -1] > 100 * config.period_ns).all()
