@@ -11,7 +11,6 @@ from .da import (
     simplex_flags,
     tdd_flags,
     tdd_latency,
-    virtual_defer,
 )
 from .metrics import (
     LatencyStats,

@@ -13,14 +13,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
-import numpy as np
-
 from .trace import (
     ChannelId,
     CopyRecord,
     PacketRecord,
     PhyParams,
-    RunLog,
     copy_latency,
     final_attempt_start,
     shift_copy,
@@ -228,51 +225,6 @@ def tdd_latency(
         if best is None or latency < best:
             best = latency
     return best
-
-
-def virtual_defer(
-    run: RunLog,
-    t_d_ns: int,
-    max_offset_ns: int = DEFAULT_VIRTUAL_DEFER_LIMIT_NS,
-    force: bool = False,
-) -> RunLog:
-    """Shift one channel of a duplex log in post-processing.
-
-    Positive ``t_d_ns`` delays every timestamp of the second channel
-    (request, end of transmission, and trace starts when present) leaving
-    all other quantities untouched; negative values delay the first
-    channel. The log's recorded relative displacement is updated, so
-    successive shifts compose additively. Shifts whose cumulative
-    displacement exceeds ``max_offset_ns`` are refused unless forced,
-    since channel stationarity only supports small offsets.
-    """
-    if t_d_ns == 0:
-        return run
-    if len(run.channels) != 2:
-        raise ValueError("virtual deferral needs a duplex log")
-    total = run.meta.deferral_ns + t_d_ns
-    if not force and (abs(t_d_ns) > max_offset_ns or abs(total) > max_offset_ns):
-        raise ValueError(
-            f"virtual displacement of {t_d_ns} ns (cumulative {total} ns) exceeds "
-            f"the {max_offset_ns} ns stationarity guard; pass force=True to override"
-        )
-    j = 1 if t_d_ns > 0 else 0
-    offset = abs(t_d_ns)
-    shift = np.zeros_like(run.req)
-    shift[j] = offset
-    trace = run.trace
-    if trace is not None:
-        n = len(run.index)
-        start = trace.start.copy()
-        start[trace.offsets[j * n] : trace.offsets[(j + 1) * n]] += offset
-        trace = replace(trace, start=start)
-    return replace(
-        run,
-        meta=replace(run.meta, deferral_ns=total),
-        req=run.req + shift,
-        end=run.end + shift,
-        trace=trace,
-    )
 
 
 def oracle_saved_attempts(

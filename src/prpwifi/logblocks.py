@@ -1,12 +1,19 @@
-"""Block parsing of run-log packet lines in the exact layout of ``encode_log``.
+"""Run-log packet lines in the exact layout of ``encode_log``, in blocks.
 
 ``encode_log`` writes every packet line the same way: keys in a fixed
-order, no whitespace, the channels in header order, ASCII only. A block of
-whole lines in that layout is checked by one regex, and its numbers are
-parsed by numpy instead of one ``json.loads`` per line. Numbers in the
-grammar have at most 18 digits, so every value fits an int64. Blocks in
-any other layout are left to the line-by-line decoder of
-:mod:`prpwifi.trace`.
+order, no whitespace, the channels in header order, ASCII only. This
+module owns that layout in both directions.
+
+:class:`BlockFormatter` writes a block of packet lines from one byte
+matrix: every copy and every trace entry is a row, every literal and
+number a fixed range of columns, and the parts a row lacks stay NUL and
+are dropped when the matrix is read out.
+
+:class:`BlockParser` checks a block of whole lines in that layout with one
+regex and parses its numbers with numpy instead of one ``json.loads`` per
+line. Numbers in the grammar have at most 18 digits, so every value fits
+an int64. Blocks in any other layout are left to the line-by-line decoder
+of :mod:`prpwifi.trace`.
 """
 from __future__ import annotations
 
@@ -137,3 +144,138 @@ class BlockParser:
         lengths = np.full(len(copy_starts), -1, dtype=np.int64)
         lengths[traced] = trace_lengths[traced]
         return values[depth == 0], copies, lengths, attempts
+
+
+
+_TEN = np.uint64(10)
+
+
+class BlockFormatter:
+    """Formatter of blocks of packet lines in the layout of ``encode_log``
+    for a run with channels labelled ``labels``; the inverse of
+    :class:`BlockParser`."""
+
+    def __init__(self, labels: Sequence[str]):
+        # json.dumps escapes every control and non-ASCII character, so no
+        # line holds a NUL byte, and NUL can pad the byte matrix
+        encoded = [json.dumps(label).encode() for label in labels]
+        self._heads = [b',"copies":[{"ch":%s,"l":' % encoded[0]]
+        self._heads += [b',{"ch":%s,"l":' % e for e in encoded[1:]]
+
+    def format(
+        self,
+        index: np.ndarray,
+        copies: Sequence[np.ndarray],
+        lengths: np.ndarray,
+        attempts: Sequence[np.ndarray],
+    ) -> str:
+        """Text of a block of packet lines from the arrays that
+        :meth:`BlockParser.parse` returns, as columns: the packet indices,
+        the packet-major copy columns in copy row order, the trace length
+        per copy (-1 where a copy has no trace) and the attempt columns of
+        the traced copies in attempt row order.
+
+        Each copy and each trace entry is one row, in output order: a
+        copy's row is followed by its entries' rows.
+        """
+        lost, req, end, w, td, has_td, ta, has_ta = copies
+        start, data, ack, has_ack, ok = attempts
+        m = len(self._heads)
+        span = np.maximum(lengths, 0) + 1  # rows of a copy: its own and its entries'
+        copy_row = np.cumsum(span) - span
+        rows = len(lengths) + len(start)
+        entry = np.ones(rows, dtype=bool)
+        entry[copy_row] = False
+        entry_row, copy = np.flatnonzero(entry), ~entry
+        channel = [np.zeros(rows, dtype=bool) for _ in range(m)]
+        for j, on_channel in enumerate(channel):
+            on_channel[copy_row[j::m]] = True
+
+        def per_row(copy_values, entry_values=0):
+            values = np.zeros(rows, dtype=np.int64)
+            values[copy_row] = copy_values
+            values[entry_row] = entry_values
+            return values
+
+        index_row = np.zeros(rows, dtype=np.int64)
+        index_row[copy_row[::m]] = index
+        # an entry's fields take the columns of copy fields: tW those of
+        # t_T, Td of t_X, Ta of Td, and ok of Ta
+        td_shown = per_row(has_td, has_ack).astype(bool)
+        ta_shown = per_row(has_ta, 1).astype(bool)
+        traced = np.repeat(lengths >= 0, span)  # the row's copy carries a trace
+        ends = np.zeros(rows, dtype=bool)  # the last row of a copy
+        ends[copy_row + span - 1] = True
+        return _render(
+            [
+                [(b'{"i":', channel[0])],
+                (index_row, channel[0]),
+                list(zip(self._heads, channel)),
+                (per_row(lost), copy),
+                [(b',"t_T":', copy), (b'{"tW":', entry)],
+                (per_row(req, start), np.ones(rows, dtype=bool)),
+                [(b',"t_X":', copy), (b',"Td":', entry)],
+                (per_row(end, data), np.ones(rows, dtype=bool)),
+                [(b',"w":', copy)],
+                (per_row(w), copy),
+                [(b',"Td":', copy & td_shown), (b',"Ta":', entry & td_shown)],
+                (per_row(td, ack) * td_shown, td_shown),
+                [(b',"Ta":', copy & ta_shown), (b',"ok":', entry)],
+                (per_row(ta, ok) * ta_shown, ta_shown),
+                [(b',"trace":[', copy & traced), (b"},", entry & ~ends), (b"}", entry & ends)],
+                [(b"]}", ends & traced), (b"}", ends & ~traced)],
+                [(b"]}\n", ends & channel[-1][copy_row].repeat(span))],
+            ],
+            rows,
+        )
+
+
+def _render(fields: list, rows: int) -> str:
+    """Text of ``rows`` rows, each the concatenation of ``fields``. A field
+    is a list of (literal, the rows that show it) pairs, or a pair of int64
+    values and the rows that show them; a value not shown must be 0.
+
+    Every field has a fixed range of columns in a byte matrix whose rows
+    are NUL where they show nothing. Numbers are right-aligned, their sign
+    in the first column of the range. The rows without their NULs are the
+    text.
+    """
+    laid, width = [], 0
+    for field in fields:
+        if isinstance(field, list):
+            field = [(text, shown) for text, shown in field if shown.any()]
+            size = max((len(text) for text, _ in field), default=0)
+        elif field[1].any():
+            values, shown = field
+            negative = values < 0
+            magnitude = np.where(negative, -values, values).view(np.uint64)  # INT64_MIN too
+            digits = len(str(magnitude.max()))
+            size = negative.any() + digits
+            field = (magnitude, shown, negative, digits)
+        else:
+            continue
+        width += size
+        laid.append((width, size, field))
+
+    matrix = np.zeros((width, rows), dtype=np.uint8)
+    tens = np.empty(rows, dtype=np.uint8)
+    for stop, size, field in laid:
+        if isinstance(field, list):
+            for text, shown in field:
+                code = np.frombuffer(text.ljust(size, b"\0"), dtype=np.uint8)
+                matrix[stop - size : stop] += code[:, None] * shown.view(np.uint8)
+            continue
+        q, shown, negative, digits = field
+        if size > digits:
+            matrix[stop - size] = negative.view(np.uint8) * np.uint8(ord("-"))
+        for col in range(stop - 1, stop - 1 - digits, -1):
+            # the digit q - 10 * (q // 10) is below 256, so the low bytes give it
+            nxt = q // _TEN
+            np.copyto(matrix[col], q, casting="unsafe")
+            np.copyto(tens, nxt, casting="unsafe")
+            tens *= 10
+            matrix[col] -= tens
+            show = shown if col == stop - 1 else q != 0  # no leading zeros
+            matrix[col] += show.view(np.uint8) * np.uint8(ord("0"))
+            q = nxt
+    return matrix.T.tobytes().translate(None, b"\0").decode("ascii")

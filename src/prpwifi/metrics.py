@@ -8,9 +8,9 @@ and sum of squares from int64 limb products combined as Python ints, so
 both sums are exact for any int64 latencies.
 
 Reports are computed over the run's per-channel columns for any channel
-count; the per-packet functions of :mod:`prpwifi.da` define the same
-quantities and are kept as the reference path
-(:func:`compute_report_reference`) that the test suite cross-checks.
+count. The per-packet functions of :mod:`prpwifi.da` define the same
+quantities; the test suite evaluates them packet by packet as the
+reference report and cross-checks every report against it.
 Each delivered-latency population is reduced once per call: a sweep
 computes the channel populations once, the link population on recorded
 timestamps once, and the virtually displaced link population once per
@@ -27,18 +27,13 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .da import (
-    DaFlags,
     DaMode,
     DaParams,
     FailedCopyPolicy,
     TraceRequiredError,
     oracle_saved_attempts,
-    rda_flags,
-    simplex_flags,
-    tdd_flags,
-    tdd_latency,
 )
-from .trace import RunLog, copy_latency, link_outcome
+from .trace import RunLog
 
 MISS_THRESHOLDS_NS = (10_000_000, 100_000_000)  # 10 ms and 100 ms deadlines
 
@@ -229,76 +224,6 @@ class _Accumulated:
     chan_latency: list[_Population]
     link_latency: _Population
     link_lost: int
-
-
-def _accumulate_reference(
-    run: RunLog, params: DaParams, t_d: int, recorded: bool
-) -> _Accumulated:
-    """Per-packet evaluation with the functions of :mod:`prpwifi.da`."""
-    channels = run.channels
-    phy_by = run.phy_by_channel()
-    mode = params.mode
-    policy = params.failed_copy_policy
-    t_lre = params.t_lre_ns
-    m = len(channels)
-    pos = {c: j for j, c in enumerate(channels)}
-
-    early_sum = [0] * m
-    simplex_sum = [0] * m
-    attempts_delivered = [0] * m
-    lost_count = [0] * m
-    chan_latencies: list[list[int]] = [[] for _ in range(m)]
-    max_delivered_attempts = 0
-    simplex_link_count = 0
-    link_latencies: list[int] = []
-    link_lost = 0
-
-    for packet in run.packets:
-        if mode is not DaMode.POW:
-            if recorded:
-                flags: DaFlags = rda_flags(packet, t_lre, phy_by, policy)
-            else:
-                flags = tdd_flags(packet, t_d, t_lre, phy_by, policy)
-            flags = simplex_flags(packet, flags)
-            for c, v in flags.early.items():
-                if v:
-                    early_sum[pos[c]] += 1
-            for c, v in flags.simplex.items():
-                if v:
-                    simplex_sum[pos[c]] += 1
-            if flags.simplex_link:
-                simplex_link_count += 1
-
-        for j, c in enumerate(channels):
-            copy = packet.copies[c]
-            if copy.lost:
-                lost_count[j] += 1
-                continue
-            if copy.attempts > max_delivered_attempts:
-                max_delivered_attempts = copy.attempts
-            attempts_delivered[j] += copy.attempts
-            chan_latencies[j].append(copy_latency(copy, phy_by[c]))
-
-        if recorded:
-            link_latency = link_outcome(packet, phy_by).latency_ns
-        else:
-            link_latency = tdd_latency(packet, t_d, phy_by)
-        if link_latency is None:
-            link_lost += 1
-        else:
-            link_latencies.append(link_latency)
-
-    return _Accumulated(
-        early_sum,
-        simplex_sum,
-        simplex_link_count,
-        attempts_delivered,
-        lost_count,
-        max_delivered_attempts,
-        [_population(np.array(s, dtype=np.int64)) for s in chan_latencies],
-        _population(np.array(link_latencies, dtype=np.int64)),
-        link_lost,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -505,26 +430,16 @@ def _assemble(
     )
 
 
-def _evaluate(run: RunLog, params: DaParams, cols: _Derived | None) -> MetricsReport:
+def _evaluate(run: RunLog, params: DaParams, cols: _Derived) -> MetricsReport:
     params.validate()
     t_d, recorded = _resolve(run, params)
-    if cols is None:
-        acc = _accumulate_reference(run, params, t_d, recorded)
-    else:
-        acc = _accumulate(cols, params, t_d, recorded)
-    return _assemble(run, params, t_d, acc)
+    return _assemble(run, params, t_d, _accumulate(cols, params, t_d, recorded))
 
 
 def compute_report(run: RunLog, params: DaParams) -> MetricsReport:
     """Evaluate all per-channel and link metrics of a run under one
     duplication-avoidance configuration."""
     return _evaluate(run, params, _derive(run))
-
-
-def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
-    """Same result as :func:`compute_report` via the per-packet functions
-    only; slower, used to cross-check the vectorized path."""
-    return _evaluate(run, params, None)
 
 
 def sweep(run: RunLog, grid: Sequence[DaParams]) -> list[MetricsReport]:

@@ -146,6 +146,27 @@ class SimConfig:
                 raise SimConfigError(
                     f"deferral primary {self.deferral.primary!r} is not a channel"
                 )
+        # every simulated time stays below the _FOREVER sentinel: a copy ends
+        # before the last busy interval, which starts before the interference
+        # horizon, plus every attempt of the run at its longest
+        deferral = 0 if self.deferral is None else abs(self.deferral.offset_ns)
+        horizon = (self.n_packets - 1) * self.period_ns + deferral + self.interference_margin_ns
+        for cs in self.channels:
+            phy, busy_until = cs.phy, horizon + cs.interference.payload_airtime_ns
+            attempts = self.n_packets * phy.retry_limit * (
+                phy.difs_ns
+                + phy.cw_max * phy.slot_ns
+                + max(phy.data_frame_schedule_ns or (phy.data_frame_ns,))
+                + max(phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns)
+            )
+            if busy_until + attempts >= _FOREVER:
+                raise SimConfigError(
+                    f"channel {cs.channel.label}: the worst-case end time reaches the "
+                    "simulator's limit of 2^62 ns: packets x retry_limit x (difs + "
+                    "cw_max x slot + longest data_frame + max(sifs + ack_frame, "
+                    f"ack_timeout)) = {attempts} ns after (packets - 1) x period + "
+                    f"|deferral| + margin + payload_airtime = {busy_until} ns"
+                )
 
     def request_offsets(self) -> tuple[int, int]:
         """Per-channel request displacement (first, second channel)."""

@@ -29,7 +29,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .logblocks import BlockParser, line_blocks
+from .logblocks import BlockFormatter, BlockParser, line_blocks
 
 TimeNs = int
 DurationNs = int
@@ -732,50 +732,6 @@ def _not_int(d: dict, required: tuple[str, ...], optional: tuple[str, ...]) -> s
 _ENCODE_BLOCK = 4096  # packets formatted per write, to bound memory
 
 
-def _encode_copies(run: RunLog, j: int, lo: int, hi: int) -> list[str]:
-    """JSON text of channel ``j``'s copies of packets ``lo`` to ``hi``."""
-    head = '{"ch":%s,"l":' % json.dumps(run.meta.channels[j].channel.label)
-    traces: list[str | None] = [None] * (hi - lo)
-    t = run.trace
-    if t is not None:
-        n = len(run.index)
-        offsets = t.offsets[j * n + lo : j * n + hi + 1]
-        rows = slice(offsets[0], offsets[-1])
-        entries = [
-            f'{{"tW":{s},"Td":{d},"Ta":{a},"ok":{ok}}}'
-            if has_ack
-            else f'{{"tW":{s},"Td":{d},"ok":{ok}}}'
-            for s, d, a, has_ack, ok in zip(
-                t.start[rows].tolist(),
-                t.data[rows].tolist(),
-                t.ack[rows].tolist(),
-                t.has_ack[rows].tolist(),
-                t.ok[rows].astype(np.int64).tolist(),
-            )
-        ]
-        bounds = (offsets - offsets[0]).tolist()
-        for pos in np.flatnonzero(t.present[j, lo:hi]).tolist():
-            traces[pos] = ",".join(entries[bounds[pos] : bounds[pos + 1]])
-    columns = (
-        run.lost[j, lo:hi].astype(np.int64).tolist(),
-        run.req[j, lo:hi].tolist(),
-        run.end[j, lo:hi].tolist(),
-        run.attempts[j, lo:hi].tolist(),
-        run.td[j, lo:hi].tolist(),
-        run.has_td[j, lo:hi].tolist(),
-        run.ta[j, lo:hi].tolist(),
-        run.has_ta[j, lo:hi].tolist(),
-        traces,
-    )
-    return [
-        f'{head}{lost},"t_T":{req},"t_X":{end},"w":{w}'
-        + (f',"Td":{td}' if has_td else "")
-        + (f',"Ta":{ta}' if has_ta else "")
-        + ("}" if trace is None else f',"trace":[{trace}]}}')
-        for lost, req, end, w, td, has_td, ta, has_ta, trace in zip(*columns)
-    ]
-
-
 def encode_log(run: RunLog, sink: IO[str]) -> None:
     """Write a run as JSON lines (meta header, then one packet per line)."""
     run.meta.validate()
@@ -784,15 +740,25 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
         raise InvalidRunError("packet count does not match meta")
     sink.write(json.dumps(_meta_to_dict(run.meta), separators=(",", ":")))
     sink.write("\n")
+    formatter = BlockFormatter([c.label for c in run.channels])
+    columns = (run.lost, run.req, run.end, run.attempts, run.td, run.has_td, run.ta, run.has_ta)
+    m, t = len(run.channels), run.trace
+    if t is not None:
+        first_rows, trace_lengths = t.offsets[:-1].reshape(m, n), t.lengths().reshape(m, n)
     for lo in range(0, n, _ENCODE_BLOCK):
         hi = min(lo + _ENCODE_BLOCK, n)
-        copies = [_encode_copies(run, j, lo, hi) for j in range(len(run.channels))]
-        sink.write(
-            "".join(
-                f'{{"i":{index},"copies":[{",".join(line)}]}}\n'
-                for index, *line in zip(run.index[lo:hi].tolist(), *copies)
-            )
-        )
+        copies = [c[:, lo:hi].T.ravel() for c in columns]  # packet-major
+        if t is None:
+            lengths = np.full(m * (hi - lo), -1, dtype=np.int64)
+            attempts = [np.zeros(0, dtype=np.int64)] * len(_ATTEMPT_FIELDS)
+        else:
+            kept = trace_lengths[:, lo:hi].T.ravel()
+            lengths = np.where(t.present[:, lo:hi].T.ravel(), kept, -1)
+            # the attempt rows of the block's copies, in packet-major order
+            rows = np.repeat(first_rows[:, lo:hi].T.ravel() - (np.cumsum(kept) - kept), kept)
+            rows += np.arange(len(rows))
+            attempts = [a[rows] for a in (t.start, t.data, t.ack, t.has_ack, t.ok)]
+        sink.write(formatter.format(run.index[lo:hi], copies, lengths, attempts))
 
 
 def _decode_meta(header: str) -> RunMeta:

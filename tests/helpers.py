@@ -1,6 +1,10 @@
-"""Shared builders for hand-made logs and desk-scale simulation setups."""
+"""Shared builders for hand-made logs and desk-scale simulation setups, and
+the reference specifications that the product paths are checked against
+(the sequential MAC, the f-string encoder, the per-packet report and
+virtual deferral by shifted columns)."""
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -14,10 +18,14 @@ from prpwifi import (
     ChannelMeta,
     ChannelSetup,
     CopyRecord,
+    DaFlags,
+    DaMode,
+    DaParams,
     ErrorModel,
     InterferenceParams,
     InvalidRunError,
     LatencyStats,
+    MetricsReport,
     PacketRecord,
     PhyParams,
     RunLog,
@@ -25,9 +33,18 @@ from prpwifi import (
     SimConfig,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
+    copy_latency,
     final_attempt_start,
+    link_outcome,
+    rda_flags,
+    simplex_flags,
+    tdd_flags,
+    tdd_latency,
 )
+from prpwifi.da import DEFAULT_VIRTUAL_DEFER_LIMIT_NS
+from prpwifi.metrics import _Accumulated, _assemble, _population, _resolve
 from prpwifi.sim import _acquire, bulk_stream, interference_arrays, mac_stream
+from prpwifi.trace import _meta_to_dict
 
 CH_A = ChannelId(0, "A")
 CH_B = ChannelId(1, "B")
@@ -494,3 +511,194 @@ def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset
         "ok": ok,
     }
     return copies, attempts
+
+
+# --- f-string encoder (the specification of trace.encode_log) ----------------
+
+
+def _encode_copies_spec(run: RunLog, j: int) -> list[str]:
+    """JSON text of channel ``j``'s copies."""
+    head = '{"ch":%s,"l":' % json.dumps(run.meta.channels[j].channel.label)
+    n = len(run.index)
+    traces: list[str | None] = [None] * n
+    t = run.trace
+    if t is not None:
+        offsets = t.offsets[j * n : (j + 1) * n + 1]
+        rows = slice(offsets[0], offsets[-1])
+        entries = [
+            f'{{"tW":{s},"Td":{d},"Ta":{a},"ok":{ok}}}'
+            if has_ack
+            else f'{{"tW":{s},"Td":{d},"ok":{ok}}}'
+            for s, d, a, has_ack, ok in zip(
+                t.start[rows].tolist(),
+                t.data[rows].tolist(),
+                t.ack[rows].tolist(),
+                t.has_ack[rows].tolist(),
+                t.ok[rows].astype(np.int64).tolist(),
+            )
+        ]
+        bounds = (offsets - offsets[0]).tolist()
+        for pos in np.flatnonzero(t.present[j]).tolist():
+            traces[pos] = ",".join(entries[bounds[pos] : bounds[pos + 1]])
+    columns = (
+        run.lost[j].astype(np.int64).tolist(),
+        run.req[j].tolist(),
+        run.end[j].tolist(),
+        run.attempts[j].tolist(),
+        run.td[j].tolist(),
+        run.has_td[j].tolist(),
+        run.ta[j].tolist(),
+        run.has_ta[j].tolist(),
+        traces,
+    )
+    return [
+        f'{head}{lost},"t_T":{req},"t_X":{end},"w":{w}'
+        + (f',"Td":{td}' if has_td else "")
+        + (f',"Ta":{ta}' if has_ta else "")
+        + ("}" if trace is None else f',"trace":[{trace}]}}')
+        for lost, req, end, w, td, has_td, ta, has_ta, trace in zip(*columns)
+    ]
+
+
+def encode_log_spec(run: RunLog) -> str:
+    """The text ``encode_log`` writes for ``run``: the meta header, then one
+    line per packet, formatted one f-string per copy and trace entry."""
+    header = json.dumps(_meta_to_dict(run.meta), separators=(",", ":"))
+    copies = [_encode_copies_spec(run, j) for j in range(len(run.channels))]
+    return "".join(
+        [header + "\n"]
+        + [
+            f'{{"i":{index},"copies":[{",".join(line)}]}}\n'
+            for index, *line in zip(run.index.tolist(), *copies)
+        ]
+    )
+
+
+# --- virtual deferral by shifted columns --------------------------------------
+
+
+def virtual_defer(
+    run: RunLog,
+    t_d_ns: int,
+    max_offset_ns: int = DEFAULT_VIRTUAL_DEFER_LIMIT_NS,
+    force: bool = False,
+) -> RunLog:
+    """Shift one channel of a duplex log in post-processing.
+
+    Positive ``t_d_ns`` delays every timestamp of the second channel
+    (request, end of transmission, and trace starts when present) leaving
+    all other quantities untouched; negative values delay the first
+    channel. The log's recorded relative displacement is updated, so
+    successive shifts compose additively. Shifts whose cumulative
+    displacement exceeds ``max_offset_ns`` are refused unless forced,
+    since channel stationarity only supports small offsets.
+    """
+    if t_d_ns == 0:
+        return run
+    if len(run.channels) != 2:
+        raise ValueError("virtual deferral needs a duplex log")
+    total = run.meta.deferral_ns + t_d_ns
+    if not force and (abs(t_d_ns) > max_offset_ns or abs(total) > max_offset_ns):
+        raise ValueError(
+            f"virtual displacement of {t_d_ns} ns (cumulative {total} ns) exceeds "
+            f"the {max_offset_ns} ns stationarity guard; pass force=True to override"
+        )
+    j = 1 if t_d_ns > 0 else 0
+    offset = abs(t_d_ns)
+    shift = np.zeros_like(run.req)
+    shift[j] = offset
+    trace = run.trace
+    if trace is not None:
+        n = len(run.index)
+        start = trace.start.copy()
+        start[trace.offsets[j * n] : trace.offsets[(j + 1) * n]] += offset
+        trace = replace(trace, start=start)
+    return replace(
+        run,
+        meta=replace(run.meta, deferral_ns=total),
+        req=run.req + shift,
+        end=run.end + shift,
+        trace=trace,
+    )
+
+
+# --- per-packet report (the specification of metrics.compute_report) ---------
+
+
+def _accumulate_reference(
+    run: RunLog, params: DaParams, t_d: int, recorded: bool
+) -> _Accumulated:
+    """Per-packet evaluation with the functions of :mod:`prpwifi.da`."""
+    channels = run.channels
+    phy_by = run.phy_by_channel()
+    mode = params.mode
+    policy = params.failed_copy_policy
+    t_lre = params.t_lre_ns
+    m = len(channels)
+    pos = {c: j for j, c in enumerate(channels)}
+
+    early_sum = [0] * m
+    simplex_sum = [0] * m
+    attempts_delivered = [0] * m
+    lost_count = [0] * m
+    chan_latencies: list[list[int]] = [[] for _ in range(m)]
+    max_delivered_attempts = 0
+    simplex_link_count = 0
+    link_latencies: list[int] = []
+    link_lost = 0
+
+    for packet in run.packets:
+        if mode is not DaMode.POW:
+            if recorded:
+                flags: DaFlags = rda_flags(packet, t_lre, phy_by, policy)
+            else:
+                flags = tdd_flags(packet, t_d, t_lre, phy_by, policy)
+            flags = simplex_flags(packet, flags)
+            for c, v in flags.early.items():
+                if v:
+                    early_sum[pos[c]] += 1
+            for c, v in flags.simplex.items():
+                if v:
+                    simplex_sum[pos[c]] += 1
+            if flags.simplex_link:
+                simplex_link_count += 1
+
+        for j, c in enumerate(channels):
+            copy = packet.copies[c]
+            if copy.lost:
+                lost_count[j] += 1
+                continue
+            if copy.attempts > max_delivered_attempts:
+                max_delivered_attempts = copy.attempts
+            attempts_delivered[j] += copy.attempts
+            chan_latencies[j].append(copy_latency(copy, phy_by[c]))
+
+        if recorded:
+            link_latency = link_outcome(packet, phy_by).latency_ns
+        else:
+            link_latency = tdd_latency(packet, t_d, phy_by)
+        if link_latency is None:
+            link_lost += 1
+        else:
+            link_latencies.append(link_latency)
+
+    return _Accumulated(
+        early_sum,
+        simplex_sum,
+        simplex_link_count,
+        attempts_delivered,
+        lost_count,
+        max_delivered_attempts,
+        [_population(np.array(s, dtype=np.int64)) for s in chan_latencies],
+        _population(np.array(link_latencies, dtype=np.int64)),
+        link_lost,
+    )
+
+
+def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
+    """Same result as ``compute_report`` via the per-packet functions of
+    :mod:`prpwifi.da` only; slower, used to cross-check the vectorized
+    path."""
+    params.validate()
+    t_d, recorded = _resolve(run, params)
+    return _assemble(run, params, t_d, _accumulate_reference(run, params, t_d, recorded))

@@ -22,7 +22,6 @@ from prpwifi import (
     rda_flags,
     tdd_flags,
     tdd_latency,
-    virtual_defer,
 )
 from prpwifi.cli import main
 from prpwifi.metrics import sweep
@@ -35,6 +34,7 @@ from helpers import (
     WORKED_W_A,
     WORKED_W_B,
     desk_config,
+    virtual_defer,
     worked_example_run,
 )
 

@@ -117,6 +117,17 @@ class TestSimulateCommand:
         assert rc == 2
         assert "absent.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "phy", ["cw_min = 1125899906842624\ncw_max = 1125899906842624", "slot = 1000000000000000"]
+    )
+    def test_config_past_the_time_limit_exits_2(self, phy, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"packets = 20\nperiod = 4ms\nloss_prob = 1.0\n{phy}\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: channel A: the worst-case end time")
+        assert "cw_max x slot" in err
+
     def test_flat_csv_export(self, config_file, tmp_path):
         log = tmp_path / "run.jsonl"
         flat = tmp_path / "run.csv"

@@ -11,7 +11,6 @@ from prpwifi import (
     simplex_flags,
     tdd_flags,
     tdd_latency,
-    virtual_defer,
 )
 from prpwifi.da import FailedCopyPolicy
 
@@ -24,6 +23,7 @@ from helpers import (
     make_lost_copy,
     make_run,
     make_success_copy,
+    virtual_defer,
 )
 
 PHY_BY = {CH_A: HAND_PHY, CH_B: HAND_PHY}

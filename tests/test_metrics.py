@@ -22,12 +22,11 @@ from prpwifi import (
     rda_flags,
     report_to_dict,
     sweep,
-    virtual_defer,
     write_sweep_csv,
 )
 from prpwifi import metrics
 from prpwifi.da import FailedCopyPolicy, TraceRequiredError
-from prpwifi.metrics import SweepError, compute_report_reference
+from prpwifi.metrics import SweepError
 
 from helpers import (
     CH_A,
@@ -37,12 +36,14 @@ from helpers import (
     WORKED_E_B,
     WORKED_W_A,
     WORKED_W_B,
+    compute_report_reference,
     desk_config,
     latency_stats_spec,
     lossy_config,
     make_lost_copy,
     make_run,
     make_success_copy,
+    virtual_defer,
     worked_example_run,
 )
 

@@ -10,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prpwifi import (
+    AttemptTrace,
     ChannelId,
+    ChannelMeta,
+    CopyRecord,
     InvalidRunError,
     LogFormatError,
     MissingFrameDurationError,
     PacketRecord,
+    PhyParams,
     RunLog,
+    RunMeta,
+    VIEW_ADAPTER,
+    VIEW_FULL_TRACE,
     copy_latency,
     decode_log,
     encode_log,
@@ -38,6 +45,7 @@ from helpers import (
     CH_A,
     CH_B,
     HAND_PHY,
+    encode_log_spec,
     lossy_config,
     make_lost_copy,
     make_run,
@@ -572,6 +580,95 @@ class TestBlockDecoder:
             trace, "_decode_lines", side_effect=per_line
         ):
             assert decode_log(io.StringIO(buf.getvalue())) == run
+
+
+def _encoded(run: RunLog, block: int) -> str:
+    buf = io.StringIO()
+    with mock.patch.object(trace, "_ENCODE_BLOCK", block):
+        encode_log(run, buf)
+    return buf.getvalue()
+
+
+_INT64_EDGES = (-(1 << 63), (1 << 63) - 1, 0, -1)
+
+
+def _int64_edge_run(view: str) -> RunLog:
+    """Three channels whose every number field holds each of ``_INT64_EDGES``
+    once per four packets. In the full-trace view the channels' traces are
+    four entries (one without an ACK), empty and absent."""
+    channels = tuple(ChannelId(j, label) for j, label in enumerate(("A", 'q"5', "\u00e9")))
+
+    def edge(k: int) -> int:
+        return _INT64_EDGES[k % len(_INT64_EDGES)]
+
+    packets = []
+    for p in range(4):
+        copies = {}
+        for j, channel in enumerate(channels):
+            trace = None
+            if view == VIEW_FULL_TRACE and j < 2:
+                trace = tuple(
+                    AttemptTrace(
+                        k + 1,
+                        start_ns=edge(p + k),
+                        data_ns=edge(p + k + 1),
+                        ack_ns=None if k == 1 else edge(p + k + 2),
+                        succeeded=k % 2 == 0,
+                    )
+                    for k in range(4 if j == 0 else 0)
+                )
+            copies[channel] = CopyRecord(
+                lost=(p + j) % 2 == 1,
+                request_ns=edge(p + j),
+                end_ns=edge(p + j + 1),
+                attempts=edge(p + j + 2),
+                final_data_ns=edge(p + j + 3) if j != 1 else None,
+                final_ack_ns=edge(p + j) if j != 2 else None,
+                trace=trace,
+            )
+        packets.append(PacketRecord(edge(p), copies))
+    meta = RunMeta(
+        n_packets=4,
+        period_ns=1_000_000,
+        seed=0,
+        view=view,
+        channels=tuple(ChannelMeta(channel, PhyParams()) for channel in channels),
+    )
+    return RunLog.from_packets(meta, packets)
+
+
+class TestBlockEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(run=encodable_runs())
+    def test_random_runs_encode_as_the_spec(self, run):
+        expected = encode_log_spec(run)
+        for block in (1, 3, trace._ENCODE_BLOCK):
+            assert _encoded(run, block) == expected
+
+    @pytest.mark.parametrize("view", [VIEW_FULL_TRACE, VIEW_ADAPTER])
+    def test_int64_extremes_in_every_field(self, view):
+        run = _int64_edge_run(view)
+        values = [run.index, run.req, run.end, run.attempts, run.td, run.ta]
+        if view == VIEW_FULL_TRACE:
+            assert run.trace.present[:2].all() and not run.trace.present[2].any()
+            assert run.trace.lengths().tolist() == [4] * 4 + [0] * 8
+            values += [run.trace.start, run.trace.data, run.trace.ack]
+        else:
+            assert run.trace is None
+        for column in values:
+            assert set(_INT64_EDGES) <= set(column.ravel().tolist())
+        expected = encode_log_spec(run)
+        assert str((1 << 63) - 1) in expected and str(-(1 << 63)) in expected
+        for block in (1, 3, trace._ENCODE_BLOCK):
+            text = _encoded(run, block)
+            assert text == expected
+            assert decode_log(io.StringIO(text), validate=False) == run
+
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
+    def test_simulated_runs_encode_as_the_spec(self, name, request):
+        run = request.getfixturevalue(name)
+        for block in (1, 7, trace._ENCODE_BLOCK):
+            assert _encoded(run, block) == encode_log_spec(run)
 
 
 class TestTextDecoding:
