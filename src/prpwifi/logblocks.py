@@ -12,8 +12,11 @@ are dropped when the matrix is read out.
 :class:`BlockParser` checks a block of whole lines in that layout with one
 regex and parses its numbers with numpy instead of one ``json.loads`` per
 line. Numbers in the grammar have at most 18 digits, so every value fits
-an int64. Blocks in any other layout are left to the line-by-line decoder
-of :mod:`prpwifi.trace`.
+an int64. Since the grammar fixes the order of the keys, the key sequence
+alone tells which numbers are the packet index, copy fields or trace
+entry fields; only blocks that hold traces are scanned for brackets.
+Blocks in any other layout are left to the line-by-line decoder of
+:mod:`prpwifi.trace`.
 """
 from __future__ import annotations
 
@@ -68,13 +71,15 @@ def _field_rows(key: np.ndarray, values: np.ndarray, fields: tuple[str, ...]) ->
     byte of each one's key. A row starts at its first field; an optional
     field also sets its presence flag."""
     value_column, presence_column = _key_columns(fields)
+    width = len(fields)
     first = key == ord(fields[0][-1])
-    row_of = np.cumsum(first) - 1
-    rows = np.zeros((np.count_nonzero(first), len(fields)), dtype=np.int64)
-    rows[row_of, value_column[key]] = values
-    optional = presence_column[key] > 0
-    rows[row_of[optional], presence_column[key[optional]]] = 1
-    return rows
+    row_base = (np.cumsum(first) - 1) * width
+    rows = np.zeros(np.count_nonzero(first) * width, dtype=np.int64)
+    # presence flags first: the other keys flag column 0, which every row's
+    # first field then overwrites
+    rows[row_base + presence_column.take(key)] = 1
+    rows[row_base + value_column.take(key)] = values
+    return rows.reshape(-1, width)
 
 
 class BlockParser:
@@ -108,8 +113,10 @@ class BlockParser:
         trace.
 
         Each number's field is read from the last byte of the key before
-        it and from its bracket depth: 0 for the packet index, 1 for copy
-        fields, 2 for trace entries.
+        it, and its section (packet index, copy or trace entry) from the
+        keys before it, whose order the grammar fixes: ``i`` is the index,
+        ``tW`` and ``ok`` belong to entries, and a ``Td`` (or ``Ta``) is
+        an entry's iff the key one (or two) before it is ``tW``.
         """
         if self._grammar.fullmatch(text) is None:
             return None
@@ -120,31 +127,30 @@ class BlockParser:
         colons = np.flatnonzero(u == ord(":"))
         after = u[colons + 1]
         colons = colons[(after != ord("[")) & (after != ord('"'))]  # the rest precede numbers
-        starts = colons + 1
         key = u[colons - 2]
-        opens = np.flatnonzero(u == ord("["))
-        closes = np.flatnonzero(u == ord("]"))
-        depth = np.searchsorted(opens, starts) - np.searchsorted(closes, starts)
         values = np.fromstring(data.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
 
-        in_copy, in_trace = depth == 1, depth == 2
+        in_index = key == ord("i")
+        tw = key == ord("W")
+        in_trace = tw | (key == ord("k"))
+        in_trace[1:] |= tw[:-1] & (key[1:] == ord("d"))
+        in_trace[2:] |= tw[:-2] & (key[2:] == ord("a"))
+        in_copy = ~(in_trace | in_index)
         copies = _field_rows(key[in_copy], values[in_copy], self._copy_fields)
         copies[:, 0] = copies[:, 0] != 0  # loss flag
         attempts = _field_rows(key[in_trace], values[in_trace], self._attempt_fields)
         attempts[:, -1] = attempts[:, -1] != 0  # outcome flag
 
-        # a copy's trace opens with '"trace":[' (the key ends in 'e', unlike
-        # '"copies":['), so an empty trace counts as present
-        copy_starts = starts[in_copy & (key == ord("l"))]
-        traced = np.searchsorted(copy_starts, opens[u[opens - 3] == ord("e")]) - 1
-        trace_lengths = np.bincount(
-            np.searchsorted(copy_starts, starts[in_trace & (key == ord("W"))]) - 1,
-            minlength=len(copy_starts),
-        )
-        lengths = np.full(len(copy_starts), -1, dtype=np.int64)
-        lengths[traced] = trace_lengths[traced]
-        return values[depth == 0], copies, lengths, attempts
-
+        lengths = np.full(len(copies), -1, dtype=np.int64)
+        if b'"trace":[' in data:
+            # a copy's trace opens with '"trace":[' (the key ends in 'e',
+            # unlike '"copies":['), so an empty trace counts as present
+            is_loss = key == ord("l")
+            opens = np.flatnonzero(u == ord("["))
+            traced = np.searchsorted(colons[is_loss], opens[u[opens - 3] == ord("e")]) - 1
+            copy_of = np.cumsum(is_loss) - 1  # the copy of each number
+            lengths[traced] = np.bincount(copy_of[tw], minlength=len(copies))[traced]
+        return values[in_index], copies, lengths, attempts
 
 
 _TEN = np.uint64(10)

@@ -14,7 +14,9 @@ reference report and cross-checks every report against it.
 Each delivered-latency population is reduced once per call: a sweep
 computes the channel populations once, the link population on recorded
 timestamps once, and the virtually displaced link population once per
-distinct ``T_D``.
+distinct ``T_D``. Termination margins are computed once per displacement:
+a copy is terminated early iff its margin exceeds ``T_LRE``, so a grid
+point only counts margins.
 """
 from __future__ import annotations
 
@@ -26,13 +28,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .da import (
-    DaMode,
-    DaParams,
-    FailedCopyPolicy,
-    TraceRequiredError,
-    oracle_saved_attempts,
-)
+from .da import DaMode, DaParams, FailedCopyPolicy, TraceRequiredError
 from .trace import RunLog
 
 MISS_THRESHOLDS_NS = (10_000_000, 100_000_000)  # 10 ms and 100 ms deadlines
@@ -40,8 +36,7 @@ MISS_THRESHOLDS_NS = (10_000_000, 100_000_000)  # 10 ms and 100 ms deadlines
 _MEDIAN_Q = Fraction(1, 2)
 _P9999_Q = Fraction(9999, 10000)
 
-_FAR = 1 << 62  # orders lost copies last in minima
-_TW_EXCLUDED = -(1 << 62)  # forces the termination test false
+_ALWAYS = np.iinfo(np.int64).max  # neutral in minima; never summed
 
 
 class SweepError(ValueError):
@@ -85,7 +80,7 @@ def _exact_sums(ordered: np.ndarray) -> tuple[int, int]:
     base = int(ordered[0])
     offsets = ordered.view(np.uint64) - np.uint64(base % (1 << 64))
     limbs = [
-        ((offsets >> np.uint64(_LIMB_BITS * k)) & _LIMB_MASK).astype(np.int64)
+        ((offsets >> np.uint64(_LIMB_BITS * k)) & _LIMB_MASK).view(np.int64)
         for k in range(3)
     ]
     t1 = t2 = 0  # sum and sum of squares of the offsets
@@ -226,70 +221,89 @@ class _Accumulated:
     link_lost: int
 
 
+def _quickest(
+    values: np.ndarray, shift: tuple[int, ...], delivered: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per packet: an (m, n) mask of the delivered copy with the least value,
+    row j shifted by ``shift[j]`` (ties go to the first channel), that value
+    (0 where none was delivered; lost copies compare as _ALWAYS) and whether one was."""
+    own = np.zeros(values.shape, dtype=bool)
+    own[0] = delivered[0]
+    best = np.where(delivered[0], values[0] + shift[0], _ALWAYS)
+    # selections: np.where on the (nearly all true) delivery masks, bool algebra for the rest
+    for j in range(1, len(values)):
+        row = np.where(delivered[j], values[j] + shift[j], _ALWAYS)
+        own[j] = row < best  # strict, so a tie stays with the earlier copy
+        own[:j] &= ~own[j]
+        best = np.minimum(best, row)
+    found = delivered.any(axis=0)
+    return own, np.where(found, best, 0), found
+
+
+def _oracle_starts(run: RunLog, start: np.ndarray) -> np.ndarray:
+    """``start`` with lost copies' final-attempt starts (``da.policy_final_start``)."""
+    lost = run.lost
+    final = run.end - (run.td + _per_channel(run, "ack_timeout_ns"))
+    known = run.has_td
+    t = run.trace
+    if t is not None:
+        traced = t.present & (t.lengths().reshape(lost.shape) > 0)
+        final = np.where(traced, t.per_copy(t.start), final)
+        known = known | traced
+    if (lost & ~known).any():
+        raise TraceRequiredError("oracle policy needs traces or frame durations for lost copies")
+    return np.where(lost, final, start)
+
+
 @dataclass(frozen=True, slots=True)
 class _Derived:
     """Arrays derived from a run's columns, shared by the grid points of one
-    ``compute_report`` or ``sweep`` call.
-
-    Final-attempt starts per failed-copy policy and latency populations are
-    computed on first use and kept.
-    """
+    ``compute_report`` or ``sweep`` call; margins kept for one displacement."""
 
     run: RunLog
     rx: np.ndarray  # (m, n) receive times, valid where delivered
     start: np.ndarray  # (m, n) final-attempt starts, valid where delivered
+    latency: np.ndarray  # (m, n) receive minus request times
+    single: np.ndarray  # (m, n) bool, copies sent in one attempt
     attempts_delivered: list[int]  # attempts summed over delivered copies
     max_delivered_attempts: int
-    _tw: dict[FailedCopyPolicy, np.ndarray] = field(default_factory=dict)
-    _populations: dict[tuple, _Population] = field(default_factory=dict)
+    lost_count: list[int]
+    link_lost: int  # packets lost on every channel
+    chan_latency: list[_Population]
+    _margins: dict[tuple, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    _populations: dict[tuple | None, _Population] = field(default_factory=dict)
 
-    def tw(self, policy: FailedCopyPolicy) -> np.ndarray:
-        """(m, n) final-attempt starts for the termination test (those of
-        ``da.policy_final_start``), with _TW_EXCLUDED where the policy
-        excludes a lost copy."""
-        if policy not in self._tw:
+    def margins(self, policy: FailedCopyPolicy, shift: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """(m, n) copy and (n,) link margins, row j's requests shifted by
+        ``shift[j]``. A copy is terminated early iff its margin (shifted
+        final-attempt start minus the cross-ACK, the quickest delivered
+        copy's shifted end) exceeds T_LRE, a packet is simplex on the link
+        iff the least margin of its other copies, 0 unless sent in one
+        attempt, does. A copy never early gets 0 (T_LRE >= 0)."""
+        key = (policy, shift)
+        if key not in self._margins:
+            self._margins.clear()
             run = self.run
-            lost = run.lost
-            tw = np.where(lost, _TW_EXCLUDED, self.start)
-            if policy is not FailedCopyPolicy.PESSIMISTIC_ZERO and lost.any():
-                timeout = _per_channel(run, "ack_timeout_ns")
-                final = run.end - (run.td + timeout)
-                known = run.has_td
-                t = run.trace
-                if t is not None:
-                    traced = t.present & (t.lengths().reshape(lost.shape) > 0)
-                    final = np.where(traced, t.per_copy(t.start), final)
-                    known = known | traced
-                if (lost & ~known).any():
-                    raise TraceRequiredError(
-                        "oracle policy needs traces or frame durations for lost copies"
-                    )
-                tw = np.where(lost, final, tw)
-            self._tw[policy] = tw
-        return self._tw[policy]
+            own, quickest_end, found = _quickest(run.end, shift, ~run.lost)
+            pessimistic = policy is FailedCopyPolicy.PESSIMISTIC_ZERO
+            tw = self.start if pessimistic else _oracle_starts(run, self.start)
+            margin = tw - quickest_end + np.array(shift)[:, None]
+            # bool products (not masked writes, slow on dense masks) zero never-early copies
+            margin *= ~(own | run.lost) if pessimistic else ~own & found
+            link = np.maximum(margin * self.single, own * _ALWAYS).min(axis=0)
+            self._margins[key] = margin, link
+        return self._margins[key]
 
-    def channel_latency(self, j: int) -> _Population:
-        key = ("channel", j)
+    def link_latency(self, shift: tuple[int, ...], recorded: bool) -> _Population:
+        """PRP link latency on recorded timestamps, or with each channel's
+        requests virtually displaced by its entry of ``shift``."""
+        key = None if recorded else shift
         if key not in self._populations:
-            run = self.run
-            samples = (self.rx[j] - run.req[j])[~run.lost[j]]
-            self._populations[key] = _population(samples)
-        return self._populations[key]
-
-    def link_latency(self, t_d: int, recorded: bool) -> _Population:
-        """PRP link latency on recorded timestamps, or with the second
-        channel's requests virtually displaced by ``t_d``."""
-        key = ("link", None) if recorded else ("link", t_d)
-        if key not in self._populations:
-            run = self.run
-            lost = run.lost
-            if recorded:
-                arrival = np.where(lost, _FAR, self.rx).min(axis=0)
-                latency = arrival - run.req.min(axis=0)
-            else:
-                own = self.rx - run.req + _shift(t_d)
-                latency = np.where(lost, _FAR, own).min(axis=0)
-            self._populations[key] = _population(latency[~lost.all(axis=0)])
+            values = self.rx if recorded else self.latency
+            _, latency, found = _quickest(values, shift, ~self.run.lost)
+            if recorded:  # from the earliest request
+                latency -= self.run.req.min(axis=0)
+            self._populations[key] = _population(latency[found])
         return self._populations[key]
 
 
@@ -298,25 +312,27 @@ def _per_channel(run: RunLog, name: str) -> np.ndarray:
     return np.array([[getattr(cm.phy, name)] for cm in run.meta.channels])
 
 
-def _shift(t_d: int) -> np.ndarray:
-    """(2, 1) request shift of a virtual displacement by ``t_d``."""
-    return np.array([[max(0, -t_d)], [max(0, t_d)]])
+def _shift(run: RunLog, t_d: int, recorded: bool) -> tuple[int, ...]:
+    """Per-channel request shift of a (duplex, if virtual) displacement."""
+    return (0,) * len(run.channels) if recorded else (max(0, -t_d), max(0, t_d))
 
 
 def _derive(run: RunLog) -> _Derived:
     # the reconstructions of trace.receive_time and trace.final_attempt_start
     rx = run.end - (_per_channel(run, "sifs_ns") + run.ta)
     delivered = ~run.lost
+    latency = rx - run.req
     return _Derived(
         run=run,
         rx=rx,
         start=rx - run.td,
-        attempts_delivered=[
-            int(w[ok].sum()) for w, ok in zip(run.attempts, delivered)
-        ],
-        max_delivered_attempts=(
-            int(run.attempts[delivered].max()) if delivered.any() else 0
-        ),
+        latency=latency,
+        single=run.attempts == 1,
+        attempts_delivered=[int(w[ok].sum()) for w, ok in zip(run.attempts, delivered)],
+        max_delivered_attempts=int(run.attempts[delivered].max()) if delivered.any() else 0,
+        lost_count=_counts(run.lost),
+        link_lost=int(np.count_nonzero(~delivered.any(axis=0))),
+        chan_latency=[_population(lat[ok]) for lat, ok in zip(latency, delivered)],
     )
 
 
@@ -329,35 +345,18 @@ def _accumulate(
 ) -> _Accumulated:
     """Vectorized evaluation of the per-packet definitions, for any number
     of channels (virtual displacement, like TDD itself, is duplex only)."""
-    run = cols.run
-    lost = run.lost
-    lost_link = lost.all(axis=0)
-    early = simplex = np.zeros_like(lost)
-    simplex_link = 0
+    m = len(cols.lost_count)
+    shift = _shift(cols.run, t_d, recorded)
+    early_sum, simplex_sum, simplex_link = [0] * m, [0] * m, 0
     if params.mode is not DaMode.POW:
-        shift = 0 if recorded else _shift(t_d)
-        # the cross-ACK fires at the quickest delivered (shifted) end
-        ends = np.where(lost, _FAR, run.end + shift)
-        quickest = ends.argmin(axis=0)
-        columns = np.arange(lost.shape[1])
-        tw = cols.tw(params.failed_copy_policy)
-        early = ~lost_link & (ends[quickest, columns] + params.t_lre_ns < tw + shift)
-        early[quickest, columns] = False
-        simplex = early & (run.attempts == 1)
-        # a simplex packet has every copy but the quickest's prevented
-        fully = simplex.copy()
-        fully[quickest, columns] = True
-        simplex_link = int(np.count_nonzero(fully.all(axis=0) & ~lost_link))
+        margin, link = cols.margins(params.failed_copy_policy, shift)
+        early = margin > params.t_lre_ns
+        early_sum, simplex_sum = _counts(early), _counts(early & cols.single)
+        simplex_link = int(np.count_nonzero(link > params.t_lre_ns))
     return _Accumulated(
-        early_sum=_counts(early),
-        simplex_sum=_counts(simplex),
-        simplex_link_count=simplex_link,
-        attempts_delivered=cols.attempts_delivered,
-        lost_count=_counts(lost),
-        max_delivered_attempts=cols.max_delivered_attempts,
-        chan_latency=[cols.channel_latency(j) for j in range(len(lost))],
-        link_latency=cols.link_latency(t_d, recorded),
-        link_lost=int(np.count_nonzero(lost_link)),
+        early_sum, simplex_sum, simplex_link, cols.attempts_delivered, cols.lost_count,
+        cols.max_delivered_attempts, cols.chan_latency, cols.link_latency(shift, recorded),
+        cols.link_lost,
     )
 
 
@@ -469,25 +468,31 @@ class OracleSummary:
     early_bar_exact: Fraction  # mean count of copies with >= 1 saved attempt
 
 
-def oracle_attempt_summary(
-    run: RunLog, t_lre_ns: int, t_d_ns: int = 0
-) -> OracleSummary:
-    """Aggregate the exact oracle over a full-trace log."""
-    n = run.meta.n_packets
-    total_pow = 0
-    total_da = 0
-    early_exact = 0
-    for packet in run.packets:
-        kept = oracle_saved_attempts(packet, t_lre_ns, t_d_ns)
-        for c, copy in packet.copies.items():
-            total_pow += copy.attempts
-            total_da += kept[c]
-            if kept[c] < copy.attempts:
-                early_exact += 1
+def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> OracleSummary:
+    """Aggregate the exact oracle of ``da.oracle_saved_attempts`` over a
+    full-trace log whose trace starts ascend within each copy (which
+    ``validate_run`` checks): each copy but the quickest of a packet
+    delivered on the link keeps the attempts whose shifted start is at
+    most the cross-ACK plus ``t_lre_ns``."""
+    t = run.trace
+    if t is None or not t.present.all():
+        raise TraceRequiredError("exact early-termination analysis needs per-attempt traces")
+    m, n = len(run.channels), run.meta.n_packets
+    if t_d_ns != 0 and m != 2:
+        raise ValueError("deferred-operation analysis needs a duplex packet")
+    shift = _shift(run, t_d_ns, t_d_ns == 0)
+    own, quickest_end, found = _quickest(run.end, shift, ~run.lost)
+    # an attempt is kept iff its start plus its copy's lead is <= T_LRE
+    lead = np.subtract(np.array(shift)[:, None], quickest_end).ravel()
+    lengths = t.lengths()
+    kept_before = np.cumsum(np.append(0, t.start + np.repeat(lead, lengths) <= t_lre_ns))
+    counted = kept_before[t.offsets[1:]] - kept_before[t.offsets[:-1]]
+    attempts = run.attempts.ravel()
+    kept = np.where((counted == lengths) | (own | ~found).ravel(), attempts, counted)
     return OracleSummary(
-        attempts_bar_pow=Fraction(total_pow, n),
-        attempts_bar_da=Fraction(total_da, n),
-        early_bar_exact=Fraction(early_exact, n),
+        attempts_bar_pow=Fraction(int(attempts.sum()), n),
+        attempts_bar_da=Fraction(int(kept.sum()), n),
+        early_bar_exact=Fraction(int(np.count_nonzero(kept < attempts)), n),
     )
 
 

@@ -146,11 +146,17 @@ class SimConfig:
                 raise SimConfigError(
                     f"deferral primary {self.deferral.primary!r} is not a channel"
                 )
+        undeferred = (self.n_packets - 1) * self.period_ns + self.interference_margin_ns
+        if undeferred <= 0:
+            raise SimConfigError(
+                "margin must keep the interference horizon positive: "
+                f"(packets - 1) x period + margin = {undeferred} ns"
+            )
         # every simulated time stays below the _FOREVER sentinel: a copy ends
         # before the last busy interval, which starts before the interference
         # horizon, plus every attempt of the run at its longest
         deferral = 0 if self.deferral is None else abs(self.deferral.offset_ns)
-        horizon = (self.n_packets - 1) * self.period_ns + deferral + self.interference_margin_ns
+        horizon = undeferred + deferral
         for cs in self.channels:
             phy, busy_until = cs.phy, horizon + cs.interference.payload_airtime_ns
             attempts = self.n_packets * phy.retry_limit * (

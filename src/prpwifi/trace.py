@@ -956,9 +956,11 @@ def decode_log(
         if parsed is None:  # split at '\n' only, as iterating the source would
             lines = io.StringIO(block, newline="\n").readlines()
             parsed = _decode_lines(lines, lineno, position)
+            lineno += len(lines)
+        else:  # one line per packet
+            lineno += len(parsed[0])
         for buffer, rows in zip(buffers, parsed):
-            buffer.frombytes(rows.tobytes())
-        lineno += block.count("\n")
+            buffer.frombytes(rows.view(np.uint8))  # bytes of the rows, no copy
 
     index, copies, lengths, attempts = (np.frombuffer(b, dtype=np.int64) for b in buffers)
     run = _from_rows(

@@ -1,7 +1,7 @@
 """Shared builders for hand-made logs and desk-scale simulation setups, and
 the reference specifications that the product paths are checked against
-(the sequential MAC, the f-string encoder, the per-packet report and
-virtual deferral by shifted columns)."""
+(the sequential MAC, the f-string encoder, the per-packet report, the
+per-packet oracle summary and virtual deferral by shifted columns)."""
 from __future__ import annotations
 
 import json
@@ -26,6 +26,7 @@ from prpwifi import (
     InvalidRunError,
     LatencyStats,
     MetricsReport,
+    OracleSummary,
     PacketRecord,
     PhyParams,
     RunLog,
@@ -36,6 +37,7 @@ from prpwifi import (
     copy_latency,
     final_attempt_start,
     link_outcome,
+    oracle_saved_attempts,
     rda_flags,
     simplex_flags,
     tdd_flags,
@@ -702,3 +704,21 @@ def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
     params.validate()
     t_d, recorded = _resolve(run, params)
     return _assemble(run, params, t_d, _accumulate_reference(run, params, t_d, recorded))
+
+
+def oracle_attempt_summary_spec(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> OracleSummary:
+    """Same result as ``metrics.oracle_attempt_summary`` via
+    :func:`prpwifi.da.oracle_saved_attempts`, packet by packet."""
+    n = run.meta.n_packets
+    total_pow = total_da = early_exact = 0
+    for packet in run.packets:
+        kept = oracle_saved_attempts(packet, t_lre_ns, t_d_ns)
+        for c, copy in packet.copies.items():
+            total_pow += copy.attempts
+            total_da += kept[c]
+            early_exact += kept[c] < copy.attempts
+    return OracleSummary(
+        attempts_bar_pow=Fraction(total_pow, n),
+        attempts_bar_da=Fraction(total_da, n),
+        early_bar_exact=Fraction(early_exact, n),
+    )

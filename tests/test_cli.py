@@ -128,6 +128,15 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {path}: channel A: the worst-case end time")
         assert "cw_max x slot" in err
 
+    @pytest.mark.parametrize("run", ["packets = 1\nmargin = 0", "packets = 5\nmargin = -1s"])
+    def test_margin_without_a_horizon_exits_2(self, run, tmp_path, capsys):
+        path = tmp_path / "margin.cfg"
+        path.write_text(f"{run}\nperiod = 4ms\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: margin must keep the interference horizon")
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_flat_csv_export(self, config_file, tmp_path):
         log = tmp_path / "run.jsonl"
         flat = tmp_path / "run.csv"

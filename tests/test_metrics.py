@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from prpwifi import (
     PacketRecord,
     PhyParams,
     RunLog,
+    VIEW_ADAPTER,
+    VIEW_FULL_TRACE,
     compute_report,
     generate_run,
     latency_stats,
@@ -25,9 +28,10 @@ from prpwifi import (
     write_sweep_csv,
 )
 from prpwifi import metrics
-from prpwifi.da import FailedCopyPolicy, TraceRequiredError
+from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
 from prpwifi.metrics import SweepError
 
+from conftest import duplex_runs
 from helpers import (
     CH_A,
     CH_B,
@@ -37,12 +41,14 @@ from helpers import (
     WORKED_W_A,
     WORKED_W_B,
     compute_report_reference,
+    copy_from_starts,
     desk_config,
     latency_stats_spec,
     lossy_config,
     make_lost_copy,
     make_run,
     make_success_copy,
+    oracle_attempt_summary_spec,
     virtual_defer,
     worked_example_run,
 )
@@ -504,6 +510,115 @@ class TestSweepSharing:
         assert len(calls) == 2 + 25  # two channels and the link per T_D
 
 
+def _adapter_view(run: RunLog) -> RunLog:
+    """The run without traces; lost copies keep their frame durations, so
+    the oracle policy still applies."""
+    packets = [
+        PacketRecord(p.index, {c: replace(copy, trace=None) for c, copy in p.copies.items()})
+        for p in run.packets
+    ]
+    return RunLog.from_packets(replace(run.meta, view=VIEW_ADAPTER), packets)
+
+
+def _margin_points(run: RunLog, t_d: int, policy: FailedCopyPolicy) -> list[int]:
+    """T_LRE at the exact margin of every copy against every other copy of
+    its packet (shifted final-attempt start minus shifted end), and 1 ns
+    either side, where that is a valid T_LRE."""
+    phy = run.phy_by_channel()
+    first, second = run.channels
+    shift = {first: max(0, -t_d), second: max(0, t_d)}
+    points = {0}
+    for packet in run.packets:
+        for a, copy in packet.copies.items():
+            start = policy_final_start(copy, phy[a], policy)
+            if start is None:
+                continue
+            for b, other in packet.copies.items():
+                margin = start + shift[a] - (other.end_ns + shift[b])
+                points.update(margin + d for d in (-1, 0, 1) if margin + d >= 0)
+    return sorted(points)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A duplex run, traced or not and with lost copies, and a grid whose
+    T_LRE sit at the run's exact margins, under both failed-copy policies
+    and with repeated and distinct T_D."""
+    run = draw(duplex_runs())
+    if draw(st.booleans()):
+        run = _adapter_view(run)
+    grid = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        mode = draw(st.sampled_from(DaMode))
+        policy = draw(st.sampled_from(FailedCopyPolicy))
+        t_d = 0
+        if mode is DaMode.TDD:
+            t_d = draw(
+                st.sampled_from((0, 400_000, -400_000))
+                | st.integers(min_value=-3_000_000, max_value=3_000_000)
+            )
+        t_lre = draw(st.sampled_from(_margin_points(run, t_d, policy)))
+        grid.append(DaParams(mode, t_lre, t_d, policy))
+    return run, grid
+
+
+class TestSweepMargins:
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweep_cases())
+    def test_sweep_equals_reference_at_exact_margins(self, case):
+        run, grid = case
+        assert sweep(run, grid) == [compute_report_reference(run, p) for p in grid]
+
+    def test_ties_go_to_the_first_channel(self):
+        def copy(*starts: int):
+            return copy_from_starts(0, list(starts), lost=False)
+
+        ch_c = ChannelId(2, "C")
+        # packet 1: all three end together; packet 2: B and C end together,
+        # before A
+        packets = [
+            PacketRecord(1, {CH_A: copy(100_000), CH_B: copy(100_000), ch_c: copy(100_000)}),
+            PacketRecord(2, {CH_A: copy(100_000, 900_000), CH_B: copy(300_000), ch_c: copy(300_000)}),
+        ]
+        run = make_run(packets, view=VIEW_FULL_TRACE, channels=(CH_A, CH_B, ch_c))
+        own, end, found = metrics._quickest(run.end, (0, 0, 0), ~run.lost)
+        assert own.T.tolist() == [[True, False, False], [False, True, False]]
+        assert end.tolist() == [434_000, 634_000] and found.all()
+        for t_lre in (0, 50_000):
+            params = DaParams(mode=DaMode.RDA, t_lre_ns=t_lre)
+            assert compute_report(run, params) == compute_report_reference(run, params)
+            assert oracle_attempt_summary(run, t_lre) == oracle_attempt_summary_spec(run, t_lre)
+
+        # A ends where B ends once B is displaced by T_D = 200 us
+        duplex = make_run(
+            [PacketRecord(1, {CH_A: copy(500_000), CH_B: copy(300_000)})], view=VIEW_FULL_TRACE
+        )
+        own, _, _ = metrics._quickest(duplex.end, (0, 200_000), ~duplex.lost)
+        assert own.T.tolist() == [[True, False]]
+        for t_d in (200_000, -200_000):
+            params = DaParams(mode=DaMode.TDD, t_d_ns=t_d)
+            assert sweep(duplex, [params]) == [compute_report_reference(duplex, params)]
+            assert oracle_attempt_summary(duplex, 0, t_d) == oracle_attempt_summary_spec(
+                duplex, 0, t_d
+            )
+
+    def test_displacement_sweep_holds_one_displacement(self):
+        run = generate_run(desk_config(n_packets=20_000, seed=13, full_trace=False))
+        grid = [
+            DaParams(mode=DaMode.TDD, t_d_ns=t) for t in range(-300_000, 300_001, 25_000)
+        ]
+
+        def peak(points: list[DaParams]) -> int:
+            tracemalloc.start()
+            try:
+                sweep(run, points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(grid) <= 1.5 * peak(grid[:1])
+
+
 class TestOracleSummary:
     def test_exact_bound_on_simulated_log(self, traced_run):
         for t_lre in (0, 100_000, 500_000):
@@ -518,6 +633,51 @@ class TestOracleSummary:
                     <= summary.attempts_bar_pow - report.link.early_bar
                 )
                 assert report.link.early_bar <= summary.early_bar_exact
+
+    @pytest.mark.parametrize("name", ["traced_run", "lossy_traced"])
+    def test_equals_per_packet_spec(self, name, request, lossy_runs):
+        run = lossy_runs[True] if name == "lossy_traced" else request.getfixturevalue(name)
+        for t_lre_us, t_d_us in ((50, 0), (0, 0), (200, 0), (0, 100), (50, -150)):
+            t_lre, t_d = t_lre_us * 1000, t_d_us * 1000
+            expected = oracle_attempt_summary_spec(run, t_lre, t_d)
+            assert oracle_attempt_summary(run, t_lre, t_d) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=duplex_runs(), data=st.data())
+    def test_equals_per_packet_spec_at_attempt_starts(self, run, data):
+        t_d = data.draw(st.sampled_from((0, 300_000, -300_000)))
+        # T_LRE where a trace entry's shifted start meets the cross-ACK
+        first, second = run.channels
+        shift = {first: max(0, -t_d), second: max(0, t_d)}
+        points = {0}
+        for packet in run.packets:
+            for a, copy in packet.copies.items():
+                for b, other in packet.copies.items():
+                    for attempt in copy.trace:
+                        gap = attempt.start_ns + shift[a] - other.end_ns - shift[b]
+                        points.update(gap + d for d in (-1, 0, 1))
+        t_lre = data.draw(st.sampled_from(sorted(points)))
+        expected = oracle_attempt_summary_spec(run, t_lre, t_d)
+        assert oracle_attempt_summary(run, t_lre, t_d) == expected
+
+    def test_builds_no_packet_records(self, traced_run, monkeypatch):
+        def refuse(run):
+            raise AssertionError("per-packet records were built")
+
+        monkeypatch.setattr(RunLog, "packets", property(refuse))
+        summary = oracle_attempt_summary(traced_run, 50_000, -150_000)
+        assert summary.early_bar_exact > 0
+
+    def test_needs_a_trace_on_every_copy(self, traced_run, adapter_run):
+        packets = list(traced_run.packets[:3])
+        packets[1] = PacketRecord(
+            2, {**packets[1].copies, CH_B: replace(packets[1].copies[CH_B], trace=None)}
+        )
+        partial = RunLog.from_packets(replace(traced_run.meta, n_packets=3), packets)
+        for run in (adapter_run, partial):
+            for evaluate in (oracle_attempt_summary, oracle_attempt_summary_spec):
+                with pytest.raises(TraceRequiredError):
+                    evaluate(run, 0)
 
 
 class TestRendering:

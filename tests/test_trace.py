@@ -582,6 +582,68 @@ class TestBlockDecoder:
             assert decode_log(io.StringIO(buf.getvalue())) == run
 
 
+    @pytest.mark.parametrize("block", [1, 200, 1 << 16])
+    def test_key_letter_labels_decode_as_line_by_line(self, block):
+        run = _key_letter_run()
+        text = encode_log_spec(run)
+        outcome, in_blocks, reference = _decoded_both_ways(text, block, validate=False)
+        assert in_blocks
+        assert outcome == reference == run
+
+    @pytest.mark.parametrize("block", [200, 1 << 16])
+    def test_malformed_line_after_canonical_blocks_names_its_line(self, traced_run, block):
+        buf = io.StringIO()
+        encode_log(traced_run, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[700] = lines[700][:-2] + "\n"  # line 701 loses its closing brace
+        with mock.patch.object(trace, "_DECODE_BLOCK", block):
+            with mock.patch.object(trace, "_decode_lines", wraps=trace._decode_lines) as per_line:
+                with pytest.raises(LogFormatError) as exc:
+                    decode_log(io.StringIO("".join(lines)))
+        assert exc.value.record_index == 701
+        assert per_line.call_count == 1  # the blocks before it were canonical
+
+
+def _key_letter_run() -> RunLog:
+    """Six channels labelled with the last letters of the log's keys. Traces
+    are absent, empty or up to three entries, some without an ACK; copies
+    have a final DATA and ACK duration, only a DATA duration, or neither."""
+    channels = tuple(ChannelId(j, label) for j, label in enumerate(("W", "d", "a", "k", "i", "l")))
+    packets = []
+    for p in range(5):
+        copies = {}
+        for j, channel in enumerate(channels):
+            kind = (p + j) % 5  # 0: empty trace, 4: no trace
+            trace = None if kind == 4 else tuple(
+                AttemptTrace(
+                    k + 1,
+                    start_ns=1000 * (p + k),
+                    data_ns=7 + k,
+                    ack_ns=None if (k + j) % 2 else 9,
+                    succeeded=k == kind - 1,
+                )
+                for k in range(kind)
+            )
+            copies[channel] = CopyRecord(
+                lost=j % 2 == 1,
+                request_ns=100 * p,
+                end_ns=100 * p + 50 + j,
+                attempts=max(kind, 1),
+                final_data_ns=5 + j if j % 3 != 2 else None,
+                final_ack_ns=6 if j % 3 == 0 else None,
+                trace=trace,
+            )
+        packets.append(PacketRecord(p + 1, copies))
+    meta = RunMeta(
+        n_packets=5,
+        period_ns=1_000_000,
+        seed=0,
+        view=VIEW_FULL_TRACE,
+        channels=tuple(ChannelMeta(channel, PhyParams()) for channel in channels),
+    )
+    return RunLog.from_packets(meta, packets)
+
+
 def _encoded(run: RunLog, block: int) -> str:
     buf = io.StringIO()
     with mock.patch.object(trace, "_ENCODE_BLOCK", block):
