@@ -173,6 +173,9 @@ class SimConfig:
                     f"ack_timeout)) = {attempts} ns after (packets - 1) x period + "
                     f"|deferral| + margin + payload_airtime = {busy_until} ns"
                 )
+            if cs.interference.interferer_count:
+                where = f"channel {cs.channel.label}: "
+                _synthesis_caps(cs.interference, horizon, undeferred, where)
 
     def request_offsets(self) -> tuple[int, int]:
         """Per-channel request displacement (first, second channel)."""
@@ -205,61 +208,55 @@ def bulk_stream(seed: int, salt: str, label: str, purpose: str) -> np.random.Gen
 # --- interference -----------------------------------------------------------
 
 
-def _interferer_intervals(
-    params: InterferenceParams,
-    horizon_ns: int,
-    rng: np.random.Generator,
-    chunk_horizon_ns: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Busy intervals of a single interferer up to the horizon.
-
-    Bursts are drawn in chunks sized from ``chunk_horizon_ns``, so for a
-    given chunk horizon a longer horizon only appends draws.
-    """
+def _synthesis_caps(
+    params: InterferenceParams, horizon_ns: int, chunk_horizon_ns: int, where: str = ""
+) -> tuple[int, int, int]:
+    """Bursts drawn per chunk (about 1.3 chunk horizons' worth), and the caps
+    on a burst's packet count and gap: a gap or burst as long as the horizon
+    moves every later burst past it, so longer ones change nothing below it.
+    A config whose chunk at these caps could pass int64 is refused."""
     spacing = params.intra_burst_spacing_ns
-    airtime = params.payload_airtime_ns
     cycle_estimate = params.burst_len_mean * spacing + params.gap_mean_ns
     chunk = max(16, int(chunk_horizon_ns / cycle_estimate * 1.3) + 8)
+    count_cap = min(params.burst_len_cap, horizon_ns // spacing + 2)
+    gap_cap = min(params.gap_cap_ns, horizon_ns)
+    cycle = gap_cap + (count_cap - 1) * spacing + params.payload_airtime_ns
+    if horizon_ns + chunk * cycle >= 1 << 63:
+        raise SimConfigError(
+            f"{where}interference synthesis could exceed int64: horizon + bursts per chunk x "
+            "(min(gap_cap, horizon) + (min(burst_cap, horizon / burst_spacing + 2) - 1) x "
+            f"burst_spacing + payload_airtime) = {horizon_ns} + {chunk} x {cycle} ns"
+        )
+    return chunk, count_cap, gap_cap
 
-    starts_chunks: list[np.ndarray] = []
-    ends_chunks: list[np.ndarray] = []
-    t = 0
+
+def _interferer_starts(params: InterferenceParams, horizon_ns: int, rng, caps) -> np.ndarray:
+    """Sorted busy-interval starts of a single interferer before the
+    horizon. Bursts are drawn a chunk at a time, so a longer horizon only
+    appends draws."""
+    spacing, airtime = params.intra_burst_spacing_ns, params.payload_airtime_ns
+    chunk, count_cap, gap_cap = caps
+    parts, t = [], 0
     while t < horizon_ns:
-        counts = rng.exponential(params.burst_len_mean, size=chunk)
-        counts = np.minimum(counts.astype(np.int64) + 1, params.burst_len_cap)
-        gaps = rng.exponential(params.gap_mean_ns, size=chunk)
-        gaps = np.minimum(gaps.astype(np.int64), params.gap_cap_ns)
+        # draws are clipped to 2^62 before the cast, above either cap
+        counts = np.minimum(rng.exponential(params.burst_len_mean, size=chunk), _FOREVER)
+        counts = np.minimum(counts.astype(np.int64) + 1, count_cap)
+        gaps = np.minimum(rng.exponential(params.gap_mean_ns, size=chunk), _FOREVER)
+        gaps = np.minimum(gaps.astype(np.int64), gap_cap)
+        # each cycle: idle gap, then the burst; bursts from the horizon on
+        # are dropped
         spans = (counts - 1) * spacing + airtime
-        # each cycle: idle gap, then the burst
-        cycle = gaps + spans
-        burst_starts = t + np.cumsum(cycle) - spans
-        total = int(counts.sum())
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        intra = (np.arange(total, dtype=np.int64) - offsets) * spacing
-        pkt_starts = np.repeat(burst_starts, counts) + intra
-        starts_chunks.append(pkt_starts)
-        ends_chunks.append(pkt_starts + airtime)
-        t = int(burst_starts[-1] + spans[-1])
-    starts = np.concatenate(starts_chunks)
-    ends = np.concatenate(ends_chunks)
-    keep = starts < horizon_ns
-    return starts[keep], ends[keep]
-
-
-def _merge_intervals(
-    starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if len(starts) == 0:
-        return starts, ends
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    e = np.maximum.accumulate(ends[order])
-    new_group = np.empty(len(s), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = s[1:] > e[:-1]
-    idx = np.flatnonzero(new_group)
-    group_ends = np.append(idx[1:], len(s)) - 1
-    return s[idx], e[group_ends]
+        ends = t + np.cumsum(gaps + spans)
+        counts = counts[: np.searchsorted(ends - spans, horizon_ns)]
+        # a burst's packets start every spacing; its first starts a gap
+        # plus an airtime after the previous burst's last
+        step = np.full(int(counts.sum()), spacing, dtype=np.int64)
+        step[np.cumsum(counts) - counts] = gaps[: len(counts)] + airtime
+        step[:1] = t + gaps[0]
+        parts.append(np.cumsum(step))
+        t = int(ends[-1])
+    starts = np.concatenate(parts)
+    return starts[: np.searchsorted(starts, horizon_ns)]
 
 
 def interference_arrays(
@@ -284,15 +281,17 @@ def interference_arrays(
     if params.interferer_count == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    caps = _synthesis_caps(params, horizon_ns, chunk_horizon_ns)
     child_seeds = rng.integers(0, 1 << 63, size=params.interferer_count)
-    all_starts = []
-    all_ends = []
-    for child_seed in child_seeds:
-        child = np.random.default_rng(int(child_seed))
-        s, e = _interferer_intervals(params, horizon_ns, child, chunk_horizon_ns)
-        all_starts.append(s)
-        all_ends.append(e)
-    return _merge_intervals(np.concatenate(all_starts), np.concatenate(all_ends))
+    rngs = (np.random.default_rng(int(c)) for c in child_seeds)
+    s = np.concatenate([_interferer_starts(params, horizon_ns, r, caps) for r in rngs])
+    s.sort(kind="stable")  # a merge of the interferers' sorted runs
+    # every interval lasts one airtime: a start more than an airtime after
+    # the previous one opens a busy interval, which ends an airtime after
+    # its last start
+    airtime = params.payload_airtime_ns
+    opens = np.flatnonzero(np.diff(s) > airtime)
+    return np.concatenate((s[:1], s[1:][opens])), np.concatenate((s[:-1][opens], s[-1:])) + airtime
 
 
 # --- per-channel MAC --------------------------------------------------------

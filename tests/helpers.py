@@ -1,7 +1,8 @@
 """Shared builders for hand-made logs and desk-scale simulation setups, and
 the reference specifications that the product paths are checked against
-(the sequential MAC, the f-string encoder, the per-packet report, the
-per-packet oracle summary and virtual deferral by shifted columns)."""
+(interference from general intervals, the sequential MAC, the f-string
+encoder, the per-packet report, the per-packet oracle summary and virtual
+deferral by shifted columns)."""
 from __future__ import annotations
 
 import json
@@ -32,6 +33,7 @@ from prpwifi import (
     RunLog,
     RunMeta,
     SimConfig,
+    SimConfigError,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
     copy_latency,
@@ -45,7 +47,7 @@ from prpwifi import (
 )
 from prpwifi.da import DEFAULT_VIRTUAL_DEFER_LIMIT_NS
 from prpwifi.metrics import _Accumulated, _assemble, _population, _resolve
-from prpwifi.sim import _acquire, bulk_stream, interference_arrays, mac_stream
+from prpwifi.sim import _acquire, bulk_stream, mac_stream
 from prpwifi.trace import _meta_to_dict
 
 CH_A = ChannelId(0, "A")
@@ -369,6 +371,93 @@ def lossy_config(n_packets: int, seed: int, full_trace: bool) -> SimConfig:
     return replace(config, channels=channels)
 
 
+# --- interference (the specification of sim.interference_arrays) -----------
+
+
+def _interferer_intervals_spec(
+    params: InterferenceParams,
+    horizon_ns: int,
+    rng: np.random.Generator,
+    chunk_horizon_ns: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Busy intervals of a single interferer up to the horizon, each built
+    as a (start, end) pair; bursts are drawn in chunks sized from
+    ``chunk_horizon_ns``."""
+    spacing = params.intra_burst_spacing_ns
+    airtime = params.payload_airtime_ns
+    cycle_estimate = params.burst_len_mean * spacing + params.gap_mean_ns
+    chunk = max(16, int(chunk_horizon_ns / cycle_estimate * 1.3) + 8)
+
+    starts_chunks: list[np.ndarray] = []
+    ends_chunks: list[np.ndarray] = []
+    t = 0
+    while t < horizon_ns:
+        counts = rng.exponential(params.burst_len_mean, size=chunk)
+        counts = np.minimum(counts.astype(np.int64) + 1, params.burst_len_cap)
+        gaps = rng.exponential(params.gap_mean_ns, size=chunk)
+        gaps = np.minimum(gaps.astype(np.int64), params.gap_cap_ns)
+        spans = (counts - 1) * spacing + airtime
+        # each cycle: idle gap, then the burst
+        cycle = gaps + spans
+        burst_starts = t + np.cumsum(cycle) - spans
+        total = int(counts.sum())
+        offsets = np.repeat(np.cumsum(counts) - counts, counts)
+        intra = (np.arange(total, dtype=np.int64) - offsets) * spacing
+        pkt_starts = np.repeat(burst_starts, counts) + intra
+        starts_chunks.append(pkt_starts)
+        ends_chunks.append(pkt_starts + airtime)
+        t = int(burst_starts[-1] + spans[-1])
+    starts = np.concatenate(starts_chunks)
+    ends = np.concatenate(ends_chunks)
+    keep = starts < horizon_ns
+    return starts[keep], ends[keep]
+
+
+def _merge_intervals_spec(
+    starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Union of general (start, end) intervals, touching ones merged."""
+    if len(starts) == 0:
+        return starts, ends
+    order = np.argsort(starts, kind="stable")
+    s = starts[order]
+    e = np.maximum.accumulate(ends[order])
+    new_group = np.empty(len(s), dtype=bool)
+    new_group[0] = True
+    new_group[1:] = s[1:] > e[:-1]
+    idx = np.flatnonzero(new_group)
+    group_ends = np.append(idx[1:], len(s)) - 1
+    return s[idx], e[group_ends]
+
+
+def interference_arrays_spec(
+    params: InterferenceParams,
+    horizon_ns: int,
+    rng: np.random.Generator,
+    chunk_horizon_ns: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sim.interference_arrays`` from general intervals: every packet of
+    every interferer as a (start, end) pair, then their union. It is only
+    defined where no draw or sum passes int64."""
+    if chunk_horizon_ns is None:
+        chunk_horizon_ns = horizon_ns
+    if horizon_ns <= 0:
+        raise SimConfigError("horizon must be positive")
+    params.validate()
+    if params.interferer_count == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    child_seeds = rng.integers(0, 1 << 63, size=params.interferer_count)
+    all_starts = []
+    all_ends = []
+    for child_seed in child_seeds:
+        child = np.random.default_rng(int(child_seed))
+        s, e = _interferer_intervals_spec(params, horizon_ns, child, chunk_horizon_ns)
+        all_starts.append(s)
+        all_ends.append(e)
+    return _merge_intervals_spec(np.concatenate(all_starts), np.concatenate(all_ends))
+
+
 # --- sequential MAC (the specification of sim._simulate_channel) -------------
 
 
@@ -468,7 +557,7 @@ def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset
     ``sim._simulate_channel``'s (attempt rows only with traces)."""
     label = setup.channel.label
     undeferred = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
-    busy_s, busy_e = interference_arrays(
+    busy_s, busy_e = interference_arrays_spec(
         setup.interference,
         undeferred + request_offset_ns,
         bulk_stream(config.seed, setup.seed_salt, label, "interference"),

@@ -137,6 +137,32 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {path}: margin must keep the interference horizon")
         assert not (tmp_path / "run.jsonl").exists()
 
+    def test_gaps_of_a_billion_seconds_leave_the_medium_idle(self, tmp_path):
+        # 16 gaps of mean 10^9 s (the smallest chunk) sum past int64; no
+        # burst starts before the 4.4 s horizon, so the records are those
+        # of a run without interferers
+        gaps = "gap_mean = 1000000000s\ngap_cap = 4000000000s\nA.interferers = 1\n"
+        idle = BASE_CONFIG.replace("B.interferers = 2", "B.interferers = 0")
+        records = []
+        for name, text in (("gaps", BASE_CONFIG + gaps), ("idle", idle)):
+            path, log = tmp_path / f"{name}.cfg", tmp_path / f"{name}.jsonl"
+            path.write_text(text)
+            assert main(["simulate", str(path), "--out", str(log)]) == 0
+            records.append(log.read_text().splitlines()[1:])
+        assert records[0] == records[1]
+
+    def test_synthesis_past_int64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "gaps.cfg"
+        path.write_text(
+            "packets = 2\nperiod = 2305843009213693952ns\ngap_mean = 1000000000s\n"
+            "gap_cap = 4000000000s\nB.interferers = 1\n"
+        )
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: channel B: interference synthesis could exceed int64")
+        assert "gap_cap" in err
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_flat_csv_export(self, config_file, tmp_path):
         log = tmp_path / "run.jsonl"
         flat = tmp_path / "run.csv"

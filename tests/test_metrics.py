@@ -158,6 +158,27 @@ class TestLatencyStatsExactness:
         samples[:2] = [-(2**63), 2**63 - 1]
         assert_same_stats(latency_stats(samples), latency_stats_spec(samples))
 
+    @pytest.mark.parametrize(
+        "low, span",
+        [
+            (low, span)
+            for low in (-(2**63), -(2**43), 0, 2**40)
+            for span in (0, 1, 2**22 - 1, 2**22, 2**44 - 1, 2**44, 2**63 - 2, 2**63 - 1, 2**64 - 1)
+            if low + span < 2**63
+        ],
+    )
+    def test_exact_sums_at_limb_widths(self, low, span):
+        # one limb below a span of 2^22, two below 2^44, else three; both
+        # ends of the span are in the population, and two and a half
+        # summation chunks at the two-limb edge
+        n = 5 * metrics._SUM_CHUNK // 2 if span == 2**44 - 1 else 1001
+        rng = np.random.default_rng(span % 997 + low % 991)
+        offsets = rng.integers(0, span, n, endpoint=True, dtype=np.uint64)
+        offsets[:2] = [0, span]
+        values = sorted(low + int(o) for o in offsets.tolist())
+        ordered = np.array(values, dtype=np.int64)
+        assert metrics._exact_sums(ordered) == (sum(values), sum(v * v for v in values))
+
     def test_accepts_int64_arrays(self):
         samples = [5 * MS, 1 * MS, 3 * MS, 3 * MS]
         assert_same_stats(

@@ -30,8 +30,10 @@ from helpers import (
     CH_B,
     DESK_PERIOD_NS,
     ChannelState,
+    _merge_intervals_spec,
     desk_config,
     desk_interference,
+    interference_arrays_spec,
     simulate_channel_spec,
     simulate_copy,
 )
@@ -247,6 +249,149 @@ class TestInterference:
         assert s0[-1] < horizon and (k == len(s1) or s1[k] >= horizon)
         assert np.array_equal(s0, s1[:k])
         assert np.array_equal(e0[:-1], e1[: k - 1]) and e0[-1] <= e1[k - 1]
+
+
+@st.composite
+def synthesis_cases(draw):
+    """Interference parameters, a horizon and a chunk horizon: packets that
+    overlap within a burst (airtime above the spacing), touch (equal) or
+    leave gaps, bursts of one packet, 0-4 interferers, and gaps from
+    shorter than an airtime to longer than a burst."""
+    spacing = draw(st.integers(min_value=50_000, max_value=800_000))
+    airtime = draw(
+        st.sampled_from([spacing, spacing + 1, spacing - 1])
+        | st.integers(min_value=1, max_value=3 * spacing)
+    )
+    burst_len_mean = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+    burst_len_cap = draw(st.sampled_from([1, 2, 12, 40]).filter(lambda c: c >= burst_len_mean))
+    gap_mean_ns = draw(st.integers(min_value=1_000, max_value=5_000_000))
+    params = InterferenceParams(
+        interferer_count=draw(st.integers(min_value=0, max_value=4)),
+        payload_airtime_ns=airtime,
+        intra_burst_spacing_ns=spacing,
+        burst_len_mean=burst_len_mean,
+        burst_len_cap=burst_len_cap,
+        gap_mean_ns=gap_mean_ns,
+        gap_cap_ns=gap_mean_ns * draw(st.sampled_from([1, 3, 100])),
+    )
+    horizon = draw(st.integers(min_value=1, max_value=300_000_000))
+    chunk_horizon = draw(st.none() | st.integers(min_value=1, max_value=600_000_000))
+    return params, horizon, chunk_horizon, draw(st.integers(min_value=0, max_value=2**32))
+
+
+def exact_interference(params, horizon_ns, rng):
+    """Merged busy intervals drawn as the simulator draws them, computed in
+    Python ints: the reference where int64 sums of the draws would wrap."""
+    spacing, airtime = params.intra_burst_spacing_ns, params.payload_airtime_ns
+    cycle_estimate = params.burst_len_mean * spacing + params.gap_mean_ns
+    chunk = max(16, int(horizon_ns / cycle_estimate * 1.3) + 8)
+    starts = []
+    for child_seed in rng.integers(0, 1 << 63, size=params.interferer_count):
+        child, t = np.random.default_rng(int(child_seed)), 0
+        while t < horizon_ns:
+            counts = child.exponential(params.burst_len_mean, size=chunk).tolist()
+            gaps = child.exponential(params.gap_mean_ns, size=chunk).tolist()
+            for count, gap in zip(counts, gaps):
+                count = min(int(count) + 1, params.burst_len_cap)
+                first = t + min(int(gap), params.gap_cap_ns)
+                before = min(count, max(0, -((first - horizon_ns) // spacing)))
+                starts += [first + j * spacing for j in range(before)]
+                t = first + (count - 1) * spacing + airtime
+    s = np.array(sorted(starts), dtype=np.int64)
+    return _merge_intervals_spec(s, s + airtime)
+
+
+class TestSynthesis:
+    """``interference_arrays`` against the general-interval spec in
+    ``helpers`` and, where int64 sums of the draws wrap, against Python
+    ints."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=synthesis_cases())
+    def test_equals_general_interval_spec(self, case):
+        params, horizon, chunk_horizon, seed = case
+        got = interference_arrays(params, horizon, np.random.default_rng(seed), chunk_horizon)
+        want = interference_arrays_spec(
+            params, horizon, np.random.default_rng(seed), chunk_horizon
+        )
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+
+    def test_horizon_inside_a_burst(self):
+        # packets overlap within a burst, so a merged interval is a burst:
+        # horizons just before, at and just after its first packet's start,
+        # and at its second packet's start
+        params = replace(desk_interference(3), payload_airtime_ns=500_000)
+
+        def stream():
+            return bulk_stream(2, "", "B", "interference")
+
+        chunk_horizon = 2_000_000_000
+        starts, _ = interference_arrays_spec(params, chunk_horizon, stream())
+        middle = starts[len(starts) // 2]
+        for horizon in (middle - 1, middle, middle + 1, middle + 400_000):
+            got = interference_arrays(params, int(horizon), stream(), chunk_horizon)
+            want = interference_arrays_spec(params, int(horizon), stream(), chunk_horizon)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert got[0][-1] < horizon
+
+    @pytest.mark.parametrize(
+        "params, horizon_ns, bursts",
+        [
+            # gaps of mean 10^9 s capped at 4*10^9 s, on the bench horizon
+            # and on one of 4*10^17 ns, where some bursts come before it:
+            # the sum of a 16-burst chunk's gaps passes int64
+            (dict(gap_mean_ns=10**18, gap_cap_ns=4 * 10**18), 49_999 * 4_000_000 + 2_000_000_000, False),
+            (dict(gap_mean_ns=10**18, gap_cap_ns=4 * 10**18), 4 * 10**17, True),
+            # gap or burst-length draws at or above 2^63, which a plain cast
+            # to int64 turns into INT64_MIN
+            (dict(gap_mean_ns=1 << 62, gap_cap_ns=1 << 62), 4 * 10**17, True),
+            (dict(burst_len_mean=float(1 << 62), burst_len_cap=1 << 62), 2_000_000_000, True),
+            # bursts of mean 10^17 packets: (count - 1) x spacing passes
+            # int64, and their packets past the horizon would not fit in
+            # memory
+            (dict(burst_len_mean=1e17, burst_len_cap=10**18), 2_000_000_000, True),
+            # a burst longer than the horizon that starts at 0 or 1 ns, with
+            # 999 ns of the horizon left after its last whole spacing: no
+            # later burst may start before the horizon
+            (
+                dict(
+                    payload_airtime_ns=1, intra_burst_spacing_ns=1000, burst_len_mean=1e12,
+                    burst_len_cap=10**15, gap_mean_ns=1, gap_cap_ns=1,
+                ),
+                999_999,
+                True,
+            ),
+        ],
+    )
+    def test_equals_python_int_draws(self, params, horizon_ns, bursts):
+        params = replace(desk_interference(2), **params)
+        nonempty = 0
+        for seed in range(8):
+            got = interference_arrays(params, horizon_ns, bulk_stream(seed, "", "B", "interference"))
+            want = exact_interference(params, horizon_ns, bulk_stream(seed, "", "B", "interference"))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert len(got[0]) == 0 or 0 <= got[0][0] <= got[0][-1] < horizon_ns
+            nonempty += len(got[0]) > 0
+        assert bool(nonempty) == bursts
+
+    def test_config_past_int64_rejected(self):
+        # a 2^61 ns horizon with gaps capped past it: 16 gaps at the cap
+        # overflow int64
+        cfg = desk_config(2, seed=1)
+        intf = replace(desk_interference(1), gap_mean_ns=10**18, gap_cap_ns=4 * 10**18)
+        cfg = replace(
+            cfg,
+            period_ns=1 << 61,
+            channels=(cfg.channels[0], replace(cfg.channels[1], interference=intf)),
+        )
+        with pytest.raises(SimConfigError, match=r"channel B: interference synthesis .*gap_cap"):
+            cfg.validate()
+        with pytest.raises(SimConfigError, match="gap_cap"):
+            interference_arrays(intf, 1 << 61, bulk_stream(1, "", "B", "interference"))
+        # with no interferer on B nothing is drawn, and the config passes
+        quiet = replace(cfg.channels[1], interference=replace(intf, interferer_count=0))
+        replace(cfg, channels=(cfg.channels[0], quiet)).validate()
 
 
 class TestRealDeferral:
