@@ -9,14 +9,15 @@ matrix: every copy and every trace entry is a row, every literal and
 number a fixed range of columns, and the parts a row lacks stay NUL and
 are dropped when the matrix is read out.
 
-:class:`BlockParser` checks a block of whole lines in that layout with one
+:class:`BlockParser` checks a block of whole lines in that layout with a
 regex and parses its numbers with numpy instead of one ``json.loads`` per
 line. Numbers in the grammar have at most 18 digits, so every value fits
-an int64. Since the grammar fixes the order of the keys, the key sequence
-alone tells which numbers are the packet index, copy fields or trace
-entry fields; only blocks that hold traces are scanned for brackets.
-Blocks in any other layout are left to the line-by-line decoder of
-:mod:`prpwifi.trace`.
+an int64. A block in which every copy carries both final durations and no
+trace has the same numbers in the same order on every line, so a reshape
+places them. In any other block the grammar's fixed key order lets the key
+sequence alone tell which numbers are the packet index, copy fields or
+trace entry fields. Blocks in any other layout are left to the
+line-by-line decoder of :mod:`prpwifi.trace`.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ _COPY_REST = (
     r',"l":N,"t_T":N,"t_X":N,"w":N(?:,"Td":N)?+(?:,"Ta":N)?+'
     r'(?:,"trace":\[(?:E(?:,E)*+)?+\])?+\}'
 ).replace("E", _ENTRY).replace("N", _NUMBER)
+# the same for a copy with both final durations and no trace
+_FIXED_REST = r',"l":N,"t_T":N,"t_X":N,"w":N,"Td":N,"Ta":N\}'.replace("N", _NUMBER)
 # bytes other than digits and '-' become spaces, leaving only the numbers
 _NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
 # label bytes that the parse would take for numbers, keys or brackets
@@ -97,35 +100,63 @@ class BlockParser:
         copy_fields: tuple[str, ...],
         attempt_fields: tuple[str, ...],
     ):
-        copies = ",".join(
-            r'\{"ch":' + re.escape(json.dumps(label)) + _COPY_REST for label in labels
-        )
-        self._grammar = re.compile(r'(?:\{"i":%s,"copies":\[%s\]\}\n)*+' % (_NUMBER, copies))
+        def grammar(copy_rest: str) -> re.Pattern:
+            copies = ",".join(
+                r'\{"ch":' + re.escape(json.dumps(label)) + copy_rest for label in labels
+            )
+            return re.compile(r'(?:\{"i":%s,"copies":\[%s\]\}\n)*+' % (_NUMBER, copies))
+
+        self._grammar = grammar(_COPY_REST)
+        self._fixed = grammar(_FIXED_REST)
         encoded = [json.dumps(label).encode() for label in labels]
         self._heads = [b'{"ch":%s,' % e for e in encoded if _DISTURBING.intersection(e)]
         self._copy_fields = copy_fields
         self._attempt_fields = attempt_fields
+        # the columns of a fixed-layout copy's numbers: each key's first field
+        self._fixed_columns = [copy_fields.index(name) for name in dict.fromkeys(copy_fields)]
+        self._fixed_width = 1 + len(labels) * len(self._fixed_columns)  # numbers per line
 
     def parse(self, text: str) -> tuple[np.ndarray, ...] | None:
         """(packet indices, copy rows, trace lengths, attempt rows) of a
         block of whole lines in file order, or None if the block is not in
         the encoder's layout. A trace length is -1 where a copy has no
-        trace.
+        trace."""
+        if self._fixed.fullmatch(text) is not None:
+            parse = self._parse_fixed
+        elif self._grammar.fullmatch(text) is not None:
+            parse = self._parse_general
+        else:
+            return None
+        # cut out the labels holding digits, '-', ':' or brackets, so that
+        # every such byte left belongs to the layout
+        data = text.encode("ascii")
+        for head in self._heads:
+            data = data.replace(head, b"{")
+        return parse(data)
 
-        Each number's field is read from the last byte of the key before
+    def _parse_fixed(self, data: bytes) -> tuple[np.ndarray, ...]:
+        """Every copy has the same keys, so each line is the index and then
+        one number per key of each copy; the presence flags are all set."""
+        values = np.fromstring(data.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
+        lines = values.reshape(-1, self._fixed_width)
+        fields = lines[:, 1:].reshape(-1, len(self._fixed_columns))
+        copies = np.ones((len(fields), len(self._copy_fields)), dtype=np.int64)
+        copies[:, self._fixed_columns] = fields
+        lengths = np.full(len(copies), -1, dtype=np.int64)
+        attempts = np.empty((0, len(self._attempt_fields)), dtype=np.int64)
+        return lines[:, 0], copies, lengths, attempts
+
+    def _parse_general(self, data: bytes) -> tuple[np.ndarray, ...]:
+        """Each number's field is read from the last byte of the key before
         it, and its section (packet index, copy or trace entry) from the
         keys before it, whose order the grammar fixes: ``i`` is the index,
         ``tW`` and ``ok`` belong to entries, and a ``Td`` (or ``Ta``) is
         an entry's iff the key one (or two) before it is ``tW``.
         """
-        if self._grammar.fullmatch(text) is None:
-            return None
-        data = text.encode("ascii")
-        for head in self._heads:
-            data = data.replace(head, b"{")
         u = np.frombuffer(data, dtype=np.uint8)
         colons = np.flatnonzero(u == ord(":"))
         after = u[colons + 1]
+        opens = colons[after == ord("[")]  # of '"copies":[' and '"trace":['
         colons = colons[(after != ord("[")) & (after != ord('"'))]  # the rest precede numbers
         key = u[colons - 2]
         values = np.fromstring(data.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
@@ -137,17 +168,15 @@ class BlockParser:
         in_trace[2:] |= tw[:-2] & (key[2:] == ord("a"))
         in_copy = ~(in_trace | in_index)
         copies = _field_rows(key[in_copy], values[in_copy], self._copy_fields)
-        copies[:, 0] = copies[:, 0] != 0  # loss flag
         attempts = _field_rows(key[in_trace], values[in_trace], self._attempt_fields)
-        attempts[:, -1] = attempts[:, -1] != 0  # outcome flag
 
         lengths = np.full(len(copies), -1, dtype=np.int64)
-        if b'"trace":[' in data:
-            # a copy's trace opens with '"trace":[' (the key ends in 'e',
-            # unlike '"copies":['), so an empty trace counts as present
+        # a copy's trace opens with '"trace":[' (the key ends in 'e', unlike
+        # '"copies":['), so an empty trace counts as present
+        traces = opens[u[opens - 2] == ord("e")]
+        if len(traces):
             is_loss = key == ord("l")
-            opens = np.flatnonzero(u == ord("["))
-            traced = np.searchsorted(colons[is_loss], opens[u[opens - 3] == ord("e")]) - 1
+            traced = np.searchsorted(colons[is_loss], traces) - 1
             copy_of = np.cumsum(is_loss) - 1  # the copy of each number
             lengths[traced] = np.bincount(copy_of[tw], minlength=len(copies))[traced]
         return values[in_index], copies, lengths, attempts

@@ -61,16 +61,21 @@ class InterferenceParams:
     gap_cap_ns: int = 20_000_000_000
 
     def validate(self) -> None:
+        """Raise :class:`SimConfigError` naming the config key at fault."""
         if self.interferer_count < 0:
-            raise SimConfigError("interferer_count must be >= 0")
-        if self.payload_airtime_ns <= 0 or self.intra_burst_spacing_ns <= 0:
-            raise SimConfigError("interference airtime and spacing must be positive")
-        if self.burst_len_mean <= 0 or self.gap_mean_ns <= 0:
-            raise SimConfigError("interference means must be positive")
+            raise SimConfigError("interferers must be >= 0")
+        for key, value in (
+            ("payload_airtime", self.payload_airtime_ns),
+            ("burst_spacing", self.intra_burst_spacing_ns),
+            ("burst_mean", self.burst_len_mean),
+            ("gap_mean", self.gap_mean_ns),
+        ):
+            if not value > 0:
+                raise SimConfigError(f"{key} must be positive")
         if self.burst_len_cap < self.burst_len_mean:
-            raise SimConfigError("burst_len_cap must be >= burst_len_mean")
+            raise SimConfigError("burst_cap must be >= burst_mean")
         if self.gap_cap_ns < self.gap_mean_ns:
-            raise SimConfigError("gap_cap_ns must be >= gap_mean_ns")
+            raise SimConfigError("gap_cap must be >= gap_mean")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +90,7 @@ class ErrorModel:
 
     def validate(self) -> None:
         if not 0.0 <= self.attempt_loss_prob <= 1.0:
-            raise SimConfigError("loss probabilities must be within [0, 1]")
+            raise SimConfigError("loss_prob must be within [0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,9 +139,12 @@ class SimConfig:
         if list(indices) != sorted(indices):
             raise SimConfigError("channels must be listed in index order")
         for cs in self.channels:
-            cs.phy.validate()
-            cs.interference.validate()
-            cs.errors.validate()
+            try:
+                cs.phy.validate()
+                cs.interference.validate()
+                cs.errors.validate()
+            except ValueError as exc:
+                raise SimConfigError(f"channel {cs.channel.label}: {exc}") from None
         if self.deferral is not None:
             if abs(self.deferral.offset_ns) >= self.period_ns:
                 raise SimConfigError(

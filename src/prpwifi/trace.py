@@ -350,13 +350,14 @@ class RunLog(_Columns):
             if c.trace is not None
             for a in c.trace
         ]
-        return _from_rows(
+        m, n = len(channels), len(packets)
+        return _from_columns(
             meta,
             np.array([p.index for p in packets], dtype=np.int64),
-            np.array(rows, dtype=np.int64).reshape(-1, len(_COPY_FIELDS)),
+            np.array(rows, dtype=np.int64).reshape(n, m, len(_COPY_FIELDS)).T,
             np.array(
                 [-1 if c.trace is None else len(c.trace) for c in copies], dtype=np.int64
-            ),
+            ).reshape(n, m).T,
             np.array(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
         )
 
@@ -369,29 +370,27 @@ _COPY_FIELDS = ("l", "t_T", "t_X", "w", "Td", "Td", "Ta", "Ta")
 _ATTEMPT_FIELDS = ("tW", "Td", "Ta", "Ta", "ok")
 
 
-def _from_rows(
+def _from_columns(
     meta: RunMeta,
     index: np.ndarray,
     copies: np.ndarray,
     lengths: np.ndarray,
     attempts: np.ndarray,
 ) -> RunLog:
-    """Build a run from packet-major copy rows (row ``i * m + j`` is packet
-    ``i`` on channel ``j``; the fields of ``_COPY_FIELDS``, presence flags
-    after each duration), per-copy trace lengths (-1 where a copy has no
-    trace) and the attempt rows of all traced copies in the same order
-    (``_ATTEMPT_FIELDS``)."""
+    """Build a run from channel-major copy columns (shape
+    ``(len(_COPY_FIELDS), m, n)``; the fields of ``_COPY_FIELDS``, presence
+    flags after each duration, nonzero for true), per-copy trace lengths
+    (shape ``(m, n)``, -1 where a copy has no trace) and the attempt rows
+    of all traced copies in packet-major copy order (``_ATTEMPT_FIELDS``)."""
     m, n = len(meta.channels), len(index)
-    lost, req, end, w, td, has_td, ta, has_ta = (
-        copies.reshape(n, m, len(_COPY_FIELDS)).transpose(2, 1, 0).copy()
-    )
+    lost, req, end, w, td, has_td, ta, has_ta = np.ascontiguousarray(copies)
     trace = None
-    present = np.ascontiguousarray((lengths >= 0).reshape(n, m).T)
+    present = lengths >= 0
     if present.any():
-        kept = np.maximum(lengths, 0)
+        kept = np.maximum(lengths, 0).ravel()
         # first attempt row of each copy, taken to channel-major copy order
-        first_row = (np.cumsum(kept) - kept).reshape(n, m).T.ravel()
-        kept = kept.reshape(n, m).T.ravel()
+        in_rows = kept.reshape(m, n).T.ravel()
+        first_row = (np.cumsum(in_rows) - in_rows).reshape(n, m).T.ravel()
         offsets = np.zeros(m * n + 1, dtype=np.int64)
         np.cumsum(kept, out=offsets[1:])
         rows = np.repeat(first_row - offsets[:-1], kept)
@@ -920,6 +919,15 @@ def _decode_lines(
 
 
 _DECODE_BLOCK = 1 << 16  # characters of packet lines per block, to bound memory
+_FIRST_CAPACITY = 1 << 16  # packets decoded before the columns grow
+
+
+def _extended(a: np.ndarray, count: int, size: int) -> np.ndarray:
+    """``a`` with its last axis of ``count`` decoded packets made room for
+    ``size``."""
+    out = np.empty((*a.shape[:-1], size), dtype=a.dtype)
+    out[..., :count] = a[..., :count]
+    return out
 
 
 def decode_log(
@@ -947,10 +955,16 @@ def decode_log(
     labels = [cm.channel.label for cm in meta.channels]
     position = {label: j for j, label in enumerate(labels)}
     parser = BlockParser(labels, _COPY_FIELDS, _ATTEMPT_FIELDS)
+    m = len(labels)
 
-    # packet indices, copy rows, trace lengths and attempt rows, packet-major
-    buffers = [array("q") for _ in range(4)]
-    lineno = 2
+    # columns of the packets decoded so far, and the attempt rows of their
+    # traced copies; the header's count bounds the first allocation only
+    size = min(meta.n_packets, _FIRST_CAPACITY)
+    index = np.empty(size, dtype=np.int64)
+    copies = np.empty((len(_COPY_FIELDS), m, size), dtype=np.int64)
+    lengths = np.empty((m, size), dtype=np.int64)
+    attempts = array("q")
+    count, lineno = 0, 2
     for block in line_blocks(source, _DECODE_BLOCK):
         parsed = parser.parse(block)
         if parsed is None:  # split at '\n' only, as iterating the source would
@@ -959,18 +973,29 @@ def decode_log(
             lineno += len(lines)
         else:  # one line per packet
             lineno += len(parsed[0])
-        for buffer, rows in zip(buffers, parsed):
-            buffer.frombytes(rows.view(np.uint8))  # bytes of the rows, no copy
+        block_index, block_copies, block_lengths, block_attempts = parsed
+        stop = count + len(block_index)
+        if stop > size:
+            size = max(stop, 2 * size)
+            if stop <= meta.n_packets:
+                size = min(size, meta.n_packets)
+            index, copies, lengths = (
+                _extended(a, count, size) for a in (index, copies, lengths)
+            )
+        index[count:stop] = block_index
+        copies[..., count:stop] = block_copies.reshape(-1, m, len(_COPY_FIELDS)).T
+        lengths[:, count:stop] = block_lengths.reshape(-1, m).T
+        attempts.frombytes(block_attempts.view(np.uint8))  # bytes of the rows, no copy
+        count = stop
 
-    index, copies, lengths, attempts = (np.frombuffer(b, dtype=np.int64) for b in buffers)
-    run = _from_rows(
+    run = _from_columns(
         meta,
-        index,
-        copies.reshape(-1, len(_COPY_FIELDS)),
-        lengths,
-        attempts.reshape(-1, len(_ATTEMPT_FIELDS)),
+        index[:count],
+        copies[..., :count],
+        lengths[:, :count],
+        np.frombuffer(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
     )
-    del buffers, copies, lengths, attempts  # free the rows before validation
+    del index, copies, lengths, attempts  # free what the run does not hold before validation
     if validate:
         try:
             validate_run(run, request_epsilon_ns=request_epsilon_ns)

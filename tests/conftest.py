@@ -21,6 +21,7 @@ from prpwifi import (
     RunLog,
     RunMeta,
     SimConfig,
+    VIEW_ADAPTER,
     VIEW_FULL_TRACE,
     encode_log,
     generate_run,
@@ -169,7 +170,9 @@ _TRACES = st.none() | _attempts()
 
 
 @st.composite
-def encodable_runs(draw) -> RunLog:
+def encodable_runs(draw, fixed_layout: bool = False) -> RunLog:
+    """A full-trace run, or with ``fixed_layout`` an adapter-view run in
+    which every copy has both final durations."""
     m = draw(st.integers(min_value=2, max_value=3))
     labels = draw(st.lists(st.sampled_from(_LABELS), min_size=m, max_size=m, unique=True))
     channels = tuple(ChannelId(j, label) for j, label in enumerate(labels))
@@ -178,7 +181,7 @@ def encodable_runs(draw) -> RunLog:
         n_packets=n,
         period_ns=1_000_000,
         seed=0,
-        view=VIEW_FULL_TRACE,
+        view=VIEW_ADAPTER if fixed_layout else VIEW_FULL_TRACE,
         channels=tuple(ChannelMeta(channel, PhyParams()) for channel in channels),
     )
     packets = [
@@ -190,9 +193,9 @@ def encodable_runs(draw) -> RunLog:
                     request_ns=draw(_VALUES),
                     end_ns=draw(_VALUES),
                     attempts=draw(_VALUES),
-                    final_data_ns=draw(_OPTIONAL_VALUES),
-                    final_ack_ns=draw(_OPTIONAL_VALUES),
-                    trace=draw(_TRACES),
+                    final_data_ns=draw(_VALUES if fixed_layout else _OPTIONAL_VALUES),
+                    final_ack_ns=draw(_VALUES if fixed_layout else _OPTIONAL_VALUES),
+                    trace=None if fixed_layout else draw(_TRACES),
                 )
                 for channel in channels
             },

@@ -163,6 +163,21 @@ class TestSimulateCommand:
         assert "gap_cap" in err
         assert not (tmp_path / "run.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("B.burst_cap = 2", "channel B: burst_cap must be >= burst_mean"),
+            ("B.payload_airtime = 0us", "channel B: payload_airtime must be positive"),
+            ("B.loss_prob = 1.5", "channel B: loss_prob must be within [0, 1]"),
+        ],
+    )
+    def test_bad_channel_key_names_channel_and_key(self, line, message, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG + line + "\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_flat_csv_export(self, config_file, tmp_path):
         log = tmp_path / "run.jsonl"
         flat = tmp_path / "run.csv"

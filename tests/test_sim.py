@@ -209,6 +209,24 @@ class TestInterference:
         with pytest.raises(SimConfigError):
             interference_arrays(InterferenceParams(), 0, stream)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("interferer_count", -1, "interferers must be >= 0"),
+            ("payload_airtime_ns", 0, "payload_airtime must be positive"),
+            ("intra_burst_spacing_ns", -1, "burst_spacing must be positive"),
+            ("burst_len_mean", 0.0, "burst_mean must be positive"),
+            ("burst_len_mean", math.nan, "burst_mean must be positive"),
+            ("gap_mean_ns", 0, "gap_mean must be positive"),
+            ("burst_len_cap", 299, "burst_cap must be >= burst_mean"),
+            ("gap_cap_ns", 199_999_999, "gap_cap must be >= gap_mean"),
+        ],
+    )
+    def test_errors_name_the_config_key(self, field, value, message):
+        with pytest.raises(SimConfigError) as exc:
+            replace(InterferenceParams(), **{field: value}).validate()
+        assert str(exc.value) == message
+
     def test_gaps_are_capped(self):
         params = desk_interference(1)
         stream = bulk_stream(3, "", "B", "interference")

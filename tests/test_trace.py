@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -35,9 +36,9 @@ from prpwifi import (
     validate_run,
     write_log,
 )
-from prpwifi import trace
+from prpwifi import logblocks, trace
 from prpwifi.cli import main
-from prpwifi.logblocks import BlockParser
+from prpwifi.logblocks import BlockParser, line_blocks
 from prpwifi.trace import shift_copy
 
 from conftest import duplex_runs, encodable_runs, mutated_logs
@@ -183,6 +184,34 @@ class TestCodec:
         n = traced_run.meta.n_packets
         with pytest.raises(LogFormatError, match=f"meta says {n} packets, log has 0$"):
             decode_log(io.StringIO(header))
+
+    @pytest.mark.parametrize("capacity", [5, trace._FIRST_CAPACITY])
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
+    @pytest.mark.parametrize(
+        "claimed, kept",
+        [(10**15, range(3)), (None, [*range(401), *range(400, 800)]), (None, range(799))],
+        ids=["n-1e15-over-3-lines", "line-duplicated", "last-line-dropped"],
+    )
+    def test_packet_lines_other_than_the_header_count(
+        self, claimed, kept, name, capacity, request
+    ):
+        """The header's count only sizes the first allocation: without
+        validation every line is decoded, with it the count is checked."""
+        run = request.getfixturevalue(name)
+        buf = io.StringIO()
+        encode_log(run, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["n"] = claimed or header["n"]
+        text = json.dumps(header) + "\n" + "".join(lines[1 + k] for k in kept)
+        with mock.patch.object(trace, "_FIRST_CAPACITY", capacity):
+            decoded = decode_log(io.StringIO(text), validate=False)
+            assert decoded.meta == replace(run.meta, n_packets=header["n"])
+            packets = run.packets
+            assert decoded.packets == tuple(packets[k] for k in kept)
+            message = f"^meta says {header['n']} packets, log has {len(kept)}$"
+            with pytest.raises(LogFormatError, match=message):
+                decode_log(io.StringIO(text))
 
     def test_garbage_header(self):
         with pytest.raises(LogFormatError):
@@ -519,15 +548,52 @@ def _outcome(text: str, validate: bool):
         return str(exc), exc.record_index
 
 
-def _decoded_both_ways(text: str, block: int, validate: bool):
-    """(block decoder outcome, whether it parsed every packet line in
-    blocks, outcome of the per-line helper over all lines)."""
+@contextmanager
+def _block_paths():
+    """The path that decoded each block, in order: "fixed" (the fixed-layout
+    parse), "general" (the block grammar) or "lines" (line by line)."""
+    paths = []
+
+    def recorded(path, decode):
+        def wrapper(*args):
+            paths.append(path)
+            return decode(*args)
+
+        return wrapper
+
+    with mock.patch.object(
+        BlockParser, "_parse_fixed", recorded("fixed", BlockParser._parse_fixed)
+    ), mock.patch.object(
+        BlockParser, "_parse_general", recorded("general", BlockParser._parse_general)
+    ), mock.patch.object(trace, "_decode_lines", recorded("lines", trace._decode_lines)):
+        yield paths
+
+
+def _decoded_three_ways(text: str, block: int, validate: bool):
+    """(decoder outcome, the path of each block, outcome with the
+    fixed-layout grammar never matching, outcome of the per-line helper
+    over all lines)."""
     with mock.patch.object(trace, "_DECODE_BLOCK", block):
-        with mock.patch.object(trace, "_decode_lines", wraps=trace._decode_lines) as lines:
+        with _block_paths() as paths:
             outcome = _outcome(text, validate)
+        with mock.patch.object(logblocks, "_FIXED_REST", "(?!)"), _block_paths() as unfixed:
+            general = _outcome(text, validate)
+        assert "fixed" not in unfixed
         with mock.patch.object(BlockParser, "parse", return_value=None):
             reference = _outcome(text, validate)
-    return outcome, lines.call_count == 0, reference
+    return outcome, paths, general, reference
+
+
+def _fixed_layout_paths(text: str, block: int) -> list[str]:
+    """The path each block of a log should take: "fixed" where every copy
+    of the block carries ``Td`` and ``Ta`` and no trace, else "general"."""
+    body = io.StringIO(text)
+    m = len(json.loads(body.readline())["channels"])
+    return [
+        "fixed" if chunk.count('"Td":') == chunk.count('"Ta":') == m * chunk.count("\n")
+        and '"trace":' not in chunk else "general"
+        for chunk in line_blocks(body, block)
+    ]
 
 
 class TestBlockDecoder:
@@ -542,9 +608,27 @@ class TestBlockDecoder:
         lines = buf.getvalue().splitlines(keepends=True)
         text, canonical = LINE_EDITS[edit](lines, 1 + choice * 57, choice)
         for validate in (False, True):
-            outcome, in_blocks, reference = _decoded_both_ways(text, 3000, validate)
-            assert outcome == reference
-            assert in_blocks == canonical
+            outcome, paths, general, reference = _decoded_three_ways(text, 3000, validate)
+            assert outcome == general == reference
+            assert ("lines" not in paths) == canonical
+
+    @pytest.mark.parametrize(
+        "edit, choice",
+        [("number", c) for c in range(len(_NUMBERS))]
+        + [(edit, c) for edit in sorted(LINE_EDITS) if edit != "number" for c in (0, 1)],
+    )
+    def test_adapter_edits_decode_three_ways_alike(self, edit, choice, adapter_run):
+        buf = io.StringIO()
+        encode_log(adapter_run, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        text, canonical = LINE_EDITS[edit](lines, 1 + choice * 57, choice)
+        for validate in (False, True):
+            outcome, paths, general, reference = _decoded_three_ways(text, 3000, validate)
+            assert outcome == general == reference
+            assert ("lines" not in paths) == canonical
+            # no copy is lost, so every block in the layout has the fixed one
+            assert "general" not in paths
+            assert set(paths) == {"fixed"} or not canonical
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -560,11 +644,59 @@ class TestBlockDecoder:
         lines = buf.getvalue().splitlines(keepends=True)
         text, canonical = LINE_EDITS[edit](lines, 1 + line % (len(lines) - 1), choice)
         for validate in (False, True):
-            outcome, in_blocks, reference = _decoded_both_ways(text, block, validate)
-            assert outcome == reference
-            assert in_blocks == canonical
+            outcome, paths, general, reference = _decoded_three_ways(text, block, validate)
+            assert outcome == general == reference
+            assert ("lines" not in paths) == canonical
         if text == buf.getvalue():
             assert _outcome(text, validate=False) == run
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=encodable_runs(fixed_layout=True), block=st.sampled_from((1, 200, 1 << 16)))
+    def test_random_fixed_layout_logs_take_the_fixed_path(self, run, block):
+        text = _encoded(run, trace._ENCODE_BLOCK)
+        outcome, paths, general, reference = _decoded_three_ways(text, block, validate=False)
+        assert outcome == general == reference == run
+        assert paths == ["fixed"] * len(paths) and paths
+
+    @pytest.mark.parametrize("labels", [("1", "-2"), ("a:1", "[x]", "9-"), ('q"5', "]", "0:[")])
+    def test_labels_and_values_the_number_scan_could_misread(self, labels):
+        run = _fixed_layout_run(labels)
+        text = _encoded(run, trace._ENCODE_BLOCK)
+        assert str(10**18 - 1) in text and str(-(10**18 - 1)) in text
+        for block in (1, 200, 1 << 16):
+            outcome, paths, general, reference = _decoded_three_ways(text, block, False)
+            assert outcome == general == reference == run
+            assert paths == ["fixed"] * len(paths) and paths
+
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    @pytest.mark.parametrize("name", ["adapter_run", "lossy_adapter"])
+    def test_adapter_logs_decode_three_ways_alike(self, name, block, request):
+        if name == "lossy_adapter":
+            run = generate_run(lossy_config(300, seed=4, full_trace=False))
+        else:
+            run = request.getfixturevalue(name)
+        text = _encoded(run, trace._ENCODE_BLOCK)
+        for validate in (False, True):
+            outcome, paths, general, reference = _decoded_three_ways(text, block, validate)
+            assert outcome == general == reference == run
+            assert paths == _fixed_layout_paths(text, block)
+        if name == "adapter_run":
+            assert set(paths) == {"fixed"}
+        else:  # lost copies carry no final durations
+            assert set(paths) == ({"fixed", "general"} if block == 1000 else {"general"})
+
+    def test_lost_copy_mid_block_sends_only_its_block_to_the_grammar(self, adapter_run):
+        lines = _encoded(adapter_run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        blocks = list(line_blocks(io.StringIO("".join(lines[1:])), 1 << 16))
+        assert len(blocks) >= 3
+        k = 1 + blocks[0].count("\n") + blocks[1].count("\n") // 2  # mid-second block
+        lines[k] = re.sub(r'"l":0(.*?),"Td":-?[0-9]+,"Ta":-?[0-9]+', r'"l":1\1', lines[k], count=1)
+        assert lines[k].count('"Td"') == 1
+        text = "".join(lines)
+        for validate in (False, True):
+            outcome, paths, general, reference = _decoded_three_ways(text, 1 << 16, validate)
+            assert outcome == general == reference
+            assert paths == ["fixed", "general"] + ["fixed"] * (len(blocks) - 2)
 
     @pytest.mark.parametrize("block", [1000, 1 << 16])
     @pytest.mark.parametrize("name", ["traced_run", "adapter_run", "lossy_traced", "lossy_adapter"])
@@ -586,9 +718,9 @@ class TestBlockDecoder:
     def test_key_letter_labels_decode_as_line_by_line(self, block):
         run = _key_letter_run()
         text = encode_log_spec(run)
-        outcome, in_blocks, reference = _decoded_both_ways(text, block, validate=False)
-        assert in_blocks
-        assert outcome == reference == run
+        outcome, paths, general, reference = _decoded_three_ways(text, block, validate=False)
+        assert "lines" not in paths
+        assert outcome == general == reference == run
 
     @pytest.mark.parametrize("block", [200, 1 << 16])
     def test_malformed_line_after_canonical_blocks_names_its_line(self, traced_run, block):
@@ -694,6 +826,40 @@ def _int64_edge_run(view: str) -> RunLog:
         period_ns=1_000_000,
         seed=0,
         view=view,
+        channels=tuple(ChannelMeta(channel, PhyParams()) for channel in channels),
+    )
+    return RunLog.from_packets(meta, packets)
+
+
+def _fixed_layout_run(labels: tuple[str, ...]) -> RunLog:
+    """An adapter-view run on channels labelled ``labels`` in which every
+    copy has both final durations; every number field holds 0, -1, 7 and
+    +-(10^18 - 1)."""
+    values = (0, -1, 10**18 - 1, -(10**18 - 1), 7)
+    channels = tuple(ChannelId(j, label) for j, label in enumerate(labels))
+    packets = []
+    for p in range(len(values)):
+
+        def value(k: int) -> int:
+            return values[(p + k) % len(values)]
+
+        copies = {
+            channel: CopyRecord(
+                lost=(p + j) % 2 == 1,
+                request_ns=value(j),
+                end_ns=value(j + 1),
+                attempts=value(j + 2),
+                final_data_ns=value(j + 3),
+                final_ack_ns=value(j + 4),
+            )
+            for j, channel in enumerate(channels)
+        }
+        packets.append(PacketRecord(value(0), copies))
+    meta = RunMeta(
+        n_packets=len(packets),
+        period_ns=1_000_000,
+        seed=0,
+        view=VIEW_ADAPTER,
         channels=tuple(ChannelMeta(channel, PhyParams()) for channel in channels),
     )
     return RunLog.from_packets(meta, packets)
