@@ -308,10 +308,11 @@ def interference_arrays(
 # random() once per attempt on each of the channel's two mac_streams; the
 # tests keep that loop as the specification.
 
-# Copies are simulated in blocks of _BLOCK, so no per-attempt array covers
-# more than one block. A wave stops when _WAVE_LANES lanes are left or
-# after _WAVE_STEPS steps, and the copies still waiting are replayed.
-_BLOCK, _WAVE_LANES, _WAVE_STEPS = 8192, 32, 64
+# Copies are simulated in blocks of at most _BLOCK attempts (and at least
+# one copy), so no per-attempt array outgrows the budget however lossy the
+# channel. A wave stops when _WAVE_LANES lanes are left or after
+# _WAVE_STEPS steps; the copies it gives up on are replayed.
+_BLOCK, _WAVE_LANES, _WAVE_STEPS = 1 << 15, 32, 64
 
 
 def _uniforms(rng: random.Random) -> Callable[[int], np.ndarray]:
@@ -331,28 +332,39 @@ def _uniforms(rng: random.Random) -> Callable[[int], np.ndarray]:
     return draw
 
 
+def _ordinals(u, loss_prob: float, retry_limit: int):
+    """Success flag and ordinal of the attempts with error draws ``u``, the
+    first starting a copy, and the last attempt of each copy that ends."""
+    ok = u >= loss_prob
+    j = np.arange(len(u))
+    success = np.maximum.accumulate(np.where(ok, j, -1))
+    ordinal = (j - np.append(-1, success[:-1]) - 1) % retry_limit + 1
+    return ok, ordinal, np.flatnonzero(ok | (ordinal == retry_limit))
+
+
 def _outcomes(draw, n: int, loss_prob: float, retry_limit: int):
-    """Per block of up to ``_BLOCK`` copies: the success flag and ordinal of
-    each attempt, and each copy's last attempt. A copy ends at a success
-    (error draw >= loss_prob) or at its ``retry_limit``-th failure, so an
-    attempt's ordinal is its distance from the previous success, modulo
-    the retry limit; draws left over from a block start the next one."""
+    """Per block, the copies whose attempts fit in ``_BLOCK`` (at least
+    one): the success flag and ordinal of each attempt, and each copy's
+    last attempt. A copy ends at a success (error draw >= loss_prob) or at
+    its ``retry_limit``-th failure, so an attempt's ordinal is its distance
+    from the previous success, modulo the retry limit; draws left over
+    from a block start the next one."""
     mean = retry_limit if loss_prob == 1 else (1 - loss_prob**retry_limit) / (1 - loss_prob)
-    u = np.empty(0)
-    for i in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - i)
-        while True:
-            ok = u >= loss_prob
-            j = np.arange(len(u))
-            success = np.maximum.accumulate(np.where(ok, j, -1))
-            ordinal = (j - np.append(-1, success[:-1]) - 1) % retry_limit + 1
-            last = np.flatnonzero(ok | (ordinal == retry_limit))
-            if len(last) >= m:
-                break
-            u = np.concatenate((u, draw(int((m - len(last)) * mean * 1.02) + 64)))
+    u = ok = ordinal = last = np.empty(0, dtype=np.int64)
+    while n:
+        # the copies ending inside the budget are known once it is drawn,
+        # or once every copy left has ended; draws come at least 1024 at a
+        # time, so small budgets do not draw per block
+        m = min(n, max(1, int(np.searchsorted(last, _BLOCK))))
+        if len(last) < m or len(u) < _BLOCK and len(last) < n:
+            wanted = int((n - len(last)) * mean * 1.02) + 64
+            u = np.concatenate((u, draw(min(wanted, max(_BLOCK - len(u), retry_limit, 1024)))))
+            ok, ordinal, last = _ordinals(u, loss_prob, retry_limit)
+            continue
         size = last[m - 1] + 1
         yield ok[:size], ordinal[:size], last[:m]
-        u = u[size:]
+        # the rest starts with a copy, so its outcomes stand
+        u, ok, ordinal, last, n = u[size:], ok[size:], ordinal[size:], last[m:] - size, n - m
 
 
 def _acquire(starts, ends, k: int, t: int, difs: int, slot: int, slots: int, span: int):
@@ -413,55 +425,97 @@ def _acquire_lanes(starts, ends, difs: int, slot: int, t, pending, span) -> np.n
     return out
 
 
+def _waves(busy, phy: PhyParams, tail: int, block, lane, t, bound=None, free_at: int = 0):
+    """Time copies ``lane`` of a block from times ``t`` through all their
+    attempts, in waves, one per attempt ordinal. ``block`` holds the
+    block's ``req``, ``first``, ``last``, ``slots``, ``data`` and ``dur``,
+    and the ``start``, ``end`` and ``stuck`` arrays written here: a copy a
+    wave gives up on ends at -1 and is stuck. With ``bound``, a copy whose
+    predecessor's bound passes its request leaves the waves (end -1), and
+    the bounds take the wave's times."""
+    starts, ends = busy
+    req, first, last, slots, data, dur, start, end, stuck = block
+    a = first[lane]
+    while True:
+        if bound is not None:
+            stay = np.where(lane > 0, bound[lane - 1], free_at) <= req[lane]
+            lane, a, t = lane[stay], a[stay], t[stay]
+        if not len(lane):
+            return
+        s = start[a] = _acquire_lanes(
+            starts, ends, phy.difs_ns, phy.slot_ns, t, slots[a], data[a] + tail
+        )
+        t = np.where(s < 0, -1, s + dur[a])
+        if bound is not None:
+            bound[lane] = np.maximum(bound[lane], t)
+        stuck[lane[s < 0]] = True
+        done = (s < 0) | (a == last[lane])
+        end[lane[done]] = t[done]
+        lane, a, t = lane[~done], a[~done] + 1, t[~done]
+
+
 def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, slots, data, dur):
     """Start of every attempt of a block (an attempt reserves its DATA plus
     ``tail``) and end of every copy, each copy beginning at its request or
     when the previous copy ends (the first at ``free_at``), whichever is
     later. ``busy`` holds the busy intervals closed by a ``_FOREVER`` one.
 
-    The block is timed in waves, one per attempt ordinal, as if no copy
-    were queued; the copies queued after all, or still waiting when their
-    wave stopped, are then replayed in order with the scalar ``_acquire``.
+    Copies are timed, each from a time ``t_in``, in numpy waves, one per
+    attempt ordinal. A first pass times them from their requests, as if
+    none were queued. A copy is then off if it was never timed, or timed
+    from another time than ``max(req, previous end)``. Fix-up rounds time
+    again, from its predecessor's end, each off copy whose predecessor is
+    not off, while a round has more than ``_WAVE_LANES`` such heads and at
+    most half as many as the round before. The copies still off, and those
+    a wave gave up on, are replayed in order with the scalar ``_acquire``.
+    Until then every end is a lower bound of the real one: a copy timed
+    from too early a time ends too early.
     """
     starts, ends = busy
     difs, slot = phy.difs_ns, phy.slot_ns
     first = np.append(0, last[:-1] + 1)
     start, end = np.empty(len(slots), dtype=np.int64), np.full(len(req), -1, dtype=np.int64)
+    t_in, stuck = req.copy(), np.zeros(len(req), dtype=bool)
+    block = (req, first, last, slots, data, dur, start, end, stuck)
     # copy ends without interference (a queue of the bare service times) are
-    # lower bounds of the real ones, as are a wave's times; a copy whose
-    # predecessor's bound passes its request is queued, so it leaves the
-    # waves (end -1) and is replayed
+    # lower bounds of the real ones, as are a wave's times; in the first
+    # pass, a copy whose predecessor's bound passes its request is queued,
+    # so it leaves the waves (end -1)
     service = np.add.reduceat(difs + slots * slot + dur, first)
     done_by = np.cumsum(service)
     bound = done_by + np.maximum(free_at, np.maximum.accumulate(req - done_by + service))
-    lane, a, t = np.arange(len(req)), first, req
+    del service, done_by  # free before the waves
+    if len(req) > _WAVE_LANES:  # else a wave gives up on every lane
+        _waves(busy, phy, tail, block, np.arange(len(req)), req, bound, free_at)
+    previous = len(req)
     while True:
-        stay = np.where(lane > 0, bound[lane - 1], free_at) <= req[lane]
-        lane, a, t = lane[stay], a[stay], t[stay]
-        if not len(lane):
+        t_from = np.maximum(req, np.append(free_at, end[:-1]))
+        off = (end < 0) | (t_in != t_from)
+        heads = np.flatnonzero(off & ~stuck & ~np.append(False, off[:-1]))
+        # chains that do not halve the heads per round are long, so the
+        # replay takes them; the rounds time at most len(req) copies
+        if len(heads) <= _WAVE_LANES or 2 * len(heads) > previous:
             break
-        s = start[a] = _acquire_lanes(starts, ends, difs, slot, t, slots[a], data[a] + tail)
-        t = np.where(s < 0, -1, s + dur[a])
-        bound[lane] = np.maximum(bound[lane], t)
-        done = (s < 0) | (a == last[lane])
-        end[lane[done]] = t[done]
-        lane, a, t = lane[~done], a[~done] + 1, t[~done]
-    # replay the unresolved copies (end -1) and those whose predecessor ends
-    # after their request, in order; a replay can queue successors. The
-    # memoryviews hand the scalar path Python ints without building lists.
-    previous = np.append(free_at, end[:-1])
-    todo = np.flatnonzero((end < 0) | (previous > req))
+        previous = len(heads)
+        t_in[heads] = t_from[heads]
+        _waves(busy, phy, tail, block, heads, t_from[heads])
+    # replay the copies still off, in order; a replay can put successors
+    # off. The memoryviews hand the scalar path Python ints without
+    # building lists.
+    todo = np.flatnonzero(off)
     busy_s, busy_e = map(memoryview, busy)
-    req_mv, first_mv, last_mv, start_mv, end_mv = map(memoryview, (req, first, last, start, end))
-    slots_mv, data_mv, dur_mv = map(memoryview, (slots, data, dur))
+    req_mv, t_in_mv, first_mv, last_mv = map(memoryview, (req, t_in, first, last))
+    start_mv, end_mv, slots_mv, data_mv, dur_mv = map(memoryview, (start, end, slots, data, dur))
     c = 0
-    k_at = ends.searchsorted(np.maximum(previous, req)[todo], "right").tolist()
+    k_at = ends.searchsorted(t_from[todo], "right").tolist()
     for x, k in zip(todo.tolist(), k_at):
         if x < c:
             continue
         c, t = x, end_mv[x - 1] if x else free_at
-        while c < len(req) and (t > req_mv[c] or end_mv[c] < 0):
+        while c < len(req):
             t = max(t, req_mv[c])
+            if t == t_in_mv[c] and end_mv[c] >= 0:
+                break
             for a in range(first_mv[c], last_mv[c] + 1):
                 s, k = _acquire(busy_s, busy_e, k, t, difs, slot, slots_mv[a], data_mv[a] + tail)
                 start_mv[a] = s
@@ -509,17 +563,15 @@ def _simulate_channel(
     tail = max(sifs_ack, ack_to)
     n, loss_prob = config.n_packets, setup.errors.attempt_loss_prob
     req = np.arange(n, dtype=np.int64) * config.period_ns + request_offset_ns
-    parts, free_at = [], 0
-    for i, (ok, ordinal, last) in zip(
-        range(0, n, _BLOCK), _outcomes(error_draws, n, loss_prob, phy.retry_limit)
-    ):
+    parts, free_at, i = [], 0, 0
+    for ok, ordinal, last in _outcomes(error_draws, n, loss_prob, phy.retry_limit):
         slots = (backoff_draws(len(ok)) * window[np.minimum(ordinal, len(cw)) - 1]).astype(np.int64)
         data = phy.data_frame_for_attempt(ordinal)
         dur = data + np.where(ok, sifs_ack, ack_to)
         start, end = _attempt_starts(
-            busy, phy, tail, free_at, req[i : i + _BLOCK], last, slots, data, dur
+            busy, phy, tail, free_at, req[i : i + len(last)], last, slots, data, dur
         )
-        free_at = int(end[-1])
+        free_at, i = int(end[-1]), i + len(last)
         trace = (start, data, ok) if config.emit_full_trace else ()
         parts.append((end, np.diff(last, prepend=-1), ok[last], data[last], *trace))
     end, attempts, delivered, td, *trace = (np.concatenate(c) for c in zip(*parts))

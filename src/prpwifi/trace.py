@@ -351,10 +351,13 @@ class RunLog(_Columns):
             for a in c.trace
         ]
         m, n = len(channels), len(packets)
+        ints, flags = _copy_buffers(m, n)
+        table = np.array(rows, dtype=np.int64).reshape(n, m, len(_COPY_FIELDS))
+        _put_copy_rows(ints, flags, table.T)
         return _from_columns(
             meta,
             np.array([p.index for p in packets], dtype=np.int64),
-            np.array(rows, dtype=np.int64).reshape(n, m, len(_COPY_FIELDS)).T,
+            _copy_columns(ints, flags),
             np.array(
                 [-1 if c.trace is None else len(c.trace) for c in copies], dtype=np.int64
             ).reshape(n, m).T,
@@ -370,20 +373,41 @@ _COPY_FIELDS = ("l", "t_T", "t_X", "w", "Td", "Td", "Ta", "Ta")
 _ATTEMPT_FIELDS = ("tW", "Td", "Ta", "Ta", "ok")
 
 
+def _copy_buffers(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-major room for ``size`` packets of copy fields: one int64
+    buffer for t_T, t_X, w, Td and Ta, one bool buffer for l and the
+    presence of Td and Ta."""
+    return np.empty((5, m, size), dtype=np.int64), np.empty((3, m, size), dtype=bool)
+
+
+def _put_copy_rows(ints: np.ndarray, flags: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``rows``, laid out as ``_COPY_FIELDS`` on the first axis, into
+    the buffers of ``_copy_buffers``."""
+    ints[:4], ints[4] = rows[1:5], rows[6]
+    flags[0], flags[1:] = rows[0], rows[5::2]
+
+
+def _copy_columns(ints: np.ndarray, flags: np.ndarray) -> list[np.ndarray]:
+    """The columns of ``_COPY_FIELDS``, in order, from the buffers of
+    ``_copy_buffers``."""
+    (t_t, t_x, w, td, ta), (lost, has_td, has_ta) = ints, flags
+    return [lost, t_t, t_x, w, td, has_td, ta, has_ta]
+
+
 def _from_columns(
     meta: RunMeta,
     index: np.ndarray,
-    copies: np.ndarray,
+    copies: Sequence[np.ndarray],
     lengths: np.ndarray,
     attempts: np.ndarray,
 ) -> RunLog:
-    """Build a run from channel-major copy columns (shape
-    ``(len(_COPY_FIELDS), m, n)``; the fields of ``_COPY_FIELDS``, presence
-    flags after each duration, nonzero for true), per-copy trace lengths
+    """Build a run from channel-major copy columns (one of shape ``(m, n)``
+    per field of ``_COPY_FIELDS``, presence flags after each duration, the
+    flags bool; the run holds them), per-copy trace lengths
     (shape ``(m, n)``, -1 where a copy has no trace) and the attempt rows
     of all traced copies in packet-major copy order (``_ATTEMPT_FIELDS``)."""
     m, n = len(meta.channels), len(index)
-    lost, req, end, w, td, has_td, ta, has_ta = np.ascontiguousarray(copies)
+    lost, req, end, w, td, has_td, ta, has_ta = copies
     trace = None
     present = lengths >= 0
     if present.any():
@@ -411,14 +435,14 @@ def _from_columns(
     return RunLog(
         meta=meta,
         index=index,
-        lost=lost.astype(bool),
+        lost=lost,
         req=req,
         end=end,
         attempts=w,
         td=td,
-        has_td=has_td.astype(bool),
+        has_td=has_td,
         ta=ta,
-        has_ta=has_ta.astype(bool),
+        has_ta=has_ta,
         trace=trace,
     )
 
@@ -957,11 +981,12 @@ def decode_log(
     parser = BlockParser(labels, _COPY_FIELDS, _ATTEMPT_FIELDS)
     m = len(labels)
 
-    # columns of the packets decoded so far, and the attempt rows of their
-    # traced copies; the header's count bounds the first allocation only
+    # columns of the packets decoded so far (the int64 copy fields and the
+    # flags, each in one buffer), and the attempt rows of their traced
+    # copies; the header's count bounds the first allocation only
     size = min(meta.n_packets, _FIRST_CAPACITY)
     index = np.empty(size, dtype=np.int64)
-    copies = np.empty((len(_COPY_FIELDS), m, size), dtype=np.int64)
+    ints, flags = _copy_buffers(m, size)
     lengths = np.empty((m, size), dtype=np.int64)
     attempts = array("q")
     count, lineno = 0, 2
@@ -979,23 +1004,31 @@ def decode_log(
             size = max(stop, 2 * size)
             if stop <= meta.n_packets:
                 size = min(size, meta.n_packets)
-            index, copies, lengths = (
-                _extended(a, count, size) for a in (index, copies, lengths)
+            index, ints, flags, lengths = (
+                _extended(a, count, size) for a in (index, ints, flags, lengths)
             )
         index[count:stop] = block_index
-        copies[..., count:stop] = block_copies.reshape(-1, m, len(_COPY_FIELDS)).T
+        _put_copy_rows(
+            ints[..., count:stop], flags[..., count:stop],
+            block_copies.reshape(-1, m, len(_COPY_FIELDS)).T,
+        )
         lengths[:, count:stop] = block_lengths.reshape(-1, m).T
         attempts.frombytes(block_attempts.view(np.uint8))  # bytes of the rows, no copy
         count = stop
 
+    # the buffers reach their final size when the header's count is right;
+    # otherwise the run keeps copies, so it holds no slack
+    index, ints, flags = (
+        a if a.shape[-1] == count else a[..., :count].copy() for a in (index, ints, flags)
+    )
     run = _from_columns(
         meta,
-        index[:count],
-        copies[..., :count],
+        index,
+        _copy_columns(ints, flags),
         lengths[:, :count],
         np.frombuffer(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
     )
-    del index, copies, lengths, attempts  # free what the run does not hold before validation
+    del index, ints, flags, lengths, attempts  # free what the run does not hold before validation
     if validate:
         try:
             validate_run(run, request_epsilon_ns=request_epsilon_ns)

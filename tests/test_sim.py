@@ -1,8 +1,11 @@
 import io
 import math
 import statistics
+import tracemalloc
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -578,6 +581,48 @@ def assert_channels_match_spec(config):
                     assert np.array_equal(got_columns[name], column), where
 
 
+@contextmanager
+def recorded_rounds():
+    """One record per MAC block, of the fix-up rounds of ``_attempt_starts``:
+    ``heads``, the copies each round timed; ``stuck``, the copies a round
+    gave up on; ``queued``, the copies the first pass timed from their
+    request that a round's new end queued; and ``chained``, the copies that
+    the scalar replay changed after the last round, right after a copy it
+    also changed."""
+    blocks = []
+    waves, attempt_starts = sim._waves, sim._attempt_starts
+
+    def recorded_waves(busy, phy, tail, block, lane, t, bound=None, free_at=0):
+        if bound is not None:  # the first pass
+            return waves(busy, phy, tail, block, lane, t, bound, free_at)
+        req, end, stuck = block[0], block[7], block[8]
+        record = blocks[-1]
+        ended, was_stuck = end.copy(), stuck.copy()
+        waves(busy, phy, tail, block, lane, t)
+        record.heads.append(len(lane))
+        record.stuck += int((stuck & ~was_stuck).sum())
+        record.retimed[lane] = True
+        after = lane[lane + 1 < len(req)] + 1
+        after = after[~record.retimed[after] & (ended[after] >= 0)]
+        record.queued += int((end[after - 1] > req[after]).sum())
+        record.rounds_end = end.copy()
+
+    def recorded_starts(busy, phy, tail, free_at, req, *args):
+        record = SimpleNamespace(heads=[], stuck=0, queued=0, chained=0, rounds_end=None)
+        record.retimed = np.zeros(len(req), dtype=bool)
+        blocks.append(record)
+        start, end = attempt_starts(busy, phy, tail, free_at, req, *args)
+        if record.rounds_end is not None:
+            replayed = record.rounds_end != end
+            record.chained = int((replayed[1:] & replayed[:-1]).sum())
+        return start, end
+
+    with mock.patch.object(sim, "_waves", recorded_waves), mock.patch.object(
+        sim, "_attempt_starts", recorded_starts
+    ):
+        yield blocks
+
+
 class TestBatchedMac:
     """``sim._simulate_channel`` against the sequential MAC in ``helpers``;
     the derandomized property run takes about 7 s."""
@@ -612,3 +657,54 @@ class TestBatchedMac:
             assert_channels_match_spec(config)
         run = generate_run(config)
         assert (run.end[:, -1] - run.req[:, -1] > 100 * config.period_ns).all()
+
+    def test_fix_up_rounds(self):
+        # a 3 ms period on busy channels queues hundreds of short chains
+        config = desk_config(2000, seed=3, interferers_a=3, interferers_b=3, period_ns=3_000_000)
+        for block in (5, 64, sim._BLOCK):
+            with mock.patch.object(sim, "_BLOCK", block):
+                assert_channels_match_spec(config)
+        with recorded_rounds() as blocks:
+            generate_run(config)
+        assert len(blocks) == 2  # one block per channel
+        for record in blocks:
+            # rounds of more than a wave's lanes, each at most half the last
+            assert len(record.heads) >= 2
+            assert min(record.heads) > sim._WAVE_LANES
+            assert all(2 * b <= a for a, b in zip(record.heads, record.heads[1:]))
+            assert record.stuck > 0  # left to the replay
+            assert record.queued > 0  # queued by a round's new end
+            assert record.chained > 0  # chains the replay finishes
+
+    def test_scalar_replays_on_the_bench_config(self):
+        """The fix-up rounds leave the scalar ``_acquire`` at most 2500 of
+        the bench config's 10^5 copies (9865 without the rounds)."""
+        config = desk_config(50_000, seed=5, interferers_a=1, interferers_b=2, full_trace=False)
+        with mock.patch.object(sim, "_acquire", side_effect=sim._acquire) as acquire:
+            run = generate_run(config)
+        assert run.attempts.sum() > 100_000
+        assert 0 < acquire.call_count <= 2500
+
+    def test_peak_memory_grows_only_by_the_output(self):
+        """A block holds at most ``_BLOCK`` attempts, so at 21 attempts per
+        copy, 4x the packets raise the peak of a channel's simulation by no
+        more than its larger output columns (blocks of 8192 copies raised
+        it by 9 MB)."""
+
+        def peak_and_output(n):
+            config = desk_config(
+                n, seed=5, interferers_b=0, loss_prob=1.0, full_trace=False, period_ns=10**8
+            )
+            tracemalloc.start()
+            try:
+                copies, _ = sim._simulate_channel(config.channels[1], config, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (copies["attempts"] == 21).all()
+            return peak, sum(column.nbytes for column in copies.values())
+
+        peak_and_output(100)  # one-time allocations out of the way
+        # both runs span several full blocks
+        (peak, output), (peak_4n, output_4n) = peak_and_output(4000), peak_and_output(16000)
+        assert peak_4n - peak <= output_4n - output

@@ -3,11 +3,12 @@ import io
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prpwifi import (
@@ -212,6 +213,38 @@ class TestCodec:
             message = f"^meta says {header['n']} packets, log has {len(kept)}$"
             with pytest.raises(LogFormatError, match=message):
                 decode_log(io.StringIO(text))
+
+    @pytest.mark.parametrize("capacity", [5, trace._FIRST_CAPACITY])
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
+    @pytest.mark.parametrize("claimed", [None, 10**15, 3], ids=["n", "n-1e15", "n-3"])
+    def test_decoded_columns_hold_no_slack(self, claimed, name, capacity, request):
+        """The buffers behind a decoded run hold its arrays and nothing
+        else, whatever the header's count: no unused row (the flags are
+        bool) and no spare capacity stays alive with the run."""
+        run = request.getfixturevalue(name)
+        lines = _encoded(run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["n"] = claimed or header["n"]
+        text = json.dumps(header) + "\n" + "".join(lines[1:])
+        with mock.patch.object(trace, "_FIRST_CAPACITY", capacity):
+            decoded = decode_log(io.StringIO(text), validate=False)
+        assert decoded.packets == run.packets
+        tables = [decoded] + ([decoded.trace] if decoded.trace is not None else [])
+        arrays = [
+            getattr(table, f.name)
+            for table in tables
+            for f in fields(table)
+            if isinstance(getattr(table, f.name), np.ndarray)
+        ]
+        assert len(arrays) == (16 if name == "traced_run" else 9)
+        held = {}  # bytes of each buffer that the run's arrays cover
+        for column in arrays:
+            assert column.flags.c_contiguous
+            base = column if column.base is None else column.base
+            held.setdefault(id(base), [np.asarray(base).nbytes, 0])[1] += column.nbytes
+        assert all(size == used for size, used in held.values())
+        for flags in (decoded.lost, decoded.has_td, decoded.has_ta):
+            assert flags.dtype == bool
 
     def test_garbage_header(self):
         with pytest.raises(LogFormatError):
@@ -475,7 +508,8 @@ class TestDecoderHoles:
 # Each returns the new text and whether it is still in the encoder's exact
 # layout, which the block decoder must accept.
 
-_NUMBER_TOKEN = re.compile(r"(?<=:)-?[0-9]+")
+# a JSON string (skipped whole, so no label is edited) or a number field
+_NUMBER_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(?<=:)(-?[0-9]+)')
 _NUMBERS = (
     ("-0", True), ("0", True), (str(10**18 - 1), True), (str(-(10**18 - 1)), True),
     ("007", False), ("-00", False), ("1234567890123456789", False),
@@ -484,11 +518,26 @@ _NUMBERS = (
 )
 
 
+def _untraced_run(labels: tuple[str, ...]) -> RunLog:
+    """One full-trace packet without traces on channels labelled ``labels``,
+    every number field 0."""
+    channels = tuple(ChannelId(j, label) for j, label in enumerate(labels))
+    meta = RunMeta(
+        n_packets=1,
+        period_ns=1_000_000,
+        seed=0,
+        view=VIEW_FULL_TRACE,
+        channels=tuple(ChannelMeta(channel, PhyParams()) for channel in channels),
+    )
+    zero = CopyRecord(False, 0, 0, 0, None, None)
+    return RunLog.from_packets(meta, [PacketRecord(0, dict.fromkeys(channels, zero))])
+
+
 def _set_number(lines, k, c):
-    tokens = list(_NUMBER_TOKEN.finditer(lines[k]))
+    tokens = [token for token in _NUMBER_TOKEN.finditer(lines[k]) if token[1]]
     token = tokens[c % len(tokens)]
     value, canonical = _NUMBERS[c % len(_NUMBERS)]
-    lines[k] = lines[k][: token.start()] + value + lines[k][token.end() :]
+    lines[k] = lines[k][: token.start(1)] + value + lines[k][token.end(1) :]
     return "".join(lines), canonical
 
 
@@ -638,6 +687,9 @@ class TestBlockDecoder:
         choice=st.integers(min_value=0, max_value=100),
         block=st.sampled_from((1, 200, 1 << 16)),
     )
+    # the second number token of the line is the digit of the label "a:1"
+    # unless the edit skips strings
+    @example(run=_untraced_run(("a:1", "A", "B")), edit="number", line=1, choice=1, block=1)
     def test_random_logs_decode_as_line_by_line(self, run, edit, line, choice, block):
         buf = io.StringIO()
         encode_log(run, buf)
