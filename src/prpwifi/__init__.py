@@ -1,16 +1,10 @@
 """Redundant-link simulator and duplication-avoidance analysis toolkit."""
 
 from .da import (
-    DaFlags,
     DaMode,
     DaParams,
     FailedCopyPolicy,
     TraceRequiredError,
-    oracle_saved_attempts,
-    rda_flags,
-    simplex_flags,
-    tdd_flags,
-    tdd_latency,
 )
 from .metrics import (
     LatencyStats,
@@ -34,28 +28,19 @@ from .sim import (
 )
 from .trace import (
     AttemptTable,
-    AttemptTrace,
     ChannelId,
     ChannelMeta,
-    CopyRecord,
     InvalidRunError,
-    LinkOutcome,
     LogFormatError,
-    MissingFrameDurationError,
-    PacketRecord,
     PhyParams,
     RunLog,
     RunMeta,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
-    copy_latency,
     decode_log,
     encode_log,
     export_csv,
-    final_attempt_start,
-    link_outcome,
     read_log,
-    receive_time,
     validate_run,
     write_log,
 )

@@ -29,7 +29,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .da import DaMode, DaParams, FailedCopyPolicy, TraceRequiredError
-from .trace import RunLog
+from .trace import RunLog, final_starts, receive_times
 
 MISS_THRESHOLDS_NS = (10_000_000, 100_000_000)  # 10 ms and 100 ms deadlines
 
@@ -244,18 +244,17 @@ def _quickest(
 
 
 def _oracle_starts(run: RunLog, start: np.ndarray) -> np.ndarray:
-    """``start`` with lost copies' final-attempt starts (``da.policy_final_start``)."""
-    lost = run.lost
-    final = run.end - (run.td + _per_channel(run, "ack_timeout_ns"))
-    known = run.has_td
+    """``start`` (``trace.final_starts``) with the last traced start of each
+    lost copy that has a trace (``da.policy_final_start``)."""
+    lost, known = run.lost, run.has_td
     t = run.trace
     if t is not None:
-        traced = t.present & (t.lengths().reshape(lost.shape) > 0)
-        final = np.where(traced, t.per_copy(t.start), final)
+        traced = lost & t.present & (t.lengths().reshape(lost.shape) > 0)
+        start = np.where(traced, t.per_copy(t.start), start)
         known = known | traced
     if (lost & ~known).any():
         raise TraceRequiredError("oracle policy needs traces or frame durations for lost copies")
-    return np.where(lost, final, start)
+    return start
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,7 +264,7 @@ class _Derived:
 
     run: RunLog
     rx: np.ndarray  # (m, n) receive times, valid where delivered
-    start: np.ndarray  # (m, n) final-attempt starts, valid where delivered
+    start: np.ndarray  # (m, n) final-attempt starts, valid where has_td
     latency: np.ndarray  # (m, n) receive minus request times
     single: np.ndarray  # (m, n) bool, copies sent in one attempt
     attempts_delivered: list[int]  # attempts summed over delivered copies
@@ -310,25 +309,25 @@ class _Derived:
         return self._populations[key]
 
 
-def _per_channel(run: RunLog, name: str) -> np.ndarray:
-    """(m, 1) PHY parameter ``name`` of each channel."""
-    return np.array([[getattr(cm.phy, name)] for cm in run.meta.channels])
-
-
 def _shift(run: RunLog, t_d: int, recorded: bool) -> tuple[int, ...]:
-    """Per-channel request shift of a (duplex, if virtual) displacement."""
+    """Per-channel request shift of a (duplex, if virtual) displacement. A
+    virtual |T_D|, like a real one, must stay below the period."""
+    if not recorded and abs(t_d) >= run.meta.period_ns:
+        raise ValueError(
+            f"virtual displacement of {t_d} ns: |T_D| must be smaller than "
+            f"the generation period of {run.meta.period_ns} ns"
+        )
     return (0,) * len(run.channels) if recorded else (max(0, -t_d), max(0, t_d))
 
 
 def _derive(run: RunLog) -> _Derived:
-    # the reconstructions of trace.receive_time and trace.final_attempt_start
-    rx = run.end - (_per_channel(run, "sifs_ns") + run.ta)
+    rx = receive_times(run)
     delivered = ~run.lost
     latency = rx - run.req
     return _Derived(
         run=run,
         rx=rx,
-        start=rx - run.td,
+        start=final_starts(run),
         latency=latency,
         single=run.attempts == 1,
         attempts_delivered=[int(w[ok].sum()) for w, ok in zip(run.attempts, delivered)],

@@ -21,6 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .trace import (
+    ATTEMPT_COLUMNS,
+    COPY_COLUMNS,
     AttemptTable,
     ChannelId,
     ChannelMeta,
@@ -530,8 +532,6 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
 # One channel's share of a run, keyed like the fields of RunLog and
 # AttemptTable: its copy columns, each of shape (n,), and its attempt rows
 # (None without traces).
-_COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "has_td", "ta", "has_ta")
-_ATTEMPT_COLUMNS = ("start", "data", "ack", "has_ack", "ok")
 _Channel = tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]
 
 
@@ -589,13 +589,13 @@ def _simulate_channel(
 
 def _channel_of(run: RunLog, j: int) -> _Channel:
     """Channel ``j``'s columns of an existing run."""
-    copies = {name: getattr(run, name)[j] for name in _COPY_COLUMNS}
+    copies = {name: getattr(run, name)[j] for name in COPY_COLUMNS}
     t = run.trace
     if t is None:
         return copies, None
     n = len(run.index)
     rows = slice(t.offsets[j * n], t.offsets[(j + 1) * n])
-    return copies, {name: getattr(t, name)[rows] for name in _ATTEMPT_COLUMNS}
+    return copies, {name: getattr(t, name)[rows] for name in ATTEMPT_COLUMNS}
 
 
 def _run_meta(config: SimConfig) -> RunMeta:
@@ -649,7 +649,7 @@ def generate_run(
         else _simulate_channel(setup, config, offset)
         for j, (setup, offset) in enumerate(zip(config.channels, offsets))
     ]
-    copies = {name: np.stack([c[name] for c, _ in channels]) for name in _COPY_COLUMNS}
+    copies = {name: np.stack([c[name] for c, _ in channels]) for name in COPY_COLUMNS}
     trace = None
     if config.emit_full_trace:
         # every copy's trace holds exactly its attempts
@@ -658,7 +658,7 @@ def generate_run(
         trace = AttemptTable(
             offsets=offsets,
             present=np.ones_like(copies["lost"]),
-            **{name: np.concatenate([a[name] for _, a in channels]) for name in _ATTEMPT_COLUMNS},
+            **{name: np.concatenate([a[name] for _, a in channels]) for name in ATTEMPT_COLUMNS},
         )
     run = RunLog(
         meta=_run_meta(config),

@@ -31,9 +31,6 @@ import numpy as np
 
 from .logblocks import BlockFormatter, BlockParser, line_blocks
 
-TimeNs = int
-DurationNs = int
-
 LOG_FORMAT = "prpwifi-runlog"
 LOG_VERSION = 1
 
@@ -122,9 +119,9 @@ class AttemptTrace:
     """Ground truth for one transmission attempt (simulator view only)."""
 
     ordinal: int
-    start_ns: TimeNs
-    data_ns: DurationNs
-    ack_ns: DurationNs | None
+    start_ns: int
+    data_ns: int
+    ack_ns: int | None
     succeeded: bool
 
 
@@ -139,11 +136,11 @@ class CopyRecord:
     """
 
     lost: bool
-    request_ns: TimeNs
-    end_ns: TimeNs
+    request_ns: int
+    end_ns: int
     attempts: int
-    final_data_ns: DurationNs | None
-    final_ack_ns: DurationNs | None
+    final_data_ns: int | None
+    final_ack_ns: int | None
     trace: tuple[AttemptTrace, ...] | None = None
 
 
@@ -168,7 +165,7 @@ class ChannelMeta:
 @dataclass(frozen=True, slots=True)
 class RunMeta:
     n_packets: int
-    period_ns: DurationNs
+    period_ns: int
     seed: int
     view: str
     channels: tuple[ChannelMeta, ...]
@@ -369,8 +366,13 @@ def _optional(values: np.ndarray, present: np.ndarray) -> list[int | None]:
     return [v if p else None for v, p in zip(values.tolist(), present.tolist())]
 
 
+# The log keys of a copy's and an attempt's fields, each optional duration
+# followed by its presence flag, and the RunLog and AttemptTable columns
+# that hold them, in the same order.
 _COPY_FIELDS = ("l", "t_T", "t_X", "w", "Td", "Td", "Ta", "Ta")
 _ATTEMPT_FIELDS = ("tW", "Td", "Ta", "Ta", "ok")
+COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "has_td", "ta", "has_ta")
+ATTEMPT_COLUMNS = ("start", "data", "ack", "has_ack", "ok")
 
 
 def _copy_buffers(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +409,6 @@ def _from_columns(
     (shape ``(m, n)``, -1 where a copy has no trace) and the attempt rows
     of all traced copies in packet-major copy order (``_ATTEMPT_FIELDS``)."""
     m, n = len(meta.channels), len(index)
-    lost, req, end, w, td, has_td, ta, has_ta = copies
     trace = None
     present = lengths >= 0
     if present.any():
@@ -420,31 +421,11 @@ def _from_columns(
         rows = np.repeat(first_row - offsets[:-1], kept)
         rows += np.arange(offsets[-1])
         # one column at a time, so no second copy of the whole table exists
-        start, data, ack, has_ack, ok = (
-            attempts[rows, k] for k in range(len(_ATTEMPT_FIELDS))
-        )
-        trace = AttemptTable(
-            offsets=offsets,
-            present=present,
-            start=start,
-            data=data,
-            ack=ack,
-            has_ack=has_ack.astype(bool),
-            ok=ok.astype(bool),
-        )
-    return RunLog(
-        meta=meta,
-        index=index,
-        lost=lost,
-        req=req,
-        end=end,
-        attempts=w,
-        td=td,
-        has_td=has_td,
-        ta=ta,
-        has_ta=has_ta,
-        trace=trace,
-    )
+        columns = {name: attempts[rows, k] for k, name in enumerate(ATTEMPT_COLUMNS)}
+        for name in ("has_ack", "ok"):
+            columns[name] = columns[name].astype(bool)
+        trace = AttemptTable(offsets=offsets, present=present, **columns)
+    return RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, copies)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -452,11 +433,11 @@ class LinkOutcome:
     """PRP pairing result for one packet across all channels."""
 
     lost: bool
-    latency_ns: DurationNs | None
+    latency_ns: int | None
     quickest: ChannelId | None
 
 
-def final_attempt_start(copy: CopyRecord, phy: PhyParams) -> TimeNs:
+def final_attempt_start(copy: CopyRecord, phy: PhyParams) -> int:
     """Start-on-air of the copy's last attempt, reconstructed from its end.
 
     A delivered copy ends with DATA + SIFS + ACK, a lost one with DATA
@@ -475,7 +456,7 @@ def final_attempt_start(copy: CopyRecord, phy: PhyParams) -> TimeNs:
     return copy.end_ns - (copy.final_data_ns + phy.sifs_ns + copy.final_ack_ns)
 
 
-def receive_time(copy: CopyRecord, phy: PhyParams) -> TimeNs:
+def receive_time(copy: CopyRecord, phy: PhyParams) -> int:
     """Estimated arrival of the packet at the recipient (delivered copies only)."""
     if copy.lost:
         raise ValueError("receive time is undefined for lost copies")
@@ -483,7 +464,7 @@ def receive_time(copy: CopyRecord, phy: PhyParams) -> TimeNs:
     return copy.end_ns - (phy.sifs_ns + copy.final_ack_ns)
 
 
-def copy_latency(copy: CopyRecord, phy: PhyParams) -> DurationNs:
+def copy_latency(copy: CopyRecord, phy: PhyParams) -> int:
     """Transmission latency of a delivered copy on its own channel."""
     return receive_time(copy, phy) - copy.request_ns
 
@@ -501,8 +482,8 @@ def link_outcome(
     """
     request_ns = min(c.request_ns for c in packet.copies.values())
     quickest: ChannelId | None = None
-    quickest_end: TimeNs | None = None
-    best_latency: DurationNs | None = None
+    quickest_end: int | None = None
+    best_latency: int | None = None
     for channel in sorted(packet.copies):
         copy = packet.copies[channel]
         if copy.lost:
@@ -517,6 +498,36 @@ def link_outcome(
     )
 
 
+# --- columnar reconstruction ------------------------------------------------
+
+
+def _per_channel(run: RunLog, name: str) -> np.ndarray:
+    """(m, 1) PHY parameter ``name`` of each channel."""
+    return np.array([[getattr(cm.phy, name)] for cm in run.meta.channels])
+
+
+def _final_starts(end, td, ta, lost, sifs, ack_timeout) -> np.ndarray:
+    """The rule of :func:`final_attempt_start` over arrays of any dtype."""
+    return end - (td + np.where(lost, ack_timeout, sifs + ta))
+
+
+def receive_times(run: RunLog) -> np.ndarray:
+    """(m, n) :func:`receive_time` of every copy, valid where it was
+    delivered."""
+    return run.end - (_per_channel(run, "sifs_ns") + run.ta)
+
+
+def final_starts(run: RunLog) -> np.ndarray:
+    """(m, n) :func:`final_attempt_start` of every copy, lost ones
+    included, valid where ``has_td``. Where they are valid, neither this
+    int64 arithmetic nor that of :func:`receive_times` can wrap on a run
+    that passed :func:`validate_run`."""
+    return _final_starts(
+        run.end, run.td, run.ta, run.lost,
+        _per_channel(run, "sifs_ns"), _per_channel(run, "ack_timeout_ns"),
+    )
+
+
 _SMALL = 1 << 60  # sums of up to four int64 terms below this cannot wrap
 
 
@@ -525,7 +536,7 @@ def _exact(test: Callable[..., np.ndarray], *operands) -> np.ndarray:
 
     It runs on the int64 operands first; the elements where some operand
     reaches 2^60 in magnitude, so that int64 arithmetic might wrap, are
-    evaluated again on Python ints.
+    evaluated again on Python ints. Operands broadcast to the result.
     """
     result = test(*operands)
     large = np.zeros(result.shape, dtype=bool)
@@ -533,7 +544,7 @@ def _exact(test: Callable[..., np.ndarray], *operands) -> np.ndarray:
         large |= (x >= _SMALL) | (x <= -_SMALL)
     if large.any():
         result[large] = test(
-            *(x[large].astype(object) if isinstance(x, np.ndarray) else x for x in operands)
+            *(np.broadcast_to(x, large.shape)[large].astype(object) for x in operands)
         )
     return result
 
@@ -606,8 +617,18 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
             t.per_copy(t.start, first=True),
             t.per_copy(t.start),
         )
+        final = final_starts(run)
 
-    for j, cm in enumerate(meta.channels):
+    # a copy that passes these two checks has final starts and receive
+    # times that int64 arithmetic computes exactly; for each copy they come
+    # before the reconstruction mismatch, which relies on it
+    nonpositive = run.has_td & (run.td <= 0) | run.has_ta & (run.ta <= 0)
+    starts_early = run.has_td & _exact(
+        lambda *x: _final_starts(*x[:-1]) < x[-1],
+        end, run.td, run.ta, run.lost,
+        _per_channel(run, "sifs_ns"), _per_channel(run, "ack_timeout_ns"), req,
+    )
+    for j in range(len(meta.channels)):
         lost, w = run.lost[j], run.attempts[j]
         checks += [
             (req[j] < 0, lambda i: "request time must be non-negative"),
@@ -617,6 +638,8 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
                 ~lost & ~(run.has_td[j] & run.has_ta[j]),
                 lambda i: "delivered copies need both frame durations",
             ),
+            (nonpositive[j], lambda i: "frame durations must be positive"),
+            (starts_early[j], lambda i: "the final attempt must not start before the request"),
         ]
         if t is None:
             continue
@@ -626,14 +649,6 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
         traced = t.present[j]
         nonempty = traced & (length > 0)
         previous_end = np.concatenate(([-1], end[j, :-1]))
-        # the reconstruction of final_attempt_start
-        phy = cm.phy
-        tail = np.where(lost, phy.ack_timeout_ns, phy.sifs_ns)
-        ack = np.where(lost, 0, run.ta[j])
-        mismatch = _exact(
-            lambda x, d, k, a, s: x - (d + k + a) != s,
-            end[j], run.td[j], tail, ack, last,
-        )
         checks += [
             (traced & (length != w), lambda i: "trace length must equal the attempt count"),
             (traced & unordered_j, lambda i: "attempt starts must strictly increase"),
@@ -648,7 +663,7 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
                 lambda i: f"packet {i + 1}: attempts overlap the previous packet",
             ),
             (
-                nonempty & run.has_td[j] & mismatch,
+                nonempty & run.has_td[j] & (final[j] != last),
                 lambda i: f"packet {i + 1}: final-attempt reconstruction mismatch",
             ),
         ]
@@ -764,7 +779,7 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
     sink.write(json.dumps(_meta_to_dict(run.meta), separators=(",", ":")))
     sink.write("\n")
     formatter = BlockFormatter([c.label for c in run.channels])
-    columns = (run.lost, run.req, run.end, run.attempts, run.td, run.has_td, run.ta, run.has_ta)
+    columns = [getattr(run, name) for name in COPY_COLUMNS]
     m, t = len(run.channels), run.trace
     if t is not None:
         first_rows, trace_lengths = t.offsets[:-1].reshape(m, n), t.lengths().reshape(m, n)
@@ -780,7 +795,7 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
             # the attempt rows of the block's copies, in packet-major order
             rows = np.repeat(first_rows[:, lo:hi].T.ravel() - (np.cumsum(kept) - kept), kept)
             rows += np.arange(len(rows))
-            attempts = [a[rows] for a in (t.start, t.data, t.ack, t.has_ack, t.ok)]
+            attempts = [getattr(t, name)[rows] for name in ATTEMPT_COLUMNS]
         sink.write(formatter.format(run.index[lo:hi], copies, lengths, attempts))
 
 

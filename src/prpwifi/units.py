@@ -7,15 +7,11 @@ from __future__ import annotations
 
 import re
 
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
-NS_PER_S = 1_000_000_000
-
 _SUFFIXES = {
     "ns": 1,
-    "us": NS_PER_US,
-    "ms": NS_PER_MS,
-    "s": NS_PER_S,
+    "us": 1_000,
+    "ms": 1_000_000,
+    "s": 1_000_000_000,
 }
 
 _DURATION_RE = re.compile(r"^([+-]?[0-9]+(?:\.[0-9]+)?)\s*(ns|us|ms|s)?$")
@@ -41,5 +37,5 @@ def parse_duration_ns(text: str) -> int:
 
 
 def ns_to_us(value_ns: int | float) -> float:
-    return value_ns / NS_PER_US
+    return value_ns / 1_000
 

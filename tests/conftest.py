@@ -8,15 +8,12 @@ import pytest
 from hypothesis import strategies as st
 
 from prpwifi import (
-    AttemptTrace,
     ChannelId,
     ChannelMeta,
     ChannelSetup,
-    CopyRecord,
     Deferral,
     ErrorModel,
     InterferenceParams,
-    PacketRecord,
     PhyParams,
     RunLog,
     RunMeta,
@@ -26,6 +23,7 @@ from prpwifi import (
     encode_log,
     generate_run,
 )
+from prpwifi.trace import AttemptTrace, CopyRecord, PacketRecord
 
 from helpers import CH_A, CH_B, copy_from_starts, desk_config, lossy_config, make_run
 

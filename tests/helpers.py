@@ -14,12 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from prpwifi import (
-    AttemptTrace,
     ChannelId,
     ChannelMeta,
     ChannelSetup,
-    CopyRecord,
-    DaFlags,
     DaMode,
     DaParams,
     ErrorModel,
@@ -28,7 +25,6 @@ from prpwifi import (
     LatencyStats,
     MetricsReport,
     OracleSummary,
-    PacketRecord,
     PhyParams,
     RunLog,
     RunMeta,
@@ -36,19 +32,27 @@ from prpwifi import (
     SimConfigError,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
-    copy_latency,
-    final_attempt_start,
-    link_outcome,
+)
+from prpwifi.da import (
+    DEFAULT_VIRTUAL_DEFER_LIMIT_NS,
+    DaFlags,
     oracle_saved_attempts,
     rda_flags,
     simplex_flags,
     tdd_flags,
     tdd_latency,
 )
-from prpwifi.da import DEFAULT_VIRTUAL_DEFER_LIMIT_NS
 from prpwifi.metrics import _Accumulated, _assemble, _population, _resolve
 from prpwifi.sim import _acquire, bulk_stream, mac_stream
-from prpwifi.trace import _meta_to_dict
+from prpwifi.trace import (
+    AttemptTrace,
+    CopyRecord,
+    PacketRecord,
+    _meta_to_dict,
+    copy_latency,
+    final_attempt_start,
+    link_outcome,
+)
 
 CH_A = ChannelId(0, "A")
 CH_B = ChannelId(1, "B")
@@ -277,7 +281,7 @@ def latency_stats_spec(samples: list[int]) -> LatencyStats | None:
     )
 
 
-def _validate_copy_spec(copy: CopyRecord) -> None:
+def _validate_copy_spec(copy: CopyRecord, phy: PhyParams) -> None:
     if copy.request_ns < 0:
         raise InvalidRunError("request time must be non-negative")
     if copy.end_ns <= copy.request_ns:
@@ -287,6 +291,10 @@ def _validate_copy_spec(copy: CopyRecord) -> None:
     if not copy.lost:
         if copy.final_data_ns is None or copy.final_ack_ns is None:
             raise InvalidRunError("delivered copies need both frame durations")
+    if any(d is not None and d <= 0 for d in (copy.final_data_ns, copy.final_ack_ns)):
+        raise InvalidRunError("frame durations must be positive")
+    if copy.final_data_ns is not None and final_attempt_start(copy, phy) < copy.request_ns:
+        raise InvalidRunError("the final attempt must not start before the request")
     if copy.trace is not None:
         if len(copy.trace) != copy.attempts:
             raise InvalidRunError("trace length must equal the attempt count")
@@ -344,7 +352,7 @@ def validate_run_spec(run: RunLog, request_epsilon_ns: int | None = None) -> Non
                 )
         for channel in channels:
             copy = packet.copies[channel]
-            _validate_copy_spec(copy)
+            _validate_copy_spec(copy, phy_by[channel])
             if copy.trace is not None:
                 if copy.trace[0].start_ns <= last_end[channel]:
                     raise InvalidRunError(

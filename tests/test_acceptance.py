@@ -17,12 +17,9 @@ from prpwifi import (
     DaParams,
     compute_report,
     generate_run,
-    link_outcome,
-    oracle_saved_attempts,
-    rda_flags,
-    tdd_flags,
-    tdd_latency,
 )
+from prpwifi.da import oracle_saved_attempts, rda_flags, tdd_flags, tdd_latency
+from prpwifi.trace import link_outcome
 from prpwifi.cli import main
 from prpwifi.metrics import sweep
 
@@ -168,7 +165,7 @@ def test_criterion_4_latency_dominance(oracle_runs):
     run = oracle_runs[2]
     phy = run.phy_by_channel()
     td_grid = [td * US for td in range(-250, 251, 50)]
-    from prpwifi import copy_latency
+    from prpwifi.trace import copy_latency
 
     for packet in run.packets:
         outcome = link_outcome(packet, phy)

@@ -437,6 +437,35 @@ class TestValidateDeferralCommand:
         assert captured.err == message and captured.out == ""
 
 
+class TestVirtualDisplacementBound:
+    """A virtual |T_D| at or past the log's 4 ms period is refused like a
+    real one: exit 2 with a one-line error, where a huge value used to end
+    in an OverflowError traceback and -(2^63 - 1) ns in a report with a
+    link latency of -9.2e15 us."""
+
+    @pytest.mark.parametrize("td", ["99999999999s", "-9223372036854775807", "4ms"])
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "validate-deferral"])
+    def test_exits_2_with_one_line(self, command, td, log_file, config_file, capsys):
+        if command == "analyze":
+            argv = ["analyze", "--log", str(log_file), "--mode", "tdd", f"--td={td}"]
+        elif command == "sweep":
+            argv = ["sweep", "--log", str(log_file), "--param", "td", f"--range={td}:{td}",
+                    "--step", "1us"]
+        else:
+            argv = ["validate-deferral", str(config_file), f"--td-list={td}", "--seeds", "1",
+                    "--force"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be smaller than the generation period of 4000000 ns" in captured.err
+
+    def test_just_inside_the_period_is_analyzed(self, log_file, capsys):
+        argv = ["analyze", "--log", str(log_file), "--mode", "tdd", "--td=-3999999"]
+        assert main(argv) == 0
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -2,17 +2,18 @@ import pytest
 from hypothesis import given
 
 from prpwifi import (
-    DaFlags,
-    PacketRecord,
     TraceRequiredError,
-    link_outcome,
+)
+from prpwifi.trace import PacketRecord, link_outcome
+from prpwifi.da import (
+    DaFlags,
+    FailedCopyPolicy,
     oracle_saved_attempts,
     rda_flags,
     simplex_flags,
     tdd_flags,
     tdd_latency,
 )
-from prpwifi.da import FailedCopyPolicy
 
 from conftest import duplex_packets
 from helpers import (

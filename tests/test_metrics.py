@@ -13,7 +13,6 @@ from prpwifi import (
     DaMode,
     DaParams,
     LatencyStats,
-    PacketRecord,
     PhyParams,
     RunLog,
     VIEW_ADAPTER,
@@ -22,13 +21,13 @@ from prpwifi import (
     generate_run,
     latency_stats,
     oracle_attempt_summary,
-    rda_flags,
     report_to_dict,
     sweep,
     write_sweep_csv,
 )
+from prpwifi.trace import PacketRecord
 from prpwifi import metrics
-from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
+from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start, rda_flags
 from prpwifi.metrics import SweepError
 
 from conftest import duplex_runs
@@ -83,7 +82,7 @@ class TestLatencyStats:
 
     def test_ordering_invariant(self, traced_run):
         phy = traced_run.phy_by_channel()
-        from prpwifi import copy_latency
+        from prpwifi.trace import copy_latency
 
         samples = [
             copy_latency(p.copies[CH_B], phy[CH_B])
@@ -688,6 +687,13 @@ class TestOracleSummary:
         monkeypatch.setattr(RunLog, "packets", property(refuse))
         summary = oracle_attempt_summary(traced_run, 50_000, -150_000)
         assert summary.early_bar_exact > 0
+
+    def test_displacement_stays_below_the_period(self, traced_run):
+        period = traced_run.meta.period_ns
+        oracle_attempt_summary(traced_run, 0, 1 - period)
+        for t_d in (period, -period, 2**70):
+            with pytest.raises(ValueError, match="smaller than the generation period"):
+                oracle_attempt_summary(traced_run, 0, t_d)
 
     def test_needs_a_trace_on_every_copy(self, traced_run, adapter_run):
         packets = list(traced_run.packets[:3])

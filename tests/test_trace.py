@@ -12,37 +12,44 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prpwifi import (
-    AttemptTrace,
     ChannelId,
     ChannelMeta,
-    CopyRecord,
+    ErrorModel,
     InvalidRunError,
     LogFormatError,
-    MissingFrameDurationError,
-    PacketRecord,
     PhyParams,
     RunLog,
     RunMeta,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
-    copy_latency,
     decode_log,
     encode_log,
     export_csv,
-    final_attempt_start,
     generate_run,
-    link_outcome,
     read_log,
-    receive_time,
     validate_run,
     write_log,
 )
 from prpwifi import logblocks, trace
 from prpwifi.cli import main
+from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
 from prpwifi.logblocks import BlockParser, line_blocks
-from prpwifi.trace import shift_copy
+from prpwifi.metrics import _oracle_starts
+from prpwifi.trace import (
+    AttemptTrace,
+    CopyRecord,
+    MissingFrameDurationError,
+    PacketRecord,
+    copy_latency,
+    final_attempt_start,
+    final_starts,
+    link_outcome,
+    receive_time,
+    receive_times,
+    shift_copy,
+)
 
-from conftest import duplex_runs, encodable_runs, mutated_logs
+from conftest import duplex_runs, encodable_runs, mutated_logs, sim_configs
 from helpers import (
     CH_A,
     CH_B,
@@ -323,6 +330,74 @@ class TestValidation:
         run = make_run([p], deferral_ns=100_000)
         with pytest.raises(InvalidRunError):
             validate_run(run)
+
+    @pytest.mark.parametrize(
+        "td, ta, message",
+        [
+            (2**63 - 1, 2**63 - 1, "the final attempt must not start before the request"),
+            (300_000, 2**63 - 1, "the final attempt must not start before the request"),
+            (300_000, 700_000, "the final attempt must not start before the request"),
+            (0, 24_000, "frame durations must be positive"),
+            (300_000, -24_000, "frame durations must be positive"),
+        ],
+    )
+    def test_reconstruction_cannot_wrap(self, td, ta, message):
+        """With Td = Ta = 2^63 - 1 on packet 2's copy on B, the int64 final
+        start wrapped past B's request and the cross-ACK, so the columnar
+        RDA report counted that copy as early (channel B e_bar 1, against
+        2/3 from the per-packet reference); with only Ta that large, that
+        copy's latency came out near -9.2e18 ns. Such a log no longer
+        validates."""
+        packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
+        b = replace(packets[1].copies[CH_B], final_data_ns=td, final_ack_ns=ta)
+        packets[1] = replace(packets[1], copies={**packets[1].copies, CH_B: b})
+        run = make_run(packets)
+        for check in (validate_run, validate_run_spec):
+            with pytest.raises(InvalidRunError, match=f"^{message}$"):
+                check(run)
+        buf = io.StringIO()
+        encode_log(run, buf)
+        with pytest.raises(LogFormatError, match=f"^{message}$"):
+            decode_log(io.StringIO(buf.getvalue()))
+
+
+class TestColumnarReconstruction:
+    """``receive_times``, ``final_starts`` and the oracle starts built on
+    them equal the per-copy functions on every copy of simulated runs."""
+
+    @pytest.mark.parametrize("full_trace", [False, True], ids=["adapter", "traced"])
+    @pytest.mark.parametrize("loss_prob", [None, 1.0], ids=["drawn-loss", "all-lost-on-B"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(config=sim_configs())
+    def test_equals_per_copy_spec(self, full_trace, loss_prob, config):
+        if loss_prob is not None:
+            b = replace(config.channels[1], errors=ErrorModel(loss_prob))
+            config = replace(config, channels=(config.channels[0], b))
+        run = generate_run(replace(config, emit_full_trace=full_trace))
+        rx, start = receive_times(run), final_starts(run)
+        phy_by = run.phy_by_channel()
+        try:
+            oracle = _oracle_starts(run, start)
+        except TraceRequiredError:
+            oracle = None
+        spec_rx, spec_start, spec_oracle = (np.zeros_like(run.req) for _ in range(3))
+        oracle_known = True
+        for i, packet in enumerate(run.packets):
+            for j, channel in enumerate(run.channels):
+                copy, phy = packet.copies[channel], phy_by[channel]
+                if not copy.lost:
+                    spec_rx[j, i] = receive_time(copy, phy)
+                if copy.final_data_ns is not None:
+                    spec_start[j, i] = final_attempt_start(copy, phy)
+                try:
+                    spec_oracle[j, i] = policy_final_start(copy, phy, FailedCopyPolicy.ORACLE)
+                except TraceRequiredError:
+                    oracle_known = False
+        assert np.array_equal(np.where(run.lost, 0, rx), spec_rx)
+        assert np.array_equal(np.where(run.has_td, start, 0), spec_start)
+        assert (oracle is not None) == oracle_known
+        if oracle is not None:
+            assert np.array_equal(oracle, spec_oracle)
 
 
 class TestCsvExport:
