@@ -11,19 +11,20 @@ are dropped when the matrix is read out.
 
 :class:`BlockParser` checks a block of whole lines in that layout with a
 regex and parses its numbers with numpy instead of one ``json.loads`` per
-line. Numbers in the grammar have at most 18 digits, so every value fits
-an int64. A block in which every copy carries both final durations and no
-trace has the same numbers in the same order on every line, so a reshape
-places them. In any other block the grammar's fixed key order lets the key
-sequence alone tell which numbers are the packet index, copy fields or
-trace entry fields. Blocks in any other layout are left to the
-line-by-line decoder of :mod:`prpwifi.trace`.
+line: every number follows a ``:``, so one ``bytes.translate`` leaves
+just the numbers for ``np.fromstring``. Numbers in the grammar have at
+most 18 digits, so every value fits an int64. A block in which every copy
+carries both final durations and no trace has the same numbers in the
+same order on every line, so a reshape places them. In any other block
+the key before each number names its column in a table with a row per
+copy and per trace entry, the layout :class:`BlockFormatter` writes, and
+the keys that open a row count the rows. Blocks in any other layout are
+left to the line-by-line decoder of :mod:`prpwifi.trace`.
 """
 from __future__ import annotations
 
 import json
 import re
-from functools import cache
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -37,8 +38,10 @@ _COPY_REST = (
 ).replace("E", _ENTRY).replace("N", _NUMBER)
 # the same for a copy with both final durations and no trace
 _FIXED_REST = r',"l":N,"t_T":N,"t_X":N,"w":N,"Td":N,"Ta":N\}'.replace("N", _NUMBER)
-# bytes other than digits and '-' become spaces, leaving only the numbers
-_NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
+# every number in the layout follows a ':', so deleting all bytes but
+# digits, '-' and ':', and turning ':' into a space, leaves the numbers
+_COLON_TO_SPACE = bytes.maketrans(b":", b" ")
+_NOT_NUMBER = bytes(c for c in range(256) if chr(c) not in "-0123456789:")
 # label bytes that the parse would take for numbers, keys or brackets
 _DISTURBING = frozenset(b"-0123456789:[]")
 
@@ -59,30 +62,9 @@ def line_blocks(source: IO[str], size: int) -> Iterator[str]:
         yield rest
 
 
-@cache
-def _key_columns(fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per key byte (the last of a field's name), the field's column in a
-    row laid out as ``fields`` and its presence column (0 if it has none)."""
-    value, present = np.zeros(256, dtype=np.intp), np.zeros(256, dtype=np.intp)
-    for column, name in enumerate(fields):
-        (present if name in fields[:column] else value)[ord(name[-1])] = column
-    return value, present
-
-
-def _field_rows(key: np.ndarray, values: np.ndarray, fields: tuple[str, ...]) -> np.ndarray:
-    """Rows laid out as ``fields`` from numbers in file order and the last
-    byte of each one's key. A row starts at its first field; an optional
-    field also sets its presence flag."""
-    value_column, presence_column = _key_columns(fields)
-    width = len(fields)
-    first = key == ord(fields[0][-1])
-    row_base = (np.cumsum(first) - 1) * width
-    rows = np.zeros(np.count_nonzero(first) * width, dtype=np.int64)
-    # presence flags first: the other keys flag column 0, which every row's
-    # first field then overwrites
-    rows[row_base + presence_column.take(key)] = 1
-    rows[row_base + value_column.take(key)] = values
-    return rows.reshape(-1, width)
+def _numbers(data: bytes) -> np.ndarray:
+    """The numbers of a block in the layout, in file order."""
+    return np.fromstring(data.translate(_COLON_TO_SPACE, _NOT_NUMBER), dtype=np.int64, sep=" ")
 
 
 class BlockParser:
@@ -110,11 +92,50 @@ class BlockParser:
         self._fixed = grammar(_FIXED_REST)
         encoded = [json.dumps(label).encode() for label in labels]
         self._heads = [b'{"ch":%s,' % e for e in encoded if _DISTURBING.intersection(e)]
+        self._m = len(labels)
         self._copy_fields = copy_fields
         self._attempt_fields = attempt_fields
         # the columns of a fixed-layout copy's numbers: each key's first field
         self._fixed_columns = [copy_fields.index(name) for name in dict.fromkeys(copy_fields)]
         self._fixed_width = 1 + len(labels) * len(self._fixed_columns)  # numbers per line
+
+        # A general block becomes one table with a row per copy and per
+        # trace entry in file order. A row holds the copy fields, then the
+        # entry fields a copy lacks, the packet index (on a line's first
+        # copy), a copy's trace flag, a copy flag and a column for what is
+        # dropped; a key names one column in both kinds of row.
+        fields = copy_fields + tuple(n for n in attempt_fields if n not in copy_fields)
+        index, traced, is_copy, dropped = range(len(fields), len(fields) + 4)
+        width = dropped + 1
+        # Per key byte (a key's last byte): ``step`` is the row width at the
+        # keys that open a row (a copy's first field, an entry's first), so
+        # the running sum of the steps at a key of a row is the start of the
+        # next row; ``value`` and ``flag`` are the columns of the key's
+        # number and of its presence flag, counted from there. The index,
+        # '"copies"' and '"ch"' come before their copy's first field, where
+        # the sum is the start of the copy's own row.
+        step = np.zeros(256, dtype=np.intp)
+        step[[ord(copy_fields[0][-1]), ord(attempt_fields[0][-1])]] = width
+        value = np.full(256, dropped - width, dtype=np.intp)
+        flag = np.full(256, dropped - width, dtype=np.intp)
+        for column, name in enumerate(fields):
+            (flag if name in fields[:column] else value)[ord(name[-1])] = column - width
+        flag[ord(copy_fields[0][-1])] = is_copy - width
+        flag[ord("e")] = traced - width  # '"trace":[', even when empty
+        value[ord("i")], flag[ord("i")] = index, dropped
+        for key in b"sh":  # '"copies":[' and '"ch":<label>'
+            value[key] = flag[key] = dropped
+        self._step, self._value, self._flag = step, value, flag
+        self._numbered = np.ones(256, dtype=bool)  # the keys before a number
+        self._numbered[list(b"seh")] = False
+        self._width, self._index, self._traced, self._is_copy = width, index, traced, is_copy
+        # a repeated attempt field is the presence flag, the last column of its name
+        first = {name: fields.index(name) for name in fields}
+        last = {name: column for column, name in enumerate(fields)}
+        self._attempt_columns = [
+            (last if name in attempt_fields[:k] else first)[name]
+            for k, name in enumerate(attempt_fields)
+        ]
 
     def parse(self, text: str) -> tuple[np.ndarray, ...] | None:
         """(packet indices, copy rows, trace lengths, attempt rows) of a
@@ -137,8 +158,7 @@ class BlockParser:
     def _parse_fixed(self, data: bytes) -> tuple[np.ndarray, ...]:
         """Every copy has the same keys, so each line is the index and then
         one number per key of each copy; the presence flags are all set."""
-        values = np.fromstring(data.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
-        lines = values.reshape(-1, self._fixed_width)
+        lines = _numbers(data).reshape(-1, self._fixed_width)
         fields = lines[:, 1:].reshape(-1, len(self._fixed_columns))
         copies = np.ones((len(fields), len(self._copy_fields)), dtype=np.int64)
         copies[:, self._fixed_columns] = fields
@@ -147,39 +167,32 @@ class BlockParser:
         return lines[:, 0], copies, lengths, attempts
 
     def _parse_general(self, data: bytes) -> tuple[np.ndarray, ...]:
-        """Each number's field is read from the last byte of the key before
-        it, and its section (packet index, copy or trace entry) from the
-        keys before it, whose order the grammar fixes: ``i`` is the index,
-        ``tW`` and ``ok`` belong to entries, and a ``Td`` (or ``Ta``) is
-        an entry's iff the key one (or two) before it is ``tW``.
+        """Each colon's key is read from its last byte, two before the
+        colon, and every colon but those of ``"copies"``, ``"ch"`` and
+        ``"trace"`` precedes a number. The keys that open a row number the
+        rows, so two scatters place every number and presence flag in the
+        table; the copy rows and the entry rows are then taken apart.
         """
         u = np.frombuffer(data, dtype=np.uint8)
-        colons = np.flatnonzero(u == ord(":"))
-        after = u[colons + 1]
-        opens = colons[after == ord("[")]  # of '"copies":[' and '"trace":['
-        colons = colons[(after != ord("[")) & (after != ord('"'))]  # the rest precede numbers
-        key = u[colons - 2]
-        values = np.fromstring(data.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
+        key = u[np.flatnonzero(u == ord(":")) - 2]
+        start = np.cumsum(self._step.take(key))
+        table = np.zeros(start[-1], dtype=np.int64)  # the last key is in the last row
+        table[start + self._flag.take(key)] = 1
+        at = start + self._value.take(key)
+        table[at[self._numbered.take(key)]] = _numbers(data)
+        table = table.reshape(-1, self._width)
 
-        in_index = key == ord("i")
-        tw = key == ord("W")
-        in_trace = tw | (key == ord("k"))
-        in_trace[1:] |= tw[:-1] & (key[1:] == ord("d"))
-        in_trace[2:] |= tw[:-2] & (key[2:] == ord("a"))
-        in_copy = ~(in_trace | in_index)
-        copies = _field_rows(key[in_copy], values[in_copy], self._copy_fields)
-        attempts = _field_rows(key[in_trace], values[in_trace], self._attempt_fields)
-
-        lengths = np.full(len(copies), -1, dtype=np.int64)
-        # a copy's trace opens with '"trace":[' (the key ends in 'e', unlike
-        # '"copies":['), so an empty trace counts as present
-        traces = opens[u[opens - 2] == ord("e")]
-        if len(traces):
-            is_loss = key == ord("l")
-            traced = np.searchsorted(colons[is_loss], traces) - 1
-            copy_of = np.cumsum(is_loss) - 1  # the copy of each number
-            lengths[traced] = np.bincount(copy_of[tw], minlength=len(copies))[traced]
-        return values[in_index], copies, lengths, attempts
+        is_copy = table[:, self._is_copy].astype(bool)
+        copies = table[is_copy]
+        attempts = table[~is_copy].take(self._attempt_columns, axis=1)
+        # the rows between a copy's row and the next copy's are its trace
+        # entries; a copy without a trace has none and length -1
+        first = np.flatnonzero(is_copy)
+        lengths = copies[:, self._traced] - 2
+        lengths[:-1] += first[1:]
+        lengths[-1] += len(table)
+        lengths -= first
+        return copies[:: self._m, self._index], copies[:, : len(self._copy_fields)], lengths, attempts
 
 
 _TEN = np.uint64(10)

@@ -29,7 +29,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .da import DaMode, DaParams, FailedCopyPolicy, TraceRequiredError
-from .trace import RunLog, final_starts, receive_times
+from .trace import TIME_LIMIT_NS, RunLog, final_starts, receive_times
 
 MISS_THRESHOLDS_NS = (10_000_000, 100_000_000)  # 10 ms and 100 ms deadlines
 
@@ -311,13 +311,18 @@ class _Derived:
 
 def _shift(run: RunLog, t_d: int, recorded: bool) -> tuple[int, ...]:
     """Per-channel request shift of a (duplex, if virtual) displacement. A
-    virtual |T_D|, like a real one, must stay below the period."""
-    if not recorded and abs(t_d) >= run.meta.period_ns:
+    virtual |T_D|, like a real one, must stay below the period, and below
+    ``TIME_LIMIT_NS`` so that shifted times stay int64."""
+    if recorded:
+        return (0,) * len(run.channels)
+    if abs(t_d) >= run.meta.period_ns:
         raise ValueError(
             f"virtual displacement of {t_d} ns: |T_D| must be smaller than "
             f"the generation period of {run.meta.period_ns} ns"
         )
-    return (0,) * len(run.channels) if recorded else (max(0, -t_d), max(0, t_d))
+    if abs(t_d) >= TIME_LIMIT_NS:
+        raise ValueError(f"virtual displacement of {t_d} ns: |T_D| must be below 2^62 ns")
+    return (max(0, -t_d), max(0, t_d))
 
 
 def _derive(run: RunLog) -> _Derived:

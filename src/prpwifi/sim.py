@@ -29,13 +29,15 @@ from .trace import (
     PhyParams,
     RunLog,
     RunMeta,
+    TIME_LIMIT_NS,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
     validate_run,
 )
 
-# Sentinel "no more busy intervals" time; far beyond any simulated horizon.
-_FOREVER = 1 << 62
+# Sentinel "no more busy intervals" time; every simulated time stays below
+# it, so every simulated run validates.
+_FOREVER = TIME_LIMIT_NS
 
 
 class SimConfigError(ValueError):

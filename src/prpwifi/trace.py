@@ -39,6 +39,9 @@ VIEW_ADAPTER = "adapter-only"
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+# every end of transmission in a valid run lies below this, so a time plus
+# a displacement of less than it stays an int64
+TIME_LIMIT_NS = 1 << 62
 
 
 class LogFormatError(ValueError):
@@ -633,6 +636,10 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
         checks += [
             (req[j] < 0, lambda i: "request time must be non-negative"),
             (end[j] <= req[j], lambda i: "end of transmission must follow the request"),
+            (
+                end[j] >= TIME_LIMIT_NS,
+                lambda i: f"packet {i + 1}: end of transmission must come before 2^62 ns",
+            ),
             (w < 1, lambda i: "attempt count must be >= 1"),
             (
                 ~lost & ~(run.has_td[j] & run.has_ta[j]),
@@ -957,7 +964,7 @@ def _decode_lines(
     )
 
 
-_DECODE_BLOCK = 1 << 16  # characters of packet lines per block, to bound memory
+_DECODE_BLOCK = 1 << 18  # characters of packet lines per block, to bound memory
 _FIRST_CAPACITY = 1 << 16  # packets decoded before the columns grow
 
 

@@ -281,11 +281,13 @@ def latency_stats_spec(samples: list[int]) -> LatencyStats | None:
     )
 
 
-def _validate_copy_spec(copy: CopyRecord, phy: PhyParams) -> None:
+def _validate_copy_spec(copy: CopyRecord, phy: PhyParams, index: int) -> None:
     if copy.request_ns < 0:
         raise InvalidRunError("request time must be non-negative")
     if copy.end_ns <= copy.request_ns:
         raise InvalidRunError("end of transmission must follow the request")
+    if copy.end_ns >= 1 << 62:
+        raise InvalidRunError(f"packet {index}: end of transmission must come before 2^62 ns")
     if copy.attempts < 1:
         raise InvalidRunError("attempt count must be >= 1")
     if not copy.lost:
@@ -352,7 +354,7 @@ def validate_run_spec(run: RunLog, request_epsilon_ns: int | None = None) -> Non
                 )
         for channel in channels:
             copy = packet.copies[channel]
-            _validate_copy_spec(copy, phy_by[channel])
+            _validate_copy_spec(copy, phy_by[channel], packet.index)
             if copy.trace is not None:
                 if copy.trace[0].start_ns <= last_end[channel]:
                     raise InvalidRunError(

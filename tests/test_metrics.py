@@ -707,6 +707,38 @@ class TestOracleSummary:
                     evaluate(run, 0)
 
 
+class TestEndTimeLimit:
+    """Ends of transmission below 2^62 ns and virtual displacements below
+    2^62 ns keep every shifted time an int64."""
+
+    def _run(self, end_ns: int, period_ns: int = 100 * MS) -> RunLog:
+        packets = [
+            PacketRecord(i + 1, {
+                CH_A: make_success_copy(i * MS, i * MS + 400_000),
+                CH_B: make_success_copy(i * MS, i * MS + 500_000),
+            })
+            for i in range(3)
+        ]
+        a = replace(packets[1].copies[CH_A], end_ns=end_ns)
+        packets[1] = PacketRecord(2, {**packets[1].copies, CH_A: a})
+        return make_run(packets, period_ns=period_ns)
+
+    @pytest.mark.parametrize("t_d", [-3 * MS, 3 * MS, 0])
+    def test_latest_valid_end_reports_as_the_reference(self, t_d):
+        run = self._run(2**62 - 1)
+        for mode in (DaMode.TDD, DaMode.RDA):
+            params = DaParams(mode=mode, t_lre_ns=50_000, t_d_ns=t_d if mode is DaMode.TDD else 0)
+            report = compute_report(run, params)
+            assert report == compute_report_reference(run, params)
+
+    def test_displacement_stays_below_2_62_whatever_the_period(self):
+        run = self._run(2**62 - 1, period_ns=2**63 - 1)
+        compute_report(run, DaParams(mode=DaMode.TDD, t_d_ns=-(2**62 - 1)))
+        for t_d in (2**62, -(2**62), 2**63 - 2):
+            with pytest.raises(ValueError, match=r"\|T_D\| must be below 2\^62 ns"):
+                compute_report(run, DaParams(mode=DaMode.TDD, t_d_ns=t_d))
+
+
 class TestRendering:
     def test_report_dict_shape_and_rounding(self):
         report = compute_report(worked_example_run(), DaParams(mode=DaMode.RDA))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from unittest import mock
@@ -54,6 +55,7 @@ from helpers import (
     CH_A,
     CH_B,
     HAND_PHY,
+    desk_config,
     encode_log_spec,
     lossy_config,
     make_lost_copy,
@@ -359,6 +361,40 @@ class TestValidation:
         encode_log(run, buf)
         with pytest.raises(LogFormatError, match=f"^{message}$"):
             decode_log(io.StringIO(buf.getvalue()))
+
+    def test_end_times_stay_below_2_62(self, tmp_path, capsys):
+        """An end of transmission at 2^63 - 11 on packet 2's copy on A used
+        to validate, and a virtual T_D of -3 ms then wrapped its shifted end
+        in the vectorized report. Every end must now come before 2^62 ns,
+        the simulator's limit too; 2^62 - 1 still validates."""
+        packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
+        for end, message in [
+            (2**63 - 11, "packet 2: end of transmission must come before 2^62 ns"),
+            (2**62, "packet 2: end of transmission must come before 2^62 ns"),
+            (2**62 - 1, None),
+        ]:
+            a = replace(packets[1].copies[CH_A], end_ns=end)
+            run = make_run(
+                [packets[0], replace(packets[1], copies={**packets[1].copies, CH_A: a}), packets[2]]
+            )
+            path = tmp_path / "run.jsonl"
+            write_log(run, path)
+            capsys.readouterr()
+            exit_code = main(["analyze", "--log", str(path), "--mode", "tdd", "--td=-3ms"])
+            captured = capsys.readouterr()
+            if message is None:
+                validate_run(run)
+                validate_run_spec(run)
+                assert read_log(path) == run
+                assert exit_code == 0
+                continue
+            for check in (validate_run, validate_run_spec):
+                with pytest.raises(InvalidRunError, match=f"^{re.escape(message)}$"):
+                    check(run)
+            with pytest.raises(LogFormatError, match=f"^{re.escape(message)}$"):
+                read_log(path)
+            assert exit_code == 2 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
 
 class TestColumnarReconstruction:
@@ -861,6 +897,43 @@ class TestBlockDecoder:
                     decode_log(io.StringIO("".join(lines)))
         assert exc.value.record_index == 701
         assert per_line.call_count == 1  # the blocks before it were canonical
+
+
+class TestDecodeMemory:
+    def test_peak_grows_only_by_the_run(self, tmp_path):
+        """Packet lines are parsed a block at a time, so 4x the packets
+        raise the peak of ``read_log`` by the larger run and the decoder's
+        own per-copy and per-attempt buffers, not by the log's text. Those
+        buffers (the trace lengths, and the raw attempt rows beside the
+        attempt columns) make the growth about 1.2x the run's in the
+        adapter view and 1.5-2.2x with traces; the margin allows 2.5x.
+        Reading a whole log at once grew the peak by 5.8x (adapter) and 5.0x
+        (traced) the run's growth."""
+
+        def run_bytes(run):
+            arrays = [run.index, *(getattr(run, name) for name in trace.COPY_COLUMNS)]
+            if run.trace is not None:
+                arrays += [getattr(run.trace, f.name) for f in fields(run.trace)]
+            return sum(a.nbytes for a in arrays)
+
+        def peak_and_run(n, full_trace):
+            path = tmp_path / f"{n}-{full_trace}.jsonl"
+            write_log(generate_run(desk_config(n, seed=5, full_trace=full_trace)), path)
+            tracemalloc.start()
+            try:
+                run = read_log(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, run_bytes(run)
+
+        for full_trace in (False, True):
+            peak_and_run(100, full_trace)  # one-time allocations out of the way
+            # both logs span several blocks
+            (peak, size), (peak_4n, size_4n) = (
+                peak_and_run(n, full_trace) for n in (4000, 16000)
+            )
+            assert peak_4n - peak <= 2.5 * (size_4n - size)
 
 
 def _key_letter_run() -> RunLog:
