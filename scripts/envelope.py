@@ -1,13 +1,13 @@
 """The 10^6-packet envelope: the six CLI commands of ROADMAP's 10^6 table,
 each in a fresh process, with wall time, peak memory and output digests.
 
-    python3 scripts/envelope.py [--packets 1000000] [--seed 5] [--dir DIR]
+    python3 scripts/envelope.py [--dir DIR]
 
 Run it from anywhere; it runs the program from the ``src/`` next to this
 script. Everything it writes goes to a temporary directory (under ``DIR``
 if given), which it removes at the end. The config is the benchmark's
-(``perfbench/workloads.py``) with ``packets`` set, in the adapter view and
-with full traces:
+(``perfbench/workloads.py``) at ``PACKETS`` packets and seed ``SEED``, the
+values of ROADMAP's table, in the adapter view and with full traces:
 
 1. ``simulate``, adapter view, and 2. ``simulate``, full trace, which also
    write the logs the next commands read;
@@ -41,8 +41,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import ANALYZE_TLRE_NS, CONFIG_TEMPLATE, LOSS_PROB  # noqa: E402
 
+PACKETS = 1_000_000
+SEED = 5
 
-def _commands(work: Path, seed: int) -> list[tuple[str, list[str], Path | None]]:
+
+def _commands(work: Path) -> list[tuple[str, list[str], Path | None]]:
     """(name, CLI arguments, file whose digest is the output or None for
     stdout) of the six commands, in the order they must run."""
     adapter, traced = work / "adapter.jsonl", work / "traced.jsonl"
@@ -56,7 +59,7 @@ def _commands(work: Path, seed: int) -> list[tuple[str, list[str], Path | None]]
         ("analyze-trace", ["analyze", "--log", str(traced), "--mode", "rda",
                            "--tlre", f"{ANALYZE_TLRE_NS // 1000}us"], None),
         ("validate-deferral", ["validate-deferral", str(work / "adapter.cfg"),
-                               "--td-list=-100us,100us", "--seeds", str(seed)], None),
+                               "--td-list=-100us,100us", "--seeds", str(SEED)], None),
     ]
 
 
@@ -88,8 +91,6 @@ def _run(argv: list[str], stdout: Path) -> tuple[int, float, float]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--packets", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--dir", help="where to make the temporary directory")
     args = parser.parse_args(argv)
 
@@ -98,10 +99,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name, full_trace in (("adapter", "false"), ("traced", "true")):
             (work / f"{name}.cfg").write_text(CONFIG_TEMPLATE.format(
-                packets=args.packets, seed=args.seed, full_trace=full_trace,
+                packets=PACKETS, seed=SEED, full_trace=full_trace,
                 loss_prob=LOSS_PROB,
             ))
-        for name, cli_args, output in _commands(work, args.seed):
+        for name, cli_args, output in _commands(work):
             stdout = work / f"{name}.out"
             code, seconds, peak_mb = _run(cli_args, stdout)
             row = {
@@ -119,8 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(work)
     print(json.dumps({
-        "packets": args.packets,
-        "seed": args.seed,
+        "packets": PACKETS,
+        "seed": SEED,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "commands": rows,

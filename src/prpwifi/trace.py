@@ -39,8 +39,9 @@ VIEW_ADAPTER = "adapter-only"
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-# every end of transmission in a valid run lies below this, so a time plus
-# a displacement of less than it stays an int64
+# every end of transmission in a valid run, and so every attempt start,
+# lies below this, so a time plus a displacement of less than it stays an
+# int64
 TIME_LIMIT_NS = 1 << 62
 
 
@@ -659,6 +660,10 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
         checks += [
             (traced & (length != w), lambda i: "trace length must equal the attempt count"),
             (traced & unordered_j, lambda i: "attempt starts must strictly increase"),
+            (
+                nonempty & (last >= end[j]),
+                lambda i: f"packet {i + 1}: attempts must start before the end of transmission",
+            ),
             (traced & early_ok, lambda i: "only the final attempt may succeed"),
             (nonempty & (last_ok == lost), lambda i: "trace outcome contradicts the loss flag"),
             (

@@ -303,6 +303,10 @@ def _validate_copy_spec(copy: CopyRecord, phy: PhyParams, index: int) -> None:
         for prev, cur in zip(copy.trace, copy.trace[1:]):
             if cur.start_ns <= prev.start_ns:
                 raise InvalidRunError("attempt starts must strictly increase")
+        if copy.trace and copy.trace[-1].start_ns >= copy.end_ns:
+            raise InvalidRunError(
+                f"packet {index}: attempts must start before the end of transmission"
+            )
         if any(a.succeeded for a in copy.trace[:-1]):
             raise InvalidRunError("only the final attempt may succeed")
         if copy.trace[-1].succeeded == copy.lost:

@@ -23,6 +23,7 @@ from prpwifi import (
     oracle_attempt_summary,
     report_to_dict,
     sweep,
+    validate_run,
     write_sweep_csv,
 )
 from prpwifi.trace import PacketRecord
@@ -48,6 +49,7 @@ from helpers import (
     make_run,
     make_success_copy,
     oracle_attempt_summary_spec,
+    trace_from_starts,
     virtual_defer,
     worked_example_run,
 )
@@ -730,6 +732,28 @@ class TestEndTimeLimit:
             params = DaParams(mode=mode, t_lre_ns=50_000, t_d_ns=t_d if mode is DaMode.TDD else 0)
             report = compute_report(run, params)
             assert report == compute_report_reference(run, params)
+
+    def test_latest_valid_attempt_start_summarises_as_the_spec(self):
+        """A lost copy without ``Td`` whose last attempt starts just below
+        its end at 2^62 - 1: displaced by a virtual T_D, the start stays an
+        int64."""
+        packets = [
+            PacketRecord(i + 1, {
+                CH_A: copy_from_starts(i * MS, [i * MS + 100_000], lost=False),
+                CH_B: copy_from_starts(i * MS, [i * MS + 200_000], lost=False),
+            })
+            for i in range(3)
+        ]
+        b = replace(
+            make_lost_copy(2 * MS, 2**62 - 1, attempts=2),
+            trace=trace_from_starts([2 * MS + 100_000, 2**62 - 2], lost=True),
+        )
+        packets[2] = PacketRecord(3, {**packets[2].copies, CH_B: b})
+        run = make_run(packets, view=VIEW_FULL_TRACE)
+        validate_run(run)
+        for t_d in (-3 * MS, 0, 3 * MS):
+            expected = oracle_attempt_summary_spec(run, 50_000, t_d)
+            assert oracle_attempt_summary(run, 50_000, t_d) == expected
 
     def test_displacement_stays_below_2_62_whatever_the_period(self):
         run = self._run(2**62 - 1, period_ns=2**63 - 1)

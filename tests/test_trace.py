@@ -61,6 +61,7 @@ from helpers import (
     make_lost_copy,
     make_run,
     make_success_copy,
+    trace_from_starts,
     validate_run_spec,
 )
 
@@ -377,24 +378,63 @@ class TestValidation:
             run = make_run(
                 [packets[0], replace(packets[1], copies={**packets[1].copies, CH_A: a}), packets[2]]
             )
-            path = tmp_path / "run.jsonl"
-            write_log(run, path)
-            capsys.readouterr()
-            exit_code = main(["analyze", "--log", str(path), "--mode", "tdd", "--td=-3ms"])
-            captured = capsys.readouterr()
-            if message is None:
-                validate_run(run)
-                validate_run_spec(run)
-                assert read_log(path) == run
-                assert exit_code == 0
-                continue
-            for check in (validate_run, validate_run_spec):
-                with pytest.raises(InvalidRunError, match=f"^{re.escape(message)}$"):
-                    check(run)
-            with pytest.raises(LogFormatError, match=f"^{re.escape(message)}$"):
-                read_log(path)
-            assert exit_code == 2 and captured.out == ""
-            assert captured.err == f"error: {message}\n"
+            self._check_time_limit(run, message, "--td=-3ms", tmp_path, capsys)
+
+    def test_attempts_start_before_the_end_of_transmission(self, tmp_path, capsys):
+        """A lost copy without ``Td`` reconstructs no final start, so only
+        this rule bounds its attempt starts: a last start of 2^63 - 11 on
+        packet 2's copy on B (its end 1.6 ms) used to validate, and a virtual
+        T_D of 3 ms then wrapped the displaced start in the oracle summary."""
+        message = "packet 2: attempts must start before the end of transmission"
+        for last_start, error in [
+            (2**63 - 11, message),
+            (1_600_000, message),
+            (1_599_999, None),
+        ]:
+            b = make_lost_copy(1_000_000, 1_600_000, attempts=2)
+            b = replace(b, trace=trace_from_starts([1_100_000, last_start], lost=True))
+            run = make_run(
+                [_traced_pair(0, 1), _traced_pair(1_000_000, 2, b), _traced_pair(2_000_000, 3)],
+                view=VIEW_FULL_TRACE,
+            )
+            self._check_time_limit(run, error, "--td=3ms", tmp_path, capsys)
+
+    @staticmethod
+    def _check_time_limit(run, message, td_option, tmp_path, capsys):
+        """Without ``message``, ``run`` validates, round-trips and analyzes
+        under the virtual displacement ``td_option``; with it, validation,
+        ``read_log`` and ``analyze`` (exit 2) fail with that message."""
+        path = tmp_path / "run.jsonl"
+        write_log(run, path)
+        capsys.readouterr()
+        exit_code = main(["analyze", "--log", str(path), "--mode", "tdd", td_option])
+        captured = capsys.readouterr()
+        if message is None:
+            validate_run(run)
+            validate_run_spec(run)
+            assert read_log(path) == run
+            assert exit_code == 0
+            return
+        for check in (validate_run, validate_run_spec):
+            with pytest.raises(InvalidRunError, match=f"^{re.escape(message)}$"):
+                check(run)
+        with pytest.raises(LogFormatError, match=f"^{re.escape(message)}$"):
+            read_log(path)
+        assert exit_code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def _traced_pair(request_ns: int, index: int, b: CopyRecord | None = None) -> PacketRecord:
+    """Packet ``index`` with a traced copy on A delivered at +0.4 ms, and on
+    B ``b`` or a traced copy delivered at +0.5 ms."""
+
+    def delivered(end_ns: int) -> CopyRecord:
+        copy = make_success_copy(request_ns, end_ns)
+        start = final_attempt_start(copy, HAND_PHY)
+        return replace(copy, trace=trace_from_starts([start], lost=False))
+
+    b = delivered(request_ns + 500_000) if b is None else b
+    return PacketRecord(index=index, copies={CH_A: delivered(request_ns + 400_000), CH_B: b})
 
 
 class TestColumnarReconstruction:
