@@ -19,7 +19,6 @@ from .metrics import (
 )
 from .sim import (
     ChannelSetup,
-    Deferral,
     ErrorModel,
     InterferenceParams,
     SimConfig,

@@ -29,9 +29,17 @@ from .metrics import (
     sweep,
     write_sweep_csv,
 )
-from .sim import Deferral, generate_run
+from .sim import generate_run
 from .trace import InvalidRunError, export_csv, read_log, write_atomic, write_log
 from .units import ns_to_us, parse_duration_ns
+
+
+def _flag(flag: str, text: str, parse=parse_duration_ns):
+    """A flag's parsed value; a bad value is reported with the flag."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -45,25 +53,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.interferers is not None:
-        second = config.channels[1]
-        config = replace(
-            config,
-            channels=(
-                config.channels[0],
-                replace(
-                    second,
-                    interference=replace(
-                        second.interference, interferer_count=args.interferers
-                    ),
-                ),
-            ),
-        )
     if args.td is not None:
-        offset = parse_duration_ns(args.td)
-        config = replace(
-            config, deferral=Deferral(offset_ns=offset) if offset else None
-        )
+        config = replace(config, deferral_ns=_flag("--td", args.td))
     started = time.perf_counter()
     run = generate_run(config)
     write_log(run, args.out)
@@ -81,18 +72,18 @@ def _da_params(args: argparse.Namespace, mode: DaMode) -> DaParams:
     if args.lost_attempts == "max":
         lost_attempts = None
     else:
-        lost_attempts = int(args.lost_attempts)
+        lost_attempts = _flag("--lost-attempts", args.lost_attempts, int)
     return DaParams(
         mode=mode,
-        t_lre_ns=parse_duration_ns(args.tlre),
-        t_d_ns=parse_duration_ns(args.td),
+        t_lre_ns=_flag("--tlre", args.tlre),
+        t_d_ns=_flag("--td", args.td),
         failed_copy_policy=FailedCopyPolicy(args.failed_copy_policy),
         lost_copy_attempts=lost_attempts,
     )
 
 
 def _read_log_arg(args: argparse.Namespace):
-    epsilon = parse_duration_ns(args.epsilon) if args.epsilon is not None else None
+    epsilon = _flag("--epsilon", args.epsilon) if args.epsilon is not None else None
     return read_log(args.log, request_epsilon_ns=epsilon)
 
 
@@ -107,8 +98,8 @@ def _grid_values(spec: str, step_ns: int) -> list[int]:
     if ":" not in spec:
         raise ConfigError(f"--range must be 'start:stop', got {spec!r}")
     start_text, stop_text = spec.split(":", 1)
-    start = parse_duration_ns(start_text)
-    stop = parse_duration_ns(stop_text)
+    start = _flag("--range", start_text)
+    stop = _flag("--range", stop_text)
     if step_ns <= 0:
         raise ConfigError("--step must be positive")
     if stop < start:
@@ -118,8 +109,8 @@ def _grid_values(spec: str, step_ns: int) -> list[int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     run = _read_log_arg(args)
-    values = _grid_values(args.range, parse_duration_ns(args.step))
-    t_lre = parse_duration_ns(args.tlre)
+    values = _grid_values(args.range, _flag("--step", args.step))
+    t_lre = _flag("--tlre", args.tlre)
     if args.param == "tlre":
         grid = [DaParams(mode=DaMode.RDA, t_lre_ns=v) for v in values]
     else:
@@ -157,10 +148,10 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
                 f"displacements beyond the {DEFAULT_VIRTUAL_DEFER_LIMIT_NS} ns "
                 "stationarity guard; pass --force to run anyway"
             )
-    t_lre = parse_duration_ns(args.tlre)
+    t_lre = _flag("--tlre", args.tlre)
 
     # adapter-view runs: the comparison only uses final-attempt data
-    base_config = replace(config, deferral=None, emit_full_trace=False)
+    base_config = replace(config, deferral_ns=0, emit_full_trace=False)
     virt_e: dict[int, list[Fraction]] = {td: [] for td in td_values}
     virt_d: dict[int, list[float]] = {td: [] for td in td_values}
     real_e: dict[int, list[Fraction]] = {td: [] for td in td_values}
@@ -173,7 +164,7 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
                 base, DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=td)
             )
             # only the deferred channel differs from the base run
-            deferred = replace(seed_config, deferral=Deferral(offset_ns=td))
+            deferred = replace(seed_config, deferral_ns=td)
             real = compute_report(
                 generate_run(deferred, (seed_config, base)),
                 DaParams(mode=DaMode.TDD, t_lre_ns=t_lre),
@@ -225,11 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("config", help="key=value config file")
     sim.add_argument("--seed", type=int, help="override the config seed")
     sim.add_argument("--out", required=True, help="output log path (JSON lines)")
-    sim.add_argument(
-        "--interferers",
-        type=int,
-        help="override the interferer count on the second channel",
-    )
     sim.add_argument(
         "--td",
         help="override the request displacement (signed duration, e.g. 100us)",

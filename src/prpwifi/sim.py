@@ -107,23 +107,14 @@ class ChannelSetup:
 
 
 @dataclass(frozen=True, slots=True)
-class Deferral:
-    """Real transmission deferral: the secondary channel's requests trail the
-    primary's by |offset_ns|. A positive offset defers the channel other
-    than ``primary``; a negative offset swaps the roles.
-    """
-
-    offset_ns: int
-    primary: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class SimConfig:
     channels: tuple[ChannelSetup, ...]
     n_packets: int
     period_ns: int = 100_000_000
     seed: int = 1
-    deferral: Deferral | None = None
+    # real transmission deferral: the second channel's requests trail the
+    # first's by this much; a negative value defers the first channel
+    deferral_ns: int = 0
     emit_full_trace: bool = True
     # Interference is materialized up to the last request plus this margin;
     # the medium is treated as idle beyond it (only the run tail is affected).
@@ -149,15 +140,8 @@ class SimConfig:
                 cs.errors.validate()
             except ValueError as exc:
                 raise SimConfigError(f"channel {cs.channel.label}: {exc}") from None
-        if self.deferral is not None:
-            if abs(self.deferral.offset_ns) >= self.period_ns:
-                raise SimConfigError(
-                    "|deferral| must be smaller than the generation period"
-                )
-            if self.deferral.primary is not None and self.deferral.primary not in labels:
-                raise SimConfigError(
-                    f"deferral primary {self.deferral.primary!r} is not a channel"
-                )
+        if abs(self.deferral_ns) >= self.period_ns:
+            raise SimConfigError("|deferral| must be smaller than the generation period")
         undeferred = (self.n_packets - 1) * self.period_ns + self.interference_margin_ns
         if undeferred <= 0:
             raise SimConfigError(
@@ -167,8 +151,7 @@ class SimConfig:
         # every simulated time stays below the _FOREVER sentinel: a copy ends
         # before the last busy interval, which starts before the interference
         # horizon, plus every attempt of the run at its longest
-        deferral = 0 if self.deferral is None else abs(self.deferral.offset_ns)
-        horizon = undeferred + deferral
+        horizon = undeferred + abs(self.deferral_ns)
         for cs in self.channels:
             phy, busy_until = cs.phy, horizon + cs.interference.payload_airtime_ns
             attempts = self.n_packets * phy.retry_limit * (
@@ -191,16 +174,7 @@ class SimConfig:
 
     def request_offsets(self) -> tuple[int, int]:
         """Per-channel request displacement (first, second channel)."""
-        if self.deferral is None or self.deferral.offset_ns == 0:
-            return (0, 0)
-        offset = self.deferral.offset_ns
-        primary_label = self.deferral.primary or self.channels[0].channel.label
-        primary_pos = 0 if self.channels[0].channel.label == primary_label else 1
-        # positive offset defers the non-primary channel, negative the primary
-        deferred_pos = (1 - primary_pos) if offset > 0 else primary_pos
-        offsets = [0, 0]
-        offsets[deferred_pos] = abs(offset)
-        return (offsets[0], offsets[1])
+        return (max(0, -self.deferral_ns), max(0, self.deferral_ns))
 
 
 # --- rng substreams ---------------------------------------------------------
@@ -601,7 +575,6 @@ def _channel_of(run: RunLog, j: int) -> _Channel:
 
 
 def _run_meta(config: SimConfig) -> RunMeta:
-    offsets = config.request_offsets()
     return RunMeta(
         n_packets=config.n_packets,
         period_ns=config.period_ns,
@@ -616,7 +589,7 @@ def _run_meta(config: SimConfig) -> RunMeta:
             )
             for setup in config.channels
         ),
-        deferral_ns=offsets[1] - offsets[0],
+        deferral_ns=config.deferral_ns,
         request_epsilon_ns=0,
     )
 
@@ -639,8 +612,8 @@ def generate_run(
     reused: tuple[int, ...] = ()
     if base is not None:
         base_config, base_run = base
-        if replace(base_config, deferral=None) != replace(
-            config, deferral=None
+        if replace(base_config, deferral_ns=0) != replace(
+            config, deferral_ns=0
         ) or base_run.meta != _run_meta(base_config):
             raise SimConfigError("base run was generated from another config")
         base_offsets = base_config.request_offsets()

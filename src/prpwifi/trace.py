@@ -1066,17 +1066,22 @@ def decode_log(
 
 def write_atomic(path: str | os.PathLike, write: Callable[[IO[str]], None]) -> None:
     """Create or replace a text file atomically: ``write`` fills a temp file
-    in the same directory, which is then renamed over ``path``."""
+    in the same directory, which is then renamed over ``path``. An
+    ``OSError`` names ``path``, and no temp file is left behind."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as sink:
             write(sink)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the requested path, not the random temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -6,6 +6,7 @@ helpers exist only at the boundaries (config files, CLI flags, reports).
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 _SUFFIXES = {
     "ns": 1,
@@ -27,13 +28,10 @@ def parse_duration_ns(text: str) -> int:
     if m is None:
         raise ValueError(f"invalid duration: {text!r}")
     number, suffix = m.groups()
-    scale = _SUFFIXES[suffix or "ns"]
-    if "." in number:
-        value = float(number) * scale
-        if abs(value - round(value)) > 1e-6:
-            raise ValueError(f"duration {text!r} is not a whole number of ns")
-        return round(value)
-    return int(number) * scale
+    value = Fraction(number) * _SUFFIXES[suffix or "ns"]
+    if value.denominator != 1:
+        raise ValueError(f"duration {text!r} is not a whole number of ns")
+    return int(value)
 
 
 def ns_to_us(value_ns: int | float) -> float:

@@ -11,7 +11,6 @@ from prpwifi import (
     ChannelId,
     ChannelMeta,
     ChannelSetup,
-    Deferral,
     ErrorModel,
     InterferenceParams,
     PhyParams,
@@ -262,5 +261,5 @@ def sim_configs(draw) -> SimConfig:
         n_packets=draw(st.integers(min_value=50, max_value=2000)),
         period_ns=period,
         seed=draw(st.integers(min_value=0, max_value=2**32)),
-        deferral=None if offset is None else Deferral(offset_ns=offset),
+        deferral_ns=0 if offset is None else offset,
     )

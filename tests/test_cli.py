@@ -1,13 +1,19 @@
+import errno
 import io
 import json
+import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from prpwifi import LogFormatError, RunLog, decode_log
 from prpwifi.cli import main
+from prpwifi import config as config_module
 from prpwifi.config import ConfigError, load_config, parse_config
+from prpwifi.units import parse_duration_ns
 
 from conftest import mutated_logs
 
@@ -57,7 +63,54 @@ class TestConfigParsing:
 
     def test_deferral_keys(self):
         cfg = parse_config(BASE_CONFIG + "deferral = -100us\n")
-        assert cfg.deferral.offset_ns == -100_000
+        assert cfg.deferral_ns == -100_000
+        assert cfg.request_offsets() == (100_000, 0)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("cw_min = x", "cw_min: invalid literal for int() with base 10: 'x'"),
+            ("packets = 1e5", "packets: invalid literal for int() with base 10: '1e5'"),
+            ("B.burst_spacing = 5 parsecs", "B.burst_spacing: invalid duration: '5 parsecs'"),
+            ("loss_prob = lots", "loss_prob: could not convert string to float: 'lots'"),
+            ("full_trace = maybe", "full_trace: expected a boolean, got 'maybe'"),
+            ("deferral_primary = B", "unknown key 'deferral_primary'"),
+        ],
+    )
+    def test_bad_value_names_line_and_key(self, line, message, tmp_path, capsys):
+        path = tmp_path / "t.cfg"
+        path.write_text(f"packets = 10\n{line}\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_readme_config_and_docstring_keys_match_the_key_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(block, "README.md")
+        assert cfg.n_packets == 100_000 and cfg.channels[1].interference.interferer_count == 2
+        documented = {
+            key
+            for line in config_module.__doc__.splitlines()
+            if (m := re.match(r"    (\w[\w ]*?)(?:\s{2,}|$)", line))
+            for key in m.group(1).split()
+        }
+        assert documented == set(config_module._KEYS)
+
+    @pytest.mark.parametrize(
+        "text, ns",
+        [
+            ("9007199.254740993s", 9_007_199_254_740_993),
+            ("9223372036.854775807s", 2**63 - 1),
+            ("0.1us", 100),
+        ],
+    )
+    def test_durations_parse_exactly(self, text, ns):
+        assert parse_duration_ns(text) == ns
+
+    def test_duration_off_the_ns_grid_rejected(self):
+        with pytest.raises(ValueError, match="not a whole number of ns"):
+            parse_duration_ns("12345678.0000000015s")
 
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.cfg"
@@ -92,17 +145,10 @@ class TestSimulateCommand:
         over 1 interferer (same seed)."""
         reports = {}
         for count in (1, 4):
+            config = tmp_path / f"int{count}.cfg"
+            config.write_text(config_file.read_text() + f"B.interferers = {count}\n")
             log = tmp_path / f"int{count}.jsonl"
-            main(
-                [
-                    "simulate",
-                    str(config_file),
-                    "--interferers",
-                    str(count),
-                    "--out",
-                    str(log),
-                ]
-            )
+            main(["simulate", str(config), "--out", str(log)])
             rep = tmp_path / f"int{count}.json"
             main(["analyze", "--log", str(log), "--mode", "pow", "--out", str(rep)])
             reports[count] = json.loads(rep.read_text())
@@ -464,6 +510,52 @@ class TestVirtualDisplacementBound:
     def test_just_inside_the_period_is_analyzed(self, log_file, capsys):
         argv = ["analyze", "--log", str(log_file), "--mode", "tdd", "--td=-3999999"]
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "LOG", "--mode", "rda", "--lost-attempts", "x"],
+         "--lost-attempts: invalid literal for int() with base 10: 'x'"),
+        (["analyze", "LOG", "--mode", "rda", "--tlre", "1e3"], "--tlre: invalid duration: '1e3'"),
+        (["analyze", "LOG", "--mode", "tdd", "--td", "1ks"], "--td: invalid duration: '1ks'"),
+        (["analyze", "LOG", "--mode", "rda", "--epsilon", "0.5ns"],
+         "--epsilon: duration '0.5ns' is not a whole number of ns"),
+        (["sweep", "LOG", "--param", "tlre", "--range", "0:x", "--step", "1us"],
+         "--range: invalid duration: 'x'"),
+        (["sweep", "LOG", "--param", "tlre", "--range", "0:1us", "--step", "1e3"],
+         "--step: invalid duration: '1e3'"),
+        (["simulate", "CONFIG", "--out", "OUT", "--td", "x"], "--td: invalid duration: 'x'"),
+        (["validate-deferral", "CONFIG", "--td-list=50us", "--tlre", "x"],
+         "--tlre: invalid duration: 'x'"),
+    ],
+)
+def test_bad_flag_value_names_the_flag(argv, message, log_file, config_file, tmp_path, capsys):
+    paths = {"LOG": ["--log", str(log_file)], "CONFIG": [str(config_file)],
+             "OUT": [str(tmp_path / "out.jsonl")]}
+    capsys.readouterr()
+    assert main([part for arg in argv for part in paths.get(arg, [arg])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("code", [errno.ENOENT, errno.EISDIR], ids=["no-dir", "a-dir"])
+def test_unwritable_out_names_the_path(command, code, log_file, config_file, tmp_path, capsys):
+    out = tmp_path / "outdir"
+    if code == errno.EISDIR:
+        out.mkdir()
+    else:
+        out = out / "x.out"
+    before = sorted(tmp_path.rglob("*"))
+    if command == "simulate":
+        argv = ["simulate", str(config_file)]
+    else:
+        argv = ["analyze", "--log", str(log_file), "--mode", "pow"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_usage_error_exit_code():

@@ -264,9 +264,7 @@ class TestComputeReport:
             assert tdd.same_metrics(rda)
 
     def test_real_deferral_log_analyzed_on_recorded_timestamps(self):
-        from prpwifi import Deferral
-
-        cfg = replace(desk_config(300, seed=21), deferral=Deferral(offset_ns=120_000))
+        cfg = replace(desk_config(300, seed=21), deferral_ns=120_000)
         run = generate_run(cfg)
         report = compute_report(run, DaParams(mode=DaMode.TDD))
         assert report.params.t_d_ns == 120_000

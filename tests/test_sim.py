@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from prpwifi import (
     ChannelId,
     ChannelSetup,
-    Deferral,
     ErrorModel,
     InterferenceParams,
     PhyParams,
@@ -428,19 +427,13 @@ class TestRealDeferral:
         monkeypatch.setattr(sim, "interference_arrays", recording)
         cfg = desk_config(1014, seed=1, period_ns=3_900_000, full_trace=False)
         generate_run(cfg)
-        generate_run(replace(cfg, deferral=Deferral(offset_ns=250_000)))
+        generate_run(replace(cfg, deferral_ns=250_000))
         (_, (s0, e0)), (_, (s1, e1)) = busy[:2], busy[2:]
         k = len(s0)
         assert np.array_equal(s0, s1[:k]) and np.array_equal(e0[:-1], e1[: k - 1])
 
-    def test_zero_offset_equals_plain_run(self):
-        cfg = desk_config(n_packets=200, seed=6)
-        assert generate_run(replace(cfg, deferral=None)) == generate_run(
-            replace(cfg, deferral=Deferral(offset_ns=0))
-        )
-
     def test_positive_offset_defers_second_channel(self):
-        cfg = replace(desk_config(300, seed=8), deferral=Deferral(offset_ns=100_000))
+        cfg = replace(desk_config(300, seed=8), deferral_ns=100_000)
         run = generate_run(cfg)
         validate_run(run)
         assert run.meta.deferral_ns == 100_000
@@ -448,18 +441,7 @@ class TestRealDeferral:
             assert p.copies[CH_B].request_ns - p.copies[CH_A].request_ns == 100_000
 
     def test_negative_offset_swaps_roles(self):
-        cfg = replace(desk_config(300, seed=8), deferral=Deferral(offset_ns=-100_000))
-        run = generate_run(cfg)
-        assert run.meta.deferral_ns == -100_000
-        for p in run.packets:
-            assert p.copies[CH_A].request_ns - p.copies[CH_B].request_ns == 100_000
-
-    def test_explicit_primary_channel(self):
-        # naming B as primary makes a positive offset defer A
-        cfg = replace(
-            desk_config(50, seed=8),
-            deferral=Deferral(offset_ns=100_000, primary="B"),
-        )
+        cfg = replace(desk_config(300, seed=8), deferral_ns=-100_000)
         run = generate_run(cfg)
         assert run.meta.deferral_ns == -100_000
         for p in run.packets:
@@ -470,16 +452,14 @@ class TestRealDeferral:
         # outcomes are identical to the non-deferred run
         cfg = desk_config(400, seed=13, interferers_b=2)
         base = generate_run(cfg)
-        deferred = generate_run(replace(cfg, deferral=Deferral(offset_ns=250_000)))
+        deferred = generate_run(replace(cfg, deferral_ns=250_000))
         for p_base, p_def in zip(base.packets, deferred.packets):
             for c in (CH_A, CH_B):
                 assert p_base.copies[c].attempts == p_def.copies[c].attempts
                 assert p_base.copies[c].lost == p_def.copies[c].lost
 
     def test_offset_at_least_period_rejected(self):
-        cfg = replace(
-            desk_config(10, seed=1), deferral=Deferral(offset_ns=DESK_PERIOD_NS)
-        )
+        cfg = replace(desk_config(10, seed=1), deferral_ns=DESK_PERIOD_NS)
         with pytest.raises(SimConfigError):
             generate_run(cfg)
 
@@ -487,18 +467,18 @@ class TestRealDeferral:
     def test_reused_base_channel_equals_full_run(self, t_d_us):
         # criterion 5's config: desk bursts, one interferer on A, two on B
         cfg = desk_config(600, seed=201, interferers_a=1, full_trace=False)
-        deferred = replace(cfg, deferral=Deferral(offset_ns=t_d_us * 1_000))
+        deferred = replace(cfg, deferral_ns=t_d_us * 1_000)
         reused = generate_run(deferred, (cfg, generate_run(cfg)))
         assert reused == generate_run(deferred)
 
     def test_reuse_with_traces(self):
         cfg = desk_config(300, seed=4, interferers_a=1)
-        deferred = replace(cfg, deferral=Deferral(offset_ns=-150_000))
+        deferred = replace(cfg, deferral_ns=-150_000)
         assert generate_run(deferred, (cfg, generate_run(cfg))) == generate_run(deferred)
 
     def test_reuse_refused_for_another_config(self):
         cfg = desk_config(200, seed=201, interferers_a=1, full_trace=False)
-        deferred = replace(cfg, deferral=Deferral(offset_ns=100_000))
+        deferred = replace(cfg, deferral_ns=100_000)
         other_seed = replace(cfg, seed=202)
         with pytest.raises(SimConfigError):
             generate_run(deferred, (other_seed, generate_run(other_seed)))
