@@ -18,7 +18,6 @@ import json
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 from io import StringIO
 
 from .config import ConfigError, load_config
@@ -31,7 +30,7 @@ from .metrics import (
 )
 from .sim import generate_run
 from .trace import InvalidRunError, export_csv, read_log, write_atomic, write_log
-from .units import ns_to_us, parse_duration_ns
+from .units import parse_duration_ns
 
 
 def _flag(flag: str, text: str, parse=parse_duration_ns):
@@ -122,10 +121,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mean_fraction(values: list[Fraction]) -> Fraction:
-    return sum(values, Fraction(0)) / len(values)
-
-
 def _list_arg(flag: str, text: str, parse) -> list:
     """The parsed entries of a comma-separated flag value."""
     values = []
@@ -152,14 +147,12 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
 
     # adapter-view runs: the comparison only uses final-attempt data
     base_config = replace(config, deferral_ns=0, emit_full_trace=False)
-    virt_e: dict[int, list[Fraction]] = {td: [] for td in td_values}
-    virt_d: dict[int, list[float]] = {td: [] for td in td_values}
-    real_e: dict[int, list[Fraction]] = {td: [] for td in td_values}
-    real_d: dict[int, list[float]] = {td: [] for td in td_values}
+    # per displacement, the (e_virt, e_real, d_virt, d_real) of each seed
+    results: list[list[tuple]] = [[] for _ in td_values]
     for seed in seeds:
         seed_config = replace(base_config, seed=seed)
         base = generate_run(seed_config)
-        for td in td_values:
+        for td, rows in zip(td_values, results):
             virtual = compute_report(
                 base, DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=td)
             )
@@ -169,30 +162,31 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
                 generate_run(deferred, (seed_config, base)),
                 DaParams(mode=DaMode.TDD, t_lre_ns=t_lre),
             )
-            virt_e[td].append(virtual.link.early_bar)
-            real_e[td].append(real.link.early_bar)
             if virtual.link.latency is None or real.link.latency is None:
                 raise InvalidRunError("no delivered packets; cannot compare latencies")
-            virt_d[td].append(virtual.link.latency.mean_ns)
-            real_d[td].append(real.link.latency.mean_ns)
+            rows.append(
+                (
+                    virtual.link.early_bar,
+                    real.link.early_bar,
+                    virtual.link.latency.mean_ns,
+                    real.link.latency.mean_ns,
+                )
+            )
 
     failures = 0
     print(
         f"{'T_D_us':>8} {'e_virt':>8} {'e_real':>8} {'|de|':>8} "
         f"{'d_virt_us':>10} {'d_real_us':>10} {'rel_dd':>8}  result"
     )
-    for td in td_values:
-        ev = _mean_fraction(virt_e[td])
-        er = _mean_fraction(real_e[td])
+    for td, rows in zip(td_values, results):
+        ev, er, dv, dr = (sum(column) / len(rows) for column in zip(*rows))
         de = abs(float(ev - er))
-        dv = sum(virt_d[td]) / len(virt_d[td])
-        dr = sum(real_d[td]) / len(real_d[td])
         rel = abs(dv - dr) / dr if dr else float("inf")
         ok = de <= args.tol_e and rel <= args.tol_latency
         failures += not ok
         print(
-            f"{ns_to_us(td):>8.1f} {float(ev):>8.4f} {float(er):>8.4f} {de:>8.4f} "
-            f"{ns_to_us(dv):>10.1f} {ns_to_us(dr):>10.1f} {rel:>8.4f}  "
+            f"{td / 1000:>8.1f} {float(ev):>8.4f} {float(er):>8.4f} {de:>8.4f} "
+            f"{dv / 1000:>10.1f} {dr / 1000:>10.1f} {rel:>8.4f}  "
             f"{'pass' if ok else 'FAIL'}"
         )
     if failures:

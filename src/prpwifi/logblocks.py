@@ -29,6 +29,11 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+# The keys of a copy's and of a trace entry's fields in row order; a
+# repeated key is the presence flag of the optional field before it.
+COPY_KEYS = ("l", "t_T", "t_X", "w", "Td", "Td", "Ta", "Ta")
+ENTRY_KEYS = ("tW", "Td", "Ta", "Ta", "ok")
+
 _NUMBER = r"-?+(?:0|[1-9][0-9]{0,17}+)"
 _ENTRY = r'\{"tW":N,"Td":N(?:,"Ta":N)?+,"ok":N\}'.replace("N", _NUMBER)
 # a copy entry after its '{"ch":<label>'
@@ -69,19 +74,10 @@ def _numbers(data: bytes) -> np.ndarray:
 
 class BlockParser:
     """Parser of blocks of packet lines written by ``encode_log`` for a run
-    with channels labelled ``labels``.
+    with channels labelled ``labels``; rows come out laid out as
+    ``COPY_KEYS`` and ``ENTRY_KEYS``."""
 
-    Rows come out laid out as ``copy_fields`` and ``attempt_fields``, the
-    JSON keys of a copy and of a trace entry in row order; a repeated key
-    is the presence flag of the optional field before it.
-    """
-
-    def __init__(
-        self,
-        labels: Sequence[str],
-        copy_fields: tuple[str, ...],
-        attempt_fields: tuple[str, ...],
-    ):
+    def __init__(self, labels: Sequence[str]):
         def grammar(copy_rest: str) -> re.Pattern:
             copies = ",".join(
                 r'\{"ch":' + re.escape(json.dumps(label)) + copy_rest for label in labels
@@ -93,10 +89,8 @@ class BlockParser:
         encoded = [json.dumps(label).encode() for label in labels]
         self._heads = [b'{"ch":%s,' % e for e in encoded if _DISTURBING.intersection(e)]
         self._m = len(labels)
-        self._copy_fields = copy_fields
-        self._attempt_fields = attempt_fields
         # the columns of a fixed-layout copy's numbers: each key's first field
-        self._fixed_columns = [copy_fields.index(name) for name in dict.fromkeys(copy_fields)]
+        self._fixed_columns = [COPY_KEYS.index(name) for name in dict.fromkeys(COPY_KEYS)]
         self._fixed_width = 1 + len(labels) * len(self._fixed_columns)  # numbers per line
 
         # A general block becomes one table with a row per copy and per
@@ -104,7 +98,7 @@ class BlockParser:
         # entry fields a copy lacks, the packet index (on a line's first
         # copy), a copy's trace flag, a copy flag and a column for what is
         # dropped; a key names one column in both kinds of row.
-        fields = copy_fields + tuple(n for n in attempt_fields if n not in copy_fields)
+        fields = COPY_KEYS + tuple(n for n in ENTRY_KEYS if n not in COPY_KEYS)
         index, traced, is_copy, dropped = range(len(fields), len(fields) + 4)
         width = dropped + 1
         # Per key byte (a key's last byte): ``step`` is the row width at the
@@ -115,12 +109,12 @@ class BlockParser:
         # '"copies"' and '"ch"' come before their copy's first field, where
         # the sum is the start of the copy's own row.
         step = np.zeros(256, dtype=np.intp)
-        step[[ord(copy_fields[0][-1]), ord(attempt_fields[0][-1])]] = width
+        step[[ord(COPY_KEYS[0][-1]), ord(ENTRY_KEYS[0][-1])]] = width
         value = np.full(256, dropped - width, dtype=np.intp)
         flag = np.full(256, dropped - width, dtype=np.intp)
         for column, name in enumerate(fields):
             (flag if name in fields[:column] else value)[ord(name[-1])] = column - width
-        flag[ord(copy_fields[0][-1])] = is_copy - width
+        flag[ord(COPY_KEYS[0][-1])] = is_copy - width
         flag[ord("e")] = traced - width  # '"trace":[', even when empty
         value[ord("i")], flag[ord("i")] = index, dropped
         for key in b"sh":  # '"copies":[' and '"ch":<label>'
@@ -133,8 +127,8 @@ class BlockParser:
         first = {name: fields.index(name) for name in fields}
         last = {name: column for column, name in enumerate(fields)}
         self._attempt_columns = [
-            (last if name in attempt_fields[:k] else first)[name]
-            for k, name in enumerate(attempt_fields)
+            (last if name in ENTRY_KEYS[:k] else first)[name]
+            for k, name in enumerate(ENTRY_KEYS)
         ]
 
     def parse(self, text: str) -> tuple[np.ndarray, ...] | None:
@@ -160,10 +154,10 @@ class BlockParser:
         one number per key of each copy; the presence flags are all set."""
         lines = _numbers(data).reshape(-1, self._fixed_width)
         fields = lines[:, 1:].reshape(-1, len(self._fixed_columns))
-        copies = np.ones((len(fields), len(self._copy_fields)), dtype=np.int64)
+        copies = np.ones((len(fields), len(COPY_KEYS)), dtype=np.int64)
         copies[:, self._fixed_columns] = fields
         lengths = np.full(len(copies), -1, dtype=np.int64)
-        attempts = np.empty((0, len(self._attempt_fields)), dtype=np.int64)
+        attempts = np.empty((0, len(ENTRY_KEYS)), dtype=np.int64)
         return lines[:, 0], copies, lengths, attempts
 
     def _parse_general(self, data: bytes) -> tuple[np.ndarray, ...]:
@@ -192,7 +186,7 @@ class BlockParser:
         lengths[:-1] += first[1:]
         lengths[-1] += len(table)
         lengths -= first
-        return copies[:: self._m, self._index], copies[:, : len(self._copy_fields)], lengths, attempts
+        return copies[:: self._m, self._index], copies[:, : len(COPY_KEYS)], lengths, attempts
 
 
 _TEN = np.uint64(10)

@@ -162,14 +162,6 @@ class MetricsReport:
     channels: dict[str, ChannelMetrics]
     link: LinkMetrics
 
-    def same_metrics(self, other: "MetricsReport") -> bool:
-        """Equality of every measured quantity, ignoring the params echo."""
-        return (
-            self.n_packets == other.n_packets
-            and self.channels == other.channels
-            and self.link == other.link
-        )
-
 
 def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
     """Effective displacement and whether flags use recorded timestamps.

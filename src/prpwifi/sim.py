@@ -121,21 +121,14 @@ class SimConfig:
     interference_margin_ns: int = 2_000_000_000
 
     def validate(self) -> None:
-        if self.n_packets < 1:
-            raise SimConfigError("n_packets must be >= 1")
-        if self.period_ns <= 0:
-            raise SimConfigError("period must be positive")
         if len(self.channels) != 2:
             raise SimConfigError("duplex link required: exactly two channels")
-        labels = [cs.channel.label for cs in self.channels]
-        indices = [cs.channel.index for cs in self.channels]
-        if len(set(labels)) != 2 or len(set(indices)) != 2:
-            raise SimConfigError("channel labels and indices must be unique")
-        if list(indices) != sorted(indices):
-            raise SimConfigError("channels must be listed in index order")
+        try:
+            _run_meta(self).validate()  # packets, period, channels and PHY
+        except ValueError as exc:
+            raise SimConfigError(str(exc)) from None
         for cs in self.channels:
             try:
-                cs.phy.validate()
                 cs.interference.validate()
                 cs.errors.validate()
             except ValueError as exc:

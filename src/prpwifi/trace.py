@@ -29,7 +29,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .logblocks import BlockFormatter, BlockParser, line_blocks
+from .logblocks import COPY_KEYS, ENTRY_KEYS, BlockFormatter, BlockParser, line_blocks
 
 LOG_FORMAT = "prpwifi-runlog"
 LOG_VERSION = 1
@@ -194,7 +194,10 @@ class RunMeta:
         if list(indices) != sorted(indices):
             raise InvalidRunError("channels must be listed in index order")
         for cm in self.channels:
-            cm.phy.validate()
+            try:
+                cm.phy.validate()
+            except ValueError as exc:
+                raise InvalidRunError(f"channel {cm.channel.label}: {exc}") from None
 
 
 class _Columns:
@@ -353,7 +356,7 @@ class RunLog(_Columns):
         ]
         m, n = len(channels), len(packets)
         ints, flags = _copy_buffers(m, n)
-        table = np.array(rows, dtype=np.int64).reshape(n, m, len(_COPY_FIELDS))
+        table = np.array(rows, dtype=np.int64).reshape(n, m, len(COPY_KEYS))
         _put_copy_rows(ints, flags, table.T)
         return _from_columns(
             meta,
@@ -362,7 +365,7 @@ class RunLog(_Columns):
             np.array(
                 [-1 if c.trace is None else len(c.trace) for c in copies], dtype=np.int64
             ).reshape(n, m).T,
-            np.array(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
+            np.array(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
         )
 
 
@@ -370,11 +373,8 @@ def _optional(values: np.ndarray, present: np.ndarray) -> list[int | None]:
     return [v if p else None for v, p in zip(values.tolist(), present.tolist())]
 
 
-# The log keys of a copy's and an attempt's fields, each optional duration
-# followed by its presence flag, and the RunLog and AttemptTable columns
-# that hold them, in the same order.
-_COPY_FIELDS = ("l", "t_T", "t_X", "w", "Td", "Td", "Ta", "Ta")
-_ATTEMPT_FIELDS = ("tW", "Td", "Ta", "Ta", "ok")
+# The RunLog and AttemptTable columns that hold the fields of COPY_KEYS
+# and ENTRY_KEYS, in the same order.
 COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "has_td", "ta", "has_ta")
 ATTEMPT_COLUMNS = ("start", "data", "ack", "has_ack", "ok")
 
@@ -387,14 +387,14 @@ def _copy_buffers(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _put_copy_rows(ints: np.ndarray, flags: np.ndarray, rows: np.ndarray) -> None:
-    """Write ``rows``, laid out as ``_COPY_FIELDS`` on the first axis, into
+    """Write ``rows``, laid out as ``COPY_KEYS`` on the first axis, into
     the buffers of ``_copy_buffers``."""
     ints[:4], ints[4] = rows[1:5], rows[6]
     flags[0], flags[1:] = rows[0], rows[5::2]
 
 
 def _copy_columns(ints: np.ndarray, flags: np.ndarray) -> list[np.ndarray]:
-    """The columns of ``_COPY_FIELDS``, in order, from the buffers of
+    """The columns of ``COPY_KEYS``, in order, from the buffers of
     ``_copy_buffers``."""
     (t_t, t_x, w, td, ta), (lost, has_td, has_ta) = ints, flags
     return [lost, t_t, t_x, w, td, has_td, ta, has_ta]
@@ -408,10 +408,10 @@ def _from_columns(
     attempts: np.ndarray,
 ) -> RunLog:
     """Build a run from channel-major copy columns (one of shape ``(m, n)``
-    per field of ``_COPY_FIELDS``, presence flags after each duration, the
+    per field of ``COPY_KEYS``, presence flags after each duration, the
     flags bool; the run holds them), per-copy trace lengths
     (shape ``(m, n)``, -1 where a copy has no trace) and the attempt rows
-    of all traced copies in packet-major copy order (``_ATTEMPT_FIELDS``)."""
+    of all traced copies in packet-major copy order (``ENTRY_KEYS``)."""
     m, n = len(meta.channels), len(index)
     trace = None
     present = lengths >= 0
@@ -569,13 +569,15 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
         raise InvalidRunError(f"meta says {meta.n_packets} packets, log has {n}")
     if request_epsilon_ns is None:
         request_epsilon_ns = meta.request_epsilon_ns
-    req, end = run.req, run.end
+    req, end, lost = run.req, run.end, run.lost
 
-    # (bad packets, message) in the order a per-packet pass checks them
-    checks: list[tuple[np.ndarray, Callable[[int], str]]] = [
+    # (bad mask, message) in the order a per-packet pass checks them: an
+    # (n,) mask flags packets and an (m, n) mask copies; a packet's own
+    # checks come before those of its copies, channel by channel
+    checks: list[tuple[np.ndarray, str]] = [
         (
             run.index != np.arange(1, n + 1),
-            lambda i: f"packet indices must run 1..N without gaps (saw {run.index[i]})",
+            "packet indices must run 1..N without gaps (saw {index})",
         )
     ]
     if meta.deferral_ns == 0:
@@ -585,18 +587,36 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
             req.min(axis=0),
             request_epsilon_ns,
         )
-        checks.append((skewed, lambda i: f"packet {i + 1}: request skew exceeds epsilon"))
+        checks.append((skewed, "packet {packet}: request skew exceeds epsilon"))
     elif len(meta.channels) == 2:
         mismatch = _exact(lambda a, b, d: b - a != d, req[0], req[1], meta.deferral_ns)
         checks.append(
             (
                 mismatch,
-                lambda i: (
-                    f"packet {i + 1}: request skew {int(req[1, i]) - int(req[0, i])} "
-                    f"does not match the recorded displacement {meta.deferral_ns}"
-                ),
+                "packet {packet}: request skew {skew} does not match the recorded "
+                "displacement {deferral}",
             )
         )
+    # a copy that passes the checks on its durations and final start has a
+    # final start and a receive time that int64 arithmetic computes exactly;
+    # they come before the reconstruction mismatch, which relies on it
+    starts_early = _exact(
+        lambda *x: _final_starts(*x[:-1]) < x[-1],
+        end, run.td, run.ta, lost,
+        _per_channel(run, "sifs_ns"), _per_channel(run, "ack_timeout_ns"), req,
+    )
+    checks += [
+        (req < 0, "request time must be non-negative"),
+        (end <= req, "end of transmission must follow the request"),
+        (end >= TIME_LIMIT_NS, "packet {packet}: end of transmission must come before 2^62 ns"),
+        (run.attempts < 1, "attempt count must be >= 1"),
+        (~lost & ~(run.has_td & run.has_ta), "delivered copies need both frame durations"),
+        (
+            run.has_td & (run.td <= 0) | run.has_ta & (run.ta <= 0),
+            "frame durations must be positive",
+        ),
+        (run.has_td & starts_early, "the final attempt must not start before the request"),
+    ]
 
     t = run.trace
     if t is not None:
@@ -612,82 +632,52 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
         is_last[t.offsets[1:][lengths > 0] - 1] = True
         unordered = np.zeros(len(t.start), dtype=bool)
         unordered[1:] = (copy_of[1:] == copy_of[:-1]) & (t.start[1:] <= t.start[:-1])
-        per_copy = (
-            lengths.reshape(req.shape),
-            copies_of(unordered),
-            copies_of(t.ok & ~is_last),
-            t.per_copy(t.ok),
-            copies_of(t.has_ack != t.ok),
-            t.per_copy(t.start, first=True),
-            t.per_copy(t.start),
-        )
-        final = final_starts(run)
-
-    # a copy that passes these two checks has final starts and receive
-    # times that int64 arithmetic computes exactly; for each copy they come
-    # before the reconstruction mismatch, which relies on it
-    nonpositive = run.has_td & (run.td <= 0) | run.has_ta & (run.ta <= 0)
-    starts_early = run.has_td & _exact(
-        lambda *x: _final_starts(*x[:-1]) < x[-1],
-        end, run.td, run.ta, run.lost,
-        _per_channel(run, "sifs_ns"), _per_channel(run, "ack_timeout_ns"), req,
-    )
-    for j in range(len(meta.channels)):
-        lost, w = run.lost[j], run.attempts[j]
-        checks += [
-            (req[j] < 0, lambda i: "request time must be non-negative"),
-            (end[j] <= req[j], lambda i: "end of transmission must follow the request"),
-            (
-                end[j] >= TIME_LIMIT_NS,
-                lambda i: f"packet {i + 1}: end of transmission must come before 2^62 ns",
-            ),
-            (w < 1, lambda i: "attempt count must be >= 1"),
-            (
-                ~lost & ~(run.has_td[j] & run.has_ta[j]),
-                lambda i: "delivered copies need both frame durations",
-            ),
-            (nonpositive[j], lambda i: "frame durations must be positive"),
-            (starts_early[j], lambda i: "the final attempt must not start before the request"),
-        ]
-        if t is None:
-            continue
-        length, unordered_j, early_ok, last_ok, ack_mismatch, first, last = (
-            x[j] for x in per_copy
-        )
-        traced = t.present[j]
+        traced = t.present
+        length = lengths.reshape(req.shape)
         nonempty = traced & (length > 0)
-        previous_end = np.concatenate(([-1], end[j, :-1]))
+        last = t.per_copy(t.start)
+        previous_end = np.concatenate((np.full((len(req), 1), -1), end[:, :-1]), axis=1)
         checks += [
-            (traced & (length != w), lambda i: "trace length must equal the attempt count"),
-            (traced & unordered_j, lambda i: "attempt starts must strictly increase"),
+            (traced & (length != run.attempts), "trace length must equal the attempt count"),
+            (traced & copies_of(unordered), "attempt starts must strictly increase"),
             (
-                nonempty & (last >= end[j]),
-                lambda i: f"packet {i + 1}: attempts must start before the end of transmission",
+                nonempty & (last >= end),
+                "packet {packet}: attempts must start before the end of transmission",
             ),
-            (traced & early_ok, lambda i: "only the final attempt may succeed"),
-            (nonempty & (last_ok == lost), lambda i: "trace outcome contradicts the loss flag"),
+            (traced & copies_of(t.ok & ~is_last), "only the final attempt may succeed"),
+            (nonempty & (t.per_copy(t.ok) == lost), "trace outcome contradicts the loss flag"),
             (
-                traced & ack_mismatch,
-                lambda i: "an attempt carries an ACK duration iff it succeeded",
-            ),
-            (
-                nonempty & (first <= previous_end),
-                lambda i: f"packet {i + 1}: attempts overlap the previous packet",
+                traced & copies_of(t.has_ack != t.ok),
+                "an attempt carries an ACK duration iff it succeeded",
             ),
             (
-                nonempty & run.has_td[j] & (final[j] != last),
-                lambda i: f"packet {i + 1}: final-attempt reconstruction mismatch",
+                nonempty & (t.per_copy(t.start, first=True) <= previous_end),
+                "packet {packet}: attempts overlap the previous packet",
+            ),
+            (
+                nonempty & run.has_td & (final_starts(run) != last),
+                "packet {packet}: final-attempt reconstruction mismatch",
             ),
         ]
 
-    failure: tuple[int, Callable[[int], str]] | None = None
-    for bad, message in checks:
-        if bad.any():
-            i = int(np.argmax(bad))
-            if failure is None or i < failure[0]:
-                failure = (i, message)
-    if failure is not None:
-        raise InvalidRunError(failure[1](failure[0]))
+    # the least (packet, channel, check) fails, with a packet's own checks
+    # at channel -1
+    failures = []
+    for k, (bad, _) in enumerate(checks):
+        packets = bad if bad.ndim == 1 else bad.any(axis=0)
+        if packets.any():
+            i = int(np.argmax(packets))
+            failures.append((i, -1 if bad.ndim == 1 else int(np.argmax(bad[:, i])), k))
+    if failures:
+        i, _, k = min(failures)
+        raise InvalidRunError(
+            checks[k][1].format(
+                packet=i + 1,
+                index=run.index[i],
+                skew=int(req[1, i]) - int(req[0, i]),
+                deferral=meta.deferral_ns,
+            )
+        )
 
 
 # --- serialization ---------------------------------------------------------
@@ -800,7 +790,7 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
         copies = [c[:, lo:hi].T.ravel() for c in columns]  # packet-major
         if t is None:
             lengths = np.full(m * (hi - lo), -1, dtype=np.int64)
-            attempts = [np.zeros(0, dtype=np.int64)] * len(_ATTEMPT_FIELDS)
+            attempts = [np.zeros(0, dtype=np.int64)] * len(ENTRY_KEYS)
         else:
             kept = trace_lengths[:, lo:hi].T.ravel()
             lengths = np.where(t.present[:, lo:hi].T.ravel(), kept, -1)
@@ -865,8 +855,8 @@ def _int64_row(row: tuple, names: tuple[str, ...], record_index: int) -> tuple:
 def _decode_copy(
     d: dict, position: Mapping[str, int], record_index: int
 ) -> tuple[int, tuple, int, list[tuple]]:
-    """(channel position, ``_COPY_FIELDS`` row, trace length or -1,
-    ``_ATTEMPT_FIELDS`` rows) of one copy entry. Every timestamp, duration
+    """(channel position, ``COPY_KEYS`` row, trace length or -1,
+    ``ENTRY_KEYS`` rows) of one copy entry. Every timestamp, duration
     and count must be an int (``bool`` and ``float`` are rejected) to keep
     times in integer ns."""
     try:
@@ -888,7 +878,7 @@ def _decode_copy(
                     f"trace field {name!r} must be an integer", record_index
                 )
             row = (start, data, ack or 0, ack is not None, ok != 0)
-            attempts.append(_int64_row(row, _ATTEMPT_FIELDS, record_index))
+            attempts.append(_int64_row(row, ENTRY_KEYS, record_index))
         j = position.get(label) if type(label) is str else None
     except (KeyError, TypeError) as exc:
         raise LogFormatError(f"bad copy entry: {exc}", record_index) from exc
@@ -899,7 +889,7 @@ def _decode_copy(
         data_ns or 0, data_ns is not None, ack_ns or 0, ack_ns is not None,
     )
     length = -1 if trace_entries is None else len(trace_entries)
-    return j, _int64_row(row, _COPY_FIELDS, record_index), length, attempts
+    return j, _int64_row(row, COPY_KEYS, record_index), length, attempts
 
 
 def _require_utf8(raw: str, lineno: int) -> None:
@@ -963,9 +953,9 @@ def _decode_lines(
             attempts += rows
     return (
         np.array(index, dtype=np.int64),
-        np.array(copies, dtype=np.int64).reshape(-1, len(_COPY_FIELDS)),
+        np.array(copies, dtype=np.int64).reshape(-1, len(COPY_KEYS)),
         np.array(lengths, dtype=np.int64),
-        np.array(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
+        np.array(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
     )
 
 
@@ -1005,7 +995,7 @@ def decode_log(
     meta = _decode_meta(header)
     labels = [cm.channel.label for cm in meta.channels]
     position = {label: j for j, label in enumerate(labels)}
-    parser = BlockParser(labels, _COPY_FIELDS, _ATTEMPT_FIELDS)
+    parser = BlockParser(labels)
     m = len(labels)
 
     # columns of the packets decoded so far (the int64 copy fields and the
@@ -1037,7 +1027,7 @@ def decode_log(
         index[count:stop] = block_index
         _put_copy_rows(
             ints[..., count:stop], flags[..., count:stop],
-            block_copies.reshape(-1, m, len(_COPY_FIELDS)).T,
+            block_copies.reshape(-1, m, len(COPY_KEYS)).T,
         )
         lengths[:, count:stop] = block_lengths.reshape(-1, m).T
         attempts.frombytes(block_attempts.view(np.uint8))  # bytes of the rows, no copy
@@ -1053,7 +1043,7 @@ def decode_log(
         index,
         _copy_columns(ints, flags),
         lengths[:, :count],
-        np.frombuffer(attempts, dtype=np.int64).reshape(-1, len(_ATTEMPT_FIELDS)),
+        np.frombuffer(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
     )
     del index, ints, flags, lengths, attempts  # free what the run does not hold before validation
     if validate:

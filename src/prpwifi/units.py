@@ -1,7 +1,7 @@
-"""Duration parsing and formatting helpers.
+"""Duration parsing.
 
-All simulator and analysis code keeps time as integer nanoseconds; these
-helpers exist only at the boundaries (config files, CLI flags, reports).
+All simulator and analysis code keeps time as integer nanoseconds; durations
+are parsed only at the boundaries (config files, CLI flags).
 """
 from __future__ import annotations
 
@@ -32,8 +32,3 @@ def parse_duration_ns(text: str) -> int:
     if value.denominator != 1:
         raise ValueError(f"duration {text!r} is not a whole number of ns")
     return int(value)
-
-
-def ns_to_us(value_ns: int | float) -> float:
-    return value_ns / 1_000
-

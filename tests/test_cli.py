@@ -215,6 +215,7 @@ class TestSimulateCommand:
             ("B.burst_cap = 2", "channel B: burst_cap must be >= burst_mean"),
             ("B.payload_airtime = 0us", "channel B: payload_airtime must be positive"),
             ("B.loss_prob = 1.5", "channel B: loss_prob must be within [0, 1]"),
+            ("B.retry_limit = 0", "channel B: retry_limit must be >= 1"),
         ],
     )
     def test_bad_channel_key_names_channel_and_key(self, line, message, tmp_path, capsys):

@@ -363,6 +363,18 @@ class TestValidation:
         with pytest.raises(LogFormatError, match=f"^{message}$"):
             decode_log(io.StringIO(buf.getvalue()))
 
+    def test_copy_checks_follow_channel_order(self):
+        """Packet 2 breaks a later check on A (``Td = 0``) than on B
+        (``t_X = t_T``): the channel comes before the check, as in a
+        per-packet pass."""
+        packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
+        a, b = (packets[1].copies[c] for c in (CH_A, CH_B))
+        copies = {CH_A: replace(a, final_data_ns=0), CH_B: replace(b, end_ns=b.request_ns)}
+        run = make_run([packets[0], replace(packets[1], copies=copies), packets[2]])
+        for check in (validate_run, validate_run_spec):
+            with pytest.raises(InvalidRunError, match="^frame durations must be positive$"):
+                check(run)
+
     def test_end_times_stay_below_2_62(self, tmp_path, capsys):
         """An end of transmission at 2^63 - 11 on packet 2's copy on A used
         to validate, and a virtual T_D of -3 ms then wrapped its shifted end
@@ -514,21 +526,29 @@ def test_shift_copy_moves_trace_too(traced_run):
 
 # sha256 of the outputs of the per-packet implementation that the columnar
 # run replaced, on lossy_config(400, seed=31): log, CSV export, and the
-# `analyze` JSON of an RDA and a TDD report (oracle policy on the traced log)
+# `analyze` JSON of an RDA and a TDD report (oracle policy on the traced
+# log); and, pinned later from the columnar code, of the `sweep` CSVs over
+# T_LRE and over T_D on the same log
 FENCE_DIGESTS = {
     "traced": {
         "jsonl": "4255eceaf090de3ccb1933f082c9e7ddbae9aa5914ad78ad4a2d59c1dce6821d",
         "csv": "6cfe5228f1fd49f977b07d21401228cc8ab657cab8110de2f8f5091a1abacd40",
         "rda": "012d51f6d2e1bbde740544ff959c9fc91cead3254d525778f93dd15a11da6965",
         "tdd": "f83a202aa1dd13f7c3660db58073370eee9ddef8cda1e1999d6f539262707d81",
+        "sweep_tlre": "bfdc41becd60b6784710cda417f82ffcb3ba8f1406fa5406d1ce87f85cee1881",
+        "sweep_td": "2e59170041800d5c592079fefff438881208b17154f3ac45f15f1eeb11732d67",
     },
     "adapter": {
         "jsonl": "f87b66b0f5cfebf7a3f99cfc76eaa88d2ab62f08b11a6f18548754cf1d858f8e",
         "csv": "971260ee377b7a56d441935cdca3ad0ecfadcaee218b73b0e515f3bdc0c7de33",
         "rda": "012d51f6d2e1bbde740544ff959c9fc91cead3254d525778f93dd15a11da6965",
         "tdd": "16c25987c23bc466376a0a3e03acf84980e42b5026fed6a95de906baa23250c4",
+        "sweep_tlre": "bfdc41becd60b6784710cda417f82ffcb3ba8f1406fa5406d1ce87f85cee1881",
+        "sweep_td": "2e59170041800d5c592079fefff438881208b17154f3ac45f15f1eeb11732d67",
     },
 }
+# `validate-deferral` stdout on a lossy desk config, seeds 31 and 32
+VALIDATE_DEFERRAL_DIGEST = "13a5ac6ee6a9057a6fb10770cfb0aae117f4de0c459b254f5d803f12ee44c04c"
 
 
 def _sha256(text: str) -> str:
@@ -554,8 +574,28 @@ class TestByteIdentity:
             out = tmp_path / f"{name}.json"
             assert main(["analyze", "--log", str(log), *argv, "--out", str(out)]) == 0
             digests[name] = _sha256(out.read_text())
+        for name, argv in (
+            ("sweep_tlre", ["--param", "tlre", "--range=0:200us", "--step", "10us"]),
+            ("sweep_td", ["--param", "td", "--range=-300us:300us", "--step", "25us",
+                          "--tlre", "30us"]),
+        ):
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", "--log", str(log), *argv, "--out", str(out)]) == 0
+            digests[name] = _sha256(out.read_text())
         capsys.readouterr()
         assert digests == FENCE_DIGESTS[view]
+
+    def test_validate_deferral_stdout_matches_pinned_digest(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "packets = 400\nperiod = 4ms\nfull_trace = false\nloss_prob = 0.3\n"
+            "retry_limit = 2\nburst_mean = 3\nburst_cap = 12\ngap_mean = 2.8ms\n"
+            "gap_cap = 280ms\nA.interferers = 1\nB.interferers = 2\n"
+        )
+        argv = ["validate-deferral", str(config), "--td-list=-150us,0,100us", "--seeds", "31,32",
+                "--tlre", "30us", "--tol-e", "0.004", "--tol-latency", "0.05"]
+        assert main(argv) == 1  # the 100 us row fails its tolerance
+        assert _sha256(capsys.readouterr().out) == VALIDATE_DEFERRAL_DIGEST
 
 
 class TestColumns:
@@ -603,6 +643,17 @@ class TestDecoderHoles:
         with pytest.raises(LogFormatError, match=repr(field)) as exc:
             decode_log(io.StringIO("\n".join(lines)))
         assert exc.value.record_index == line
+
+    def test_bad_header_phy_names_the_channel(self, adapter_run):
+        buf = io.StringIO()
+        encode_log(adapter_run, buf)
+        lines = buf.getvalue().splitlines()
+        header = json.loads(lines[0])
+        header["channels"][1]["phy"]["retry_limit"] = 0
+        lines[0] = json.dumps(header)
+        message = "record 1: bad meta header: channel B: retry_limit must be >= 1"
+        with pytest.raises(LogFormatError, match=f"^{message}$"):
+            decode_log(io.StringIO("\n".join(lines)))
 
     @pytest.mark.parametrize("field, value", [("epsilon", 2**70), ("t_m", 4.0e6)])
     def test_header_ints_are_int64(self, adapter_run, field, value):
