@@ -41,6 +41,13 @@ def _flag(flag: str, text: str, parse=parse_duration_ns):
         raise ConfigError(f"{flag}: {exc}") from None
 
 
+def _skew_bound(text: str) -> int:
+    value = parse_duration_ns(text)
+    if value < 0:
+        raise ValueError(f"duration {text!r} is negative")
+    return value
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_atomic(out, lambda sink: sink.write(text))
@@ -82,7 +89,7 @@ def _da_params(args: argparse.Namespace, mode: DaMode) -> DaParams:
 
 
 def _read_log_arg(args: argparse.Namespace):
-    epsilon = _flag("--epsilon", args.epsilon) if args.epsilon is not None else None
+    epsilon = None if args.epsilon is None else _flag("--epsilon", args.epsilon, _skew_bound)
     return read_log(args.log, request_epsilon_ns=epsilon)
 
 

@@ -33,7 +33,7 @@ import os
 from dataclasses import replace
 
 from .sim import ChannelSetup, SimConfig
-from .trace import PHY_KEYS, ChannelId
+from .trace import PHY_HEADER, ChannelId
 from .units import parse_duration_ns
 
 
@@ -57,6 +57,10 @@ def _labels(value: str) -> tuple[str, ...]:
     return labels
 
 
+def _durations(value: str) -> tuple[int, ...]:
+    return tuple(parse_duration_ns(part) for part in value.split(","))
+
+
 # every key as (part, field, parser): part None is the SimConfig itself, any
 # other part is that field of ChannelSetup (field None: the value itself)
 _KEYS = {
@@ -68,14 +72,10 @@ _KEYS = {
     "deferral": (None, "deferral_ns", parse_duration_ns),
     "margin": (None, "interference_margin_ns", parse_duration_ns),
     **{
-        key: ("phy", field, parse_duration_ns if field.endswith("_ns") else int)
-        for key, field in PHY_KEYS.items()
+        key: ("phy", field, _durations if field == "data_frame_schedule_ns"
+              else parse_duration_ns if field.endswith("_ns") else int)
+        for key, field, _ in PHY_HEADER.keys
     },
-    "data_frame_schedule": (
-        "phy",
-        "data_frame_schedule_ns",
-        lambda value: tuple(parse_duration_ns(part) for part in value.split(",")),
-    ),
     "loss_prob": ("errors", "attempt_loss_prob", float),
     "interferers": ("interference", "interferer_count", int),
     "burst_cap": ("interference", "burst_len_cap", int),

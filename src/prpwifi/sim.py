@@ -66,8 +66,6 @@ class InterferenceParams:
 
     def validate(self) -> None:
         """Raise :class:`SimConfigError` naming the config key at fault."""
-        if self.interferer_count < 0:
-            raise SimConfigError("interferers must be >= 0")
         for key, value in (
             ("payload_airtime", self.payload_airtime_ns),
             ("burst_spacing", self.intra_burst_spacing_ns),
@@ -583,7 +581,6 @@ def _run_meta(config: SimConfig) -> RunMeta:
             for setup in config.channels
         ),
         deferral_ns=config.deferral_ns,
-        request_epsilon_ns=0,
     )
 
 

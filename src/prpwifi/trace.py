@@ -25,20 +25,15 @@ import os
 import tempfile
 from array import array
 from dataclasses import dataclass, fields, replace
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .logblocks import COPY_KEYS, ENTRY_KEYS, BlockFormatter, BlockParser, line_blocks
 
-LOG_FORMAT = "prpwifi-runlog"
-LOG_VERSION = 1
-
 VIEW_FULL_TRACE = "full-trace"
 VIEW_ADAPTER = "adapter-only"
 
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 # every end of transmission in a valid run, and so every attempt start,
 # lies below this, so a time plus a displacement of less than it stays an
 # int64
@@ -185,6 +180,8 @@ class RunMeta:
             raise InvalidRunError("generation period must be positive")
         if self.view not in (VIEW_FULL_TRACE, VIEW_ADAPTER):
             raise InvalidRunError(f"unknown view {self.view!r}")
+        if self.request_epsilon_ns < 0:
+            raise InvalidRunError("request skew epsilon must be >= 0")
         if len(self.channels) < 2:
             raise InvalidRunError("a redundant link needs at least two channels")
         labels = [cm.channel.label for cm in self.channels]
@@ -196,6 +193,8 @@ class RunMeta:
         for cm in self.channels:
             try:
                 cm.phy.validate()
+                if cm.interferer_count < 0:
+                    raise ValueError("interferers must be >= 0")
             except ValueError as exc:
                 raise InvalidRunError(f"channel {cm.channel.label}: {exc}") from None
 
@@ -690,83 +689,129 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
 # {"tW": ..., "Td": ..., "Ta": ..., "ok": 0|1} with Ta omitted on failures.
 
 
-# PHY keys of the log header and of config files, in header order, with
-# their PhyParams fields; a field ending in ``_ns`` is a duration
-PHY_KEYS = {
-    "sifs": "sifs_ns",
-    "ack_timeout": "ack_timeout_ns",
-    "slot": "slot_ns",
-    "difs": "difs_ns",
-    "cw_min": "cw_min",
-    "cw_max": "cw_max",
-    "retry_limit": "retry_limit",
-    "data_frame": "data_frame_ns",
-    "ack_frame": "ack_frame_ns",
-}
+# The meta header is one JSON object, described once by the table below and
+# walked by _meta_to_dict and _meta_from_dict. A _Level is one object: the
+# dataclass it holds and its keys in order as (key, field, kind). A kind is a
+# _Scalar, a _Level (the object under the key; under key None, one whose keys
+# sit in the enclosing object), a list of one _Level, or under field None a
+# constant. Only an optional scalar may be absent, where its field is None.
+# Ranges are left to the dataclasses' validate().
 
 
-def _phy_to_dict(phy: PhyParams) -> dict:
-    d = {key: getattr(phy, name) for key, name in PHY_KEYS.items()}
-    if phy.data_frame_schedule_ns is not None:
-        d["data_frame_schedule"] = list(phy.data_frame_schedule_ns)
+class _Scalar(NamedTuple):
+    what: str  # what a value must be, for the error message
+    test: Callable[[object], bool]
+    optional: bool = False
+
+
+class _Level(NamedTuple):
+    cls: type
+    keys: tuple[tuple[str | None, str | None, object], ...]
+
+
+def _is_int64(value: object) -> bool:
+    return type(value) is int and -(1 << 63) <= value < 1 << 63
+
+
+_INT64 = _Scalar("an int64", _is_int64)
+_STR = _Scalar("a string", lambda v: type(v) is str)
+# also the PHY keys of config files; a field ending in ``_ns`` is a duration
+PHY_HEADER = _Level(PhyParams, (
+    ("sifs", "sifs_ns", _INT64),
+    ("ack_timeout", "ack_timeout_ns", _INT64),
+    ("slot", "slot_ns", _INT64),
+    ("difs", "difs_ns", _INT64),
+    ("cw_min", "cw_min", _INT64),
+    ("cw_max", "cw_max", _INT64),
+    ("retry_limit", "retry_limit", _INT64),
+    ("data_frame", "data_frame_ns", _INT64),
+    ("ack_frame", "ack_frame_ns", _INT64),
+    ("data_frame_schedule", "data_frame_schedule_ns", _Scalar(
+        "a list of int64s", lambda v: type(v) is list and all(map(_is_int64, v)), optional=True
+    )),
+))
+_HEADER = _Level(RunMeta, (
+    ("format", None, "prpwifi-runlog"),
+    ("version", None, 1),
+    ("n", "n_packets", _INT64),
+    ("t_m", "period_ns", _INT64),
+    # config files take any int seed and only format it into stream names
+    ("seed", "seed", _Scalar("an integer", lambda v: type(v) is int)),
+    ("view", "view", _STR),
+    ("deferral_td", "deferral_ns", _INT64),
+    ("epsilon", "request_epsilon_ns", _INT64),
+    ("channels", "channels", [_Level(ChannelMeta, (
+        (None, "channel", _Level(ChannelId, (("ch", "label", _STR), ("index", "index", _INT64)))),
+        ("interferers", "interferer_count", _INT64),
+        ("seed_salt", "seed_salt", _STR),
+        ("phy", "phy", PHY_HEADER),
+    ))]),
+))
+
+
+def _meta_to_dict(obj: object, level: _Level = _HEADER) -> dict:
+    """The header object of ``obj``, a dataclass of ``level``."""
+    d: dict = {}
+    for key, field, kind in level.keys:
+        value = kind if field is None else getattr(obj, field)
+        if key is None:
+            d.update(_meta_to_dict(value, kind))
+        elif isinstance(kind, _Level):
+            d[key] = _meta_to_dict(value, kind)
+        elif isinstance(kind, list):
+            d[key] = [_meta_to_dict(v, kind[0]) for v in value]
+        elif value is not None or not kind.optional:
+            d[key] = list(value) if type(value) is tuple else value
     return d
 
 
-def _phy_from_dict(d: dict) -> PhyParams:
-    schedule = d.get("data_frame_schedule")
-    return PhyParams(
-        **{name: d[key] for key, name in PHY_KEYS.items()},
-        data_frame_schedule_ns=tuple(schedule) if schedule is not None else None,
-    )
+def _meta_from_dict(d: object, level: _Level = _HEADER, prefix: str = "") -> object:
+    """The dataclass of ``level`` held by the header object ``d``. Raise
+    :class:`LogFormatError` at record 1 naming the first key, as ``prefix +
+    key``, that is missing, of the wrong kind or unknown."""
+    if type(d) is not dict:
+        what = f"header key {prefix[:-1]!r}" if prefix else "meta header"
+        raise LogFormatError(f"{what} must be a JSON object", 1)
+    values = {}
+    for key, field, kind in level.keys:
+        name, value = prefix + (key or ""), d.get(key)
+        if key is None:
+            value = _meta_from_dict({k: d[k] for k, _, _ in kind.keys if k in d}, kind, prefix)
+        elif key not in d:
+            if not (isinstance(kind, _Scalar) and kind.optional):
+                raise LogFormatError(f"header key {name!r} is missing", 1)
+        elif field is None:
+            if type(value) is not type(kind) or value != kind:
+                raise LogFormatError(f"header key {name!r} must be {kind!r}", 1)
+            continue
+        elif isinstance(kind, _Level):
+            value = _meta_from_dict(value, kind, name + ".")
+        elif isinstance(kind, list):
+            if type(value) is not list:
+                raise LogFormatError(f"header key {name!r} must be a list", 1)
+            # a channel's keys are named after its label, where it has one
+            labels = [e.get("ch") if type(e) is dict else None for e in value]
+            value = tuple(
+                _meta_from_dict(e, kind[0], f"{lb}." if type(lb) is str else f"{name}[{j}].")
+                for j, (e, lb) in enumerate(zip(value, labels))
+            )
+        elif not kind.test(value):
+            raise LogFormatError(f"header key {name!r} must be {kind.what}", 1)
+        values[field] = tuple(value) if type(value) is list else value
+    # the object's keys: the level's own and those of the levels under key None
+    names = {n for k, _, kind in level.keys for n in ([k] if k else [e[0] for e in kind.keys])}
+    unknown = sorted(d.keys() - names)
+    if unknown:
+        raise LogFormatError(f"unknown header key {prefix + unknown[0]!r}", 1)
+    return level.cls(**values)
 
 
-def _meta_to_dict(meta: RunMeta) -> dict:
-    return {
-        "format": LOG_FORMAT,
-        "version": LOG_VERSION,
-        "n": meta.n_packets,
-        "t_m": meta.period_ns,
-        "seed": meta.seed,
-        "view": meta.view,
-        "deferral_td": meta.deferral_ns,
-        "epsilon": meta.request_epsilon_ns,
-        "channels": [
-            {
-                "ch": cm.channel.label,
-                "index": cm.channel.index,
-                "interferers": cm.interferer_count,
-                "seed_salt": cm.seed_salt,
-                "phy": _phy_to_dict(cm.phy),
-            }
-            for cm in meta.channels
-        ],
-    }
-
-
-def _header_ints(meta: RunMeta) -> list[tuple[str, object]]:
-    """Header fields the columns compute with; each must be an int64."""
-    values: list[tuple[str, object]] = [
-        ("n", meta.n_packets),
-        ("t_m", meta.period_ns),
-        ("deferral_td", meta.deferral_ns),
-        ("epsilon", meta.request_epsilon_ns),
-    ]
-    for cm in meta.channels:
-        label = cm.channel.label
-        values.append((f"{label}.index", cm.channel.index))
-        for key, value in _phy_to_dict(cm.phy).items():
-            entries = value if key == "data_frame_schedule" else [value]
-            values += [(f"{label}.{key}", v) for v in entries]
-    return values
-
-
-def _not_int(d: dict, required: tuple[str, ...], optional: tuple[str, ...]) -> str | None:
-    """Name of the first field of ``d`` that is not an int, or None;
-    optional fields may also be absent or null."""
-    for key in required:
-        if type(d[key]) is not int:
-            return key
-    return next((k for k in optional if type(d.get(k, 0)) not in (int, type(None))), None)
+def _check_int64(d: dict, required: tuple, optional: tuple, what: str, record_index: int) -> None:
+    """Raise :class:`LogFormatError` naming the first field of ``d`` that is
+    not an int64; optional fields may also be absent or null."""
+    for key in required + optional:
+        if not _is_int64(d.get(key)) and (key in required or d.get(key) is not None):
+            raise LogFormatError(f"{what} {key!r} must be an int64", record_index)
 
 
 _ENCODE_BLOCK = 4096  # packets formatted per write, to bound memory
@@ -778,8 +823,7 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
     n = len(run.index)
     if n != run.meta.n_packets:
         raise InvalidRunError("packet count does not match meta")
-    sink.write(json.dumps(_meta_to_dict(run.meta), separators=(",", ":")))
-    sink.write("\n")
+    sink.write(json.dumps(_meta_to_dict(run.meta), separators=(",", ":")) + "\n")
     formatter = BlockFormatter([c.label for c in run.channels])
     columns = [getattr(run, name) for name in COPY_COLUMNS]
     m, t = len(run.channels), run.trace
@@ -806,50 +850,12 @@ def _decode_meta(header: str) -> RunMeta:
         meta_dict = json.loads(header)
     except (ValueError, RecursionError) as exc:
         raise LogFormatError(f"meta header is not valid JSON: {exc}", 1) from exc
-    if type(meta_dict) is not dict:
-        raise LogFormatError("meta header must be a JSON object", 1)
-    if meta_dict.get("format") != LOG_FORMAT:
-        raise LogFormatError("not a run log (bad format marker)", 1)
-    if meta_dict.get("version") != LOG_VERSION:
-        raise LogFormatError(f"unsupported version {meta_dict.get('version')}", 1)
-    try:
-        channels = tuple(
-            ChannelMeta(
-                channel=ChannelId(index=c["index"], label=c["ch"]),
-                phy=_phy_from_dict(c["phy"]),
-                interferer_count=c.get("interferers", 0),
-                seed_salt=c.get("seed_salt", ""),
-            )
-            for c in meta_dict["channels"]
-        )
-        meta = RunMeta(
-            n_packets=meta_dict["n"],
-            period_ns=meta_dict["t_m"],
-            seed=meta_dict["seed"],
-            view=meta_dict["view"],
-            channels=channels,
-            deferral_ns=meta_dict.get("deferral_td", 0),
-            request_epsilon_ns=meta_dict.get("epsilon", 0),
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise LogFormatError(f"bad meta header: {exc}", 1) from exc
-    for name, value in _header_ints(meta):
-        if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
-            raise LogFormatError(f"header field {name!r} must be an int64", 1)
+    meta = _meta_from_dict(meta_dict)
     try:
         meta.validate()
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise LogFormatError(f"bad meta header: {exc}", 1) from exc
     return meta
-
-
-def _int64_row(row: tuple, names: tuple[str, ...], record_index: int) -> tuple:
-    """``row`` of decoded ints if each fits an int64; otherwise raise
-    :class:`LogFormatError` naming the first field that does not."""
-    for name, value in zip(names, row):
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise LogFormatError(f"field {name!r} is outside the int64 range", record_index)
-    return row
 
 
 def _decode_copy(
@@ -857,28 +863,21 @@ def _decode_copy(
 ) -> tuple[int, tuple, int, list[tuple]]:
     """(channel position, ``COPY_KEYS`` row, trace length or -1,
     ``ENTRY_KEYS`` rows) of one copy entry. Every timestamp, duration
-    and count must be an int (``bool`` and ``float`` are rejected) to keep
+    and count must be an int64 (``bool`` and ``float`` are rejected) to keep
     times in integer ns."""
     try:
         label = d["ch"]
         lost, request_ns, end_ns, w = d["l"], d["t_T"], d["t_X"], d["w"]
         data_ns, ack_ns = d.get("Td"), d.get("Ta")
-        name = _not_int(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"))
-        if name is not None:
-            raise LogFormatError(f"field {name!r} must be an integer", record_index)
+        _check_int64(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"), "field", record_index)
         trace_entries = d.get("trace")
         if trace_entries is not None and type(trace_entries) is not list:
             raise LogFormatError("'trace' must be a list", record_index)
         attempts = []
         for e in trace_entries or ():
             start, data, ack, ok = e["tW"], e["Td"], e.get("Ta"), e["ok"]
-            name = _not_int(e, ("tW", "Td", "ok"), ("Ta",))
-            if name is not None:
-                raise LogFormatError(
-                    f"trace field {name!r} must be an integer", record_index
-                )
-            row = (start, data, ack or 0, ack is not None, ok != 0)
-            attempts.append(_int64_row(row, ENTRY_KEYS, record_index))
+            _check_int64(e, ("tW", "Td", "ok"), ("Ta",), "trace field", record_index)
+            attempts.append((start, data, ack or 0, ack is not None, ok != 0))
         j = position.get(label) if type(label) is str else None
     except (KeyError, TypeError) as exc:
         raise LogFormatError(f"bad copy entry: {exc}", record_index) from exc
@@ -889,7 +888,7 @@ def _decode_copy(
         data_ns or 0, data_ns is not None, ack_ns or 0, ack_ns is not None,
     )
     length = -1 if trace_entries is None else len(trace_entries)
-    return j, _int64_row(row, COPY_KEYS, record_index), length, attempts
+    return j, row, length, attempts
 
 
 def _require_utf8(raw: str, lineno: int) -> None:
@@ -933,8 +932,8 @@ def _decode_lines(
             entries = d["copies"]
         except (KeyError, TypeError) as exc:
             raise LogFormatError(f"bad packet record: {exc}", lineno) from exc
-        if type(packet_index) is not int:
-            raise LogFormatError("packet index 'i' must be an integer", lineno)
+        if not _is_int64(packet_index):
+            raise LogFormatError("packet index 'i' must be an int64", lineno)
         if type(entries) is not list:
             raise LogFormatError("'copies' must be a list", lineno)
         decoded = [_decode_copy(e, position, lineno) for e in entries]
@@ -946,7 +945,7 @@ def _decode_lines(
             raise LogFormatError(
                 f"packet {packet_index}: missing channel copies", lineno
             )
-        index += _int64_row((packet_index,), ("i",), lineno)
+        index.append(packet_index)
         for _, row, length, rows in sorted(decoded, key=lambda c: c[0]):
             copies.append(row)
             lengths.append(length)

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from prpwifi import (
     ChannelId,
@@ -25,6 +25,11 @@ from prpwifi import (
 from prpwifi.trace import AttemptTrace, CopyRecord, PacketRecord
 
 from helpers import CH_A, CH_B, copy_from_starts, desk_config, lossy_config, make_run
+
+# Every property test draws the same examples on every run; a test's own
+# @settings (example count, deadline) still apply on top of this profile.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -338,6 +338,18 @@ class TestMalformedLog:
         assert main(["analyze", "--log", str(bad), "--mode", "rda"]) == 2
         assert capsys.readouterr().err.startswith("error: record 6: ")
 
+    def test_bad_header_exits_2_naming_record_1(self, log_file, tmp_path, capsys):
+        lines = log_file.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["channels"][0]["ch"] = 5
+        lines[0] = json.dumps(header)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--log", str(bad), "--mode", "rda"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: record 1: header key 'channels[0].ch' must be a string\n"
+
     def test_non_utf8_byte_exits_2_naming_the_line(self, log_file, tmp_path, capsys):
         lines = log_file.read_bytes().split(b"\n")
         lines[3] = lines[3][:40] + b"\xff" + lines[3][41:]
@@ -522,6 +534,8 @@ class TestVirtualDisplacementBound:
         (["analyze", "LOG", "--mode", "tdd", "--td", "1ks"], "--td: invalid duration: '1ks'"),
         (["analyze", "LOG", "--mode", "rda", "--epsilon", "0.5ns"],
          "--epsilon: duration '0.5ns' is not a whole number of ns"),
+        (["analyze", "LOG", "--mode", "rda", "--epsilon=-1ns"],
+         "--epsilon: duration '-1ns' is negative"),
         (["sweep", "LOG", "--param", "tlre", "--range", "0:x", "--step", "1us"],
          "--range: invalid duration: 'x'"),
         (["sweep", "LOG", "--param", "tlre", "--range", "0:1us", "--step", "1e3"],

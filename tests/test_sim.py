@@ -214,7 +214,6 @@ class TestInterference:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("interferer_count", -1, "interferers must be >= 0"),
             ("payload_airtime_ns", 0, "payload_airtime must be positive"),
             ("intra_burst_spacing_ns", -1, "burst_spacing must be positive"),
             ("burst_len_mean", 0.0, "burst_mean must be positive"),
@@ -228,6 +227,14 @@ class TestInterference:
         with pytest.raises(SimConfigError) as exc:
             replace(InterferenceParams(), **{field: value}).validate()
         assert str(exc.value) == message
+
+    def test_negative_interferer_count_names_the_channel(self):
+        cfg = desk_config(2, seed=1)
+        intf = replace(InterferenceParams(), interferer_count=-1)
+        cfg = replace(cfg, channels=(cfg.channels[0], replace(cfg.channels[1], interference=intf)))
+        with pytest.raises(SimConfigError) as exc:
+            cfg.validate()
+        assert str(exc.value) == "channel B: interferers must be >= 0"
 
     def test_gaps_are_capped(self):
         params = desk_interference(1)
@@ -326,7 +333,7 @@ class TestSynthesis:
     ``helpers`` and, where int64 sums of the draws wrap, against Python
     ints."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(case=synthesis_cases())
     def test_equals_general_interval_spec(self, case):
         params, horizon, chunk_horizon, seed = case
@@ -607,7 +614,7 @@ class TestBatchedMac:
     """``sim._simulate_channel`` against the sequential MAC in ``helpers``;
     the derandomized property run takes about 7 s."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None)
     @given(config=sim_configs(), block=st.sampled_from([5, 64, sim._BLOCK]))
     def test_equals_sequential_spec(self, config, block):
         # small blocks carry the leftover error draws and the time the

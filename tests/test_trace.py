@@ -33,6 +33,7 @@ from prpwifi import (
 )
 from prpwifi import logblocks, trace
 from prpwifi.cli import main
+from prpwifi.config import parse_config
 from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
 from prpwifi.logblocks import BlockParser, line_blocks
 from prpwifi.metrics import _oracle_starts
@@ -41,6 +42,7 @@ from prpwifi.trace import (
     CopyRecord,
     MissingFrameDurationError,
     PacketRecord,
+    _meta_to_dict,
     copy_latency,
     final_attempt_start,
     final_starts,
@@ -177,6 +179,14 @@ class TestCodec:
             for packet in decoded.packets
             for copy in packet.copies.values()
         )
+
+    def test_any_int_config_seed_roundtrips(self):
+        """Config files take any int seed, so its log must decode too."""
+        run = generate_run(parse_config(f"packets = 20\nperiod = 4ms\nseed = {2**70}\n"))
+        text, decoded = self.roundtrip(run)
+        assert run.meta.seed == 2**70 and decoded.meta == run.meta
+        assert text.startswith(f'{{"format":"prpwifi-runlog","version":1,"n":20,"t_m":4000000,'
+                               f'"seed":{2**70},')
 
     def test_empty_run_rejected(self):
         with pytest.raises(InvalidRunError):
@@ -455,7 +465,7 @@ class TestColumnarReconstruction:
 
     @pytest.mark.parametrize("full_trace", [False, True], ids=["adapter", "traced"])
     @pytest.mark.parametrize("loss_prob", [None, 1.0], ids=["drawn-loss", "all-lost-on-B"])
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=15, deadline=None)
     @given(config=sim_configs())
     def test_equals_per_copy_spec(self, full_trace, loss_prob, config):
         if loss_prob is not None:
@@ -655,17 +665,59 @@ class TestDecoderHoles:
         with pytest.raises(LogFormatError, match=f"^{message}$"):
             decode_log(io.StringIO("\n".join(lines)))
 
-    @pytest.mark.parametrize("field, value", [("epsilon", 2**70), ("t_m", 4.0e6)])
-    def test_header_ints_are_int64(self, adapter_run, field, value):
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("epsilon",), 2**70, "header key 'epsilon' must be an int64"),
+            (("t_m",), 4.0e6, "header key 't_m' must be an int64"),
+            (("seed",), "x", "header key 'seed' must be an integer"),
+            (("seed",), 1.5, "header key 'seed' must be an integer"),
+            (("seed",), True, "header key 'seed' must be an integer"),
+            (
+                ("channels", 0, "interferers"),
+                -5,
+                "bad meta header: channel A: interferers must be >= 0",
+            ),
+            (("channels", 0, "interferers"), "lots", "header key 'A.interferers' must be an int64"),
+            (("channels", 1, "seed_salt"), 7, "header key 'B.seed_salt' must be a string"),
+            (("channels", 0, "ch"), 5, "header key 'channels[0].ch' must be a string"),
+            (("bogus",), 1, "unknown header key 'bogus'"),
+            (("channels", 1, "phy", "bogus"), 1, "unknown header key 'B.phy.bogus'"),
+            (("channels", 0, "interferers"), None, "header key 'A.interferers' is missing"),
+            (
+                ("channels", 0, "phy", "data_frame_schedule"),
+                "null",
+                "header key 'A.phy.data_frame_schedule' must be a list of int64s",
+            ),
+            (
+                ("channels", 0, "phy", "data_frame_schedule"),
+                [],
+                "bad meta header: channel A: data_frame_schedule_ns must not be empty",
+            ),
+            (("version",), True, "header key 'version' must be 1"),
+            (("version",), 1.0, "header key 'version' must be 1"),
+            (("epsilon",), -1, "bad meta header: request skew epsilon must be >= 0"),
+        ],
+        ids=lambda arg: ".".join(map(str, arg)) if type(arg) is tuple else None,
+    )
+    def test_bad_header_value_names_the_key(self, adapter_run, path, value, message):
+        """``value`` None deletes the key, "null" sets it to JSON null."""
         buf = io.StringIO()
         encode_log(adapter_run, buf)
         lines = buf.getvalue().splitlines()
         header = json.loads(lines[0])
-        header[field] = value
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = None if value == "null" else value
         lines[0] = json.dumps(header)
-        with pytest.raises(LogFormatError, match=field) as exc:
-            decode_log(io.StringIO("\n".join(lines)))
-        assert exc.value.record_index == 1
+        for validate in (True, False):
+            with pytest.raises(LogFormatError) as exc:
+                decode_log(io.StringIO("\n".join(lines)), validate=validate)
+            assert str(exc.value) == f"record 1: {message}" and exc.value.record_index == 1
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_deeply_nested_json_names_the_line(self, adapter_run, line):
@@ -680,10 +732,13 @@ class TestDecoderHoles:
     @settings(max_examples=300, deadline=None)
     @given(mutated_logs())
     def test_mutated_log_decodes_or_raises_log_format_error(self, text):
+        """A header that decodes is the canonical one: no value in it was
+        dropped, defaulted or retyped."""
         try:
-            decode_log(io.StringIO(text))
+            run = decode_log(io.StringIO(text))
         except LogFormatError:
-            pass
+            return
+        assert json.loads(text.split("\n", 1)[0]) == _meta_to_dict(run.meta)
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_logs())
