@@ -19,7 +19,6 @@ from .metrics import (
 )
 from .sim import (
     ChannelSetup,
-    ErrorModel,
     InterferenceParams,
     SimConfig,
     SimConfigError,

@@ -33,18 +33,28 @@ from .trace import InvalidRunError, export_csv, read_log, write_atomic, write_lo
 from .units import parse_duration_ns
 
 
-def _flag(flag: str, text: str, parse=parse_duration_ns):
-    """A flag's parsed value; a bad value is reported with the flag."""
+def _flag(flag: str, value, parse=parse_duration_ns):
+    """``parse(value)``, a flag's value parsed or checked; a bad value is
+    reported with the flag."""
     try:
-        return parse(text)
+        return parse(value)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def _skew_bound(text: str) -> int:
+def _non_negative(text: str) -> int:
     value = parse_duration_ns(text)
     if value < 0:
         raise ValueError(f"duration {text!r} is negative")
+    return value
+
+
+def _attempt_charge(text: str) -> int | None:
+    if text == "max":
+        return None
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"charge {text!r} must be >= 1")
     return value
 
 
@@ -75,21 +85,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _da_params(args: argparse.Namespace, mode: DaMode) -> DaParams:
-    if args.lost_attempts == "max":
-        lost_attempts = None
-    else:
-        lost_attempts = _flag("--lost-attempts", args.lost_attempts, int)
-    return DaParams(
+    params = DaParams(
         mode=mode,
-        t_lre_ns=_flag("--tlre", args.tlre),
+        t_lre_ns=_flag("--tlre", args.tlre, _non_negative),
         t_d_ns=_flag("--td", args.td),
         failed_copy_policy=FailedCopyPolicy(args.failed_copy_policy),
-        lost_copy_attempts=lost_attempts,
+        lost_copy_attempts=_flag("--lost-attempts", args.lost_attempts, _attempt_charge),
     )
+    # the other flags are checked as they are parsed: what validation can
+    # still refuse is a displacement outside tdd mode
+    _flag("--td", params, DaParams.validate)
+    return params
 
 
 def _read_log_arg(args: argparse.Namespace):
-    epsilon = None if args.epsilon is None else _flag("--epsilon", args.epsilon, _skew_bound)
+    epsilon = None if args.epsilon is None else _flag("--epsilon", args.epsilon, _non_negative)
     return read_log(args.log, request_epsilon_ns=epsilon)
 
 
@@ -116,10 +126,12 @@ def _grid_values(spec: str, step_ns: int) -> list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     run = _read_log_arg(args)
     values = _grid_values(args.range, _flag("--step", args.step))
-    t_lre = _flag("--tlre", args.tlre)
     if args.param == "tlre":
+        if args.tlre is not None:
+            raise ConfigError("--tlre: a fixed reaction latency applies to --param td only")
         grid = [DaParams(mode=DaMode.RDA, t_lre_ns=v) for v in values]
     else:
+        t_lre = _flag("--tlre", args.tlre or "0", _non_negative)
         grid = [DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=v) for v in values]
     reports = sweep(run, grid)
     buffer = StringIO()
@@ -150,7 +162,7 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
                 f"displacements beyond the {DEFAULT_VIRTUAL_DEFER_LIMIT_NS} ns "
                 "stationarity guard; pass --force to run anyway"
             )
-    t_lre = _flag("--tlre", args.tlre)
+    t_lre = _flag("--tlre", args.tlre, _non_negative)
 
     # adapter-view runs: the comparison only uses final-attempt data
     base_config = replace(config, deferral_ns=0, emit_full_trace=False)
@@ -224,44 +236,38 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--csv", help="also write a flat per-copy CSV export here")
     sim.set_defaults(func=cmd_simulate)
 
-    def analysis_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tlre", default="0", help="reaction latency (e.g. 50us)")
-        p.add_argument(
-            "--td",
-            default="0",
-            help="request displacement for tdd mode (use --td=-100us for negatives)",
-        )
-        p.add_argument(
-            "--failed-copy-policy",
-            choices=[policy.value for policy in FailedCopyPolicy],
-            default=FailedCopyPolicy.PESSIMISTIC_ZERO.value,
-        )
-        p.add_argument(
-            "--lost-attempts",
-            default="max",
-            help="attempt charge for lost copies: 'max' (measured) or an integer",
-        )
-        p.add_argument(
-            "--epsilon",
-            help="allowed request skew when validating imported logs",
-        )
+    def log_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--log", required=True)
+        p.add_argument("--epsilon", help="allowed request skew when validating imported logs")
 
     ana = sub.add_parser("analyze", help="compute a metrics report from a log")
-    ana.add_argument("--log", required=True)
+    log_flags(ana)
     ana.add_argument("--mode", choices=[m.value for m in DaMode], required=True)
-    analysis_flags(ana)
+    ana.add_argument("--tlre", default="0", help="reaction latency (e.g. 50us)")
+    ana.add_argument(
+        "--td",
+        default="0",
+        help="request displacement, --mode tdd only (use --td=-100us for negatives)",
+    )
+    ana.add_argument(
+        "--failed-copy-policy",
+        choices=[policy.value for policy in FailedCopyPolicy],
+        default=FailedCopyPolicy.PESSIMISTIC_ZERO.value,
+    )
+    ana.add_argument(
+        "--lost-attempts",
+        default="max",
+        help="attempt charge for lost copies: 'max' (measured) or an integer",
+    )
     ana.add_argument("--out", help="write the JSON report here instead of stdout")
     ana.set_defaults(func=cmd_analyze)
 
     sw = sub.add_parser("sweep", help="evaluate a parameter grid as CSV")
-    sw.add_argument("--log", required=True)
+    log_flags(sw)
     sw.add_argument("--param", choices=["tlre", "td"], required=True)
     sw.add_argument("--range", required=True, help="start:stop (use = for negatives)")
     sw.add_argument("--step", required=True, help="grid step (e.g. 50us)")
-    sw.add_argument("--tlre", default="0", help="fixed reaction latency for td sweeps")
-    sw.add_argument(
-        "--epsilon", help="allowed request skew when validating imported logs"
-    )
+    sw.add_argument("--tlre", help="fixed reaction latency, --param td only (default 0)")
     sw.add_argument("--out", help="write the CSV here instead of stdout")
     sw.set_defaults(func=cmd_sweep)
 

@@ -76,7 +76,7 @@ _KEYS = {
               else parse_duration_ns if field.endswith("_ns") else int)
         for key, field, _ in PHY_HEADER.keys
     },
-    "loss_prob": ("errors", "attempt_loss_prob", float),
+    "loss_prob": ("loss_prob", None, float),
     "interferers": ("interference", "interferer_count", int),
     "burst_cap": ("interference", "burst_len_cap", int),
     "payload_airtime": ("interference", "payload_airtime_ns", parse_duration_ns),

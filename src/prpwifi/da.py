@@ -67,6 +67,8 @@ class DaParams:
             raise ValueError("reaction latency must be non-negative")
         if self.lost_copy_attempts is not None and self.lost_copy_attempts < 1:
             raise ValueError("fixed lost-copy attempt charge must be >= 1")
+        if self.t_d_ns != 0 and self.mode is not DaMode.TDD:
+            raise ValueError("a request displacement applies to tdd mode only")
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -55,6 +55,8 @@ class LatencyStats:
     p99_99_ns: int
     max_ns: int
     population: int
+    over_10ms: int  # samples above each of MISS_THRESHOLDS_NS
+    over_100ms: int
 
 
 def _nearest_rank(ordered: np.ndarray, q: Fraction) -> int:
@@ -107,6 +109,7 @@ def latency_stats(samples: Sequence[int] | np.ndarray) -> LatencyStats | None:
     s1, s2 = _exact_sums(ordered)
     # population variance from exact integer sums: (n*s2 - s1^2) / n^2
     var = Fraction(n * s2 - s1 * s1, n * n)
+    within = np.searchsorted(ordered, MISS_THRESHOLDS_NS, side="right").tolist()
     return LatencyStats(
         mean_ns=s1 / n,
         std_ns=math.sqrt(var),
@@ -114,6 +117,8 @@ def latency_stats(samples: Sequence[int] | np.ndarray) -> LatencyStats | None:
         p99_99_ns=_nearest_rank(ordered, _P9999_Q),
         max_ns=int(ordered[-1]),
         population=n,
+        over_10ms=n - within[0],
+        over_100ms=n - within[1],
     )
 
 
@@ -145,18 +150,9 @@ class LinkMetrics:
 
 
 @dataclass(frozen=True, slots=True)
-class ReportParams:
-    mode: DaMode
-    t_lre_ns: int
-    t_d_ns: int
-    failed_copy_policy: FailedCopyPolicy
-    lost_copy_policy: str  # "measured-max" or "fixed"
-    lost_copy_charge: int
-
-
-@dataclass(frozen=True, slots=True)
 class MetricsReport:
-    params: ReportParams
+    params: DaParams  # as applied: ``t_d_ns`` is the displacement analyzed
+    lost_copy_charge: int  # attempts charged per lost copy
     n_packets: int
     log_deferral_ns: int
     channels: dict[str, ChannelMetrics]
@@ -186,22 +182,6 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
 
 
 @dataclass(frozen=True, slots=True)
-class _Population:
-    """One delivered-latency population, reduced to what reports use."""
-
-    stats: LatencyStats | None
-    miss: tuple[int, int]  # samples above each of MISS_THRESHOLDS_NS
-
-
-def _population(samples: np.ndarray) -> _Population:
-    miss = (
-        int((samples > MISS_THRESHOLDS_NS[0]).sum()),
-        int((samples > MISS_THRESHOLDS_NS[1]).sum()),
-    )
-    return _Population(latency_stats(samples), miss)
-
-
-@dataclass(frozen=True, slots=True)
 class _Accumulated:
     """Raw per-run tallies, independent of the evaluation path."""
 
@@ -211,8 +191,8 @@ class _Accumulated:
     attempts_delivered: list[int]
     lost_count: list[int]
     max_delivered_attempts: int
-    chan_latency: list[_Population]
-    link_latency: _Population
+    chan_latency: list[LatencyStats | None]
+    link_latency: LatencyStats | None
     link_lost: int
 
 
@@ -263,9 +243,9 @@ class _Derived:
     max_delivered_attempts: int
     lost_count: list[int]
     link_lost: int  # packets lost on every channel
-    chan_latency: list[_Population]
+    chan_latency: list[LatencyStats | None]
     _margins: dict[tuple, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    _populations: dict[tuple | None, _Population] = field(default_factory=dict)
+    _populations: dict[tuple | None, LatencyStats | None] = field(default_factory=dict)
 
     def margins(self, policy: FailedCopyPolicy, shift: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """(m, n) copy and (n,) link margins, row j's requests shifted by
@@ -288,7 +268,7 @@ class _Derived:
             self._margins[key] = margin, link
         return self._margins[key]
 
-    def link_latency(self, shift: tuple[int, ...], recorded: bool) -> _Population:
+    def link_latency(self, shift: tuple[int, ...], recorded: bool) -> LatencyStats | None:
         """PRP link latency on recorded timestamps, or with each channel's
         requests virtually displaced by its entry of ``shift``."""
         key = None if recorded else shift
@@ -297,7 +277,7 @@ class _Derived:
             _, latency, found = _quickest(values, shift, ~self.run.lost)
             if recorded:  # from the earliest request
                 latency -= self.run.req.min(axis=0)
-            self._populations[key] = _population(latency[found])
+            self._populations[key] = latency_stats(latency[found])
         return self._populations[key]
 
 
@@ -331,7 +311,7 @@ def _derive(run: RunLog) -> _Derived:
         max_delivered_attempts=int(run.attempts[delivered].max()) if delivered.any() else 0,
         lost_count=_counts(run.lost),
         link_lost=int(np.count_nonzero(~delivered.any(axis=0))),
-        chan_latency=[_population(lat[ok]) for lat, ok in zip(latency, delivered)],
+        chan_latency=[latency_stats(lat[ok]) for lat, ok in zip(latency, delivered)],
     )
 
 
@@ -359,42 +339,38 @@ def _accumulate(
     )
 
 
+def _quality(stats: LatencyStats | None, lost: int, n: int) -> dict:
+    """The latency, deadline-miss and loss fields of a channel or the link;
+    ``stats`` holds the delivered packets, so misses are a share of them."""
+    miss = [None, None] if stats is None else [
+        Fraction(k, stats.population) for k in (stats.over_10ms, stats.over_100ms)
+    ]
+    return {"latency": stats, "miss_10ms": miss[0], "miss_100ms": miss[1], "loss": Fraction(lost, n)}
+
+
 def _assemble(
     run: RunLog, params: DaParams, t_d: int, acc: _Accumulated
 ) -> MetricsReport:
     channels = run.channels
-    phy_by = run.phy_by_channel()
     n = run.meta.n_packets
-
-    if params.lost_copy_attempts is not None:
-        lost_policy, charge = "fixed", params.lost_copy_attempts
-    else:
-        lost_policy = "measured-max"
-        charge = acc.max_delivered_attempts or max(
-            phy_by[c].retry_limit for c in channels
-        )
+    # a fixed charge, else the measured maximum, else the largest retry limit
+    charge = params.lost_copy_attempts or acc.max_delivered_attempts or max(
+        phy.retry_limit for phy in run.phy_by_channel().values()
+    )
 
     channel_metrics: dict[str, ChannelMetrics] = {}
     for j, c in enumerate(channels):
-        attempts_total = acc.attempts_delivered[j] + acc.lost_count[j] * charge
-        delivered = n - acc.lost_count[j]
-        w_bar = Fraction(attempts_total, n)
-        latency = acc.chan_latency[j]
+        w_bar = Fraction(acc.attempts_delivered[j] + acc.lost_count[j] * charge, n)
         channel_metrics[c.label] = ChannelMetrics(
             early_bar=Fraction(acc.early_sum[j], n),
             simplex_bar=Fraction(acc.simplex_sum[j], n),
             attempts_bar=w_bar,
             efficiency=1 / w_bar,
-            latency=latency.stats,
-            miss_10ms=Fraction(latency.miss[0], delivered) if delivered else None,
-            miss_100ms=Fraction(latency.miss[1], delivered) if delivered else None,
-            loss=Fraction(acc.lost_count[j], n),
+            **_quality(acc.chan_latency[j], acc.lost_count[j], n),
         )
 
     e_bar_link = sum((m.early_bar for m in channel_metrics.values()), Fraction(0))
     w_bar_pow = sum((m.attempts_bar for m in channel_metrics.values()), Fraction(0))
-    delivered_link = n - acc.link_lost
-    link_latency = acc.link_latency
     link = LinkMetrics(
         early_bar=e_bar_link,
         simplex_bar=Fraction(acc.simplex_link_count, n),
@@ -403,24 +379,11 @@ def _assemble(
         efficiency_floor=1 / (w_bar_pow - e_bar_link),
         load_vs_pow=1 - e_bar_link / w_bar_pow,
         load_vs_simplex=len(channels) * (1 - e_bar_link / w_bar_pow),
-        latency=link_latency.stats,
-        miss_10ms=(
-            Fraction(link_latency.miss[0], delivered_link) if delivered_link else None
-        ),
-        miss_100ms=(
-            Fraction(link_latency.miss[1], delivered_link) if delivered_link else None
-        ),
-        loss=Fraction(acc.link_lost, n),
+        **_quality(acc.link_latency, acc.link_lost, n),
     )
     return MetricsReport(
-        params=ReportParams(
-            mode=params.mode,
-            t_lre_ns=params.t_lre_ns,
-            t_d_ns=t_d,
-            failed_copy_policy=params.failed_copy_policy,
-            lost_copy_policy=lost_policy,
-            lost_copy_charge=charge,
-        ),
+        params=replace(params, t_d_ns=t_d),
+        lost_copy_charge=charge,
         n_packets=n,
         log_deferral_ns=run.meta.deferral_ns,
         channels=channel_metrics,
@@ -519,6 +482,11 @@ def _latency_dict(stats: LatencyStats | None) -> dict | None:
     }
 
 
+def _quality_dict(m: ChannelMetrics | LinkMetrics) -> dict:
+    return {"latency": _latency_dict(m.latency), "miss_10ms_pct": _pct(m.miss_10ms),
+            "miss_100ms_pct": _pct(m.miss_100ms), "loss_pct": _pct(m.loss)}
+
+
 def report_to_dict(report: MetricsReport) -> dict:
     def channel_dict(m: ChannelMetrics) -> dict:
         return {
@@ -526,21 +494,18 @@ def report_to_dict(report: MetricsReport) -> dict:
             "z_pct": _pct(m.simplex_bar),
             "w_mean": _sig4(m.attempts_bar),
             "eta_pct": _pct(m.efficiency),
-            "latency": _latency_dict(m.latency),
-            "miss_10ms_pct": _pct(m.miss_10ms),
-            "miss_100ms_pct": _pct(m.miss_100ms),
-            "loss_pct": _pct(m.loss),
+            **_quality_dict(m),
         }
 
-    link = report.link
+    link, params = report.link, report.params
     return {
         "params": {
-            "mode": report.params.mode.value,
-            "t_lre_us": report.params.t_lre_ns / 1000,
-            "t_d_us": report.params.t_d_ns / 1000,
-            "failed_copy_policy": report.params.failed_copy_policy.value,
-            "lost_copy_policy": report.params.lost_copy_policy,
-            "lost_copy_charge": report.params.lost_copy_charge,
+            "mode": params.mode.value,
+            "t_lre_us": params.t_lre_ns / 1000,
+            "t_d_us": params.t_d_ns / 1000,
+            "failed_copy_policy": params.failed_copy_policy.value,
+            "lost_copy_policy": "measured-max" if params.lost_copy_attempts is None else "fixed",
+            "lost_copy_charge": report.lost_copy_charge,
         },
         "n_packets": report.n_packets,
         "log_deferral_us": report.log_deferral_ns / 1000,
@@ -553,10 +518,7 @@ def report_to_dict(report: MetricsReport) -> dict:
             "eta_check_pct": _pct(link.efficiency_floor),
             "theta_hat_pct": _pct(link.load_vs_pow),
             "Theta_hat_pct": _pct(link.load_vs_simplex),
-            "latency": _latency_dict(link.latency),
-            "miss_10ms_pct": _pct(link.miss_10ms),
-            "miss_100ms_pct": _pct(link.miss_100ms),
-            "loss_pct": _pct(link.loss),
+            **_quality_dict(link),
         },
     }
 

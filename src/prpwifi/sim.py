@@ -81,26 +81,13 @@ class InterferenceParams:
 
 
 @dataclass(frozen=True, slots=True)
-class ErrorModel:
-    """Per-attempt loss probability.
-
-    An error hits the attempt as a whole (DATA and ACK together), never the
-    ACK alone.
-    """
-
-    attempt_loss_prob: float = 0.0
-
-    def validate(self) -> None:
-        if not 0.0 <= self.attempt_loss_prob <= 1.0:
-            raise SimConfigError("loss_prob must be within [0, 1]")
-
-
-@dataclass(frozen=True, slots=True)
 class ChannelSetup:
     channel: ChannelId
     phy: PhyParams = PhyParams()
     interference: InterferenceParams = InterferenceParams()
-    errors: ErrorModel = ErrorModel()
+    # per-attempt loss probability; an error hits the attempt as a whole
+    # (DATA and ACK together), never the ACK alone
+    loss_prob: float = 0.0
     seed_salt: str = ""
 
 
@@ -128,7 +115,8 @@ class SimConfig:
         for cs in self.channels:
             try:
                 cs.interference.validate()
-                cs.errors.validate()
+                if not 0.0 <= cs.loss_prob <= 1.0:
+                    raise SimConfigError("loss_prob must be within [0, 1]")
             except ValueError as exc:
                 raise SimConfigError(f"channel {cs.channel.label}: {exc}") from None
         if abs(self.deferral_ns) >= self.period_ns:
@@ -528,7 +516,7 @@ def _simulate_channel(
     # reserves the longer of the two
     sifs_ack, ack_to = phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns
     tail = max(sifs_ack, ack_to)
-    n, loss_prob = config.n_packets, setup.errors.attempt_loss_prob
+    n, loss_prob = config.n_packets, setup.loss_prob
     req = np.arange(n, dtype=np.int64) * config.period_ns + request_offset_ns
     parts, free_at, i = [], 0, 0
     for ok, ordinal, last in _outcomes(error_draws, n, loss_prob, phy.retry_limit):

@@ -814,6 +814,11 @@ def _check_int64(d: dict, required: tuple, optional: tuple, what: str, record_in
             raise LogFormatError(f"{what} {key!r} must be an int64", record_index)
 
 
+def _check_keys(d: dict, allowed: frozenset, what: str, record_index: int) -> None:
+    if not allowed.issuperset(d):
+        raise LogFormatError(f"unknown {what} key {min(d.keys() - allowed)!r}", record_index)
+
+
 _ENCODE_BLOCK = 4096  # packets formatted per write, to bound memory
 
 
@@ -845,12 +850,33 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
         sink.write(formatter.format(run.index[lo:hi], copies, lengths, attempts))
 
 
-def _decode_meta(header: str) -> RunMeta:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise LogFormatError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return d
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# the keys of a packet line, of one of its copies and of a trace entry
+_PACKET_KEYS = frozenset(("i", "copies"))
+_COPY_ENTRY_KEYS = frozenset(("ch", "trace", *COPY_KEYS))
+_TRACE_ENTRY_KEYS = frozenset(ENTRY_KEYS)
+
+
+def _loads(raw: str, what: str, record_index: int) -> object:
+    """The JSON value of one record; no object in it may repeat a key."""
     try:
-        meta_dict = json.loads(header)
+        return _DECODER.decode(raw)
+    except LogFormatError as exc:  # from _unique_keys
+        raise LogFormatError(str(exc), record_index) from None
     except (ValueError, RecursionError) as exc:
-        raise LogFormatError(f"meta header is not valid JSON: {exc}", 1) from exc
-    meta = _meta_from_dict(meta_dict)
+        raise LogFormatError(f"{what}: {exc}", record_index) from exc
+
+
+def _decode_meta(header: str) -> RunMeta:
+    meta = _meta_from_dict(_loads(header, "meta header is not valid JSON", 1))
     try:
         meta.validate()
     except ValueError as exc:
@@ -870,6 +896,7 @@ def _decode_copy(
         lost, request_ns, end_ns, w = d["l"], d["t_T"], d["t_X"], d["w"]
         data_ns, ack_ns = d.get("Td"), d.get("Ta")
         _check_int64(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"), "field", record_index)
+        _check_keys(d, _COPY_ENTRY_KEYS, "copy", record_index)
         trace_entries = d.get("trace")
         if trace_entries is not None and type(trace_entries) is not list:
             raise LogFormatError("'trace' must be a list", record_index)
@@ -877,6 +904,7 @@ def _decode_copy(
         for e in trace_entries or ():
             start, data, ack, ok = e["tW"], e["Td"], e.get("Ta"), e["ok"]
             _check_int64(e, ("tW", "Td", "ok"), ("Ta",), "trace field", record_index)
+            _check_keys(e, _TRACE_ENTRY_KEYS, "trace", record_index)
             attempts.append((start, data, ack or 0, ack is not None, ok != 0))
         j = position.get(label) if type(label) is str else None
     except (KeyError, TypeError) as exc:
@@ -923,15 +951,13 @@ def _decode_lines(
             _require_utf8(raw, lineno)
         if not raw.strip():
             continue
-        try:
-            d = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise LogFormatError(f"invalid JSON: {exc}", lineno) from exc
+        d = _loads(raw, "invalid JSON", lineno)
         try:
             packet_index = d["i"]
             entries = d["copies"]
         except (KeyError, TypeError) as exc:
             raise LogFormatError(f"bad packet record: {exc}", lineno) from exc
+        _check_keys(d, _PACKET_KEYS, "packet", lineno)
         if not _is_int64(packet_index):
             raise LogFormatError("packet index 'i' must be an int64", lineno)
         if type(entries) is not list:

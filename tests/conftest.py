@@ -11,7 +11,6 @@ from prpwifi import (
     ChannelId,
     ChannelMeta,
     ChannelSetup,
-    ErrorModel,
     InterferenceParams,
     PhyParams,
     RunLog,
@@ -259,7 +258,7 @@ def sim_configs(draw) -> SimConfig:
                 channel=channel,
                 phy=draw(_phy()),
                 interference=draw(_interference()),
-                errors=ErrorModel(draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))),
+                loss_prob=draw(st.sampled_from([0.0, 0.02, 0.3, 1.0])),
             )
             for channel in (CH_A, CH_B)
         ),

@@ -19,7 +19,6 @@ from prpwifi import (
     ChannelSetup,
     DaMode,
     DaParams,
-    ErrorModel,
     InterferenceParams,
     InvalidRunError,
     LatencyStats,
@@ -32,6 +31,7 @@ from prpwifi import (
     SimConfigError,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
+    latency_stats,
 )
 from prpwifi.da import (
     DEFAULT_VIRTUAL_DEFER_LIMIT_NS,
@@ -42,7 +42,7 @@ from prpwifi.da import (
     tdd_flags,
     tdd_latency,
 )
-from prpwifi.metrics import _Accumulated, _assemble, _population, _resolve
+from prpwifi.metrics import MISS_THRESHOLDS_NS, _Accumulated, _assemble, _resolve
 from prpwifi.sim import _acquire, bulk_stream, mac_stream
 from prpwifi.trace import (
     AttemptTrace,
@@ -109,12 +109,12 @@ def desk_config(
             ChannelSetup(
                 channel=CH_A,
                 interference=desk_interference(interferers_a),
-                errors=ErrorModel(loss_prob),
+                loss_prob=loss_prob,
             ),
             ChannelSetup(
                 channel=CH_B,
                 interference=desk_interference(interferers_b),
-                errors=ErrorModel(loss_prob),
+                loss_prob=loss_prob,
             ),
         ),
         n_packets=n_packets,
@@ -258,8 +258,8 @@ def frac(num: int, den: int) -> Fraction:
 def latency_stats_spec(samples: list[int]) -> LatencyStats | None:
     """Pure-Python statistics that ``metrics.latency_stats`` must reproduce
     exactly: nearest-rank median and 99.99th percentile (rank = ceil(q*n),
-    1-based), and mean and population standard deviation from exact
-    integer sums."""
+    1-based), mean and population standard deviation from exact integer
+    sums, and the samples above each deadline."""
     n = len(samples)
     if n == 0:
         return None
@@ -278,6 +278,8 @@ def latency_stats_spec(samples: list[int]) -> LatencyStats | None:
         p99_99_ns=nearest_rank(Fraction(9999, 10000)),
         max_ns=ordered[-1],
         population=n,
+        over_10ms=sum(x > MISS_THRESHOLDS_NS[0] for x in ordered),
+        over_100ms=sum(x > MISS_THRESHOLDS_NS[1] for x in ordered),
     )
 
 
@@ -503,7 +505,7 @@ def simulate_copy(
     state: ChannelState,
     request_ns: int,
     phy: PhyParams,
-    errors: ErrorModel,
+    loss_prob: float,
     backoff_rng: random.Random,
     error_rng: random.Random,
     collect_trace: bool = True,
@@ -526,7 +528,6 @@ def simulate_copy(
     cw_max = phy.cw_max
     retry_limit = phy.retry_limit
     fixed_data = None if phy.data_frame_schedule_ns else phy.data_frame_ns
-    loss_prob = errors.attempt_loss_prob
     backoff_uniform = backoff_rng.random
     error_uniform = error_rng.random
     starts = state.busy_starts
@@ -586,7 +587,7 @@ def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset
             state,
             i * period + request_offset_ns,
             setup.phy,
-            setup.errors,
+            setup.loss_prob,
             backoff_rng,
             error_rng,
             collect_trace=config.emit_full_trace,
@@ -794,8 +795,8 @@ def _accumulate_reference(
         attempts_delivered,
         lost_count,
         max_delivered_attempts,
-        [_population(np.array(s, dtype=np.int64)) for s in chan_latencies],
-        _population(np.array(link_latencies, dtype=np.int64)),
+        [latency_stats(np.array(s, dtype=np.int64)) for s in chan_latencies],
+        latency_stats(np.array(link_latencies, dtype=np.int64)),
         link_lost,
     )
 

@@ -51,7 +51,7 @@ class TestConfigParsing:
         assert cfg.channels[0].interference.interferer_count == 0
         assert cfg.channels[1].interference.interferer_count == 2
         assert cfg.channels[1].interference.burst_len_cap == 12
-        assert cfg.channels[0].errors.attempt_loss_prob == 0.02
+        assert cfg.channels[0].loss_prob == 0.02
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -374,8 +374,9 @@ def test_commands_build_no_per_packet_records(config_file, tmp_path, monkeypatch
         log = tmp_path / "run.jsonl"
         argv = ["simulate", str(config), "--out", str(log), "--csv", str(tmp_path / "run.csv")]
         assert main(argv) == 0
-        for mode in ("pow", "rda", "tdd"):
-            assert main(["analyze", "--log", str(log), "--mode", mode, "--td", "50us"]) == 0
+        for mode in ("pow", "rda"):
+            assert main(["analyze", "--log", str(log), "--mode", mode]) == 0
+        assert main(["analyze", "--log", str(log), "--mode", "tdd", "--td", "50us"]) == 0
         for param, grid in (("tlre", "0:200us"), ("td", "-100us:100us")):
             argv = ["sweep", "--log", str(log), "--param", param, f"--range={grid}"]
             assert main(argv + ["--step", "50us"]) == 0
@@ -536,6 +537,17 @@ class TestVirtualDisplacementBound:
          "--epsilon: duration '0.5ns' is not a whole number of ns"),
         (["analyze", "LOG", "--mode", "rda", "--epsilon=-1ns"],
          "--epsilon: duration '-1ns' is negative"),
+        (["analyze", "LOG", "--mode", "rda", "--tlre=-1us"], "--tlre: duration '-1us' is negative"),
+        (["analyze", "LOG", "--mode", "rda", "--lost-attempts", "0"],
+         "--lost-attempts: charge '0' must be >= 1"),
+        (["analyze", "LOG", "--mode", "rda", "--td", "100us"],
+         "--td: a request displacement applies to tdd mode only"),
+        (["analyze", "LOG", "--mode", "pow", "--td=-1ns"],
+         "--td: a request displacement applies to tdd mode only"),
+        (["sweep", "LOG", "--param", "tlre", "--range", "0:1us", "--step", "1us", "--tlre", "999ms"],
+         "--tlre: a fixed reaction latency applies to --param td only"),
+        (["sweep", "LOG", "--param", "td", "--range", "0:1us", "--step", "1us", "--tlre=-1us"],
+         "--tlre: duration '-1us' is negative"),
         (["sweep", "LOG", "--param", "tlre", "--range", "0:x", "--step", "1us"],
          "--range: invalid duration: 'x'"),
         (["sweep", "LOG", "--param", "tlre", "--range", "0:1us", "--step", "1e3"],
@@ -543,6 +555,8 @@ class TestVirtualDisplacementBound:
         (["simulate", "CONFIG", "--out", "OUT", "--td", "x"], "--td: invalid duration: 'x'"),
         (["validate-deferral", "CONFIG", "--td-list=50us", "--tlre", "x"],
          "--tlre: invalid duration: 'x'"),
+        (["validate-deferral", "CONFIG", "--td-list=50us", "--tlre=-1us"],
+         "--tlre: duration '-1us' is negative"),
     ],
 )
 def test_bad_flag_value_names_the_flag(argv, message, log_file, config_file, tmp_path, capsys):

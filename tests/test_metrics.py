@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prpwifi import (
@@ -147,6 +147,7 @@ def assert_same_stats(got: LatencyStats, want: LatencyStats) -> None:
 class TestLatencyStatsExactness:
     @settings(max_examples=80, deadline=None)
     @given(populations())
+    @example([10 * MS, 10 * MS + 1, 100 * MS, 100 * MS + 1])
     def test_matches_spec(self, samples):
         assert_same_stats(latency_stats(samples), latency_stats_spec(samples))
 
@@ -240,7 +241,7 @@ class TestComputeReport:
         assert report.link.loss == 1
         assert report.link.miss_10ms is None
         # no delivered copies anywhere: charge falls back to the retry limit
-        assert report.params.lost_copy_charge == 21
+        assert report.lost_copy_charge == 21
         assert report.channels["A"].attempts_bar == 21
 
     def test_exact_identities(self, traced_run):
@@ -271,6 +272,13 @@ class TestComputeReport:
         assert report.params.t_d_ns == 120_000
         with pytest.raises(ValueError):
             compute_report(run, DaParams(mode=DaMode.TDD, t_d_ns=50_000))
+
+    @pytest.mark.parametrize("mode", [DaMode.POW, DaMode.RDA])
+    def test_displacement_outside_tdd_is_refused(self, traced_run, mode):
+        message = "^a request displacement applies to tdd mode only$"
+        for evaluate in (compute_report, compute_report_reference):
+            with pytest.raises(ValueError, match=message):
+                evaluate(traced_run, DaParams(mode=mode, t_d_ns=-1))
 
     def test_virtual_and_real_deferral_paths_agree_on_shifted_log(self, traced_run):
         # analyzing a virtually shifted log on its recorded timestamps must
@@ -306,13 +314,14 @@ class TestComputeReport:
         ]
         run = make_run(packets)
         measured = compute_report(run, DaParams(mode=DaMode.POW))
-        assert measured.params.lost_copy_policy == "measured-max"
-        assert measured.params.lost_copy_charge == 4
+        assert report_to_dict(measured)["params"]["lost_copy_policy"] == "measured-max"
+        assert measured.lost_copy_charge == 4
         assert measured.channels["A"].attempts_bar == Fraction(4 + 1, 2)
         fixed = compute_report(
             run, DaParams(mode=DaMode.POW, lost_copy_attempts=7)
         )
-        assert fixed.params.lost_copy_policy == "fixed"
+        assert report_to_dict(fixed)["params"]["lost_copy_policy"] == "fixed"
+        assert fixed.lost_copy_charge == 7
         assert fixed.channels["A"].attempts_bar == Fraction(7 + 1, 2)
 
     def test_vector_path_equals_reference(self, traced_run, adapter_run):

@@ -9,7 +9,7 @@ PUBLIC = {
     "LatencyStats", "MetricsReport", "OracleSummary", "compute_report", "latency_stats",
     "oracle_attempt_summary", "report_to_dict", "sweep", "write_sweep_csv",
     # sim
-    "ChannelSetup", "ErrorModel", "InterferenceParams", "SimConfig",
+    "ChannelSetup", "InterferenceParams", "SimConfig",
     "SimConfigError", "generate_run",
     # trace
     "AttemptTable", "ChannelId", "ChannelMeta", "InvalidRunError", "LogFormatError",
@@ -22,5 +22,5 @@ def test_public_surface():
     """The top level holds the product surface only; the per-packet
     reference functions and records stay in ``prpwifi.trace`` and
     ``prpwifi.da``."""
-    assert len(PUBLIC) == 40
-    assert set(prpwifi.__all__) == PUBLIC and len(prpwifi.__all__) == 40
+    assert len(PUBLIC) == 39
+    assert set(prpwifi.__all__) == PUBLIC and len(prpwifi.__all__) == 39

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from prpwifi import (
     ChannelId,
     ChannelSetup,
-    ErrorModel,
     InterferenceParams,
     PhyParams,
     SimConfig,
@@ -45,8 +44,8 @@ from conftest import sim_configs
 def clean_config(n=4, seed=1, loss=0.0, **kwargs):
     return SimConfig(
         channels=(
-            ChannelSetup(channel=CH_A, errors=ErrorModel(loss)),
-            ChannelSetup(channel=CH_B, errors=ErrorModel(loss)),
+            ChannelSetup(channel=CH_A, loss_prob=loss),
+            ChannelSetup(channel=CH_B, loss_prob=loss),
         ),
         n_packets=n,
         period_ns=DESK_PERIOD_NS,
@@ -162,7 +161,7 @@ class TestSimulateCopy:
             state,
             request_ns=0,
             phy=phy,
-            errors=ErrorModel(attempt_loss_prob=0.5),
+            loss_prob=0.5,
             backoff_rng=self.ScriptedRng([0.0, 0.0, 0.0]),
             error_rng=self.ScriptedRng([0.1, 0.2, 0.9]),
         )
@@ -178,7 +177,7 @@ class TestSimulateCopy:
             state,
             request_ns=0,
             phy=PhyParams(retry_limit=21),
-            errors=ErrorModel(attempt_loss_prob=1.0),
+            loss_prob=1.0,
             backoff_rng=mac_stream(1, "", "A", "backoff"),
             error_rng=mac_stream(1, "", "A", "error"),
         )
@@ -192,7 +191,7 @@ class TestSimulateCopy:
             state,
             0,
             phy,
-            ErrorModel(0.5),
+            0.5,
             self.ScriptedRng([0.0, 0.0, 0.0]),
             self.ScriptedRng([0.1, 0.1, 0.9]),
         )
@@ -494,7 +493,7 @@ class TestRealDeferral:
             generate_run(deferred, (cfg, generate_run(other_seed)))
         other_loss = replace(
             cfg,
-            channels=tuple(replace(c, errors=ErrorModel(0.3)) for c in cfg.channels),
+            channels=tuple(replace(c, loss_prob=0.3) for c in cfg.channels),
         )
         with pytest.raises(SimConfigError):
             generate_run(deferred, (other_loss, generate_run(other_loss)))

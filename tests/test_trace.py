@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from prpwifi import (
     ChannelId,
     ChannelMeta,
-    ErrorModel,
     InvalidRunError,
     LogFormatError,
     PhyParams,
@@ -469,7 +468,7 @@ class TestColumnarReconstruction:
     @given(config=sim_configs())
     def test_equals_per_copy_spec(self, full_trace, loss_prob, config):
         if loss_prob is not None:
-            b = replace(config.channels[1], errors=ErrorModel(loss_prob))
+            b = replace(config.channels[1], loss_prob=loss_prob)
             config = replace(config, channels=(config.channels[0], b))
         run = generate_run(replace(config, emit_full_trace=full_trace))
         rx, start = receive_times(run), final_starts(run)
@@ -653,6 +652,35 @@ class TestDecoderHoles:
         with pytest.raises(LogFormatError, match=repr(field)) as exc:
             decode_log(io.StringIO("\n".join(lines)))
         assert exc.value.record_index == line
+
+    @pytest.mark.parametrize(
+        "line, edit, message",
+        [
+            (1, lambda t: t[:-1] + ',"seed":99}', "repeated key 'seed'"),
+            (3, lambda t: t.replace('"w":', '"w":7,"w":', 1), "repeated key 'w'"),
+            (3, lambda t: t.replace('"ok":', '"ok":0,"ok":', 1), "repeated key 'ok'"),
+            (3, lambda t: t[:-1] + ',"note":"x"}', "unknown packet key 'note'"),
+            (3, lambda t: t.replace('"l":', '"zzz":5,"l":', 1), "unknown copy key 'zzz'"),
+            (3, lambda t: t.replace('"tW":', '"q":1,"tW":', 1), "unknown trace key 'q'"),
+        ],
+    )
+    def test_repeated_or_unknown_key_names_the_record(
+        self, traced_run, line, edit, message, tmp_path, capsys
+    ):
+        buf = io.StringIO()
+        encode_log(traced_run, buf)
+        lines = buf.getvalue().splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        text = "\n".join(lines) + "\n"
+        for validate in (True, False):
+            with pytest.raises(LogFormatError) as exc:
+                decode_log(io.StringIO(text), validate=validate)
+            assert str(exc.value) == f"record {line}: {message}"
+        path = tmp_path / "run.jsonl"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", "--log", str(path), "--mode", "rda"]) == 2
+        assert capsys.readouterr().err == f"error: record {line}: {message}\n"
 
     def test_bad_header_phy_names_the_channel(self, adapter_run):
         buf = io.StringIO()
