@@ -8,15 +8,13 @@ and sum of squares from int64 limb products combined as Python ints, so
 both sums are exact for any int64 latencies.
 
 Reports are computed over the run's per-channel columns for any channel
-count. The per-packet functions of :mod:`prpwifi.da` define the same
-quantities; the test suite evaluates them packet by packet as the
-reference report and cross-checks every report against it.
-Each delivered-latency population is reduced once per call: a sweep
-computes the channel populations once, the link population on recorded
-timestamps once, and the virtually displaced link population once per
-distinct ``T_D``. Termination margins are computed once per displacement:
-a copy is terminated early iff its margin exceeds ``T_LRE``, so a grid
-point only counts margins.
+count; the per-packet functions of :mod:`prpwifi.da` define the same
+quantities, and the test suite cross-checks every report against them.
+A sweep reduces each delivered-latency population once: the channels', the
+link's on recorded timestamps, and the virtually displaced link's once per
+distinct ``T_D``. Early flags are per-copy leads compared with a threshold
+set by ``T_LRE`` and ``T_D``; the leads are computed once per sweep and
+failed-copy policy, so a grid point only compares and counts.
 """
 from __future__ import annotations
 
@@ -24,7 +22,8 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from functools import reduce
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -196,23 +195,11 @@ class _Accumulated:
     link_lost: int
 
 
-def _quickest(
-    values: np.ndarray, shift: tuple[int, ...], delivered: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per packet: an (m, n) mask of the delivered copy with the least value,
-    row j shifted by ``shift[j]`` (ties go to the first channel), that value
-    (0 where none was delivered; lost copies compare as _ALWAYS) and whether one was."""
-    own = np.zeros(values.shape, dtype=bool)
-    own[0] = delivered[0]
-    best = np.where(delivered[0], values[0] + shift[0], _ALWAYS)
-    # selections: np.where on the (nearly all true) delivery masks, bool algebra for the rest
-    for j in range(1, len(values)):
-        row = np.where(delivered[j], values[j] + shift[j], _ALWAYS)
-        own[j] = row < best  # strict, so a tie stays with the earlier copy
-        own[:j] &= ~own[j]
-        best = np.minimum(best, row)
-    found = delivered.any(axis=0)
-    return own, np.where(found, best, 0), found
+def _other_ends(run: RunLog) -> np.ndarray:
+    """(m, n) least end among each copy's other delivered copies; _ALWAYS
+    where none was delivered."""
+    ends = list(np.where(run.lost, _ALWAYS, run.end))
+    return np.stack([reduce(np.minimum, ends[:j] + ends[j + 1 :]) for j in range(len(ends))])
 
 
 def _oracle_starts(run: RunLog, start: np.ndarray) -> np.ndarray:
@@ -229,56 +216,70 @@ def _oracle_starts(run: RunLog, start: np.ndarray) -> np.ndarray:
     return start
 
 
+def _leads(run: RunLog, policy: FailedCopyPolicy) -> np.ndarray:
+    """(m, n) copy leads: the policy's final-attempt start minus the least end
+    among the packet's other delivered copies; below any T_LRE - |T_D| where
+    the policy drops the copy (-_ALWAYS) or none other was delivered (<= -2^62)."""
+    start, others = final_starts(run), _other_ends(run)
+    if policy is FailedCopyPolicy.PESSIMISTIC_ZERO:
+        return np.where(run.lost, -_ALWAYS, start - others)
+    return _oracle_starts(run, start) - others
+
+
 @dataclass(frozen=True, slots=True)
 class _Derived:
     """Arrays derived from a run's columns, shared by the grid points of one
-    ``compute_report`` or ``sweep`` call; margins kept for one displacement."""
+    ``compute_report`` or ``sweep`` call.
+
+    Copy j is early iff the failed-copy policy keeps it and its lead
+    (``_leads``, built once per policy) exceeds T_LRE + c_j, with c =
+    (T_D, -T_D) under a virtual duplex displacement, else 0 (``da.tdd_flags``);
+    a packet is simplex on the link iff m - 1 copies are early and single.
+    On a run that ``validate_run`` accepts, final attempts start before their
+    copies end, so the quickest copy's (displaced) lead is negative and needs
+    no mask. A grid point costs a few boolean passes over the leads, plus
+    one ``latency_stats`` call per new displacement."""
 
     run: RunLog
-    rx: np.ndarray  # (m, n) receive times, valid where delivered
-    start: np.ndarray  # (m, n) final-attempt starts, valid where has_td
-    latency: np.ndarray  # (m, n) receive minus request times
     single: np.ndarray  # (m, n) bool, copies sent in one attempt
     attempts_delivered: list[int]  # attempts summed over delivered copies
     max_delivered_attempts: int
     lost_count: list[int]
     link_lost: int  # packets lost on every channel
     chan_latency: list[LatencyStats | None]
-    _margins: dict[tuple, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    _populations: dict[tuple | None, LatencyStats | None] = field(default_factory=dict)
+    # built on first use: the leads per failed-copy policy, the link split,
+    # and the link latency per virtual T_D (None on recorded timestamps)
+    _memo: dict = field(default_factory=dict)
 
-    def margins(self, policy: FailedCopyPolicy, shift: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """(m, n) copy and (n,) link margins, row j's requests shifted by
-        ``shift[j]``. A copy is terminated early iff its margin (shifted
-        final-attempt start minus the cross-ACK, the quickest delivered
-        copy's shifted end) exceeds T_LRE, a packet is simplex on the link
-        iff the least margin of its other copies, 0 unless sent in one
-        attempt, does. A copy never early gets 0 (T_LRE >= 0)."""
-        key = (policy, shift)
-        if key not in self._margins:
-            self._margins.clear()
-            run = self.run
-            own, quickest_end, found = _quickest(run.end, shift, ~run.lost)
-            pessimistic = policy is FailedCopyPolicy.PESSIMISTIC_ZERO
-            tw = self.start if pessimistic else _oracle_starts(run, self.start)
-            margin = tw - quickest_end + np.array(shift)[:, None]
-            # bool products (not masked writes, slow on dense masks) zero never-early copies
-            margin *= ~(own | run.lost) if pessimistic else ~own & found
-            link = np.maximum(margin * self.single, own * _ALWAYS).min(axis=0)
-            self._margins[key] = margin, link
-        return self._margins[key]
+    def once(self, key: object, build: Callable[[], object]):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
-    def link_latency(self, shift: tuple[int, ...], recorded: bool) -> LatencyStats | None:
-        """PRP link latency on recorded timestamps, or with each channel's
-        requests virtually displaced by its entry of ``shift``."""
-        key = None if recorded else shift
-        if key not in self._populations:
-            values = self.rx if recorded else self.latency
-            _, latency, found = _quickest(values, shift, ~self.run.lost)
-            if recorded:  # from the earliest request
-                latency -= self.run.req.min(axis=0)
-            self._populations[key] = latency_stats(latency[found])
-        return self._populations[key]
+
+def _link_split(run: RunLog) -> tuple[np.ndarray, np.ndarray, int]:
+    """Duplex link latencies: lat_B where both copies arrived, then the A-only
+    and B-only ones; delta = lat_A - lat_B where both arrived; the first B-only."""
+    latency = receive_times(run) - run.req
+    a, b = ~run.lost
+    lat_b, a_only = latency[1][a & b], latency[0][a & ~b]
+    base = np.concatenate((lat_b, a_only, latency[1][b & ~a]))
+    return base, latency[0][a & b] - lat_b, len(lat_b) + len(a_only)
+
+
+def _link_latencies(cols: _Derived, t_d: int | None) -> np.ndarray:
+    """PRP link latencies on recorded timestamps (``t_d`` None), or under a
+    virtual displacement ``t_d``: where both copies arrived, min(lat_A + s_A,
+    lat_B + s_B) = lat_B + s_A + min(delta, T_D), as s_B - s_A = T_D."""
+    run = cols.run
+    if t_d is None:  # from the earliest request
+        first = np.where(run.lost, _ALWAYS, receive_times(run)).min(axis=0)
+        return (first - run.req.min(axis=0))[~run.lost.all(axis=0)]
+    base, delta, b_only = cols.once("split", lambda: _link_split(run))
+    samples = base + max(0, -t_d)
+    samples[: len(delta)] += np.minimum(delta, t_d)
+    samples[b_only:] += t_d
+    return samples
 
 
 def _shift(run: RunLog, t_d: int, recorded: bool) -> tuple[int, ...]:
@@ -300,18 +301,14 @@ def _shift(run: RunLog, t_d: int, recorded: bool) -> tuple[int, ...]:
 def _derive(run: RunLog) -> _Derived:
     rx = receive_times(run)
     delivered = ~run.lost
-    latency = rx - run.req
     return _Derived(
         run=run,
-        rx=rx,
-        start=final_starts(run),
-        latency=latency,
         single=run.attempts == 1,
         attempts_delivered=[int(w[ok].sum()) for w, ok in zip(run.attempts, delivered)],
         max_delivered_attempts=int(run.attempts[delivered].max()) if delivered.any() else 0,
         lost_count=_counts(run.lost),
         link_lost=int(np.count_nonzero(~delivered.any(axis=0))),
-        chan_latency=[latency_stats(lat[ok]) for lat, ok in zip(latency, delivered)],
+        chan_latency=[latency_stats((r - q)[ok]) for r, q, ok in zip(rx, run.req, delivered)],
     )
 
 
@@ -325,17 +322,23 @@ def _accumulate(
     """Vectorized evaluation of the per-packet definitions, for any number
     of channels (virtual displacement, like TDD itself, is duplex only)."""
     m = len(cols.lost_count)
-    shift = _shift(cols.run, t_d, recorded)
+    _shift(cols.run, t_d, recorded)  # refuses a displacement out of range
     early_sum, simplex_sum, simplex_link = [0] * m, [0] * m, 0
     if params.mode is not DaMode.POW:
-        margin, link = cols.margins(params.failed_copy_policy, shift)
-        early = margin > params.t_lre_ns
-        early_sum, simplex_sum = _counts(early), _counts(early & cols.single)
-        simplex_link = int(np.count_nonzero(link > params.t_lre_ns))
+        offsets = (0,) * m if recorded else (t_d, -t_d)
+        policy = params.failed_copy_policy
+        lead = cols.once(policy, lambda: _leads(cols.run, policy))
+        early = np.stack([row > params.t_lre_ns + c for row, c in zip(lead, offsets)])
+        simplex = early & cols.single
+        early_sum, simplex_sum = _counts(early), _counts(simplex)
+        # a sum in the narrowest dtype that holds m, ten times faster than in int64
+        per_packet = np.add.reduce(simplex, axis=0, dtype=np.min_scalar_type(m))
+        simplex_link = int(np.count_nonzero(per_packet == m - 1))
+    key = None if recorded else t_d
+    link = cols.once(key, lambda: latency_stats(_link_latencies(cols, key)))
     return _Accumulated(
         early_sum, simplex_sum, simplex_link, cols.attempts_delivered, cols.lost_count,
-        cols.max_delivered_attempts, cols.chan_latency, cols.link_latency(shift, recorded),
-        cols.link_lost,
+        cols.max_delivered_attempts, cols.chan_latency, link, cols.link_lost,
     )
 
 
@@ -443,14 +446,17 @@ def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> Oracl
     if t_d_ns != 0 and m != 2:
         raise ValueError("deferred-operation analysis needs a duplex packet")
     shift = _shift(run, t_d_ns, t_d_ns == 0)
-    own, quickest_end, found = _quickest(run.end, shift, ~run.lost)
-    # an attempt is kept iff its start plus its copy's lead is <= T_LRE
-    lead = np.subtract(np.array(shift)[:, None], quickest_end).ravel()
+    ends = np.where(run.lost, _ALWAYS, run.end + np.array(shift)[:, None])
+    # the quickest delivered copy (the first of a tie) and every copy of a
+    # packet lost on the link keep all their attempts
+    keeps_all = (np.arange(m)[:, None] == ends.argmin(axis=0)) | run.lost.all(axis=0)
+    # any other attempt is kept iff its start plus its copy's lead is <= T_LRE
+    lead = np.subtract(np.array(shift)[:, None], ends.min(axis=0)).ravel()
     lengths = t.lengths()
     kept_before = np.cumsum(np.append(0, t.start + np.repeat(lead, lengths) <= t_lre_ns))
     counted = kept_before[t.offsets[1:]] - kept_before[t.offsets[:-1]]
     attempts = run.attempts.ravel()
-    kept = np.where((counted == lengths) | (own | ~found).ravel(), attempts, counted)
+    kept = np.where((counted == lengths) | keeps_all.ravel(), attempts, counted)
     return OracleSummary(
         attempts_bar_pow=Fraction(int(attempts.sum()), n),
         attempts_bar_da=Fraction(int(kept.sum()), n),

@@ -28,10 +28,12 @@ from prpwifi import (
 )
 from prpwifi.trace import PacketRecord
 from prpwifi import metrics
-from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start, rda_flags
+from prpwifi.da import (
+    FailedCopyPolicy, TraceRequiredError, policy_final_start, rda_flags, tdd_flags
+)
 from prpwifi.metrics import SweepError
 
-from conftest import duplex_runs
+from conftest import duplex_runs, traced_copies
 from helpers import (
     CH_A,
     CH_B,
@@ -541,6 +543,37 @@ class TestSweepSharing:
         sweep(adapter_run, td)
         assert len(calls) == 2 + 25  # two channels and the link per T_D
 
+    def test_leads_and_link_split_built_once_per_policy(self, traced_run, monkeypatch):
+        built = []
+        for name in ("_leads", "_link_split"):
+            real = getattr(metrics, name)
+
+            def counted(run, *policy, _real=real, _name=name):
+                built.append((_name, *policy))
+                return _real(run, *policy)
+
+            monkeypatch.setattr(metrics, name, counted)
+        td = range(-300_000, 300_001, 25_000)
+        sweep(traced_run, [DaParams(mode=DaMode.TDD, t_d_ns=t) for t in td])
+        assert sorted(built) == [("_leads", FailedCopyPolicy.PESSIMISTIC_ZERO), ("_link_split",)]
+        built.clear()
+        # both policies, interleaved: the leads once per policy, the split
+        # (which no policy changes) once
+        grid = [
+            DaParams(mode=DaMode.TDD, t_d_ns=t, failed_copy_policy=p)
+            for t in td
+            for p in BOTH_POLICIES
+        ]
+        sweep(traced_run, grid)
+        assert sorted(built) == sorted(
+            [("_leads", p) for p in BOTH_POLICIES] + [("_link_split",)]
+        )
+        built.clear()
+        # recorded timestamps need no split
+        tlre = range(0, 1_000_001, 50_000)
+        sweep(traced_run, [DaParams(mode=DaMode.RDA, t_lre_ns=t) for t in tlre])
+        assert built == [("_leads", FailedCopyPolicy.PESSIMISTIC_ZERO)]
+
 
 def _adapter_view(run: RunLog) -> RunLog:
     """The run without traces; lost copies keep their frame durations, so
@@ -555,10 +588,14 @@ def _adapter_view(run: RunLog) -> RunLog:
 def _margin_points(run: RunLog, t_d: int, policy: FailedCopyPolicy) -> list[int]:
     """T_LRE at the exact margin of every copy against every other copy of
     its packet (shifted final-attempt start minus shifted end), and 1 ns
-    either side, where that is a valid T_LRE."""
+    either side, where that is a valid T_LRE. This includes every copy's
+    lead against the least end among its packet's other delivered copies.
+    A displacement (``t_d`` other than 0) needs a duplex run."""
     phy = run.phy_by_channel()
-    first, second = run.channels
-    shift = {first: max(0, -t_d), second: max(0, t_d)}
+    shift = dict.fromkeys(run.channels, 0)
+    if t_d:
+        first, second = run.channels
+        shift = {first: max(0, -t_d), second: max(0, t_d)}
     points = {0}
     for packet in run.packets:
         for a, copy in packet.copies.items():
@@ -594,11 +631,51 @@ def sweep_cases(draw):
     return run, grid
 
 
+CH_C = ChannelId(2, "C")
+
+
+@st.composite
+def triplex_sweep_cases(draw):
+    """A three-channel run, traced or not and with lost copies, and an RDA
+    grid whose T_LRE sit at the run's exact leads, under both failed-copy
+    policies. A packet's third copy may repeat the attempts of its first or
+    second copy, or only that copy's final attempt, so that copies tie at
+    the least end, with the same or a different attempt count."""
+    period = 30_000_000
+    packets = []
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        request = i * period
+        copy_a = draw(traced_copies(request))
+        copy_b = draw(traced_copies(request))
+        tie = draw(st.sampled_from((copy_a, copy_b)))
+        final_only = copy_from_starts(request, [tie.trace[-1].start_ns], tie.lost)
+        copy_c = draw(st.sampled_from((tie, final_only)) | traced_copies(request))
+        packets.append(PacketRecord(i + 1, {CH_A: copy_a, CH_B: copy_b, CH_C: copy_c}))
+    run = make_run(
+        packets, period_ns=period, view=VIEW_FULL_TRACE, channels=(CH_A, CH_B, CH_C)
+    )
+    if draw(st.booleans()):
+        run = _adapter_view(run)
+    grid = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        policy = draw(st.sampled_from(FailedCopyPolicy))
+        t_lre = draw(st.sampled_from(_margin_points(run, 0, policy)))
+        grid.append(DaParams(DaMode.RDA, t_lre, 0, policy))
+    return run, grid
+
+
 class TestSweepMargins:
     @settings(max_examples=150, deadline=None)
     @given(case=sweep_cases())
     def test_sweep_equals_reference_at_exact_margins(self, case):
         run, grid = case
+        assert sweep(run, grid) == [compute_report_reference(run, p) for p in grid]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=triplex_sweep_cases())
+    def test_three_channel_sweep_equals_reference_at_exact_leads(self, case):
+        run, grid = case
+        validate_run(run)
         assert sweep(run, grid) == [compute_report_reference(run, p) for p in grid]
 
     def test_ties_go_to_the_first_channel(self):
@@ -613,9 +690,10 @@ class TestSweepMargins:
             PacketRecord(2, {CH_A: copy(100_000, 900_000), CH_B: copy(300_000), ch_c: copy(300_000)}),
         ]
         run = make_run(packets, view=VIEW_FULL_TRACE, channels=(CH_A, CH_B, ch_c))
-        own, end, found = metrics._quickest(run.end, (0, 0, 0), ~run.lost)
-        assert own.T.tolist() == [[True, False, False], [False, True, False]]
-        assert end.tolist() == [434_000, 634_000] and found.all()
+        phy = run.phy_by_channel()
+        quickest = [rda_flags(p, 0, phy).quickest for p in run.packets]
+        assert quickest == [CH_A, CH_B]
+        assert [p.copies[c].end_ns for p, c in zip(run.packets, quickest)] == [434_000, 634_000]
         for t_lre in (0, 50_000):
             params = DaParams(mode=DaMode.RDA, t_lre_ns=t_lre)
             assert compute_report(run, params) == compute_report_reference(run, params)
@@ -625,14 +703,27 @@ class TestSweepMargins:
         duplex = make_run(
             [PacketRecord(1, {CH_A: copy(500_000), CH_B: copy(300_000)})], view=VIEW_FULL_TRACE
         )
-        own, _, _ = metrics._quickest(duplex.end, (0, 200_000), ~duplex.lost)
-        assert own.T.tolist() == [[True, False]]
+        assert tdd_flags(duplex.packets[0], 200_000, 0, duplex.phy_by_channel()).quickest == CH_A
         for t_d in (200_000, -200_000):
             params = DaParams(mode=DaMode.TDD, t_d_ns=t_d)
             assert sweep(duplex, [params]) == [compute_report_reference(duplex, params)]
             assert oracle_attempt_summary(duplex, 0, t_d) == oracle_attempt_summary_spec(
                 duplex, 0, t_d
             )
+
+        # B and C tie at the least end, C after an earlier attempt: at this
+        # negative T_LRE only the quickest copy, B, keeps an attempt
+        tied = make_run(
+            [PacketRecord(1, {
+                CH_A: copy(1_500_000), CH_B: copy(1_000_000), ch_c: copy(100_000, 1_000_000)
+            })],
+            view=VIEW_FULL_TRACE,
+            channels=(CH_A, CH_B, ch_c),
+        )
+        validate_run(tied)
+        summary = oracle_attempt_summary(tied, -1_300_000)
+        assert summary == oracle_attempt_summary_spec(tied, -1_300_000)
+        assert summary.attempts_bar_da == 1
 
     def test_displacement_sweep_holds_one_displacement(self):
         run = generate_run(desk_config(n_packets=20_000, seed=13, full_trace=False))
