@@ -66,7 +66,7 @@ def _nearest_rank(ordered: np.ndarray, q: Fraction) -> int:
 
 _LIMB_BITS = 22  # three limbs hold any offset below 2^64
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_SUM_CHUNK = 1 << 18  # limb products are < 2^44, so chunk sums stay < 2^62
+_SUM_CHUNK = 1 << 15  # limb products are < 2^44, so chunk sums stay < 2^59
 
 
 def _exact_sums(ordered: np.ndarray) -> tuple[int, int]:
@@ -75,25 +75,26 @@ def _exact_sums(ordered: np.ndarray) -> tuple[int, int]:
     Values are taken relative to the smallest one; the offsets (below 2^64,
     held as uint64) are split into as many 22-bit limbs as the span from
     the smallest to the largest needs (one below 2^22, two below 2^44,
-    else three). Limb sums and limb dot products are taken in int64 over
-    chunks small enough not to overflow, then combined as Python ints.
+    else three). Limbs are built, summed and multiplied in int64 a chunk at
+    a time, small enough not to overflow and to stay in cache, and the
+    chunk results are combined as Python ints.
     """
     n = len(ordered)
     base = int(ordered[0])
-    offsets = ordered.view(np.uint64) - np.uint64(base % (1 << 64))
+    shift = np.uint64(base % (1 << 64))
     width = max(1, -(-(int(ordered[-1]) - base).bit_length() // _LIMB_BITS))
-    # limbs are masked in place, all but the top one, which is below 2^22
-    limbs = [offsets] + [offsets >> np.uint64(_LIMB_BITS * k) for k in range(1, width)]
-    for limb in limbs[:-1]:
-        limb &= _LIMB_MASK
-    limbs = [limb.view(np.int64) for limb in limbs]
     t1 = t2 = 0  # sum and sum of squares of the offsets
     for lo in range(0, n, _SUM_CHUNK):
-        chunk = [limb[lo : lo + _SUM_CHUNK] for limb in limbs]
+        offsets = ordered[lo : lo + _SUM_CHUNK].view(np.uint64) - shift
+        # limbs are masked in place, all but the top one, which is below 2^22
+        limbs = [offsets] + [offsets >> np.uint64(_LIMB_BITS * k) for k in range(1, width)]
+        for limb in limbs[:-1]:
+            limb &= _LIMB_MASK
+        limbs = [limb.view(np.int64) for limb in limbs]
         for i in range(width):
-            t1 += int(chunk[i].sum()) << (_LIMB_BITS * i)
+            t1 += int(limbs[i].sum()) << (_LIMB_BITS * i)
             for j in range(i, width):
-                term = int(np.dot(chunk[i], chunk[j])) << (_LIMB_BITS * (i + j))
+                term = int(np.dot(limbs[i], limbs[j])) << (_LIMB_BITS * (i + j))
                 t2 += term if i == j else 2 * term
     # x = base + offset
     return n * base + t1, n * base * base + 2 * base * t1 + t2

@@ -267,9 +267,11 @@ def interference_arrays(
 
 # Copies are simulated in blocks of at most _BLOCK attempts (and at least
 # one copy), so no per-attempt array outgrows the budget however lossy the
-# channel. A wave stops when _WAVE_LANES lanes are left or after
-# _WAVE_STEPS steps; the copies it gives up on are replayed.
-_BLOCK, _WAVE_LANES, _WAVE_STEPS = 1 << 15, 32, 64
+# channel. A wave jumps each attempt over whole idle gaps with the channel's
+# gap table, so it times every copy it is given; a fix-up round needs more
+# than _ROUND_HEADS heads, and fewer are left to the replay. A gap table is
+# built _GAP_CHUNK gaps at a time.
+_BLOCK, _ROUND_HEADS, _GAP_CHUNK = 1 << 15, 32, 1 << 15
 
 
 def _uniforms(rng: random.Random) -> Callable[[int], np.ndarray]:
@@ -357,28 +359,71 @@ def _acquire(starts, ends, k: int, t: int, difs: int, slot: int, slots: int, spa
         k += 1
 
 
-def _acquire_lanes(starts, ends, difs: int, slot: int, t, pending, span) -> np.ndarray:
-    """``_acquire`` for many attempts at once (busy intervals closed by a
-    ``_FOREVER`` one): each step retires a lane or moves it past one busy
-    interval. Lanes still waiting when the wave stops get -1."""
+def _gap_table(starts, ends, difs: int, slot: int, spans):
+    """Gap table ``(ticks, fits)`` of busy intervals closed by a
+    ``_FOREVER`` one, where gap ``i`` is the idle time before interval
+    ``i``: ``ticks[i]`` sums the whole backoff slots,
+    ``max(0, (gap - difs) // slot)``, of gaps 1 to ``i - 1``, and
+    ``fits[span]`` lists the gaps that hold DIFS plus ``span``. A countdown
+    only ever starts part way into gap 0, so gap 0 counts no ticks; the gap
+    before ``_FOREVER`` holds any attempt of a valid config, so no sum needs
+    its ticks. The table is int32 unless its sums or indices might not fit,
+    and it is built in chunks of gaps, so no temporary is as wide.
+    """
+    # the sums are at most the time to the last interval's end over the
+    # slot: below 2^62 even at a 1 ns slot, as every time is below _FOREVER
+    n = len(starts)
+    last = int(ends[-2]) if n > 1 else 0
+    dtype = np.int32 if last // slot < 2**31 - 1 and n < 2**31 else np.int64
+    ticks = np.zeros(n, dtype=dtype)
+    found: dict[int, list] = {span: [] for span in spans}
+    for lo in range(1, n - 1, _GAP_CHUNK):
+        hi = min(lo + _GAP_CHUNK, n - 1)
+        gaps = starts[lo:hi] - ends[lo - 1 : hi - 1]  # gaps lo to hi - 1
+        for span, at in found.items():
+            at.append(np.flatnonzero(gaps >= difs + span) + lo)
+        gaps -= difs
+        gaps //= slot
+        np.maximum(gaps, 0, out=gaps)
+        np.cumsum(gaps, out=ticks[lo + 1 : hi + 1])
+        ticks[lo + 1 : hi + 1] += ticks[lo]
+    fits = {span: np.concatenate((*at, [n - 1])).astype(dtype) for span, at in found.items()}
+    return ticks, fits
+
+
+def _acquire_lanes(busy, difs: int, slot: int, t, pending, span) -> np.ndarray:
+    """``_acquire`` for many attempts at once, in a fixed number of array
+    operations however many busy intervals an attempt waits through.
+    ``busy`` holds the busy intervals closed by a ``_FOREVER`` one and
+    their gap table (``_gap_table``)."""
+    starts, ends, ticks, fits = busy
+    # the gap a lane starts in, part way, as _acquire counts it
     k = np.searchsorted(ends, t, side="right")
     inside = starts[k] <= t
     t = np.where(inside, ends[k], t)
     k += inside
-    out, lane = np.full_like(t, -1), np.arange(len(t))
-    for _ in range(_WAVE_STEPS):
-        if len(lane) <= _WAVE_LANES:
-            break
-        next_busy = starts[k]
-        ready = t + difs + pending * slot
-        fits = ready + span <= next_busy
-        out[lane[fits]] = ready[fits]
-        wait = ~fits
-        lane, k, pending, span = lane[wait], k[wait], pending[wait], span[wait]
-        ticked = np.maximum((next_busy[wait] - t[wait] - difs) // slot, 0)
-        pending = pending - np.minimum(ticked, pending)
-        t = ends[k]
-        k += 1
+    out = t + difs + pending * slot
+    lane = np.flatnonzero(out + span > starts[k])
+    if not len(lane):
+        return out
+    k, t, pending, span = k[lane] + 1, t[lane], pending[lane], span[lane]
+    pending -= np.clip((starts[k - 1] - t - difs) // slot, 0, pending)
+    # gaps from k on are whole: the countdown ends in the first gap j >= k
+    # whose ticks, with those of gaps k to j - 1, reach the pending count
+    # (j = k at a count of 0), and the attempt starts there if it fits. A
+    # key past the last sum means the gap before _FOREVER; keys take the
+    # table's dtype, so that the search does not convert the table.
+    before = ticks[k]
+    key = np.minimum(before + pending, ticks[-1] + 1).astype(ticks.dtype)
+    j = np.maximum(np.searchsorted(ticks, key) - 1, k)
+    ready = ends[j - 1] + difs + (pending - (ticks[j] - before)) * slot
+    # else its count is 0 from then on, and it starts DIFS into the first
+    # later gap that holds DIFS plus its span
+    late = ready + span > starts[j]
+    for s, gaps in fits.items():
+        x = np.flatnonzero(late & (span == s))
+        ready[x] = ends[gaps[np.searchsorted(gaps, (j[x] + 1).astype(gaps.dtype))] - 1] + difs
+    out[lane] = ready
     return out
 
 
@@ -386,12 +431,12 @@ def _waves(busy, phy: PhyParams, tail: int, block, lane, t, bound=None, free_at:
     """Time copies ``lane`` of a block from times ``t`` through all their
     attempts, in waves, one per attempt ordinal. ``block`` holds the
     block's ``req``, ``first``, ``last``, ``slots``, ``data`` and ``dur``,
-    and the ``start``, ``end`` and ``stuck`` arrays written here: a copy a
-    wave gives up on ends at -1 and is stuck. With ``bound``, a copy whose
+    and the ``start`` and ``end`` arrays written here. A wave times each of
+    its copies' attempts over whole idle gaps at once (``_acquire_lanes``),
+    so every copy it is given ends. With ``bound``, a copy whose
     predecessor's bound passes its request leaves the waves (end -1), and
     the bounds take the wave's times."""
-    starts, ends = busy
-    req, first, last, slots, data, dur, start, end, stuck = block
+    req, first, last, slots, data, dur, start, end = block
     a = first[lane]
     while True:
         if bound is not None:
@@ -399,14 +444,11 @@ def _waves(busy, phy: PhyParams, tail: int, block, lane, t, bound=None, free_at:
             lane, a, t = lane[stay], a[stay], t[stay]
         if not len(lane):
             return
-        s = start[a] = _acquire_lanes(
-            starts, ends, phy.difs_ns, phy.slot_ns, t, slots[a], data[a] + tail
-        )
-        t = np.where(s < 0, -1, s + dur[a])
+        s = start[a] = _acquire_lanes(busy, phy.difs_ns, phy.slot_ns, t, slots[a], data[a] + tail)
+        t = s + dur[a]
         if bound is not None:
             bound[lane] = np.maximum(bound[lane], t)
-        stuck[lane[s < 0]] = True
-        done = (s < 0) | (a == last[lane])
+        done = a == last[lane]
         end[lane[done]] = t[done]
         lane, a, t = lane[~done], a[~done] + 1, t[~done]
 
@@ -415,25 +457,26 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
     """Start of every attempt of a block (an attempt reserves its DATA plus
     ``tail``) and end of every copy, each copy beginning at its request or
     when the previous copy ends (the first at ``free_at``), whichever is
-    later. ``busy`` holds the busy intervals closed by a ``_FOREVER`` one.
+    later. ``busy`` holds the busy intervals closed by a ``_FOREVER`` one
+    and their gap table.
 
     Copies are timed, each from a time ``t_in``, in numpy waves, one per
-    attempt ordinal. A first pass times them from their requests, as if
-    none were queued. A copy is then off if it was never timed, or timed
-    from another time than ``max(req, previous end)``. Fix-up rounds time
-    again, from its predecessor's end, each off copy whose predecessor is
-    not off, while a round has more than ``_WAVE_LANES`` such heads and at
-    most half as many as the round before. The copies still off, and those
-    a wave gave up on, are replayed in order with the scalar ``_acquire``.
-    Until then every end is a lower bound of the real one: a copy timed
-    from too early a time ends too early.
+    attempt ordinal, which jump each attempt over whole idle gaps. A first
+    pass times them from their requests, as if none were queued. A copy is
+    then off if it was never timed, or timed from another time than
+    ``max(req, previous end)``. Fix-up rounds time again, from its
+    predecessor's end, each off copy whose predecessor is not off, while a
+    round has more than ``_ROUND_HEADS`` such heads and at most half as
+    many as the round before. The copies still off are replayed in order
+    with the scalar ``_acquire``. Until then every end is a lower bound of
+    the real one: a copy timed from too early a time ends too early.
     """
-    starts, ends = busy
+    ends = busy[1]
     difs, slot = phy.difs_ns, phy.slot_ns
     first = np.append(0, last[:-1] + 1)
     start, end = np.empty(len(slots), dtype=np.int64), np.full(len(req), -1, dtype=np.int64)
-    t_in, stuck = req.copy(), np.zeros(len(req), dtype=bool)
-    block = (req, first, last, slots, data, dur, start, end, stuck)
+    t_in = req.copy()
+    block = (req, first, last, slots, data, dur, start, end)
     # copy ends without interference (a queue of the bare service times) are
     # lower bounds of the real ones, as are a wave's times; in the first
     # pass, a copy whose predecessor's bound passes its request is queued,
@@ -442,16 +485,15 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
     done_by = np.cumsum(service)
     bound = done_by + np.maximum(free_at, np.maximum.accumulate(req - done_by + service))
     del service, done_by  # free before the waves
-    if len(req) > _WAVE_LANES:  # else a wave gives up on every lane
-        _waves(busy, phy, tail, block, np.arange(len(req)), req, bound, free_at)
+    _waves(busy, phy, tail, block, np.arange(len(req)), req, bound, free_at)
     previous = len(req)
     while True:
         t_from = np.maximum(req, np.append(free_at, end[:-1]))
         off = (end < 0) | (t_in != t_from)
-        heads = np.flatnonzero(off & ~stuck & ~np.append(False, off[:-1]))
+        heads = np.flatnonzero(off & ~np.append(False, off[:-1]))
         # chains that do not halve the heads per round are long, so the
         # replay takes them; the rounds time at most len(req) copies
-        if len(heads) <= _WAVE_LANES or 2 * len(heads) > previous:
+        if len(heads) <= _ROUND_HEADS or 2 * len(heads) > previous:
             break
         previous = len(heads)
         t_in[heads] = t_from[heads]
@@ -460,7 +502,7 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
     # off. The memoryviews hand the scalar path Python ints without
     # building lists.
     todo = np.flatnonzero(off)
-    busy_s, busy_e = map(memoryview, busy)
+    busy_s, busy_e = map(memoryview, busy[:2])
     req_mv, t_in_mv, first_mv, last_mv = map(memoryview, (req, t_in, first, last))
     start_mv, end_mv, slots_mv, data_mv, dur_mv = map(memoryview, (start, end, slots, data, dur))
     c = 0
@@ -516,24 +558,31 @@ def _simulate_channel(
     # reserves the longer of the two
     sifs_ack, ack_to = phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns
     tail = max(sifs_ack, ack_to)
+    spans = {data + tail for data in phy.data_frame_schedule_ns or (phy.data_frame_ns,)}
+    busy += _gap_table(*busy, phy.difs_ns, phy.slot_ns, spans)
     n, loss_prob = config.n_packets, setup.loss_prob
-    req = np.arange(n, dtype=np.int64) * config.period_ns + request_offset_ns
+
+    def requests(lo: int, hi: int) -> np.ndarray:
+        # made per block, so that only the busy intervals and their gap
+        # table are held at full size while the blocks run
+        return np.arange(lo, hi, dtype=np.int64) * config.period_ns + request_offset_ns
+
     parts, free_at, i = [], 0, 0
     for ok, ordinal, last in _outcomes(error_draws, n, loss_prob, phy.retry_limit):
         slots = (backoff_draws(len(ok)) * window[np.minimum(ordinal, len(cw)) - 1]).astype(np.int64)
         data = phy.data_frame_for_attempt(ordinal)
         dur = data + np.where(ok, sifs_ack, ack_to)
-        start, end = _attempt_starts(
-            busy, phy, tail, free_at, req[i : i + len(last)], last, slots, data, dur
-        )
+        req = requests(i, i + len(last))
+        start, end = _attempt_starts(busy, phy, tail, free_at, req, last, slots, data, dur)
         free_at, i = int(end[-1]), i + len(last)
         trace = (start, data, ok) if config.emit_full_trace else ()
         parts.append((end, np.diff(last, prepend=-1), ok[last], data[last], *trace))
+    del busy  # the columns below may reuse its memory
     end, attempts, delivered, td, *trace = (np.concatenate(c) for c in zip(*parts))
     # adapter view: the driver exposes no frame durations for lost copies
     has_td = np.ones(n, dtype=bool) if config.emit_full_trace else delivered
     ta = np.where(delivered, phy.ack_frame_ns, 0)
-    copies = dict(lost=~delivered, req=req, end=end, attempts=attempts)
+    copies = dict(lost=~delivered, req=requests(0, n), end=end, attempts=attempts)
     copies.update(td=np.where(has_td, td, 0), has_td=has_td, ta=ta, has_ta=delivered)
     if not trace:
         return copies, None
@@ -596,12 +645,15 @@ def generate_run(
             raise SimConfigError("base run was generated from another config")
         base_offsets = base_config.request_offsets()
         reused = tuple(j for j in (0, 1) if base_offsets[j] == offsets[j])
-    channels = [
-        _channel_of(base[1], j)
-        if j in reused
-        else _simulate_channel(setup, config, offset)
-        for j, (setup, offset) in enumerate(zip(config.channels, offsets))
-    ]
+    # the channel with the most interferers has the most busy intervals and
+    # the largest gap table; simulated first, they are never held beside
+    # another channel's columns
+    simulated = {
+        j: _simulate_channel(config.channels[j], config, offsets[j])
+        for j in sorted((0, 1), key=lambda j: -config.channels[j].interference.interferer_count)
+        if j not in reused
+    }
+    channels = [simulated[j] if j in simulated else _channel_of(base[1], j) for j in (0, 1)]
     copies = {name: np.stack([c[name] for c, _ in channels]) for name in COPY_COLUMNS}
     trace = None
     if config.emit_full_trace:
