@@ -268,9 +268,9 @@ def interference_arrays(
 # Copies are simulated in blocks of at most _BLOCK attempts (and at least
 # one copy), so no per-attempt array outgrows the budget however lossy the
 # channel. A wave jumps each attempt over whole idle gaps with the channel's
-# gap table, so it times every copy it is given; a fix-up round needs more
-# than _ROUND_HEADS heads, and fewer are left to the replay. A gap table is
-# built _GAP_CHUNK gaps at a time.
+# gap table, so it times every copy it is given; a round after round 0 needs
+# more than _ROUND_HEADS heads, and fewer are left to the replay. A gap table
+# is built _GAP_CHUNK gaps at a time.
 _BLOCK, _ROUND_HEADS, _GAP_CHUNK = 1 << 15, 32, 1 << 15
 
 
@@ -427,27 +427,18 @@ def _acquire_lanes(busy, difs: int, slot: int, t, pending, span) -> np.ndarray:
     return out
 
 
-def _waves(busy, phy: PhyParams, tail: int, block, lane, t, bound=None, free_at: int = 0):
+def _waves(busy, phy: PhyParams, tail: int, block, lane, t):
     """Time copies ``lane`` of a block from times ``t`` through all their
     attempts, in waves, one per attempt ordinal. ``block`` holds the
-    block's ``req``, ``first``, ``last``, ``slots``, ``data`` and ``dur``,
-    and the ``start`` and ``end`` arrays written here. A wave times each of
-    its copies' attempts over whole idle gaps at once (``_acquire_lanes``),
-    so every copy it is given ends. With ``bound``, a copy whose
-    predecessor's bound passes its request leaves the waves (end -1), and
-    the bounds take the wave's times."""
-    req, first, last, slots, data, dur, start, end = block
+    block's ``first``, ``last``, ``slots``, ``data`` and ``dur``, and the
+    ``start`` and ``end`` arrays written here. A wave times each of its
+    copies' attempts over whole idle gaps at once (``_acquire_lanes``), so
+    every copy it is given ends."""
+    first, last, slots, data, dur, start, end = block
     a = first[lane]
-    while True:
-        if bound is not None:
-            stay = np.where(lane > 0, bound[lane - 1], free_at) <= req[lane]
-            lane, a, t = lane[stay], a[stay], t[stay]
-        if not len(lane):
-            return
+    while len(lane):
         s = start[a] = _acquire_lanes(busy, phy.difs_ns, phy.slot_ns, t, slots[a], data[a] + tail)
         t = s + dur[a]
-        if bound is not None:
-            bound[lane] = np.maximum(bound[lane], t)
         done = a == last[lane]
         end[lane[done]] = t[done]
         lane, a, t = lane[~done], a[~done] + 1, t[~done]
@@ -461,43 +452,44 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
     and their gap table.
 
     Copies are timed, each from a time ``t_in``, in numpy waves, one per
-    attempt ordinal, which jump each attempt over whole idle gaps. A first
-    pass times them from their requests, as if none were queued. A copy is
-    then off if it was never timed, or timed from another time than
-    ``max(req, previous end)``. Fix-up rounds time again, from its
-    predecessor's end, each off copy whose predecessor is not off, while a
-    round has more than ``_ROUND_HEADS`` such heads and at most half as
-    many as the round before. The copies still off are replayed in order
-    with the scalar ``_acquire``. Until then every end is a lower bound of
-    the real one: a copy timed from too early a time ends too early.
+    attempt ordinal, which jump each attempt over whole idle gaps. A copy
+    is off if no round has timed it, or if a round timed it from another
+    time than ``max(req, previous end)``. Round 0 times from their requests
+    the copies that a queue of the bare service times does not queue; each
+    later round times again, from its predecessor's end, each off copy
+    whose predecessor is not off, while a round has more than
+    ``_ROUND_HEADS`` such heads and at most half as many as the round
+    before. The copies still off are replayed in order with the scalar
+    ``_acquire``. Until then every end is a lower bound of the real one: a
+    copy timed from too early a time ends too early, and an untimed one
+    ends at -1.
     """
     ends = busy[1]
     difs, slot = phy.difs_ns, phy.slot_ns
     first = np.append(0, last[:-1] + 1)
     start, end = np.empty(len(slots), dtype=np.int64), np.full(len(req), -1, dtype=np.int64)
-    t_in = req.copy()
-    block = (req, first, last, slots, data, dur, start, end)
+    t_in = np.full(len(req), -1, dtype=np.int64)  # every time is >= 0
+    block = (first, last, slots, data, dur, start, end)
     # copy ends without interference (a queue of the bare service times) are
-    # lower bounds of the real ones, as are a wave's times; in the first
-    # pass, a copy whose predecessor's bound passes its request is queued,
-    # so it leaves the waves (end -1)
+    # lower bounds of the real ones: a copy whose predecessor's bound passes
+    # its request is queued, so round 0 leaves it out
     service = np.add.reduceat(difs + slots * slot + dur, first)
     done_by = np.cumsum(service)
     bound = done_by + np.maximum(free_at, np.maximum.accumulate(req - done_by + service))
-    del service, done_by  # free before the waves
-    _waves(busy, phy, tail, block, np.arange(len(req)), req, bound, free_at)
+    heads, t_from = np.flatnonzero(np.append(free_at, bound[:-1]) <= req), req
+    del service, done_by, bound  # free before the waves
     previous = len(req)
     while True:
+        t_in[heads] = t_from[heads]
+        _waves(busy, phy, tail, block, heads, t_from[heads])
         t_from = np.maximum(req, np.append(free_at, end[:-1]))
-        off = (end < 0) | (t_in != t_from)
+        off = t_in != t_from
         heads = np.flatnonzero(off & ~np.append(False, off[:-1]))
         # chains that do not halve the heads per round are long, so the
-        # replay takes them; the rounds time at most len(req) copies
+        # replay takes them; later rounds time at most len(req) copies
         if len(heads) <= _ROUND_HEADS or 2 * len(heads) > previous:
             break
         previous = len(heads)
-        t_in[heads] = t_from[heads]
-        _waves(busy, phy, tail, block, heads, t_from[heads])
     # replay the copies still off, in order; a replay can put successors
     # off. The memoryviews hand the scalar path Python ints without
     # building lists.
@@ -513,7 +505,7 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
         c, t = x, end_mv[x - 1] if x else free_at
         while c < len(req):
             t = max(t, req_mv[c])
-            if t == t_in_mv[c] and end_mv[c] >= 0:
+            if t == t_in_mv[c]:
                 break
             for a in range(first_mv[c], last_mv[c] + 1):
                 s, k = _acquire(busy_s, busy_e, k, t, difs, slot, slots_mv[a], data_mv[a] + tail)

@@ -679,30 +679,39 @@ class TestGapJump:
 
 @contextmanager
 def recorded_rounds():
-    """One record per MAC block, of the fix-up rounds of ``_attempt_starts``:
-    ``heads``, the copies each round timed; ``queued``, the copies the first
-    pass timed from their request that a round's new end queued; and
-    ``chained``, the copies that the scalar replay changed after the last
-    round, right after a copy it also changed."""
+    """One record per MAC block, of the rounds of ``_attempt_starts``:
+    ``req``, the block's requests; ``lanes``, the lane count of its first
+    ``_acquire_lanes`` call, made by round 0 (None without a call);
+    ``heads``, the copies each later round timed; ``queued``, the copies
+    round 0 timed from their request that a later round's new end queued;
+    and ``chained``, the copies that the scalar replay changed after the
+    last round, right after a copy it also changed."""
     blocks = []
-    waves, attempt_starts = sim._waves, sim._attempt_starts
+    waves, acquire_lanes, attempt_starts = sim._waves, sim._acquire_lanes, sim._attempt_starts
 
-    def recorded_waves(busy, phy, tail, block, lane, t, bound=None, free_at=0):
-        if bound is not None:  # the first pass
-            return waves(busy, phy, tail, block, lane, t, bound, free_at)
-        req, end = block[0], block[7]
+    def recorded_waves(busy, phy, tail, block, lane, t):
         record = blocks[-1]
+        if record.round_0:  # the block's first call
+            record.round_0 = False
+            return waves(busy, phy, tail, block, lane, t)
+        end = block[6]
         ended = end.copy()
         waves(busy, phy, tail, block, lane, t)
         record.heads.append(len(lane))
         record.retimed[lane] = True
-        after = lane[lane + 1 < len(req)] + 1
+        after = lane[lane + 1 < len(record.req)] + 1
         after = after[~record.retimed[after] & (ended[after] >= 0)]
-        record.queued += int((end[after - 1] > req[after]).sum())
+        record.queued += int((end[after - 1] > record.req[after]).sum())
         record.rounds_end = end.copy()
 
+    def recorded_lanes(busy, difs, slot, t, *args):
+        if blocks[-1].lanes is None:
+            blocks[-1].lanes = len(t)
+        return acquire_lanes(busy, difs, slot, t, *args)
+
     def recorded_starts(busy, phy, tail, free_at, req, *args):
-        record = SimpleNamespace(heads=[], queued=0, chained=0, rounds_end=None)
+        record = SimpleNamespace(req=req, lanes=None, round_0=True, heads=[])
+        record.queued, record.chained, record.rounds_end = 0, 0, None
         record.retimed = np.zeros(len(req), dtype=bool)
         blocks.append(record)
         start, end = attempt_starts(busy, phy, tail, free_at, req, *args)
@@ -712,14 +721,14 @@ def recorded_rounds():
         return start, end
 
     with mock.patch.object(sim, "_waves", recorded_waves), mock.patch.object(
-        sim, "_attempt_starts", recorded_starts
-    ):
+        sim, "_acquire_lanes", recorded_lanes
+    ), mock.patch.object(sim, "_attempt_starts", recorded_starts):
         yield blocks
 
 
 class TestBatchedMac:
     """``sim._simulate_channel`` against the sequential MAC in ``helpers``;
-    the derandomized property run takes 11-13 s on a 2-CPU host (Python
+    the derandomized property run takes 14-18 s on a 2-CPU host (Python
     3.11, numpy 2.4)."""
 
     @settings(max_examples=150, deadline=None)
@@ -771,6 +780,18 @@ class TestBatchedMac:
             assert record.queued > 0  # queued by a round's new end
             assert record.chained > 0  # chains the replay finishes
 
+    def test_round_0_leaves_out_copies_the_service_times_queue(self):
+        # a certain-loss copy (21 attempts) outlasts many periods, so the
+        # bare service times queue every copy of a block but the first, and
+        # all of the next block; in a saturated run, a fifth to a quarter
+        lossy = desk_config(2000, seed=5, loss_prob=1.0, full_trace=False)
+        saturated = desk_config(2000, seed=5, interferers_a=1, period_ns=500_000)
+        lossy_lanes, saturated_lanes = [(1560, 1), (440, None)] * 2, [(2000, 1502), (2000, 1569)]
+        for config, lanes in ((lossy, lossy_lanes), (saturated, saturated_lanes)):
+            with recorded_rounds() as blocks:
+                generate_run(config)
+            assert [(len(record.req), record.lanes) for record in blocks] == lanes
+
     def test_busiest_channel_is_simulated_first(self):
         # its busy intervals and gap table are the largest, so they are
         # never held beside another channel's columns
@@ -783,8 +804,9 @@ class TestBatchedMac:
             assert run.channels == (CH_A, CH_B)
 
     def test_scalar_replays_on_the_bench_config(self):
-        """The waves and fix-up rounds leave the scalar ``_acquire`` at most
-        200 of the bench config's 10^5 copies (9865 without the rounds)."""
+        """The rounds leave the scalar ``_acquire`` at most 200 calls on the
+        bench config's 10^5 copies (80 at seed 5; 8747 after round 0
+        alone)."""
         config = desk_config(50_000, seed=5, interferers_a=1, interferers_b=2, full_trace=False)
         with mock.patch.object(sim, "_acquire", side_effect=sim._acquire) as acquire:
             run = generate_run(config)
