@@ -98,13 +98,8 @@ def _da_params(args: argparse.Namespace, mode: DaMode) -> DaParams:
     return params
 
 
-def _read_log_arg(args: argparse.Namespace):
-    epsilon = None if args.epsilon is None else _flag("--epsilon", args.epsilon, _non_negative)
-    return read_log(args.log, request_epsilon_ns=epsilon)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    run = _read_log_arg(args)
+    run = read_log(args.log)
     report = compute_report(run, _da_params(args, DaMode(args.mode)))
     _emit(json.dumps(report_to_dict(report), indent=2) + "\n", args.out)
     return 0
@@ -124,7 +119,7 @@ def _grid_values(spec: str, step_ns: int) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    run = _read_log_arg(args)
+    run = read_log(args.log)
     values = _grid_values(args.range, _flag("--step", args.step))
     if args.param == "tlre":
         if args.tlre is not None:
@@ -236,12 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--csv", help="also write a flat per-copy CSV export here")
     sim.set_defaults(func=cmd_simulate)
 
-    def log_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--log", required=True)
-        p.add_argument("--epsilon", help="allowed request skew when validating imported logs")
-
     ana = sub.add_parser("analyze", help="compute a metrics report from a log")
-    log_flags(ana)
+    ana.add_argument("--log", required=True)
     ana.add_argument("--mode", choices=[m.value for m in DaMode], required=True)
     ana.add_argument("--tlre", default="0", help="reaction latency (e.g. 50us)")
     ana.add_argument(
@@ -263,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=cmd_analyze)
 
     sw = sub.add_parser("sweep", help="evaluate a parameter grid as CSV")
-    log_flags(sw)
+    sw.add_argument("--log", required=True)
     sw.add_argument("--param", choices=["tlre", "td"], required=True)
     sw.add_argument("--range", required=True, help="start:stop (use = for negatives)")
     sw.add_argument("--step", required=True, help="grid step (e.g. 50us)")

@@ -439,14 +439,16 @@ def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> Oracl
     full-trace log whose trace starts ascend within each copy (which
     ``validate_run`` checks): each copy but the quickest of a packet
     delivered on the link keeps the attempts whose shifted start is at
-    most the cross-ACK plus ``t_lre_ns``."""
+    most the cross-ACK plus ``t_lre_ns``, after the displacement
+    ``t_d_ns`` resolved as reports resolve it (``_resolve``)."""
     t = run.trace
     if t is None or not t.present.all():
         raise TraceRequiredError("exact early-termination analysis needs per-attempt traces")
     m, n = len(run.channels), run.meta.n_packets
     if t_d_ns != 0 and m != 2:
         raise ValueError("deferred-operation analysis needs a duplex packet")
-    shift = _shift(run, t_d_ns, t_d_ns == 0)
+    recorded = t_d_ns == 0 or _resolve(run, DaParams(DaMode.TDD, t_d_ns=t_d_ns))[1]
+    shift = _shift(run, t_d_ns, recorded)
     ends = np.where(run.lost, _ALWAYS, run.end + np.array(shift)[:, None])
     # the quickest delivered copy (the first of a tie) and every copy of a
     # packet lost on the link keep all their attempts

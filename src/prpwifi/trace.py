@@ -431,15 +431,6 @@ def _from_columns(
     return RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, copies)))
 
 
-@dataclass(frozen=True, slots=True)
-class LinkOutcome:
-    """PRP pairing result for one packet across all channels."""
-
-    lost: bool
-    latency_ns: int | None
-    quickest: ChannelId | None
-
-
 def final_attempt_start(copy: CopyRecord, phy: PhyParams) -> int:
     """Start-on-air of the copy's last attempt, reconstructed from its end.
 
@@ -470,35 +461,6 @@ def receive_time(copy: CopyRecord, phy: PhyParams) -> int:
 def copy_latency(copy: CopyRecord, phy: PhyParams) -> int:
     """Transmission latency of a delivered copy on its own channel."""
     return receive_time(copy, phy) - copy.request_ns
-
-
-def link_outcome(
-    packet: PacketRecord, phy: Mapping[ChannelId, PhyParams]
-) -> LinkOutcome:
-    """Apply PRP pairing rules to one packet.
-
-    The packet is lost on the link only if every copy is lost. Latency is
-    measured from the earliest transmission request among the copies (the
-    primary channel's, when requests are deferred) to the earliest receive
-    time. The quickest channel is the one whose ACK ends first; ties break
-    to the lowest channel index.
-    """
-    request_ns = min(c.request_ns for c in packet.copies.values())
-    quickest: ChannelId | None = None
-    quickest_end: int | None = None
-    best_latency: int | None = None
-    for channel in sorted(packet.copies):
-        copy = packet.copies[channel]
-        if copy.lost:
-            continue
-        if quickest_end is None or copy.end_ns < quickest_end:
-            quickest, quickest_end = channel, copy.end_ns
-        latency = receive_time(copy, phy[channel]) - request_ns
-        if best_latency is None or latency < best_latency:
-            best_latency = latency
-    return LinkOutcome(
-        lost=quickest is None, latency_ns=best_latency, quickest=quickest
-    )
 
 
 # --- columnar reconstruction ------------------------------------------------
@@ -552,22 +514,17 @@ def _exact(test: Callable[..., np.ndarray], *operands) -> np.ndarray:
     return result
 
 
-def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
-    """Check every structural invariant of a run log.
-
-    ``request_epsilon_ns`` bounds the allowed request-time skew between
-    channels on non-deferred runs (defaults to the value stored in the
-    meta header; the simulator emits perfectly aligned requests). The
-    checks run over whole columns; the error names the first offending
-    packet, and for it the first failing check in per-packet order.
-    """
+def validate_run(run: RunLog) -> None:
+    """Check every structural invariant of a run log over whole columns.
+    The error names the first offending packet, and for it the first
+    failing check in per-packet order, with its channel for a copy check.
+    Without a recorded displacement, requests may differ by the header's
+    ``request_epsilon_ns`` (the simulator aligns them exactly)."""
     meta = run.meta
     meta.validate()
     n = len(run.index)
     if n != meta.n_packets:
         raise InvalidRunError(f"meta says {meta.n_packets} packets, log has {n}")
-    if request_epsilon_ns is None:
-        request_epsilon_ns = meta.request_epsilon_ns
     req, end, lost = run.req, run.end, run.lost
 
     # (bad mask, message) in the order a per-packet pass checks them: an
@@ -584,15 +541,15 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
             lambda hi, lo, eps: hi - lo > eps,
             req.max(axis=0),
             req.min(axis=0),
-            request_epsilon_ns,
+            meta.request_epsilon_ns,
         )
-        checks.append((skewed, "packet {packet}: request skew exceeds epsilon"))
+        checks.append((skewed, "request skew exceeds epsilon"))
     elif len(meta.channels) == 2:
         mismatch = _exact(lambda a, b, d: b - a != d, req[0], req[1], meta.deferral_ns)
         checks.append(
             (
                 mismatch,
-                "packet {packet}: request skew {skew} does not match the recorded "
+                "request skew {skew} does not match the recorded "
                 "displacement {deferral}",
             )
         )
@@ -607,7 +564,7 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
     checks += [
         (req < 0, "request time must be non-negative"),
         (end <= req, "end of transmission must follow the request"),
-        (end >= TIME_LIMIT_NS, "packet {packet}: end of transmission must come before 2^62 ns"),
+        (end >= TIME_LIMIT_NS, "end of transmission must come before 2^62 ns"),
         (run.attempts < 1, "attempt count must be >= 1"),
         (~lost & ~(run.has_td & run.has_ta), "delivered copies need both frame durations"),
         (
@@ -639,10 +596,7 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
         checks += [
             (traced & (length != run.attempts), "trace length must equal the attempt count"),
             (traced & copies_of(unordered), "attempt starts must strictly increase"),
-            (
-                nonempty & (last >= end),
-                "packet {packet}: attempts must start before the end of transmission",
-            ),
+            (nonempty & (last >= end), "attempts must start before the end of transmission"),
             (traced & copies_of(t.ok & ~is_last), "only the final attempt may succeed"),
             (nonempty & (t.per_copy(t.ok) == lost), "trace outcome contradicts the loss flag"),
             (
@@ -651,16 +605,16 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
             ),
             (
                 nonempty & (t.per_copy(t.start, first=True) <= previous_end),
-                "packet {packet}: attempts overlap the previous packet",
+                "attempts overlap the previous packet",
             ),
             (
                 nonempty & run.has_td & (final_starts(run) != last),
-                "packet {packet}: final-attempt reconstruction mismatch",
+                "final-attempt reconstruction mismatch",
             ),
         ]
 
     # the least (packet, channel, check) fails, with a packet's own checks
-    # at channel -1
+    # at channel -1; its message names the packet, and the channel if any
     failures = []
     for k, (bad, _) in enumerate(checks):
         packets = bad if bad.ndim == 1 else bad.any(axis=0)
@@ -668,15 +622,12 @@ def validate_run(run: RunLog, request_epsilon_ns: int | None = None) -> None:
             i = int(np.argmax(packets))
             failures.append((i, -1 if bad.ndim == 1 else int(np.argmax(bad[:, i])), k))
     if failures:
-        i, _, k = min(failures)
-        raise InvalidRunError(
-            checks[k][1].format(
-                packet=i + 1,
-                index=run.index[i],
-                skew=int(req[1, i]) - int(req[0, i]),
-                deferral=meta.deferral_ns,
-            )
+        i, j, k = min(failures)
+        where = f"packet {i + 1}" + (f", channel {run.channels[j].label}" if j >= 0 else "")
+        message = checks[k][1].format(
+            index=run.index[i], skew=int(req[1, i]) - int(req[0, i]), deferral=meta.deferral_ns
         )
+        raise InvalidRunError(f"{where}: {message}")
 
 
 # --- serialization ---------------------------------------------------------
@@ -808,9 +759,9 @@ def _meta_from_dict(d: object, level: _Level = _HEADER, prefix: str = "") -> obj
 
 def _check_int64(d: dict, required: tuple, optional: tuple, what: str, record_index: int) -> None:
     """Raise :class:`LogFormatError` naming the first field of ``d`` that is
-    not an int64; optional fields may also be absent or null."""
+    not an int64; optional fields may also be absent, but not null."""
     for key in required + optional:
-        if not _is_int64(d.get(key)) and (key in required or d.get(key) is not None):
+        if not _is_int64(d.get(key)) and (key in required or key in d):
             raise LogFormatError(f"{what} {key!r} must be an int64", record_index)
 
 
@@ -898,7 +849,7 @@ def _decode_copy(
         _check_int64(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"), "field", record_index)
         _check_keys(d, _COPY_ENTRY_KEYS, "copy", record_index)
         trace_entries = d.get("trace")
-        if trace_entries is not None and type(trace_entries) is not list:
+        if "trace" in d and type(trace_entries) is not list:
             raise LogFormatError("'trace' must be a list", record_index)
         attempts = []
         for e in trace_entries or ():
@@ -996,18 +947,14 @@ def _extended(a: np.ndarray, count: int, size: int) -> np.ndarray:
     return out
 
 
-def decode_log(
-    source: IO[str],
-    validate: bool = True,
-    request_epsilon_ns: int | None = None,
-) -> RunLog:
+def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     """Read a run written by :func:`encode_log`.
 
     Raises :class:`LogFormatError` (carrying the record index) on malformed
-    input; with ``validate`` the decoded run is also checked against all
-    structural invariants. ``request_epsilon_ns`` overrides the allowed
-    request skew recorded in the header (for logs imported from real
-    testbeds, whose request times only approximately coincide).
+    input; with ``validate`` the run is also checked by :func:`validate_run`,
+    whose error names the offending packet and, for a copy check, its
+    channel. Only the header's ``epsilon`` bounds the request skew (logs
+    from real testbeds, whose requests only nearly coincide, set it).
 
     Packet lines in the encoder's exact layout are parsed in blocks; any
     other JSON layout is decoded line by line, with the same result.
@@ -1073,7 +1020,7 @@ def decode_log(
     del index, ints, flags, lengths, attempts  # free what the run does not hold before validation
     if validate:
         try:
-            validate_run(run, request_epsilon_ns=request_epsilon_ns)
+            validate_run(run)
         except InvalidRunError as exc:
             raise LogFormatError(str(exc)) from exc
     return run
@@ -1105,15 +1052,9 @@ def write_log(run: RunLog, path: str | os.PathLike) -> None:
     write_atomic(path, lambda sink: encode_log(run, sink))
 
 
-def read_log(
-    path: str | os.PathLike,
-    validate: bool = True,
-    request_epsilon_ns: int | None = None,
-) -> RunLog:
+def read_log(path: str | os.PathLike, validate: bool = True) -> RunLog:
     with open(path, encoding="utf-8", errors="surrogateescape") as source:
-        return decode_log(
-            source, validate=validate, request_epsilon_ns=request_epsilon_ns
-        )
+        return decode_log(source, validate=validate)
 
 
 CSV_COLUMNS = ("i", "ch", "l", "t_T", "t_X", "w", "Td", "Ta")

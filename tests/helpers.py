@@ -1,13 +1,14 @@
 """Shared builders for hand-made logs and desk-scale simulation setups, and
 the reference specifications that the product paths are checked against
 (interference from general intervals, the sequential MAC, the f-string
-encoder, the per-packet report, the per-packet oracle summary and virtual
-deferral by shifted columns)."""
+encoder, PRP pairing, the per-packet report, the per-packet oracle summary
+and virtual deferral by shifted columns)."""
 from __future__ import annotations
 
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -51,7 +52,7 @@ from prpwifi.trace import (
     _meta_to_dict,
     copy_latency,
     final_attempt_start,
-    link_outcome,
+    receive_time,
 )
 
 CH_A = ChannelId(0, "A")
@@ -283,97 +284,88 @@ def latency_stats_spec(samples: list[int]) -> LatencyStats | None:
     )
 
 
-def _validate_copy_spec(copy: CopyRecord, phy: PhyParams, index: int) -> None:
+def _copy_error_spec(copy: CopyRecord, phy: PhyParams) -> str | None:
+    """The message of the first copy or trace check that ``copy`` fails."""
     if copy.request_ns < 0:
-        raise InvalidRunError("request time must be non-negative")
+        return "request time must be non-negative"
     if copy.end_ns <= copy.request_ns:
-        raise InvalidRunError("end of transmission must follow the request")
+        return "end of transmission must follow the request"
     if copy.end_ns >= 1 << 62:
-        raise InvalidRunError(f"packet {index}: end of transmission must come before 2^62 ns")
+        return "end of transmission must come before 2^62 ns"
     if copy.attempts < 1:
-        raise InvalidRunError("attempt count must be >= 1")
+        return "attempt count must be >= 1"
     if not copy.lost:
         if copy.final_data_ns is None or copy.final_ack_ns is None:
-            raise InvalidRunError("delivered copies need both frame durations")
+            return "delivered copies need both frame durations"
     if any(d is not None and d <= 0 for d in (copy.final_data_ns, copy.final_ack_ns)):
-        raise InvalidRunError("frame durations must be positive")
+        return "frame durations must be positive"
     if copy.final_data_ns is not None and final_attempt_start(copy, phy) < copy.request_ns:
-        raise InvalidRunError("the final attempt must not start before the request")
+        return "the final attempt must not start before the request"
     if copy.trace is not None:
         if len(copy.trace) != copy.attempts:
-            raise InvalidRunError("trace length must equal the attempt count")
+            return "trace length must equal the attempt count"
         for prev, cur in zip(copy.trace, copy.trace[1:]):
             if cur.start_ns <= prev.start_ns:
-                raise InvalidRunError("attempt starts must strictly increase")
+                return "attempt starts must strictly increase"
         if copy.trace and copy.trace[-1].start_ns >= copy.end_ns:
-            raise InvalidRunError(
-                f"packet {index}: attempts must start before the end of transmission"
-            )
+            return "attempts must start before the end of transmission"
         if any(a.succeeded for a in copy.trace[:-1]):
-            raise InvalidRunError("only the final attempt may succeed")
+            return "only the final attempt may succeed"
         if copy.trace[-1].succeeded == copy.lost:
-            raise InvalidRunError("trace outcome contradicts the loss flag")
+            return "trace outcome contradicts the loss flag"
         for a in copy.trace:
             if (a.ack_ns is not None) != a.succeeded:
-                raise InvalidRunError(
-                    "an attempt carries an ACK duration iff it succeeded"
-                )
+                return "an attempt carries an ACK duration iff it succeeded"
+    return None
 
 
-def validate_run_spec(run: RunLog, request_epsilon_ns: int | None = None) -> None:
+def validate_run_spec(run: RunLog) -> None:
     """Per-packet pass over every structural invariant, in the order that
     ``trace.validate_run`` must reproduce: the first offending packet, and
-    for it the first failing check, decide the message."""
+    for it the first failing check, decide the message, which names the
+    packet by its position, and the channel of a copy or trace check."""
     run.meta.validate()
     packets = run.packets
     if len(packets) != run.meta.n_packets:
         raise InvalidRunError(
             f"meta says {run.meta.n_packets} packets, log has {len(packets)}"
         )
-    if request_epsilon_ns is None:
-        request_epsilon_ns = run.meta.request_epsilon_ns
     channels = run.channels
     phy_by = run.phy_by_channel()
     last_end = {c: -1 for c in channels}
-    expected = 1
-    for packet in packets:
-        if packet.index != expected:
-            raise InvalidRunError(
-                f"packet indices must run 1..N without gaps (saw {packet.index})"
-            )
-        expected += 1
-        if run.meta.deferral_ns == 0:
+    for number, packet in enumerate(packets, start=1):
+        error = None
+        if packet.index != number:
+            error = f"packet indices must run 1..N without gaps (saw {packet.index})"
+        elif run.meta.deferral_ns == 0:
             requests = [packet.copies[c].request_ns for c in channels]
-            if max(requests) - min(requests) > request_epsilon_ns:
-                raise InvalidRunError(
-                    f"packet {packet.index}: request skew exceeds epsilon"
-                )
+            if max(requests) - min(requests) > run.meta.request_epsilon_ns:
+                error = "request skew exceeds epsilon"
         elif len(channels) == 2:
             skew = (
                 packet.copies[channels[1]].request_ns
                 - packet.copies[channels[0]].request_ns
             )
             if skew != run.meta.deferral_ns:
-                raise InvalidRunError(
-                    f"packet {packet.index}: request skew {skew} does not match "
+                error = (
+                    f"request skew {skew} does not match "
                     f"the recorded displacement {run.meta.deferral_ns}"
                 )
+        if error is not None:
+            raise InvalidRunError(f"packet {number}: {error}")
         for channel in channels:
             copy = packet.copies[channel]
-            _validate_copy_spec(copy, phy_by[channel], packet.index)
-            if copy.trace is not None:
+            error = _copy_error_spec(copy, phy_by[channel])
+            if error is None and copy.trace is not None:
                 if copy.trace[0].start_ns <= last_end[channel]:
-                    raise InvalidRunError(
-                        f"packet {packet.index}: attempts overlap the previous packet"
-                    )
-                if copy.final_data_ns is not None:
-                    if (
-                        final_attempt_start(copy, phy_by[channel])
-                        != copy.trace[-1].start_ns
-                    ):
-                        raise InvalidRunError(
-                            f"packet {packet.index}: final-attempt reconstruction mismatch"
-                        )
+                    error = "attempts overlap the previous packet"
+                elif (
+                    copy.final_data_ns is not None
+                    and final_attempt_start(copy, phy_by[channel]) != copy.trace[-1].start_ns
+                ):
+                    error = "final-attempt reconstruction mismatch"
+            if error is not None:
+                raise InvalidRunError(f"packet {number}, channel {channel.label}: {error}")
             last_end[channel] = copy.end_ns
 
 
@@ -728,6 +720,47 @@ def virtual_defer(
     )
 
 
+# --- PRP pairing (the link latency on recorded timestamps) --------------------
+
+
+@dataclass(frozen=True, slots=True)
+class LinkOutcome:
+    """PRP pairing result for one packet across all channels."""
+
+    lost: bool
+    latency_ns: int | None
+    quickest: ChannelId | None
+
+
+def link_outcome(
+    packet: PacketRecord, phy: Mapping[ChannelId, PhyParams]
+) -> LinkOutcome:
+    """Apply PRP pairing rules to one packet.
+
+    The packet is lost on the link only if every copy is lost. Latency is
+    measured from the earliest transmission request among the copies (the
+    primary channel's, when requests are deferred) to the earliest receive
+    time. The quickest channel is the one whose ACK ends first; ties break
+    to the lowest channel index.
+    """
+    request_ns = min(c.request_ns for c in packet.copies.values())
+    quickest: ChannelId | None = None
+    quickest_end: int | None = None
+    best_latency: int | None = None
+    for channel in sorted(packet.copies):
+        copy = packet.copies[channel]
+        if copy.lost:
+            continue
+        if quickest_end is None or copy.end_ns < quickest_end:
+            quickest, quickest_end = channel, copy.end_ns
+        latency = receive_time(copy, phy[channel]) - request_ns
+        if best_latency is None or latency < best_latency:
+            best_latency = latency
+    return LinkOutcome(
+        lost=quickest is None, latency_ns=best_latency, quickest=quickest
+    )
+
+
 # --- per-packet report (the specification of metrics.compute_report) ---------
 
 
@@ -812,7 +845,17 @@ def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
 
 def oracle_attempt_summary_spec(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> OracleSummary:
     """Same result as ``metrics.oracle_attempt_summary`` via
-    :func:`prpwifi.da.oracle_saved_attempts`, packet by packet."""
+    :func:`prpwifi.da.oracle_saved_attempts`, packet by packet. On a duplex
+    log deferred by D, a nonzero ``t_d_ns`` must be D, which the recorded
+    timestamps already carry."""
+    deferral = run.meta.deferral_ns
+    if t_d_ns != 0 and deferral != 0 and len(run.channels) == 2:
+        if t_d_ns != deferral:
+            raise ValueError(
+                f"log already carries a real displacement of {deferral} ns; "
+                "omit t_d or pass the same value"
+            )
+        t_d_ns = 0
     n = run.meta.n_packets
     total_pow = total_da = early_exact = 0
     for packet in run.packets:

@@ -19,7 +19,6 @@ from prpwifi import (
     generate_run,
 )
 from prpwifi.da import oracle_saved_attempts, rda_flags, tdd_flags, tdd_latency
-from prpwifi.trace import link_outcome
 from prpwifi.cli import main
 from prpwifi.metrics import sweep
 
@@ -31,6 +30,7 @@ from helpers import (
     WORKED_W_A,
     WORKED_W_B,
     desk_config,
+    link_outcome,
     virtual_defer,
     worked_example_run,
 )

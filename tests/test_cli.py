@@ -350,6 +350,23 @@ class TestMalformedLog:
         assert captured.out == ""
         assert captured.err == "error: record 1: header key 'channels[0].ch' must be a string\n"
 
+    def test_broken_invariant_names_packet_and_channel(self, log_file, tmp_path, capsys):
+        """A delivered copy without ``Ta`` breaks a copy check; the error
+        names its packet and channel, where it used to name neither."""
+        lines = log_file.read_text().splitlines()
+        record = json.loads(lines[5])
+        assert record["i"] == 5 and record["copies"][1]["l"] == 0
+        del record["copies"][1]["Ta"]
+        lines[5] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--log", str(bad), "--mode", "rda"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: packet 5, channel B: delivered copies need both frame durations\n"
+        )
+
     def test_non_utf8_byte_exits_2_naming_the_line(self, log_file, tmp_path, capsys):
         lines = log_file.read_bytes().split(b"\n")
         lines[3] = lines[3][:40] + b"\xff" + lines[3][41:]
@@ -533,10 +550,6 @@ class TestVirtualDisplacementBound:
          "--lost-attempts: invalid literal for int() with base 10: 'x'"),
         (["analyze", "LOG", "--mode", "rda", "--tlre", "1e3"], "--tlre: invalid duration: '1e3'"),
         (["analyze", "LOG", "--mode", "tdd", "--td", "1ks"], "--td: invalid duration: '1ks'"),
-        (["analyze", "LOG", "--mode", "rda", "--epsilon", "0.5ns"],
-         "--epsilon: duration '0.5ns' is not a whole number of ns"),
-        (["analyze", "LOG", "--mode", "rda", "--epsilon=-1ns"],
-         "--epsilon: duration '-1ns' is negative"),
         (["analyze", "LOG", "--mode", "rda", "--tlre=-1us"], "--tlre: duration '-1us' is negative"),
         (["analyze", "LOG", "--mode", "rda", "--lost-attempts", "0"],
          "--lost-attempts: charge '0' must be >= 1"),
@@ -585,6 +598,20 @@ def test_unwritable_out_names_the_path(command, code, log_file, config_file, tmp
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_request_skew_comes_from_the_header_only(command, log_file, capsys):
+    """A log's header ``epsilon`` is the one request skew tolerance; no
+    flag overrides it."""
+    argv = ["--mode", "rda"] if command == "analyze" else [
+        "--param", "tlre", "--range", "0:1us", "--step", "1us"
+    ]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--log", str(log_file), *argv, "--epsilon", "1us"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon 1us" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -4,7 +4,7 @@ from hypothesis import given
 from prpwifi import (
     TraceRequiredError,
 )
-from prpwifi.trace import PacketRecord, link_outcome
+from prpwifi.trace import PacketRecord
 from prpwifi.da import (
     DaFlags,
     FailedCopyPolicy,
@@ -21,6 +21,7 @@ from helpers import (
     CH_B,
     HAND_PHY,
     copy_from_starts,
+    link_outcome,
     make_lost_copy,
     make_run,
     make_success_copy,

@@ -783,6 +783,24 @@ class TestOracleSummary:
         expected = oracle_attempt_summary_spec(run, t_lre, t_d)
         assert oracle_attempt_summary(run, t_lre, t_d) == expected
 
+    def test_real_displacement_resolves_as_reports_do(self):
+        """A log deferred by 100 us already carries its displacement: a T_D
+        of 100 us means its recorded timestamps, as T_D = 0 does, and any
+        other nonzero T_D is refused with ``compute_report``'s error. The
+        oracle used to shift such a log a second time (261 of 400 copies
+        early at 100 us, 247 at 0) and to accept 200 us."""
+        config = desk_config(400, seed=5, full_trace=True)
+        run = generate_run(replace(config, deferral_ns=100_000))
+        recorded = oracle_attempt_summary(run, 0)
+        assert recorded.early_bar_exact == Fraction(247, 400)
+        refused = "log already carries a real displacement of 100000 ns"
+        with pytest.raises(ValueError, match=refused):
+            compute_report(run, DaParams(mode=DaMode.TDD, t_d_ns=200_000))
+        for evaluate in (oracle_attempt_summary, oracle_attempt_summary_spec):
+            assert evaluate(run, 0, 100_000) == recorded
+            with pytest.raises(ValueError, match=refused):
+                evaluate(run, 0, 200_000)
+
     def test_builds_no_packet_records(self, traced_run, monkeypatch):
         def refuse(run):
             raise AssertionError("per-packet records were built")

@@ -45,7 +45,6 @@ from prpwifi.trace import (
     copy_latency,
     final_attempt_start,
     final_starts,
-    link_outcome,
     receive_time,
     receive_times,
     shift_copy,
@@ -58,6 +57,7 @@ from helpers import (
     HAND_PHY,
     desk_config,
     encode_log_spec,
+    link_outcome,
     lossy_config,
     make_lost_copy,
     make_run,
@@ -298,6 +298,26 @@ class TestCodec:
             decode_log(io.StringIO("\n".join(lines)), validate=False)
         assert exc.value.record_index == 3
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda copy: copy.update(Td=None), "field 'Td' must be an int64"),
+            (lambda copy: copy.update(Ta=None), "field 'Ta' must be an int64"),
+            (lambda copy: copy.update(trace=None), "'trace' must be a list"),
+            (lambda copy: copy["trace"][0].update(Ta=None), "trace field 'Ta' must be an int64"),
+        ],
+        ids=["Td", "Ta", "trace", "trace-Ta"],
+    )
+    def test_null_is_not_an_absent_field(self, traced_run, edit, message):
+        """An optional field is absent only when its key is omitted, as in
+        the header; a null in its place used to decode as an omitted key."""
+        lines = encode_log_spec(traced_run).splitlines()
+        record = json.loads(lines[2])
+        edit(record["copies"][1])
+        lines[2] = json.dumps(record)
+        with pytest.raises(LogFormatError, match=f"^record 3: {re.escape(message)}$"):
+            decode_log(io.StringIO("\n".join(lines)), validate=False)
+
     @given(duplex_runs())
     def test_roundtrip_random_runs(self, run):
         _, decoded = self.roundtrip(run)
@@ -335,7 +355,7 @@ class TestValidation:
         run = make_run([p])
         with pytest.raises(InvalidRunError):
             validate_run(run)
-        validate_run(run, request_epsilon_ns=1_000)
+        validate_run(replace(run, meta=replace(run.meta, request_epsilon_ns=1_000)))
 
     def test_deferred_skew_must_match(self):
         p = make_packet_pair(0)
@@ -364,6 +384,7 @@ class TestValidation:
         b = replace(packets[1].copies[CH_B], final_data_ns=td, final_ack_ns=ta)
         packets[1] = replace(packets[1], copies={**packets[1].copies, CH_B: b})
         run = make_run(packets)
+        message = f"packet 2, channel B: {message}"
         for check in (validate_run, validate_run_spec):
             with pytest.raises(InvalidRunError, match=f"^{message}$"):
                 check(run)
@@ -375,13 +396,15 @@ class TestValidation:
     def test_copy_checks_follow_channel_order(self):
         """Packet 2 breaks a later check on A (``Td = 0``) than on B
         (``t_X = t_T``): the channel comes before the check, as in a
-        per-packet pass."""
+        per-packet pass, and the message names it."""
         packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
         a, b = (packets[1].copies[c] for c in (CH_A, CH_B))
         copies = {CH_A: replace(a, final_data_ns=0), CH_B: replace(b, end_ns=b.request_ns)}
         run = make_run([packets[0], replace(packets[1], copies=copies), packets[2]])
         for check in (validate_run, validate_run_spec):
-            with pytest.raises(InvalidRunError, match="^frame durations must be positive$"):
+            with pytest.raises(
+                InvalidRunError, match="^packet 2, channel A: frame durations must be positive$"
+            ):
                 check(run)
 
     def test_end_times_stay_below_2_62(self, tmp_path, capsys):
@@ -391,8 +414,8 @@ class TestValidation:
         the simulator's limit too; 2^62 - 1 still validates."""
         packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
         for end, message in [
-            (2**63 - 11, "packet 2: end of transmission must come before 2^62 ns"),
-            (2**62, "packet 2: end of transmission must come before 2^62 ns"),
+            (2**63 - 11, "packet 2, channel A: end of transmission must come before 2^62 ns"),
+            (2**62, "packet 2, channel A: end of transmission must come before 2^62 ns"),
             (2**62 - 1, None),
         ]:
             a = replace(packets[1].copies[CH_A], end_ns=end)
@@ -406,7 +429,7 @@ class TestValidation:
         this rule bounds its attempt starts: a last start of 2^63 - 11 on
         packet 2's copy on B (its end 1.6 ms) used to validate, and a virtual
         T_D of 3 ms then wrapped the displaced start in the oracle summary."""
-        message = "packet 2: attempts must start before the end of transmission"
+        message = "packet 2, channel B: attempts must start before the end of transmission"
         for last_start, error in [
             (2**63 - 11, message),
             (1_600_000, message),
@@ -785,6 +808,9 @@ class TestDecoderHoles:
             except InvalidRunError as exc:
                 errors.append(str(exc))
         assert errors[0] == errors[1]
+        # a broken invariant names its packet, and the channel of a copy check
+        location = re.compile(r"packet [1-9][0-9]*(, channel .+?)?: ")
+        assert errors[0] is None or errors[0].startswith("meta says ") or location.match(errors[0])
 
 
 # --- block decoding ------------------------------------------------------------
