@@ -17,11 +17,14 @@ values of ROADMAP's table, in the adapter view and with full traces:
 6. ``validate-deferral`` for the seed, on the adapter config.
 
 For each command it prints one line: the wall seconds from start to exit,
-the child's ``ru_maxrss`` in MB (10^6 bytes), and the sha256 of its output
+the child's ``ru_maxrss`` in MB (10^6 bytes), the sha256 of its output
 (the written log for ``simulate``, whose stdout holds its own wall time;
-stdout for the others). The last line is the same as one JSON object. The
-commands run one at a time; at 10^6 packets the largest peaks near 0.5 GB
-and the two logs take about 0.5 GB of disk.
+stdout for the others), and ``same`` or ``CHANGED`` as that digest equals
+the one in ``DIGESTS`` or not. The last line is the same as one JSON
+object. It exits 1 if a command fails or an output changed; a change that
+means to alter an output updates ``DIGESTS``. The commands run one at a
+time; at 10^6 packets the largest peaks near 0.5 GB and the two logs take
+about 0.5 GB of disk.
 """
 from __future__ import annotations
 
@@ -43,6 +46,15 @@ from workloads import ANALYZE_TLRE_NS, CONFIG_TEMPLATE, LOSS_PROB  # noqa: E402
 
 PACKETS = 1_000_000
 SEED = 5
+# the sha256 of each command's output at PACKETS and SEED
+DIGESTS = {
+    "simulate-adapter": "a075ed4fe634c666b45304614b500a3872aecc14b72cfc46297a8784c7760d74",
+    "simulate-trace": "53372aebf634ea2832d2f76d02272c2f1edb31bec87f4f868505fd2dc7917fa0",
+    "sweep-tlre": "672c4b55f665d3ffc0f9de577808f8ace9de9f9bb679e20030e7f7b83a1d7cc8",
+    "sweep-td": "4cf1b6920b56af151193292736b38653a9fb6541dfd15f69e7966b64adf218f0",
+    "analyze-trace": "8a7ed99007b8c81b9f6cde2af667f7586474b32f9e81153d985d3912be1698d7",
+    "validate-deferral": "7af111f726fc418eb2efc590c53e8db135533f3175cd0df827faeff8601278dd",
+}
 
 
 def _commands(work: Path) -> list[tuple[str, list[str], Path | None]]:
@@ -112,9 +124,10 @@ def main(argv: list[str] | None = None) -> int:
                 "peak_rss_mb": round(peak_mb, 1),
                 "sha256": _sha256(output or stdout) if code == 0 else None,
             }
+            row["output"] = "same" if row["sha256"] == DIGESTS[name] else "CHANGED"
             rows.append(row)
-            print(f"{name:18} exit {code}  {seconds:7.2f} s  {peak_mb:7.1f} MB  {row['sha256']}",
-                  flush=True)
+            print(f"{name:18} exit {code}  {seconds:7.2f} s  {peak_mb:7.1f} MB  {row['sha256']}"
+                  f"  {row['output']}", flush=True)
             if code != 0:
                 break
     finally:
@@ -126,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         "nproc": os.cpu_count(),
         "commands": rows,
     }))
-    return 0 if len(rows) == 6 and all(r["exit_code"] == 0 for r in rows) else 1
+    whole = len(rows) == len(DIGESTS)
+    return 0 if whole and all(r["exit_code"] == 0 and r["output"] == "same" for r in rows) else 1
 
 
 if __name__ == "__main__":

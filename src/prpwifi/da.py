@@ -2,7 +2,7 @@
 
 Works on the adapter-view tuples alone (reconstruction of final-attempt
 starts gives sound lower bounds on what early termination would save) and,
-when per-attempt traces are present, computes the exact number of saved
+when per-attempt traces are carried, computes the exact number of saved
 attempts per copy. Deferred operation is analyzed either from logs with
 real request displacement or virtually, by shifting one channel of a
 non-deferred log in post-processing.

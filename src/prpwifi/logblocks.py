@@ -13,13 +13,15 @@ are dropped when the matrix is read out.
 regex and parses its numbers with numpy instead of one ``json.loads`` per
 line: every number follows a ``:``, so one ``bytes.translate`` leaves
 just the numbers for ``np.fromstring``. Numbers in the grammar have at
-most 18 digits, so every value fits an int64. A block in which every copy
-carries both final durations and no trace has the same numbers in the
-same order on every line, so a reshape places them. In any other block
-the key before each number names its column in a table with a row per
-copy and per trace entry, the layout :class:`BlockFormatter` writes, and
-the keys that open a row count the rows. Blocks in any other layout are
-left to the line-by-line decoder of :mod:`prpwifi.trace`.
+most 18 digits, so every value fits an int64, and a frame duration is
+positive, so 0 is free to stand for one that a copy does not carry. A
+block in which every copy carries both final durations and no trace has
+the same numbers in the same order on every line, so a reshape places
+them. In any other block the key before each number names its column in
+a table with a row per copy and per trace entry, the layout
+:class:`BlockFormatter` writes, and the keys that open a row count the
+rows. Blocks in any other layout, including lines that break those
+rules, are left to the line-by-line decoder of :mod:`prpwifi.trace`.
 """
 from __future__ import annotations
 
@@ -29,20 +31,24 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-# The keys of a copy's and of a trace entry's fields in row order; a
-# repeated key is the presence flag of the optional field before it.
-COPY_KEYS = ("l", "t_T", "t_X", "w", "Td", "Td", "Ta", "Ta")
-ENTRY_KEYS = ("tW", "Td", "Ta", "Ta", "ok")
+# The keys of a copy's and of a trace entry's fields in row order; an
+# absent Td or Ta is 0 in its row, and a copy without a trace has no
+# entry rows.
+COPY_KEYS = ("l", "t_T", "t_X", "w", "Td", "Ta")
+ENTRY_KEYS = ("tW", "Td", "Ta", "ok")
 
-_NUMBER = r"-?+(?:0|[1-9][0-9]{0,17}+)"
-_ENTRY = r'\{"tW":N,"Td":N(?:,"Ta":N)?+,"ok":N\}'.replace("N", _NUMBER)
-# a copy entry after its '{"ch":<label>'
+_POSITIVE = r"[1-9][0-9]{0,17}+"
+_NUMBER = r"-?+(?:0|%s)" % _POSITIVE
+# frame durations (P) are positive
+_ENTRY = r'\{"tW":N,"Td":P(?:,"Ta":P)?+,"ok":N\}'
+# a copy entry after its '{"ch":<label>'; a trace holds at least one entry
 _COPY_REST = (
-    r',"l":N,"t_T":N,"t_X":N,"w":N(?:,"Td":N)?+(?:,"Ta":N)?+'
-    r'(?:,"trace":\[(?:E(?:,E)*+)?+\])?+\}'
-).replace("E", _ENTRY).replace("N", _NUMBER)
+    r',"l":N,"t_T":N,"t_X":N,"w":N(?:,"Td":P)?+(?:,"Ta":P)?+(?:,"trace":\[E(?:,E)*+\])?+\}'
+).replace("E", _ENTRY).replace("P", _POSITIVE).replace("N", _NUMBER)
 # the same for a copy with both final durations and no trace
-_FIXED_REST = r',"l":N,"t_T":N,"t_X":N,"w":N,"Td":N,"Ta":N\}'.replace("N", _NUMBER)
+_FIXED_REST = (
+    r',"l":N,"t_T":N,"t_X":N,"w":N,"Td":P,"Ta":P\}'
+).replace("P", _POSITIVE).replace("N", _NUMBER)
 # every number in the layout follows a ':', so deleting all bytes but
 # digits, '-' and ':', and turning ':' into a space, leaves the numbers
 _COLON_TO_SPACE = bytes.maketrans(b":", b" ")
@@ -89,52 +95,37 @@ class BlockParser:
         encoded = [json.dumps(label).encode() for label in labels]
         self._heads = [b'{"ch":%s,' % e for e in encoded if _DISTURBING.intersection(e)]
         self._m = len(labels)
-        # the columns of a fixed-layout copy's numbers: each key's first field
-        self._fixed_columns = [COPY_KEYS.index(name) for name in dict.fromkeys(COPY_KEYS)]
-        self._fixed_width = 1 + len(labels) * len(self._fixed_columns)  # numbers per line
+        self._fixed_width = 1 + len(labels) * len(COPY_KEYS)  # numbers per line
 
         # A general block becomes one table with a row per copy and per
         # trace entry in file order. A row holds the copy fields, then the
-        # entry fields a copy lacks, the packet index (on a line's first
-        # copy), a copy's trace flag, a copy flag and a column for what is
-        # dropped; a key names one column in both kinds of row.
+        # entry fields a copy lacks, then the packet index (on a line's
+        # first copy); a key names one column in both kinds of row.
         fields = COPY_KEYS + tuple(n for n in ENTRY_KEYS if n not in COPY_KEYS)
-        index, traced, is_copy, dropped = range(len(fields), len(fields) + 4)
-        width = dropped + 1
+        self._width = width = len(fields) + 1
         # Per key byte (a key's last byte): ``step`` is the row width at the
         # keys that open a row (a copy's first field, an entry's first), so
         # the running sum of the steps at a key of a row is the start of the
-        # next row; ``value`` and ``flag`` are the columns of the key's
-        # number and of its presence flag, counted from there. The index,
-        # '"copies"' and '"ch"' come before their copy's first field, where
+        # next row; ``value`` is the column of the key's number, counted
+        # from there. The index comes before its copy's first field, where
         # the sum is the start of the copy's own row.
+        self._opens_copy = ord(COPY_KEYS[0][-1])
         step = np.zeros(256, dtype=np.intp)
-        step[[ord(COPY_KEYS[0][-1]), ord(ENTRY_KEYS[0][-1])]] = width
-        value = np.full(256, dropped - width, dtype=np.intp)
-        flag = np.full(256, dropped - width, dtype=np.intp)
+        step[[self._opens_copy, ord(ENTRY_KEYS[0][-1])]] = width
+        value = np.zeros(256, dtype=np.intp)
         for column, name in enumerate(fields):
-            (flag if name in fields[:column] else value)[ord(name[-1])] = column - width
-        flag[ord(COPY_KEYS[0][-1])] = is_copy - width
-        flag[ord("e")] = traced - width  # '"trace":[', even when empty
-        value[ord("i")], flag[ord("i")] = index, dropped
-        for key in b"sh":  # '"copies":[' and '"ch":<label>'
-            value[key] = flag[key] = dropped
-        self._step, self._value, self._flag = step, value, flag
-        self._numbered = np.ones(256, dtype=bool)  # the keys before a number
+            value[ord(name[-1])] = column - width
+        value[ord("i")] = len(fields)
+        self._step, self._value = step, value
+        # the keys before a number: all but '"copies"', '"trace"' and '"ch"'
+        self._numbered = np.ones(256, dtype=bool)
         self._numbered[list(b"seh")] = False
-        self._width, self._index, self._traced, self._is_copy = width, index, traced, is_copy
-        # a repeated attempt field is the presence flag, the last column of its name
-        first = {name: fields.index(name) for name in fields}
-        last = {name: column for column, name in enumerate(fields)}
-        self._attempt_columns = [
-            (last if name in ENTRY_KEYS[:k] else first)[name]
-            for k, name in enumerate(ENTRY_KEYS)
-        ]
+        self._attempt_columns = [fields.index(name) for name in ENTRY_KEYS]
 
     def parse(self, text: str) -> tuple[np.ndarray, ...] | None:
         """(packet indices, copy rows, trace lengths, attempt rows) of a
         block of whole lines in file order, or None if the block is not in
-        the encoder's layout. A trace length is -1 where a copy has no
+        the encoder's layout. A trace length is 0 where a copy has no
         trace."""
         if self._fixed.fullmatch(text) is not None:
             parse = self._parse_fixed
@@ -151,12 +142,10 @@ class BlockParser:
 
     def _parse_fixed(self, data: bytes) -> tuple[np.ndarray, ...]:
         """Every copy has the same keys, so each line is the index and then
-        one number per key of each copy; the presence flags are all set."""
+        one number per key of each copy."""
         lines = _numbers(data).reshape(-1, self._fixed_width)
-        fields = lines[:, 1:].reshape(-1, len(self._fixed_columns))
-        copies = np.ones((len(fields), len(COPY_KEYS)), dtype=np.int64)
-        copies[:, self._fixed_columns] = fields
-        lengths = np.full(len(copies), -1, dtype=np.int64)
+        copies = lines[:, 1:].reshape(-1, len(COPY_KEYS))
+        lengths = np.zeros(len(copies), dtype=np.int64)
         attempts = np.empty((0, len(ENTRY_KEYS)), dtype=np.int64)
         return lines[:, 0], copies, lengths, attempts
 
@@ -164,29 +153,26 @@ class BlockParser:
         """Each colon's key is read from its last byte, two before the
         colon, and every colon but those of ``"copies"``, ``"ch"`` and
         ``"trace"`` precedes a number. The keys that open a row number the
-        rows, so two scatters place every number and presence flag in the
-        table; the copy rows and the entry rows are then taken apart.
+        rows and tell copies from entries, so one scatter places every
+        number in the table; the copy rows and the entry rows are then
+        taken apart.
         """
         u = np.frombuffer(data, dtype=np.uint8)
         key = u[np.flatnonzero(u == ord(":")) - 2]
-        start = np.cumsum(self._step.take(key))
+        step = self._step.take(key)
+        start = np.cumsum(step)
         table = np.zeros(start[-1], dtype=np.int64)  # the last key is in the last row
-        table[start + self._flag.take(key)] = 1
         at = start + self._value.take(key)
         table[at[self._numbered.take(key)]] = _numbers(data)
         table = table.reshape(-1, self._width)
 
-        is_copy = table[:, self._is_copy].astype(bool)
+        is_copy = key[step > 0] == self._opens_copy
         copies = table[is_copy]
         attempts = table[~is_copy].take(self._attempt_columns, axis=1)
         # the rows between a copy's row and the next copy's are its trace
-        # entries; a copy without a trace has none and length -1
-        first = np.flatnonzero(is_copy)
-        lengths = copies[:, self._traced] - 2
-        lengths[:-1] += first[1:]
-        lengths[-1] += len(table)
-        lengths -= first
-        return copies[:: self._m, self._index], copies[:, : len(COPY_KEYS)], lengths, attempts
+        # entries
+        lengths = np.diff(np.flatnonzero(is_copy), append=len(table)) - 1
+        return copies[:: self._m, -1], copies[:, : len(COPY_KEYS)], lengths, attempts
 
 
 _TEN = np.uint64(10)
@@ -214,16 +200,17 @@ class BlockFormatter:
         """Text of a block of packet lines from the arrays that
         :meth:`BlockParser.parse` returns, as columns: the packet indices,
         the packet-major copy columns in copy row order, the trace length
-        per copy (-1 where a copy has no trace) and the attempt columns of
-        the traced copies in attempt row order.
+        per copy (0 where a copy has no trace) and the attempt columns of
+        the traced copies in attempt row order. A duration of 0 is not
+        shown.
 
         Each copy and each trace entry is one row, in output order: a
         copy's row is followed by its entries' rows.
         """
-        lost, req, end, w, td, has_td, ta, has_ta = copies
-        start, data, ack, has_ack, ok = attempts
+        lost, req, end, w, td, ta = copies
+        start, data, ack, ok = attempts
         m = len(self._heads)
-        span = np.maximum(lengths, 0) + 1  # rows of a copy: its own and its entries'
+        span = lengths + 1  # rows of a copy: its own and its entries'
         copy_row = np.cumsum(span) - span
         rows = len(lengths) + len(start)
         entry = np.ones(rows, dtype=bool)
@@ -243,9 +230,9 @@ class BlockFormatter:
         index_row[copy_row[::m]] = index
         # an entry's fields take the columns of copy fields: tW those of
         # t_T, Td of t_X, Ta of Td, and ok of Ta
-        td_shown = per_row(has_td, has_ack).astype(bool)
-        ta_shown = per_row(has_ta, 1).astype(bool)
-        traced = np.repeat(lengths >= 0, span)  # the row's copy carries a trace
+        td_value, ta_value = per_row(td, ack), per_row(ta, ok)
+        td_shown, ta_shown = td_value != 0, per_row(ta, 1) != 0
+        traced = np.repeat(lengths > 0, span)  # the row's copy carries a trace
         ends = np.zeros(rows, dtype=bool)  # the last row of a copy
         ends[copy_row + span - 1] = True
         return _render(
@@ -261,9 +248,9 @@ class BlockFormatter:
                 [(b',"w":', copy)],
                 (per_row(w), copy),
                 [(b',"Td":', copy & td_shown), (b',"Ta":', entry & td_shown)],
-                (per_row(td, ack) * td_shown, td_shown),
+                (td_value, td_shown),
                 [(b',"Ta":', copy & ta_shown), (b',"ok":', entry)],
-                (per_row(ta, ok) * ta_shown, ta_shown),
+                (ta_value, ta_shown),
                 [(b',"trace":[', copy & traced), (b"},", entry & ~ends), (b"}", entry & ends)],
                 [(b"]}", ends & traced), (b"}", ends & ~traced)],
                 [(b"]}\n", ends & channel[-1][copy_row].repeat(span))],

@@ -159,26 +159,37 @@ class MetricsReport:
     link: LinkMetrics
 
 
-def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
-    """Effective displacement and whether flags use recorded timestamps.
+def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, int] | None]:
+    """Effective displacement, and the per-channel request shift of a
+    virtual one (None where flags use recorded timestamps).
 
     Logs generated with real request displacement are analyzed on their
     recorded timestamps (the displacement is already physical); a TDD
     request must then either leave ``t_d_ns`` at zero or match the log.
-    Non-deferred logs are displaced virtually.
+    Non-deferred logs are displaced virtually. A virtual |T_D|, like a real
+    one, must stay below the period, and below ``TIME_LIMIT_NS`` so that
+    shifted times stay int64.
     """
+    t_d = params.t_d_ns
     if params.mode is not DaMode.TDD:
-        return params.t_d_ns, True
+        return t_d, None
     if len(run.channels) != 2:
         raise ValueError("TDD analysis is defined for duplex logs only")
     if run.meta.deferral_ns != 0:
-        if params.t_d_ns not in (0, run.meta.deferral_ns):
+        if t_d not in (0, run.meta.deferral_ns):
             raise ValueError(
                 "log already carries a real displacement of "
                 f"{run.meta.deferral_ns} ns; omit t_d or pass the same value"
             )
-        return run.meta.deferral_ns, True
-    return params.t_d_ns, False
+        return run.meta.deferral_ns, None
+    if abs(t_d) >= run.meta.period_ns:
+        raise ValueError(
+            f"virtual displacement of {t_d} ns: |T_D| must be smaller than "
+            f"the generation period of {run.meta.period_ns} ns"
+        )
+    if abs(t_d) >= TIME_LIMIT_NS:
+        raise ValueError(f"virtual displacement of {t_d} ns: |T_D| must be below 2^62 ns")
+    return t_d, (max(0, -t_d), max(0, t_d))
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,11 +217,11 @@ def _other_ends(run: RunLog) -> np.ndarray:
 def _oracle_starts(run: RunLog, start: np.ndarray) -> np.ndarray:
     """``start`` (``trace.final_starts``) with the last traced start of each
     lost copy that has a trace (``da.policy_final_start``)."""
-    lost, known = run.lost, run.has_td
+    lost, known = run.lost, run.td != 0
     t = run.trace
     if t is not None:
-        traced = lost & t.present & (t.lengths().reshape(lost.shape) > 0)
-        start = np.where(traced, t.per_copy(t.start), start)
+        traced = lost & (t.lengths().reshape(lost.shape) > 0)
+        start = np.where(traced, t.per_copy(t.start).reshape(lost.shape), start)
         known = known | traced
     if (lost & ~known).any():
         raise TraceRequiredError("oracle policy needs traces or frame durations for lost copies")
@@ -283,22 +294,6 @@ def _link_latencies(cols: _Derived, t_d: int | None) -> np.ndarray:
     return samples
 
 
-def _shift(run: RunLog, t_d: int, recorded: bool) -> tuple[int, ...]:
-    """Per-channel request shift of a (duplex, if virtual) displacement. A
-    virtual |T_D|, like a real one, must stay below the period, and below
-    ``TIME_LIMIT_NS`` so that shifted times stay int64."""
-    if recorded:
-        return (0,) * len(run.channels)
-    if abs(t_d) >= run.meta.period_ns:
-        raise ValueError(
-            f"virtual displacement of {t_d} ns: |T_D| must be smaller than "
-            f"the generation period of {run.meta.period_ns} ns"
-        )
-    if abs(t_d) >= TIME_LIMIT_NS:
-        raise ValueError(f"virtual displacement of {t_d} ns: |T_D| must be below 2^62 ns")
-    return (max(0, -t_d), max(0, t_d))
-
-
 def _derive(run: RunLog) -> _Derived:
     rx = receive_times(run)
     delivered = ~run.lost
@@ -318,15 +313,14 @@ def _counts(flags: np.ndarray) -> list[int]:
 
 
 def _accumulate(
-    cols: _Derived, params: DaParams, t_d: int, recorded: bool
+    cols: _Derived, params: DaParams, t_d: int, shift: tuple[int, int] | None
 ) -> _Accumulated:
     """Vectorized evaluation of the per-packet definitions, for any number
     of channels (virtual displacement, like TDD itself, is duplex only)."""
     m = len(cols.lost_count)
-    _shift(cols.run, t_d, recorded)  # refuses a displacement out of range
     early_sum, simplex_sum, simplex_link = [0] * m, [0] * m, 0
     if params.mode is not DaMode.POW:
-        offsets = (0,) * m if recorded else (t_d, -t_d)
+        offsets = (0,) * m if shift is None else (t_d, -t_d)
         policy = params.failed_copy_policy
         lead = cols.once(policy, lambda: _leads(cols.run, policy))
         early = np.stack([row > params.t_lre_ns + c for row, c in zip(lead, offsets)])
@@ -335,7 +329,7 @@ def _accumulate(
         # a sum in the narrowest dtype that holds m, ten times faster than in int64
         per_packet = np.add.reduce(simplex, axis=0, dtype=np.min_scalar_type(m))
         simplex_link = int(np.count_nonzero(per_packet == m - 1))
-    key = None if recorded else t_d
+    key = None if shift is None else t_d
     link = cols.once(key, lambda: latency_stats(_link_latencies(cols, key)))
     return _Accumulated(
         early_sum, simplex_sum, simplex_link, cols.attempts_delivered, cols.lost_count,
@@ -397,8 +391,8 @@ def _assemble(
 
 def _evaluate(run: RunLog, params: DaParams, cols: _Derived) -> MetricsReport:
     params.validate()
-    t_d, recorded = _resolve(run, params)
-    return _assemble(run, params, t_d, _accumulate(cols, params, t_d, recorded))
+    t_d, shift = _resolve(run, params)
+    return _assemble(run, params, t_d, _accumulate(cols, params, t_d, shift))
 
 
 def compute_report(run: RunLog, params: DaParams) -> MetricsReport:
@@ -442,19 +436,18 @@ def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> Oracl
     most the cross-ACK plus ``t_lre_ns``, after the displacement
     ``t_d_ns`` resolved as reports resolve it (``_resolve``)."""
     t = run.trace
-    if t is None or not t.present.all():
+    if t is None or not t.lengths().all():
         raise TraceRequiredError("exact early-termination analysis needs per-attempt traces")
     m, n = len(run.channels), run.meta.n_packets
-    if t_d_ns != 0 and m != 2:
-        raise ValueError("deferred-operation analysis needs a duplex packet")
-    recorded = t_d_ns == 0 or _resolve(run, DaParams(DaMode.TDD, t_d_ns=t_d_ns))[1]
-    shift = _shift(run, t_d_ns, recorded)
-    ends = np.where(run.lost, _ALWAYS, run.end + np.array(shift)[:, None])
+    # at T_D = 0 every log, duplex or not, keeps its recorded timestamps
+    shift = _resolve(run, DaParams(DaMode.TDD, t_d_ns=t_d_ns))[1] if t_d_ns else None
+    shift = np.array(shift or (0,) * m)[:, None]
+    ends = np.where(run.lost, _ALWAYS, run.end + shift)
     # the quickest delivered copy (the first of a tie) and every copy of a
     # packet lost on the link keep all their attempts
     keeps_all = (np.arange(m)[:, None] == ends.argmin(axis=0)) | run.lost.all(axis=0)
     # any other attempt is kept iff its start plus its copy's lead is <= T_LRE
-    lead = np.subtract(np.array(shift)[:, None], ends.min(axis=0)).ravel()
+    lead = np.subtract(shift, ends.min(axis=0)).ravel()
     lengths = t.lengths()
     kept_before = np.cumsum(np.append(0, t.start + np.repeat(lead, lengths) <= t_lre_ns))
     counted = kept_before[t.offsets[1:]] - kept_before[t.offsets[:-1]]

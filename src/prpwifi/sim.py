@@ -572,15 +572,14 @@ def _simulate_channel(
     del busy  # the columns below may reuse its memory
     end, attempts, delivered, td, *trace = (np.concatenate(c) for c in zip(*parts))
     # adapter view: the driver exposes no frame durations for lost copies
-    has_td = np.ones(n, dtype=bool) if config.emit_full_trace else delivered
+    if not config.emit_full_trace:
+        td = np.where(delivered, td, 0)
     ta = np.where(delivered, phy.ack_frame_ns, 0)
-    copies = dict(lost=~delivered, req=requests(0, n), end=end, attempts=attempts)
-    copies.update(td=np.where(has_td, td, 0), has_td=has_td, ta=ta, has_ta=delivered)
+    copies = dict(lost=~delivered, req=requests(0, n), end=end, attempts=attempts, td=td, ta=ta)
     if not trace:
         return copies, None
     start, data, ok = trace
-    ack = np.where(ok, phy.ack_frame_ns, 0)
-    return copies, dict(start=start, data=data, ack=ack, has_ack=ok, ok=ok)
+    return copies, dict(start=start, data=data, ack=np.where(ok, phy.ack_frame_ns, 0), ok=ok)
 
 
 def _channel_of(run: RunLog, j: int) -> _Channel:
@@ -654,7 +653,6 @@ def generate_run(
         np.cumsum(copies["attempts"], out=offsets[1:])
         trace = AttemptTable(
             offsets=offsets,
-            present=np.ones_like(copies["lost"]),
             **{name: np.concatenate([a[name] for _, a in channels]) for name in ATTEMPT_COLUMNS},
         )
     run = RunLog(

@@ -184,6 +184,8 @@ class RunMeta:
             raise InvalidRunError("request skew epsilon must be >= 0")
         if len(self.channels) < 2:
             raise InvalidRunError("a redundant link needs at least two channels")
+        if self.deferral_ns != 0 and len(self.channels) != 2:
+            raise InvalidRunError("a request displacement needs a duplex link")
         labels = [cm.channel.label for cm in self.channels]
         indices = [cm.channel.index for cm in self.channels]
         if len(set(labels)) != len(labels) or len(set(indices)) != len(indices):
@@ -229,30 +231,28 @@ class AttemptTable(_Columns):
 
     Copies are numbered channel-major: copy ``j * n + i`` is packet ``i`` on
     channel ``j``. Its attempts are rows ``offsets[k]`` to ``offsets[k + 1]``
-    in order. ``present`` marks the copies that carry a trace at all; a copy
-    without one has no rows. ``ack`` is 0 where ``has_ack`` is false.
+    in order; a copy carries a trace iff it has rows. ``ack`` is 0 where an
+    attempt carries no ACK duration.
     """
 
     offsets: np.ndarray  # (m * n + 1,) int64
-    present: np.ndarray  # (m, n) bool
     start: np.ndarray  # (rows,) int64, start on air
     data: np.ndarray  # (rows,) int64, DATA duration
     ack: np.ndarray  # (rows,) int64, ACK duration
-    has_ack: np.ndarray  # (rows,) bool
     ok: np.ndarray  # (rows,) bool
 
     def lengths(self) -> np.ndarray:
-        """(m * n,) trace length per copy, 0 where no trace is present."""
+        """(m * n,) trace length per copy, 0 where it carries no trace."""
         return np.diff(self.offsets)
 
     def per_copy(self, values: np.ndarray, first: bool = False) -> np.ndarray:
-        """(m, n) value of each copy's last (or first) attempt row, taken
+        """(m * n,) value of each copy's last (or first) attempt row, taken
         from the per-row ``values``; 0 where the copy has no attempts."""
         has_rows = self.offsets[1:] > self.offsets[:-1]
         rows = self.offsets[:-1] if first else self.offsets[1:] - 1
         out = np.zeros(len(has_rows), dtype=values.dtype)
         out[has_rows] = values[rows[has_rows]]
-        return out.reshape(self.present.shape)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +260,8 @@ class RunLog(_Columns):
     """A run as per-channel columns.
 
     Every copy column has shape (channels, packets), channels in meta
-    order. ``td``/``ta`` are the final attempt's DATA and ACK durations
-    where ``has_td``/``has_ta`` is set and 0 elsewhere. ``index`` is each
+    order. ``td``/``ta`` are the final attempt's DATA and ACK durations,
+    0 where the copy carries none. ``index`` is each
     packet's recorded index (1..N in a valid run). ``trace`` holds the
     per-attempt ground truth, or is None when no copy carries a trace.
     Arrays are read-only; equality compares them by value.
@@ -274,9 +274,7 @@ class RunLog(_Columns):
     end: np.ndarray  # (m, n) int64, end-of-transmission times
     attempts: np.ndarray  # (m, n) int64
     td: np.ndarray  # (m, n) int64
-    has_td: np.ndarray  # (m, n) bool
     ta: np.ndarray  # (m, n) int64
-    has_ta: np.ndarray  # (m, n) bool
     trace: AttemptTable | None = None
 
     @property
@@ -298,16 +296,9 @@ class RunLog(_Columns):
         traces: list[tuple[AttemptTrace, ...] | None] = [None] * (len(channels) * n)
         if self.trace is not None:
             t = self.trace
-            rows = list(
-                zip(
-                    t.start.tolist(),
-                    t.data.tolist(),
-                    _optional(t.ack, t.has_ack),
-                    t.ok.tolist(),
-                )
-            )
+            rows = list(zip(t.start.tolist(), t.data.tolist(), _optional(t.ack), t.ok.tolist()))
             offsets = t.offsets.tolist()
-            for k in np.flatnonzero(t.present.ravel()).tolist():
+            for k in np.flatnonzero(t.lengths()).tolist():
                 traces[k] = tuple(
                     AttemptTrace(pos, *row)
                     for pos, row in enumerate(rows[offsets[k] : offsets[k + 1]], start=1)
@@ -319,8 +310,8 @@ class RunLog(_Columns):
                 self.req[j].tolist(),
                 self.end[j].tolist(),
                 self.attempts[j].tolist(),
-                _optional(self.td[j], self.has_td[j]),
-                _optional(self.ta[j], self.has_ta[j]),
+                _optional(self.td[j]),
+                _optional(self.ta[j]),
                 traces[j * n : (j + 1) * n],
             )
             copies.append([CopyRecord(*row) for row in zip(*columns)])
@@ -332,71 +323,56 @@ class RunLog(_Columns):
     @classmethod
     def from_packets(cls, meta: RunMeta, packets: Sequence[PacketRecord]) -> RunLog:
         """Columns of per-packet records (hand-made logs, tests); each packet
-        needs exactly one copy per channel of ``meta``."""
+        needs exactly one copy per channel of ``meta``. A carried frame
+        duration of 0 and an empty trace have no column form, since 0
+        means not carried, and are refused."""
         channels = [cm.channel for cm in meta.channels]
         copies = []
         for p in packets:
             if len(p.copies) != len(channels) or not all(c in p.copies for c in channels):
                 raise InvalidRunError(f"packet {p.index}: missing channel copies")
-            copies += [p.copies[c] for c in channels]
+            for channel in channels:
+                c = p.copies[channel]
+                acks = [a.ack_ns for a in c.trace or ()]
+                if c.trace == () or 0 in (c.final_data_ns, c.final_ack_ns, *acks):
+                    what = "trace must not be empty" if c.trace == () else "duration must not be 0"
+                    where = f"packet {p.index}, channel {channel.label}"
+                    raise InvalidRunError(f"{where}: a carried {what}")
+                copies.append(c)
         rows = [
-            (
-                c.lost, c.request_ns, c.end_ns, c.attempts,
-                c.final_data_ns or 0, c.final_data_ns is not None,
-                c.final_ack_ns or 0, c.final_ack_ns is not None,
-            )
+            (c.lost, c.request_ns, c.end_ns, c.attempts, c.final_data_ns or 0, c.final_ack_ns or 0)
             for c in copies
         ]
         attempts = [
-            (a.start_ns, a.data_ns, a.ack_ns or 0, a.ack_ns is not None, a.succeeded)
+            (a.start_ns, a.data_ns, a.ack_ns or 0, a.succeeded)
             for c in copies
-            if c.trace is not None
-            for a in c.trace
+            for a in c.trace or ()
         ]
         m, n = len(channels), len(packets)
-        ints, flags = _copy_buffers(m, n)
-        table = np.array(rows, dtype=np.int64).reshape(n, m, len(COPY_KEYS))
-        _put_copy_rows(ints, flags, table.T)
+        table = np.array(rows, dtype=np.int64).reshape(n, m, len(COPY_KEYS)).T
         return _from_columns(
             meta,
             np.array([p.index for p in packets], dtype=np.int64),
-            _copy_columns(ints, flags),
-            np.array(
-                [-1 if c.trace is None else len(c.trace) for c in copies], dtype=np.int64
-            ).reshape(n, m).T,
+            [table[0].astype(bool), *table[1:].copy()],
+            np.array([len(c.trace or ()) for c in copies], dtype=np.int64).reshape(n, m).T,
             np.array(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
         )
 
 
-def _optional(values: np.ndarray, present: np.ndarray) -> list[int | None]:
-    return [v if p else None for v, p in zip(values.tolist(), present.tolist())]
+def _optional(values: np.ndarray) -> list[int | None]:
+    return [v or None for v in values.tolist()]
 
 
 # The RunLog and AttemptTable columns that hold the fields of COPY_KEYS
 # and ENTRY_KEYS, in the same order.
-COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "has_td", "ta", "has_ta")
-ATTEMPT_COLUMNS = ("start", "data", "ack", "has_ack", "ok")
+COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "ta")
+ATTEMPT_COLUMNS = ("start", "data", "ack", "ok")
 
 
 def _copy_buffers(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-major room for ``size`` packets of copy fields: one int64
-    buffer for t_T, t_X, w, Td and Ta, one bool buffer for l and the
-    presence of Td and Ta."""
-    return np.empty((5, m, size), dtype=np.int64), np.empty((3, m, size), dtype=bool)
-
-
-def _put_copy_rows(ints: np.ndarray, flags: np.ndarray, rows: np.ndarray) -> None:
-    """Write ``rows``, laid out as ``COPY_KEYS`` on the first axis, into
-    the buffers of ``_copy_buffers``."""
-    ints[:4], ints[4] = rows[1:5], rows[6]
-    flags[0], flags[1:] = rows[0], rows[5::2]
-
-
-def _copy_columns(ints: np.ndarray, flags: np.ndarray) -> list[np.ndarray]:
-    """The columns of ``COPY_KEYS``, in order, from the buffers of
-    ``_copy_buffers``."""
-    (t_t, t_x, w, td, ta), (lost, has_td, has_ta) = ints, flags
-    return [lost, t_t, t_x, w, td, has_td, ta, has_ta]
+    """Channel-major room for ``size`` packets of copy fields: a bool
+    buffer for l and one int64 buffer for t_T, t_X, w, Td and Ta."""
+    return np.empty((m, size), dtype=bool), np.empty((5, m, size), dtype=np.int64)
 
 
 def _from_columns(
@@ -407,27 +383,24 @@ def _from_columns(
     attempts: np.ndarray,
 ) -> RunLog:
     """Build a run from channel-major copy columns (one of shape ``(m, n)``
-    per field of ``COPY_KEYS``, presence flags after each duration, the
-    flags bool; the run holds them), per-copy trace lengths
-    (shape ``(m, n)``, -1 where a copy has no trace) and the attempt rows
-    of all traced copies in packet-major copy order (``ENTRY_KEYS``)."""
+    per field of ``COPY_KEYS``, ``l`` bool; the run holds them), per-copy
+    trace lengths (shape ``(m, n)``, 0 where a copy has no trace) and the
+    attempt rows of all traced copies in packet-major copy order
+    (``ENTRY_KEYS``)."""
     m, n = len(meta.channels), len(index)
     trace = None
-    present = lengths >= 0
-    if present.any():
-        kept = np.maximum(lengths, 0).ravel()
+    if lengths.any():
         # first attempt row of each copy, taken to channel-major copy order
-        in_rows = kept.reshape(m, n).T.ravel()
+        in_rows = lengths.T.ravel()
         first_row = (np.cumsum(in_rows) - in_rows).reshape(n, m).T.ravel()
         offsets = np.zeros(m * n + 1, dtype=np.int64)
-        np.cumsum(kept, out=offsets[1:])
-        rows = np.repeat(first_row - offsets[:-1], kept)
+        np.cumsum(lengths.ravel(), out=offsets[1:])
+        rows = np.repeat(first_row - offsets[:-1], lengths.ravel())
         rows += np.arange(offsets[-1])
         # one column at a time, so no second copy of the whole table exists
         columns = {name: attempts[rows, k] for k, name in enumerate(ATTEMPT_COLUMNS)}
-        for name in ("has_ack", "ok"):
-            columns[name] = columns[name].astype(bool)
-        trace = AttemptTable(offsets=offsets, present=present, **columns)
+        columns["ok"] = columns["ok"].astype(bool)
+        trace = AttemptTable(offsets=offsets, **columns)
     return RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, copies)))
 
 
@@ -484,7 +457,7 @@ def receive_times(run: RunLog) -> np.ndarray:
 
 def final_starts(run: RunLog) -> np.ndarray:
     """(m, n) :func:`final_attempt_start` of every copy, lost ones
-    included, valid where ``has_td``. Where they are valid, neither this
+    included, valid where ``td`` is carried. Where they are valid, neither this
     int64 arithmetic nor that of :func:`receive_times` can wrap on a run
     that passed :func:`validate_run`."""
     return _final_starts(
@@ -544,7 +517,7 @@ def validate_run(run: RunLog) -> None:
             meta.request_epsilon_ns,
         )
         checks.append((skewed, "request skew exceeds epsilon"))
-    elif len(meta.channels) == 2:
+    else:
         mismatch = _exact(lambda a, b, d: b - a != d, req[0], req[1], meta.deferral_ns)
         checks.append(
             (
@@ -556,6 +529,7 @@ def validate_run(run: RunLog) -> None:
     # a copy that passes the checks on its durations and final start has a
     # final start and a receive time that int64 arithmetic computes exactly;
     # they come before the reconstruction mismatch, which relies on it
+    known = run.td != 0
     starts_early = _exact(
         lambda *x: _final_starts(*x[:-1]) < x[-1],
         end, run.td, run.ta, lost,
@@ -566,12 +540,9 @@ def validate_run(run: RunLog) -> None:
         (end <= req, "end of transmission must follow the request"),
         (end >= TIME_LIMIT_NS, "end of transmission must come before 2^62 ns"),
         (run.attempts < 1, "attempt count must be >= 1"),
-        (~lost & ~(run.has_td & run.has_ta), "delivered copies need both frame durations"),
-        (
-            run.has_td & (run.td <= 0) | run.has_ta & (run.ta <= 0),
-            "frame durations must be positive",
-        ),
-        (run.has_td & starts_early, "the final attempt must not start before the request"),
+        (~lost & (~known | (run.ta == 0)), "delivered copies need both frame durations"),
+        ((run.td < 0) | (run.ta < 0), "frame durations must be positive"),
+        (known & starts_early, "the final attempt must not start before the request"),
     ]
 
     t = run.trace
@@ -588,27 +559,29 @@ def validate_run(run: RunLog) -> None:
         is_last[t.offsets[1:][lengths > 0] - 1] = True
         unordered = np.zeros(len(t.start), dtype=bool)
         unordered[1:] = (copy_of[1:] == copy_of[:-1]) & (t.start[1:] <= t.start[:-1])
-        traced = t.present
         length = lengths.reshape(req.shape)
-        nonempty = traced & (length > 0)
-        last = t.per_copy(t.start)
+        traced = length > 0
+        last = t.per_copy(t.start).reshape(req.shape)
         previous_end = np.concatenate((np.full((len(req), 1), -1), end[:, :-1]), axis=1)
         checks += [
             (traced & (length != run.attempts), "trace length must equal the attempt count"),
-            (traced & copies_of(unordered), "attempt starts must strictly increase"),
-            (nonempty & (last >= end), "attempts must start before the end of transmission"),
-            (traced & copies_of(t.ok & ~is_last), "only the final attempt may succeed"),
-            (nonempty & (t.per_copy(t.ok) == lost), "trace outcome contradicts the loss flag"),
+            (copies_of(unordered), "attempt starts must strictly increase"),
+            (traced & (last >= end), "attempts must start before the end of transmission"),
+            (copies_of(t.ok & ~is_last), "only the final attempt may succeed"),
             (
-                traced & copies_of(t.has_ack != t.ok),
+                traced & (t.per_copy(t.ok).reshape(req.shape) == lost),
+                "trace outcome contradicts the loss flag",
+            ),
+            (
+                copies_of((t.ack != 0) != t.ok),
                 "an attempt carries an ACK duration iff it succeeded",
             ),
             (
-                nonempty & (t.per_copy(t.start, first=True) <= previous_end),
+                traced & (t.per_copy(t.start, first=True).reshape(req.shape) <= previous_end),
                 "attempts overlap the previous packet",
             ),
             (
-                nonempty & run.has_td & (final_starts(run) != last),
+                traced & known & (final_starts(run) != last),
                 "final-attempt reconstruction mismatch",
             ),
         ]
@@ -638,6 +611,8 @@ def validate_run(run: RunLog) -> None:
 #                        "Td": ..., "Ta": ..., "trace": [...]}, ...]}
 # Optional fields (Td, Ta, trace) are omitted when absent. Trace entries are
 # {"tW": ..., "Td": ..., "Ta": ..., "ok": 0|1} with Ta omitted on failures.
+# A Td or Ta that a line carries is positive, and a trace holds at least one
+# entry: a run stores 0 and no rows for what a copy does not carry.
 
 
 # The meta header is one JSON object, described once by the table below and
@@ -757,12 +732,16 @@ def _meta_from_dict(d: object, level: _Level = _HEADER, prefix: str = "") -> obj
     return level.cls(**values)
 
 
-def _check_int64(d: dict, required: tuple, optional: tuple, what: str, record_index: int) -> None:
+def _check_numbers(d: dict, required: tuple, optional: tuple, what: str, record_index: int) -> None:
     """Raise :class:`LogFormatError` naming the first field of ``d`` that is
-    not an int64; optional fields may also be absent, but not null."""
+    not an int64, then the first frame duration (``Td``, ``Ta``) that is
+    not positive; optional fields may also be absent, but not null."""
     for key in required + optional:
         if not _is_int64(d.get(key)) and (key in required or key in d):
             raise LogFormatError(f"{what} {key!r} must be an int64", record_index)
+    for key in ("Td", "Ta"):
+        if d.get(key, 1) <= 0:
+            raise LogFormatError(f"{what} {key!r} must be positive", record_index)
 
 
 def _check_keys(d: dict, allowed: frozenset, what: str, record_index: int) -> None:
@@ -789,13 +768,13 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
         hi = min(lo + _ENCODE_BLOCK, n)
         copies = [c[:, lo:hi].T.ravel() for c in columns]  # packet-major
         if t is None:
-            lengths = np.full(m * (hi - lo), -1, dtype=np.int64)
+            lengths = np.zeros(m * (hi - lo), dtype=np.int64)
             attempts = [np.zeros(0, dtype=np.int64)] * len(ENTRY_KEYS)
         else:
-            kept = trace_lengths[:, lo:hi].T.ravel()
-            lengths = np.where(t.present[:, lo:hi].T.ravel(), kept, -1)
+            lengths = trace_lengths[:, lo:hi].T.ravel()
             # the attempt rows of the block's copies, in packet-major order
-            rows = np.repeat(first_rows[:, lo:hi].T.ravel() - (np.cumsum(kept) - kept), kept)
+            before = np.cumsum(lengths) - lengths
+            rows = np.repeat(first_rows[:, lo:hi].T.ravel() - before, lengths)
             rows += np.arange(len(rows))
             attempts = [getattr(t, name)[rows] for name in ATTEMPT_COLUMNS]
         sink.write(formatter.format(run.index[lo:hi], copies, lengths, attempts))
@@ -838,36 +817,33 @@ def _decode_meta(header: str) -> RunMeta:
 def _decode_copy(
     d: dict, position: Mapping[str, int], record_index: int
 ) -> tuple[int, tuple, int, list[tuple]]:
-    """(channel position, ``COPY_KEYS`` row, trace length or -1,
-    ``ENTRY_KEYS`` rows) of one copy entry. Every timestamp, duration
-    and count must be an int64 (``bool`` and ``float`` are rejected) to keep
-    times in integer ns."""
+    """(channel position, ``COPY_KEYS`` row, trace length, ``ENTRY_KEYS``
+    rows) of one copy entry. Every timestamp, duration and count must be an
+    int64 (``bool`` and ``float`` are rejected) to keep times in integer ns,
+    every ``Td`` and ``Ta`` positive and a trace non-empty."""
     try:
         label = d["ch"]
         lost, request_ns, end_ns, w = d["l"], d["t_T"], d["t_X"], d["w"]
-        data_ns, ack_ns = d.get("Td"), d.get("Ta")
-        _check_int64(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"), "field", record_index)
+        data_ns, ack_ns = d.get("Td", 0), d.get("Ta", 0)
+        _check_numbers(d, ("l", "t_T", "t_X", "w"), ("Td", "Ta"), "field", record_index)
         _check_keys(d, _COPY_ENTRY_KEYS, "copy", record_index)
         trace_entries = d.get("trace")
         if "trace" in d and type(trace_entries) is not list:
             raise LogFormatError("'trace' must be a list", record_index)
+        if trace_entries == []:
+            raise LogFormatError("'trace' must not be empty", record_index)
         attempts = []
         for e in trace_entries or ():
-            start, data, ack, ok = e["tW"], e["Td"], e.get("Ta"), e["ok"]
-            _check_int64(e, ("tW", "Td", "ok"), ("Ta",), "trace field", record_index)
+            start, data, ack, ok = e["tW"], e["Td"], e.get("Ta", 0), e["ok"]
+            _check_numbers(e, ("tW", "Td", "ok"), ("Ta",), "trace field", record_index)
             _check_keys(e, _TRACE_ENTRY_KEYS, "trace", record_index)
-            attempts.append((start, data, ack or 0, ack is not None, ok != 0))
+            attempts.append((start, data, ack, ok != 0))
         j = position.get(label) if type(label) is str else None
     except (KeyError, TypeError) as exc:
         raise LogFormatError(f"bad copy entry: {exc}", record_index) from exc
     if j is None:
         raise LogFormatError(f"unknown channel {label!r}", record_index)
-    row = (
-        lost != 0, request_ns, end_ns, w,
-        data_ns or 0, data_ns is not None, ack_ns or 0, ack_ns is not None,
-    )
-    length = -1 if trace_entries is None else len(trace_entries)
-    return j, row, length, attempts
+    return j, (lost != 0, request_ns, end_ns, w, data_ns, ack_ns), len(attempts), attempts
 
 
 def _require_utf8(raw: str, lineno: int) -> None:
@@ -956,8 +932,13 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     channel. Only the header's ``epsilon`` bounds the request skew (logs
     from real testbeds, whose requests only nearly coincide, set it).
 
+    A ``Td`` or ``Ta`` that a line carries, of a copy or of a trace entry,
+    must be positive and a ``trace`` non-empty: the run stores 0 and no
+    attempt rows for what a copy does not carry.
+
     Packet lines in the encoder's exact layout are parsed in blocks; any
-    other JSON layout is decoded line by line, with the same result.
+    other JSON layout, and any line that breaks those rules, is decoded
+    line by line, with the same result or error.
     """
     header = source.readline()
     if not header:
@@ -970,12 +951,12 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     parser = BlockParser(labels)
     m = len(labels)
 
-    # columns of the packets decoded so far (the int64 copy fields and the
-    # flags, each in one buffer), and the attempt rows of their traced
+    # columns of the packets decoded so far (the loss flags, and the int64
+    # copy fields in one buffer), and the attempt rows of their traced
     # copies; the header's count bounds the first allocation only
     size = min(meta.n_packets, _FIRST_CAPACITY)
     index = np.empty(size, dtype=np.int64)
-    ints, flags = _copy_buffers(m, size)
+    lost, ints = _copy_buffers(m, size)
     lengths = np.empty((m, size), dtype=np.int64)
     attempts = array("q")
     count, lineno = 0, 2
@@ -993,31 +974,29 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
             size = max(stop, 2 * size)
             if stop <= meta.n_packets:
                 size = min(size, meta.n_packets)
-            index, ints, flags, lengths = (
-                _extended(a, count, size) for a in (index, ints, flags, lengths)
+            index, lost, ints, lengths = (
+                _extended(a, count, size) for a in (index, lost, ints, lengths)
             )
         index[count:stop] = block_index
-        _put_copy_rows(
-            ints[..., count:stop], flags[..., count:stop],
-            block_copies.reshape(-1, m, len(COPY_KEYS)).T,
-        )
+        rows = block_copies.reshape(-1, m, len(COPY_KEYS)).T
+        lost[:, count:stop], ints[..., count:stop] = rows[0], rows[1:]
         lengths[:, count:stop] = block_lengths.reshape(-1, m).T
         attempts.frombytes(block_attempts.view(np.uint8))  # bytes of the rows, no copy
         count = stop
 
     # the buffers reach their final size when the header's count is right;
     # otherwise the run keeps copies, so it holds no slack
-    index, ints, flags = (
-        a if a.shape[-1] == count else a[..., :count].copy() for a in (index, ints, flags)
+    index, lost, ints = (
+        a if a.shape[-1] == count else a[..., :count].copy() for a in (index, lost, ints)
     )
     run = _from_columns(
         meta,
         index,
-        _copy_columns(ints, flags),
+        [lost, *ints],
         lengths[:, :count],
         np.frombuffer(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
     )
-    del index, ints, flags, lengths, attempts  # free what the run does not hold before validation
+    del index, lost, ints, lengths, attempts  # free what the run does not hold before validation
     if validate:
         try:
             validate_run(run)
@@ -1073,8 +1052,8 @@ def export_csv(run: RunLog, sink: IO[str]) -> None:
             run.req[j].tolist(),
             run.end[j].tolist(),
             run.attempts[j].tolist(),
-            [td if has else "" for td, has in zip(run.td[j].tolist(), run.has_td[j].tolist())],
-            [ta if has else "" for ta, has in zip(run.ta[j].tolist(), run.has_ta[j].tolist())],
+            [td or "" for td in run.td[j].tolist()],
+            [ta or "" for ta in run.ta[j].tolist()],
         )
         for j, channel in enumerate(run.channels)
     ]

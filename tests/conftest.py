@@ -139,9 +139,11 @@ def mutated_logs(draw) -> str:
 #
 # Runs that only need to be encodable, not valid: 2 or 3 channels with
 # labels that hold digits, '-', ':', '"', braces, brackets or non-ASCII, any int
-# the block grammar accepts (up to +-(10^18 - 1)), lost copies without
-# frame durations, and traces that are absent, empty or hold attempts with
-# and without an ACK duration.
+# the block grammar accepts (up to +-(10^18 - 1)) and any positive one for a
+# frame duration, lost copies without frame durations, and traces that are
+# absent or hold one to three attempts with and without an ACK duration.
+# Non-positive durations and empty traces are malformed lines, which
+# ``NONPOSITIVE_DURATIONS`` and ``test_trace.py`` draw instead.
 
 _LABELS = ("A", "B", "ch-2", "7", "a:1", 'q"5', 'x,{"}', "\u00e9", "\u03a9-0", "[x]", "-1")
 _BIG = 10**18 - 1
@@ -149,18 +151,24 @@ _VALUES = st.one_of(
     st.sampled_from((0, 1, -1, 2, 300_000, _BIG, -_BIG)),
     st.integers(min_value=-_BIG, max_value=_BIG),
 )
-_OPTIONAL_VALUES = st.none() | _VALUES
+_DURATIONS = st.one_of(
+    st.sampled_from((1, 2, 300_000, _BIG)), st.integers(min_value=1, max_value=_BIG)
+)
+_OPTIONAL_DURATIONS = st.none() | _DURATIONS
+NONPOSITIVE_DURATIONS = st.one_of(
+    st.sampled_from((0, -1, -_BIG)), st.integers(min_value=-_BIG, max_value=0)
+)
 
 
 @st.composite
 def _attempts(draw) -> tuple[AttemptTrace, ...]:
-    size = draw(st.integers(min_value=0, max_value=3))
+    size = draw(st.integers(min_value=1, max_value=3))
     return tuple(
         AttemptTrace(
             ordinal=k + 1,
             start_ns=draw(_VALUES),
-            data_ns=draw(_VALUES),
-            ack_ns=draw(_OPTIONAL_VALUES),
+            data_ns=draw(_DURATIONS),
+            ack_ns=draw(_OPTIONAL_DURATIONS),
             succeeded=draw(st.booleans()),
         )
         for k in range(size)
@@ -194,8 +202,8 @@ def encodable_runs(draw, fixed_layout: bool = False) -> RunLog:
                     request_ns=draw(_VALUES),
                     end_ns=draw(_VALUES),
                     attempts=draw(_VALUES),
-                    final_data_ns=draw(_VALUES if fixed_layout else _OPTIONAL_VALUES),
-                    final_ack_ns=draw(_VALUES if fixed_layout else _OPTIONAL_VALUES),
+                    final_data_ns=draw(_DURATIONS if fixed_layout else _OPTIONAL_DURATIONS),
+                    final_ack_ns=draw(_DURATIONS if fixed_layout else _OPTIONAL_DURATIONS),
                     trace=None if fixed_layout else draw(_TRACES),
                 )
                 for channel in channels

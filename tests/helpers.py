@@ -341,7 +341,7 @@ def validate_run_spec(run: RunLog) -> None:
             requests = [packet.copies[c].request_ns for c in channels]
             if max(requests) - min(requests) > run.meta.request_epsilon_ns:
                 error = "request skew exceeds epsilon"
-        elif len(channels) == 2:
+        else:  # a displacement needs a duplex link (RunMeta.validate)
             skew = (
                 packet.copies[channels[1]].request_ns
                 - packet.copies[channels[0]].request_ns
@@ -587,16 +587,14 @@ def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset
     lost = np.array(state.lost, dtype=bool)
     delivered = ~lost
     # adapter view: the driver exposes no frame durations for lost copies
-    has_td = np.ones(n, dtype=bool) if config.emit_full_trace else delivered
+    carried = np.ones(n, dtype=bool) if config.emit_full_trace else delivered
     copies = {
         "lost": lost,
         "req": np.arange(n, dtype=np.int64) * period + request_offset_ns,
         "end": np.array(state.end, dtype=np.int64),
         "attempts": np.array(state.attempts, dtype=np.int64),
-        "td": np.where(has_td, np.array(state.final_data, dtype=np.int64), 0),
-        "has_td": has_td,
+        "td": np.where(carried, np.array(state.final_data, dtype=np.int64), 0),
         "ta": np.where(delivered, setup.phy.ack_frame_ns, 0),
-        "has_ta": delivered,
     }
     if not config.emit_full_trace:
         return copies, None
@@ -605,7 +603,6 @@ def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset
         "start": np.array(state.attempt_start, dtype=np.int64),
         "data": np.array(state.attempt_data, dtype=np.int64),
         "ack": np.where(ok, setup.phy.ack_frame_ns, 0),
-        "has_ack": ok,
         "ok": ok,
     }
     return copies, attempts
@@ -625,18 +622,17 @@ def _encode_copies_spec(run: RunLog, j: int) -> list[str]:
         rows = slice(offsets[0], offsets[-1])
         entries = [
             f'{{"tW":{s},"Td":{d},"Ta":{a},"ok":{ok}}}'
-            if has_ack
+            if a
             else f'{{"tW":{s},"Td":{d},"ok":{ok}}}'
-            for s, d, a, has_ack, ok in zip(
+            for s, d, a, ok in zip(
                 t.start[rows].tolist(),
                 t.data[rows].tolist(),
                 t.ack[rows].tolist(),
-                t.has_ack[rows].tolist(),
                 t.ok[rows].astype(np.int64).tolist(),
             )
         ]
         bounds = (offsets - offsets[0]).tolist()
-        for pos in np.flatnonzero(t.present[j]).tolist():
+        for pos in np.flatnonzero(np.diff(offsets)).tolist():
             traces[pos] = ",".join(entries[bounds[pos] : bounds[pos + 1]])
     columns = (
         run.lost[j].astype(np.int64).tolist(),
@@ -644,17 +640,15 @@ def _encode_copies_spec(run: RunLog, j: int) -> list[str]:
         run.end[j].tolist(),
         run.attempts[j].tolist(),
         run.td[j].tolist(),
-        run.has_td[j].tolist(),
         run.ta[j].tolist(),
-        run.has_ta[j].tolist(),
         traces,
     )
     return [
         f'{head}{lost},"t_T":{req},"t_X":{end},"w":{w}'
-        + (f',"Td":{td}' if has_td else "")
-        + (f',"Ta":{ta}' if has_ta else "")
+        + (f',"Td":{td}' if td else "")
+        + (f',"Ta":{ta}' if ta else "")
         + ("}" if trace is None else f',"trace":[{trace}]}}')
-        for lost, req, end, w, td, has_td, ta, has_ta, trace in zip(*columns)
+        for lost, req, end, w, td, ta, trace in zip(*columns)
     ]
 
 
@@ -684,7 +678,7 @@ def virtual_defer(
     """Shift one channel of a duplex log in post-processing.
 
     Positive ``t_d_ns`` delays every timestamp of the second channel
-    (request, end of transmission, and trace starts when present) leaving
+    (request, end of transmission, and any trace starts) leaving
     all other quantities untouched; negative values delay the first
     channel. The log's recorded relative displacement is updated, so
     successive shifts compose additively. Shifts whose cumulative
@@ -839,8 +833,8 @@ def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
     :mod:`prpwifi.da` only; slower, used to cross-check the vectorized
     path."""
     params.validate()
-    t_d, recorded = _resolve(run, params)
-    return _assemble(run, params, t_d, _accumulate_reference(run, params, t_d, recorded))
+    t_d, shift = _resolve(run, params)
+    return _assemble(run, params, t_d, _accumulate_reference(run, params, t_d, shift is None))
 
 
 def oracle_attempt_summary_spec(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> OracleSummary:

@@ -801,6 +801,23 @@ class TestOracleSummary:
             with pytest.raises(ValueError, match=refused):
                 evaluate(run, 0, 200_000)
 
+    def test_non_duplex_displacement_is_refused_as_reports_refuse_it(self):
+        """A displacement needs a duplex log: reports and the oracle refuse
+        one on a 3-channel log with ``_resolve``'s one message, where the
+        oracle used to give its own. At T_D = 0 the oracle counts the log."""
+        ch_c = ChannelId(2, "C")
+        copies = {c: copy_from_starts(0, [100_000, 900_000], lost=False) for c in (CH_A, CH_B)}
+        copies[ch_c] = copy_from_starts(0, [300_000], lost=False)
+        run = make_run(
+            [PacketRecord(1, copies)], view=VIEW_FULL_TRACE, channels=(CH_A, CH_B, ch_c)
+        )
+        assert oracle_attempt_summary(run, 0).early_bar_exact == Fraction(2)
+        refused = "^TDD analysis is defined for duplex logs only$"
+        with pytest.raises(ValueError, match=refused):
+            compute_report(run, DaParams(mode=DaMode.TDD, t_d_ns=100_000))
+        with pytest.raises(ValueError, match=refused):
+            oracle_attempt_summary(run, 0, 100_000)
+
     def test_builds_no_packet_records(self, traced_run, monkeypatch):
         def refuse(run):
             raise AssertionError("per-packet records were built")

@@ -36,6 +36,7 @@ from prpwifi.config import parse_config
 from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
 from prpwifi.logblocks import BlockParser, line_blocks
 from prpwifi.metrics import _oracle_starts
+from prpwifi.sim import _channel_of
 from prpwifi.trace import (
     AttemptTrace,
     CopyRecord,
@@ -50,7 +51,13 @@ from prpwifi.trace import (
     shift_copy,
 )
 
-from conftest import duplex_runs, encodable_runs, mutated_logs, sim_configs
+from conftest import (
+    NONPOSITIVE_DURATIONS,
+    duplex_runs,
+    encodable_runs,
+    mutated_logs,
+    sim_configs,
+)
 from helpers import (
     CH_A,
     CH_B,
@@ -238,8 +245,8 @@ class TestCodec:
     @pytest.mark.parametrize("claimed", [None, 10**15, 3], ids=["n", "n-1e15", "n-3"])
     def test_decoded_columns_hold_no_slack(self, claimed, name, capacity, request):
         """The buffers behind a decoded run hold its arrays and nothing
-        else, whatever the header's count: no unused row (the flags are
-        bool) and no spare capacity stays alive with the run."""
+        else, whatever the header's count: no unused row (the loss flags
+        are bool) and no spare capacity stays alive with the run."""
         run = request.getfixturevalue(name)
         lines = _encoded(run, trace._ENCODE_BLOCK).splitlines(keepends=True)
         header = json.loads(lines[0])
@@ -255,15 +262,14 @@ class TestCodec:
             for f in fields(table)
             if isinstance(getattr(table, f.name), np.ndarray)
         ]
-        assert len(arrays) == (16 if name == "traced_run" else 9)
+        assert len(arrays) == (12 if name == "traced_run" else 7)
         held = {}  # bytes of each buffer that the run's arrays cover
         for column in arrays:
             assert column.flags.c_contiguous
             base = column if column.base is None else column.base
             held.setdefault(id(base), [np.asarray(base).nbytes, 0])[1] += column.nbytes
         assert all(size == used for size, used in held.values())
-        for flags in (decoded.lost, decoded.has_td, decoded.has_ta):
-            assert flags.dtype == bool
+        assert decoded.lost.dtype == bool
 
     def test_garbage_header(self):
         with pytest.raises(LogFormatError):
@@ -357,6 +363,31 @@ class TestValidation:
             validate_run(run)
         validate_run(replace(run, meta=replace(run.meta, request_epsilon_ns=1_000)))
 
+    def test_displacement_needs_a_duplex_link(self, tmp_path, capsys):
+        """A displacement is the second channel's lead over the first, so
+        only a duplex link records one. A 3-channel log deferred by 100 us
+        with requests at 0, 0 and 3 ms used to validate, since its request
+        skew went unchecked."""
+        ch_c = ChannelId(2, "C")
+        copies = {
+            CH_A: make_success_copy(0, 400_000),
+            CH_B: make_success_copy(0, 500_000),
+            ch_c: make_success_copy(3_000_000, 3_400_000),
+        }
+        run = make_run([PacketRecord(1, copies)], deferral_ns=100_000, channels=(CH_A, CH_B, ch_c))
+        message = "a request displacement needs a duplex link"
+        for check in (validate_run, validate_run_spec):
+            with pytest.raises(InvalidRunError, match=f"^{message}$"):
+                check(run)
+        path = tmp_path / "run.jsonl"
+        path.write_text(encode_log_spec(run))  # encode_log refuses the header
+        message = f"record 1: bad meta header: {message}"
+        with pytest.raises(LogFormatError, match=f"^{message}$"):
+            read_log(path)
+        capsys.readouterr()
+        assert main(["analyze", "--log", str(path), "--mode", "rda"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_deferred_skew_must_match(self):
         p = make_packet_pair(0)
         run = make_run([p], deferral_ns=100_000)
@@ -369,8 +400,6 @@ class TestValidation:
             (2**63 - 1, 2**63 - 1, "the final attempt must not start before the request"),
             (300_000, 2**63 - 1, "the final attempt must not start before the request"),
             (300_000, 700_000, "the final attempt must not start before the request"),
-            (0, 24_000, "frame durations must be positive"),
-            (300_000, -24_000, "frame durations must be positive"),
         ],
     )
     def test_reconstruction_cannot_wrap(self, td, ta, message):
@@ -393,13 +422,31 @@ class TestValidation:
         with pytest.raises(LogFormatError, match=f"^{message}$"):
             decode_log(io.StringIO(buf.getvalue()))
 
+    @pytest.mark.parametrize("td, ta, field", [(-300_000, 24_000, "Td"), (300_000, -24_000, "Ta")])
+    def test_negative_duration_fails_in_memory_and_at_its_record(self, td, ta, field):
+        """A run in memory can hold a negative frame duration, which
+        validation refuses; written out, its line breaks the log format."""
+        packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
+        b = replace(packets[1].copies[CH_B], final_data_ns=td, final_ack_ns=ta)
+        packets[1] = replace(packets[1], copies={**packets[1].copies, CH_B: b})
+        run = make_run(packets)
+        for check in (validate_run, validate_run_spec):
+            with pytest.raises(
+                InvalidRunError, match="^packet 2, channel B: frame durations must be positive$"
+            ):
+                check(run)
+        buf = io.StringIO()
+        encode_log(run, buf)
+        with pytest.raises(LogFormatError, match=f"^record 3: field '{field}' must be positive$"):
+            decode_log(io.StringIO(buf.getvalue()), validate=False)
+
     def test_copy_checks_follow_channel_order(self):
-        """Packet 2 breaks a later check on A (``Td = 0``) than on B
+        """Packet 2 breaks a later check on A (``Td = -1``) than on B
         (``t_X = t_T``): the channel comes before the check, as in a
         per-packet pass, and the message names it."""
         packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
         a, b = (packets[1].copies[c] for c in (CH_A, CH_B))
-        copies = {CH_A: replace(a, final_data_ns=0), CH_B: replace(b, end_ns=b.request_ns)}
+        copies = {CH_A: replace(a, final_data_ns=-1), CH_B: replace(b, end_ns=b.request_ns)}
         run = make_run([packets[0], replace(packets[1], copies=copies), packets[2]])
         for check in (validate_run, validate_run_spec):
             with pytest.raises(
@@ -514,7 +561,7 @@ class TestColumnarReconstruction:
                 except TraceRequiredError:
                     oracle_known = False
         assert np.array_equal(np.where(run.lost, 0, rx), spec_rx)
-        assert np.array_equal(np.where(run.has_td, start, 0), spec_start)
+        assert np.array_equal(np.where(run.td != 0, start, 0), spec_start)
         assert (oracle is not None) == oracle_known
         if oracle is not None:
             assert np.array_equal(oracle, spec_oracle)
@@ -653,6 +700,30 @@ class TestColumns:
         p = PacketRecord(index=1, copies={CH_A: make_success_copy(0, 400_000)})
         with pytest.raises(InvalidRunError, match="missing channel copies"):
             make_run([p])
+
+    @pytest.mark.parametrize(
+        "edit, what",
+        [
+            (lambda b: replace(b, final_data_ns=0), "duration must not be 0"),
+            (lambda b: replace(b, final_ack_ns=0), "duration must not be 0"),
+            (
+                lambda b: replace(b, trace=(replace(b.trace[0], ack_ns=0),)),
+                "duration must not be 0",
+            ),
+            (lambda b: replace(b, trace=()), "trace must not be empty"),
+        ],
+        ids=["Td", "Ta", "trace-Ta", "empty-trace"],
+    )
+    def test_from_packets_refuses_what_no_column_holds(self, edit, what):
+        """A run stores 0 and no attempt rows for a duration or trace that a
+        copy does not carry, so a carried 0 or an empty trace would come
+        back from ``packets`` as absent; ``from_packets`` refuses them."""
+        packets = [_traced_pair(i * 1_000_000, i + 1) for i in range(3)]
+        make_run(packets, view=VIEW_FULL_TRACE)  # accepted before the edit
+        b = edit(packets[1].copies[CH_B])
+        packets[1] = replace(packets[1], copies={**packets[1].copies, CH_B: b})
+        with pytest.raises(InvalidRunError, match=f"^packet 2, channel B: a carried {what}$"):
+            make_run(packets, view=VIEW_FULL_TRACE)
 
 
 class TestDecoderHoles:
@@ -821,6 +892,7 @@ class TestDecoderHoles:
 
 # a JSON string (skipped whole, so no label is edited) or a number field
 _NUMBER_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(?<=:)(-?[0-9]+)')
+_DURATION_KEY = re.compile(r'"T[da]":')
 _NUMBERS = (
     ("-0", True), ("0", True), (str(10**18 - 1), True), (str(-(10**18 - 1)), True),
     ("007", False), ("-00", False), ("1234567890123456789", False),
@@ -845,9 +917,17 @@ def _untraced_run(labels: tuple[str, ...]) -> RunLog:
 
 
 def _set_number(lines, k, c):
-    tokens = [token for token in _NUMBER_TOKEN.finditer(lines[k]) if token[1]]
-    token = tokens[c % len(tokens)]
+    """Set a number of line ``k`` to a value of ``_NUMBERS``; a frame
+    duration takes only those that are not canonical non-positive numbers
+    (``TestMalformedDurations`` edits those)."""
     value, canonical = _NUMBERS[c % len(_NUMBERS)]
+    any_field = not canonical or int(value) > 0
+    tokens = [
+        token
+        for token in _NUMBER_TOKEN.finditer(lines[k])
+        if token[1] and (any_field or not _DURATION_KEY.match(lines[k], token.start(1) - 5))
+    ]
+    token = tokens[c % len(tokens)]
     lines[k] = lines[k][: token.start(1)] + value + lines[k][token.end(1) :]
     return "".join(lines), canonical
 
@@ -1099,6 +1179,112 @@ class TestBlockDecoder:
         assert per_line.call_count == 1  # the blocks before it were canonical
 
 
+_MALFORMED_EDITS = {
+    "Td": (lambda c: c.update(Td=0), "field 'Td' must be positive"),
+    "Ta": (lambda c: c.update(Ta=-1), "field 'Ta' must be positive"),
+    # the example of a line that used to decode and validate
+    "trace-Td": (lambda c: c["trace"][0].update(Td=-5, Ta=0), "trace field 'Td' must be positive"),
+    "trace-Ta": (lambda c: c["trace"][-1].update(Ta=0), "trace field 'Ta' must be positive"),
+    "empty-trace": (lambda c: c.update(trace=[]), "'trace' must not be empty"),
+}
+
+
+class TestMalformedDurations:
+    """A frame duration that a line carries is a positive int64 and a trace
+    holds at least one entry, since a run stores 0 and no rows for what a
+    copy does not carry. A line that breaks either rule leaves the block
+    grammars and raises the same error, naming its record, on all three
+    decoder paths. Such lines used to decode: a trace entry's ``Td`` and
+    ``Ta`` were never checked, and a copy's ``Td`` of 0 failed validation
+    only."""
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [("traced_run", edit) for edit in _MALFORMED_EDITS]
+        + [("adapter_run", edit) for edit in ("Td", "Ta", "empty-trace")],
+    )
+    def test_line_names_its_record(self, name, edit, request):
+        lines = encode_log_spec(request.getfixturevalue(name)).splitlines(keepends=True)
+        change, message = _MALFORMED_EDITS[edit]
+        record = json.loads(lines[2])
+        change(record["copies"][1])
+        lines[2] = json.dumps(record, separators=(",", ":")) + "\n"
+        for block in (1, 1 << 16):
+            for validate in (False, True):
+                outcome, paths, general, reference = _decoded_three_ways(
+                    "".join(lines), block, validate
+                )
+                assert outcome == general == reference == (f"record 3: {message}", 3)
+                assert "lines" in paths
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        run=st.booleans().flatmap(lambda fixed: encodable_runs(fixed_layout=fixed)),
+        value=NONPOSITIVE_DURATIONS,
+        block=st.sampled_from((1, 200, 1 << 16)),
+        data=st.data(),
+    )
+    def test_random_lines_name_their_record(self, run, value, block, data):
+        """A non-positive ``Td`` or ``Ta`` of a copy or a trace entry, or an
+        empty trace, in one line of a log in the encoder's layout."""
+        lines = encode_log_spec(run).splitlines(keepends=True)
+        k = data.draw(st.integers(min_value=1, max_value=len(lines) - 1), label="line")
+        record = json.loads(lines[k])
+        slots = []  # (object, key, message) of each field the edit may set
+        for copy in record["copies"]:
+            entries = copy.get("trace", [])
+            slots += [(copy, key, "field") for key in ("Td", "Ta") if key in copy]
+            slots += [(e, key, "trace field") for e in entries for key in ("Td", "Ta") if key in e]
+            slots.append((copy, "trace", None))
+        target, key, what = data.draw(st.sampled_from(slots), label="slot")
+        target[key] = value if what else []
+        message = f"{what} {key!r} must be positive" if what else "'trace' must not be empty"
+        lines[k] = json.dumps(record, separators=(",", ":")) + "\n"
+        for validate in (False, True):
+            outcome, paths, general, reference = _decoded_three_ways(
+                "".join(lines), block, validate
+            )
+            assert outcome == general == reference == (f"record {k + 1}: {message}", k + 1)
+
+
+class TestRealDeferral:
+    """ROADMAP items 3(b) and 3(d) over the config space."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(config=sim_configs(), data=st.data())
+    def test_deferred_run_shifts_only_requests_and_round_trips(self, config, data):
+        """3(b): a really-deferred run has its base run's loss flags,
+        attempt counts and final durations; the undeferred channel is
+        bit-identical, and the deferred channel's requests trail by |T_D|.
+        3(d): both runs, in both views, decode to themselves without a
+        block falling to the line decoder, and a block takes the fixed
+        path iff every copy in it carries both durations and no trace."""
+        period = config.period_ns
+        deferral = config.deferral_ns or data.draw(
+            st.integers(min_value=1 - period, max_value=period - 1).filter(bool), label="T_D"
+        )
+        block = data.draw(st.sampled_from((1000, 1 << 16)), label="block")
+        j = 1 if deferral > 0 else 0  # the deferred channel
+        for full_trace in (True, False):
+            base, deferred = (
+                generate_run(replace(config, deferral_ns=d, emit_full_trace=full_trace))
+                for d in (0, deferral)
+            )
+            for name in ("lost", "attempts", "td", "ta"):
+                assert np.array_equal(getattr(deferred, name), getattr(base, name))
+            assert np.array_equal(deferred.req[j], base.req[j] + abs(deferral))
+            for ours, theirs in zip(_channel_of(deferred, 1 - j), _channel_of(base, 1 - j)):
+                assert (ours is None) == (theirs is None)
+                for name in ours or ():
+                    assert np.array_equal(ours[name], theirs[name])
+                    assert ours[name].dtype == theirs[name].dtype
+            for run in (base, deferred):
+                text = _encoded(run, trace._ENCODE_BLOCK)
+                with mock.patch.object(trace, "_DECODE_BLOCK", block), _block_paths() as paths:
+                    assert decode_log(io.StringIO(text)) == run
+                assert paths == _fixed_layout_paths(text, block)
+
+
 class TestDecodeMemory:
     def test_peak_grows_only_by_the_run(self, tmp_path):
         """Packet lines are parsed a block at a time, so 4x the packets
@@ -1138,15 +1324,15 @@ class TestDecodeMemory:
 
 def _key_letter_run() -> RunLog:
     """Six channels labelled with the last letters of the log's keys. Traces
-    are absent, empty or up to three entries, some without an ACK; copies
-    have a final DATA and ACK duration, only a DATA duration, or neither."""
+    are absent or one to three entries, some without an ACK; copies have a
+    final DATA and ACK duration, only a DATA duration, or neither."""
     channels = tuple(ChannelId(j, label) for j, label in enumerate(("W", "d", "a", "k", "i", "l")))
     packets = []
     for p in range(5):
         copies = {}
         for j, channel in enumerate(channels):
-            kind = (p + j) % 5  # 0: empty trace, 4: no trace
-            trace = None if kind == 4 else tuple(
+            kind = (p + j) % 5  # 0 and 4: no trace
+            trace = None if kind in (0, 4) else tuple(
                 AttemptTrace(
                     k + 1,
                     start_ns=1000 * (p + k),
@@ -1184,40 +1370,46 @@ def _encoded(run: RunLog, block: int) -> str:
 
 
 _INT64_EDGES = (-(1 << 63), (1 << 63) - 1, 0, -1)
+_DURATION_EDGES = (1, (1 << 63) - 1)  # a carried frame duration is positive
 
 
 def _int64_edge_run(view: str) -> RunLog:
     """Three channels whose every number field holds each of ``_INT64_EDGES``
-    once per four packets. In the full-trace view the channels' traces are
-    four entries (one without an ACK), empty and absent."""
+    once per four packets, and every frame duration each of
+    ``_DURATION_EDGES`` once per two. In the full-trace view the first
+    channel's traces are four entries (one without an ACK), and the other
+    channels carry none."""
     channels = tuple(ChannelId(j, label) for j, label in enumerate(("A", 'q"5', "\u00e9")))
 
     def edge(k: int) -> int:
         return _INT64_EDGES[k % len(_INT64_EDGES)]
+
+    def duration(k: int) -> int:
+        return _DURATION_EDGES[k % len(_DURATION_EDGES)]
 
     packets = []
     for p in range(4):
         copies = {}
         for j, channel in enumerate(channels):
             trace = None
-            if view == VIEW_FULL_TRACE and j < 2:
+            if view == VIEW_FULL_TRACE and j == 0:
                 trace = tuple(
                     AttemptTrace(
                         k + 1,
                         start_ns=edge(p + k),
-                        data_ns=edge(p + k + 1),
-                        ack_ns=None if k == 1 else edge(p + k + 2),
+                        data_ns=duration(p + k + 1),
+                        ack_ns=None if k == 1 else duration(p + k + 2),
                         succeeded=k % 2 == 0,
                     )
-                    for k in range(4 if j == 0 else 0)
+                    for k in range(4)
                 )
             copies[channel] = CopyRecord(
                 lost=(p + j) % 2 == 1,
                 request_ns=edge(p + j),
                 end_ns=edge(p + j + 1),
                 attempts=edge(p + j + 2),
-                final_data_ns=edge(p + j + 3) if j != 1 else None,
-                final_ack_ns=edge(p + j) if j != 2 else None,
+                final_data_ns=duration(p + j + 3) if j != 1 else None,
+                final_ack_ns=duration(p + j) if j != 2 else None,
                 trace=trace,
             )
         packets.append(PacketRecord(edge(p), copies))
@@ -1234,8 +1426,9 @@ def _int64_edge_run(view: str) -> RunLog:
 def _fixed_layout_run(labels: tuple[str, ...]) -> RunLog:
     """An adapter-view run on channels labelled ``labels`` in which every
     copy has both final durations; every number field holds 0, -1, 7 and
-    +-(10^18 - 1)."""
+    +-(10^18 - 1), and every frame duration 1, 7 and 10^18 - 1."""
     values = (0, -1, 10**18 - 1, -(10**18 - 1), 7)
+    durations = (1, 7, 10**18 - 1)
     channels = tuple(ChannelId(j, label) for j, label in enumerate(labels))
     packets = []
     for p in range(len(values)):
@@ -1249,8 +1442,8 @@ def _fixed_layout_run(labels: tuple[str, ...]) -> RunLog:
                 request_ns=value(j),
                 end_ns=value(j + 1),
                 attempts=value(j + 2),
-                final_data_ns=value(j + 3),
-                final_ack_ns=value(j + 4),
+                final_data_ns=durations[(p + j) % len(durations)],
+                final_ack_ns=durations[(p + j + 1) % len(durations)],
             )
             for j, channel in enumerate(channels)
         }
@@ -1276,15 +1469,17 @@ class TestBlockEncoder:
     @pytest.mark.parametrize("view", [VIEW_FULL_TRACE, VIEW_ADAPTER])
     def test_int64_extremes_in_every_field(self, view):
         run = _int64_edge_run(view)
-        values = [run.index, run.req, run.end, run.attempts, run.td, run.ta]
+        values, durations = [run.index, run.req, run.end, run.attempts], [run.td, run.ta]
         if view == VIEW_FULL_TRACE:
-            assert run.trace.present[:2].all() and not run.trace.present[2].any()
             assert run.trace.lengths().tolist() == [4] * 4 + [0] * 8
-            values += [run.trace.start, run.trace.data, run.trace.ack]
+            values.append(run.trace.start)
+            durations += [run.trace.data, run.trace.ack]
         else:
             assert run.trace is None
         for column in values:
             assert set(_INT64_EDGES) <= set(column.ravel().tolist())
+        for column in durations:
+            assert set(_DURATION_EDGES) <= set(column.ravel().tolist())
         expected = encode_log_spec(run)
         assert str((1 << 63) - 1) in expected and str(-(1 << 63)) in expected
         for block in (1, 3, trace._ENCODE_BLOCK):
