@@ -76,11 +76,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_log(run, args.out)
     if args.csv:
         write_atomic(args.csv, lambda sink: export_csv(run, sink))
-    wall = time.perf_counter() - started
     losses = " ".join(
         f"{c.label}={k}" for c, k in zip(run.channels, run.lost.sum(axis=1).tolist())
     )
-    print(f"N={run.meta.n_packets} losses {losses} wall={wall:.2f}s")
+    print(f"N={run.meta.n_packets} losses {losses}")
+    print(f"wall={time.perf_counter() - started:.2f}s", file=sys.stderr)
     return 0
 
 

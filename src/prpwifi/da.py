@@ -18,8 +18,8 @@ from .trace import (
     CopyRecord,
     PacketRecord,
     PhyParams,
-    copy_latency,
     final_attempt_start,
+    receive_time,
     shift_copy,
 )
 
@@ -38,8 +38,8 @@ class FailedCopyPolicy(str, Enum):
     # Lost copies never count as early-terminated (adapter view cannot
     # reconstruct their final attempt start; keeps the bound pessimistic).
     PESSIMISTIC_ZERO = "pessimistic-zero"
-    # Use the recorded ground truth (per-attempt trace, or the recorded
-    # final DATA duration) to evaluate lost copies too.
+    # Use the recorded final DATA duration, which every traced copy carries,
+    # to evaluate lost copies too.
     ORACLE = "oracle"
 
 
@@ -99,17 +99,13 @@ def policy_final_start(
 ) -> int | None:
     """Final-attempt start used by the termination test; ``None`` marks a
     lost copy the policy excludes (its e flag stays false)."""
-    if not copy.lost:
-        return final_attempt_start(copy, phy)
-    if policy is FailedCopyPolicy.PESSIMISTIC_ZERO:
+    if copy.lost and policy is FailedCopyPolicy.PESSIMISTIC_ZERO:
         return None
-    if copy.trace is not None:
-        return copy.trace[-1].start_ns
-    if copy.final_data_ns is not None:
-        return final_attempt_start(copy, phy)
-    raise TraceRequiredError(
-        "oracle policy needs traces or frame durations for lost copies"
-    )
+    if copy.final_data_ns is None:  # only a lost copy may lack it
+        raise TraceRequiredError(
+            "oracle policy needs traces or frame durations for lost copies"
+        )
+    return final_attempt_start(copy, phy)
 
 
 def _all_false(packet: PacketRecord) -> DaFlags:
@@ -212,21 +208,19 @@ def tdd_latency(
     phy: Mapping[ChannelId, PhyParams],
 ) -> int | None:
     """Link latency of a non-deferred packet under virtual displacement:
-    the deferred channel's copy arrives ``|t_d_ns|`` later, and latency is
-    measured from the primary channel's request. ``None`` when lost on
-    both channels. Never smaller than the non-deferred link latency.
+    the deferred channel's copy is requested and arrives ``|t_d_ns|``
+    later, and latency runs from the earliest displaced request to the
+    earliest displaced arrival. ``None`` when lost on both channels. At
+    ``t_d_ns = 0`` it is the link latency on recorded timestamps.
     """
     first, second = _duplex_pair(packet)
     shift = {first: max(0, -t_d_ns), second: max(0, t_d_ns)}
-    best: int | None = None
-    for channel in (first, second):
-        copy = packet.copies[channel]
-        if copy.lost:
-            continue
-        latency = copy_latency(copy, phy[channel]) + shift[channel]
-        if best is None or latency < best:
-            best = latency
-    return best
+    arrivals = [
+        receive_time(copy, phy[c]) + shift[c] for c, copy in packet.copies.items() if not copy.lost
+    ]
+    if not arrivals:
+        return None
+    return min(arrivals) - min(copy.request_ns + shift[c] for c, copy in packet.copies.items())
 
 
 def oracle_saved_attempts(

@@ -33,14 +33,15 @@ import numpy as np
 
 # The keys of a copy's and of a trace entry's fields in row order; an
 # absent Td or Ta is 0 in its row, and a copy without a trace has no
-# entry rows.
+# entry rows. A trace entry ends with "ok": 1 after a Ta, else 0; its row
+# does not hold it.
 COPY_KEYS = ("l", "t_T", "t_X", "w", "Td", "Ta")
-ENTRY_KEYS = ("tW", "Td", "Ta", "ok")
+ENTRY_KEYS = ("tW", "Td", "Ta")
 
 _POSITIVE = r"[1-9][0-9]{0,17}+"
 _NUMBER = r"-?+(?:0|%s)" % _POSITIVE
 # frame durations (P) are positive
-_ENTRY = r'\{"tW":N,"Td":P(?:,"Ta":P)?+,"ok":N\}'
+_ENTRY = r'\{"tW":N,"Td":P(?:,"Ta":P,"ok":1|,"ok":0)\}'
 # a copy entry after its '{"ch":<label>'; a trace holds at least one entry
 _COPY_REST = (
     r',"l":N,"t_T":N,"t_X":N,"w":N(?:,"Td":P)?+(?:,"Ta":P)?+(?:,"trace":\[E(?:,E)*+\])?+\}'
@@ -101,7 +102,7 @@ class BlockParser:
         # trace entry in file order. A row holds the copy fields, then the
         # entry fields a copy lacks, then the packet index (on a line's
         # first copy); a key names one column in both kinds of row.
-        fields = COPY_KEYS + tuple(n for n in ENTRY_KEYS if n not in COPY_KEYS)
+        fields = COPY_KEYS + tuple(n for n in (*ENTRY_KEYS, "ok") if n not in COPY_KEYS)
         self._width = width = len(fields) + 1
         # Per key byte (a key's last byte): ``step`` is the row width at the
         # keys that open a row (a copy's first field, an entry's first), so
@@ -208,7 +209,7 @@ class BlockFormatter:
         copy's row is followed by its entries' rows.
         """
         lost, req, end, w, td, ta = copies
-        start, data, ack, ok = attempts
+        start, data, ack = attempts
         m = len(self._heads)
         span = lengths + 1  # rows of a copy: its own and its entries'
         copy_row = np.cumsum(span) - span
@@ -230,7 +231,7 @@ class BlockFormatter:
         index_row[copy_row[::m]] = index
         # an entry's fields take the columns of copy fields: tW those of
         # t_T, Td of t_X, Ta of Td, and ok of Ta
-        td_value, ta_value = per_row(td, ack), per_row(ta, ok)
+        td_value, ta_value = per_row(td, ack), per_row(ta, ack != 0)
         td_shown, ta_shown = td_value != 0, per_row(ta, 1) != 0
         traced = np.repeat(lengths > 0, span)  # the row's copy carries a trace
         ends = np.zeros(rows, dtype=bool)  # the last row of a copy

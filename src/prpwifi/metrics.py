@@ -214,28 +214,18 @@ def _other_ends(run: RunLog) -> np.ndarray:
     return np.stack([reduce(np.minimum, ends[:j] + ends[j + 1 :]) for j in range(len(ends))])
 
 
-def _oracle_starts(run: RunLog, start: np.ndarray) -> np.ndarray:
-    """``start`` (``trace.final_starts``) with the last traced start of each
-    lost copy that has a trace (``da.policy_final_start``)."""
-    lost, known = run.lost, run.td != 0
-    t = run.trace
-    if t is not None:
-        traced = lost & (t.lengths().reshape(lost.shape) > 0)
-        start = np.where(traced, t.per_copy(t.start).reshape(lost.shape), start)
-        known = known | traced
-    if (lost & ~known).any():
-        raise TraceRequiredError("oracle policy needs traces or frame durations for lost copies")
-    return start
-
-
 def _leads(run: RunLog, policy: FailedCopyPolicy) -> np.ndarray:
-    """(m, n) copy leads: the policy's final-attempt start minus the least end
-    among the packet's other delivered copies; below any T_LRE - |T_D| where
-    the policy drops the copy (-_ALWAYS) or none other was delivered (<= -2^62)."""
+    """(m, n) copy leads: the final-attempt start minus the least end among
+    the packet's other delivered copies; below any T_LRE - |T_D| where the
+    policy drops the copy (-_ALWAYS) or none other was delivered (<= -2^62).
+    The oracle policy keeps lost copies, so each needs its ``Td``, which
+    every traced copy carries (``da.policy_final_start``)."""
     start, others = final_starts(run), _other_ends(run)
     if policy is FailedCopyPolicy.PESSIMISTIC_ZERO:
         return np.where(run.lost, -_ALWAYS, start - others)
-    return _oracle_starts(run, start) - others
+    if (run.lost & (run.td == 0)).any():
+        raise TraceRequiredError("oracle policy needs traces or frame durations for lost copies")
+    return start - others
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,26 +259,35 @@ class _Derived:
         return self._memo[key]
 
 
-def _link_split(run: RunLog) -> tuple[np.ndarray, np.ndarray, int]:
-    """Duplex link latencies: lat_B where both copies arrived, then the A-only
-    and B-only ones; delta = lat_A - lat_B where both arrived; the first B-only."""
-    latency = receive_times(run) - run.req
+def _link_split(run: RunLog) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | int]:
+    """Duplex link samples, each copy's latency from channel A's request
+    (lat): lat_B where both copies arrived, then the A-only and B-only ones;
+    delta = lat_A - lat_B where both arrived; the first B-only sample; and
+    per sample the request skew req_B - req_A, or 0 where no packet has one."""
+    latency = receive_times(run) - run.req[0]
     a, b = ~run.lost
-    lat_b, a_only = latency[1][a & b], latency[0][a & ~b]
-    base = np.concatenate((lat_b, a_only, latency[1][b & ~a]))
-    return base, latency[0][a & b] - lat_b, len(lat_b) + len(a_only)
+    both = a & b
+    parts = ((1, both), (0, a & ~b), (1, b & ~a))
+    base = np.concatenate([latency[j][k] for j, k in parts])
+    skew = run.req[1] - run.req[0]
+    skew = np.concatenate([skew[k] for _, k in parts]) if skew.any() else 0
+    return base, latency[0][both] - latency[1][both], np.count_nonzero(a), skew
 
 
 def _link_latencies(cols: _Derived, t_d: int | None) -> np.ndarray:
-    """PRP link latencies on recorded timestamps (``t_d`` None), or under a
-    virtual displacement ``t_d``: where both copies arrived, min(lat_A + s_A,
-    lat_B + s_B) = lat_B + s_A + min(delta, T_D), as s_B - s_A = T_D."""
+    """PRP link latencies from each packet's earliest request, on recorded
+    timestamps (``t_d`` None) or under a virtual displacement ``t_d`` with
+    requests and receptions shifted by s = (s_A, s_B), s_B - s_A = T_D. From
+    A's request, with skew sigma, the earliest request is min(s_A, sigma +
+    s_B) = s_A + min(0, sigma + T_D); where both copies arrived, the
+    earliest reception is min(lat_A + s_A, lat_B + s_B) = lat_B + s_A +
+    min(delta, T_D)."""
     run = cols.run
-    if t_d is None:  # from the earliest request
+    if t_d is None:
         first = np.where(run.lost, _ALWAYS, receive_times(run)).min(axis=0)
         return (first - run.req.min(axis=0))[~run.lost.all(axis=0)]
-    base, delta, b_only = cols.once("split", lambda: _link_split(run))
-    samples = base + max(0, -t_d)
+    base, delta, b_only, skew = cols.once("split", lambda: _link_split(run))
+    samples = base - np.minimum(skew + t_d, 0)
     samples[: len(delta)] += np.minimum(delta, t_d)
     samples[b_only:] += t_d
     return samples
@@ -430,10 +429,10 @@ class OracleSummary:
 
 def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> OracleSummary:
     """Aggregate the exact oracle of ``da.oracle_saved_attempts`` over a
-    full-trace log whose trace starts ascend within each copy (which
-    ``validate_run`` checks): each copy but the quickest of a packet
-    delivered on the link keeps the attempts whose shifted start is at
-    most the cross-ACK plus ``t_lre_ns``, after the displacement
+    full-trace log whose traces hold their copies' attempts in ascending
+    order (which ``validate_run`` checks): each copy but the quickest of a
+    packet delivered on the link keeps the attempts whose shifted start is
+    at most the cross-ACK plus ``t_lre_ns``, after the displacement
     ``t_d_ns`` resolved as reports resolve it (``_resolve``)."""
     t = run.trace
     if t is None or not t.lengths().all():
@@ -444,15 +443,14 @@ def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> Oracl
     shift = np.array(shift or (0,) * m)[:, None]
     ends = np.where(run.lost, _ALWAYS, run.end + shift)
     # the quickest delivered copy (the first of a tie) and every copy of a
-    # packet lost on the link keep all their attempts
+    # packet lost on the link keep all their attempts, also at a T_LRE < 0
     keeps_all = (np.arange(m)[:, None] == ends.argmin(axis=0)) | run.lost.all(axis=0)
     # any other attempt is kept iff its start plus its copy's lead is <= T_LRE
     lead = np.subtract(shift, ends.min(axis=0)).ravel()
-    lengths = t.lengths()
-    kept_before = np.cumsum(np.append(0, t.start + np.repeat(lead, lengths) <= t_lre_ns))
+    kept_before = np.cumsum(np.append(0, t.start + np.repeat(lead, t.lengths()) <= t_lre_ns))
     counted = kept_before[t.offsets[1:]] - kept_before[t.offsets[:-1]]
     attempts = run.attempts.ravel()
-    kept = np.where((counted == lengths) | keeps_all.ravel(), attempts, counted)
+    kept = np.where(keeps_all.ravel(), attempts, counted)
     return OracleSummary(
         attempts_bar_pow=Fraction(int(attempts.sum()), n),
         attempts_bar_da=Fraction(int(kept.sum()), n),

@@ -579,7 +579,7 @@ def _simulate_channel(
     if not trace:
         return copies, None
     start, data, ok = trace
-    return copies, dict(start=start, data=data, ack=np.where(ok, phy.ack_frame_ns, 0), ok=ok)
+    return copies, dict(start=start, data=data, ack=np.where(ok, phy.ack_frame_ns, 0))
 
 
 def _channel_of(run: RunLog, j: int) -> _Channel:

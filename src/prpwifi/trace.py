@@ -121,7 +121,11 @@ class AttemptTrace:
     start_ns: int
     data_ns: int
     ack_ns: int | None
-    succeeded: bool
+
+    @property
+    def succeeded(self) -> bool:
+        """An attempt succeeded iff it carries an ACK duration."""
+        return self.ack_ns is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,27 +236,18 @@ class AttemptTable(_Columns):
     Copies are numbered channel-major: copy ``j * n + i`` is packet ``i`` on
     channel ``j``. Its attempts are rows ``offsets[k]`` to ``offsets[k + 1]``
     in order; a copy carries a trace iff it has rows. ``ack`` is 0 where an
-    attempt carries no ACK duration.
+    attempt carries no ACK duration, and an attempt succeeded iff it
+    carries one.
     """
 
     offsets: np.ndarray  # (m * n + 1,) int64
     start: np.ndarray  # (rows,) int64, start on air
     data: np.ndarray  # (rows,) int64, DATA duration
     ack: np.ndarray  # (rows,) int64, ACK duration
-    ok: np.ndarray  # (rows,) bool
 
     def lengths(self) -> np.ndarray:
         """(m * n,) trace length per copy, 0 where it carries no trace."""
         return np.diff(self.offsets)
-
-    def per_copy(self, values: np.ndarray, first: bool = False) -> np.ndarray:
-        """(m * n,) value of each copy's last (or first) attempt row, taken
-        from the per-row ``values``; 0 where the copy has no attempts."""
-        has_rows = self.offsets[1:] > self.offsets[:-1]
-        rows = self.offsets[:-1] if first else self.offsets[1:] - 1
-        out = np.zeros(len(has_rows), dtype=values.dtype)
-        out[has_rows] = values[rows[has_rows]]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +291,7 @@ class RunLog(_Columns):
         traces: list[tuple[AttemptTrace, ...] | None] = [None] * (len(channels) * n)
         if self.trace is not None:
             t = self.trace
-            rows = list(zip(t.start.tolist(), t.data.tolist(), _optional(t.ack), t.ok.tolist()))
+            rows = list(zip(t.start.tolist(), t.data.tolist(), _optional(t.ack)))
             offsets = t.offsets.tolist()
             for k in np.flatnonzero(t.lengths()).tolist():
                 traces[k] = tuple(
@@ -344,7 +339,7 @@ class RunLog(_Columns):
             for c in copies
         ]
         attempts = [
-            (a.start_ns, a.data_ns, a.ack_ns or 0, a.succeeded)
+            (a.start_ns, a.data_ns, a.ack_ns or 0)
             for c in copies
             for a in c.trace or ()
         ]
@@ -366,7 +361,7 @@ def _optional(values: np.ndarray) -> list[int | None]:
 # The RunLog and AttemptTable columns that hold the fields of COPY_KEYS
 # and ENTRY_KEYS, in the same order.
 COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "ta")
-ATTEMPT_COLUMNS = ("start", "data", "ack", "ok")
+ATTEMPT_COLUMNS = ("start", "data", "ack")
 
 
 def _copy_buffers(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -399,7 +394,6 @@ def _from_columns(
         rows += np.arange(offsets[-1])
         # one column at a time, so no second copy of the whole table exists
         columns = {name: attempts[rows, k] for k, name in enumerate(ATTEMPT_COLUMNS)}
-        columns["ok"] = columns["ok"].astype(bool)
         trace = AttemptTable(offsets=offsets, **columns)
     return RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, copies)))
 
@@ -429,11 +423,6 @@ def receive_time(copy: CopyRecord, phy: PhyParams) -> int:
         raise ValueError("receive time is undefined for lost copies")
     assert copy.final_ack_ns is not None
     return copy.end_ns - (phy.sifs_ns + copy.final_ack_ns)
-
-
-def copy_latency(copy: CopyRecord, phy: PhyParams) -> int:
-    """Transmission latency of a delivered copy on its own channel."""
-    return receive_time(copy, phy) - copy.request_ns
 
 
 # --- columnar reconstruction ------------------------------------------------
@@ -546,7 +535,7 @@ def validate_run(run: RunLog) -> None:
     ]
 
     t = run.trace
-    if t is not None:
+    if t is not None and len(t.start):  # take() below needs rows
         lengths = t.lengths()
         copy_of = np.repeat(np.arange(lengths.size), lengths)
 
@@ -555,35 +544,39 @@ def validate_run(run: RunLog) -> None:
             flags[copy_of[bad_rows]] = True
             return flags.reshape(req.shape)
 
+        def of_row(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            """(m, n) ``values`` at each copy's row in ``rows``, valid where
+            the copy is traced."""
+            return values.take(rows, mode="clip").reshape(req.shape)
+
+        def last_of(values: np.ndarray) -> np.ndarray:
+            return of_row(values, t.offsets[1:] - 1)
+
         is_last = np.zeros(len(t.start), dtype=bool)
         is_last[t.offsets[1:][lengths > 0] - 1] = True
         unordered = np.zeros(len(t.start), dtype=bool)
         unordered[1:] = (copy_of[1:] == copy_of[:-1]) & (t.start[1:] <= t.start[:-1])
         length = lengths.reshape(req.shape)
         traced = length > 0
-        last = t.per_copy(t.start).reshape(req.shape)
+        last = last_of(t.start)
         previous_end = np.concatenate((np.full((len(req), 1), -1), end[:, :-1]), axis=1)
         checks += [
             (traced & (length != run.attempts), "trace length must equal the attempt count"),
             (copies_of(unordered), "attempt starts must strictly increase"),
             (traced & (last >= end), "attempts must start before the end of transmission"),
-            (copies_of(t.ok & ~is_last), "only the final attempt may succeed"),
+            (copies_of((t.data <= 0) | (t.ack < 0)), "attempt frame durations must be positive"),
+            (copies_of((t.ack != 0) & ~is_last), "only the final attempt may succeed"),
+            (traced & ((last_of(t.ack) != 0) == lost), "trace outcome contradicts the loss flag"),
             (
-                traced & (t.per_copy(t.ok).reshape(req.shape) == lost),
-                "trace outcome contradicts the loss flag",
+                traced & ((run.td != last_of(t.data)) | (run.ta != last_of(t.ack))),
+                "final frame durations must be the last attempt's",
             ),
             (
-                copies_of((t.ack != 0) != t.ok),
-                "an attempt carries an ACK duration iff it succeeded",
-            ),
-            (
-                traced & (t.per_copy(t.start, first=True).reshape(req.shape) <= previous_end),
+                traced & (of_row(t.start, t.offsets[:-1]) <= previous_end),
                 "attempts overlap the previous packet",
             ),
-            (
-                traced & known & (final_starts(run) != last),
-                "final-attempt reconstruction mismatch",
-            ),
+            # past the final-frame check, a traced copy's final start is known
+            (traced & (final_starts(run) != last), "final-attempt reconstruction mismatch"),
         ]
 
     # the least (packet, channel, check) fails, with a packet's own checks
@@ -610,7 +603,8 @@ def validate_run(run: RunLog) -> None:
 #   {"i": 1, "copies": [{"ch": "A", "l": 0, "t_T": ..., "t_X": ..., "w": ...,
 #                        "Td": ..., "Ta": ..., "trace": [...]}, ...]}
 # Optional fields (Td, Ta, trace) are omitted when absent. Trace entries are
-# {"tW": ..., "Td": ..., "Ta": ..., "ok": 0|1} with Ta omitted on failures.
+# {"tW": ..., "Td": ..., "Ta": ..., "ok": 0|1} with Ta omitted on failures:
+# "ok" is nonzero iff the entry carries Ta, so the run keeps no flag for it.
 # A Td or Ta that a line carries is positive, and a trace holds at least one
 # entry: a run stores 0 and no rows for what a copy does not carry.
 
@@ -792,7 +786,7 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 # the keys of a packet line, of one of its copies and of a trace entry
 _PACKET_KEYS = frozenset(("i", "copies"))
 _COPY_ENTRY_KEYS = frozenset(("ch", "trace", *COPY_KEYS))
-_TRACE_ENTRY_KEYS = frozenset(ENTRY_KEYS)
+_TRACE_ENTRY_KEYS = frozenset((*ENTRY_KEYS, "ok"))
 
 
 def _loads(raw: str, what: str, record_index: int) -> object:
@@ -820,7 +814,8 @@ def _decode_copy(
     """(channel position, ``COPY_KEYS`` row, trace length, ``ENTRY_KEYS``
     rows) of one copy entry. Every timestamp, duration and count must be an
     int64 (``bool`` and ``float`` are rejected) to keep times in integer ns,
-    every ``Td`` and ``Ta`` positive and a trace non-empty."""
+    every ``Td`` and ``Ta`` positive and a trace non-empty, and a trace
+    entry's ``ok`` nonzero iff it carries ``Ta``."""
     try:
         label = d["ch"]
         lost, request_ns, end_ns, w = d["l"], d["t_T"], d["t_X"], d["w"]
@@ -837,7 +832,11 @@ def _decode_copy(
             start, data, ack, ok = e["tW"], e["Td"], e.get("Ta", 0), e["ok"]
             _check_numbers(e, ("tW", "Td", "ok"), ("Ta",), "trace field", record_index)
             _check_keys(e, _TRACE_ENTRY_KEYS, "trace", record_index)
-            attempts.append((start, data, ack, ok != 0))
+            if (ok != 0) != ("Ta" in e):
+                raise LogFormatError(
+                    "an attempt carries an ACK duration iff it succeeded", record_index
+                )
+            attempts.append((start, data, ack))
         j = position.get(label) if type(label) is str else None
     except (KeyError, TypeError) as exc:
         raise LogFormatError(f"bad copy entry: {exc}", record_index) from exc
@@ -934,7 +933,8 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
 
     A ``Td`` or ``Ta`` that a line carries, of a copy or of a trace entry,
     must be positive and a ``trace`` non-empty: the run stores 0 and no
-    attempt rows for what a copy does not carry.
+    attempt rows for what a copy does not carry. A trace entry's ``ok`` is
+    nonzero iff the entry carries ``Ta``.
 
     Packet lines in the encoder's exact layout are parsed in blocks; any
     other JSON layout, and any line that breaks those rules, is decoded

@@ -169,7 +169,6 @@ def _attempts(draw) -> tuple[AttemptTrace, ...]:
             start_ns=draw(_VALUES),
             data_ns=draw(_DURATIONS),
             ack_ns=draw(_OPTIONAL_DURATIONS),
-            succeeded=draw(st.booleans()),
         )
         for k in range(size)
     )

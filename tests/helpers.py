@@ -50,7 +50,6 @@ from prpwifi.trace import (
     CopyRecord,
     PacketRecord,
     _meta_to_dict,
-    copy_latency,
     final_attempt_start,
     receive_time,
 )
@@ -195,7 +194,6 @@ def trace_from_starts(
                 start_ns=start,
                 data_ns=phy.data_frame_ns,
                 ack_ns=phy.ack_frame_ns if ok else None,
-                succeeded=ok,
             )
         )
     return tuple(entries)
@@ -250,6 +248,11 @@ def worked_example_run() -> RunLog:
             )
         )
     return make_run(packets, period_ns=period)
+
+
+def copy_latency(copy: CopyRecord, phy: PhyParams) -> int:
+    """Transmission latency of a delivered copy on its own channel."""
+    return receive_time(copy, phy) - copy.request_ns
 
 
 def frac(num: int, den: int) -> Fraction:
@@ -309,13 +312,15 @@ def _copy_error_spec(copy: CopyRecord, phy: PhyParams) -> str | None:
                 return "attempt starts must strictly increase"
         if copy.trace and copy.trace[-1].start_ns >= copy.end_ns:
             return "attempts must start before the end of transmission"
+        if any(a.data_ns <= 0 or (a.ack_ns or 0) < 0 for a in copy.trace):
+            return "attempt frame durations must be positive"
         if any(a.succeeded for a in copy.trace[:-1]):
             return "only the final attempt may succeed"
         if copy.trace[-1].succeeded == copy.lost:
             return "trace outcome contradicts the loss flag"
-        for a in copy.trace:
-            if (a.ack_ns is not None) != a.succeeded:
-                return "an attempt carries an ACK duration iff it succeeded"
+        last = copy.trace[-1]
+        if (copy.final_data_ns, copy.final_ack_ns) != (last.data_ns, last.ack_ns):
+            return "final frame durations must be the last attempt's"
     return None
 
 
@@ -359,10 +364,7 @@ def validate_run_spec(run: RunLog) -> None:
             if error is None and copy.trace is not None:
                 if copy.trace[0].start_ns <= last_end[channel]:
                     error = "attempts overlap the previous packet"
-                elif (
-                    copy.final_data_ns is not None
-                    and final_attempt_start(copy, phy_by[channel]) != copy.trace[-1].start_ns
-                ):
+                elif final_attempt_start(copy, phy_by[channel]) != copy.trace[-1].start_ns:
                     error = "final-attempt reconstruction mismatch"
             if error is not None:
                 raise InvalidRunError(f"packet {number}, channel {channel.label}: {error}")
@@ -598,12 +600,10 @@ def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset
     }
     if not config.emit_full_trace:
         return copies, None
-    ok = np.array(state.attempt_ok, dtype=bool)
     attempts = {
         "start": np.array(state.attempt_start, dtype=np.int64),
         "data": np.array(state.attempt_data, dtype=np.int64),
-        "ack": np.where(ok, setup.phy.ack_frame_ns, 0),
-        "ok": ok,
+        "ack": np.where(state.attempt_ok, setup.phy.ack_frame_ns, 0),
     }
     return copies, attempts
 
@@ -621,15 +621,8 @@ def _encode_copies_spec(run: RunLog, j: int) -> list[str]:
         offsets = t.offsets[j * n : (j + 1) * n + 1]
         rows = slice(offsets[0], offsets[-1])
         entries = [
-            f'{{"tW":{s},"Td":{d},"Ta":{a},"ok":{ok}}}'
-            if a
-            else f'{{"tW":{s},"Td":{d},"ok":{ok}}}'
-            for s, d, a, ok in zip(
-                t.start[rows].tolist(),
-                t.data[rows].tolist(),
-                t.ack[rows].tolist(),
-                t.ok[rows].astype(np.int64).tolist(),
-            )
+            f'{{"tW":{s},"Td":{d},"Ta":{a},"ok":1}}' if a else f'{{"tW":{s},"Td":{d},"ok":0}}'
+            for s, d, a in zip(t.start[rows].tolist(), t.data[rows].tolist(), t.ack[rows].tolist())
         ]
         bounds = (offsets - offsets[0]).tolist()
         for pos in np.flatnonzero(np.diff(offsets)).tolist():

@@ -165,7 +165,7 @@ def test_criterion_4_latency_dominance(oracle_runs):
     run = oracle_runs[2]
     phy = run.phy_by_channel()
     td_grid = [td * US for td in range(-250, 251, 50)]
-    from prpwifi.trace import copy_latency
+    from helpers import copy_latency
 
     for packet in run.packets:
         outcome = link_outcome(packet, phy)

@@ -129,10 +129,14 @@ class TestSimulateCommand:
     def test_writes_deterministic_log(self, config_file, tmp_path, capsys):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(["simulate", str(config_file), "--out", str(out1)]) == 0
-        summary = capsys.readouterr().out
-        assert summary.startswith("N=600 losses A=")
+        first = capsys.readouterr()
+        assert first.out.startswith("N=600 losses A=")
         assert main(["simulate", str(config_file), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # the wall time goes to stderr, so stdout is deterministic too
+        second = capsys.readouterr()
+        assert second.out == first.out and "wall" not in first.out
+        assert re.fullmatch(r"wall=[0-9]+\.[0-9]{2}s\n", second.err)
 
     def test_seed_override_changes_log(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

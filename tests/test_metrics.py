@@ -1,4 +1,5 @@
 import io
+import json
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -26,10 +27,11 @@ from prpwifi import (
     validate_run,
     write_sweep_csv,
 )
-from prpwifi.trace import PacketRecord
+from prpwifi.trace import PacketRecord, write_log
 from prpwifi import metrics
+from prpwifi.cli import main
 from prpwifi.da import (
-    FailedCopyPolicy, TraceRequiredError, policy_final_start, rda_flags, tdd_flags
+    FailedCopyPolicy, TraceRequiredError, policy_final_start, rda_flags, tdd_flags, tdd_latency
 )
 from prpwifi.metrics import SweepError
 
@@ -37,6 +39,7 @@ from conftest import duplex_runs, traced_copies
 from helpers import (
     CH_A,
     CH_B,
+    FAIL_TAIL_NS,
     HAND_PHY,
     WORKED_E_A,
     WORKED_E_B,
@@ -51,7 +54,6 @@ from helpers import (
     make_run,
     make_success_copy,
     oracle_attempt_summary_spec,
-    trace_from_starts,
     virtual_defer,
     worked_example_run,
 )
@@ -86,7 +88,7 @@ class TestLatencyStats:
 
     def test_ordering_invariant(self, traced_run):
         phy = traced_run.phy_by_channel()
-        from prpwifi.trace import copy_latency
+        from helpers import copy_latency
 
         samples = [
             copy_latency(p.copies[CH_B], phy[CH_B])
@@ -845,6 +847,57 @@ class TestOracleSummary:
                     evaluate(run, 0)
 
 
+def _skewed(run: RunLog, epsilon_ns: int, seed: int) -> RunLog:
+    """``run`` with each packet's copy on a random channel requested up to
+    ``epsilon_ns`` later, and the header allowing that skew."""
+    rng = np.random.default_rng(seed)
+    n = run.meta.n_packets
+    req = run.req.copy()
+    req[rng.integers(0, 2, size=n), np.arange(n)] += rng.integers(0, epsilon_ns + 1, size=n)
+    return replace(run, req=req, meta=replace(run.meta, request_epsilon_ns=epsilon_ns))
+
+
+class TestSkewedLinkLatency:
+    """Under a virtual T_D the link latency runs from the packet's earliest
+    displaced request, also where the header's epsilon lets the requests
+    of a packet differ. It used to run from each copy's own request."""
+
+    def test_zero_displacement_is_the_recorded_latency(self, tmp_path, capsys):
+        """Requests at 0 on A and 1 us on B, and B's copy arrives first, at
+        466 us: at T_D = 0 TDD gave 465 us, RDA 466 us."""
+        packet = PacketRecord(1, {
+            CH_A: make_success_copy(0, 600_000),
+            CH_B: make_success_copy(1_000, 500_000),
+        })
+        run = make_run([packet])
+        run = replace(run, meta=replace(run.meta, request_epsilon_ns=1_000))
+        validate_run(run)
+        assert tdd_latency(run.packets[0], 0, run.phy_by_channel()) == 466_000
+        path = tmp_path / "run.jsonl"
+        write_log(run, path)
+        for mode in ("rda", "tdd"):
+            capsys.readouterr()
+            assert main(["analyze", "--log", str(path), "--mode", mode, "--td", "0"]) == 0
+            latency = json.loads(capsys.readouterr().out)["link"]["latency"]
+            assert latency["mean_us"] == latency["max_us"] == 466.0
+        for t_d in (-1_000, -999, 0, 1_000):
+            params = DaParams(mode=DaMode.TDD, t_d_ns=t_d)
+            assert compute_report(run, params) == compute_report_reference(run, params)
+
+    @pytest.mark.parametrize("full_trace", [True, False], ids=["traced", "adapter"])
+    def test_skewed_runs_report_as_the_reference(self, full_trace, lossy_runs):
+        run = _skewed(lossy_runs[full_trace], 20_000, seed=3)
+        validate_run(run)
+        grid = [
+            DaParams(mode=DaMode.TDD, t_lre_ns=50_000, t_d_ns=t_d)
+            for t_d in (-300_000, -20_001, -1_000, -1, 0, 1_500, 20_000, 250_000)
+        ]
+        reports = sweep(run, grid)
+        assert reports == [compute_report_reference(run, p) for p in grid]
+        recorded = compute_report(run, DaParams(mode=DaMode.RDA, t_lre_ns=50_000))
+        assert reports[4].link.latency == recorded.link.latency
+
+
 class TestEndTimeLimit:
     """Ends of transmission below 2^62 ns and virtual displacements below
     2^62 ns keep every shifted time an int64."""
@@ -870,9 +923,9 @@ class TestEndTimeLimit:
             assert report == compute_report_reference(run, params)
 
     def test_latest_valid_attempt_start_summarises_as_the_spec(self):
-        """A lost copy without ``Td`` whose last attempt starts just below
-        its end at 2^62 - 1: displaced by a virtual T_D, the start stays an
-        int64."""
+        """A lost copy whose end is 2^62 - 1, the latest valid one, and
+        whose last attempt starts a failure's tail before it: displaced by
+        a virtual T_D, the start stays an int64."""
         packets = [
             PacketRecord(i + 1, {
                 CH_A: copy_from_starts(i * MS, [i * MS + 100_000], lost=False),
@@ -880,10 +933,8 @@ class TestEndTimeLimit:
             })
             for i in range(3)
         ]
-        b = replace(
-            make_lost_copy(2 * MS, 2**62 - 1, attempts=2),
-            trace=trace_from_starts([2 * MS + 100_000, 2**62 - 2], lost=True),
-        )
+        b = copy_from_starts(2 * MS, [2 * MS + 100_000, 2**62 - 1 - FAIL_TAIL_NS], lost=True)
+        assert b.end_ns == 2**62 - 1
         packets[2] = PacketRecord(3, {**packets[2].copies, CH_B: b})
         run = make_run(packets, view=VIEW_FULL_TRACE)
         validate_run(run)

@@ -146,6 +146,38 @@ class TestAttemptOrderingAndCarrierSense:
                     previous_end = end
 
 
+class TestMedium:
+    """ROADMAP item 3(c): no attempt meets a busy interval of its channel,
+    and every attempt starts at least DIFS after the last busy interval
+    before it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=sim_configs())
+    def test_attempts_keep_clear_of_interference(self, config):
+        run = generate_run(config)
+        t, n = run.trace, config.n_packets
+        # the busy intervals as _simulate_channel draws them
+        undeferred = (n - 1) * config.period_ns + config.interference_margin_ns
+        for j, (setup, offset) in enumerate(zip(config.channels, config.request_offsets())):
+            starts, ends = interference_arrays(
+                setup.interference,
+                undeferred + offset,
+                bulk_stream(config.seed, setup.seed_salt, setup.channel.label, "interference"),
+                chunk_horizon_ns=undeferred,
+            )
+            phy = setup.phy
+            rows = slice(t.offsets[j * n], t.offsets[(j + 1) * n])
+            start = t.start[rows]
+            # what an attempt reserves: its DATA and the longer of its tails
+            reserved = start + t.data[rows] + max(phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns)
+            # the last busy interval that starts at or before each attempt,
+            # and the next one
+            k = np.searchsorted(starts, start, side="right") - 1
+            before, after = k >= 0, k + 1 < len(starts)
+            assert (ends[k[before]] + phy.difs_ns <= start[before]).all()
+            assert (reserved[after] <= starts[k[after] + 1]).all()
+
+
 class TestSimulateCopy:
     class ScriptedRng:
         def __init__(self, values):

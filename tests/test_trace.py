@@ -35,7 +35,7 @@ from prpwifi.cli import main
 from prpwifi.config import parse_config
 from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
 from prpwifi.logblocks import BlockParser, line_blocks
-from prpwifi.metrics import _oracle_starts
+from prpwifi.metrics import _leads, _other_ends
 from prpwifi.sim import _channel_of
 from prpwifi.trace import (
     AttemptTrace,
@@ -43,7 +43,6 @@ from prpwifi.trace import (
     MissingFrameDurationError,
     PacketRecord,
     _meta_to_dict,
-    copy_latency,
     final_attempt_start,
     final_starts,
     receive_time,
@@ -61,7 +60,10 @@ from conftest import (
 from helpers import (
     CH_A,
     CH_B,
+    FAIL_TAIL_NS,
     HAND_PHY,
+    copy_from_starts,
+    copy_latency,
     desk_config,
     encode_log_spec,
     link_outcome,
@@ -262,7 +264,7 @@ class TestCodec:
             for f in fields(table)
             if isinstance(getattr(table, f.name), np.ndarray)
         ]
-        assert len(arrays) == (12 if name == "traced_run" else 7)
+        assert len(arrays) == (11 if name == "traced_run" else 7)
         held = {}  # bytes of each buffer that the run's arrays cover
         for column in arrays:
             assert column.flags.c_contiguous
@@ -472,23 +474,67 @@ class TestValidation:
             self._check_time_limit(run, message, "--td=-3ms", tmp_path, capsys)
 
     def test_attempts_start_before_the_end_of_transmission(self, tmp_path, capsys):
-        """A lost copy without ``Td`` reconstructs no final start, so only
-        this rule bounds its attempt starts: a last start of 2^63 - 11 on
-        packet 2's copy on B (its end 1.6 ms) used to validate, and a virtual
-        T_D of 3 ms then wrapped the displaced start in the oracle summary."""
+        """A last start of 2^63 - 11 on packet 2's copy on B (its end 1.6
+        ms) used to validate while the copy carried no ``Td``, and a
+        virtual T_D of 3 ms then wrapped the displaced start in the oracle
+        summary. This rule refuses it before the reconstruction is checked;
+        the copy's reconstructed final start, 1.24 ms, validates."""
         message = "packet 2, channel B: attempts must start before the end of transmission"
         for last_start, error in [
             (2**63 - 11, message),
             (1_600_000, message),
-            (1_599_999, None),
+            (1_600_000 - FAIL_TAIL_NS, None),
         ]:
-            b = make_lost_copy(1_000_000, 1_600_000, attempts=2)
+            b = make_lost_copy(1_000_000, 1_600_000, attempts=2, with_duration=True)
             b = replace(b, trace=trace_from_starts([1_100_000, last_start], lost=True))
             run = make_run(
                 [_traced_pair(0, 1), _traced_pair(1_000_000, 2, b), _traced_pair(2_000_000, 3)],
                 view=VIEW_FULL_TRACE,
             )
             self._check_time_limit(run, error, "--td=3ms", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda b: replace(b, trace=(replace(b.trace[0], data_ns=200_000, ack_ns=124_000),)),
+                "final frame durations must be the last attempt's",
+            ),
+            (
+                lambda b: replace(b, trace=(replace(b.trace[0], data_ns=-5),)),
+                "attempt frame durations must be positive",
+            ),
+            (
+                lambda b: replace(b, trace=(replace(b.trace[0], ack_ns=-24_000),)),
+                "attempt frame durations must be positive",
+            ),
+            (
+                lambda b: replace(
+                    copy_from_starts(b.request_ns, [b.request_ns + 100_000], lost=True),
+                    final_data_ns=None,
+                ),
+                "final frame durations must be the last attempt's",
+            ),
+        ],
+        ids=["same-sum-other-ack", "negative-data", "negative-ack", "lost-without-Td"],
+    )
+    def test_traced_copy_carries_its_last_attempts_frames(self, edit, message):
+        """A traced copy's ``Td``/``Ta`` are its last attempt's DATA and ACK,
+        and every attempt's DATA, and ACK where carried, is positive. The
+        first two cases
+        used to validate: Td = 300 us and Ta = 24 us against an entry of
+        200 us and 124 us, the same sum, so the reconstruction held while
+        receive times used the 24 us ACK; and an entry DATA of -5 ns, whose
+        log the decoder then refused (``trace field 'Td' must be
+        positive``)."""
+        packets = [_traced_pair(i * 1_000_000, i + 1) for i in range(3)]
+        validate_run(make_run(packets, view=VIEW_FULL_TRACE))  # accepted before the edit
+        b = edit(packets[1].copies[CH_B])
+        packets[1] = replace(packets[1], copies={**packets[1].copies, CH_B: b})
+        run = make_run(packets, view=VIEW_FULL_TRACE)
+        for check in (validate_run, validate_run_spec):
+            with pytest.raises(InvalidRunError, match=f"^packet 2, channel B: {message}$"):
+                check(run)
 
     @staticmethod
     def _check_time_limit(run, message, td_option, tmp_path, capsys):
@@ -529,8 +575,9 @@ def _traced_pair(request_ns: int, index: int, b: CopyRecord | None = None) -> Pa
 
 
 class TestColumnarReconstruction:
-    """``receive_times``, ``final_starts`` and the oracle starts built on
-    them equal the per-copy functions on every copy of simulated runs."""
+    """``receive_times``, ``final_starts`` and the oracle policy's final
+    starts (its leads plus the other copies' ends) equal the per-copy
+    functions on every copy of simulated runs."""
 
     @pytest.mark.parametrize("full_trace", [False, True], ids=["adapter", "traced"])
     @pytest.mark.parametrize("loss_prob", [None, 1.0], ids=["drawn-loss", "all-lost-on-B"])
@@ -544,7 +591,7 @@ class TestColumnarReconstruction:
         rx, start = receive_times(run), final_starts(run)
         phy_by = run.phy_by_channel()
         try:
-            oracle = _oracle_starts(run, start)
+            oracle = _leads(run, FailedCopyPolicy.ORACLE) + _other_ends(run)
         except TraceRequiredError:
             oracle = None
         spec_rx, spec_start, spec_oracle = (np.zeros_like(run.req) for _ in range(3))
@@ -893,6 +940,7 @@ class TestDecoderHoles:
 # a JSON string (skipped whole, so no label is edited) or a number field
 _NUMBER_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(?<=:)(-?[0-9]+)')
 _DURATION_KEY = re.compile(r'"T[da]":')
+_OK_KEY = re.compile(r'"ok":')
 _NUMBERS = (
     ("-0", True), ("0", True), (str(10**18 - 1), True), (str(-(10**18 - 1)), True),
     ("007", False), ("-00", False), ("1234567890123456789", False),
@@ -919,7 +967,8 @@ def _untraced_run(labels: tuple[str, ...]) -> RunLog:
 def _set_number(lines, k, c):
     """Set a number of line ``k`` to a value of ``_NUMBERS``; a frame
     duration takes only those that are not canonical non-positive numbers
-    (``TestMalformedDurations`` edits those)."""
+    (``TestMalformedDurations`` edits those). A trace entry's ``ok`` stays
+    in the layout only at its own value, 1 after a ``Ta`` and else 0."""
     value, canonical = _NUMBERS[c % len(_NUMBERS)]
     any_field = not canonical or int(value) > 0
     tokens = [
@@ -928,6 +977,8 @@ def _set_number(lines, k, c):
         if token[1] and (any_field or not _DURATION_KEY.match(lines[k], token.start(1) - 5))
     ]
     token = tokens[c % len(tokens)]
+    if _OK_KEY.match(lines[k], token.start(1) - 5):
+        canonical = value == token[1]
     lines[k] = lines[k][: token.start(1)] + value + lines[k][token.end(1) :]
     return "".join(lines), canonical
 
@@ -1247,6 +1298,77 @@ class TestMalformedDurations:
             assert outcome == general == reference == (f"record {k + 1}: {message}", k + 1)
 
 
+_OUTCOME_MESSAGE = "an attempt carries an ACK duration iff it succeeded"
+
+
+class TestAttemptOutcome:
+    """An attempt succeeded iff it carries an ACK duration, so a trace
+    entry's ``ok`` is nonzero iff the entry carries ``Ta``. A line that
+    breaks this leaves the block grammar, which takes only ``"ok":0``
+    without ``Ta`` and ``"Ta":P,"ok":1``, and fails naming its record on
+    all three decoder paths; any other nonzero ``ok`` beside ``Ta``
+    decodes as 1 does."""
+
+    @pytest.mark.parametrize(
+        "edit, decodes",
+        [
+            (lambda failed, success: failed.update(ok=1), False),
+            (lambda failed, success: failed.update(ok=-3), False),
+            (lambda failed, success: failed.update(Ta=24_000), False),
+            (lambda failed, success: success.update(ok=0), False),
+            (lambda failed, success: success.pop("Ta"), False),
+            (lambda failed, success: success.update(ok=2), True),
+        ],
+        ids=["failed-ok-1", "failed-ok-neg", "failed-Ta", "success-ok-0", "success-no-Ta",
+             "success-ok-2"],
+    )
+    def test_line_names_its_record(self, edit, decodes, traced_run):
+        lines = encode_log_spec(traced_run).splitlines(keepends=True)
+        k = next(k for k, line in enumerate(lines) if k and '"ok":0' in line)
+        record = json.loads(lines[k])
+        entries = [e for c in record["copies"] for e in c.get("trace", ())]
+        edit(next(e for e in entries if e["ok"] == 0), next(e for e in entries if e["ok"] == 1))
+        lines[k] = json.dumps(record, separators=(",", ":")) + "\n"
+        expected = traced_run if decodes else (f"record {k + 1}: {_OUTCOME_MESSAGE}", k + 1)
+        for block in (1, 1 << 16):
+            for validate in (False, True):
+                outcome, paths, general, reference = _decoded_three_ways(
+                    "".join(lines), block, validate
+                )
+                assert outcome == general == reference == expected
+                assert "lines" in paths
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        run=encodable_runs(),
+        ok=st.integers(min_value=-2, max_value=2),
+        block=st.sampled_from((1, 200, 1 << 16)),
+        data=st.data(),
+    )
+    def test_random_entries_name_their_record(self, run, ok, block, data):
+        """Any ``ok`` in one trace entry of a log in the encoder's layout."""
+        text = encode_log_spec(run)
+        lines = text.splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        entries = [
+            (k, e) for k in range(1, len(lines))
+            for c in records[k]["copies"] for e in c.get("trace", ())
+        ]
+        if not entries:
+            return
+        k, entry = data.draw(st.sampled_from(entries), label="entry")
+        entry["ok"] = ok
+        lines[k] = json.dumps(records[k], separators=(",", ":")) + "\n"
+        for validate in (False, True):
+            expected = _outcome(text, validate)
+            if (ok != 0) != ("Ta" in entry):
+                expected = (f"record {k + 1}: {_OUTCOME_MESSAGE}", k + 1)
+            outcome, paths, general, reference = _decoded_three_ways(
+                "".join(lines), block, validate
+            )
+            assert outcome == general == reference == expected
+
+
 class TestRealDeferral:
     """ROADMAP items 3(b) and 3(d) over the config space."""
 
@@ -1338,7 +1460,6 @@ def _key_letter_run() -> RunLog:
                     start_ns=1000 * (p + k),
                     data_ns=7 + k,
                     ack_ns=None if (k + j) % 2 else 9,
-                    succeeded=k == kind - 1,
                 )
                 for k in range(kind)
             )
@@ -1399,7 +1520,6 @@ def _int64_edge_run(view: str) -> RunLog:
                         start_ns=edge(p + k),
                         data_ns=duration(p + k + 1),
                         ack_ns=None if k == 1 else duration(p + k + 2),
-                        succeeded=k % 2 == 0,
                     )
                     for k in range(4)
                 )
