@@ -233,8 +233,10 @@ def oracle_saved_attempts(
     cross-ACK plus the reaction latency (the first attempt at or past that
     instant, and all later ones, are prevented). The quickest channel keeps
     all its attempts, as do all channels when the packet is lost on the
-    whole link. ``t_d_ns`` applies a virtual displacement first.
+    whole link. ``t_d_ns`` applies a virtual displacement first. A negative
+    ``t_lre_ns`` is refused, as reports refuse it.
     """
+    DaParams(t_lre_ns=t_lre_ns).validate()
     for copy in packet.copies.values():
         if copy.trace is None:
             raise TraceRequiredError(

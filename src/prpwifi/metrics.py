@@ -159,9 +159,9 @@ class MetricsReport:
     link: LinkMetrics
 
 
-def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, int] | None]:
-    """Effective displacement, and the per-channel request shift of a
-    virtual one (None where flags use recorded timestamps).
+def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
+    """Effective displacement, and whether it is virtual, which sets the
+    offsets c of the early thresholds T_LRE + c (``_Derived``).
 
     Logs generated with real request displacement are analyzed on their
     recorded timestamps (the displacement is already physical); a TDD
@@ -172,7 +172,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, int] | None
     """
     t_d = params.t_d_ns
     if params.mode is not DaMode.TDD:
-        return t_d, None
+        return t_d, False
     if len(run.channels) != 2:
         raise ValueError("TDD analysis is defined for duplex logs only")
     if run.meta.deferral_ns != 0:
@@ -181,7 +181,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, int] | None
                 "log already carries a real displacement of "
                 f"{run.meta.deferral_ns} ns; omit t_d or pass the same value"
             )
-        return run.meta.deferral_ns, None
+        return run.meta.deferral_ns, False
     if abs(t_d) >= run.meta.period_ns:
         raise ValueError(
             f"virtual displacement of {t_d} ns: |T_D| must be smaller than "
@@ -189,7 +189,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, int] | None
         )
     if abs(t_d) >= TIME_LIMIT_NS:
         raise ValueError(f"virtual displacement of {t_d} ns: |T_D| must be below 2^62 ns")
-    return t_d, (max(0, -t_d), max(0, t_d))
+    return t_d, True
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,10 +237,11 @@ class _Derived:
     (``_leads``, built once per policy) exceeds T_LRE + c_j, with c =
     (T_D, -T_D) under a virtual duplex displacement, else 0 (``da.tdd_flags``);
     a packet is simplex on the link iff m - 1 copies are early and single.
-    On a run that ``validate_run`` accepts, final attempts start before their
-    copies end, so the quickest copy's (displaced) lead is negative and needs
-    no mask. A grid point costs a few boolean passes over the leads, plus
-    one ``latency_stats`` call per new displacement."""
+    On a run that ``validate_run`` accepts, attempts start before their
+    copies end, so at T_LRE >= 0 the quickest copy is never early and needs
+    no mask, nor does any attempt in ``oracle_attempt_summary``. A grid point
+    costs a few boolean passes over the leads, plus one ``latency_stats``
+    call per new displacement."""
 
     run: RunLog
     single: np.ndarray  # (m, n) bool, copies sent in one attempt
@@ -311,15 +312,13 @@ def _counts(flags: np.ndarray) -> list[int]:
     return [int(np.count_nonzero(row)) for row in flags]
 
 
-def _accumulate(
-    cols: _Derived, params: DaParams, t_d: int, shift: tuple[int, int] | None
-) -> _Accumulated:
+def _accumulate(cols: _Derived, params: DaParams, t_d: int, virtual: bool) -> _Accumulated:
     """Vectorized evaluation of the per-packet definitions, for any number
     of channels (virtual displacement, like TDD itself, is duplex only)."""
     m = len(cols.lost_count)
     early_sum, simplex_sum, simplex_link = [0] * m, [0] * m, 0
     if params.mode is not DaMode.POW:
-        offsets = (0,) * m if shift is None else (t_d, -t_d)
+        offsets = (t_d, -t_d) if virtual else (0,) * m
         policy = params.failed_copy_policy
         lead = cols.once(policy, lambda: _leads(cols.run, policy))
         early = np.stack([row > params.t_lre_ns + c for row, c in zip(lead, offsets)])
@@ -328,7 +327,7 @@ def _accumulate(
         # a sum in the narrowest dtype that holds m, ten times faster than in int64
         per_packet = np.add.reduce(simplex, axis=0, dtype=np.min_scalar_type(m))
         simplex_link = int(np.count_nonzero(per_packet == m - 1))
-    key = None if shift is None else t_d
+    key = t_d if virtual else None
     link = cols.once(key, lambda: latency_stats(_link_latencies(cols, key)))
     return _Accumulated(
         early_sum, simplex_sum, simplex_link, cols.attempts_delivered, cols.lost_count,
@@ -390,8 +389,8 @@ def _assemble(
 
 def _evaluate(run: RunLog, params: DaParams, cols: _Derived) -> MetricsReport:
     params.validate()
-    t_d, shift = _resolve(run, params)
-    return _assemble(run, params, t_d, _accumulate(cols, params, t_d, shift))
+    t_d, virtual = _resolve(run, params)
+    return _assemble(run, params, t_d, _accumulate(cols, params, t_d, virtual))
 
 
 def compute_report(run: RunLog, params: DaParams) -> MetricsReport:
@@ -429,33 +428,27 @@ class OracleSummary:
 
 def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> OracleSummary:
     """Aggregate the exact oracle of ``da.oracle_saved_attempts`` over a
-    full-trace log whose traces hold their copies' attempts in ascending
-    order (which ``validate_run`` checks): each copy but the quickest of a
-    packet delivered on the link keeps the attempts whose shifted start is
-    at most the cross-ACK plus ``t_lre_ns``, after the displacement
-    ``t_d_ns`` resolved as reports resolve it (``_resolve``)."""
+    full-trace log that ``validate_run`` accepts, with T_LRE and T_D checked
+    and resolved as a report's. An attempt is kept iff its start minus its
+    copy's ``_other_ends`` is at most the copy's T_LRE + c (``_Derived``), so
+    a copy loses an attempt iff its ``_leads`` lead under the oracle policy
+    exceeds it."""
+    params = DaParams(DaMode.TDD if t_d_ns else DaMode.RDA, t_lre_ns, t_d_ns)
+    params.validate()
+    t_d, virtual = _resolve(run, params)
     t = run.trace
     if t is None or not t.lengths().all():
         raise TraceRequiredError("exact early-termination analysis needs per-attempt traces")
-    m, n = len(run.channels), run.meta.n_packets
-    # at T_D = 0 every log, duplex or not, keeps its recorded timestamps
-    shift = _resolve(run, DaParams(DaMode.TDD, t_d_ns=t_d_ns))[1] if t_d_ns else None
-    shift = np.array(shift or (0,) * m)[:, None]
-    ends = np.where(run.lost, _ALWAYS, run.end + shift)
-    # the quickest delivered copy (the first of a tie) and every copy of a
-    # packet lost on the link keep all their attempts, also at a T_LRE < 0
-    keeps_all = (np.arange(m)[:, None] == ends.argmin(axis=0)) | run.lost.all(axis=0)
-    # any other attempt is kept iff its start plus its copy's lead is <= T_LRE
-    lead = np.subtract(shift, ends.min(axis=0)).ravel()
-    kept_before = np.cumsum(np.append(0, t.start + np.repeat(lead, t.lengths()) <= t_lre_ns))
-    counted = kept_before[t.offsets[1:]] - kept_before[t.offsets[:-1]]
-    attempts = run.attempts.ravel()
-    kept = np.where(keeps_all.ravel(), attempts, counted)
-    return OracleSummary(
-        attempts_bar_pow=Fraction(int(attempts.sum()), n),
-        attempts_bar_da=Fraction(int(kept.sum()), n),
-        early_bar_exact=Fraction(int(np.count_nonzero(kept < attempts)), n),
-    )
+    n, dropped, early = run.meta.n_packets, 0, 0
+    offsets = (t_d, -t_d) if virtual else (0,) * len(run.channels)
+    for j, (others, c) in enumerate(zip(_other_ends(run), offsets)):
+        rows = t.offsets[j * n : (j + 1) * n + 1]
+        # starts increase, so the attempts a copy drops end its trace
+        drop = t.start[rows[0] : rows[-1]] - np.repeat(others, np.diff(rows)) > t_lre_ns + c
+        dropped += int(np.count_nonzero(drop))
+        early += int(np.count_nonzero(drop[rows[1:] - rows[0] - 1]))
+    attempts = int(run.attempts.sum())
+    return OracleSummary(Fraction(attempts, n), Fraction(attempts - dropped, n), Fraction(early, n))
 
 
 # --- rendering ---------------------------------------------------------------

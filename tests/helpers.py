@@ -310,8 +310,6 @@ def _copy_error_spec(copy: CopyRecord, phy: PhyParams) -> str | None:
         for prev, cur in zip(copy.trace, copy.trace[1:]):
             if cur.start_ns <= prev.start_ns:
                 return "attempt starts must strictly increase"
-        if copy.trace and copy.trace[-1].start_ns >= copy.end_ns:
-            return "attempts must start before the end of transmission"
         if any(a.data_ns <= 0 or (a.ack_ns or 0) < 0 for a in copy.trace):
             return "attempt frame durations must be positive"
         if any(a.succeeded for a in copy.trace[:-1]):
@@ -826,27 +824,20 @@ def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
     :mod:`prpwifi.da` only; slower, used to cross-check the vectorized
     path."""
     params.validate()
-    t_d, shift = _resolve(run, params)
-    return _assemble(run, params, t_d, _accumulate_reference(run, params, t_d, shift is None))
+    t_d, virtual = _resolve(run, params)
+    return _assemble(run, params, t_d, _accumulate_reference(run, params, t_d, not virtual))
 
 
 def oracle_attempt_summary_spec(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> OracleSummary:
     """Same result as ``metrics.oracle_attempt_summary`` via
-    :func:`prpwifi.da.oracle_saved_attempts`, packet by packet. On a duplex
-    log deferred by D, a nonzero ``t_d_ns`` must be D, which the recorded
-    timestamps already carry."""
-    deferral = run.meta.deferral_ns
-    if t_d_ns != 0 and deferral != 0 and len(run.channels) == 2:
-        if t_d_ns != deferral:
-            raise ValueError(
-                f"log already carries a real displacement of {deferral} ns; "
-                "omit t_d or pass the same value"
-            )
-        t_d_ns = 0
+    :func:`prpwifi.da.oracle_saved_attempts`, packet by packet, with the
+    displacement resolved as ``compute_report_reference`` resolves it."""
+    params = DaParams(DaMode.TDD if t_d_ns else DaMode.RDA, t_lre_ns, t_d_ns)
+    t_d, virtual = _resolve(run, params)
     n = run.meta.n_packets
     total_pow = total_da = early_exact = 0
     for packet in run.packets:
-        kept = oracle_saved_attempts(packet, t_lre_ns, t_d_ns)
+        kept = oracle_saved_attempts(packet, t_lre_ns, t_d if virtual else 0)
         for c, copy in packet.copies.items():
             total_pow += copy.attempts
             total_da += kept[c]

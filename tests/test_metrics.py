@@ -31,11 +31,17 @@ from prpwifi.trace import PacketRecord, write_log
 from prpwifi import metrics
 from prpwifi.cli import main
 from prpwifi.da import (
-    FailedCopyPolicy, TraceRequiredError, policy_final_start, rda_flags, tdd_flags, tdd_latency
+    FailedCopyPolicy,
+    TraceRequiredError,
+    oracle_saved_attempts,
+    policy_final_start,
+    rda_flags,
+    tdd_flags,
+    tdd_latency,
 )
 from prpwifi.metrics import SweepError
 
-from conftest import duplex_runs, traced_copies
+from conftest import duplex_runs, sim_configs, traced_copies
 from helpers import (
     CH_A,
     CH_B,
@@ -679,6 +685,10 @@ class TestSweepMargins:
         run, grid = case
         validate_run(run)
         assert sweep(run, grid) == [compute_report_reference(run, p) for p in grid]
+        if run.trace is not None:
+            for p in grid:
+                expected = oracle_attempt_summary_spec(run, p.t_lre_ns)
+                assert oracle_attempt_summary(run, p.t_lre_ns) == expected
 
     def test_ties_go_to_the_first_channel(self):
         def copy(*starts: int):
@@ -713,8 +723,9 @@ class TestSweepMargins:
                 duplex, 0, t_d
             )
 
-        # B and C tie at the least end, C after an earlier attempt: at this
-        # negative T_LRE only the quickest copy, B, keeps an attempt
+        # B and C tie at the least end, C after an earlier attempt: B and C
+        # keep their attempts, and only A's, which starts after the
+        # cross-ACK, is dropped
         tied = make_run(
             [PacketRecord(1, {
                 CH_A: copy(1_500_000), CH_B: copy(1_000_000), ch_c: copy(100_000, 1_000_000)
@@ -723,9 +734,9 @@ class TestSweepMargins:
             channels=(CH_A, CH_B, ch_c),
         )
         validate_run(tied)
-        summary = oracle_attempt_summary(tied, -1_300_000)
-        assert summary == oracle_attempt_summary_spec(tied, -1_300_000)
-        assert summary.attempts_bar_da == 1
+        summary = oracle_attempt_summary(tied, 0)
+        assert summary == oracle_attempt_summary_spec(tied, 0)
+        assert (summary.attempts_bar_da, summary.early_bar_exact) == (3, 1)
 
     def test_displacement_sweep_holds_one_displacement(self):
         run = generate_run(desk_config(n_packets=20_000, seed=13, full_trace=False))
@@ -762,8 +773,8 @@ class TestOracleSummary:
     @pytest.mark.parametrize("name", ["traced_run", "lossy_traced"])
     def test_equals_per_packet_spec(self, name, request, lossy_runs):
         run = lossy_runs[True] if name == "lossy_traced" else request.getfixturevalue(name)
-        for t_lre_us, t_d_us in ((50, 0), (0, 0), (200, 0), (0, 100), (50, -150)):
-            t_lre, t_d = t_lre_us * 1000, t_d_us * 1000
+        points = ((50_000, 0), (0, 0), (200_000, 0), (0, 100_000), (50_000, -150_000))
+        for t_lre, t_d in points + ((2**70, -150_000),):
             expected = oracle_attempt_summary_spec(run, t_lre, t_d)
             assert oracle_attempt_summary(run, t_lre, t_d) == expected
 
@@ -780,10 +791,46 @@ class TestOracleSummary:
                 for b, other in packet.copies.items():
                     for attempt in copy.trace:
                         gap = attempt.start_ns + shift[a] - other.end_ns - shift[b]
-                        points.update(gap + d for d in (-1, 0, 1))
+                        points.update(gap + d for d in (-1, 0, 1) if gap + d >= 0)
         t_lre = data.draw(st.sampled_from(sorted(points)))
         expected = oracle_attempt_summary_spec(run, t_lre, t_d)
         assert oracle_attempt_summary(run, t_lre, t_d) == expected
+
+    def test_negative_reaction_latency_is_refused_as_reports_refuse_it(self, traced_run):
+        refused = "^reaction latency must be non-negative$"
+        with pytest.raises(ValueError, match=refused):
+            compute_report(traced_run, DaParams(mode=DaMode.RDA, t_lre_ns=-1))
+        for evaluate in (oracle_attempt_summary, oracle_attempt_summary_spec):
+            for t_d in (0, 100_000):
+                with pytest.raises(ValueError, match=refused):
+                    evaluate(traced_run, -1, t_d)
+        with pytest.raises(ValueError, match=refused):
+            oracle_saved_attempts(traced_run.packets[0], -1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=sim_configs(), data=st.data())
+    def test_adapter_view_bounds_the_oracle_on_generated_runs(self, config, data):
+        """The oracle equals its spec; under the oracle policy a report's
+        e is the oracle's, and under the pessimistic one at most that; and
+        the attempts the oracle keeps are at most W_pow - e. T_D is 0 or
+        the run's real deferral, or a virtual one on a run without it."""
+        run = generate_run(config)
+        period = config.period_ns
+        t_d = data.draw(
+            st.sampled_from((0, config.deferral_ns)) if config.deferral_ns
+            else st.just(0) | st.integers(min_value=1 - period, max_value=period - 1)
+        )
+        t_lre = data.draw(st.sampled_from((0, 1, 50_000, MS, 2**70)))
+        summary = oracle_attempt_summary(run, t_lre, t_d)
+        assert summary == oracle_attempt_summary_spec(run, t_lre, t_d)
+        mode = DaMode.TDD if t_d else DaMode.RDA
+        oracle, pessimistic = (
+            compute_report(run, DaParams(mode, t_lre, t_d, policy)).link.early_bar
+            for policy in (FailedCopyPolicy.ORACLE, FailedCopyPolicy.PESSIMISTIC_ZERO)
+        )
+        assert oracle == summary.early_bar_exact
+        assert pessimistic <= summary.early_bar_exact
+        assert summary.attempts_bar_da <= summary.attempts_bar_pow - oracle
 
     def test_real_displacement_resolves_as_reports_do(self):
         """A log deferred by 100 us already carries its displacement: a T_D

@@ -40,7 +40,6 @@ from prpwifi.sim import _channel_of
 from prpwifi.trace import (
     AttemptTrace,
     CopyRecord,
-    MissingFrameDurationError,
     PacketRecord,
     _meta_to_dict,
     final_attempt_start,
@@ -91,8 +90,8 @@ class TestFinalAttemptStart:
 
     def test_failure_without_duration_raises(self):
         copy = make_lost_copy(0, 2_000_000, attempts=3)
-        with pytest.raises(MissingFrameDurationError):
-            final_attempt_start(copy, HAND_PHY)
+        with pytest.raises(TraceRequiredError):
+            policy_final_start(copy, HAND_PHY, FailedCopyPolicy.ORACLE)
 
     def test_matches_recorded_trace(self, traced_run):
         phy_by = traced_run.phy_by_channel()
@@ -477,9 +476,9 @@ class TestValidation:
         """A last start of 2^63 - 11 on packet 2's copy on B (its end 1.6
         ms) used to validate while the copy carried no ``Td``, and a
         virtual T_D of 3 ms then wrapped the displaced start in the oracle
-        summary. This rule refuses it before the reconstruction is checked;
-        the copy's reconstructed final start, 1.24 ms, validates."""
-        message = "packet 2, channel B: attempts must start before the end of transmission"
+        summary. A last start at or past the end is not the reconstructed
+        final start, 1.24 ms, which validates."""
+        message = "packet 2, channel B: final-attempt reconstruction mismatch"
         for last_start, error in [
             (2**63 - 11, message),
             (1_600_000, message),
