@@ -207,11 +207,11 @@ class _Accumulated:
     link_lost: int
 
 
-def _other_ends(run: RunLog) -> np.ndarray:
-    """(m, n) least end among each copy's other delivered copies; _ALWAYS
-    where none was delivered."""
+def _other_ends(run: RunLog) -> list[np.ndarray]:
+    """Per channel, the (n,) least end among each copy's other delivered
+    copies; _ALWAYS where none was delivered."""
     ends = list(np.where(run.lost, _ALWAYS, run.end))
-    return np.stack([reduce(np.minimum, ends[:j] + ends[j + 1 :]) for j in range(len(ends))])
+    return [reduce(np.minimum, ends[:j] + ends[j + 1 :]) for j in range(len(ends))]
 
 
 def _leads(run: RunLog, policy: FailedCopyPolicy) -> np.ndarray:
@@ -219,13 +219,16 @@ def _leads(run: RunLog, policy: FailedCopyPolicy) -> np.ndarray:
     the packet's other delivered copies; below any T_LRE - |T_D| where the
     policy drops the copy (-_ALWAYS) or none other was delivered (<= -2^62).
     The oracle policy keeps lost copies, so each needs its ``Td``, which
-    every traced copy carries (``da.policy_final_start``)."""
-    start, others = final_starts(run), _other_ends(run)
-    if policy is FailedCopyPolicy.PESSIMISTIC_ZERO:
-        return np.where(run.lost, -_ALWAYS, start - others)
-    if (run.lost & (run.td == 0)).any():
+    every traced copy carries (``da.policy_final_start``). Built in place,
+    so only the leads and the ends are held at once."""
+    if policy is FailedCopyPolicy.ORACLE and (run.lost & (run.td == 0)).any():
         raise TraceRequiredError("oracle policy needs traces or frame durations for lost copies")
-    return start - others
+    lead = final_starts(run)
+    for row, others in zip(lead, _other_ends(run)):
+        row -= others
+    if policy is FailedCopyPolicy.PESSIMISTIC_ZERO:
+        lead[run.lost] = -_ALWAYS
+    return lead
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,6 +32,7 @@ from .trace import (
     TIME_LIMIT_NS,
     VIEW_ADAPTER,
     VIEW_FULL_TRACE,
+    attempt_offsets,
     validate_run,
 )
 
@@ -649,12 +650,13 @@ def generate_run(
     trace = None
     if config.emit_full_trace:
         # every copy's trace holds exactly its attempts
-        offsets = np.zeros(copies["attempts"].size + 1, dtype=np.int64)
-        np.cumsum(copies["attempts"], out=offsets[1:])
         trace = AttemptTable(
-            offsets=offsets,
+            offsets=attempt_offsets(copies["attempts"]),
             **{name: np.concatenate([a[name] for _, a in channels]) for name in ATTEMPT_COLUMNS},
         )
+    # the run holds copies of the channels' columns: validate it beside
+    # nothing else
+    del simulated, channels
     run = RunLog(
         meta=_run_meta(config),
         index=np.arange(1, config.n_packets + 1, dtype=np.int64),

@@ -22,8 +22,8 @@ import csv
 import io
 import json
 import os
+import stat
 import tempfile
-from array import array
 from dataclasses import dataclass, fields, replace
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
@@ -334,19 +334,24 @@ class RunLog(_Columns):
             (c.lost, c.request_ns, c.end_ns, c.attempts, c.final_data_ns or 0, c.final_ack_ns or 0)
             for c in copies
         ]
-        attempts = [
-            (a.start_ns, a.data_ns, a.ack_ns or 0)
-            for c in copies
-            for a in c.trace or ()
-        ]
         m, n = len(channels), len(packets)
         table = np.array(rows, dtype=np.int64).reshape(n, m, len(COPY_KEYS)).T
-        return _from_columns(
-            meta,
-            np.array([p.index for p in packets], dtype=np.int64),
-            [table[0].astype(bool), *table[1:].copy()],
-            np.array([len(c.trace or ()) for c in copies], dtype=np.int64).reshape(n, m).T,
-            np.array(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
+        lengths = np.array([len(c.trace or ()) for c in copies], dtype=np.int64).reshape(n, m).T
+        trace = None
+        if lengths.any():
+            attempts = [
+                (a.start_ns, a.data_ns, a.ack_ns or 0)
+                for j in range(m)
+                for c in copies[j::m]
+                for a in c.trace or ()
+            ]
+            columns = np.array(attempts, dtype=np.int64).T.copy()
+            trace = AttemptTable(attempt_offsets(lengths), **dict(zip(ATTEMPT_COLUMNS, columns)))
+        return RunLog(
+            meta=meta,
+            index=np.array([p.index for p in packets], dtype=np.int64),
+            trace=trace,
+            **dict(zip(COPY_COLUMNS, [table[0].astype(bool), *table[1:].copy()])),
         )
 
 
@@ -366,32 +371,12 @@ def _copy_buffers(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((m, size), dtype=bool), np.empty((5, m, size), dtype=np.int64)
 
 
-def _from_columns(
-    meta: RunMeta,
-    index: np.ndarray,
-    copies: Sequence[np.ndarray],
-    lengths: np.ndarray,
-    attempts: np.ndarray,
-) -> RunLog:
-    """Build a run from channel-major copy columns (one of shape ``(m, n)``
-    per field of ``COPY_KEYS``, ``l`` bool; the run holds them), per-copy
-    trace lengths (shape ``(m, n)``, 0 where a copy has no trace) and the
-    attempt rows of all traced copies in packet-major copy order
-    (``ENTRY_KEYS``)."""
-    m, n = len(meta.channels), len(index)
-    trace = None
-    if lengths.any():
-        # first attempt row of each copy, taken to channel-major copy order
-        in_rows = lengths.T.ravel()
-        first_row = (np.cumsum(in_rows) - in_rows).reshape(n, m).T.ravel()
-        offsets = np.zeros(m * n + 1, dtype=np.int64)
-        np.cumsum(lengths.ravel(), out=offsets[1:])
-        rows = np.repeat(first_row - offsets[:-1], lengths.ravel())
-        rows += np.arange(offsets[-1])
-        # one column at a time, so no second copy of the whole table exists
-        columns = {name: attempts[rows, k] for k, name in enumerate(ATTEMPT_COLUMNS)}
-        trace = AttemptTable(offsets=offsets, **columns)
-    return RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, copies)))
+def attempt_offsets(lengths: np.ndarray) -> np.ndarray:
+    """``AttemptTable.offsets`` of copies whose traces have ``lengths``,
+    given in channel-major copy order (any shape)."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
 
 
 def final_attempt_start(copy: CopyRecord, phy: PhyParams) -> int:
@@ -473,7 +458,11 @@ def validate_run(run: RunLog) -> None:
     The error names the first offending packet, and for it the first
     failing check in per-packet order, with its channel for a copy check.
     Without a recorded displacement, requests may differ by the header's
-    ``request_epsilon_ns`` (the simulator aligns them exactly)."""
+    ``request_epsilon_ns`` (the simulator aligns them exactly).
+
+    Each check's mask is reduced to its least offending copy as soon as it
+    is built, and its operands are built just before it, so validation
+    holds a few per-copy arrays beside the run at a time."""
     meta = run.meta
     meta.validate()
     n = len(run.index)
@@ -481,59 +470,65 @@ def validate_run(run: RunLog) -> None:
         raise InvalidRunError(f"meta says {meta.n_packets} packets, log has {n}")
     req, end, lost = run.req, run.end, run.lost
 
-    # (bad mask, message) in the order a per-packet pass checks them: an
-    # (n,) mask flags packets and an (m, n) mask copies; a packet's own
-    # checks come before those of its copies, channel by channel
-    checks: list[tuple[np.ndarray, str]] = [
-        (
-            run.index != np.arange(1, n + 1),
-            "packet indices must run 1..N without gaps (saw {index})",
-        )
-    ]
+    # (packet, channel, check, message) of each failing check. The checks
+    # run in the order a per-packet pass checks them: an (n,) mask flags
+    # packets and an (m, n) mask copies; a packet's own checks, at channel
+    # -1, come before those of its copies, channel by channel
+    failures: list[tuple[int, int, int, str]] = []
+
+    def check(bad: np.ndarray, message: str) -> None:
+        packets = bad if bad.ndim == 1 else bad.any(axis=0)
+        if packets.any():
+            i = int(np.argmax(packets))
+            j = -1 if bad.ndim == 1 else int(np.argmax(bad[:, i]))
+            failures.append((i, j, len(failures), message))
+
+    check(
+        run.index != np.arange(1, n + 1), "packet indices must run 1..N without gaps (saw {index})"
+    )
     if meta.deferral_ns == 0:
-        skewed = _exact(
-            lambda hi, lo, eps: hi - lo > eps,
-            req.max(axis=0),
-            req.min(axis=0),
-            meta.request_epsilon_ns,
+        check(
+            _exact(
+                lambda hi, lo, eps: hi - lo > eps,
+                req.max(axis=0),
+                req.min(axis=0),
+                meta.request_epsilon_ns,
+            ),
+            "request skew exceeds epsilon",
         )
-        checks.append((skewed, "request skew exceeds epsilon"))
     else:
-        mismatch = _exact(lambda a, b, d: b - a != d, req[0], req[1], meta.deferral_ns)
-        checks.append(
-            (
-                mismatch,
-                "request skew {skew} does not match the recorded "
-                "displacement {deferral}",
-            )
+        check(
+            _exact(lambda a, b, d: b - a != d, req[0], req[1], meta.deferral_ns),
+            "request skew {skew} does not match the recorded displacement {deferral}",
         )
+    check(req < 0, "request time must be non-negative")
+    check(end <= req, "end of transmission must follow the request")
+    check(end >= TIME_LIMIT_NS, "end of transmission must come before 2^62 ns")
+    check(run.attempts < 1, "attempt count must be >= 1")
+    known = run.td != 0
+    check(~lost & (~known | (run.ta == 0)), "delivered copies need both frame durations")
+    check((run.td < 0) | (run.ta < 0), "frame durations must be positive")
     # a copy that passes the checks on its durations and final start has a
     # final start and a receive time that int64 arithmetic computes exactly;
     # they come before the reconstruction mismatch, which relies on it
-    known = run.td != 0
     starts_early = _exact(
         lambda *x: _final_starts(*x[:-1]) < x[-1],
         end, run.td, run.ta, lost,
         _per_channel(run, "sifs_ns"), _per_channel(run, "ack_timeout_ns"), req,
     )
-    checks += [
-        (req < 0, "request time must be non-negative"),
-        (end <= req, "end of transmission must follow the request"),
-        (end >= TIME_LIMIT_NS, "end of transmission must come before 2^62 ns"),
-        (run.attempts < 1, "attempt count must be >= 1"),
-        (~lost & (~known | (run.ta == 0)), "delivered copies need both frame durations"),
-        ((run.td < 0) | (run.ta < 0), "frame durations must be positive"),
-        (known & starts_early, "the final attempt must not start before the request"),
-    ]
+    check(known & starts_early, "the final attempt must not start before the request")
+    del known, starts_early
 
     t = run.trace
     if t is not None and len(t.start):  # take() below needs rows
-        lengths = t.lengths()
-        copy_of = np.repeat(np.arange(lengths.size), lengths)
+        first, past = t.offsets[:-1], t.offsets[1:]  # each copy's first row, and past its last
+        traced = (past > first).reshape(req.shape)
 
         def copies_of(bad_rows: np.ndarray) -> np.ndarray:
-            flags = np.zeros(lengths.size, dtype=bool)
-            flags[copy_of[bad_rows]] = True
+            """(m, n) flags of the copies that hold the attempt rows
+            ``bad_rows``."""
+            flags = np.zeros(first.size, dtype=bool)
+            flags[np.searchsorted(t.offsets, bad_rows, side="right") - 1] = True
             return flags.reshape(req.shape)
 
         def of_row(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -541,47 +536,53 @@ def validate_run(run: RunLog) -> None:
             the copy is traced."""
             return values.take(rows, mode="clip").reshape(req.shape)
 
-        def last_of(values: np.ndarray) -> np.ndarray:
-            return of_row(values, t.offsets[1:] - 1)
+        check(
+            traced & (np.diff(t.offsets).reshape(req.shape) != run.attempts),
+            "trace length must equal the attempt count",
+        )
+        # bounds[r]: a trace starts at row r; bounds[r + 1]: one ends at row r
+        bounds = np.zeros(len(t.start) + 1, dtype=bool)
+        bounds[t.offsets] = True
+        check(
+            copies_of(np.flatnonzero((t.start[1:] <= t.start[:-1]) & ~bounds[1:-1]) + 1),
+            "attempt starts must strictly increase",
+        )
+        check(
+            copies_of(np.flatnonzero((t.data <= 0) | (t.ack < 0))),
+            "attempt frame durations must be positive",
+        )
+        check(
+            copies_of(np.flatnonzero((t.ack != 0) & ~bounds[1:])),
+            "only the final attempt may succeed",
+        )
+        del bounds
+        check(
+            traced & ((of_row(t.ack, past - 1) != 0) == lost),
+            "trace outcome contradicts the loss flag",
+        )
+        check(
+            traced & ((run.td != of_row(t.data, past - 1)) | (run.ta != of_row(t.ack, past - 1))),
+            "final frame durations must be the last attempt's",
+        )
+        # the first attempt must start after the channel's previous end
+        starts = of_row(t.start, first)
+        check(
+            traced & np.concatenate((starts[:, :1] < 0, starts[:, 1:] <= end[:, :-1]), axis=1),
+            "attempts overlap the previous packet",
+        )
+        del starts
+        # past the final-frame check, a traced copy's final start is known
+        check(
+            traced & (final_starts(run) != of_row(t.start, past - 1)),
+            "final-attempt reconstruction mismatch",
+        )
 
-        is_last = np.zeros(len(t.start), dtype=bool)
-        is_last[t.offsets[1:][lengths > 0] - 1] = True
-        unordered = np.zeros(len(t.start), dtype=bool)
-        unordered[1:] = (copy_of[1:] == copy_of[:-1]) & (t.start[1:] <= t.start[:-1])
-        length = lengths.reshape(req.shape)
-        traced = length > 0
-        last = last_of(t.start)
-        previous_end = np.concatenate((np.full((len(req), 1), -1), end[:, :-1]), axis=1)
-        checks += [
-            (traced & (length != run.attempts), "trace length must equal the attempt count"),
-            (copies_of(unordered), "attempt starts must strictly increase"),
-            (copies_of((t.data <= 0) | (t.ack < 0)), "attempt frame durations must be positive"),
-            (copies_of((t.ack != 0) & ~is_last), "only the final attempt may succeed"),
-            (traced & ((last_of(t.ack) != 0) == lost), "trace outcome contradicts the loss flag"),
-            (
-                traced & ((run.td != last_of(t.data)) | (run.ta != last_of(t.ack))),
-                "final frame durations must be the last attempt's",
-            ),
-            (
-                traced & (of_row(t.start, t.offsets[:-1]) <= previous_end),
-                "attempts overlap the previous packet",
-            ),
-            # past the final-frame check, a traced copy's final start is known
-            (traced & (final_starts(run) != last), "final-attempt reconstruction mismatch"),
-        ]
-
-    # the least (packet, channel, check) fails, with a packet's own checks
-    # at channel -1; its message names the packet, and the channel if any
-    failures = []
-    for k, (bad, _) in enumerate(checks):
-        packets = bad if bad.ndim == 1 else bad.any(axis=0)
-        if packets.any():
-            i = int(np.argmax(packets))
-            failures.append((i, -1 if bad.ndim == 1 else int(np.argmax(bad[:, i])), k))
+    # the least (packet, channel, check) fails; its message names the
+    # packet, and the channel if any
     if failures:
-        i, j, k = min(failures)
+        i, j, _, message = min(failures)
         where = f"packet {i + 1}" + (f", channel {run.channels[j].label}" if j >= 0 else "")
-        message = checks[k][1].format(
+        message = message.format(
             index=run.index[i], skew=int(req[1, i]) - int(req[0, i]), deferral=meta.deferral_ns
         )
         raise InvalidRunError(f"{where}: {message}")
@@ -902,7 +903,7 @@ def _decode_lines(
 
 
 _DECODE_BLOCK = 1 << 18  # characters of packet lines per block, to bound memory
-_FIRST_CAPACITY = 1 << 16  # packets decoded before the columns grow
+_FIRST_CAPACITY = 1 << 16  # packets decoded before the columns grow, from a stream
 
 
 def _extended(a: np.ndarray, count: int, size: int) -> np.ndarray:
@@ -911,6 +912,27 @@ def _extended(a: np.ndarray, count: int, size: int) -> np.ndarray:
     out = np.empty((*a.shape[:-1], size), dtype=a.dtype)
     out[..., :count] = a[..., :count]
     return out
+
+
+def _first_capacity(source: IO[str], header: str, meta: RunMeta) -> int:
+    """Packets to make room for before any is decoded: the header's count,
+    but from a regular file no more than the bytes after the header can
+    hold, at one byte per label character and one digit per number, and
+    otherwise no more than ``_FIRST_CAPACITY``. Too small an estimate only
+    costs a growth."""
+    try:
+        status = os.fstat(source.fileno())
+    except (AttributeError, OSError, ValueError):  # no file behind the source
+        status = None
+    if status is None or not stat.S_ISREG(status.st_mode):
+        return min(meta.n_packets, _FIRST_CAPACITY)
+    copies = ",".join(
+        '{"ch":"%s","l":0,"t_T":0,"t_X":0,"w":0}' % ("x" * len(cm.channel.label))
+        for cm in meta.channels
+    )
+    shortest = len('{"i":0,"copies":[%s]}' % copies)
+    rest = status.st_size - len(header.encode())
+    return min(meta.n_packets, max(rest, 0) // shortest)
 
 
 def decode_log(source: IO[str], validate: bool = True) -> RunLog:
@@ -942,14 +964,17 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     parser = BlockParser(labels)
     m = len(labels)
 
-    # columns of the packets decoded so far (the loss flags, and the int64
-    # copy fields in one buffer), and the attempt rows of their traced
-    # copies; the header's count bounds the first allocation only
-    size = min(meta.n_packets, _FIRST_CAPACITY)
+    # columns of the packets decoded so far: the loss flags, the int64 copy
+    # fields in one buffer, and the trace lengths
+    size = _first_capacity(source, header, meta)
     index = np.empty(size, dtype=np.int64)
     lost, ints = _copy_buffers(m, size)
     lengths = np.empty((m, size), dtype=np.int64)
-    attempts = array("q")
+    # per attempt column, one buffer per channel whose first rows[j]
+    # entries hold channel j's attempts so far: the run's channel-major
+    # column is their concatenation, so no whole-run gather is needed
+    grown = [[np.empty(0, dtype=np.int64)] * m for _ in ATTEMPT_COLUMNS]
+    rows = [0] * m
     count, lineno = 0, 2
     for block in line_blocks(source, _DECODE_BLOCK):
         parsed = parser.parse(block)
@@ -969,10 +994,23 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
                 _extended(a, count, size) for a in (index, lost, ints, lengths)
             )
         index[count:stop] = block_index
-        rows = block_copies.reshape(-1, m, len(COPY_KEYS)).T
-        lost[:, count:stop], ints[..., count:stop] = rows[0], rows[1:]
+        copies = block_copies.reshape(-1, m, len(COPY_KEYS)).T
+        lost[:, count:stop], ints[..., count:stop] = copies[0], copies[1:]
         lengths[:, count:stop] = block_lengths.reshape(-1, m).T
-        attempts.frombytes(block_attempts.view(np.uint8))  # bytes of the rows, no copy
+        if len(block_attempts):
+            channel_of = np.repeat(np.arange(len(block_lengths)) % m, block_lengths)
+            for j in range(m):
+                attempts = block_attempts[channel_of == j].T
+                end = rows[j] + attempts.shape[1]
+                if end > len(grown[0][j]):
+                    # room for as many attempts per packet as seen so far
+                    # over all the packets there is room for, and 1/8 more
+                    room = end * size // stop * 9 // 8
+                    for buffers in grown:
+                        buffers[j] = _extended(buffers[j], rows[j], room)
+                for buffers, column in zip(grown, attempts):
+                    buffers[j][rows[j]:end] = column
+                rows[j] = end
         count = stop
 
     # the buffers reach their final size when the header's count is right;
@@ -980,14 +1018,18 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     index, lost, ints = (
         a if a.shape[-1] == count else a[..., :count].copy() for a in (index, lost, ints)
     )
-    run = _from_columns(
-        meta,
-        index,
-        [lost, *ints],
-        lengths[:, :count],
-        np.frombuffer(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
-    )
-    del index, lost, ints, lengths, attempts  # free what the run does not hold before validation
+    offsets = attempt_offsets(lengths[:, :count]) if any(rows) else None
+    del lengths
+    trace = None
+    if offsets is not None:
+        # one column at a time, each channel's buffer freed once copied
+        columns = {}
+        for name, buffers in zip(ATTEMPT_COLUMNS, grown):
+            columns[name] = np.concatenate([b[:r] for b, r in zip(buffers, rows)])
+            buffers.clear()
+        trace = AttemptTable(offsets=offsets, **columns)
+    run = RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, [lost, *ints])))
+    del index, lost, ints  # free what the run does not hold before validation
     if validate:
         try:
             validate_run(run)
