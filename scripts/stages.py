@@ -7,8 +7,10 @@ Run it from anywhere; it runs the program from the ``src/`` next to this
 script. For a log it runs the stages of the benchmark's ``analyze --mode
 rda`` (at its T_LRE, ``perfbench/workloads.py``) one after the other:
 ``read_log`` without validation (decode), ``validate_run`` (validate) and
-``compute_report`` (report). For a config it runs ``generate_run``
-(simulate), which ends with its own ``validate_run``.
+``compute_report`` (report). For a config it runs the stages of
+``simulate``: ``generate_run`` (simulate), which ends with its own
+``validate_run``, and ``write_log`` of the run into a temporary directory
+(encode).
 
 For each stage it prints, in MB (10^6 bytes) of tracemalloc: ``peak``, the
 most the process held during the stage, ``transient``, that peak minus what
@@ -24,6 +26,7 @@ import json
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -44,7 +47,16 @@ def _stages(args: argparse.Namespace) -> list[tuple[str, Callable]]:
     """(name, call) of each stage; a call takes the run the previous stage
     returned, and returns the run."""
     if args.config:
-        return [("simulate", lambda _: sim.generate_run(load_config(args.config)))]
+
+        def encode(run):
+            with tempfile.TemporaryDirectory() as directory:
+                trace.write_log(run, Path(directory) / "run.jsonl")
+            return run
+
+        return [
+            ("simulate", lambda _: sim.generate_run(load_config(args.config))),
+            ("encode", encode),
+        ]
     params = DaParams(DaMode.RDA, ANALYZE_TLRE_NS)
 
     def validate(run):

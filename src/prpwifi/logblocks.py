@@ -5,9 +5,9 @@ order, no whitespace, the channels in header order, ASCII only. This
 module owns that layout in both directions.
 
 :class:`BlockFormatter` writes a block of packet lines from one byte
-matrix: every copy and every trace entry is a row, every literal and
-number a fixed range of columns, and the parts a row lacks stay NUL and
-are dropped when the matrix is read out.
+matrix: a row per copy, holding its first trace entry too, and per later
+entry; every literal and number a fixed range of columns. The parts a
+row lacks stay NUL and are dropped when the matrix is read out.
 
 :class:`BlockParser` checks a block of whole lines in that layout with a
 regex and parses its numbers with numpy instead of one ``json.loads`` per
@@ -18,10 +18,10 @@ positive, so 0 is free to stand for one that a copy does not carry. A
 block in which every copy carries both final durations and no trace has
 the same numbers in the same order on every line, so a reshape places
 them. In any other block the key before each number names its column in
-a table with a row per copy and per trace entry, the layout
-:class:`BlockFormatter` writes, and the keys that open a row count the
-rows. Blocks in any other layout, including lines that break those
-rules, are left to the line-by-line decoder of :mod:`prpwifi.trace`.
+a table with a row per copy and per trace entry, and the keys that open
+a row count the rows. Blocks in any other layout, including lines that
+break those rules, are left to the line-by-line decoder of
+:mod:`prpwifi.trace`.
 """
 from __future__ import annotations
 
@@ -205,59 +205,66 @@ class BlockFormatter:
         the traced copies in attempt row order. A duration of 0 is not
         shown.
 
-        Each copy and each trace entry is one row, in output order: a
-        copy's row is followed by its entries' rows.
+        Each copy is one row, with its first trace entry in columns after
+        the copy's fields, and is followed by a row of its own for each
+        later entry, which shows only the entry columns.
         """
-        lost, req, end, w, td, ta = copies
         start, data, ack = attempts
         m = len(self._heads)
-        span = lengths + 1  # rows of a copy: its own and its entries'
+        span = np.maximum(lengths, 1)  # rows of a copy: its own and its later entries'
         copy_row = np.cumsum(span) - span
-        rows = len(lengths) + len(start)
-        entry = np.ones(rows, dtype=bool)
-        entry[copy_row] = False
-        entry_row, copy = np.flatnonzero(entry), ~entry
+        rows = len(lengths) + len(start) - np.count_nonzero(lengths)
+        copy = np.zeros(rows, dtype=bool)
+        copy[copy_row] = True
         channel = [np.zeros(rows, dtype=bool) for _ in range(m)]
         for j, on_channel in enumerate(channel):
             on_channel[copy_row[j::m]] = True
 
-        def per_row(copy_values, entry_values=0):
-            values = np.zeros(rows, dtype=np.int64)
-            values[copy_row] = copy_values
-            values[entry_row] = entry_values
-            return values
+        def per_row(values, at):
+            spread = np.zeros(rows, dtype=np.int64)
+            spread[at] = values
+            return spread
 
-        index_row = np.zeros(rows, dtype=np.int64)
-        index_row[copy_row[::m]] = index
-        # an entry's fields take the columns of copy fields: tW those of
-        # t_T, Td of t_X, Ta of Td, and ok of Ta
-        td_value, ta_value = per_row(td, ack), per_row(ta, ack != 0)
-        td_shown, ta_shown = td_value != 0, per_row(ta, 1) != 0
-        traced = np.repeat(lengths > 0, span)  # the row's copy carries a trace
-        ends = np.zeros(rows, dtype=bool)  # the last row of a copy
-        ends[copy_row + span - 1] = True
-        return _render(
-            [
-                [(b'{"i":', channel[0])],
-                (index_row, channel[0]),
-                list(zip(self._heads, channel)),
-                (per_row(lost), copy),
-                [(b',"t_T":', copy), (b'{"tW":', entry)],
-                (per_row(req, start), np.ones(rows, dtype=bool)),
-                [(b',"t_X":', copy), (b',"Td":', entry)],
-                (per_row(end, data), np.ones(rows, dtype=bool)),
-                [(b',"w":', copy)],
-                (per_row(w), copy),
-                [(b',"Td":', copy & td_shown), (b',"Ta":', entry & td_shown)],
-                (td_value, td_shown),
-                [(b',"Ta":', copy & ta_shown), (b',"ok":', entry)],
-                (ta_value, ta_shown),
-                [(b',"trace":[', copy & traced), (b"},", entry & ~ends), (b"}", entry & ends)],
-                [(b"]}", ends & traced), (b"}", ends & ~traced)],
-                [(b"]}\n", ends & channel[-1][copy_row].repeat(span))],
-            ],
-            rows,
-        )
+        lost, req, end, w, td, ta = (per_row(c, copy_row) for c in copies)
+        td_shown, ta_shown = td != 0, ta != 0
+        fields = [
+            [(b'{"i":', channel[0])],
+            (per_row(index, copy_row[::m]), channel[0]),
+            list(zip(self._heads, channel)),
+            (lost, copy),
+            [(b',"t_T":', copy)],
+            (req, copy),
+            [(b',"t_X":', copy)],
+            (end, copy),
+            [(b',"w":', copy)],
+            (w, copy),
+            [(b',"Td":', td_shown)],
+            (td, td_shown),
+            [(b',"Ta":', ta_shown)],
+            (ta, ta_shown),
+        ]
+        closers = [(b"}", copy)]
+        if len(start):  # the entry columns, only for a block with traces
+            entry = np.ones(rows, dtype=bool)
+            entry[copy_row] = lengths > 0
+            entry_row = np.flatnonzero(entry)
+            ends = np.append(copy[1:], True)  # the last row of a copy
+            ack = per_row(ack, entry_row)
+            ack_shown = ack != 0
+            fields += [
+                [(b',"trace":[', copy & entry)],
+                [(b'{"tW":', entry)],
+                (per_row(start, entry_row), entry),
+                [(b',"Td":', entry)],
+                (per_row(data, entry_row), entry),
+                [(b',"Ta":', ack_shown)],
+                (ack, ack_shown),
+                [(b',"ok":', entry)],
+                (ack_shown.astype(np.int64), entry),
+            ]
+            closers = [(b"}", ~entry), (b"},", entry & ~ends), (b"}]}", entry & ends)]
+        line_end = np.append(channel[0][1:], True)  # the last row of a line
+        return _render([*fields, closers, [(b"]}\n", line_end)]], rows)
 
 
 def _render(fields: list, rows: int) -> str:

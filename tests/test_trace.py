@@ -1467,6 +1467,32 @@ def _run_bytes(run: RunLog) -> int:
     return sum(a.nbytes for a in arrays)
 
 
+class TestEncodeMemory:
+    def test_transient_is_a_few_blocks_of_text(self, tmp_path):
+        """``write_log`` formats ``_ENCODE_BLOCK`` packets at a time, so
+        beside the run it allocates a few times the largest block's text:
+        the block's byte matrix, the matrix without its NULs and the text.
+        With a row per copy, which also holds the copy's first trace entry,
+        a traced run allocates 5.6x that text here; a row per copy and per
+        trace entry allocated 7.5x, and formatting the whole run at once
+        would allocate such a multiple of the whole log."""
+        run = generate_run(desk_config(3 * trace._ENCODE_BLOCK + 500, seed=5, full_trace=True))
+        path = tmp_path / "run.jsonl"
+        write_log(run, path)  # one-time allocations out of the way
+        lines = path.read_text().splitlines(keepends=True)[1:]
+        step = trace._ENCODE_BLOCK
+        block = max(len("".join(lines[lo : lo + step])) for lo in range(0, len(lines), step))
+        del lines
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_log(run, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 6.5 * block
+
+
 class TestDecodeMemory:
     def test_peak_grows_only_by_the_run(self, tmp_path):
         """Packet lines are parsed a block at a time, so 4x the packets
@@ -1731,11 +1757,39 @@ class TestBlockEncoder:
             assert text == expected
             assert decode_log(io.StringIO(text), validate=False) == run
 
-    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
-    def test_simulated_runs_encode_as_the_spec(self, name, request):
+    @pytest.mark.parametrize(
+        "name, blocks",
+        [("traced_run", (1, 7)), ("adapter_run", (1, 7)), ("mixed_trace_run", (1, 2, 3))],
+        ids=["traced_run", "adapter_run", "mixed_trace_run"],
+    )
+    def test_simulated_runs_encode_as_the_spec(self, name, blocks, request):
+        """The mixed run pins the closers where a copy's row and its later
+        entries' rows meet: ``},`` after an entry that another follows,
+        ``}]}`` after a trace's last entry, ``}`` after an untraced copy and
+        ``]}\n`` after a line's last copy, in blocks with and without
+        traces."""
         run = request.getfixturevalue(name)
-        for block in (1, 7, trace._ENCODE_BLOCK):
-            assert _encoded(run, block) == encode_log_spec(run)
+        expected = encode_log_spec(run)
+        for block in (*blocks, trace._ENCODE_BLOCK):
+            assert _encoded(run, block) == expected
+        assert decode_log(io.StringIO(expected), validate=False) == run
+
+    @pytest.fixture
+    def mixed_trace_run(self) -> RunLog:
+        """A full-trace run whose packets hold every pair of four kinds of
+        copy on the first and the last channel: untraced, a one-entry trace,
+        a three-entry trace, and a lost copy whose last entry has no ACK."""
+        kinds = [
+            lambda req: make_success_copy(req, req + 334_000),
+            lambda req: copy_from_starts(req, [req + 50_000], lost=False),
+            lambda req: copy_from_starts(req, [req + 50_000 * k for k in (1, 9, 17)], lost=False),
+            lambda req: copy_from_starts(req, [req + 50_000 * k for k in (1, 9)], lost=True),
+        ]
+        packets = [
+            PacketRecord(p + 1, {CH_A: a(p * 10**7), CH_B: b(p * 10**7)})
+            for p, (a, b) in enumerate((a, b) for a in kinds for b in kinds)
+        ]
+        return make_run(packets, view=VIEW_FULL_TRACE)
 
 
 class TestTextDecoding:
