@@ -126,7 +126,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError("--tlre: a fixed reaction latency applies to --param td only")
         grid = [DaParams(mode=DaMode.RDA, t_lre_ns=v) for v in values]
     else:
-        t_lre = _flag("--tlre", args.tlre or "0", _non_negative)
+        t_lre = _flag("--tlre", "0" if args.tlre is None else args.tlre, _non_negative)
         grid = [DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=v) for v in values]
     reports = sweep(run, grid)
     buffer = StringIO()

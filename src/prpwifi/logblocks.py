@@ -22,6 +22,9 @@ a table with a row per copy and per trace entry, and the keys that open
 a row count the rows. Blocks in any other layout, including lines that
 break those rules, are left to the line-by-line decoder of
 :mod:`prpwifi.trace`.
+
+:func:`line_blocks` cuts a log into blocks of whole lines: a fixed number
+of characters, then the rest of the line they end in.
 """
 from __future__ import annotations
 
@@ -59,19 +62,12 @@ _DISTURBING = frozenset(b"-0123456789:[]")
 
 
 def line_blocks(source: IO[str], size: int) -> Iterator[str]:
-    """The rest of ``source`` in blocks of whole lines of about ``size``
-    characters (a longer line is a block of its own); only the last block
-    may lack a final newline."""
-    pending: list[str] = []
-    while chunk := source.read(size):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield "".join([*pending, chunk[:cut]])
-            pending = [chunk[cut:]]
-        else:
-            pending.append(chunk)
-    if rest := "".join(pending):
-        yield rest
+    """The rest of ``source`` in blocks of whole lines: ``size`` characters,
+    then the rest of the line they end in. Only the last block may lack a
+    final newline."""
+    while block := source.read(size):
+        block += source.readline()
+        yield block
 
 
 def _numbers(data: bytes) -> np.ndarray:

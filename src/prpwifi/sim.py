@@ -36,11 +36,6 @@ from .trace import (
     validate_run,
 )
 
-# Sentinel "no more busy intervals" time; every simulated time stays below
-# it, so every simulated run validates.
-_FOREVER = TIME_LIMIT_NS
-
-
 class SimConfigError(ValueError):
     """Invalid simulation configuration."""
 
@@ -128,9 +123,9 @@ class SimConfig:
                 "margin must keep the interference horizon positive: "
                 f"(packets - 1) x period + margin = {undeferred} ns"
             )
-        # every simulated time stays below the _FOREVER sentinel: a copy ends
-        # before the last busy interval, which starts before the interference
-        # horizon, plus every attempt of the run at its longest
+        # every simulated time stays below the TIME_LIMIT_NS sentinel: a
+        # copy ends before the last busy interval, which starts before the
+        # interference horizon, plus every attempt of the run at its longest
         horizon = undeferred + abs(self.deferral_ns)
         for cs in self.channels:
             phy, busy_until = cs.phy, horizon + cs.interference.payload_airtime_ns
@@ -140,7 +135,7 @@ class SimConfig:
                 + max(phy.data_frame_schedule_ns or (phy.data_frame_ns,))
                 + max(phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns)
             )
-            if busy_until + attempts >= _FOREVER:
+            if busy_until + attempts >= TIME_LIMIT_NS:
                 raise SimConfigError(
                     f"channel {cs.channel.label}: the worst-case end time reaches the "
                     "simulator's limit of 2^62 ns: packets x retry_limit x (difs + "
@@ -205,9 +200,9 @@ def _interferer_starts(params: InterferenceParams, horizon_ns: int, rng, caps) -
     parts, t = [], 0
     while t < horizon_ns:
         # draws are clipped to 2^62 before the cast, above either cap
-        counts = np.minimum(rng.exponential(params.burst_len_mean, size=chunk), _FOREVER)
+        counts = np.minimum(rng.exponential(params.burst_len_mean, size=chunk), TIME_LIMIT_NS)
         counts = np.minimum(counts.astype(np.int64) + 1, count_cap)
-        gaps = np.minimum(rng.exponential(params.gap_mean_ns, size=chunk), _FOREVER)
+        gaps = np.minimum(rng.exponential(params.gap_mean_ns, size=chunk), TIME_LIMIT_NS)
         gaps = np.minimum(gaps.astype(np.int64), gap_cap)
         # each cycle: idle gap, then the burst; bursts from the horizon on
         # are dropped
@@ -347,7 +342,7 @@ def _acquire(starts, ends, k: int, t: int, difs: int, slot: int, slots: int, spa
             t = ends[k]
             k += 1
             continue
-        next_busy = starts[k] if k < n else _FOREVER
+        next_busy = starts[k] if k < n else TIME_LIMIT_NS
         ready = t + difs + pending * slot
         if ready + span <= next_busy:
             return ready, k
@@ -362,17 +357,17 @@ def _acquire(starts, ends, k: int, t: int, difs: int, slot: int, slots: int, spa
 
 def _gap_table(starts, ends, difs: int, slot: int, spans):
     """Gap table ``(ticks, fits)`` of busy intervals closed by a
-    ``_FOREVER`` one, where gap ``i`` is the idle time before interval
+    ``TIME_LIMIT_NS`` one, where gap ``i`` is the idle time before interval
     ``i``: ``ticks[i]`` sums the whole backoff slots,
     ``max(0, (gap - difs) // slot)``, of gaps 1 to ``i - 1``, and
     ``fits[span]`` lists the gaps that hold DIFS plus ``span``. A countdown
     only ever starts part way into gap 0, so gap 0 counts no ticks; the gap
-    before ``_FOREVER`` holds any attempt of a valid config, so no sum needs
+    before ``TIME_LIMIT_NS`` holds any attempt of a valid config, so no sum needs
     its ticks. The table is int32 unless its sums or indices might not fit,
     and it is built in chunks of gaps, so no temporary is as wide.
     """
     # the sums are at most the time to the last interval's end over the
-    # slot: below 2^62 even at a 1 ns slot, as every time is below _FOREVER
+    # slot: below 2^62 even at a 1 ns slot, as every time is below TIME_LIMIT_NS
     n = len(starts)
     last = int(ends[-2]) if n > 1 else 0
     dtype = np.int32 if last // slot < 2**31 - 1 and n < 2**31 else np.int64
@@ -395,7 +390,7 @@ def _gap_table(starts, ends, difs: int, slot: int, spans):
 def _acquire_lanes(busy, difs: int, slot: int, t, pending, span) -> np.ndarray:
     """``_acquire`` for many attempts at once, in a fixed number of array
     operations however many busy intervals an attempt waits through.
-    ``busy`` holds the busy intervals closed by a ``_FOREVER`` one and
+    ``busy`` holds the busy intervals closed by a ``TIME_LIMIT_NS`` one and
     their gap table (``_gap_table``)."""
     starts, ends, ticks, fits = busy
     # the gap a lane starts in, part way, as _acquire counts it
@@ -412,7 +407,7 @@ def _acquire_lanes(busy, difs: int, slot: int, t, pending, span) -> np.ndarray:
     # gaps from k on are whole: the countdown ends in the first gap j >= k
     # whose ticks, with those of gaps k to j - 1, reach the pending count
     # (j = k at a count of 0), and the attempt starts there if it fits. A
-    # key past the last sum means the gap before _FOREVER; keys take the
+    # key past the last sum means the gap before TIME_LIMIT_NS; keys take the
     # table's dtype, so that the search does not convert the table.
     before = ticks[k]
     key = np.minimum(before + pending, ticks[-1] + 1).astype(ticks.dtype)
@@ -449,7 +444,7 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
     """Start of every attempt of a block (an attempt reserves its DATA plus
     ``tail``) and end of every copy, each copy beginning at its request or
     when the previous copy ends (the first at ``free_at``), whichever is
-    later. ``busy`` holds the busy intervals closed by a ``_FOREVER`` one
+    later. ``busy`` holds the busy intervals closed by a ``TIME_LIMIT_NS`` one
     and their gap table.
 
     Copies are timed, each from a time ``t_in``, in numpy waves, one per
@@ -538,7 +533,9 @@ def _simulate_channel(
         bulk_stream(config.seed, setup.seed_salt, label, "interference"),
         chunk_horizon_ns=undeferred,
     )
-    busy = tuple(np.append(b, _FOREVER) for b in busy)
+    # the sentinel busy interval: every simulated time stays below it, so
+    # every simulated run validates
+    busy = tuple(np.append(b, TIME_LIMIT_NS) for b in busy)
     error_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "error"))
     backoff_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "backoff"))
     # the contention window starts at cw_min and doubles per failed attempt;

@@ -365,12 +365,6 @@ COPY_COLUMNS = ("lost", "req", "end", "attempts", "td", "ta")
 ATTEMPT_COLUMNS = ("start", "data", "ack")
 
 
-def _copy_buffers(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-major room for ``size`` packets of copy fields: a bool
-    buffer for l and one int64 buffer for t_T, t_X, w, Td and Ta."""
-    return np.empty((m, size), dtype=bool), np.empty((5, m, size), dtype=np.int64)
-
-
 def attempt_offsets(lengths: np.ndarray) -> np.ndarray:
     """``AttemptTable.offsets`` of copies whose traces have ``lengths``,
     given in channel-major copy order (any shape)."""
@@ -855,16 +849,16 @@ def _require_utf8(raw: str, lineno: int) -> None:
 
 
 def _decode_lines(
-    lines: Sequence[str], first_lineno: int, position: Mapping[str, int]
+    block: str, first_lineno: int, position: Mapping[str, int]
 ) -> tuple[np.ndarray, ...]:
-    """Decode packet lines of any JSON layout one by one with ``json.loads``;
-    ``first_lineno`` is the line number of ``lines[0]``. Each line needs
-    exactly one copy per channel. Returns rows laid out as
-    :meth:`BlockParser.parse` returns them, each line's copies in channel
-    order."""
+    """Decode the lines of ``block`` (split at ``"\\n"`` only, as iterating
+    the log splits them), in any JSON layout, one by one with ``json.loads``;
+    ``first_lineno`` is the number of the first. Each line needs exactly one
+    copy per channel. Returns rows laid out as :meth:`BlockParser.parse`
+    returns them, each line's copies in channel order."""
     m = len(position)
     index, copies, lengths, attempts = [], [], [], []
-    for lineno, raw in enumerate(lines, start=first_lineno):
+    for lineno, raw in enumerate(io.StringIO(block, newline="\n"), start=first_lineno):
         if not raw.isascii():
             _require_utf8(raw, lineno)
         if not raw.strip():
@@ -964,11 +958,12 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     parser = BlockParser(labels)
     m = len(labels)
 
-    # columns of the packets decoded so far: the loss flags, the int64 copy
-    # fields in one buffer, and the trace lengths
+    # channel-major columns of the packets decoded so far: the loss flags,
+    # the int64 copy fields after l in one buffer, and the trace lengths
     size = _first_capacity(source, header, meta)
     index = np.empty(size, dtype=np.int64)
-    lost, ints = _copy_buffers(m, size)
+    lost = np.empty((m, size), dtype=bool)
+    ints = np.empty((len(COPY_KEYS) - 1, m, size), dtype=np.int64)
     lengths = np.empty((m, size), dtype=np.int64)
     # per attempt column, one buffer per channel whose first rows[j]
     # entries hold channel j's attempts so far: the run's channel-major
@@ -977,13 +972,10 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     rows = [0] * m
     count, lineno = 0, 2
     for block in line_blocks(source, _DECODE_BLOCK):
-        parsed = parser.parse(block)
-        if parsed is None:  # split at '\n' only, as iterating the source would
-            lines = io.StringIO(block, newline="\n").readlines()
-            parsed = _decode_lines(lines, lineno, position)
-            lineno += len(lines)
-        else:  # one line per packet
-            lineno += len(parsed[0])
+        if (parsed := parser.parse(block)) is None:
+            parsed = _decode_lines(block, lineno, position)
+            lineno += block.count("\n") - len(parsed[0])  # the lines without a packet
+        lineno += len(parsed[0])  # a line per packet, cheaper than counting lines
         block_index, block_copies, block_lengths, block_attempts = parsed
         stop = count + len(block_index)
         if stop > size:

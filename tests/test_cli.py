@@ -553,6 +553,7 @@ class TestVirtualDisplacementBound:
         (["analyze", "LOG", "--mode", "rda", "--lost-attempts", "x"],
          "--lost-attempts: invalid literal for int() with base 10: 'x'"),
         (["analyze", "LOG", "--mode", "rda", "--tlre", "1e3"], "--tlre: invalid duration: '1e3'"),
+        (["analyze", "LOG", "--mode", "rda", "--tlre", ""], "--tlre: invalid duration: ''"),
         (["analyze", "LOG", "--mode", "tdd", "--td", "1ks"], "--td: invalid duration: '1ks'"),
         (["analyze", "LOG", "--mode", "rda", "--tlre=-1us"], "--tlre: duration '-1us' is negative"),
         (["analyze", "LOG", "--mode", "rda", "--lost-attempts", "0"],
@@ -565,6 +566,9 @@ class TestVirtualDisplacementBound:
          "--tlre: a fixed reaction latency applies to --param td only"),
         (["sweep", "LOG", "--param", "td", "--range", "0:1us", "--step", "1us", "--tlre=-1us"],
          "--tlre: duration '-1us' is negative"),
+        # only an absent --tlre means 0
+        (["sweep", "LOG", "--param", "td", "--range", "0:1us", "--step", "1us", "--tlre", ""],
+         "--tlre: invalid duration: ''"),
         (["sweep", "LOG", "--param", "tlre", "--range", "0:x", "--step", "1us"],
          "--range: invalid duration: 'x'"),
         (["sweep", "LOG", "--param", "tlre", "--range", "0:1us", "--step", "1e3"],

@@ -25,6 +25,7 @@ from prpwifi import (
 )
 from prpwifi import sim
 from prpwifi.sim import bulk_stream, interference_arrays, mac_stream
+from prpwifi.trace import TIME_LIMIT_NS
 
 from helpers import (
     CH_A,
@@ -600,12 +601,12 @@ def assert_channels_match_spec(config):
 
 
 def closed(starts, ends):
-    return tuple(np.array([*b, sim._FOREVER], dtype=np.int64) for b in (starts, ends))
+    return tuple(np.array([*b, TIME_LIMIT_NS], dtype=np.int64) for b in (starts, ends))
 
 
 def acquire_lanes_and_scalar(starts, ends, difs, slot, lanes):
     """Starts of the attempts ``lanes`` (``(t, pending, span)`` each) from
-    ``sim._acquire_lanes`` over ``starts``/``ends`` closed by ``_FOREVER``,
+    ``sim._acquire_lanes`` over ``starts``/``ends`` closed by ``TIME_LIMIT_NS``,
     and from the scalar ``sim._acquire`` over the unclosed lists."""
     busy = closed(starts, ends)
     t, pending, span = (np.array(c, dtype=np.int64) for c in zip(*lanes))
@@ -654,7 +655,7 @@ class TestGapJump:
     def test_edge_cases(self):
         # DIFS 10, slot 5; whole gaps of 30 (4 ticks), 8 (shorter than
         # DIFS), 60 (10 ticks) and 580 (114 ticks), then the one before
-        # _FOREVER
+        # TIME_LIMIT_NS
         starts, ends = [100, 230, 308, 400, 1000], [200, 300, 340, 420, 1010]
         cases = [
             (150, 0, 10, 210),  # starts inside an interval

@@ -1282,6 +1282,29 @@ class TestBlockDecoder:
         assert exc.value.record_index == 701
         assert per_line.call_count == 1  # the blocks before it were canonical
 
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("block", [200, 1 << 16])
+    def test_malformed_line_after_a_line_by_line_block_names_its_line(
+        self, traced_run, block, blank
+    ):
+        """Lines are counted the same way after a block decoded line by line
+        as after a canonical one, blank lines included."""
+        buf = io.StringIO()
+        encode_log(traced_run, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"i":', '"i": ', 1)  # valid JSON, not the layout
+        lines[700] = lines[700][:-2] + "\n"  # line 701 loses its closing brace
+        lines[2:2] = ["\n"] * blank  # a blank line 3 makes the malformed line 702
+        assert len("".join(lines[1:700])) > 2 * block  # which is not in the first block
+        with mock.patch.object(trace, "_DECODE_BLOCK", block):
+            with mock.patch.object(trace, "_decode_lines", wraps=trace._decode_lines) as per_line:
+                with pytest.raises(LogFormatError) as exc:
+                    decode_log(io.StringIO("".join(lines)))
+        assert exc.value.record_index == 701 + blank
+        # the first block and the malformed line's; at 200 characters the
+        # first block is line 2 alone, so the blank line's block is a third
+        assert per_line.call_count == 2 + (blank and block == 200)
+
 
 _MALFORMED_EDITS = {
     "Td": (lambda c: c.update(Td=0), "field 'Td' must be positive"),
@@ -1491,6 +1514,47 @@ class TestEncodeMemory:
         finally:
             tracemalloc.stop()
         assert peak - before <= 6.5 * block
+
+
+class TestLineBlocks:
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 1 << 18])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "a\nbb\nccc", "\n\na\n\n\nbcd\n\n", "a\n" + "z" * ((1 << 18) + 5) + "\nbb\nc\n"],
+        ids=["empty", "no-final-newline", "blank-lines", "long-line"],
+    )
+    def test_blocks_are_whole_lines(self, text, size):
+        """The blocks join to the input and each ends at a line end, except
+        perhaps the last; past its first ``size`` characters a block holds
+        only the rest of one line."""
+        blocks = list(line_blocks(io.StringIO(text), size))
+        assert "".join(blocks) == text
+        assert all(blocks) and all(block.endswith("\n") for block in blocks[:-1])
+        assert [line for block in blocks for line in block.splitlines(keepends=True)] == (
+            text.splitlines(keepends=True)
+        )
+        assert all("\n" not in block[size:-1] for block in blocks)
+
+    def test_reader_keeps_one_block(self, traced_run, tmp_path):
+        """Between blocks the reader keeps about the block it yielded:
+        reading a chunk and then the rest of its last line holds nothing
+        else. Cutting each chunk at its last newline and carrying the tail
+        held 3x the block, from a file as :func:`read_log` reads it."""
+        lines = _encoded(traced_run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(lines[1:]) * 4)  # more than three blocks
+        with open(path, encoding="utf-8", errors="surrogateescape") as source:
+            blocks = line_blocks(source, trace._DECODE_BLOCK)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                next(blocks)
+                block = next(blocks)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert len(block) > trace._DECODE_BLOCK
+        assert held <= 1.5 * len(block)
 
 
 class TestDecodeMemory:
