@@ -28,7 +28,7 @@ from .metrics import (
     sweep,
     write_sweep_csv,
 )
-from .sim import generate_run
+from .sim import RunFamily, generate_run
 from .trace import InvalidRunError, export_csv, read_log, write_atomic, write_log
 from .units import parse_duration_ns
 
@@ -165,24 +165,30 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
     results: list[list[tuple]] = [[] for _ in td_values]
     for seed in seeds:
         seed_config = replace(base_config, seed=seed)
-        base = generate_run(seed_config)
-        for td, rows in zip(td_values, results):
-            virtual = compute_report(
-                base, DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=td)
-            )
-            # only the deferred channel differs from the base run
-            deferred = replace(seed_config, deferral_ns=td)
+        # each channel's medium is built once for the seed's runs, and the
+        # undeferred channel of a deferred run is the base run's
+        family = RunFamily(seed_config, td_values)
+        base = generate_run(seed_config, family)
+        virtual = [
+            compute_report(base, DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=td))
+            for td in td_values
+        ]
+        # the runs that defer the channel with the most interferers come
+        # first, so that its medium, the largest, is dropped soonest
+        counts = [setup.interference.interferer_count for setup in seed_config.channels]
+        busier = 1 if counts[1] > counts[0] else -1  # the sign of a T_D that defers it
+        for i in sorted(range(len(td_values)), key=lambda i: td_values[i] * busier < 0):
             real = compute_report(
-                generate_run(deferred, (seed_config, base)),
+                generate_run(replace(seed_config, deferral_ns=td_values[i]), family),
                 DaParams(mode=DaMode.TDD, t_lre_ns=t_lre),
             )
-            if virtual.link.latency is None or real.link.latency is None:
+            if virtual[i].link.latency is None or real.link.latency is None:
                 raise InvalidRunError("no delivered packets; cannot compare latencies")
-            rows.append(
+            results[i].append(
                 (
-                    virtual.link.early_bar,
+                    virtual[i].link.early_bar,
                     real.link.early_bar,
-                    virtual.link.latency.mean_ns,
+                    virtual[i].link.latency.mean_ns,
                     real.link.latency.mean_ns,
                 )
             )

@@ -64,33 +64,37 @@ def _nearest_rank(ordered: np.ndarray, q: Fraction) -> int:
     return int(ordered[rank - 1])
 
 
-_LIMB_BITS = 22  # three limbs hold any offset below 2^64
+_LIMB_BITS = 24  # three limbs hold any offset below 2^64
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_SUM_CHUNK = 1 << 15  # limb products are < 2^44, so chunk sums stay < 2^59
+_SUM_CHUNK = 1 << 15  # limb products are < 2^48, so chunk sums stay < 2^63
 
 
 def _exact_sums(ordered: np.ndarray) -> tuple[int, int]:
     """Exact sum and sum of squares of a sorted int64 array, as Python ints.
 
     Values are taken relative to the smallest one; the offsets (below 2^64,
-    held as uint64) are split into as many 22-bit limbs as the span from
-    the smallest to the largest needs (one below 2^22, two below 2^44,
+    held as uint64) are split into as many 24-bit limbs as the span from
+    the smallest to the largest needs (one below 2^24, two below 2^48,
     else three). Limbs are built, summed and multiplied in int64 a chunk at
-    a time, small enough not to overflow and to stay in cache, and the
-    chunk results are combined as Python ints.
+    a time, small enough not to overflow, as (2^24 - 1)^2 x 2^15 < 2^63,
+    and to stay in cache; the chunk results are combined as Python ints.
     """
     n = len(ordered)
     base = int(ordered[0])
     shift = np.uint64(base % (1 << 64))
     width = max(1, -(-(int(ordered[-1]) - base).bit_length() // _LIMB_BITS))
     t1 = t2 = 0  # sum and sum of squares of the offsets
+    # every chunk's limbs are written into the same rows
+    rows = np.empty((width, min(n, _SUM_CHUNK)), dtype=np.uint64)
     for lo in range(0, n, _SUM_CHUNK):
-        offsets = ordered[lo : lo + _SUM_CHUNK].view(np.uint64) - shift
-        # limbs are masked in place, all but the top one, which is below 2^22
-        limbs = [offsets] + [offsets >> np.uint64(_LIMB_BITS * k) for k in range(1, width)]
-        for limb in limbs[:-1]:
-            limb &= _LIMB_MASK
-        limbs = [limb.view(np.int64) for limb in limbs]
+        chunk = ordered[lo : lo + _SUM_CHUNK].view(np.uint64)
+        limbs = rows[:, : len(chunk)]
+        np.subtract(chunk, shift, out=limbs[0])
+        for k in range(1, width):
+            np.right_shift(limbs[0], np.uint64(_LIMB_BITS * k), out=limbs[k])
+        # all but the top limb, which is below 2^24, are masked
+        limbs[:-1] &= _LIMB_MASK
+        limbs = limbs.view(np.int64)
         for i in range(width):
             t1 += int(limbs[i].sum()) << (_LIMB_BITS * i)
             for j in range(i, width):
@@ -268,7 +272,8 @@ def _link_split(run: RunLog) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | 
     (lat): lat_B where both copies arrived, then the A-only and B-only ones;
     delta = lat_A - lat_B where both arrived; the first B-only sample; and
     per sample the request skew req_B - req_A, or 0 where no packet has one."""
-    latency = receive_times(run) - run.req[0]
+    latency = receive_times(run)
+    latency -= run.req[0]
     a, b = ~run.lost
     both = a & b
     parts = ((1, both), (0, a & ~b), (1, b & ~a))
@@ -288,8 +293,11 @@ def _link_latencies(cols: _Derived, t_d: int | None) -> np.ndarray:
     min(delta, T_D)."""
     run = cols.run
     if t_d is None:
-        first = np.where(run.lost, _ALWAYS, receive_times(run)).min(axis=0)
-        return (first - run.req.min(axis=0))[~run.lost.all(axis=0)]
+        first = receive_times(run)
+        first[run.lost] = _ALWAYS
+        first = first.min(axis=0)
+        first -= run.req.min(axis=0)
+        return first[~run.lost.all(axis=0)]
     base, delta, b_only, skew = cols.once("split", lambda: _link_split(run))
     samples = base - np.minimum(skew + t_d, 0)
     samples[: len(delta)] += np.minimum(delta, t_d)
@@ -298,16 +306,19 @@ def _link_latencies(cols: _Derived, t_d: int | None) -> np.ndarray:
 
 
 def _derive(run: RunLog) -> _Derived:
+    # each row of the receive times becomes its channel's latencies in place
     rx = receive_times(run)
     delivered = ~run.lost
+    for r, q in zip(rx, run.req):
+        r -= q
     return _Derived(
         run=run,
         single=run.attempts == 1,
-        attempts_delivered=[int(w[ok].sum()) for w, ok in zip(run.attempts, delivered)],
-        max_delivered_attempts=int(run.attempts[delivered].max()) if delivered.any() else 0,
+        attempts_delivered=[int(w.sum(where=ok)) for w, ok in zip(run.attempts, delivered)],
+        max_delivered_attempts=int(run.attempts.max(where=delivered, initial=0)),
         lost_count=_counts(run.lost),
         link_lost=int(np.count_nonzero(~delivered.any(axis=0))),
-        chan_latency=[latency_stats((r - q)[ok]) for r, q, ok in zip(rx, run.req, delivered)],
+        chan_latency=[latency_stats(r[ok]) for r, ok in zip(rx, delivered)],
     )
 
 
@@ -319,6 +330,9 @@ def _accumulate(cols: _Derived, params: DaParams, t_d: int, virtual: bool) -> _A
     """Vectorized evaluation of the per-packet definitions, for any number
     of channels (virtual displacement, like TDD itself, is duplex only)."""
     m = len(cols.lost_count)
+    # the link latencies first, while no leads are held beside their transients
+    key = t_d if virtual else None
+    link = cols.once(key, lambda: latency_stats(_link_latencies(cols, key)))
     early_sum, simplex_sum, simplex_link = [0] * m, [0] * m, 0
     if params.mode is not DaMode.POW:
         offsets = (t_d, -t_d) if virtual else (0,) * m
@@ -330,8 +344,6 @@ def _accumulate(cols: _Derived, params: DaParams, t_d: int, virtual: bool) -> _A
         # a sum in the narrowest dtype that holds m, ten times faster than in int64
         per_packet = np.add.reduce(simplex, axis=0, dtype=np.min_scalar_type(m))
         simplex_link = int(np.count_nonzero(per_packet == m - 1))
-    key = t_d if virtual else None
-    link = cols.once(key, lambda: latency_stats(_link_latencies(cols, key)))
     return _Accumulated(
         early_sum, simplex_sum, simplex_link, cols.attempts_delivered, cols.lost_count,
         cols.max_delivered_attempts, cols.chan_latency, link, cols.link_lost,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -225,7 +225,8 @@ def interference_arrays(
     horizon_ns: int,
     rng: np.random.Generator,
     chunk_horizon_ns: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    cuts: Sequence[int] | None = None,
+) -> tuple[np.ndarray, ...]:
     """Merged busy intervals of all interferers on one channel, starting
     before the horizon.
 
@@ -233,26 +234,37 @@ def interference_arrays(
     but not on the horizon itself: with the same chunk horizon, the
     intervals up to a horizon are a prefix of those up to a later one (the
     last merged interval may extend further).
+
+    With ``cuts``, earlier horizons, the intervals come closed by a
+    ``TIME_LIMIT_NS`` one, and a third item lists per cut the end of the
+    last interval opening before it as drawn up to the cut: one airtime
+    after its last start before the cut (0 if none starts before it).
     """
     if chunk_horizon_ns is None:
         chunk_horizon_ns = horizon_ns
     if horizon_ns <= 0:
         raise SimConfigError("horizon must be positive")
     params.validate()
-    if params.interferer_count == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    caps = _synthesis_caps(params, horizon_ns, chunk_horizon_ns)
-    child_seeds = rng.integers(0, 1 << 63, size=params.interferer_count)
-    rngs = (np.random.default_rng(int(c)) for c in child_seeds)
-    s = np.concatenate([_interferer_starts(params, horizon_ns, r, caps) for r in rngs])
-    s.sort(kind="stable")  # a merge of the interferers' sorted runs
+    s = np.empty(0, dtype=np.int64)
+    if params.interferer_count:
+        caps = _synthesis_caps(params, horizon_ns, chunk_horizon_ns)
+        child_seeds = rng.integers(0, 1 << 63, size=params.interferer_count)
+        rngs = (np.random.default_rng(int(c)) for c in child_seeds)
+        s = np.concatenate([_interferer_starts(params, horizon_ns, r, caps) for r in rngs])
+        s.sort(kind="stable")  # a merge of the interferers' sorted runs
     # every interval lasts one airtime: a start more than an airtime after
     # the previous one opens a busy interval, which ends an airtime after
     # its last start
     airtime = params.payload_airtime_ns
     opens = np.flatnonzero(np.diff(s) > airtime)
-    return np.concatenate((s[:1], s[1:][opens])), np.concatenate((s[:-1][opens], s[-1:])) + airtime
+    close = np.full(int(cuts is not None), TIME_LIMIT_NS, dtype=np.int64)
+    starts = np.concatenate((s[:1], s[1:][opens], close))
+    ends = np.concatenate((s[:-1][opens], s[-1:], close))
+    ends[: len(s) and len(opens) + 1] += airtime
+    if cuts is None:
+        return starts, ends
+    before = np.searchsorted(s, cuts).tolist()
+    return starts, ends, [int(s[i - 1]) + airtime if i else 0 for i in before]
 
 
 # --- per-channel MAC --------------------------------------------------------
@@ -520,22 +532,68 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
 _Channel = tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]
 
 
-def _simulate_channel(
-    setup: ChannelSetup, config: SimConfig, request_offset_ns: int
-) -> _Channel:
-    label, phy = setup.channel.label, setup.phy
+@dataclass(frozen=True, slots=True)
+class _Medium:
+    """One channel's busy intervals, drawn up to the interference horizon of
+    the latest request offset that it serves and closed by a
+    ``TIME_LIMIT_NS`` one, with their gap table (``_gap_table``); and per
+    earlier offset that it serves, the end of the last interval opening
+    before that offset's horizon, as drawn up to it."""
+
+    undeferred: int  # the interference horizon at offset 0
+    offset: int
+    busy: tuple  # starts, ends, ticks, fits
+    cut_ends: dict[int, int]
+
+    def cut(self, offset: int) -> tuple:
+        """The busy intervals and gap table as drawn up to ``offset``'s
+        horizon: the intervals opening before it, the last one ending at its
+        cut end, then the sentinel; a prefix of the ticks, and the fitting
+        gaps before the sentinel's. Only the interval arrays are copied."""
+        if offset == self.offset:
+            return self.busy
+        starts, ends, ticks, fits = self.busy
+        k = int(np.searchsorted(starts, self.undeferred + offset))
+        starts, ends = starts[: k + 1].copy(), ends[: k + 1].copy()
+        starts[k] = ends[k] = TIME_LIMIT_NS
+        if k:
+            ends[k - 1] = self.cut_ends[offset]
+        fits = {s: np.append(f[: np.searchsorted(f, k)], k).astype(f.dtype)
+                for s, f in fits.items()}
+        return starts, ends, ticks[: k + 1], fits
+
+
+def _build_medium(setup: ChannelSetup, config: SimConfig, offsets: Iterable[int]) -> _Medium:
+    """Channel ``setup``'s medium, serving each of the request ``offsets``."""
+    phy = setup.phy
     # a deferred channel draws the interference of its undeferred run and
     # only extends it, so real and virtual deferral see the same medium
     undeferred = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
-    busy = interference_arrays(
+    offset, *cuts = sorted(set(offsets), reverse=True)
+    # closed by the sentinel busy interval: every simulated time stays below
+    # it, so every simulated run validates
+    starts, ends, cut_ends = interference_arrays(
         setup.interference,
-        undeferred + request_offset_ns,
-        bulk_stream(config.seed, setup.seed_salt, label, "interference"),
+        undeferred + offset,
+        bulk_stream(config.seed, setup.seed_salt, setup.channel.label, "interference"),
         chunk_horizon_ns=undeferred,
+        cuts=[undeferred + c for c in cuts],
     )
-    # the sentinel busy interval: every simulated time stays below it, so
-    # every simulated run validates
-    busy = tuple(np.append(b, TIME_LIMIT_NS) for b in busy)
+    tail = max(phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns)
+    spans = {data + tail for data in phy.data_frame_schedule_ns or (phy.data_frame_ns,)}
+    busy = (starts, ends, *_gap_table(starts, ends, phy.difs_ns, phy.slot_ns, spans))
+    return _Medium(undeferred, offset, busy, dict(zip(cuts, cut_ends)))
+
+
+def _simulate_channel(
+    setup: ChannelSetup, config: SimConfig, request_offset_ns: int, medium: _Medium | None = None
+) -> _Channel:
+    """The channel's columns, its requests displaced by ``request_offset_ns``,
+    timed on ``medium`` (by default one built for this offset alone)."""
+    label, phy = setup.channel.label, setup.phy
+    medium = medium or _build_medium(setup, config, (request_offset_ns,))
+    busy = medium.cut(request_offset_ns)
+    del medium  # a run family drops it after its last use
     error_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "error"))
     backoff_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "backoff"))
     # the contention window starts at cw_min and doubles per failed attempt;
@@ -548,8 +606,6 @@ def _simulate_channel(
     # reserves the longer of the two
     sifs_ack, ack_to = phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns
     tail = max(sifs_ack, ack_to)
-    spans = {data + tail for data in phy.data_frame_schedule_ns or (phy.data_frame_ns,)}
-    busy += _gap_table(*busy, phy.difs_ns, phy.slot_ns, spans)
     n, loss_prob = config.n_packets, setup.loss_prob
 
     def requests(lo: int, hi: int) -> np.ndarray:
@@ -580,15 +636,66 @@ def _simulate_channel(
     return copies, dict(start=start, data=data, ack=np.where(ok, phy.ack_frame_ns, 0))
 
 
-def _channel_of(run: RunLog, j: int) -> _Channel:
-    """Channel ``j``'s columns of an existing run."""
-    copies = {name: getattr(run, name)[j] for name in COPY_COLUMNS}
-    t = run.trace
-    if t is None:
-        return copies, None
-    n = len(run.index)
-    rows = slice(t.offsets[j * n], t.offsets[(j + 1) * n])
-    return copies, {name: getattr(t, name)[rows] for name in ATTEMPT_COLUMNS}
+def _validates(config: SimConfig) -> bool:
+    try:
+        config.validate()
+    except SimConfigError:
+        return False
+    return True
+
+
+class RunFamily:
+    """The runs of one config that differ at most in their deferral: the run
+    of ``base_config`` and one per entry of ``displacements``.
+
+    Each channel's medium is built once, for every planned run that
+    simulates the channel, and dropped after the last of them; a run outside
+    the plan is as exact, on a medium built for it. The base config's run
+    is kept once generated, and a later run takes from it each channel
+    whose request offset is the same in both configs.
+    """
+
+    def __init__(self, base_config: SimConfig, displacements: Iterable[int] = ()):
+        self.base_config, self.base_run = base_config, None
+        base = base_config.request_offsets()
+        # a displacement that generate_run refuses plans nothing
+        planned = (replace(base_config, deferral_ns=d) for d in displacements)
+        offsets = [c.request_offsets() for c in planned if _validates(c)]
+        self._offsets = [{o[j] for o in (base, *offsets)} for j in (0, 1)]
+        self._uses = [1 + sum(o[j] != base[j] for o in offsets) for j in (0, 1)]
+        self._media: dict[int, _Medium] = {}
+
+    def _reused(self, config: SimConfig) -> dict[int, _Channel]:
+        """The columns of the base run's channels that ``config``'s run shares."""
+        if replace(config, deferral_ns=self.base_config.deferral_ns) != self.base_config:
+            raise SimConfigError("config differs from its run family's base beyond the deferral")
+        run = self.base_run
+        if run is None:
+            return {}
+        n, t = len(run.index), run.trace
+        pairs = enumerate(zip(config.request_offsets(), self.base_config.request_offsets()))
+        return {
+            j: (
+                {name: getattr(run, name)[j] for name in COPY_COLUMNS},
+                None if t is None else {
+                    name: getattr(t, name)[t.offsets[j * n] : t.offsets[(j + 1) * n]]
+                    for name in ATTEMPT_COLUMNS
+                },
+            )
+            for j, (ours, theirs) in pairs
+            if ours == theirs
+        }
+
+    def _medium(self, j: int, offset: int) -> _Medium:
+        """Channel ``j``'s medium for a run at request ``offset``."""
+        medium = self._media.pop(j, None)
+        if medium is None or offset != medium.offset and offset not in medium.cut_ends:
+            setup, offsets = self.base_config.channels[j], self._offsets[j] | {offset}
+            medium = _build_medium(setup, self.base_config, offsets)
+        self._uses[j] -= 1
+        if self._uses[j] > 0:
+            self._media[j] = medium
+        return medium
 
 
 def _run_meta(config: SimConfig) -> RunMeta:
@@ -610,50 +717,44 @@ def _run_meta(config: SimConfig) -> RunMeta:
     )
 
 
-def generate_run(
-    config: SimConfig, base: tuple[SimConfig, RunLog] | None = None
-) -> RunLog:
+def generate_run(config: SimConfig, family: RunFamily | None = None) -> RunLog:
     """Generate a full duplex run; identical config and seed reproduce it
     bit-for-bit, and each channel evolves from its own substreams.
 
-    ``base`` is an earlier ``(base_config, generate_run(base_config))``
-    where ``base_config`` differs from ``config`` at most in its deferral.
-    A channel's records depend only on the config apart from the deferral
-    and on its own request offset, so channels whose offset is the same in
-    both configs are taken from the base run instead of simulated again.
-    A base from any other config is refused with :class:`SimConfigError`.
+    ``family`` is a :class:`RunFamily` whose base config differs from
+    ``config`` at most in its deferral; one from any other config is refused
+    with :class:`SimConfigError`. A channel's records depend only on the
+    config apart from the deferral and on its own request offset, so a
+    channel whose offset is the family's base run's is taken from that run,
+    and the others are timed on the family's media.
     """
     config.validate()
+    if family is None:
+        family = RunFamily(config)
     offsets = config.request_offsets()
-    reused: tuple[int, ...] = ()
-    if base is not None:
-        base_config, base_run = base
-        if replace(base_config, deferral_ns=0) != replace(
-            config, deferral_ns=0
-        ) or base_run.meta != _run_meta(base_config):
-            raise SimConfigError("base run was generated from another config")
-        base_offsets = base_config.request_offsets()
-        reused = tuple(j for j in (0, 1) if base_offsets[j] == offsets[j])
+    channels = family._reused(config)
     # the channel with the most interferers has the most busy intervals and
     # the largest gap table; simulated first, they are never held beside
     # another channel's columns
-    simulated = {
-        j: _simulate_channel(config.channels[j], config, offsets[j])
-        for j in sorted((0, 1), key=lambda j: -config.channels[j].interference.interferer_count)
-        if j not in reused
-    }
-    channels = [simulated[j] if j in simulated else _channel_of(base[1], j) for j in (0, 1)]
-    copies = {name: np.stack([c[name] for c, _ in channels]) for name in COPY_COLUMNS}
+    for j in sorted((0, 1), key=lambda j: -config.channels[j].interference.interferer_count):
+        if j not in channels:
+            # the medium is handed over, not held here, so that it goes as
+            # soon as the family has dropped it and the MAC is done with it
+            channels[j] = _simulate_channel(
+                config.channels[j], config, offsets[j], family._medium(j, offsets[j])
+            )
+    copies = {name: np.stack([channels[j][0][name] for j in (0, 1)]) for name in COPY_COLUMNS}
     trace = None
     if config.emit_full_trace:
         # every copy's trace holds exactly its attempts
         trace = AttemptTable(
             offsets=attempt_offsets(copies["attempts"]),
-            **{name: np.concatenate([a[name] for _, a in channels]) for name in ATTEMPT_COLUMNS},
+            **{name: np.concatenate([channels[j][1][name] for j in (0, 1)])
+               for name in ATTEMPT_COLUMNS},
         )
     # the run holds copies of the channels' columns: validate it beside
     # nothing else
-    del simulated, channels
+    del channels
     run = RunLog(
         meta=_run_meta(config),
         index=np.arange(1, config.n_packets + 1, dtype=np.int64),
@@ -661,4 +762,6 @@ def generate_run(
         **copies,
     )
     validate_run(run)  # attempt ordering and reconstruction identities
+    if family.base_run is None and config == family.base_config:
+        family.base_run = run
     return run

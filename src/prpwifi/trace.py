@@ -412,7 +412,8 @@ def _final_starts(end, td, ta, lost, sifs, ack_timeout) -> np.ndarray:
 def receive_times(run: RunLog) -> np.ndarray:
     """(m, n) :func:`receive_time` of every copy, valid where it was
     delivered."""
-    return run.end - (_per_channel(run, "sifs_ns") + run.ta)
+    rx = _per_channel(run, "sifs_ns") + run.ta
+    return np.subtract(run.end, rx, out=rx)
 
 
 def final_starts(run: RunLog) -> np.ndarray:

@@ -1,15 +1,20 @@
 import errno
+import importlib
+import importlib.util
 import io
 import json
 import os
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from prpwifi import LogFormatError, RunLog, decode_log
+from prpwifi import cli, sim
 from prpwifi.cli import main
 from prpwifi import config as config_module
 from prpwifi.config import ConfigError, load_config, parse_config
@@ -626,3 +631,41 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+class TestBenchmarkHooks:
+    """The benchmark times each layer by wrapping the module attributes in
+    ``perfbench/tracing.py``'s ``PATCH_POINTS``, and counts the media a
+    ``validate-deferral`` op builds by its ``sim.interference_arrays``
+    calls. A refactor that moves a patch point, or that builds a medium
+    twice, fails here rather than dropping or skewing a benchmark span."""
+
+    @staticmethod
+    def patch_points():
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while it runs
+        with mock.patch.dict(sys.modules, {spec.name: module}):
+            spec.loader.exec_module(module)
+        return module.PATCH_POINTS
+
+    def test_every_patch_point_is_a_callable(self):
+        points = self.patch_points()
+        assert points
+        for module_name, attr, span in points:
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), span
+
+    def test_validate_deferral_builds_each_medium_once(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG.replace("packets = 600", "packets = 300") + "A.interferers = 1\n")
+        def counted(module, name):
+            return mock.patch.object(module, name, wraps=getattr(module, name))
+
+        with counted(cli, "generate_run") as runs, counted(sim, "interference_arrays") as media:
+            argv = ["validate-deferral", str(config), "--td-list=-100us,100us", "--seeds", "5"]
+            assert main(argv + ["--tol-e", "1", "--tol-latency", "1"]) == 0
+        capsys.readouterr()
+        # the base run and one run per displacement; one medium per channel
+        assert runs.call_count == 3
+        assert media.call_count == 2

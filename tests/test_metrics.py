@@ -175,18 +175,25 @@ class TestLatencyStatsExactness:
         [
             (low, span)
             for low in (-(2**63), -(2**43), 0, 2**40)
-            for span in (0, 1, 2**22 - 1, 2**22, 2**44 - 1, 2**44, 2**63 - 2, 2**63 - 1, 2**64 - 1)
+            for span in (
+                0, 1, 2**22 - 1, 2**22, 2**24 - 1, 2**24, 2**44 - 1, 2**44, 2**48 - 1, 2**48,
+                2**63 - 2, 2**63 - 1, 2**64 - 1,
+            )
             if low + span < 2**63
         ],
     )
     def test_exact_sums_at_limb_widths(self, low, span):
-        # one limb below a span of 2^22, two below 2^44, else three; both
-        # ends of the span are in the population, and two and a half
-        # summation chunks at the two-limb edge
-        n = 5 * metrics._SUM_CHUNK // 2 if span == 2**44 - 1 else 1001
+        # one limb below a span of 2^24, two below 2^48, else three; both
+        # ends of the span are in the population. At the top of one and of
+        # two limbs, two and a half summation chunks, and the worst case for
+        # a chunk's limb products: every value but the first at the top
+        tops = (2**24 - 1, 2**48 - 1, 2**64 - 1)
+        n = 5 * metrics._SUM_CHUNK // 2 if span in tops or span == 2**44 - 1 else 1001
         rng = np.random.default_rng(span % 997 + low % 991)
         offsets = rng.integers(0, span, n, endpoint=True, dtype=np.uint64)
         offsets[:2] = [0, span]
+        if span in tops:
+            offsets[2:] = span
         values = sorted(low + int(o) for o in offsets.tolist())
         ordered = np.array(values, dtype=np.int64)
         assert metrics._exact_sums(ordered) == (sum(values), sum(v * v for v in values))

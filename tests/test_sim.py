@@ -24,7 +24,7 @@ from prpwifi import (
     validate_run,
 )
 from prpwifi import sim
-from prpwifi.sim import bulk_stream, interference_arrays, mac_stream
+from prpwifi.sim import RunFamily, bulk_stream, interference_arrays, mac_stream
 from prpwifi.trace import TIME_LIMIT_NS
 
 from helpers import (
@@ -467,9 +467,10 @@ class TestRealDeferral:
         cfg = desk_config(1014, seed=1, period_ns=3_900_000, full_trace=False)
         generate_run(cfg)
         generate_run(replace(cfg, deferral_ns=250_000))
-        (_, (s0, e0)), (_, (s1, e1)) = busy[:2], busy[2:]
-        k = len(s0)
-        assert np.array_equal(s0, s1[:k]) and np.array_equal(e0[:-1], e1[: k - 1])
+        # each medium comes closed by the sentinel, which is not compared
+        (_, (s0, e0, _)), (_, (s1, e1, _)) = busy[:2], busy[2:]
+        k = len(s0) - 1
+        assert np.array_equal(s0[:k], s1[:k]) and np.array_equal(e0[: k - 1], e1[: k - 1])
 
     def test_positive_offset_defers_second_channel(self):
         cfg = replace(desk_config(300, seed=8), deferral_ns=100_000)
@@ -507,29 +508,137 @@ class TestRealDeferral:
         # criterion 5's config: desk bursts, one interferer on A, two on B
         cfg = desk_config(600, seed=201, interferers_a=1, full_trace=False)
         deferred = replace(cfg, deferral_ns=t_d_us * 1_000)
-        reused = generate_run(deferred, (cfg, generate_run(cfg)))
-        assert reused == generate_run(deferred)
+        family = RunFamily(cfg, [t_d_us * 1_000])
+        generate_run(cfg, family)
+        assert generate_run(deferred, family) == generate_run(deferred)
 
     def test_reuse_with_traces(self):
         cfg = desk_config(300, seed=4, interferers_a=1)
         deferred = replace(cfg, deferral_ns=-150_000)
-        assert generate_run(deferred, (cfg, generate_run(cfg))) == generate_run(deferred)
+        family = RunFamily(cfg, [-150_000])
+        generate_run(cfg, family)
+        assert generate_run(deferred, family) == generate_run(deferred)
 
     def test_reuse_refused_for_another_config(self):
         cfg = desk_config(200, seed=201, interferers_a=1, full_trace=False)
         deferred = replace(cfg, deferral_ns=100_000)
         other_seed = replace(cfg, seed=202)
-        with pytest.raises(SimConfigError):
-            generate_run(deferred, (other_seed, generate_run(other_seed)))
-        # the run must come from the config it is paired with
-        with pytest.raises(SimConfigError):
-            generate_run(deferred, (cfg, generate_run(other_seed)))
         other_loss = replace(
             cfg,
             channels=tuple(replace(c, loss_prob=0.3) for c in cfg.channels),
         )
-        with pytest.raises(SimConfigError):
-            generate_run(deferred, (other_loss, generate_run(other_loss)))
+        for other in (other_seed, other_loss, replace(cfg, emit_full_trace=True)):
+            family = RunFamily(other, [100_000])
+            generate_run(other, family)
+            with pytest.raises(SimConfigError, match="run family"):
+                generate_run(deferred, family)
+
+
+def assert_family_runs_equal_fresh_runs(config, displacements):
+    """Each run of ``config``'s family over ``displacements`` (the base run
+    first) equals the run generated alone, in both views."""
+    for full_trace in (True, False):
+        base = replace(config, emit_full_trace=full_trace)
+        family = RunFamily(base, displacements)
+        assert generate_run(base, family) == generate_run(base)
+        for d in displacements:
+            deferred = replace(base, deferral_ns=d)
+            assert generate_run(deferred, family) == generate_run(deferred), d
+
+
+class TestRunFamily:
+    """A run family builds each channel's medium once, up to the latest
+    horizon its runs need, and cuts it to each run's own horizon."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(config=sim_configs(), data=st.data())
+    def test_family_runs_equal_fresh_runs(self, config, data):
+        """T_D = 0, one of each sign and a second of one sign, at the
+        default margin, one period or 1 ns; at 1 ns every run's last copy
+        runs past its horizon."""
+        period = config.period_ns
+        positive = st.integers(min_value=1, max_value=period - 1)
+        td = [0, data.draw(positive, label="T_D+"), -data.draw(positive, label="T_D-")]
+        td.append(data.draw(positive, label="second T_D") * (1 if td[1] % 2 else -1))
+        margin = data.draw(st.sampled_from([config.interference_margin_ns, 1, period]))
+        config = replace(config, deferral_ns=0, interference_margin_ns=margin)
+        assert_family_runs_equal_fresh_runs(config, td)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            desk_config(300, seed=5, interferers_a=1, loss_prob=1.0),
+            replace(
+                desk_config(300, seed=5, interferers_a=1, period_ns=500_000),
+                interference_margin_ns=1_000_000,
+            ),
+        ],
+        ids=["certain-loss", "period-below-service"],
+    )
+    def test_copies_past_the_horizon(self, config):
+        # the queue never drains: both channels' last copies end past the
+        # interference horizon of every run
+        run = generate_run(config)
+        horizon = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
+        assert (run.end[:, -1] > horizon + config.period_ns).all()
+        assert_family_runs_equal_fresh_runs(config, [0, 100_000, -150_000, 250_000])
+
+    def test_runs_outside_the_plan_are_exact(self):
+        # an unplanned displacement, the base config again, and the planned
+        # one twice; a medium that was dropped or does not serve the run's
+        # offset is built for it: 2 media for the base run, then 1 for
+        # -200 us and 1 for the second +100 us
+        cfg = desk_config(300, seed=201, interferers_a=1, full_trace=False)
+        displacements = (0, -200_000, 0, 100_000, 100_000)
+        fresh = [generate_run(replace(cfg, deferral_ns=d)) for d in displacements]
+        family = RunFamily(cfg, [100_000])
+        with mock.patch.object(sim, "interference_arrays", wraps=interference_arrays) as media:
+            for d, run in zip(displacements, fresh):
+                assert generate_run(replace(cfg, deferral_ns=d), family) == run, d
+        assert media.call_count == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=sim_configs(), data=st.data())
+    def test_cut_equals_the_medium_drawn_to_its_horizon(self, config, data):
+        """A medium cut to an offset's horizon holds the intervals, ticks
+        and fitting gaps of the medium drawn up to that horizon alone; a
+        margin of 1 ns puts the horizons among the busy intervals."""
+        config = replace(config, interference_margin_ns=data.draw(st.sampled_from([1, 10**9])))
+        offset = st.integers(min_value=0, max_value=config.period_ns - 1)
+        offsets = data.draw(st.lists(offset, min_size=1, max_size=4))
+        for setup in config.channels:
+            medium = sim._build_medium(setup, config, offsets)
+            for offset in offsets:
+                starts, ends, ticks, fits = medium.cut(offset)
+                want = sim._build_medium(setup, config, [offset]).busy
+                assert np.array_equal(starts, want[0]) and np.array_equal(ends, want[1])
+                assert ticks.tolist() == want[2].tolist()
+                assert fits.keys() == want[3].keys()
+                assert all(fits[s].tolist() == f.tolist() for s, f in want[3].items())
+
+    def test_interval_straddling_the_shorter_horizon(self):
+        """Overlapping packets merge each burst into one interval. At seed 1
+        one opens before channel B's base horizon and goes on past it: the
+        base run ends it one airtime after its last start before the
+        horizon, and B's last copy starts in the time this leaves idle."""
+        intf = replace(desk_interference(3), payload_airtime_ns=500_000)
+        config = desk_config(200, seed=1, interferers_b=3)
+        config = replace(
+            config,
+            channels=(config.channels[0], replace(config.channels[1], interference=intf)),
+            interference_margin_ns=1,
+        )
+        deferred = replace(config, deferral_ns=300_000)
+        family = RunFamily(config, [300_000])
+        base = generate_run(config, family)
+        medium = family._media[1]  # kept for the deferred run
+        starts, ends = medium.busy[:2]
+        horizon = (config.n_packets - 1) * config.period_ns + 1
+        k = int(np.searchsorted(starts, horizon))
+        assert starts[k - 1] < horizon < medium.cut_ends[0] < ends[k - 1]
+        assert medium.cut_ends[0] < base.trace.start[-1] < ends[k - 1]
+        assert base == generate_run(config)
+        assert generate_run(deferred, family) == generate_run(deferred)
 
 
 class TestMacSanity:

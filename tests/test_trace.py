@@ -36,7 +36,7 @@ from prpwifi.config import parse_config
 from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
 from prpwifi.logblocks import BlockParser, line_blocks
 from prpwifi.metrics import _leads, _other_ends
-from prpwifi.sim import _channel_of
+from prpwifi.sim import RunFamily
 from prpwifi.trace import (
     AttemptTrace,
     CopyRecord,
@@ -1464,14 +1464,18 @@ class TestRealDeferral:
         block = data.draw(st.sampled_from((1000, 1 << 16)), label="block")
         j = 1 if deferral > 0 else 0  # the deferred channel
         for full_trace in (True, False):
-            base, deferred = (
-                generate_run(replace(config, deferral_ns=d, emit_full_trace=full_trace))
+            # one family per run, so that each run simulates both channels;
+            # a family's base run hands out its channels' columns
+            families = [
+                RunFamily(replace(config, deferral_ns=d, emit_full_trace=full_trace))
                 for d in (0, deferral)
-            )
+            ]
+            base, deferred = (generate_run(f.base_config, f) for f in families)
             for name in ("lost", "attempts", "td", "ta"):
                 assert np.array_equal(getattr(deferred, name), getattr(base, name))
             assert np.array_equal(deferred.req[j], base.req[j] + abs(deferral))
-            for ours, theirs in zip(_channel_of(deferred, 1 - j), _channel_of(base, 1 - j)):
+            undeferred = (f._reused(f.base_config)[1 - j] for f in reversed(families))
+            for ours, theirs in zip(*undeferred):
                 assert (ours is None) == (theirs is None)
                 for name in ours or ():
                     assert np.array_equal(ours[name], theirs[name])
