@@ -1,0 +1,248 @@
+"""A committed catalogue of source mutations, each with the tests that must
+catch it.
+
+    python3 scripts/mutants.py [NAME ...]
+
+Run it from anywhere; it works on a copy of the ``src/`` and ``tests/`` next
+to this script (and ``pyproject.toml``), in a temporary directory that it
+removes at the end. For each entry of ``MUTANTS`` (or each one named) it
+replaces the entry's snippet, which must occur exactly once in its file,
+runs the entry's tests with ``python -m pytest -x`` and puts the file back.
+It prints one line per entry: ``killed`` (a test failed), ``survived`` (all
+passed), ``stale`` (the snippet does not occur exactly once, so the entry
+must follow the code it names) or ``error`` (pytest could not run the
+tests, for example a test id that no longer exists), with the seconds it
+took; then the counts, and it exits 1 unless every entry was killed. It
+uses the standard library only, and runs the tests of the copy with the
+interpreter that runs it; bytecode is not written, so a mutant is always
+compiled afresh.
+
+An entry records a mutation made to show that a check is tested: a
+comparison flipped, a mask or a bound dropped. When a refactor moves or
+rewrites the code an entry names, the entry is updated in the same change.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    snippet: str  # must occur exactly once in ``file``
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, one of which must fail
+
+
+_GATE = "src/prpwifi/logblocks.py"
+_BLOCK_TESTS = "tests/test_trace.py::TestFixedLayoutCheck"
+_PROPERTY = f"{_BLOCK_TESTS}::test_edited_blocks_take_the_fixed_path_iff_the_grammar_matches"
+
+MUTANTS = (
+    # the fixed-layout check of logblocks.BlockParser, one entry per test
+    Mutant(
+        "gate: no first-line exit",
+        _GATE,
+        "if data and first.translate(None, _SIGNED_DIGITS) != skeleton:",
+        "if False:",
+        (f"{_BLOCK_TESTS}::test_other_layouts_stop_at_the_first_line",),
+    ),
+    Mutant(
+        "gate: skeleton length only",
+        _GATE,
+        "if rest != skeleton * k:",
+        "if len(rest) != len(skeleton) * k:",
+        (_PROPERTY,),
+    ),
+    Mutant(
+        "gate: empty numbers allowed",
+        _GATE,
+        "if ((u[:-1] == _COLON) & ((after == _COMMA) | (after == _BRACE))).any():",
+        "if False:",
+        (f"{_BLOCK_TESTS}::test_digits_outside_numbers",),
+    ),
+    Mutant(
+        "gate: tokens cut at ':' only",
+        _GATE,
+        "tokens = data.translate(_BOUNDS_TO_SPACE, _NOT_NUMBER_OR_BOUND)",
+        "tokens = data.translate(_COLON_TO_SPACE, _NOT_NUMBER)",
+        (f"{_BLOCK_TESTS}::test_digits_outside_numbers",),
+    ),
+    Mutant(
+        "gate: '-' may follow a digit",
+        _GATE,
+        "if (minus[1:] & digit[:-1]).any() or (minus[:-1] & ~digit[1:]).any():",
+        "if (minus[:-1] & ~digit[1:]).any():",
+        (f"{_BLOCK_TESTS}::test_minus_signs_np_fromstring_would_misread",),
+    ),
+    Mutant(
+        "gate: '-' need not precede a digit",
+        _GATE,
+        "if (minus[1:] & digit[:-1]).any() or (minus[:-1] & ~digit[1:]).any():",
+        "if (minus[1:] & digit[:-1]).any():",
+        (f"{_BLOCK_TESTS}::test_minus_signs_np_fromstring_would_misread",),
+    ),
+    Mutant(
+        "gate: leading zeros allowed",
+        _GATE,
+        "if ((t[1:-1] == _ZERO) & ~digit[:-2] & digit[2:]).any():",
+        "if False:",
+        (f"{_BLOCK_TESTS}::test_number_forms",),
+    ),
+    Mutant(
+        "gate: no token count",
+        _GATE,
+        "if len(values) != k * self._fixed_width:",
+        "if len(values) < k * self._fixed_width:",
+        (f"{_BLOCK_TESTS}::test_digits_outside_numbers",),
+    ),
+    Mutant(
+        "gate: no lower bound",
+        _GATE,
+        "if values.min(initial=0) <= -_LIMIT or values.max(initial=0) >= _LIMIT:",
+        "if values.max(initial=0) >= _LIMIT:",
+        (f"{_BLOCK_TESTS}::test_number_forms",),
+    ),
+    Mutant(
+        "gate: no upper bound",
+        _GATE,
+        "if values.min(initial=0) <= -_LIMIT or values.max(initial=0) >= _LIMIT:",
+        "if values.min(initial=0) <= -_LIMIT:",
+        (f"{_BLOCK_TESTS}::test_number_forms",),
+    ),
+    Mutant(
+        "gate: a zero duration allowed",
+        _GATE,
+        "for c in (td, td + 1)) <= 0:",
+        "for c in (td, td + 1)) < 0:",
+        ("tests/test_trace.py::TestMalformedDurations::test_line_names_its_record",),
+    ),
+    Mutant(
+        "gate: one mark for all labels",
+        _GATE,
+        "self._marks.append((head, chr(0x10000 + j).encode()))",
+        'self._marks.append((head, b"{"))',
+        (f"{_BLOCK_TESTS}::test_swapped_disturbing_labels",),
+    ),
+    Mutant(
+        "gate: never passes (ROADMAP item 3(d))",
+        _GATE,
+        "        if (lines := self._fixed_lines(data)) is not None:",
+        "        if (lines := None) is not None:",
+        ("tests/test_trace.py::TestRealDeferral",),
+    ),
+    # ROADMAP item 9's list: the oracle, the leads, validation, the decoder
+    Mutant(
+        "oracle: '>=' for '>'",
+        "src/prpwifi/metrics.py",
+        "np.repeat(others, np.diff(rows)) > t_lre_ns + c",
+        "np.repeat(others, np.diff(rows)) >= t_lre_ns + c",
+        ("tests/test_metrics.py::TestOracleSummary",),
+    ),
+    Mutant(
+        "oracle: the displacement's signs swapped",
+        "src/prpwifi/metrics.py",
+        "offsets = (t_d, -t_d) if virtual else (0,) * len(run.channels)",
+        "offsets = (-t_d, t_d) if virtual else (0,) * len(run.channels)",
+        ("tests/test_metrics.py::TestOracleSummary",),
+    ),
+    Mutant(
+        "_other_ends: lost copies count",
+        "src/prpwifi/metrics.py",
+        "ends = list(np.where(run.lost, _ALWAYS, run.end))",
+        "ends = list(run.end)",
+        ("tests/test_metrics.py::TestOracleSummary",),
+    ),
+    Mutant(
+        "_leads: no policy mask",
+        "src/prpwifi/metrics.py",
+        "lead[run.lost] = -_ALWAYS",
+        "pass",
+        ("tests/test_metrics.py::TestNplexReport::test_vector_path_equals_reference",),
+    ),
+    Mutant(
+        "validate_run: searchsorted side",
+        "src/prpwifi/trace.py",
+        'flags[np.searchsorted(t.offsets, bad_rows, side="right") - 1] = True',
+        'flags[np.searchsorted(t.offsets, bad_rows, side="left") - 1] = True',
+        ("tests/test_trace.py::TestValidation::test_defects_in_generated_runs_fail_as_the_per_packet_spec",),
+    ),
+    Mutant(
+        "decoder: first capacity beyond the file",
+        "src/prpwifi/trace.py",
+        "return min(meta.n_packets, max(rest, 0) // shortest)",
+        "return meta.n_packets",
+        ("tests/test_trace.py::TestDecodeMemory::test_first_capacity_is_bounded_by_the_file",),
+    ),
+    Mutant(
+        "decoder: slack kept past the count",
+        "src/prpwifi/trace.py",
+        "a if a.shape[-1] == count else a[..., :count].copy() for a in (index, lost, ints)",
+        "a if a.shape[-1] == count else a[..., :count] for a in (index, lost, ints)",
+        ("tests/test_trace.py::TestCodec::test_decoded_columns_hold_no_slack",),
+    ),
+)
+
+
+def _run(mutant: Mutant, work: Path) -> str:
+    path = work / mutant.file
+    source = path.read_text()
+    if source.count(mutant.snippet) != 1:
+        return "stale"
+    path.write_text(source.replace(mutant.snippet, mutant.replacement))
+    try:
+        tests = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=work, capture_output=True, timeout=TIMEOUT_S,
+            env={**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    except subprocess.TimeoutExpired:
+        return f"error (over {TIMEOUT_S} s)"
+    finally:
+        path.write_text(source)
+    return {0: "survived", 1: "killed"}.get(tests.returncode, f"error (pytest exit {tests.returncode})")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="entries to run (default: all)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"no such entries: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    counts: dict[str, int] = {}
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as directory:
+        work = Path(directory)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, work / name)
+        for mutant in chosen:
+            began = time.perf_counter()
+            status = _run(mutant, work)
+            counts[status.split()[0]] = counts.get(status.split()[0], 0) + 1
+            print(f"{status:<10} {time.perf_counter() - began:6.1f} s  {mutant.name}", flush=True)
+    summary = ", ".join(f"{status} {count}" for status, count in sorted(counts.items()))
+    print(f"{len(chosen)} entries in {time.perf_counter() - started:.0f} s: {summary}")
+    return 0 if counts.get("killed", 0) == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

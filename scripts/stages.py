@@ -15,13 +15,18 @@ rda`` (at its T_LRE, ``perfbench/workloads.py``) one after the other:
 For each stage it prints, in MB (10^6 bytes) of tracemalloc: ``peak``, the
 most the process held during the stage, ``transient``, that peak minus what
 was held when the stage began, and ``held``, what was held when it ended.
-The last line is one JSON object with the stages and ``ru_maxrss_mb``, the
-peak RSS of a second fresh process that runs the same stages untraced
-(tracemalloc's own bookkeeping would inflate it).
+For a log it then prints how many blocks of packet lines each decoder path
+took: ``fixed`` (the fixed layout: every copy carries both final durations
+and no trace), ``general`` (the block grammar) and ``lines`` (line by
+line). The last line is one JSON object with the stages, the block paths
+of a log and ``ru_maxrss_mb``, the peak RSS of a second fresh process that
+runs the same stages untraced (tracemalloc's own bookkeeping would inflate
+it).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import resource
 import subprocess
@@ -38,9 +43,38 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from prpwifi import metrics, sim, trace  # noqa: E402
 from prpwifi.config import load_config  # noqa: E402
 from prpwifi.da import DaMode, DaParams  # noqa: E402
+from prpwifi.logblocks import BlockParser  # noqa: E402
 from workloads import ANALYZE_TLRE_NS  # noqa: E402
 
 MB = 1e6
+# the function that decodes a block on each decoder path
+BLOCK_PATHS = {
+    "fixed": (BlockParser, "_parse_fixed"),
+    "general": (BlockParser, "_parse_general"),
+    "lines": (trace, "_decode_lines"),
+}
+
+
+@contextlib.contextmanager
+def _counted_block_paths(counts: dict[str, int]):
+    """Counts in ``counts`` the blocks that each decoder path decodes."""
+
+    def counted(path, decode):
+        def wrapper(*args):
+            counts[path] += 1
+            return decode(*args)
+
+        return wrapper
+
+    originals = {path: getattr(*where) for path, where in BLOCK_PATHS.items()}
+    try:
+        for path, (owner, name) in BLOCK_PATHS.items():
+            counts[path] = 0
+            setattr(owner, name, counted(path, originals[path]))
+        yield counts
+    finally:
+        for path, (owner, name) in BLOCK_PATHS.items():
+            setattr(owner, name, originals[path])
 
 
 def _stages(args: argparse.Namespace) -> list[tuple[str, Callable]]:
@@ -117,9 +151,14 @@ def main(argv: list[str] | None = None) -> int:
         capture_output=True, text=True, check=True,
     )
     rss = round(float(child.stdout.split()[-1]), 1)
-    stages = _traced(args)
+    with _counted_block_paths({}) as blocks:
+        stages = _traced(args)
+    result = {"input": args.config or args.log, "stages": stages}
+    if args.log:
+        print("blocks   ", "  ".join(f"{path} {count}" for path, count in blocks.items()))
+        result["blocks"] = blocks
     print(f"ru_maxrss {rss:.1f} MB (untraced)")
-    print(json.dumps({"input": args.config or args.log, "stages": stages, "ru_maxrss_mb": rss}))
+    print(json.dumps({**result, "ru_maxrss_mb": rss}))
     return 0
 
 

@@ -99,8 +99,9 @@ def _da_params(args: argparse.Namespace, mode: DaMode) -> DaParams:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    run = read_log(args.log)
-    report = compute_report(run, _da_params(args, DaMode(args.mode)))
+    # every flag is checked before the log, whose decode takes seconds at 10^6 packets
+    params = _da_params(args, DaMode(args.mode))
+    report = compute_report(read_log(args.log), params)
     _emit(json.dumps(report_to_dict(report), indent=2) + "\n", args.out)
     return 0
 
@@ -119,7 +120,7 @@ def _grid_values(spec: str, step_ns: int) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    run = read_log(args.log)
+    # every flag is checked before the log, whose decode takes seconds at 10^6 packets
     values = _grid_values(args.range, _flag("--step", args.step))
     if args.param == "tlre":
         if args.tlre is not None:
@@ -128,7 +129,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         t_lre = _flag("--tlre", "0" if args.tlre is None else args.tlre, _non_negative)
         grid = [DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=v) for v in values]
-    reports = sweep(run, grid)
+    reports = sweep(read_log(args.log), grid)
     buffer = StringIO()
     write_sweep_csv(reports, buffer)
     _emit(buffer.getvalue(), args.out)

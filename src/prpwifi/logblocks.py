@@ -9,16 +9,17 @@ matrix: a row per copy, holding its first trace entry too, and per later
 entry; every literal and number a fixed range of columns. The parts a
 row lacks stay NUL and are dropped when the matrix is read out.
 
-:class:`BlockParser` checks a block of whole lines in that layout with a
-regex and parses its numbers with numpy instead of one ``json.loads`` per
-line: every number follows a ``:``, so one ``bytes.translate`` leaves
-just the numbers for ``np.fromstring``. Numbers in the grammar have at
-most 18 digits, so every value fits an int64, and a frame duration is
-positive, so 0 is free to stand for one that a copy does not carry. A
-block in which every copy carries both final durations and no trace has
-the same numbers in the same order on every line, so a reshape places
-them. In any other block the key before each number names its column in
-a table with a row per copy and per trace entry, and the keys that open
+:class:`BlockParser` parses a block of whole lines in that layout with
+numpy instead of one ``json.loads`` per line: every number follows a
+``:``, so one ``bytes.translate`` leaves just the numbers for
+``np.fromstring``. Numbers in the layout have at most 18 digits, so every
+value fits an int64, and a frame duration is positive, so 0 is free to
+stand for one that a copy does not carry. A block in which every copy
+carries both final durations and no trace is one line repeated with other
+numbers: it is checked against that line's skeleton and its numbers'
+digits, with no regex, and a reshape places the numbers. Any other block
+is checked by a regex; there the key before each number names its column
+in a table with a row per copy and per trace entry, and the keys that open
 a row count the rows. Blocks in any other layout, including lines that
 break those rules, are left to the line-by-line decoder of
 :mod:`prpwifi.trace`.
@@ -49,14 +50,17 @@ _ENTRY = r'\{"tW":N,"Td":P(?:,"Ta":P,"ok":1|,"ok":0)\}'
 _COPY_REST = (
     r',"l":N,"t_T":N,"t_X":N,"w":N(?:,"Td":P)?+(?:,"Ta":P)?+(?:,"trace":\[E(?:,E)*+\])?+\}'
 ).replace("E", _ENTRY).replace("P", _POSITIVE).replace("N", _NUMBER)
-# the same for a copy with both final durations and no trace
-_FIXED_REST = (
-    r',"l":N,"t_T":N,"t_X":N,"w":N,"Td":P,"Ta":P\}'
-).replace("P", _POSITIVE).replace("N", _NUMBER)
 # every number in the layout follows a ':', so deleting all bytes but
 # digits, '-' and ':', and turning ':' into a space, leaves the numbers
 _COLON_TO_SPACE = bytes.maketrans(b":", b" ")
 _NOT_NUMBER = bytes(c for c in range(256) if chr(c) not in "-0123456789:")
+# ... and precedes a ',' or '}': with those as spaces too, each token is
+# what lies between two of them, so no digits outside a number join it
+_BOUNDS_TO_SPACE = bytes.maketrans(b":,}", b"   ")
+_NOT_NUMBER_OR_BOUND = bytes(c for c in range(256) if chr(c) not in "-0123456789:,}")
+_SIGNED_DIGITS = b"-0123456789"
+_LIMIT = 10**18  # numbers have at most 18 digits
+_COLON, _COMMA, _BRACE, _MINUS, _ZERO = b":,}-0"
 # label bytes that the parse would take for numbers, keys or brackets
 _DISTURBING = frozenset(b"-0123456789:[]")
 
@@ -81,16 +85,24 @@ class BlockParser:
     ``COPY_KEYS`` and ``ENTRY_KEYS``."""
 
     def __init__(self, labels: Sequence[str]):
-        def grammar(copy_rest: str) -> re.Pattern:
-            copies = ",".join(
-                r'\{"ch":' + re.escape(json.dumps(label)) + copy_rest for label in labels
-            )
-            return re.compile(r'(?:\{"i":%s,"copies":\[%s\]\}\n)*+' % (_NUMBER, copies))
-
-        self._grammar = grammar(_COPY_REST)
-        self._fixed = grammar(_FIXED_REST)
+        copies = ",".join(
+            r'\{"ch":' + re.escape(json.dumps(label)) + _COPY_REST for label in labels
+        )
+        self._grammar = re.compile(r'(?:\{"i":%s,"copies":\[%s\]\}\n)*+' % (_NUMBER, copies))
+        # each head of a label holding a disturbing byte becomes a mark of
+        # its own: a code point past ASCII, which no checked block holds
         encoded = [json.dumps(label).encode() for label in labels]
-        self._heads = [b'{"ch":%s,' % e for e in encoded if _DISTURBING.intersection(e)]
+        self._marks, heads = [], []
+        for j, e in enumerate(encoded):
+            head = b'{"ch":%s,' % e
+            if _DISTURBING.intersection(e):
+                self._marks.append((head, chr(0x10000 + j).encode()))
+                head = self._marks[-1][1]
+            heads.append(head)
+        # a fixed-layout line without its numbers
+        fields = b",".join(b'"%s":' % key.encode() for key in COPY_KEYS)
+        copies = b",".join(head + fields + b"}" for head in heads)
+        self._skeleton = b'{"i":,"copies":[%s]}\n' % copies
         self._m = len(labels)
         self._fixed_width = 1 + len(labels) * len(COPY_KEYS)  # numbers per line
 
@@ -124,23 +136,69 @@ class BlockParser:
         block of whole lines in file order, or None if the block is not in
         the encoder's layout. A trace length is 0 where a copy has no
         trace."""
-        if self._fixed.fullmatch(text) is not None:
-            parse = self._parse_fixed
-        elif self._grammar.fullmatch(text) is not None:
-            parse = self._parse_general
-        else:
+        if not text.isascii():
             return None
         # cut out the labels holding digits, '-', ':' or brackets, so that
         # every such byte left belongs to the layout
         data = text.encode("ascii")
-        for head in self._heads:
-            data = data.replace(head, b"{")
-        return parse(data)
+        for head, mark in self._marks:
+            data = data.replace(head, mark)
+        if (lines := self._fixed_lines(data)) is not None:
+            return self._parse_fixed(lines)
+        if self._grammar.fullmatch(text) is None:
+            return None
+        return self._parse_general(data)
 
-    def _parse_fixed(self, data: bytes) -> tuple[np.ndarray, ...]:
+    def _fixed_lines(self, data: bytes) -> np.ndarray | None:
+        """The numbers of a block in the fixed layout, a row per line, or
+        None if the block is in another layout.
+
+        Without its digits and '-', such a block is the skeleton repeated
+        once per line. Each ':' before a number is then followed by ',' or
+        '}' there, and in the block it must be followed by the number
+        itself: so no number is empty, and with those three bytes as
+        separators, every token is a number's, else there are more tokens
+        than numbers. A token is a number in the form of ``_NUMBER`` when
+        a '-' only opens it and precedes a digit, it has no leading zero
+        and it is below 10^18 in size. ``np.fromstring`` does not refuse
+        the rest: it joins a '-' to the next token, and reads a lone '-' as
+        0, which at the end of the block is one number too many.
+        """
+        skeleton = self._skeleton
+        first = data[: data.find(b"\n") + 1]
+        if data and first.translate(None, _SIGNED_DIGITS) != skeleton:
+            return None  # a block out of the layout mostly stops here
+        rest = data.translate(None, _SIGNED_DIGITS)
+        k = len(rest) // len(skeleton)
+        if rest != skeleton * k:
+            return None
+        u = np.frombuffer(data, dtype=np.uint8)
+        after = u[1:]
+        if ((u[:-1] == _COLON) & ((after == _COMMA) | (after == _BRACE))).any():
+            return None  # an empty number
+        tokens = data.translate(_BOUNDS_TO_SPACE, _NOT_NUMBER_OR_BOUND)
+        t = np.frombuffer(tokens, dtype=np.uint8)  # spaces, '-' and digits
+        digit = t >= _ZERO
+        if _MINUS in tokens:
+            minus = t == _MINUS
+            if (minus[1:] & digit[:-1]).any() or (minus[:-1] & ~digit[1:]).any():
+                return None
+        if ((t[1:-1] == _ZERO) & ~digit[:-2] & digit[2:]).any():
+            return None  # a leading zero
+        values = np.fromstring(tokens, dtype=np.int64, sep=" ")
+        if len(values) != k * self._fixed_width:
+            return None
+        if values.min(initial=0) <= -_LIMIT or values.max(initial=0) >= _LIMIT:
+            return None
+        lines = values.reshape(k, self._fixed_width)
+        td = 1 + COPY_KEYS.index("Td")  # the columns of the copies' Td and Ta
+        if min(lines[:, c :: len(COPY_KEYS)].min(initial=1) for c in (td, td + 1)) <= 0:
+            return None
+        return lines
+
+    def _parse_fixed(self, lines: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every copy has the same keys, so each line is the index and then
         one number per key of each copy."""
-        lines = _numbers(data).reshape(-1, self._fixed_width)
         copies = lines[:, 1:].reshape(-1, len(COPY_KEYS))
         lengths = np.zeros(len(copies), dtype=np.int64)
         attempts = np.empty((0, len(ENTRY_KEYS)), dtype=np.int64)

@@ -1,13 +1,15 @@
 """Shared builders for hand-made logs and desk-scale simulation setups, and
 the reference specifications that the product paths are checked against
 (interference from general intervals, the sequential MAC, the f-string
-encoder, PRP pairing, the per-packet report, the per-packet oracle summary
-and virtual deferral by shifted columns)."""
+encoder, the fixed-layout block grammar, PRP pairing, the per-packet
+report, the per-packet oracle summary and virtual deferral by shifted
+columns)."""
 from __future__ import annotations
 
 import json
 import math
 import random
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -655,6 +657,28 @@ def encode_log_spec(run: RunLog) -> str:
             for index, *line in zip(run.index.tolist(), *copies)
         ]
     )
+
+
+# --- fixed-layout block grammar (the specification of BlockParser's check) ---
+
+_POSITIVE_SPEC = r"[1-9][0-9]{0,17}+"
+_NUMBER_SPEC = r"-?+(?:0|%s)" % _POSITIVE_SPEC
+# a copy entry after its '{"ch":<label>' when it carries both final
+# durations (positive) and no trace
+_FIXED_REST_SPEC = (
+    r',"l":N,"t_T":N,"t_X":N,"w":N,"Td":P,"Ta":P\}'
+).replace("P", _POSITIVE_SPEC).replace("N", _NUMBER_SPEC)
+
+
+def fixed_layout_spec(labels) -> re.Pattern:
+    """The grammar of a block of packet lines in the fixed layout for
+    channels labelled ``labels``: whole lines, each the packet index, then
+    per channel the copy's fields with both final durations and no trace;
+    numbers of at most 18 digits without leading zeros."""
+    copies = ",".join(
+        r'\{"ch":' + re.escape(json.dumps(label)) + _FIXED_REST_SPEC for label in labels
+    )
+    return re.compile(r'(?:\{"i":%s,"copies":\[%s\]\}\n)*+' % (_NUMBER_SPEC, copies))
 
 
 # --- virtual deferral by shifted columns --------------------------------------

@@ -299,6 +299,39 @@ class TestAnalyzeCommand:
         assert err.startswith("error: oracle policy needs traces") and err.count("\n") == 1
 
 
+_BAD_FLAGS = [
+    ["sweep", "--param", "tlre", "--range", "10us", "--step", "5us"],
+    ["sweep", "--param", "tlre", "--range", "5us:1us", "--step", "5us"],
+    ["sweep", "--param", "tlre", "--range", "0:10us", "--step", "0"],
+    ["sweep", "--param", "tlre", "--range", "0:10us", "--step", "5xs"],
+    ["sweep", "--param", "tlre", "--range", "0:10us", "--step", "5us", "--tlre", "5us"],
+    ["sweep", "--param", "td", "--range=-10us:10us", "--step", "5us", "--tlre=-5us"],
+    ["analyze", "--mode", "rda", "--tlre=-1us"],
+    ["analyze", "--mode", "tdd", "--td", "5xs"],
+    ["analyze", "--mode", "rda", "--td", "100us"],
+    ["analyze", "--mode", "rda", "--lost-attempts", "0"],
+]
+
+
+class TestFlagsBeforeLog:
+    """``analyze`` and ``sweep`` check every flag before they decode the
+    log, which takes seconds at 10^6 packets: a bad flag beside a missing
+    or malformed log is reported as it is beside a good one."""
+
+    @pytest.mark.parametrize("argv", _BAD_FLAGS, ids=" ".join)
+    def test_bad_flag_is_reported_without_reading_the_log(self, argv, log_file, tmp_path, capsys):
+        assert main(argv[:1] + ["--log", str(log_file)] + argv[1:]) == 2
+        expected = capsys.readouterr()
+        assert expected.out == "" and expected.err.startswith("error: --")
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text("not a log\n")
+        for log in (tmp_path / "missing.jsonl", malformed):
+            with mock.patch.object(cli, "read_log", side_effect=AssertionError) as read:
+                assert main(argv[:1] + ["--log", str(log)] + argv[1:]) == 2
+            assert read.call_count == 0
+            assert capsys.readouterr() == expected
+
+
 def _set_first_copy(field, value):
     def edit(record):
         record["copies"][0][field] = value

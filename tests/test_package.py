@@ -1,3 +1,8 @@
+import importlib.util
+import sys
+from pathlib import Path
+from unittest import mock
+
 import prpwifi
 
 PUBLIC = {
@@ -24,3 +29,25 @@ def test_public_surface():
     ``prpwifi.da``."""
     assert len(PUBLIC) == 39
     assert set(prpwifi.__all__) == PUBLIC and len(prpwifi.__all__) == 39
+
+
+def test_mutation_catalogue_is_current():
+    """Every entry of ``scripts/mutants.py`` names a snippet that occurs
+    exactly once in its file, and tests that exist, so a refactor that
+    moves what an entry mutates updates the entry with it."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # for its dataclass
+        spec.loader.exec_module(module)
+    names = [mutant.name for mutant in module.MUTANTS]
+    assert names and len(set(names)) == len(names)
+    for mutant in module.MUTANTS:
+        assert (root / mutant.file).read_text().count(mutant.snippet) == 1, mutant.name
+        assert mutant.tests, mutant.name
+        for test in mutant.tests:
+            path, *scopes = test.split("::")
+            source = (root / path).read_text()
+            for scope in scopes:
+                kind = "class" if scope.startswith("Test") else "def"
+                assert f"{kind} {scope}(" in source or f"{kind} {scope}:" in source, test

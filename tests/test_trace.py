@@ -30,7 +30,7 @@ from prpwifi import (
     validate_run,
     write_log,
 )
-from prpwifi import logblocks, trace
+from prpwifi import trace
 from prpwifi.cli import main
 from prpwifi.config import parse_config
 from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
@@ -65,6 +65,7 @@ from helpers import (
     copy_latency,
     desk_config,
     encode_log_spec,
+    fixed_layout_spec,
     link_outcome,
     lossy_config,
     make_lost_copy,
@@ -1115,12 +1116,13 @@ def _block_paths():
 
 def _decoded_three_ways(text: str, block: int, validate: bool):
     """(decoder outcome, the path of each block, outcome with the
-    fixed-layout grammar never matching, outcome of the per-line helper
-    over all lines)."""
+    fixed-layout check never passing, outcome of the per-line helper over
+    all lines)."""
     with mock.patch.object(trace, "_DECODE_BLOCK", block):
         with _block_paths() as paths:
             outcome = _outcome(text, validate)
-        with mock.patch.object(logblocks, "_FIXED_REST", "(?!)"), _block_paths() as unfixed:
+        no_fixed = mock.patch.object(BlockParser, "_fixed_lines", return_value=None)
+        with no_fixed, _block_paths() as unfixed:
             general = _outcome(text, validate)
         assert "fixed" not in unfixed
         with mock.patch.object(BlockParser, "parse", return_value=None):
@@ -1304,6 +1306,219 @@ class TestBlockDecoder:
         # the first block and the malformed line's; at 200 characters the
         # first block is line 2 alone, so the blank line's block is a third
         assert per_line.call_count == 2 + (blank and block == 200)
+
+
+def _slots(text: str) -> list[re.Match]:
+    """The number tokens after a ':' (some inside labels)."""
+    return list(re.finditer(r"(?<=:)-?[0-9]+", text))
+
+
+def _spliced(text: str, start: int, stop: int, new: str) -> str:
+    return text[:start] + new + text[stop:]
+
+
+def _at_slot(new):
+    """An edit that replaces a drawn number token by ``new(token)``."""
+
+    def edit(text, draw):
+        slot = draw(st.sampled_from(_slots(text)))
+        return _spliced(text, slot.start(), slot.end(), new(slot.group()))
+
+    return edit
+
+
+def _inserted(piece):
+    """An edit that inserts ``piece`` (a string, or a strategy) at a drawn
+    position."""
+
+    def edit(text, draw):
+        at = draw(st.integers(0, len(text)))
+        return _spliced(text, at, at, piece if isinstance(piece, str) else draw(piece))
+
+    return edit
+
+
+def _digit_removed(text, draw):
+    at = draw(st.sampled_from([k for k, c in enumerate(text) if c.isdigit()]))
+    return _spliced(text, at, at + 1, "")
+
+
+def _number_moved(text, draw):
+    """A number token cut out of its slot and put back at a drawn position:
+    as many tokens and digits as before."""
+    slot = draw(st.sampled_from(_slots(text)))
+    text = _spliced(text, slot.start(), slot.end(), "")
+    at = draw(st.integers(0, len(text)))
+    return _spliced(text, at, at, slot.group())
+
+
+def _duration_zeroed(text, draw):
+    slot = draw(st.sampled_from(list(re.finditer(r'(?<="T[da]":)[0-9]+', text))))
+    return _spliced(text, slot.start(), slot.end(), "0")
+
+
+def _newline_dropped(text, draw):
+    at = draw(st.sampled_from([k for k, c in enumerate(text) if c == "\n"]))
+    return _spliced(text, at, at + 1, "")
+
+
+def _labels_swapped(text, draw):
+    """The first two copies of a drawn line with their labels exchanged: each
+    label still opens one copy per line."""
+    lines = text.splitlines(keepends=True)
+    k = draw(st.integers(0, len(lines) - 1))
+    heads = list(re.finditer(r'\{"ch":("(?:[^"\\]|\\.)*"),', lines[k]))
+    a, b = heads[0], heads[1]
+    line = lines[k]
+    lines[k] = "".join(
+        (line[: a.start(1)], b.group(1), line[a.end(1) : b.start(1)], a.group(1), line[b.end(1) :])
+    )
+    return "".join(lines)
+
+
+_BLOCK_EDITS = {
+    "none": lambda text, draw: text,
+    "digit-in": _inserted(st.sampled_from("0123456789")),
+    "digit-out": _digit_removed,
+    "leading-zero": _at_slot(lambda t: t.replace("-", "-0") if t[0] == "-" else "0" + t),
+    "minus": _at_slot(lambda t: "-" + t),
+    "minus-zero": _at_slot(lambda t: "-0"),
+    "double-minus": _at_slot(lambda t: "--" + t),
+    "lone-minus": _inserted("-"),
+    "minus-at-end": lambda text, draw: text + "-",
+    "empty-slot": _at_slot(lambda t: ""),
+    "moved-number": _number_moved,
+    "19-digits": _at_slot(lambda t: str(10**18)),
+    "20-digits": _at_slot(lambda t: "-" + "9" * 20),
+    "2^63": _at_slot(lambda t: str(1 << 63)),
+    "-2^63": _at_slot(lambda t: str(-(1 << 63))),
+    "duration-zero": _duration_zeroed,
+    "newline-dropped": _newline_dropped,
+    "nul": _inserted("\0"),
+    "non-ascii": _inserted("é"),
+    "labels-swapped": _labels_swapped,
+}
+
+
+def _parsed(labels, text: str):
+    """(rows, path) of ``text`` by a BlockParser for ``labels``; the path is
+    "fixed", "general" or None (neither: line by line)."""
+    with _block_paths() as paths:
+        rows = BlockParser(labels).parse(text)
+    return rows, paths[0] if paths else None
+
+
+def _check_agrees_with_spec(labels, text: str) -> bool:
+    """Whether ``text`` takes the fixed path, after asserting that it does iff
+    it matches the fixed-layout grammar, and that its rows are then those of
+    the general grammar's parse."""
+    rows, path = _parsed(labels, text)
+    fixed = fixed_layout_spec(labels).fullmatch(text) is not None
+    assert (path == "fixed") == fixed
+    if fixed:
+        with mock.patch.object(BlockParser, "_fixed_lines", return_value=None):
+            general, path = _parsed(labels, text)
+        assert path == "general"
+        for ours, theirs in zip(rows, general, strict=True):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    return fixed
+
+
+class TestFixedLayoutCheck:
+    """A block takes the fixed path iff it matches the fixed-layout grammar
+    (``helpers.fixed_layout_spec``), which the check replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        run=encodable_runs(fixed_layout=True),
+        edit=st.sampled_from(sorted(_BLOCK_EDITS)),
+        data=st.data(),
+    )
+    def test_edited_blocks_take_the_fixed_path_iff_the_grammar_matches(self, run, edit, data):
+        labels = [channel.label for channel in run.channels]
+        text = encode_log_spec(run).split("\n", 1)[1]
+        assert _check_agrees_with_spec(labels, text)
+        edited = _BLOCK_EDITS[edit](text, lambda strategy: data.draw(strategy, label=edit))
+        fixed = _check_agrees_with_spec(labels, edited)
+        if edit == "none":
+            assert fixed
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"l":0,', '"l":-,'),  # np.fromstring reads a lone '-' as 0
+            ('"i":1,', '"i":1-,'),
+            ('"l":0,', '"l":0-0,'),  # which it refuses with an error
+            ('"l":0,', '"l":--0,'),
+            ('"t_T":0,', '"t_T"-:0,'),  # and joins a '-' to the next token
+            ('"copies":', '"copies":-'),
+        ],
+    )
+    def test_minus_signs_np_fromstring_would_misread(self, old, new, adapter_run):
+        text = encode_log_spec(adapter_run).split("\n", 1)[1]
+        assert old in text
+        assert not _check_agrees_with_spec(("A", "B"), text.replace(old, new, 1))
+
+    def test_minus_at_the_end(self, adapter_run):
+        text = encode_log_spec(adapter_run).split("\n", 1)[1]
+        assert not _check_agrees_with_spec(("A", "B"), text + "-")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"copies"', '"cop7ies"'),  # a digit between two numbers' separators
+            ('"t_T"', '"t_7T"'),
+            ('"ch":"A"', '"ch":"A7"'),
+            ('"l":0,"t_T"', '"l":,"t_T7"'),  # and an empty number beside it
+            ('"ch":"A","l":0,', '"ch":"A0","l":,'),
+            ('"i":1,"copies"', '"i":,"cop1ies"'),
+        ],
+    )
+    def test_digits_outside_numbers(self, old, new, adapter_run):
+        """The same tokens and digits as the block, in the wrong places."""
+        text = encode_log_spec(adapter_run).split("\n", 1)[1]
+        assert old in text
+        assert not _check_agrees_with_spec(("A", "B"), text.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "number, fixed",
+        [("-0", True), ("0", True), ("00", False), ("-00", False), ("05", False),
+         (str(10**18 - 1), True), (str(-(10**18 - 1)), True), (str(10**18), False),
+         (str(1 << 63), False), (str(-(1 << 63)), False), ("9" * 25, False)],
+    )
+    def test_number_forms(self, number, fixed, adapter_run):
+        text = encode_log_spec(adapter_run).split("\n", 1)[1]
+        text = text.replace('"l":0,', f'"l":{number},', 1)
+        assert _check_agrees_with_spec(("A", "B"), text) == fixed
+
+    @pytest.mark.parametrize("labels", [("1", "-2"), ("a:1", "[x]", "9-")])
+    def test_swapped_disturbing_labels(self, labels):
+        """Such labels are cut out before the check, each to a mark of its
+        own: a block whose lines open their copies with other labels, each
+        label still once per line, is not in the layout."""
+        text = _encoded(_fixed_layout_run(labels), trace._ENCODE_BLOCK).split("\n", 1)[1]
+        assert _check_agrees_with_spec(labels, text)
+        lines = text.splitlines(keepends=True)
+        first, second = (json.dumps(label) for label in labels[:2])
+        lines[1] = lines[1].replace(first, "\0").replace(second, first).replace("\0", second)
+        assert not _check_agrees_with_spec(labels, "".join(lines))
+        lines[2] = lines[2].replace(first, "\0").replace(second, first).replace("\0", second)
+        assert not _check_agrees_with_spec(labels, "".join(lines))
+
+    def test_other_layouts_stop_at_the_first_line(self, traced_run):
+        """A block out of the fixed layout is refused before any pass over
+        the whole block."""
+        text = encode_log_spec(traced_run).split("\n", 1)[1]
+        passes = []
+
+        class Block(bytes):
+            def translate(self, *args):
+                passes.append("translate")
+                return super().translate(*args)
+
+        data = Block(text.encode("ascii"))
+        assert BlockParser(("A", "B"))._fixed_lines(data) is None
+        assert passes == []
 
 
 _MALFORMED_EDITS = {
