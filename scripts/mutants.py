@@ -194,6 +194,33 @@ MUTANTS = (
         "a if a.shape[-1] == count else a[..., :count] for a in (index, lost, ints)",
         ("tests/test_trace.py::TestCodec::test_decoded_columns_hold_no_slack",),
     ),
+    Mutant(
+        "decoder: growth past the header's count",
+        "src/prpwifi/trace.py",
+        "if stop <= meta.n_packets:\n                size = min(size, meta.n_packets)",
+        "pass",
+        ("tests/test_trace.py::TestDecodeMemory::test_growth_stops_at_the_header_count",),
+    ),
+    # the media of a run family: one horizon per config, each medium kept
+    # for the family's planned runs
+    Mutant(
+        "family: never keeps a medium",
+        "src/prpwifi/sim.py",
+        "if self._uses[j] > 0:",
+        "if False:",
+        (
+            "tests/test_sim.py::TestRunFamily::test_runs_outside_the_plan_are_exact",
+            "tests/test_cli.py::TestBenchmarkHooks",
+        ),
+    ),
+    Mutant(
+        "medium: a deferred channel's horizon adds its offset again",
+        "src/prpwifi/sim.py",
+        "horizon = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns",
+        "horizon = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns"
+        " + abs(config.deferral_ns)",
+        ("tests/test_sim.py::TestRealDeferral::test_deferred_channel_extends_base_interference",),
+    ),
 )
 
 

@@ -15,7 +15,8 @@ Run-level keys:
     full_trace          record per-attempt traces
     deferral            signed request displacement (positive defers the
                         second channel, negative the first)
-    margin              interference horizon margin past the last request
+    margin              interference horizon margin past the last
+                        undeferred request, whatever the deferral
 
 Per-channel (or global default) keys:
     sifs ack_timeout slot difs data_frame ack_frame   durations

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -97,8 +97,9 @@ class SimConfig:
     # first's by this much; a negative value defers the first channel
     deferral_ns: int = 0
     emit_full_trace: bool = True
-    # Interference is materialized up to the last request plus this margin;
-    # the medium is treated as idle beyond it (only the run tail is affected).
+    # Interference is materialized up to the last undeferred request plus
+    # this margin, whatever the deferral; the medium is treated as idle
+    # beyond it (only the run tail is affected).
     interference_margin_ns: int = 2_000_000_000
 
     def validate(self) -> None:
@@ -117,18 +118,19 @@ class SimConfig:
                 raise SimConfigError(f"channel {cs.channel.label}: {exc}") from None
         if abs(self.deferral_ns) >= self.period_ns:
             raise SimConfigError("|deferral| must be smaller than the generation period")
-        undeferred = (self.n_packets - 1) * self.period_ns + self.interference_margin_ns
-        if undeferred <= 0:
+        horizon = (self.n_packets - 1) * self.period_ns + self.interference_margin_ns
+        if horizon <= 0:
             raise SimConfigError(
                 "margin must keep the interference horizon positive: "
-                f"(packets - 1) x period + margin = {undeferred} ns"
+                f"(packets - 1) x period + margin = {horizon} ns"
             )
-        # every simulated time stays below the TIME_LIMIT_NS sentinel: a
-        # copy ends before the last busy interval, which starts before the
-        # interference horizon, plus every attempt of the run at its longest
-        horizon = undeferred + abs(self.deferral_ns)
+        # every simulated time stays below the TIME_LIMIT_NS sentinel: no
+        # copy ends past the last busy interval, which starts before the
+        # interference horizon, or past its request, which |deferral| may
+        # move later, by more than every attempt of the run at its longest
         for cs in self.channels:
-            phy, busy_until = cs.phy, horizon + cs.interference.payload_airtime_ns
+            phy = cs.phy
+            busy_until = horizon + abs(self.deferral_ns) + cs.interference.payload_airtime_ns
             attempts = self.n_packets * phy.retry_limit * (
                 phy.difs_ns
                 + phy.cw_max * phy.slot_ns
@@ -145,7 +147,7 @@ class SimConfig:
                 )
             if cs.interference.interferer_count:
                 where = f"channel {cs.channel.label}: "
-                _synthesis_caps(cs.interference, horizon, undeferred, where)
+                _synthesis_caps(cs.interference, horizon, where)
 
     def request_offsets(self) -> tuple[int, int]:
         """Per-channel request displacement (first, second channel)."""
@@ -170,15 +172,15 @@ def bulk_stream(seed: int, salt: str, label: str, purpose: str) -> np.random.Gen
 
 
 def _synthesis_caps(
-    params: InterferenceParams, horizon_ns: int, chunk_horizon_ns: int, where: str = ""
+    params: InterferenceParams, horizon_ns: int, where: str = ""
 ) -> tuple[int, int, int]:
-    """Bursts drawn per chunk (about 1.3 chunk horizons' worth), and the caps
-    on a burst's packet count and gap: a gap or burst as long as the horizon
+    """Bursts drawn per chunk (about 1.3 horizons' worth), and the caps on a
+    burst's packet count and gap: a gap or burst as long as the horizon
     moves every later burst past it, so longer ones change nothing below it.
     A config whose chunk at these caps could pass int64 is refused."""
     spacing = params.intra_burst_spacing_ns
     cycle_estimate = params.burst_len_mean * spacing + params.gap_mean_ns
-    chunk = max(16, int(chunk_horizon_ns / cycle_estimate * 1.3) + 8)
+    chunk = max(16, int(horizon_ns / cycle_estimate * 1.3) + 8)
     count_cap = min(params.burst_len_cap, horizon_ns // spacing + 2)
     gap_cap = min(params.gap_cap_ns, horizon_ns)
     cycle = gap_cap + (count_cap - 1) * spacing + params.payload_airtime_ns
@@ -193,8 +195,7 @@ def _synthesis_caps(
 
 def _interferer_starts(params: InterferenceParams, horizon_ns: int, rng, caps) -> np.ndarray:
     """Sorted busy-interval starts of a single interferer before the
-    horizon. Bursts are drawn a chunk at a time, so a longer horizon only
-    appends draws."""
+    horizon, its bursts drawn a chunk at a time."""
     spacing, airtime = params.intra_burst_spacing_ns, params.payload_airtime_ns
     chunk, count_cap, gap_cap = caps
     parts, t = [], 0
@@ -221,33 +222,16 @@ def _interferer_starts(params: InterferenceParams, horizon_ns: int, rng, caps) -
 
 
 def interference_arrays(
-    params: InterferenceParams,
-    horizon_ns: int,
-    rng: np.random.Generator,
-    chunk_horizon_ns: int | None = None,
-    cuts: Sequence[int] | None = None,
-) -> tuple[np.ndarray, ...]:
+    params: InterferenceParams, horizon_ns: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Merged busy intervals of all interferers on one channel, starting
-    before the horizon.
-
-    The random draws depend on ``chunk_horizon_ns`` (default: the horizon)
-    but not on the horizon itself: with the same chunk horizon, the
-    intervals up to a horizon are a prefix of those up to a later one (the
-    last merged interval may extend further).
-
-    With ``cuts``, earlier horizons, the intervals come closed by a
-    ``TIME_LIMIT_NS`` one, and a third item lists per cut the end of the
-    last interval opening before it as drawn up to the cut: one airtime
-    after its last start before the cut (0 if none starts before it).
-    """
-    if chunk_horizon_ns is None:
-        chunk_horizon_ns = horizon_ns
+    before the horizon, closed by a ``TIME_LIMIT_NS`` one."""
     if horizon_ns <= 0:
         raise SimConfigError("horizon must be positive")
     params.validate()
     s = np.empty(0, dtype=np.int64)
     if params.interferer_count:
-        caps = _synthesis_caps(params, horizon_ns, chunk_horizon_ns)
+        caps = _synthesis_caps(params, horizon_ns)
         child_seeds = rng.integers(0, 1 << 63, size=params.interferer_count)
         rngs = (np.random.default_rng(int(c)) for c in child_seeds)
         s = np.concatenate([_interferer_starts(params, horizon_ns, r, caps) for r in rngs])
@@ -257,14 +241,11 @@ def interference_arrays(
     # its last start
     airtime = params.payload_airtime_ns
     opens = np.flatnonzero(np.diff(s) > airtime)
-    close = np.full(int(cuts is not None), TIME_LIMIT_NS, dtype=np.int64)
+    close = np.full(1, TIME_LIMIT_NS, dtype=np.int64)
     starts = np.concatenate((s[:1], s[1:][opens], close))
     ends = np.concatenate((s[:-1][opens], s[-1:], close))
     ends[: len(s) and len(opens) + 1] += airtime
-    if cuts is None:
-        return starts, ends
-    before = np.searchsorted(s, cuts).tolist()
-    return starts, ends, [int(s[i - 1]) + airtime if i else 0 for i in before]
+    return starts, ends
 
 
 # --- per-channel MAC --------------------------------------------------------
@@ -532,68 +513,34 @@ def _attempt_starts(busy, phy: PhyParams, tail: int, free_at: int, req, last, sl
 _Channel = tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]
 
 
-@dataclass(frozen=True, slots=True)
-class _Medium:
-    """One channel's busy intervals, drawn up to the interference horizon of
-    the latest request offset that it serves and closed by a
-    ``TIME_LIMIT_NS`` one, with their gap table (``_gap_table``); and per
-    earlier offset that it serves, the end of the last interval opening
-    before that offset's horizon, as drawn up to it."""
-
-    undeferred: int  # the interference horizon at offset 0
-    offset: int
-    busy: tuple  # starts, ends, ticks, fits
-    cut_ends: dict[int, int]
-
-    def cut(self, offset: int) -> tuple:
-        """The busy intervals and gap table as drawn up to ``offset``'s
-        horizon: the intervals opening before it, the last one ending at its
-        cut end, then the sentinel; a prefix of the ticks, and the fitting
-        gaps before the sentinel's. Only the interval arrays are copied."""
-        if offset == self.offset:
-            return self.busy
-        starts, ends, ticks, fits = self.busy
-        k = int(np.searchsorted(starts, self.undeferred + offset))
-        starts, ends = starts[: k + 1].copy(), ends[: k + 1].copy()
-        starts[k] = ends[k] = TIME_LIMIT_NS
-        if k:
-            ends[k - 1] = self.cut_ends[offset]
-        fits = {s: np.append(f[: np.searchsorted(f, k)], k).astype(f.dtype)
-                for s, f in fits.items()}
-        return starts, ends, ticks[: k + 1], fits
-
-
-def _build_medium(setup: ChannelSetup, config: SimConfig, offsets: Iterable[int]) -> _Medium:
-    """Channel ``setup``'s medium, serving each of the request ``offsets``."""
+def _build_medium(setup: ChannelSetup, config: SimConfig) -> tuple:
+    """Channel ``setup``'s medium, which times it in every run of ``config``
+    whatever the deferral: its busy intervals up to the interference
+    horizon, closed by a ``TIME_LIMIT_NS`` one, and their gap table
+    (``_gap_table``)."""
     phy = setup.phy
-    # a deferred channel draws the interference of its undeferred run and
-    # only extends it, so real and virtual deferral see the same medium
-    undeferred = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
-    offset, *cuts = sorted(set(offsets), reverse=True)
-    # closed by the sentinel busy interval: every simulated time stays below
-    # it, so every simulated run validates
-    starts, ends, cut_ends = interference_arrays(
+    # the horizon does not move with the deferral, so real and virtual
+    # deferral see the same medium; every simulated time stays below the
+    # sentinel, so every simulated run validates
+    horizon = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
+    starts, ends = interference_arrays(
         setup.interference,
-        undeferred + offset,
+        horizon,
         bulk_stream(config.seed, setup.seed_salt, setup.channel.label, "interference"),
-        chunk_horizon_ns=undeferred,
-        cuts=[undeferred + c for c in cuts],
     )
     tail = max(phy.sifs_ns + phy.ack_frame_ns, phy.ack_timeout_ns)
     spans = {data + tail for data in phy.data_frame_schedule_ns or (phy.data_frame_ns,)}
-    busy = (starts, ends, *_gap_table(starts, ends, phy.difs_ns, phy.slot_ns, spans))
-    return _Medium(undeferred, offset, busy, dict(zip(cuts, cut_ends)))
+    return (starts, ends, *_gap_table(starts, ends, phy.difs_ns, phy.slot_ns, spans))
 
 
 def _simulate_channel(
-    setup: ChannelSetup, config: SimConfig, request_offset_ns: int, medium: _Medium | None = None
+    setup: ChannelSetup, config: SimConfig, request_offset_ns: int, busy: tuple | None = None
 ) -> _Channel:
     """The channel's columns, its requests displaced by ``request_offset_ns``,
-    timed on ``medium`` (by default one built for this offset alone)."""
+    timed on the medium ``busy`` (by default one built for this run)."""
     label, phy = setup.channel.label, setup.phy
-    medium = medium or _build_medium(setup, config, (request_offset_ns,))
-    busy = medium.cut(request_offset_ns)
-    del medium  # a run family drops it after its last use
+    if busy is None:
+        busy = _build_medium(setup, config)
     error_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "error"))
     backoff_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "backoff"))
     # the contention window starts at cw_min and doubles per failed attempt;
@@ -650,7 +597,7 @@ class RunFamily:
 
     Each channel's medium is built once, for every planned run that
     simulates the channel, and dropped after the last of them; a run outside
-    the plan is as exact, on a medium built for it. The base config's run
+    the plan is as exact, on a medium built again. The base config's run
     is kept once generated, and a later run takes from it each channel
     whose request offset is the same in both configs.
     """
@@ -661,9 +608,8 @@ class RunFamily:
         # a displacement that generate_run refuses plans nothing
         planned = (replace(base_config, deferral_ns=d) for d in displacements)
         offsets = [c.request_offsets() for c in planned if _validates(c)]
-        self._offsets = [{o[j] for o in (base, *offsets)} for j in (0, 1)]
         self._uses = [1 + sum(o[j] != base[j] for o in offsets) for j in (0, 1)]
-        self._media: dict[int, _Medium] = {}
+        self._media: dict[int, tuple] = {}
 
     def _reused(self, config: SimConfig) -> dict[int, _Channel]:
         """The columns of the base run's channels that ``config``'s run shares."""
@@ -686,12 +632,11 @@ class RunFamily:
             if ours == theirs
         }
 
-    def _medium(self, j: int, offset: int) -> _Medium:
-        """Channel ``j``'s medium for a run at request ``offset``."""
+    def _medium(self, j: int) -> tuple:
+        """Channel ``j``'s medium, for the next run that simulates it."""
         medium = self._media.pop(j, None)
-        if medium is None or offset != medium.offset and offset not in medium.cut_ends:
-            setup, offsets = self.base_config.channels[j], self._offsets[j] | {offset}
-            medium = _build_medium(setup, self.base_config, offsets)
+        if medium is None:
+            medium = _build_medium(self.base_config.channels[j], self.base_config)
         self._uses[j] -= 1
         if self._uses[j] > 0:
             self._media[j] = medium
@@ -741,7 +686,7 @@ def generate_run(config: SimConfig, family: RunFamily | None = None) -> RunLog:
             # the medium is handed over, not held here, so that it goes as
             # soon as the family has dropped it and the MAC is done with it
             channels[j] = _simulate_channel(
-                config.channels[j], config, offsets[j], family._medium(j, offsets[j])
+                config.channels[j], config, offsets[j], family._medium(j)
             )
     copies = {name: np.stack([channels[j][0][name] for j in (0, 1)]) for name in COPY_COLUMNS}
     trace = None

@@ -388,15 +388,14 @@ def _interferer_intervals_spec(
     params: InterferenceParams,
     horizon_ns: int,
     rng: np.random.Generator,
-    chunk_horizon_ns: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Busy intervals of a single interferer up to the horizon, each built
-    as a (start, end) pair; bursts are drawn in chunks sized from
-    ``chunk_horizon_ns``."""
+    as a (start, end) pair; bursts are drawn in chunks sized from the
+    horizon."""
     spacing = params.intra_burst_spacing_ns
     airtime = params.payload_airtime_ns
     cycle_estimate = params.burst_len_mean * spacing + params.gap_mean_ns
-    chunk = max(16, int(chunk_horizon_ns / cycle_estimate * 1.3) + 8)
+    chunk = max(16, int(horizon_ns / cycle_estimate * 1.3) + 8)
 
     starts_chunks: list[np.ndarray] = []
     ends_chunks: list[np.ndarray] = []
@@ -444,13 +443,11 @@ def interference_arrays_spec(
     params: InterferenceParams,
     horizon_ns: int,
     rng: np.random.Generator,
-    chunk_horizon_ns: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``sim.interference_arrays`` from general intervals: every packet of
-    every interferer as a (start, end) pair, then their union. It is only
-    defined where no draw or sum passes int64."""
-    if chunk_horizon_ns is None:
-        chunk_horizon_ns = horizon_ns
+    """``sim.interference_arrays`` from general intervals, without its
+    ``TIME_LIMIT_NS`` sentinel: every packet of every interferer as a
+    (start, end) pair, then their union. It is only defined where no draw
+    or sum passes int64."""
     if horizon_ns <= 0:
         raise SimConfigError("horizon must be positive")
     params.validate()
@@ -462,7 +459,7 @@ def interference_arrays_spec(
     all_ends = []
     for child_seed in child_seeds:
         child = np.random.default_rng(int(child_seed))
-        s, e = _interferer_intervals_spec(params, horizon_ns, child, chunk_horizon_ns)
+        s, e = _interferer_intervals_spec(params, horizon_ns, child)
         all_starts.append(s)
         all_ends.append(e)
     return _merge_intervals_spec(np.concatenate(all_starts), np.concatenate(all_ends))
@@ -563,14 +560,15 @@ def simulate_copy(
 
 def simulate_channel_spec(setup: ChannelSetup, config: SimConfig, request_offset_ns: int):
     """One channel's columns from the sequential MAC, keyed like
-    ``sim._simulate_channel``'s (attempt rows only with traces)."""
+    ``sim._simulate_channel``'s (attempt rows only with traces). The
+    interference horizon is the last undeferred request plus the margin,
+    whatever ``request_offset_ns``."""
     label = setup.channel.label
-    undeferred = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
+    horizon = (config.n_packets - 1) * config.period_ns + config.interference_margin_ns
     busy_s, busy_e = interference_arrays_spec(
         setup.interference,
-        undeferred + request_offset_ns,
+        horizon,
         bulk_stream(config.seed, setup.seed_salt, label, "interference"),
-        chunk_horizon_ns=undeferred,
     )
     state = ChannelState(busy_starts=busy_s.tolist(), busy_ends=busy_e.tolist())
     backoff_rng = mac_stream(config.seed, setup.seed_salt, label, "backoff")

@@ -108,14 +108,10 @@ class TestGenerateRun:
 
 
 def merged_busy(cfg, channel_pos):
-    """Rebuild the busy intervals a generated run used for one channel."""
+    """Rebuild the busy intervals a generated run used for one channel,
+    closed by the sentinel; the horizon does not depend on the deferral."""
     setup = cfg.channels[channel_pos]
-    offsets = cfg.request_offsets()
-    horizon = (
-        (cfg.n_packets - 1) * cfg.period_ns
-        + offsets[channel_pos]
-        + cfg.interference_margin_ns
-    )
+    horizon = (cfg.n_packets - 1) * cfg.period_ns + cfg.interference_margin_ns
     stream = bulk_stream(cfg.seed, setup.seed_salt, setup.channel.label, "interference")
     starts, ends = interference_arrays(setup.interference, horizon, stream)
     return starts.tolist(), ends.tolist()
@@ -157,14 +153,14 @@ class TestMedium:
     def test_attempts_keep_clear_of_interference(self, config):
         run = generate_run(config)
         t, n = run.trace, config.n_packets
-        # the busy intervals as _simulate_channel draws them
-        undeferred = (n - 1) * config.period_ns + config.interference_margin_ns
-        for j, (setup, offset) in enumerate(zip(config.channels, config.request_offsets())):
+        # the busy intervals as _simulate_channel draws them, closed by the
+        # sentinel, at the one horizon of every run of the config
+        horizon = (n - 1) * config.period_ns + config.interference_margin_ns
+        for j, setup in enumerate(config.channels):
             starts, ends = interference_arrays(
                 setup.interference,
-                undeferred + offset,
+                horizon,
                 bulk_stream(config.seed, setup.seed_salt, setup.channel.label, "interference"),
-                chunk_horizon_ns=undeferred,
             )
             phy = setup.phy
             rows = slice(t.offsets[j * n], t.offsets[(j + 1) * n])
@@ -234,9 +230,10 @@ class TestSimulateCopy:
 
 class TestInterference:
     def test_no_interferers_is_empty(self):
+        # the sentinel alone
         stream = bulk_stream(1, "", "A", "interference")
         starts, ends = interference_arrays(InterferenceParams(), 60_000_000_000, stream)
-        assert len(starts) == 0 and len(ends) == 0
+        assert starts.tolist() == ends.tolist() == [TIME_LIMIT_NS]
 
     def test_non_positive_horizon_rejected(self):
         stream = bulk_stream(1, "", "A", "interference")
@@ -272,7 +269,7 @@ class TestInterference:
         params = desk_interference(1)
         stream = bulk_stream(3, "", "B", "interference")
         starts, ends = interference_arrays(params, 60_000_000_000, stream)
-        busy = list(zip(starts.tolist(), ends.tolist()))
+        busy = list(zip(starts[:-1].tolist(), ends[:-1].tolist()))  # without the sentinel
         assert busy, "expected some interference"
         for (s0, e0), (s1, e1) in zip(busy, busy[1:]):
             assert e0 <= s1  # merged and ordered
@@ -284,7 +281,7 @@ class TestInterference:
         def busy_fraction(count, seed):
             stream = bulk_stream(seed, "", "B", "interference")
             starts, ends = interference_arrays(desk_interference(count), horizon, stream)
-            return int((np.minimum(ends, horizon) - starts).sum()) / horizon
+            return int((np.minimum(ends[:-1], horizon) - starts[:-1]).sum()) / horizon
 
         for count_low, count_high in [(1, 4)]:
             low = statistics.mean(busy_fraction(count_low, s) for s in range(10))
@@ -293,26 +290,35 @@ class TestInterference:
 
     @pytest.mark.parametrize("extra_ns", [1, 250_000, 40_000_000, 3_000_000_000])
     def test_later_horizon_extends_the_same_draws(self, extra_ns):
-        # 1013 periods of 3.9 ms plus the 2 s margin: +250 us changes the
-        # chunk size a horizon-sized draw would use
-        horizon = 1013 * 3_900_000 + 2_000_000_000
+        # bursts of about 1 s and gaps of about 4 s: 4 s and 4 s + 3 s draw
+        # the same number of bursts per chunk under the same caps, so the
+        # later horizon draws further and keeps every earlier draw
+        params = replace(
+            desk_interference(2),
+            burst_len_mean=2500.0,
+            burst_len_cap=5000,
+            gap_mean_ns=4_000_000_000,
+            gap_cap_ns=4_000_000_000,
+        )
+        horizon = 4_000_000_000
+        assert sim._synthesis_caps(params, horizon) == sim._synthesis_caps(
+            params, horizon + extra_ns
+        )
 
         def busy(horizon_ns):
             stream = bulk_stream(1, "", "B", "interference")
-            return interference_arrays(
-                desk_interference(2), horizon_ns, stream, chunk_horizon_ns=horizon
-            )
+            return unclosed(interference_arrays(params, horizon_ns, stream))
 
         (s0, e0), (s1, e1) = busy(horizon), busy(horizon + extra_ns)
         k = len(s0)
-        assert s0[-1] < horizon and (k == len(s1) or s1[k] >= horizon)
+        assert k > 1 and s0[-1] < horizon and (k == len(s1) or s1[k] >= horizon)
         assert np.array_equal(s0, s1[:k])
         assert np.array_equal(e0[:-1], e1[: k - 1]) and e0[-1] <= e1[k - 1]
 
 
 @st.composite
 def synthesis_cases(draw):
-    """Interference parameters, a horizon and a chunk horizon: packets that
+    """Interference parameters and a horizon: packets that
     overlap within a burst (airtime above the spacing), touch (equal) or
     leave gaps, bursts of one packet, 0-4 interferers, and gaps from
     shorter than an airtime to longer than a burst."""
@@ -334,8 +340,7 @@ def synthesis_cases(draw):
         gap_cap_ns=gap_mean_ns * draw(st.sampled_from([1, 3, 100])),
     )
     horizon = draw(st.integers(min_value=1, max_value=300_000_000))
-    chunk_horizon = draw(st.none() | st.integers(min_value=1, max_value=600_000_000))
-    return params, horizon, chunk_horizon, draw(st.integers(min_value=0, max_value=2**32))
+    return params, horizon, draw(st.integers(min_value=0, max_value=2**32))
 
 
 def exact_interference(params, horizon_ns, rng):
@@ -360,6 +365,13 @@ def exact_interference(params, horizon_ns, rng):
     return _merge_intervals_spec(s, s + airtime)
 
 
+def unclosed(busy):
+    """Busy intervals without their ``TIME_LIMIT_NS`` sentinel, which must
+    close them."""
+    assert [b[-1] for b in busy] == [TIME_LIMIT_NS] * 2
+    return tuple(b[:-1] for b in busy)
+
+
 class TestSynthesis:
     """``interference_arrays`` against the general-interval spec in
     ``helpers`` and, where int64 sums of the draws wrap, against Python
@@ -368,29 +380,40 @@ class TestSynthesis:
     @settings(max_examples=200, deadline=None)
     @given(case=synthesis_cases())
     def test_equals_general_interval_spec(self, case):
-        params, horizon, chunk_horizon, seed = case
-        got = interference_arrays(params, horizon, np.random.default_rng(seed), chunk_horizon)
-        want = interference_arrays_spec(
-            params, horizon, np.random.default_rng(seed), chunk_horizon
-        )
+        params, horizon, seed = case
+        got = unclosed(interference_arrays(params, horizon, np.random.default_rng(seed)))
+        want = interference_arrays_spec(params, horizon, np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert g.dtype == np.int64 and np.array_equal(g, w)
 
     def test_horizon_inside_a_burst(self):
         # packets overlap within a burst, so a merged interval is a burst:
         # horizons just before, at and just after its first packet's start,
-        # and at its second packet's start
+        # and at its second packet's start. The bursts drawn per chunk grow
+        # with the horizon, in steps of cycle / 1.3, so the start is taken
+        # from a draw whose step holds all four horizons: each of them then
+        # draws the same bursts.
         params = replace(desk_interference(3), payload_airtime_ns=500_000)
+        cycle = params.burst_len_mean * params.intra_burst_spacing_ns + params.gap_mean_ns
 
         def stream():
             return bulk_stream(2, "", "B", "interference")
 
-        chunk_horizon = 2_000_000_000
-        starts, _ = interference_arrays_spec(params, chunk_horizon, stream())
-        middle = starts[len(starts) // 2]
+        def step(horizon):
+            return int(horizon / cycle * 1.3)
+
+        for drawn in range(1_000_000_000, 1_100_000_000, 1_000_000):
+            starts, _ = interference_arrays_spec(params, drawn, stream())
+            inside = [
+                m for m in starts.tolist()
+                if step(m - 1) == step(m + 400_000) == step(drawn) and m + 400_000 <= drawn
+            ]
+            if inside:
+                break
+        middle = inside[0]
         for horizon in (middle - 1, middle, middle + 1, middle + 400_000):
-            got = interference_arrays(params, int(horizon), stream(), chunk_horizon)
-            want = interference_arrays_spec(params, int(horizon), stream(), chunk_horizon)
+            got = unclosed(interference_arrays(params, int(horizon), stream()))
+            want = interference_arrays_spec(params, int(horizon), stream())
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert got[0][-1] < horizon
 
@@ -427,7 +450,9 @@ class TestSynthesis:
         params = replace(desk_interference(2), **params)
         nonempty = 0
         for seed in range(8):
-            got = interference_arrays(params, horizon_ns, bulk_stream(seed, "", "B", "interference"))
+            got = unclosed(
+                interference_arrays(params, horizon_ns, bulk_stream(seed, "", "B", "interference"))
+            )
             want = exact_interference(params, horizon_ns, bulk_stream(seed, "", "B", "interference"))
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert len(got[0]) == 0 or 0 <= got[0][0] <= got[0][-1] < horizon_ns
@@ -456,7 +481,9 @@ class TestSynthesis:
 class TestRealDeferral:
     def test_deferred_channel_extends_base_interference(self, monkeypatch):
         # period 3.9 ms, 1014 packets, T_D 250 us, seed 1: the deferral used
-        # to change the deferred channel's interference draws
+        # to change the deferred channel's interference draws, and a horizon
+        # that moved with the deferral would (+250 us changes the chunk size);
+        # at the one horizon of the config the extension is empty
         busy = []
 
         def recording(*args, **kwargs):
@@ -467,10 +494,12 @@ class TestRealDeferral:
         cfg = desk_config(1014, seed=1, period_ns=3_900_000, full_trace=False)
         generate_run(cfg)
         generate_run(replace(cfg, deferral_ns=250_000))
-        # each medium comes closed by the sentinel, which is not compared
-        (_, (s0, e0, _)), (_, (s1, e1, _)) = busy[:2], busy[2:]
-        k = len(s0) - 1
-        assert np.array_equal(s0[:k], s1[:k]) and np.array_equal(e0[: k - 1], e1[: k - 1])
+        # each run builds both media, B's first (it has the interferers):
+        # the deferred run gets the base run's arrays, the sentinel included
+        assert len(busy) == 4 and len(busy[0][0]) > 1
+        for base, deferred in zip(busy[:2], busy[2:]):
+            assert all(np.array_equal(b, d) for b, d in zip(base, deferred))
+            unclosed(deferred)  # which checks the sentinel
 
     def test_positive_offset_defers_second_channel(self):
         cfg = replace(desk_config(300, seed=8), deferral_ns=100_000)
@@ -547,8 +576,8 @@ def assert_family_runs_equal_fresh_runs(config, displacements):
 
 
 class TestRunFamily:
-    """A run family builds each channel's medium once, up to the latest
-    horizon its runs need, and cuts it to each run's own horizon."""
+    """A run family builds each channel's medium once, at the config's one
+    interference horizon, and times each of its runs on it whole."""
 
     @settings(max_examples=12, deadline=None)
     @given(config=sim_configs(), data=st.data())
@@ -585,9 +614,8 @@ class TestRunFamily:
 
     def test_runs_outside_the_plan_are_exact(self):
         # an unplanned displacement, the base config again, and the planned
-        # one twice; a medium that was dropped or does not serve the run's
-        # offset is built for it: 2 media for the base run, then 1 for
-        # -200 us and 1 for the second +100 us
+        # one twice; a medium that was dropped is built again: 2 media for
+        # the base run, then 1 for -200 us and 1 for the second +100 us
         cfg = desk_config(300, seed=201, interferers_a=1, full_trace=False)
         displacements = (0, -200_000, 0, 100_000, 100_000)
         fresh = [generate_run(replace(cfg, deferral_ns=d)) for d in displacements]
@@ -599,28 +627,29 @@ class TestRunFamily:
 
     @settings(max_examples=60, deadline=None)
     @given(config=sim_configs(), data=st.data())
-    def test_cut_equals_the_medium_drawn_to_its_horizon(self, config, data):
-        """A medium cut to an offset's horizon holds the intervals, ticks
-        and fitting gaps of the medium drawn up to that horizon alone; a
-        margin of 1 ns puts the horizons among the busy intervals."""
+    def test_kept_medium_equals_each_runs_own(self, config, data):
+        """The medium a family keeps for its planned runs is the one each of
+        them builds alone, whatever its deferral; a margin of 1 ns puts the
+        horizon among the busy intervals."""
         config = replace(config, interference_margin_ns=data.draw(st.sampled_from([1, 10**9])))
-        offset = st.integers(min_value=0, max_value=config.period_ns - 1)
-        offsets = data.draw(st.lists(offset, min_size=1, max_size=4))
-        for setup in config.channels:
-            medium = sim._build_medium(setup, config, offsets)
-            for offset in offsets:
-                starts, ends, ticks, fits = medium.cut(offset)
-                want = sim._build_medium(setup, config, [offset]).busy
-                assert np.array_equal(starts, want[0]) and np.array_equal(ends, want[1])
-                assert ticks.tolist() == want[2].tolist()
-                assert fits.keys() == want[3].keys()
-                assert all(fits[s].tolist() == f.tolist() for s, f in want[3].items())
+        offset = st.integers(min_value=1 - config.period_ns, max_value=config.period_ns - 1)
+        displacements = data.draw(st.lists(offset, min_size=1, max_size=4))
+        family = RunFamily(config, displacements)
+        for j, setup in enumerate(config.channels):
+            kept = family._medium(j)
+            for d in displacements:
+                own = sim._build_medium(setup, replace(config, deferral_ns=d))
+                assert np.array_equal(kept[0], own[0]) and np.array_equal(kept[1], own[1])
+                assert kept[2].tolist() == own[2].tolist()
+                assert kept[3].keys() == own[3].keys()
+                assert all(kept[3][s].tolist() == f.tolist() for s, f in own[3].items())
 
-    def test_interval_straddling_the_shorter_horizon(self):
+    def test_interval_straddling_the_horizon(self):
         """Overlapping packets merge each burst into one interval. At seed 1
-        one opens before channel B's base horizon and goes on past it: the
-        base run ends it one airtime after its last start before the
-        horizon, and B's last copy starts in the time this leaves idle."""
+        one opens before the horizon and goes on past it: the medium ends it
+        one airtime after its last start before the horizon, B's last copy
+        starts after that, and the base and deferred runs of a family both
+        time B on this medium."""
         intf = replace(desk_interference(3), payload_airtime_ns=500_000)
         config = desk_config(200, seed=1, interferers_b=3)
         config = replace(
@@ -631,12 +660,11 @@ class TestRunFamily:
         deferred = replace(config, deferral_ns=300_000)
         family = RunFamily(config, [300_000])
         base = generate_run(config, family)
-        medium = family._media[1]  # kept for the deferred run
-        starts, ends = medium.busy[:2]
+        starts, ends = family._media[1][:2]  # kept for the deferred run
         horizon = (config.n_packets - 1) * config.period_ns + 1
         k = int(np.searchsorted(starts, horizon))
-        assert starts[k - 1] < horizon < medium.cut_ends[0] < ends[k - 1]
-        assert medium.cut_ends[0] < base.trace.start[-1] < ends[k - 1]
+        assert starts[k - 1] < horizon < ends[k - 1] < base.trace.start[-1]
+        assert starts[k] == ends[k] == TIME_LIMIT_NS
         assert base == generate_run(config)
         assert generate_run(deferred, family) == generate_run(deferred)
 

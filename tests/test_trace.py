@@ -1857,6 +1857,24 @@ class TestDecodeMemory:
                 claimed, trace._FIRST_CAPACITY
             )
 
+    def test_growth_stops_at_the_header_count(self):
+        """From a stream the columns grow by doubling, but no further than
+        the header's count while the packets decoded fit in it: 100 packets
+        of room become 200, then 300, not 400. Without the cap a 10^6-packet
+        log read from a stream grows to 2^20 packets and is copied once more
+        at the end."""
+        run = generate_run(desk_config(300, seed=5, full_trace=False))
+        text = _encoded(run, trace._ENCODE_BLOCK)
+        with (
+            mock.patch.object(trace, "_FIRST_CAPACITY", 100),
+            mock.patch.object(trace, "_DECODE_BLOCK", 1 << 12),  # blocks of about 30 packets
+            mock.patch.object(trace, "_extended", wraps=trace._extended) as extended,
+        ):
+            assert decode_log(io.StringIO(text)) == run
+        # an adapter log has no attempt rows, so every growth is of the
+        # packet columns
+        assert {call.args[2] for call in extended.call_args_list} == {200, 300}
+
     def test_a_right_header_allocates_the_copy_columns_once(self, traced_run, tmp_path):
         """A file whose header count is right is decoded into columns sized
         once, whatever ``_FIRST_CAPACITY`` is; with a count that is too
