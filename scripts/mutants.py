@@ -20,6 +20,10 @@ compiled afresh.
 An entry records a mutation made to show that a check is tested: a
 comparison flipped, a mask or a bound dropped. When a refactor moves or
 rewrites the code an entry names, the entry is updated in the same change.
+``EQUIVALENT`` lists the mutations that leave the program's behaviour as it
+is, each with its reason. They are not run, so they never count as
+survivors; one whose snippet does not occur exactly once is printed and
+counted as ``stale``.
 """
 from __future__ import annotations
 
@@ -50,6 +54,8 @@ class Mutant:
 _GATE = "src/prpwifi/logblocks.py"
 _BLOCK_TESTS = "tests/test_trace.py::TestFixedLayoutCheck"
 _PROPERTY = f"{_BLOCK_TESTS}::test_edited_blocks_take_the_fixed_path_iff_the_grammar_matches"
+_MAC = "src/prpwifi/sim.py"
+_GAP_JUMP = "tests/test_sim.py::TestGapJump::test_equals_scalar_acquire"
 
 MUTANTS = (
     # the fixed-layout check of logblocks.BlockParser, one entry per test
@@ -155,9 +161,16 @@ MUTANTS = (
     Mutant(
         "oracle: the displacement's signs swapped",
         "src/prpwifi/metrics.py",
-        "offsets = (t_d, -t_d) if virtual else (0,) * len(run.channels)",
-        "offsets = (-t_d, t_d) if virtual else (0,) * len(run.channels)",
+        "return t_d, (t_d, -t_d)",
+        "return t_d, (-t_d, t_d)",
         ("tests/test_metrics.py::TestOracleSummary",),
+    ),
+    Mutant(
+        "displaced: the other channel deferred",
+        "src/prpwifi/da.py",
+        "deferred = second if t_d_ns > 0 else first",
+        "deferred = first if t_d_ns > 0 else second",
+        ("tests/test_da.py::TestTddFlags",),
     ),
     Mutant(
         "_other_ends: lost copies count",
@@ -221,14 +234,141 @@ MUTANTS = (
         " + abs(config.deferral_ns)",
         ("tests/test_sim.py::TestRealDeferral::test_deferred_channel_extends_base_interference",),
     ),
+    # the MAC: the gap jump against the scalar _acquire, round 0's service
+    # times queue and the scalar replay's early stop
+    Mutant(
+        "_acquire: an attempt must end before the next busy interval",
+        _MAC,
+        "if ready + span <= next_busy:",
+        "if ready + span < next_busy:",
+        (_GAP_JUMP,),
+    ),
+    Mutant(
+        "_acquire_lanes: an attempt that ends at a busy start is late",
+        _MAC,
+        "late = ready + span > starts[j]",
+        "late = ready + span >= starts[j]",
+        (_GAP_JUMP,),
+    ),
+    Mutant(
+        "_acquire_lanes: the partial gap counts without DIFS",
+        _MAC,
+        "pending -= np.clip((starts[k - 1] - t - difs) // slot, 0, pending)",
+        "pending -= np.clip((starts[k - 1] - t) // slot, 0, pending)",
+        (_GAP_JUMP,),
+    ),
+    Mutant(
+        "_acquire_lanes: the first fitting gap searched from the right",
+        _MAC,
+        "gaps[np.searchsorted(gaps, (j[x] + 1).astype(gaps.dtype))]",
+        'gaps[np.searchsorted(gaps, (j[x] + 1).astype(gaps.dtype), side="right")]',
+        (_GAP_JUMP,),
+    ),
+    Mutant(
+        "_acquire_lanes: the key cap without its + 1",
+        _MAC,
+        "key = np.minimum(before + pending, ticks[-1] + 1).astype(ticks.dtype)",
+        "key = np.minimum(before + pending, ticks[-1]).astype(ticks.dtype)",
+        (_GAP_JUMP,),
+    ),
+    Mutant(
+        "_gap_table: a gap of exactly DIFS plus the span does not fit",
+        _MAC,
+        "at.append(np.flatnonzero(gaps >= difs + span) + lo)",
+        "at.append(np.flatnonzero(gaps > difs + span) + lo)",
+        (_GAP_JUMP,),
+    ),
+    Mutant(
+        "_gap_table: a gap shorter than DIFS ticks below 0",
+        _MAC,
+        "np.maximum(gaps, 0, out=gaps)",
+        "pass",
+        (_GAP_JUMP,),
+    ),
+    Mutant(
+        "round 0: a copy requested as its predecessor's bound ends is queued",
+        _MAC,
+        "np.flatnonzero(np.append(free_at, bound[:-1]) <= req)",
+        "np.flatnonzero(np.append(free_at, bound[:-1]) < req)",
+        ("tests/test_sim.py::TestBatchedMac::test_round_0_leaves_out_copies_the_service_times_queue",),
+    ),
+    Mutant(
+        "replay: no early stop",
+        _MAC,
+        "if t == t_in_mv[c]:",
+        "if False:",
+        ("tests/test_sim.py::TestBatchedMac::test_scalar_replays_on_the_bench_config",),
+    ),
 )
 
 
+@dataclass(frozen=True)
+class Equivalent:
+    """A mutation that no test can catch, because the program behaves the
+    same with it; it is listed, not run, so that it is neither tried again
+    nor counted as a survivor."""
+
+    name: str
+    file: str
+    snippet: str  # must occur exactly once in ``file``
+    replacement: str
+    reason: str
+
+
+EQUIVALENT = (
+    Equivalent(
+        "_acquire: an interval ending at t is entered",
+        _MAC,
+        "while k < n and ends[k] <= t:",
+        "while k < n and ends[k] < t:",
+        "an interval that ends at t is entered and left at t, so the time and"
+        " the pending count are those of skipping it",
+    ),
+    Equivalent(
+        "_acquire_lanes: the start gap searched from the left",
+        _MAC,
+        'k = np.searchsorted(ends, t, side="right")',
+        'k = np.searchsorted(ends, t, side="left")',
+        "as in _acquire: an interval that ends at t is entered and left at t",
+    ),
+    Equivalent(
+        "_ordinals: a draw equal to loss_prob fails",
+        _MAC,
+        "ok = u >= loss_prob",
+        "ok = u > loss_prob",
+        "differs only on a draw exactly equal to loss_prob: a 53-bit draw from"
+        " [0, 1) meets a given value with probability 2^-53",
+    ),
+    Equivalent(
+        "replay: compared against req",
+        _MAC,
+        "if t == t_in_mv[c]:",
+        "if t == req_mv[c]:",
+        "a copy whose replay starts at its request has a predecessor ending by"
+        " then, so round 0 timed it from its request and t_in equals req there;"
+        " the replay only goes on past copies it could have stopped at",
+    ),
+    Equivalent(
+        "rounds: every off copy a head",
+        _MAC,
+        "heads = np.flatnonzero(off & ~np.append(False, off[:-1]))",
+        "heads = np.flatnonzero(off)",
+        "a copy behind an off predecessor is timed from too early a time, so"
+        " it stays off and the replay, which runs until a copy's time is the"
+        " one it was timed from, makes it exact; only the work changes",
+    ),
+)
+
+
+def _current(entry: Mutant | Equivalent, root: Path) -> bool:
+    return (root / entry.file).read_text().count(entry.snippet) == 1
+
+
 def _run(mutant: Mutant, work: Path) -> str:
+    if not _current(mutant, work):
+        return "stale"
     path = work / mutant.file
     source = path.read_text()
-    if source.count(mutant.snippet) != 1:
-        return "stale"
     path.write_text(source.replace(mutant.snippet, mutant.replacement))
     try:
         tests = subprocess.run(
@@ -266,9 +406,14 @@ def main(argv: list[str] | None = None) -> int:
             status = _run(mutant, work)
             counts[status.split()[0]] = counts.get(status.split()[0], 0) + 1
             print(f"{status:<10} {time.perf_counter() - began:6.1f} s  {mutant.name}", flush=True)
+    for equivalent in EQUIVALENT:
+        if not _current(equivalent, ROOT):
+            counts["stale"] = counts.get("stale", 0) + 1
+            print(f"{'stale':<10} {'':>8}  {equivalent.name} (equivalent)")
     summary = ", ".join(f"{status} {count}" for status, count in sorted(counts.items()))
-    print(f"{len(chosen)} entries in {time.perf_counter() - started:.0f} s: {summary}")
-    return 0 if counts.get("killed", 0) == len(chosen) else 1
+    print(f"{len(chosen)} entries in {time.perf_counter() - started:.0f} s: {summary};"
+          f" {len(EQUIVALENT)} equivalents not run")
+    return 0 if counts == {"killed": len(chosen)} else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ non-deferred log in post-processing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
@@ -108,14 +109,6 @@ def policy_final_start(
     return final_attempt_start(copy, phy)
 
 
-def _all_false(packet: PacketRecord) -> DaFlags:
-    return DaFlags(
-        early={c: False for c in packet.copies},
-        simplex={c: False for c in packet.copies},
-        quickest=None,
-    )
-
-
 def rda_flags(
     packet: PacketRecord,
     t_lre_ns: int,
@@ -128,21 +121,20 @@ def rda_flags(
     of a copy counts as terminated early when the cross-ACK, delayed by the
     reaction latency, strictly precedes the start of the copy's final
     attempt. Packets lost on every channel produce no cross-ACK and carry
-    all-false flags. Computed from final attempts only, so a true flag
-    means at least one attempt is saved (lower-bound semantics).
+    all-false flags; the failed-copy policy still applies to each of their
+    copies. Computed from final attempts only, so a true flag means at
+    least one attempt is saved (lower-bound semantics).
     """
+    starts = {
+        c: policy_final_start(copy, phy[c], failed_copy_policy) for c, copy in packet.copies.items()
+    }
     delivered = [c for c, copy in packet.copies.items() if not copy.lost]
-    if not delivered:
-        return _all_false(packet)
-    quickest = min(delivered, key=lambda c: (packet.copies[c].end_ns, c.index))
-    xack_ns = packet.copies[quickest].end_ns
-    early: dict[ChannelId, bool] = {}
-    for channel, copy in packet.copies.items():
-        if channel == quickest:
-            early[channel] = False
-            continue
-        start = policy_final_start(copy, phy[channel], failed_copy_policy)
-        early[channel] = start is not None and xack_ns + t_lre_ns < start
+    quickest = min(delivered, key=lambda c: (packet.copies[c].end_ns, c.index), default=None)
+    xack_ns = math.inf if quickest is None else packet.copies[quickest].end_ns
+    early = {
+        c: c != quickest and start is not None and xack_ns + t_lre_ns < start
+        for c, start in starts.items()
+    }
     return DaFlags(
         early=early, simplex={c: False for c in packet.copies}, quickest=quickest
     )
@@ -159,11 +151,19 @@ def simplex_flags(packet: PacketRecord, flags: DaFlags) -> DaFlags:
     return replace(flags, simplex=simplex)
 
 
-def _duplex_pair(packet: PacketRecord) -> tuple[ChannelId, ChannelId]:
+def displaced(packet: PacketRecord, t_d_ns: int) -> PacketRecord:
+    """A duplex packet as if one channel's requests had been deferred by
+    ``|t_d_ns|``: the second channel's copy moved ``t_d_ns`` later, or, for a
+    negative ``t_d_ns``, the first channel's moved ``-t_d_ns`` later
+    (:func:`~prpwifi.trace.shift_copy`). The one displacement rule of this
+    module: TDD is RDA on the displaced packet.
+    """
     if len(packet.copies) != 2:
         raise ValueError("deferred-operation analysis needs a duplex packet")
     first, second = sorted(packet.copies)
-    return first, second
+    deferred = second if t_d_ns > 0 else first
+    moved = shift_copy(packet.copies[deferred], abs(t_d_ns))
+    return replace(packet, copies={**packet.copies, deferred: moved})
 
 
 def tdd_flags(
@@ -173,33 +173,10 @@ def tdd_flags(
     phy: Mapping[ChannelId, PhyParams],
     failed_copy_policy: FailedCopyPolicy = FailedCopyPolicy.PESSIMISTIC_ZERO,
 ) -> DaFlags:
-    """Early-termination flags under a virtual request displacement.
-
-    Evaluates the asymmetric termination conditions on a non-deferred
-    duplex packet as if the second channel's requests trailed the first's
-    by ``t_d_ns`` (negative values defer the first channel instead). With
-    ``t_d_ns = 0`` this reduces exactly to :func:`rda_flags`.
-    """
-    first, second = _duplex_pair(packet)
-    c1, c2 = packet.copies[first], packet.copies[second]
-    s1 = policy_final_start(c1, phy[first], failed_copy_policy)
-    s2 = policy_final_start(c2, phy[second], failed_copy_policy)
-    early = {
-        second: (not c1.lost) and s2 is not None and c1.end_ns + t_lre_ns < s2 + t_d_ns,
-        first: (not c2.lost) and s1 is not None and c2.end_ns + t_d_ns + t_lre_ns < s1,
-    }
-    quickest: ChannelId | None = None
-    if not c1.lost and not c2.lost:
-        quickest = first if c1.end_ns <= c2.end_ns + t_d_ns else second
-    elif not c1.lost:
-        quickest = first
-    elif not c2.lost:
-        quickest = second
-    if quickest is not None:
-        early[quickest] = False
-    return DaFlags(
-        early=early, simplex={c: False for c in packet.copies}, quickest=quickest
-    )
+    """Early-termination flags under a virtual request displacement: the
+    :func:`rda_flags` of the :func:`displaced` packet, so at ``t_d_ns = 0``
+    they are the packet's own."""
+    return rda_flags(displaced(packet, t_d_ns), t_lre_ns, phy, failed_copy_policy)
 
 
 def tdd_latency(
@@ -207,20 +184,16 @@ def tdd_latency(
     t_d_ns: int,
     phy: Mapping[ChannelId, PhyParams],
 ) -> int | None:
-    """Link latency of a non-deferred packet under virtual displacement:
-    the deferred channel's copy is requested and arrives ``|t_d_ns|``
-    later, and latency runs from the earliest displaced request to the
-    earliest displaced arrival. ``None`` when lost on both channels. At
-    ``t_d_ns = 0`` it is the link latency on recorded timestamps.
+    """Link latency of a non-deferred packet under virtual displacement: the
+    earliest arrival minus the earliest request of the :func:`displaced`
+    packet. ``None`` when lost on both channels. At ``t_d_ns = 0`` it is
+    the link latency on recorded timestamps.
     """
-    first, second = _duplex_pair(packet)
-    shift = {first: max(0, -t_d_ns), second: max(0, t_d_ns)}
-    arrivals = [
-        receive_time(copy, phy[c]) + shift[c] for c, copy in packet.copies.items() if not copy.lost
-    ]
+    copies = displaced(packet, t_d_ns).copies
+    arrivals = [receive_time(copy, phy[c]) for c, copy in copies.items() if not copy.lost]
     if not arrivals:
         return None
-    return min(arrivals) - min(copy.request_ns + shift[c] for c, copy in packet.copies.items())
+    return min(arrivals) - min(copy.request_ns for copy in copies.values())
 
 
 def oracle_saved_attempts(
@@ -233,8 +206,8 @@ def oracle_saved_attempts(
     cross-ACK plus the reaction latency (the first attempt at or past that
     instant, and all later ones, are prevented). The quickest channel keeps
     all its attempts, as do all channels when the packet is lost on the
-    whole link. ``t_d_ns`` applies a virtual displacement first. A negative
-    ``t_lre_ns`` is refused, as reports refuse it.
+    whole link. A nonzero ``t_d_ns`` applies :func:`displaced` first. A
+    negative ``t_lre_ns`` is refused, as reports refuse it.
     """
     DaParams(t_lre_ns=t_lre_ns).validate()
     for copy in packet.copies.values():
@@ -242,13 +215,9 @@ def oracle_saved_attempts(
             raise TraceRequiredError(
                 "exact early-termination analysis needs per-attempt traces"
             )
+    if t_d_ns:
+        packet = displaced(packet, t_d_ns)
     copies = packet.copies
-    if t_d_ns != 0:
-        first, second = _duplex_pair(packet)
-        copies = {
-            first: shift_copy(copies[first], max(0, -t_d_ns)),
-            second: shift_copy(copies[second], max(0, t_d_ns)),
-        }
 
     delivered = [c for c, copy in copies.items() if not copy.lost]
     if not delivered:

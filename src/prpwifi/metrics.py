@@ -12,9 +12,9 @@ count; the per-packet functions of :mod:`prpwifi.da` define the same
 quantities, and the test suite cross-checks every report against them.
 A sweep reduces each delivered-latency population once: the channels', the
 link's on recorded timestamps, and the virtually displaced link's once per
-distinct ``T_D``. Early flags are per-copy leads compared with a threshold
-set by ``T_LRE`` and ``T_D``; the leads are computed once per sweep and
-failed-copy policy, so a grid point only compares and counts.
+distinct nonzero ``T_D``. Early flags are per-copy leads compared with a
+threshold set by ``T_LRE`` and ``T_D``; the leads are computed once per
+sweep and failed-copy policy, so a grid point only compares and counts.
 """
 from __future__ import annotations
 
@@ -163,9 +163,10 @@ class MetricsReport:
     link: LinkMetrics
 
 
-def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
-    """Effective displacement, and whether it is virtual, which sets the
-    offsets c of the early thresholds T_LRE + c (``_Derived``).
+def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...]]:
+    """Effective displacement, and per channel the offset c of the early
+    threshold T_LRE + c (``_Derived``): (T_D, -T_D) under a virtual
+    displacement, else 0.
 
     Logs generated with real request displacement are analyzed on their
     recorded timestamps (the displacement is already physical); a TDD
@@ -174,9 +175,9 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
     one, must stay below the period, and below ``TIME_LIMIT_NS`` so that
     shifted times stay int64.
     """
-    t_d = params.t_d_ns
+    t_d, recorded = params.t_d_ns, (0,) * len(run.channels)
     if params.mode is not DaMode.TDD:
-        return t_d, False
+        return t_d, recorded
     if len(run.channels) != 2:
         raise ValueError("TDD analysis is defined for duplex logs only")
     if run.meta.deferral_ns != 0:
@@ -185,7 +186,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
                 "log already carries a real displacement of "
                 f"{run.meta.deferral_ns} ns; omit t_d or pass the same value"
             )
-        return run.meta.deferral_ns, False
+        return run.meta.deferral_ns, recorded
     if abs(t_d) >= run.meta.period_ns:
         raise ValueError(
             f"virtual displacement of {t_d} ns: |T_D| must be smaller than "
@@ -193,7 +194,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, bool]:
         )
     if abs(t_d) >= TIME_LIMIT_NS:
         raise ValueError(f"virtual displacement of {t_d} ns: |T_D| must be below 2^62 ns")
-    return t_d, True
+    return t_d, (t_d, -t_d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,8 +242,8 @@ class _Derived:
     ``compute_report`` or ``sweep`` call.
 
     Copy j is early iff the failed-copy policy keeps it and its lead
-    (``_leads``, built once per policy) exceeds T_LRE + c_j, with c =
-    (T_D, -T_D) under a virtual duplex displacement, else 0 (``da.tdd_flags``);
+    (``_leads``, built once per policy) exceeds T_LRE + c_j, with c from
+    ``_resolve`` (``da.tdd_flags``, RDA on the ``da.displaced`` packet);
     a packet is simplex on the link iff m - 1 copies are early and single.
     On a run that ``validate_run`` accepts, attempts start before their
     copies end, so at T_LRE >= 0 the quickest copy is never early and needs
@@ -326,16 +327,16 @@ def _counts(flags: np.ndarray) -> list[int]:
     return [int(np.count_nonzero(row)) for row in flags]
 
 
-def _accumulate(cols: _Derived, params: DaParams, t_d: int, virtual: bool) -> _Accumulated:
+def _accumulate(cols: _Derived, params: DaParams, offsets: tuple[int, ...]) -> _Accumulated:
     """Vectorized evaluation of the per-packet definitions, for any number
     of channels (virtual displacement, like TDD itself, is duplex only)."""
     m = len(cols.lost_count)
-    # the link latencies first, while no leads are held beside their transients
-    key = t_d if virtual else None
+    # the link latencies first, while no leads are held beside their
+    # transients; a virtual T_D of 0 takes the recorded timestamps
+    key = offsets[0] or None
     link = cols.once(key, lambda: latency_stats(_link_latencies(cols, key)))
     early_sum, simplex_sum, simplex_link = [0] * m, [0] * m, 0
     if params.mode is not DaMode.POW:
-        offsets = (t_d, -t_d) if virtual else (0,) * m
         policy = params.failed_copy_policy
         lead = cols.once(policy, lambda: _leads(cols.run, policy))
         early = np.stack([row > params.t_lre_ns + c for row, c in zip(lead, offsets)])
@@ -404,8 +405,8 @@ def _assemble(
 
 def _evaluate(run: RunLog, params: DaParams, cols: _Derived) -> MetricsReport:
     params.validate()
-    t_d, virtual = _resolve(run, params)
-    return _assemble(run, params, t_d, _accumulate(cols, params, t_d, virtual))
+    t_d, offsets = _resolve(run, params)
+    return _assemble(run, params, t_d, _accumulate(cols, params, offsets))
 
 
 def compute_report(run: RunLog, params: DaParams) -> MetricsReport:
@@ -450,12 +451,11 @@ def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> Oracl
     exceeds it."""
     params = DaParams(DaMode.TDD if t_d_ns else DaMode.RDA, t_lre_ns, t_d_ns)
     params.validate()
-    t_d, virtual = _resolve(run, params)
+    _, offsets = _resolve(run, params)
     t = run.trace
     if t is None or not t.lengths().all():
         raise TraceRequiredError("exact early-termination analysis needs per-attempt traces")
     n, dropped, early = run.meta.n_packets, 0, 0
-    offsets = (t_d, -t_d) if virtual else (0,) * len(run.channels)
     for j, (others, c) in enumerate(zip(_other_ends(run), offsets)):
         rows = t.offsets[j * n : (j + 1) * n + 1]
         # starts increase, so the attempts a copy drops end its trace

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from prpwifi import (
     TraceRequiredError,
@@ -8,6 +11,7 @@ from prpwifi.trace import PacketRecord
 from prpwifi.da import (
     DaFlags,
     FailedCopyPolicy,
+    displaced,
     oracle_saved_attempts,
     rda_flags,
     simplex_flags,
@@ -132,6 +136,40 @@ class TestSimplexFlags:
             for c in p.copies:
                 assert not flags.simplex[c] or flags.early[c]
             assert not flags.simplex_link or flags.early_link
+
+
+class TestDisplaced:
+    """The one displacement rule of the spec: the deferred channel's copy
+    (B's for T_D > 0, A's for T_D < 0) moves |T_D| later, its request, end
+    and every trace start; the other copy stays as it was."""
+
+    @given(duplex_packets(), st.integers(min_value=1, max_value=400 * US), st.booleans())
+    def test_moves_only_the_deferred_copy(self, packet, shift, negative):
+        t_d = -shift if negative else shift
+        deferred, kept = (CH_A, CH_B) if negative else (CH_B, CH_A)
+        moved = displaced(packet, t_d)
+        assert moved.index == packet.index and moved.copies.keys() == packet.copies.keys()
+        assert moved.copies[kept] is packet.copies[kept]
+        before, after = packet.copies[deferred], moved.copies[deferred]
+        assert after.request_ns == before.request_ns + shift
+        assert after.end_ns == before.end_ns + shift
+        assert len(after.trace) == len(before.trace)
+        for a, b in zip(after.trace, before.trace):
+            assert a == replace(b, start_ns=b.start_ns + shift)
+        unmoved = replace(after, request_ns=before.request_ns, end_ns=before.end_ns, trace=before.trace)
+        assert unmoved == before
+
+    @given(duplex_packets())
+    def test_zero_leaves_every_copy_as_it_was(self, packet):
+        moved = displaced(packet, 0)
+        assert moved == packet
+        assert all(moved.copies[c] is copy for c, copy in packet.copies.items())
+
+    def test_non_duplex_keeps_its_message(self):
+        packet = ChannelIdTriple().packet
+        for t_d in (0, 100 * US, -100 * US):
+            with pytest.raises(ValueError, match="^deferred-operation analysis needs a duplex packet$"):
+                displaced(packet, t_d)
 
 
 class TestTddFlags:

@@ -536,6 +536,21 @@ class TestSweepSharing:
             with pytest.raises(TraceRequiredError):
                 evaluate(lossy_runs[False], params)
 
+    def test_oracle_flags_need_durations_on_packets_lost_everywhere(self):
+        """A packet lost on both channels has no early copy, yet the oracle
+        policy still needs its copies' ``Td``, on both paths, for RDA and
+        for TDD. Under RDA the reference used to return before it asked."""
+        run = make_run([
+            PacketRecord(1, {c: make_success_copy(0, 500_000) for c in (CH_A, CH_B)}),
+            PacketRecord(2, {c: make_lost_copy(100 * MS, 100 * MS + 9 * MS, 21) for c in (CH_A, CH_B)}),
+        ])
+        validate_run(run)
+        oracle = FailedCopyPolicy.ORACLE
+        for mode, t_d in ((DaMode.RDA, 0), (DaMode.TDD, 0), (DaMode.TDD, 10_000)):
+            for evaluate in (compute_report, compute_report_reference):
+                with pytest.raises(TraceRequiredError):
+                    evaluate(run, DaParams(mode, t_d_ns=t_d, failed_copy_policy=oracle))
+
     def test_each_population_reduced_once(self, adapter_run, monkeypatch):
         calls = []
         real = metrics.latency_stats
@@ -838,6 +853,40 @@ class TestOracleSummary:
         assert oracle == summary.early_bar_exact
         assert pessimistic <= summary.early_bar_exact
         assert summary.attempts_bar_da <= summary.attempts_bar_pow - oracle
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=sim_configs())
+    def test_adapter_view_bounds_the_oracle_on_whole_grids(self, config):
+        """The bounds of the test above at every point of a grid: 9 T_LRE
+        from 0 to 5 ms times T_D in {0, +-p/17, +-p/3, +-(p - 1)}, or times
+        the run's real deferral. On runs of at most 800 packets, at 3 of the
+        points, every pessimistic flag of the per-packet spec has the oracle
+        save at least one attempt of that copy."""
+        run = generate_run(config)
+        p, real = config.period_ns, config.deferral_ns
+        displacements = (real,) if real else (0, p // 17, -(p // 17), p // 3, -(p // 3), p - 1, 1 - p)
+        t_lres = (0, 1, 20_000, 50_000, 100_000, 300_000, MS, 2 * MS, 5 * MS)
+        points = [(t_lre, t_d) for t_d in displacements for t_lre in t_lres]
+        oracle, pessimistic = (
+            sweep(run, [DaParams(DaMode.TDD if t_d else DaMode.RDA, t_lre, t_d, policy)
+                        for t_lre, t_d in points])
+            for policy in (FailedCopyPolicy.ORACLE, FailedCopyPolicy.PESSIMISTIC_ZERO)
+        )
+        for (t_lre, t_d), exact, adapter in zip(points, oracle, pessimistic):
+            summary = oracle_attempt_summary(run, t_lre, t_d)
+            assert exact.link.early_bar == summary.early_bar_exact
+            assert adapter.link.early_bar <= summary.early_bar_exact
+            assert summary.attempts_bar_da <= summary.attempts_bar_pow - exact.link.early_bar
+        if config.n_packets > 800:
+            return
+        phy = run.phy_by_channel()
+        for t_lre, t_d in points[:: len(points) // 3]:
+            virtual = 0 if real else t_d  # a real deferral is in the timestamps
+            for packet in run.packets:
+                saved = oracle_saved_attempts(packet, t_lre, virtual)
+                flags = tdd_flags(packet, virtual, t_lre, phy)
+                for c, copy in packet.copies.items():
+                    assert not flags.early[c] or saved[c] < copy.attempts
 
     def test_real_displacement_resolves_as_reports_do(self):
         """A log deferred by 100 us already carries its displacement: a T_D

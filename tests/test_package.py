@@ -32,18 +32,22 @@ def test_public_surface():
 
 
 def test_mutation_catalogue_is_current():
-    """Every entry of ``scripts/mutants.py`` names a snippet that occurs
-    exactly once in its file, and tests that exist, so a refactor that
-    moves what an entry mutates updates the entry with it."""
+    """Every entry of ``scripts/mutants.py``, equivalent ones included, names
+    a snippet that occurs exactly once in its file, and every entry that is
+    run names tests that exist, so a refactor that moves what an entry
+    mutates updates the entry with it."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("mutants", root / "scripts" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(sys.modules, {spec.name: module}):  # for its dataclass
         spec.loader.exec_module(module)
-    names = [mutant.name for mutant in module.MUTANTS]
-    assert names and len(set(names)) == len(names)
+    names = [entry.name for entry in module.MUTANTS + module.EQUIVALENT]
+    assert module.MUTANTS and module.EQUIVALENT and len(set(names)) == len(names)
+    for entry in module.MUTANTS + module.EQUIVALENT:
+        assert (root / entry.file).read_text().count(entry.snippet) == 1, entry.name
+    for equivalent in module.EQUIVALENT:
+        assert equivalent.reason, equivalent.name
     for mutant in module.MUTANTS:
-        assert (root / mutant.file).read_text().count(mutant.snippet) == 1, mutant.name
         assert mutant.tests, mutant.name
         for test in mutant.tests:
             path, *scopes = test.split("::")
