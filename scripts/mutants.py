@@ -56,6 +56,7 @@ _BLOCK_TESTS = "tests/test_trace.py::TestFixedLayoutCheck"
 _PROPERTY = f"{_BLOCK_TESTS}::test_edited_blocks_take_the_fixed_path_iff_the_grammar_matches"
 _MAC = "src/prpwifi/sim.py"
 _GAP_JUMP = "tests/test_sim.py::TestGapJump::test_equals_scalar_acquire"
+_SPLIT = "tests/test_trace.py::TestSplitDecode"
 
 MUTANTS = (
     # the fixed-layout check of logblocks.BlockParser, one entry per test
@@ -210,9 +211,57 @@ MUTANTS = (
     Mutant(
         "decoder: growth past the header's count",
         "src/prpwifi/trace.py",
-        "if stop <= meta.n_packets:\n                size = min(size, meta.n_packets)",
+        "if stop <= meta.n_packets:\n                    size = min(size, meta.n_packets)",
         "pass",
         ("tests/test_trace.py::TestDecodeMemory::test_growth_stops_at_the_header_count",),
+    ),
+    # the split decode of read_log: the cut, the order of the halves, a
+    # failed child's half and the kill of a child left early
+    Mutant(
+        "split: the cut one byte before the newline",
+        "src/prpwifi/trace.py",
+        "cut = middle + len(source.buffer.readline())",
+        "cut = middle + len(source.buffer.readline()) - 1",
+        (
+            f"{_SPLIT}::test_round_trips_in_both_views",
+            f"{_SPLIT}::test_line_endings_and_non_utf8_bytes_in_either_half",
+        ),
+    ),
+    Mutant(
+        "split: the child's blocks first",
+        "src/prpwifi/trace.py",
+        "            yield from _ByteRange(fd, start, cut).blocks()\n"
+        "        except BaseException:  # an error or an interrupt: this process leaves early\n"
+        "            os.kill(pid, signal.SIGKILL)\n"
+        "            raise\n"
+        "        finally:\n"
+        "            failed = os.waitpid(pid, 0)[1]\n"
+        "        if failed:\n"
+        "            yield from _ByteRange(fd, cut, stop).blocks()\n"
+        "            return\n"
+        "        spill.seek(0)\n"
+        "        yield from iter(lambda: pickle.load(spill), None)\n",
+        "            os.waitpid(pid, 0)\n"
+        "        finally:\n"
+        "            pass\n"
+        "        spill.seek(0)\n"
+        "        yield from iter(lambda: pickle.load(spill), None)\n"
+        "        yield from _ByteRange(fd, start, cut).blocks()\n",
+        (f"{_SPLIT}::test_round_trips_in_both_views",),
+    ),
+    Mutant(
+        "split: a failed child's half not parsed",
+        "src/prpwifi/trace.py",
+        "yield from _ByteRange(fd, cut, stop).blocks()",
+        "pass",
+        (f"{_SPLIT}::test_a_failed_childs_half_is_parsed_by_the_parent",),
+    ),
+    Mutant(
+        "split: a child left early is not killed",
+        "src/prpwifi/trace.py",
+        "os.kill(pid, signal.SIGKILL)",
+        "pass",
+        (f"{_SPLIT}::test_an_error_in_the_first_half_kills_and_reaps_the_child",),
     ),
     # the media of a run family: one horizon per config, each medium kept
     # for the family's planned runs

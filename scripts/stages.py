@@ -15,13 +15,17 @@ rda`` (at its T_LRE, ``perfbench/workloads.py``) one after the other:
 For each stage it prints, in MB (10^6 bytes) of tracemalloc: ``peak``, the
 most the process held during the stage, ``transient``, that peak minus what
 was held when the stage began, and ``held``, what was held when it ended.
-For a log it then prints how many blocks of packet lines each decoder path
-took: ``fixed`` (the fixed layout: every copy carries both final durations
-and no trace), ``general`` (the block grammar) and ``lines`` (line by
-line). The last line is one JSON object with the stages, the block paths
-of a log and ``ru_maxrss_mb``, the peak RSS of a second fresh process that
-runs the same stages untraced (tracemalloc's own bookkeeping would inflate
-it).
+A large log decodes on two processes, and tracemalloc sees only this one,
+which holds the run. For a log it then prints how many blocks of packet
+lines each decoder path took in one more decode, kept to one process so
+that every block is counted: ``fixed`` (the fixed layout: every copy
+carries both final durations and no trace), ``general`` (the block
+grammar) and ``lines`` (line by line). The last line is one JSON object
+with the stages, the block paths of a log, ``ru_maxrss_mb``, the peak RSS
+of a second fresh process that runs the same stages untraced
+(tracemalloc's own bookkeeping would inflate it), and
+``children_ru_maxrss_mb``, the largest peak RSS of a process that one
+forked there, such as the decode's second half (0 if none).
 """
 from __future__ import annotations
 
@@ -57,7 +61,8 @@ BLOCK_PATHS = {
 
 @contextlib.contextmanager
 def _counted_block_paths(counts: dict[str, int]):
-    """Counts in ``counts`` the blocks that each decoder path decodes."""
+    """Counts in ``counts`` the blocks that each decoder path decodes, in a
+    decode kept to this process, whose calls alone the counters see."""
 
     def counted(path, decode):
         def wrapper(*args):
@@ -67,12 +72,15 @@ def _counted_block_paths(counts: dict[str, int]):
         return wrapper
 
     originals = {path: getattr(*where) for path, where in BLOCK_PATHS.items()}
+    fork_bytes = trace._FORK_BYTES
     try:
+        trace._FORK_BYTES = float("inf")
         for path, (owner, name) in BLOCK_PATHS.items():
             counts[path] = 0
             setattr(owner, name, counted(path, originals[path]))
         yield counts
     finally:
+        trace._FORK_BYTES = fork_bytes
         for path, (owner, name) in BLOCK_PATHS.items():
             setattr(owner, name, originals[path])
 
@@ -144,21 +152,23 @@ def main(argv: list[str] | None = None) -> int:
         result = None
         for _, call in _stages(args):
             result = call(result)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MB)
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+            print(resource.getrusage(who).ru_maxrss * 1024 / MB)
         return 0
     child = subprocess.run(
         [sys.executable, __file__, "--untraced", *(argv if argv is not None else sys.argv[1:])],
         capture_output=True, text=True, check=True,
     )
-    rss = round(float(child.stdout.split()[-1]), 1)
-    with _counted_block_paths({}) as blocks:
-        stages = _traced(args)
+    rss, children_rss = (round(float(mb), 1) for mb in child.stdout.split()[-2:])
+    stages = _traced(args)
     result = {"input": args.config or args.log, "stages": stages}
     if args.log:
+        with _counted_block_paths({}) as blocks:
+            trace.read_log(args.log, validate=False)
         print("blocks   ", "  ".join(f"{path} {count}" for path, count in blocks.items()))
         result["blocks"] = blocks
-    print(f"ru_maxrss {rss:.1f} MB (untraced)")
-    print(json.dumps({**result, "ru_maxrss_mb": rss}))
+    print(f"ru_maxrss {rss:.1f} MB, children {children_rss:.1f} MB (untraced)")
+    print(json.dumps({**result, "ru_maxrss_mb": rss, "children_ru_maxrss_mb": children_rss}))
     return 0
 
 

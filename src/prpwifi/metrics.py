@@ -12,7 +12,7 @@ count; the per-packet functions of :mod:`prpwifi.da` define the same
 quantities, and the test suite cross-checks every report against them.
 A sweep reduces each delivered-latency population once: the channels', the
 link's on recorded timestamps, and the virtually displaced link's once per
-distinct nonzero ``T_D``. Early flags are per-copy leads compared with a
+distinct ``T_D``. Early flags are per-copy leads compared with a
 threshold set by ``T_LRE`` and ``T_D``; the leads are computed once per
 sweep and failed-copy policy, so a grid point only compares and counts.
 """
@@ -163,10 +163,11 @@ class MetricsReport:
     link: LinkMetrics
 
 
-def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...]]:
-    """Effective displacement, and per channel the offset c of the early
+def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...], int | None]:
+    """Effective displacement; per channel the offset c of the early
     threshold T_LRE + c (``_Derived``): (T_D, -T_D) under a virtual
-    displacement, else 0.
+    displacement, else 0; and the virtual T_D, or None on recorded
+    timestamps, which keys the link latencies.
 
     Logs generated with real request displacement are analyzed on their
     recorded timestamps (the displacement is already physical); a TDD
@@ -177,7 +178,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...]]:
     """
     t_d, recorded = params.t_d_ns, (0,) * len(run.channels)
     if params.mode is not DaMode.TDD:
-        return t_d, recorded
+        return t_d, recorded, None
     if len(run.channels) != 2:
         raise ValueError("TDD analysis is defined for duplex logs only")
     if run.meta.deferral_ns != 0:
@@ -186,7 +187,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...]]:
                 "log already carries a real displacement of "
                 f"{run.meta.deferral_ns} ns; omit t_d or pass the same value"
             )
-        return run.meta.deferral_ns, recorded
+        return run.meta.deferral_ns, recorded, None
     if abs(t_d) >= run.meta.period_ns:
         raise ValueError(
             f"virtual displacement of {t_d} ns: |T_D| must be smaller than "
@@ -194,7 +195,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...]]:
         )
     if abs(t_d) >= TIME_LIMIT_NS:
         raise ValueError(f"virtual displacement of {t_d} ns: |T_D| must be below 2^62 ns")
-    return t_d, (t_d, -t_d)
+    return t_d, (t_d, -t_d), t_d
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,14 +328,13 @@ def _counts(flags: np.ndarray) -> list[int]:
     return [int(np.count_nonzero(row)) for row in flags]
 
 
-def _accumulate(cols: _Derived, params: DaParams, offsets: tuple[int, ...]) -> _Accumulated:
+def _accumulate(cols: _Derived, params: DaParams, offsets: tuple, t_d: int | None) -> _Accumulated:
     """Vectorized evaluation of the per-packet definitions, for any number
     of channels (virtual displacement, like TDD itself, is duplex only)."""
     m = len(cols.lost_count)
     # the link latencies first, while no leads are held beside their
-    # transients; a virtual T_D of 0 takes the recorded timestamps
-    key = offsets[0] or None
-    link = cols.once(key, lambda: latency_stats(_link_latencies(cols, key)))
+    # transients; a virtual T_D of 0 takes the cached split, like any other
+    link = cols.once(t_d, lambda: latency_stats(_link_latencies(cols, t_d)))
     early_sum, simplex_sum, simplex_link = [0] * m, [0] * m, 0
     if params.mode is not DaMode.POW:
         policy = params.failed_copy_policy
@@ -405,8 +405,8 @@ def _assemble(
 
 def _evaluate(run: RunLog, params: DaParams, cols: _Derived) -> MetricsReport:
     params.validate()
-    t_d, offsets = _resolve(run, params)
-    return _assemble(run, params, t_d, _accumulate(cols, params, offsets))
+    t_d, offsets, virtual = _resolve(run, params)
+    return _assemble(run, params, t_d, _accumulate(cols, params, offsets, virtual))
 
 
 def compute_report(run: RunLog, params: DaParams) -> MetricsReport:
@@ -451,7 +451,7 @@ def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> Oracl
     exceeds it."""
     params = DaParams(DaMode.TDD if t_d_ns else DaMode.RDA, t_lre_ns, t_d_ns)
     params.validate()
-    _, offsets = _resolve(run, params)
+    _, offsets, _ = _resolve(run, params)
     t = run.trace
     if t is None or not t.lengths().all():
         raise TraceRequiredError("exact early-termination analysis needs per-attempt traces")

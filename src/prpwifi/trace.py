@@ -18,14 +18,17 @@ so every reconstruction below is exact integer arithmetic.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+import pickle
+import signal
 import stat
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import IO, Callable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -930,6 +933,93 @@ def _first_capacity(source: IO[str], header: str, meta: RunMeta) -> int:
     return min(meta.n_packets, max(rest, 0) // shortest)
 
 
+_FORK_BYTES = 1 << 21  # bytes of packet lines from which a file is parsed on two processes
+_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}  # how read_log reads a file
+
+
+class _LogFile(io.TextIOWrapper):
+    """A file that :func:`read_log` opened and reads as ``_TEXT``."""
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start`` up to ``stop`` of the file open as ``fd``, read by
+    ``os.pread`` with no buffer, so the file's own offset stays put."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self._fd, self._at, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        left = self._stop - self._at
+        data = os.pread(self._fd, left if size < 0 else min(size, left), self._at)
+        self._at += len(data)
+        return data
+
+    def blocks(self) -> Iterator[str]:
+        return line_blocks(io.TextIOWrapper(self, **_TEXT), _DECODE_BLOCK)
+
+
+def _forked(work: Callable[[], None]) -> int:
+    """Run ``work`` in a forked child, which leaves by ``os._exit`` with status
+    0 iff ``work`` returned, never into its caller's stack; return its pid."""
+    if (pid := os.fork()) == 0:
+        try:
+            work()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    return pid
+
+
+def _cut(source: IO[str]) -> tuple[int, int, int] | None:
+    """(start, cut, stop) if ``source`` is a seekable ``_LogFile`` whose packet
+    lines, bytes ``start`` up to ``stop``, are at least ``_FORK_BYTES`` and
+    hold a newline byte past their middle: ``cut`` is just after the first."""
+    if not (hasattr(os, "fork") and isinstance(source, _LogFile) and source.seekable()):
+        return None
+    # a text position that holds decoder state is above 2^64, so never split
+    start, stop = source.tell(), os.fstat(source.fileno()).st_size
+    if stop - start < _FORK_BYTES:
+        return None
+    source.buffer.seek(middle := start + (stop - start) // 2)
+    cut = middle + len(source.buffer.readline())
+    source.seek(start)  # also drops the text that source has read ahead
+    return (start, cut, stop) if cut < stop else None
+
+
+def _halves(source: IO[str], parser: BlockParser) -> Iterator[str | tuple[np.ndarray, ...]]:
+    """The blocks of ``source``, as text. If ``_cut`` splits the file, those of
+    its second half come from a forked child that parses them and spills each
+    parse, or refused text, to a temp file as one pickle. A failed child's half
+    is read here; a child left early is killed. Either way it is reaped."""
+    if (split := _cut(source)) is None:
+        yield from line_blocks(source, _DECODE_BLOCK)
+        return
+    fd, (start, cut, stop) = source.fileno(), split
+    with tempfile.TemporaryFile(buffering=0) as spill:
+
+        def spill_second_half() -> None:
+            for block in _ByteRange(fd, cut, stop).blocks():
+                pickle.dump(parser.parse(block) or block, spill, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(None, spill)
+
+        pid = _forked(spill_second_half)
+        try:
+            yield from _ByteRange(fd, start, cut).blocks()
+        except BaseException:  # an error or an interrupt: this process leaves early
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            failed = os.waitpid(pid, 0)[1]
+        if failed:
+            yield from _ByteRange(fd, cut, stop).blocks()
+            return
+        spill.seek(0)
+        yield from iter(lambda: pickle.load(spill), None)
+
+
 def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     """Read a run written by :func:`encode_log`.
 
@@ -946,7 +1036,8 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
 
     Packet lines in the encoder's exact layout are parsed in blocks; any
     other JSON layout, and any line that breaks those rules, is decoded
-    line by line, with the same result or error.
+    line by line, with the same result or error. A large file that
+    :func:`read_log` opened is parsed on two processes (``_halves``).
     """
     header = source.readline()
     if not header:
@@ -972,39 +1063,41 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     grown = [[np.empty(0, dtype=np.int64)] * m for _ in ATTEMPT_COLUMNS]
     rows = [0] * m
     count, lineno = 0, 2
-    for block in line_blocks(source, _DECODE_BLOCK):
-        if (parsed := parser.parse(block)) is None:
-            parsed = _decode_lines(block, lineno, position)
-            lineno += block.count("\n") - len(parsed[0])  # the lines without a packet
-        lineno += len(parsed[0])  # a line per packet, cheaper than counting lines
-        block_index, block_copies, block_lengths, block_attempts = parsed
-        stop = count + len(block_index)
-        if stop > size:
-            size = max(stop, 2 * size)
-            if stop <= meta.n_packets:
-                size = min(size, meta.n_packets)
-            index, lost, ints, lengths = (
-                _extended(a, count, size) for a in (index, lost, ints, lengths)
-            )
-        index[count:stop] = block_index
-        copies = block_copies.reshape(-1, m, len(COPY_KEYS)).T
-        lost[:, count:stop], ints[..., count:stop] = copies[0], copies[1:]
-        lengths[:, count:stop] = block_lengths.reshape(-1, m).T
-        if len(block_attempts):
-            channel_of = np.repeat(np.arange(len(block_lengths)) % m, block_lengths)
-            for j in range(m):
-                attempts = block_attempts[channel_of == j].T
-                end = rows[j] + attempts.shape[1]
-                if end > len(grown[0][j]):
-                    # room for as many attempts per packet as seen so far
-                    # over all the packets there is room for, and 1/8 more
-                    room = end * size // stop * 9 // 8
-                    for buffers in grown:
-                        buffers[j] = _extended(buffers[j], rows[j], room)
-                for buffers, column in zip(grown, attempts):
-                    buffers[j][rows[j]:end] = column
-                rows[j] = end
-        count = stop
+    with contextlib.closing(_halves(source, parser)) as blocks:
+        for block in blocks:
+            parsed = parser.parse(block) if isinstance(block, str) else block
+            if parsed is None:
+                parsed = _decode_lines(block, lineno, position)
+                lineno += block.count("\n") - len(parsed[0])  # the lines without a packet
+            lineno += len(parsed[0])  # a line per packet, cheaper than counting lines
+            block_index, block_copies, block_lengths, block_attempts = parsed
+            stop = count + len(block_index)
+            if stop > size:
+                size = max(stop, 2 * size)
+                if stop <= meta.n_packets:
+                    size = min(size, meta.n_packets)
+                index, lost, ints, lengths = (
+                    _extended(a, count, size) for a in (index, lost, ints, lengths)
+                )
+            index[count:stop] = block_index
+            copies = block_copies.reshape(-1, m, len(COPY_KEYS)).T
+            lost[:, count:stop], ints[..., count:stop] = copies[0], copies[1:]
+            lengths[:, count:stop] = block_lengths.reshape(-1, m).T
+            if len(block_attempts):
+                channel_of = np.repeat(np.arange(len(block_lengths)) % m, block_lengths)
+                for j in range(m):
+                    attempts = block_attempts[channel_of == j].T
+                    end = rows[j] + attempts.shape[1]
+                    if end > len(grown[0][j]):
+                        # room for as many attempts per packet as seen so far
+                        # over all the packets there is room for, and 1/8 more
+                        room = end * size // stop * 9 // 8
+                        for buffers in grown:
+                            buffers[j] = _extended(buffers[j], rows[j], room)
+                    for buffers, column in zip(grown, attempts):
+                        buffers[j][rows[j]:end] = column
+                    rows[j] = end
+            count = stop
 
     # the buffers reach their final size when the header's count is right;
     # otherwise the run keeps copies, so it holds no slack
@@ -1058,7 +1151,7 @@ def write_log(run: RunLog, path: str | os.PathLike) -> None:
 
 
 def read_log(path: str | os.PathLike, validate: bool = True) -> RunLog:
-    with open(path, encoding="utf-8", errors="surrogateescape") as source:
+    with _LogFile(open(path, "rb"), **_TEXT) as source:
         return decode_log(source, validate=validate)
 
 

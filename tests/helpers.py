@@ -846,7 +846,7 @@ def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
     :mod:`prpwifi.da` only; slower, used to cross-check the vectorized
     path."""
     params.validate()
-    t_d, offsets = _resolve(run, params)
+    t_d, offsets, _ = _resolve(run, params)
     # nonzero offsets mark a virtual T_D; the spec displaces by T_D itself,
     # so a sign error in the offsets is not shared with the report
     return _assemble(run, params, t_d, _accumulate_reference(run, params, t_d, not any(offsets)))
@@ -857,7 +857,7 @@ def oracle_attempt_summary_spec(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> 
     :func:`prpwifi.da.oracle_saved_attempts`, packet by packet, with the
     displacement resolved as ``compute_report_reference`` resolves it."""
     params = DaParams(DaMode.TDD if t_d_ns else DaMode.RDA, t_lre_ns, t_d_ns)
-    t_d, offsets = _resolve(run, params)
+    t_d, offsets, _ = _resolve(run, params)
     n = run.meta.n_packets
     total_pow = total_da = early_exact = 0
     for packet in run.packets:

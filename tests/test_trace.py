@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import re
+import signal
+import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -1787,14 +1790,19 @@ class TestDecodeMemory:
         views; the margin allows 1.5x. Collecting the raw attempt rows
         first and validating with whole-run temporaries grew the peak by
         1.85x with traces. Reading a whole log at once grew it by 5.8x
-        (adapter) and 5.0x (traced), at the decoder's usual block size."""
+        (adapter) and 5.0x (traced), at the decoder's usual block size.
+        The decode is pinned to one process, whose peak this bounds; the
+        16000-packet traced log is larger than ``_FORK_BYTES``."""
 
         def peak_and_run(n, full_trace):
             path = tmp_path / f"{n}-{full_trace}.jsonl"
             write_log(generate_run(desk_config(n, seed=5, full_trace=full_trace)), path)
             tracemalloc.start()
             try:
-                with mock.patch.object(trace, "_DECODE_BLOCK", 1 << 14):
+                with (
+                    mock.patch.object(trace, "_DECODE_BLOCK", 1 << 14),
+                    mock.patch.object(trace, "_FORK_BYTES", 1 << 62),
+                ):
                     run = read_log(path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -1808,6 +1816,34 @@ class TestDecodeMemory:
                 peak_and_run(n, full_trace) for n in (4000, 16000)
             )
             assert peak_4n - peak <= 1.5 * (size_4n - size)
+
+    def test_a_split_read_peaks_no_higher_than_a_serial_one(self, tmp_path):
+        """The parent of a split read loads the child's blocks one at a time,
+        each smaller than the text and parse transients of a block of its
+        own half, so its peak is at most the serial read's. Sending the
+        child's half as one pickle through a pipe made the parent hold the
+        pickle and its unpickled copy at once (``ru_maxrss`` 61.5 against
+        54.6 MB on the benchmark's traced log)."""
+        path = tmp_path / "run.jsonl"
+        write_log(generate_run(desk_config(16000, seed=5, full_trace=True)), path)
+        assert path.stat().st_size > trace._FORK_BYTES
+
+        def peak(fork_bytes):
+            tracemalloc.start()
+            try:
+                with (
+                    mock.patch.object(trace, "_FORK_BYTES", fork_bytes),
+                    mock.patch.object(trace, "_forked", wraps=trace._forked) as forked,
+                ):
+                    read_log(path)
+                return tracemalloc.get_traced_memory()[1], forked.call_count
+            finally:
+                tracemalloc.stop()
+
+        peak(trace._FORK_BYTES), peak(1 << 62)  # one-time allocations out of the way
+        (split, forks), (serial, no_forks) = peak(trace._FORK_BYTES), peak(1 << 62)
+        assert (forks, no_forks) == (1, 0)
+        assert split <= serial
 
     def test_validation_holds_less_than_half_the_run_beside_it(self):
         """Each check's mask is reduced as soon as it is built and its
@@ -1893,6 +1929,190 @@ class TestDecodeMemory:
         ):
             assert read_log(path) == traced_run
         assert bool not in grown  # the loss flags, one of the copy columns
+
+
+_EDIT_CASES = [("number", c) for c in range(len(_NUMBERS))] + [
+    (edit, c) for edit in sorted(LINE_EDITS) if edit != "number" for c in (0, 1)
+]
+
+
+def _read(path, validate: bool = True, split: bool = True):
+    """(outcome of ``read_log``, as ``_outcome`` gives it, and the number of
+    children it forked), with the split allowed at any size or never.
+    Blocks of 3000 characters make each half of a small log several
+    blocks."""
+    with (
+        mock.patch.object(trace, "_FORK_BYTES", 0 if split else 1 << 62),
+        mock.patch.object(trace, "_DECODE_BLOCK", 3000),
+        mock.patch.object(trace, "_forked", wraps=trace._forked) as forked,
+    ):
+        try:
+            outcome = read_log(path, validate=validate)
+        except LogFormatError as exc:
+            outcome = str(exc), exc.record_index
+    return outcome, forked.call_count
+
+
+@contextmanager
+def _in_the_child(before_parse):
+    """``BlockParser.parse`` calls ``before_parse()`` first in a forked child,
+    and only parses in this process."""
+    parent, parse = os.getpid(), BlockParser.parse
+
+    def child_parse(self, text):
+        if os.getpid() != parent:
+            before_parse()
+        return parse(self, text)
+
+    with mock.patch.object(BlockParser, "parse", child_parse):
+        yield
+
+
+class TestSplitDecode:
+    """``read_log`` parses a large file's packet lines on two processes, a
+    forked child taking the half after the first newline past the byte
+    middle; the outcome is the serial decode's, error and line included."""
+
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
+    def test_round_trips_in_both_views(self, name, request, tmp_path):
+        """Each half is whole lines, so no block of an encoded log, the
+        child's included, is decoded line by line: those are decoded here."""
+        run = request.getfixturevalue(name)
+        path = tmp_path / "run.jsonl"
+        write_log(run, path)
+        per_line = AssertionError("a canonical log was decoded line by line")
+        with mock.patch.object(trace, "_decode_lines", side_effect=per_line):
+            assert _read(path) == (run, 1)
+            assert _read(path, split=False) == (run, 0)
+
+    @pytest.mark.parametrize("edit, choice", _EDIT_CASES)
+    def test_edited_logs_read_split_as_serially(self, edit, choice, traced_run, tmp_path):
+        """The edits of ``_decoded_three_ways``, on a line of the first half
+        and on one of the second, written to a file."""
+        lines = _encoded(traced_run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        path = tmp_path / "run.jsonl"
+        for k in (1 + choice * 57, len(lines) - 1 - choice * 57):
+            text, _ = LINE_EDITS[edit](list(lines), k, choice)
+            path.write_bytes(text.encode())
+            for validate in (False, True):
+                serial, _ = _read(path, validate, split=False)
+                assert _read(path, validate) == (serial, 1)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_line_endings_and_non_utf8_bytes_in_either_half(self, newline, adapter_run, tmp_path):
+        """A cut after a newline byte never splits a CRLF or a UTF-8
+        sequence; a file without a newline byte is not split."""
+        path = tmp_path / "run.jsonl"
+        write_log(adapter_run, path)
+        lines = path.read_bytes().split(b"\n")[:-1]
+        forks = int(b"\n" in newline)
+        path.write_bytes(b"".join(line + newline for line in lines))
+        assert _read(path) == (adapter_run, forks)
+        for k in (3, len(lines) - 3):
+            edited = list(lines)
+            edited[k] = edited[k][:40] + b"\xff" + edited[k][41:]
+            path.write_bytes(b"".join(line + newline for line in edited))
+            serial, _ = _read(path, split=False)
+            assert serial == ("record %d: byte 0xff at column 41 is not valid UTF-8" % (k + 1), k + 1)
+            assert _read(path) == (serial, forks)
+
+    def test_the_first_format_error_in_file_order_wins(self, traced_run, tmp_path):
+        """With an error in each half, the first half's is raised; with one in
+        the second half only, at its own line number."""
+        lines = _encoded(traced_run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        path = tmp_path / "run.jsonl"
+        late = len(lines) - 5
+        for early in (5, None):
+            edited = list(lines)
+            edited[late] = "{" + edited[late]
+            if early is not None:
+                edited[early] = edited[early].replace('"copies"', '"copy"')
+            path.write_text("".join(edited))
+            outcome, forks = _read(path)
+            assert forks == 1 and outcome == _read(path, split=False)[0]
+            assert outcome[1] == (late if early is None else early) + 1
+
+    def test_a_failed_childs_half_is_parsed_by_the_parent(self, traced_run, tmp_path):
+        lines = _encoded(traced_run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(lines))
+        late = list(lines)
+        late[-3] = late[-3].replace('"copies"', '"copy"')
+
+        def fail():
+            raise MemoryError
+
+        with _in_the_child(fail):
+            assert _read(path) == (traced_run, 1)
+            path.write_text("".join(late))
+            assert _read(path) == (_read(path, split=False)[0], 1)
+            assert _read(path)[0][1] == len(lines) - 2
+
+    def test_without_fork_the_decode_is_serial(self, traced_run, tmp_path, monkeypatch):
+        path = tmp_path / "run.jsonl"
+        write_log(traced_run, path)
+        monkeypatch.delattr(os, "fork")
+        assert _read(path) == (traced_run, 0)
+
+    def test_only_the_file_read_log_opens_is_split(self, adapter_run, tmp_path):
+        """``decode_log`` decodes any source serially. A file opened with
+        ``newline=""`` ends a line at a lone CR without translating it, and
+        ``read_log`` alone knows how its file is read."""
+        path = tmp_path / "run.jsonl"
+        write_log(adapter_run, path)
+        lines = path.read_bytes().split(b"\n")
+        k = len(lines) - 5
+        lines[k] = lines[k].replace(b'"w":', b'\r"w":')
+        path.write_bytes(b"\n".join(lines))
+        outcomes = []
+        with (
+            mock.patch.object(trace, "_FORK_BYTES", 0),
+            mock.patch.object(trace, "_forked", wraps=trace._forked) as forked,
+        ):
+            for newline in ("", None):
+                with open(path, newline=newline) as source:
+                    try:
+                        outcomes.append(decode_log(source))
+                    except LogFormatError as exc:
+                        outcomes.append((str(exc), exc.record_index))
+            assert decode_log(io.StringIO(path.read_bytes().decode())) == adapter_run
+        assert forked.call_count == 0
+        # the CR inside a line is JSON whitespace, or it ends the line
+        assert outcomes == [adapter_run, _read(path, split=False)[0]]
+        assert outcomes[1][1] == k + 1
+
+    def test_an_error_in_the_first_half_kills_and_reaps_the_child(self, traced_run, tmp_path):
+        """The child sleeps before it parses, so only a kill ends it as the
+        parent's error leaves ``read_log``; then no child is left to reap."""
+        lines = _encoded(traced_run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        lines[2] = "{" + lines[2]
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(lines))
+        pids, reaped = [], []
+        fork, waitpid = trace._forked, os.waitpid
+
+        def forked(work):
+            pids.append(fork(work))
+            return pids[-1]
+
+        def waited(pid, options):
+            reaped.append(waitpid(pid, options))
+            return reaped[-1]
+
+        with (
+            _in_the_child(lambda: time.sleep(5)),
+            mock.patch.object(trace, "_FORK_BYTES", 0),
+            mock.patch.object(trace, "_forked", forked),
+            mock.patch.object(os, "waitpid", waited),
+            pytest.raises(LogFormatError, match="record 3: invalid JSON"),
+        ):
+            read_log(path)
+        [pid] = pids
+        assert [(p, os.WIFSIGNALED(s) and os.WTERMSIG(s)) for p, s in reaped] == [
+            (pid, signal.SIGKILL)
+        ]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def _key_letter_run() -> RunLog:
