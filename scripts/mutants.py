@@ -174,6 +174,13 @@ MUTANTS = (
         ("tests/test_da.py::TestTddFlags",),
     ),
     Mutant(
+        "oracle_saved_attempts: attempts numbered from 1",
+        "src/prpwifi/da.py",
+        "(k for k, a in enumerate(copy.trace) if",
+        "(k for k, a in enumerate(copy.trace, start=1) if",
+        ("tests/test_da.py::TestOracle::test_kept_attempts_are_counted_by_position",),
+    ),
+    Mutant(
         "_other_ends: lost copies count",
         "src/prpwifi/metrics.py",
         "ends = list(np.where(run.lost, _ALWAYS, run.end))",
@@ -193,6 +200,16 @@ MUTANTS = (
         'flags[np.searchsorted(t.offsets, bad_rows, side="right") - 1] = True',
         'flags[np.searchsorted(t.offsets, bad_rows, side="left") - 1] = True',
         ("tests/test_trace.py::TestValidation::test_defects_in_generated_runs_fail_as_the_per_packet_spec",),
+    ),
+    Mutant(
+        "validate_run: a lost copy may carry Ta",
+        "src/prpwifi/trace.py",
+        'check(lost & (run.ta != 0), "lost copies carry no ACK duration")',
+        "pass",
+        (
+            "tests/test_trace.py::TestBlockDecoder::test_lost_copy_that_carries_ta_is_refused_alike",
+            "tests/test_trace.py::TestValidation::test_lost_copy_carries_no_ack_duration",
+        ),
     ),
     Mutant(
         "decoder: first capacity beyond the file",
@@ -257,6 +274,13 @@ MUTANTS = (
         (f"{_SPLIT}::test_a_failed_childs_half_is_parsed_by_the_parent",),
     ),
     Mutant(
+        "split: a failed fork or spill file is an error",
+        "src/prpwifi/trace.py",
+        "with contextlib.suppress(OSError):",
+        "with contextlib.suppress():",
+        (f"{_SPLIT}::test_no_child_or_spill_file_decodes_serially",),
+    ),
+    Mutant(
         "split: a child left early is not killed",
         "src/prpwifi/trace.py",
         "os.kill(pid, signal.SIGKILL)",
@@ -264,7 +288,7 @@ MUTANTS = (
         (f"{_SPLIT}::test_an_error_in_the_first_half_kills_and_reaps_the_child",),
     ),
     # the media of a run family: one horizon per config, each medium kept
-    # for the family's planned runs
+    # for the family's planned runs, which run the busiest channel's first
     Mutant(
         "family: never keeps a medium",
         "src/prpwifi/sim.py",
@@ -274,6 +298,13 @@ MUTANTS = (
             "tests/test_sim.py::TestRunFamily::test_runs_outside_the_plan_are_exact",
             "tests/test_cli.py::TestBenchmarkHooks",
         ),
+    ),
+    Mutant(
+        "family: the order reversed",
+        "src/prpwifi/sim.py",
+        "self.order = sorted(range(len(moved)), key=lambda i: moved[i][quieter])",
+        "self.order = sorted(range(len(moved)), key=lambda i: moved[i][quieter])[::-1]",
+        ("tests/test_cli.py::TestBenchmarkHooks::test_validate_deferral_drops_the_busier_medium_first",),
     ),
     Mutant(
         "medium: a deferred channel's horizon adds its offset again",

@@ -166,19 +166,15 @@ def cmd_validate_deferral(args: argparse.Namespace) -> int:
     results: list[list[tuple]] = [[] for _ in td_values]
     for seed in seeds:
         seed_config = replace(base_config, seed=seed)
-        # each channel's medium is built once for the seed's runs, and the
-        # undeferred channel of a deferred run is the base run's
+        # each channel's medium is built once for the seed's runs, run in
+        # family.order, and a deferred run's undeferred channel is the base's
         family = RunFamily(seed_config, td_values)
         base = generate_run(seed_config, family)
         virtual = [
             compute_report(base, DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=td))
             for td in td_values
         ]
-        # the runs that defer the channel with the most interferers come
-        # first, so that its medium, the largest, is dropped soonest
-        counts = [setup.interference.interferer_count for setup in seed_config.channels]
-        busier = 1 if counts[1] > counts[0] else -1  # the sign of a T_D that defers it
-        for i in sorted(range(len(td_values)), key=lambda i: td_values[i] * busier < 0):
+        for i in family.order:
             real = compute_report(
                 generate_run(replace(seed_config, deferral_ns=td_values[i]), family),
                 DaParams(mode=DaMode.TDD, t_lre_ns=t_lre),
@@ -304,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # every error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

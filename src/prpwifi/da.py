@@ -115,7 +115,7 @@ def rda_flags(
     phy: Mapping[ChannelId, PhyParams],
     failed_copy_policy: FailedCopyPolicy = FailedCopyPolicy.PESSIMISTIC_ZERO,
 ) -> DaFlags:
-    """Early-termination flags for reactive operation.
+    """Early-termination (e) and simplex (z) flags for reactive operation.
 
     The cross-ACK fires when the quickest channel's ACK ends; transmission
     of a copy counts as terminated early when the cross-ACK, delayed by the
@@ -123,7 +123,9 @@ def rda_flags(
     attempt. Packets lost on every channel produce no cross-ACK and carry
     all-false flags; the failed-copy policy still applies to each of their
     copies. Computed from final attempts only, so a true flag means at
-    least one attempt is saved (lower-bound semantics).
+    least one attempt is saved (lower-bound semantics). A copy's z flag
+    marks it as (provably) never sent: it is early and its only attempt is
+    the one terminated.
     """
     starts = {
         c: policy_final_start(copy, phy[c], failed_copy_policy) for c, copy in packet.copies.items()
@@ -135,20 +137,8 @@ def rda_flags(
         c: c != quickest and start is not None and xack_ns + t_lre_ns < start
         for c, start in starts.items()
     }
-    return DaFlags(
-        early=early, simplex={c: False for c in packet.copies}, quickest=quickest
-    )
-
-
-def simplex_flags(packet: PacketRecord, flags: DaFlags) -> DaFlags:
-    """Fill the z flags: a copy was (provably) never sent at all when its
-    only attempt was the one that got terminated early."""
-    simplex = {
-        c: flags.early[c] and packet.copies[c].attempts == 1 for c in packet.copies
-    }
-    if flags.quickest is not None:
-        simplex[flags.quickest] = False
-    return replace(flags, simplex=simplex)
+    simplex = {c: early[c] and packet.copies[c].attempts == 1 for c in packet.copies}
+    return DaFlags(early=early, simplex=simplex, quickest=quickest)
 
 
 def displaced(packet: PacketRecord, t_d_ns: int) -> PacketRecord:
@@ -220,19 +210,13 @@ def oracle_saved_attempts(
     copies = packet.copies
 
     delivered = [c for c, copy in copies.items() if not copy.lost]
-    if not delivered:
-        return {c: copy.attempts for c, copy in copies.items()}
-    quickest = min(delivered, key=lambda c: (copies[c].end_ns, c.index))
-    xack_ns = copies[quickest].end_ns
-    saved: dict[ChannelId, int] = {}
-    for channel, copy in copies.items():
-        if channel == quickest:
-            saved[channel] = copy.attempts
-            continue
-        kept = copy.attempts
-        for attempt in copy.trace:
-            if xack_ns + t_lre_ns < attempt.start_ns:
-                kept = attempt.ordinal - 1
-                break
-        saved[channel] = kept
-    return saved
+    quickest = min(delivered, key=lambda c: (copies[c].end_ns, c.index), default=None)
+    xack_ns = math.inf if quickest is None else copies[quickest].end_ns
+    # a copy keeps the attempts ahead of its first one past the cross-ACK
+    return {
+        c: copy.attempts if c == quickest else next(
+            (k for k, a in enumerate(copy.trace) if xack_ns + t_lre_ns < a.start_ns),
+            copy.attempts,
+        )
+        for c, copy in copies.items()
+    }

@@ -534,13 +534,11 @@ def _build_medium(setup: ChannelSetup, config: SimConfig) -> tuple:
 
 
 def _simulate_channel(
-    setup: ChannelSetup, config: SimConfig, request_offset_ns: int, busy: tuple | None = None
+    setup: ChannelSetup, config: SimConfig, request_offset_ns: int, busy: tuple
 ) -> _Channel:
     """The channel's columns, its requests displaced by ``request_offset_ns``,
-    timed on the medium ``busy`` (by default one built for this run)."""
+    timed on the medium ``busy`` (``_build_medium``)."""
     label, phy = setup.channel.label, setup.phy
-    if busy is None:
-        busy = _build_medium(setup, config)
     error_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "error"))
     backoff_draws = _uniforms(mac_stream(config.seed, setup.seed_salt, label, "backoff"))
     # the contention window starts at cw_min and doubles per failed attempt;
@@ -583,12 +581,10 @@ def _simulate_channel(
     return copies, dict(start=start, data=data, ack=np.where(ok, phy.ack_frame_ns, 0))
 
 
-def _validates(config: SimConfig) -> bool:
-    try:
-        config.validate()
-    except SimConfigError:
-        return False
-    return True
+def _busiest_first(config: SimConfig) -> list[int]:
+    """The channel indices, the one with the most interferers (the most busy
+    intervals, the largest gap table) first; the first one on a tie."""
+    return sorted((0, 1), key=lambda j: -config.channels[j].interference.interferer_count)
 
 
 class RunFamily:
@@ -599,16 +595,20 @@ class RunFamily:
     simulates the channel, and dropped after the last of them; a run outside
     the plan is as exact, on a medium built again. The base config's run
     is kept once generated, and a later run takes from it each channel
-    whose request offset is the same in both configs.
+    whose request offset is the same in both configs. ``order`` lists the
+    indices of ``displacements`` in the order to run them after the base
+    run: those that move the quieter channel come last, so that the busiest
+    channel's medium, the largest, is dropped soonest.
     """
 
     def __init__(self, base_config: SimConfig, displacements: Iterable[int] = ()):
         self.base_config, self.base_run = base_config, None
         base = base_config.request_offsets()
-        # a displacement that generate_run refuses plans nothing
-        planned = (replace(base_config, deferral_ns=d) for d in displacements)
-        offsets = [c.request_offsets() for c in planned if _validates(c)]
-        self._uses = [1 + sum(o[j] != base[j] for o in offsets) for j in (0, 1)]
+        offsets = [replace(base_config, deferral_ns=d).request_offsets() for d in displacements]
+        moved = [[o[j] != base[j] for j in (0, 1)] for o in offsets]
+        self._uses = [1 + sum(m[j] for m in moved) for j in (0, 1)]
+        quieter = _busiest_first(base_config)[1]
+        self.order = sorted(range(len(moved)), key=lambda i: moved[i][quieter])
         self._media: dict[int, tuple] = {}
 
     def _reused(self, config: SimConfig) -> dict[int, _Channel]:
@@ -678,10 +678,9 @@ def generate_run(config: SimConfig, family: RunFamily | None = None) -> RunLog:
         family = RunFamily(config)
     offsets = config.request_offsets()
     channels = family._reused(config)
-    # the channel with the most interferers has the most busy intervals and
-    # the largest gap table; simulated first, they are never held beside
+    # the busiest channel's medium, simulated first, is never held beside
     # another channel's columns
-    for j in sorted((0, 1), key=lambda j: -config.channels[j].interference.interferer_count):
+    for j in _busiest_first(config):
         if j not in channels:
             # the medium is handed over, not held here, so that it goes as
             # soon as the family has dropped it and the MAC is done with it

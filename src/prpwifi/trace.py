@@ -114,9 +114,9 @@ class PhyParams:
 
 @dataclass(frozen=True, slots=True)
 class AttemptTrace:
-    """Ground truth for one transmission attempt (simulator view only)."""
+    """Ground truth for one transmission attempt (simulator view only); its
+    position in its copy's trace is its ordinal."""
 
-    ordinal: int
     start_ns: int
     data_ns: int
     ack_ns: int | None
@@ -293,10 +293,7 @@ class RunLog(_Columns):
             rows = list(zip(t.start.tolist(), t.data.tolist(), _optional(t.ack)))
             offsets = t.offsets.tolist()
             for k in np.flatnonzero(t.lengths()).tolist():
-                traces[k] = tuple(
-                    AttemptTrace(pos, *row)
-                    for pos, row in enumerate(rows[offsets[k] : offsets[k + 1]], start=1)
-                )
+                traces[k] = tuple(AttemptTrace(*row) for row in rows[offsets[k] : offsets[k + 1]])
         copies = []
         for j in range(len(channels)):
             columns = (
@@ -505,6 +502,7 @@ def validate_run(run: RunLog) -> None:
     check(run.attempts < 1, "attempt count must be >= 1")
     known = run.td != 0
     check(~lost & (~known | (run.ta == 0)), "delivered copies need both frame durations")
+    check(lost & (run.ta != 0), "lost copies carry no ACK duration")
     check((run.td < 0) | (run.ta < 0), "frame durations must be positive")
     # a copy that passes the checks on its durations and final start has a
     # final start and a receive time that int64 arithmetic computes exactly;
@@ -993,19 +991,25 @@ def _halves(source: IO[str], parser: BlockParser) -> Iterator[str | tuple[np.nda
     """The blocks of ``source``, as text. If ``_cut`` splits the file, those of
     its second half come from a forked child that parses them and spills each
     parse, or refused text, to a temp file as one pickle. A failed child's half
-    is read here; a child left early is killed. Either way it is reaped."""
-    if (split := _cut(source)) is None:
-        yield from line_blocks(source, _DECODE_BLOCK)
-        return
-    fd, (start, cut, stop) = source.fileno(), split
-    with tempfile.TemporaryFile(buffering=0) as spill:
+    is read here; a child left early is killed. Either way it is reaped. With
+    no temp file or no child, the file is read here whole."""
+    split = _cut(source)
+    with contextlib.ExitStack() as stack:
+        pid = None
+        if split is not None:
+            fd, (start, cut, stop) = source.fileno(), split
 
-        def spill_second_half() -> None:
-            for block in _ByteRange(fd, cut, stop).blocks():
-                pickle.dump(parser.parse(block) or block, spill, pickle.HIGHEST_PROTOCOL)
-            pickle.dump(None, spill)
+            def spill_second_half() -> None:
+                for block in _ByteRange(fd, cut, stop).blocks():
+                    pickle.dump(parser.parse(block) or block, spill, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(None, spill)
 
-        pid = _forked(spill_second_half)
+            with contextlib.suppress(OSError):  # no temp file, or no process to fork
+                spill = stack.enter_context(tempfile.TemporaryFile(buffering=0))
+                pid = _forked(spill_second_half)
+        if pid is None:  # source is at the start of its packet lines
+            yield from line_blocks(source, _DECODE_BLOCK)
+            return
         try:
             yield from _ByteRange(fd, start, cut).blocks()
         except BaseException:  # an error or an interrupt: this process leaves early

@@ -165,12 +165,11 @@ def _attempts(draw) -> tuple[AttemptTrace, ...]:
     size = draw(st.integers(min_value=1, max_value=3))
     return tuple(
         AttemptTrace(
-            ordinal=k + 1,
             start_ns=draw(_VALUES),
             data_ns=draw(_DURATIONS),
             ack_ns=draw(_OPTIONAL_DURATIONS),
         )
-        for k in range(size)
+        for _ in range(size)
     )
 
 

@@ -41,7 +41,6 @@ from prpwifi.da import (
     DaFlags,
     oracle_saved_attempts,
     rda_flags,
-    simplex_flags,
     tdd_flags,
     tdd_latency,
 )
@@ -192,7 +191,6 @@ def trace_from_starts(
         ok = last and not lost
         entries.append(
             AttemptTrace(
-                ordinal=pos + 1,
                 start_ns=start,
                 data_ns=phy.data_frame_ns,
                 ack_ns=phy.ack_frame_ns if ok else None,
@@ -302,6 +300,8 @@ def _copy_error_spec(copy: CopyRecord, phy: PhyParams) -> str | None:
     if not copy.lost:
         if copy.final_data_ns is None or copy.final_ack_ns is None:
             return "delivered copies need both frame durations"
+    elif copy.final_ack_ns is not None:
+        return "lost copies carry no ACK duration"
     if any(d is not None and d <= 0 for d in (copy.final_data_ns, copy.final_ack_ns)):
         return "frame durations must be positive"
     if copy.final_data_ns is not None and final_attempt_start(copy, phy) < copy.request_ns:
@@ -799,7 +799,6 @@ def _accumulate_reference(
                 flags: DaFlags = rda_flags(packet, t_lre, phy_by, policy)
             else:
                 flags = tdd_flags(packet, t_d, t_lre, phy_by, policy)
-            flags = simplex_flags(packet, flags)
             for c, v in flags.early.items():
                 if v:
                     early_sum[pos[c]] += 1

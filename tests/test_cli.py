@@ -6,6 +6,7 @@ import json
 import os
 import re
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -647,6 +648,20 @@ def test_unwritable_out_names_the_path(command, code, log_file, config_file, tmp
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_out_of_memory_exits_2_with_one_line(command, log_file, capsys):
+    """Exit 1 is kept for a failed ``validate-deferral``: a ``MemoryError``,
+    here raised by the read, exits 2 with one line and no traceback."""
+    argv = ["--mode", "rda"] if command == "analyze" else [
+        "--param", "tlre", "--range", "0:1us", "--step", "1us"
+    ]
+    capsys.readouterr()
+    with mock.patch.object(cli, "read_log", side_effect=MemoryError):
+        assert main([command, "--log", str(log_file), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory running {command}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_request_skew_comes_from_the_header_only(command, log_file, capsys):
     """A log's header ``epsilon`` is the one request skew tolerance; no
     flag overrides it."""
@@ -702,3 +717,36 @@ class TestBenchmarkHooks:
         # the base run and one run per displacement; one medium per channel
         assert runs.call_count == 3
         assert media.call_count == 2
+
+    @pytest.mark.parametrize("busier", ["A", "B"])
+    def test_validate_deferral_drops_the_busier_medium_first(self, busier, tmp_path, capsys):
+        """The run that defers the busier channel comes right after the base
+        run, so the busier channel's medium is gone before the other
+        deferred run is timed: each run's validation sees which media are
+        still held, by a weak reference to each medium's busy starts."""
+        config = tmp_path / "run.cfg"
+        quieter = "B" if busier == "A" else "A"
+        config.write_text(
+            BASE_CONFIG.replace("B.interferers = 2", f"{busier}.interferers = 2")
+            + f"{quieter}.interferers = 1\n"
+        )
+        media, held = {}, []
+        build, validate = sim._build_medium, sim.validate_run
+
+        def built(setup, cfg):
+            medium = build(setup, cfg)
+            media[setup.channel.label] = weakref.ref(medium[0])
+            return medium
+
+        def validated(run):
+            held.append({label for label, ref in media.items() if ref() is not None})
+            return validate(run)
+
+        argv = ["validate-deferral", str(config), "--td-list=-100us,100us", "--seeds", "5"]
+        with (
+            mock.patch.object(sim, "_build_medium", built),
+            mock.patch.object(sim, "validate_run", validated),
+        ):
+            assert main(argv + ["--tol-e", "1", "--tol-latency", "1"]) == 0
+        capsys.readouterr()
+        assert held == [{"A", "B"}, {quieter}, set()]

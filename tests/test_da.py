@@ -14,7 +14,6 @@ from prpwifi.da import (
     displaced,
     oracle_saved_attempts,
     rda_flags,
-    simplex_flags,
     tdd_flags,
     tdd_latency,
 )
@@ -113,7 +112,7 @@ class TestSimplexFlags:
                 CH_B: make_success_copy(0, 900 * US, attempts=attempts_b),
             },
         )
-        return p, simplex_flags(p, rda_flags(p, 0, PHY_BY))
+        return p, rda_flags(p, 0, PHY_BY)
 
     def test_single_attempt_terminated_is_simplex(self):
         _, flags = self.build(attempts_b=1)
@@ -231,7 +230,7 @@ class ChannelIdTriple:
 class TestNplexFlags:
     def test_rda_over_three_channels(self):
         t = ChannelIdTriple()
-        flags = simplex_flags(t.packet, rda_flags(t.packet, 0, t.phy))
+        flags = rda_flags(t.packet, 0, t.phy)
         assert flags.quickest == CH_A
         assert flags.early == {CH_A: False, CH_B: True, t.ch_c: True}
         assert flags.early_count == 2
@@ -342,6 +341,20 @@ class TestOracle:
         p = PacketRecord(index=1, copies={CH_A: copy_a, CH_B: copy_b})
         assert oracle_saved_attempts(p, 0) == {CH_A: 2, CH_B: 1}
 
+    def test_kept_attempts_are_counted_by_position(self):
+        """A copy keeps the attempts ahead of its first one past the
+        cross-ACK (A's end at 400 us), a lost copy too: its position in the
+        trace, which is the attempt's ordinal."""
+        copy_a = copy_from_starts(0, [66 * US], lost=False)
+        for starts, kept in (
+            ([500 * US], 0),
+            ([100 * US, 300 * US, 500 * US, 900 * US], 2),
+            ([100 * US, 300 * US], 2),
+        ):
+            copy_b = copy_from_starts(0, starts, lost=True)
+            p = PacketRecord(index=1, copies={CH_A: copy_a, CH_B: copy_b})
+            assert oracle_saved_attempts(p, 0) == {CH_A: 1, CH_B: kept}
+
     def test_requires_traces(self):
         p = spec_packet()
         with pytest.raises(TraceRequiredError):
@@ -380,6 +393,6 @@ class TestOracle:
 
 def test_flags_dataclass_properties():
     p = spec_packet()
-    flags = simplex_flags(p, rda_flags(p, 50 * US, PHY_BY))
+    flags = rda_flags(p, 50 * US, PHY_BY)
     assert isinstance(flags, DaFlags)
     assert flags.early_link and flags.early_count == 1

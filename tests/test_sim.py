@@ -726,7 +726,7 @@ def assert_channels_match_spec(config):
     for full_trace in (True, False):
         cfg = replace(config, emit_full_trace=full_trace)
         for setup, offset in zip(cfg.channels, cfg.request_offsets()):
-            got = sim._simulate_channel(setup, cfg, offset)
+            got = sim._simulate_channel(setup, cfg, offset, sim._build_medium(setup, cfg))
             want = simulate_channel_spec(setup, cfg, offset)
             for got_columns, want_columns in zip(got, want):
                 assert (got_columns is None) == (want_columns is None)
@@ -995,7 +995,8 @@ class TestBatchedMac:
             )
             tracemalloc.start()
             try:
-                copies, _ = sim._simulate_channel(config.channels[1], config, 0)
+                setup = config.channels[1]
+                copies, _ = sim._simulate_channel(setup, config, 0, sim._build_medium(setup, config))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

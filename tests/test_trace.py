@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import io
 import json
 import os
 import re
 import signal
+import tempfile
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -444,6 +446,25 @@ class TestValidation:
         encode_log(run, buf)
         with pytest.raises(LogFormatError, match=f"^record 3: field '{field}' must be positive$"):
             decode_log(io.StringIO(buf.getvalue()), validate=False)
+
+    def test_lost_copy_carries_no_ack_duration(self):
+        """No ACK ended a lost copy, so it may carry ``Td`` but never ``Ta``;
+        the check comes before the one on negative durations."""
+        packets = [make_packet_pair(i * 1_000_000, index=i + 1) for i in range(3)]
+        b = packets[1].copies[CH_B]
+        for ta, error in [
+            (b.final_ack_ns, "lost copies carry no ACK duration"),
+            (-1, "lost copies carry no ACK duration"),
+            (None, None),
+        ]:
+            copies = {**packets[1].copies, CH_B: replace(b, lost=True, final_ack_ns=ta)}
+            run = make_run([packets[0], replace(packets[1], copies=copies), packets[2]])
+            for check in (validate_run, validate_run_spec):
+                if error is None:
+                    check(run)
+                    continue
+                with pytest.raises(InvalidRunError, match=f"^packet 2, channel B: {error}$"):
+                    check(run)
 
     def test_copy_checks_follow_channel_order(self):
         """Packet 2 breaks a later check on A (``Td = -1``) than on B
@@ -1250,6 +1271,22 @@ class TestBlockDecoder:
             assert outcome == general == reference
             assert paths == ["fixed", "general"] + ["fixed"] * (len(blocks) - 2)
 
+    @pytest.mark.parametrize("name", ["adapter_run", "traced_run"])
+    def test_lost_copy_that_carries_ta_is_refused_alike(self, name, request):
+        """Packet 40's copy on B, delivered, is marked lost and keeps its
+        ``Td`` and ``Ta``: the log decodes, and validation refuses the copy
+        in either view with one message, whichever decoder reads its block.
+        The adapter-view copy used to validate."""
+        lines = _encoded(request.getfixturevalue(name), trace._ENCODE_BLOCK).splitlines(True)
+        assert lines[40].count('"ch":"B","l":0,') == 1 and '"Ta"' in lines[40]
+        lines[40] = lines[40].replace('"ch":"B","l":0,', '"ch":"B","l":1,')
+        text = "".join(lines)
+        for validate in (False, True):
+            outcome, paths, general, reference = _decoded_three_ways(text, 3000, validate)
+            assert outcome == general == reference
+            assert paths == _fixed_layout_paths(text, 3000)
+        assert outcome == ("packet 40, channel B: lost copies carry no ACK duration", None)
+
     @pytest.mark.parametrize("block", [1000, 1 << 16])
     @pytest.mark.parametrize("name", ["traced_run", "adapter_run", "lossy_traced", "lossy_adapter"])
     def test_simulated_logs_never_decode_line_by_line(self, name, block, request):
@@ -2048,6 +2085,33 @@ class TestSplitDecode:
             assert _read(path) == (_read(path, split=False)[0], 1)
             assert _read(path)[0][1] == len(lines) - 2
 
+    @pytest.mark.parametrize(
+        "module, name, code",
+        [(os, "fork", errno.EAGAIN), (tempfile, "TemporaryFile", errno.ENOSPC)],
+        ids=["fork-EAGAIN", "spill-ENOSPC"],
+    )
+    def test_no_child_or_spill_file_decodes_serially(
+        self, module, name, code, traced_run, tmp_path
+    ):
+        """A fork or a temp file that fails leaves no child: the file is
+        decoded here from the start of its packet lines, with no half read
+        apart, and an error in the second half is the serial one."""
+        lines = _encoded(traced_run, trace._ENCODE_BLOCK).splitlines(keepends=True)
+        late = list(lines)
+        late[-3] = late[-3].replace('"copies"', '"copy"')
+        path = tmp_path / "run.jsonl"
+        for text in lines, late:
+            path.write_text("".join(text))
+            serial, _ = _read(path, split=False)
+            with (
+                mock.patch.object(module, name, side_effect=OSError(code, os.strerror(code))),
+                mock.patch.object(os, "fork", wraps=os.fork) as fork,
+                mock.patch.object(trace, "_ByteRange", side_effect=AssertionError("a half read")),
+            ):
+                assert _read(path)[0] == serial
+            assert fork.call_count == (module is os)  # the failed fork, if any
+        assert serial[1] == len(lines) - 2
+
     def test_without_fork_the_decode_is_serial(self, traced_run, tmp_path, monkeypatch):
         path = tmp_path / "run.jsonl"
         write_log(traced_run, path)
@@ -2127,7 +2191,6 @@ def _key_letter_run() -> RunLog:
             kind = (p + j) % 5  # 0 and 4: no trace
             trace = None if kind in (0, 4) else tuple(
                 AttemptTrace(
-                    k + 1,
                     start_ns=1000 * (p + k),
                     data_ns=7 + k,
                     ack_ns=None if (k + j) % 2 else 9,
@@ -2187,7 +2250,6 @@ def _int64_edge_run(view: str) -> RunLog:
             if view == VIEW_FULL_TRACE and j == 0:
                 trace = tuple(
                     AttemptTrace(
-                        k + 1,
                         start_ns=edge(p + k),
                         data_ns=duration(p + k + 1),
                         ack_ns=None if k == 1 else duration(p + k + 2),
