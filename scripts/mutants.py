@@ -7,7 +7,9 @@ Run it from anywhere; it works on a copy of the ``src/`` and ``tests/`` next
 to this script (and ``pyproject.toml``), in a temporary directory that it
 removes at the end. For each entry of ``MUTANTS`` (or each one named) it
 replaces the entry's snippet, which must occur exactly once in its file,
-runs the entry's tests with ``python -m pytest -x`` and puts the file back.
+runs the entry's tests with ``python -m pytest -x --assert=plain`` (a
+rewritten ``==`` of two long texts that differ spends minutes on its diff)
+and puts the file back.
 It prints one line per entry: ``killed`` (a test failed), ``survived`` (all
 passed), ``stale`` (the snippet does not occur exactly once, so the entry
 must follow the code it names) or ``error`` (pytest could not run the
@@ -57,6 +59,8 @@ _PROPERTY = f"{_BLOCK_TESTS}::test_edited_blocks_take_the_fixed_path_iff_the_gra
 _MAC = "src/prpwifi/sim.py"
 _GAP_JUMP = "tests/test_sim.py::TestGapJump::test_equals_scalar_acquire"
 _SPLIT = "tests/test_trace.py::TestSplitDecode"
+_SPLIT_ENCODE = "tests/test_trace.py::TestSplitEncode"
+_ENCODER_SPEC = "tests/test_trace.py::TestBlockEncoder::test_simulated_runs_encode_as_the_spec"
 
 MUTANTS = (
     # the fixed-layout check of logblocks.BlockParser, one entry per test
@@ -247,37 +251,30 @@ MUTANTS = (
     Mutant(
         "split: the child's blocks first",
         "src/prpwifi/trace.py",
-        "            yield from _ByteRange(fd, start, cut).blocks()\n"
-        "        except BaseException:  # an error or an interrupt: this process leaves early\n"
-        "            os.kill(pid, signal.SIGKILL)\n"
-        "            raise\n"
-        "        finally:\n"
-        "            failed = os.waitpid(pid, 0)[1]\n"
-        "        if failed:\n"
-        "            yield from _ByteRange(fd, cut, stop).blocks()\n"
-        "            return\n"
-        "        spill.seek(0)\n"
-        "        yield from iter(lambda: pickle.load(spill), None)\n",
-        "            os.waitpid(pid, 0)\n"
-        "        finally:\n"
-        "            pass\n"
-        "        spill.seek(0)\n"
-        "        yield from iter(lambda: pickle.load(spill), None)\n"
-        "        yield from _ByteRange(fd, start, cut).blocks()\n",
+        "        yield from _ByteRange(source.fileno(), start, cut).blocks()\n"
+        "        if (spill := reaped()) is None:\n"
+        "            yield from _ByteRange(source.fileno(), cut, stop).blocks()\n"
+        "        else:\n"
+        "            yield from iter(lambda: pickle.load(spill), None)\n",
+        "        if (spill := reaped()) is None:\n"
+        "            yield from _ByteRange(source.fileno(), cut, stop).blocks()\n"
+        "        else:\n"
+        "            yield from iter(lambda: pickle.load(spill), None)\n"
+        "        yield from _ByteRange(source.fileno(), start, cut).blocks()\n",
         (f"{_SPLIT}::test_round_trips_in_both_views",),
     ),
     Mutant(
         "split: a failed child's half not parsed",
         "src/prpwifi/trace.py",
-        "yield from _ByteRange(fd, cut, stop).blocks()",
+        "yield from _ByteRange(source.fileno(), cut, stop).blocks()",
         "pass",
         (f"{_SPLIT}::test_a_failed_childs_half_is_parsed_by_the_parent",),
     ),
     Mutant(
         "split: a failed fork or spill file is an error",
         "src/prpwifi/trace.py",
-        "with contextlib.suppress(OSError):",
-        "with contextlib.suppress():",
+        "except OSError:  # no temp file, or no process to fork",
+        "except ZeroDivisionError:",
         (f"{_SPLIT}::test_no_child_or_spill_file_decodes_serially",),
     ),
     Mutant(
@@ -286,6 +283,87 @@ MUTANTS = (
         "os.kill(pid, signal.SIGKILL)",
         "pass",
         (f"{_SPLIT}::test_an_error_in_the_first_half_kills_and_reaps_the_child",),
+    ),
+    # the split encode of write_log, through the same fork helper: the cut,
+    # the order of the halves, a failed child's blocks, the kill, the flush
+    # of the parent's text before the append and the threshold's estimate
+    Mutant(
+        "encode split: the parent's half without block 0",
+        "src/prpwifi/trace.py",
+        "cut = (blocks + 1) // 2",
+        "cut = blocks // 2",
+        (f"{_SPLIT_ENCODE}::test_below_the_threshold_or_without_fork_the_encode_is_serial",),
+    ),
+    Mutant(
+        "encode split: the child's blocks from one block early",
+        "src/prpwifi/trace.py",
+        "        for lo in starts[cut:]:\n            spill.write(text(lo).encode())",
+        "        for lo in starts[cut - 1:]:\n            spill.write(text(lo).encode())",
+        (f"{_SPLIT_ENCODE}::test_every_cut_writes_the_serial_bytes",),
+    ),
+    Mutant(
+        "encode split: the child's blocks first",
+        "src/prpwifi/trace.py",
+        "        for lo in starts[1:cut]:\n"
+        "            sink.write(text(lo))\n"
+        "        if reaped is None or (spill := reaped()) is None:\n"
+        "            for lo in starts[cut:]:\n"
+        "                sink.write(text(lo))\n"
+        "        else:\n"
+        "            sink.flush()\n"
+        "            shutil.copyfileobj(spill, sink.buffer)\n",
+        "        if reaped is None or (spill := reaped()) is None:\n"
+        "            for lo in starts[cut:]:\n"
+        "                sink.write(text(lo))\n"
+        "        else:\n"
+        "            sink.flush()\n"
+        "            shutil.copyfileobj(spill, sink.buffer)\n"
+        "        for lo in starts[1:cut]:\n"
+        "            sink.write(text(lo))\n",
+        (f"{_SPLIT_ENCODE}::test_every_cut_writes_the_serial_bytes",),
+    ),
+    Mutant(
+        "encode split: a failed child's blocks not formatted",
+        "src/prpwifi/trace.py",
+        "            for lo in starts[cut:]:\n                sink.write(text(lo))",
+        "            pass",
+        (f"{_SPLIT_ENCODE}::test_a_failed_childs_blocks_are_formatted_by_the_parent",),
+    ),
+    Mutant(
+        "encode split: a child left early is not killed",
+        "src/prpwifi/trace.py",
+        "os.kill(pid, signal.SIGKILL)",
+        "pass",
+        (f"{_SPLIT_ENCODE}::test_an_error_in_the_parents_blocks_kills_and_reaps_the_child",),
+    ),
+    Mutant(
+        "encode split: the parent's text not flushed before the append",
+        "src/prpwifi/trace.py",
+        "            sink.flush()\n",
+        "",
+        (f"{_SPLIT_ENCODE}::test_every_cut_writes_the_serial_bytes",),
+    ),
+    Mutant(
+        "encode split: the threshold on the first block alone",
+        "src/prpwifi/trace.py",
+        "first * (cut - 1) >= _FORK_BYTES",
+        "first >= _FORK_BYTES",
+        (f"{_SPLIT_ENCODE}::test_below_the_threshold_or_without_fork_the_encode_is_serial",),
+    ),
+    # BlockFormatter's closers of a traced block's rows
+    Mutant(
+        "formatter: '},' and '}]}' swapped",
+        "src/prpwifi/logblocks.py",
+        '(b"},", entry & ~ends), (b"}]}", entry & ends)',
+        '(b"}]}", entry & ~ends), (b"},", entry & ends)',
+        (_ENCODER_SPEC,),
+    ),
+    Mutant(
+        "formatter: an untraced copy in a traced block left open",
+        "src/prpwifi/logblocks.py",
+        'closers = [(b"}", ~entry), ',
+        "closers = [",
+        (_ENCODER_SPEC,),
     ),
     # the media of a run family: one horizon per config, each medium kept
     # for the family's planned runs, which run the busiest channel's first
@@ -452,7 +530,8 @@ def _run(mutant: Mutant, work: Path) -> str:
     path.write_text(source.replace(mutant.snippet, mutant.replacement))
     try:
         tests = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "-x", "--assert=plain", "-p", "no:cacheprovider",
+             *mutant.tests],
             cwd=work, capture_output=True, timeout=TIMEOUT_S,
             env={**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         )

@@ -25,7 +25,12 @@ with the stages, the block paths of a log, ``ru_maxrss_mb``, the peak RSS
 of a second fresh process that runs the same stages untraced
 (tracemalloc's own bookkeeping would inflate it), and
 ``children_ru_maxrss_mb``, the largest peak RSS of a process that one
-forked there, such as the decode's second half (0 if none).
+forked there (0 if none): the child that parses a large log's second half
+or, under ``--config``, the one that formats a large run's later blocks.
+That RSS counts the pages the child shares with the process that forked
+it, which holds the run: on the benchmark's traced config at seed 5 the
+encoder's child peaked at 42.4 MB beside 56.1 MB, and at 10^6 packets at
+354.6 MB beside 368.3 MB.
 """
 from __future__ import annotations
 

@@ -106,6 +106,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+_GRID_POINTS = 100_000  # a sweep's most points, far above the paper's 21 and 25
+
+
 def _grid_values(spec: str, step_ns: int) -> list[int]:
     if ":" not in spec:
         raise ConfigError(f"--range must be 'start:stop', got {spec!r}")
@@ -116,6 +119,8 @@ def _grid_values(spec: str, step_ns: int) -> list[int]:
         raise ConfigError("--step must be positive")
     if stop < start:
         raise ConfigError("--range stop must be >= start")
+    if (count := (stop - start) // step_ns + 1) > _GRID_POINTS:
+        raise ConfigError(f"--step: the range holds {count} points, more than {_GRID_POINTS}")
     return list(range(start, stop + 1, step_ns))
 
 

@@ -24,6 +24,7 @@ import io
 import json
 import os
 import pickle
+import shutil
 import signal
 import stat
 import tempfile
@@ -735,7 +736,8 @@ _ENCODE_BLOCK = 4096  # packets formatted per write, to bound memory
 
 
 def encode_log(run: RunLog, sink: IO[str]) -> None:
-    """Write a run as JSON lines (meta header, then one packet per line)."""
+    """Write a run as JSON lines (meta header, then one packet per line); a
+    block's text is its packets' alone, so a child may format the later ones."""
     run.meta.validate()
     n = len(run.index)
     if n != run.meta.n_packets:
@@ -746,7 +748,8 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
     m, t = len(run.channels), run.trace
     if t is not None:
         first_rows, trace_lengths = t.offsets[:-1].reshape(m, n), t.lengths().reshape(m, n)
-    for lo in range(0, n, _ENCODE_BLOCK):
+
+    def text(lo: int) -> str:
         hi = min(lo + _ENCODE_BLOCK, n)
         copies = [c[:, lo:hi].T.ravel() for c in columns]  # packet-major
         if t is None:
@@ -759,7 +762,23 @@ def encode_log(run: RunLog, sink: IO[str]) -> None:
             rows = np.repeat(first_rows[:, lo:hi].T.ravel() - before, lengths)
             rows += np.arange(len(rows))
             attempts = [getattr(t, name)[rows] for name in ATTEMPT_COLUMNS]
-        sink.write(formatter.format(run.index[lo:hi], copies, lengths, attempts))
+        return formatter.format(run.index[lo:hi], copies, lengths, attempts)
+
+    def spill_rest(spill: IO[bytes]) -> None:
+        for lo in starts[cut:]:
+            spill.write(text(lo).encode())
+
+    starts = range(0, n, _ENCODE_BLOCK)
+    cut = _block_cut(sink, sink.write(text(0)), len(starts))
+    with _forked(spill_rest) if cut < len(starts) else contextlib.nullcontext() as reaped:
+        for lo in starts[1:cut]:
+            sink.write(text(lo))
+        if reaped is None or (spill := reaped()) is None:
+            for lo in starts[cut:]:
+                sink.write(text(lo))
+        else:
+            sink.flush()
+            shutil.copyfileobj(spill, sink.buffer)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -931,12 +950,12 @@ def _first_capacity(source: IO[str], header: str, meta: RunMeta) -> int:
     return min(meta.n_packets, max(rest, 0) // shortest)
 
 
-_FORK_BYTES = 1 << 21  # bytes of packet lines from which a file is parsed on two processes
-_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}  # how read_log reads a file
+_FORK_BYTES = 1 << 21  # bytes of packet lines from which a file is coded on two processes
+_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}  # how a log file is coded
 
 
 class _LogFile(io.TextIOWrapper):
-    """A file that :func:`read_log` opened and reads as ``_TEXT``."""
+    """A file that :func:`read_log` opened, as ``_TEXT``, or :func:`write_atomic`."""
 
 
 class _ByteRange(io.RawIOBase):
@@ -959,16 +978,43 @@ class _ByteRange(io.RawIOBase):
         return line_blocks(io.TextIOWrapper(self, **_TEXT), _DECODE_BLOCK)
 
 
-def _forked(work: Callable[[], None]) -> int:
-    """Run ``work`` in a forked child, which leaves by ``os._exit`` with status
-    0 iff ``work`` returned, never into its caller's stack; return its pid."""
-    if (pid := os.fork()) == 0:
+@contextlib.contextmanager
+def _forked(work: Callable[[IO[bytes]], None]) -> Iterator[Callable[[], IO[bytes] | None] | None]:
+    """Run ``work(spill)`` in a forked child, ``spill`` an unnamed temp file,
+    while the body runs here. It gets None if there is no temp file or child,
+    else ``reaped``: reap the child, and get the spill, rewound, iff ``work``
+    returned. A body left before that kills the child. The child leaves by
+    ``os._exit`` only, after flushing the spill."""
+    with contextlib.ExitStack() as stack:
         try:
-            work()
-            os._exit(0)
+            spill = stack.enter_context(tempfile.TemporaryFile())
+            pid = os.fork()
+        except OSError:  # no temp file, or no process to fork
+            pid = None
+        if pid == 0:
+            try:
+                work(spill)
+                spill.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        if pid is None:
+            yield None
+            return
+        status = []
+
+        def reaped() -> IO[bytes] | None:
+            if not status:
+                status.append(os.waitpid(pid, 0)[1])
+            spill.seek(0)
+            return None if status[0] else spill
+
+        try:
+            yield reaped
         finally:
-            os._exit(1)
-    return pid
+            if not status:  # the body left early: an error or an interrupt
+                os.kill(pid, signal.SIGKILL)
+                reaped()
 
 
 def _cut(source: IO[str]) -> tuple[int, int, int] | None:
@@ -987,41 +1033,39 @@ def _cut(source: IO[str]) -> tuple[int, int, int] | None:
     return (start, cut, stop) if cut < stop else None
 
 
+def _block_cut(sink: IO[str], first: int, blocks: int) -> int:
+    """The first of ``blocks`` blocks that a forked child formats into a
+    ``_LogFile``, whose write gave block 0's length ``first``: each process
+    takes half of the later ones, if the parent's half at ``first`` reaches
+    ``_FORK_BYTES``. Otherwise ``blocks``: no child."""
+    cut = (blocks + 1) // 2
+    if hasattr(os, "fork") and isinstance(sink, _LogFile) and first * (cut - 1) >= _FORK_BYTES:
+        return cut
+    return blocks
+
+
 def _halves(source: IO[str], parser: BlockParser) -> Iterator[str | tuple[np.ndarray, ...]]:
     """The blocks of ``source``, as text. If ``_cut`` splits the file, those of
-    its second half come from a forked child that parses them and spills each
-    parse, or refused text, to a temp file as one pickle. A failed child's half
-    is read here; a child left early is killed. Either way it is reaped. With
-    no temp file or no child, the file is read here whole."""
+    its second half come from a forked child (``_forked``) that parses them
+    and spills each parse, or refused text, as one pickle; a failed child's
+    half is read here. With no child, the file is read here whole."""
     split = _cut(source)
-    with contextlib.ExitStack() as stack:
-        pid = None
-        if split is not None:
-            fd, (start, cut, stop) = source.fileno(), split
+    start, cut, stop = split or (0, 0, 0)
 
-            def spill_second_half() -> None:
-                for block in _ByteRange(fd, cut, stop).blocks():
-                    pickle.dump(parser.parse(block) or block, spill, pickle.HIGHEST_PROTOCOL)
-                pickle.dump(None, spill)
+    def spill_second_half(spill: IO[bytes]) -> None:
+        for block in _ByteRange(source.fileno(), cut, stop).blocks():
+            pickle.dump(parser.parse(block) or block, spill, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(None, spill)
 
-            with contextlib.suppress(OSError):  # no temp file, or no process to fork
-                spill = stack.enter_context(tempfile.TemporaryFile(buffering=0))
-                pid = _forked(spill_second_half)
-        if pid is None:  # source is at the start of its packet lines
+    with _forked(spill_second_half) if split else contextlib.nullcontext() as reaped:
+        if reaped is None:  # source is at the start of its packet lines
             yield from line_blocks(source, _DECODE_BLOCK)
             return
-        try:
-            yield from _ByteRange(fd, start, cut).blocks()
-        except BaseException:  # an error or an interrupt: this process leaves early
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            failed = os.waitpid(pid, 0)[1]
-        if failed:
-            yield from _ByteRange(fd, cut, stop).blocks()
-            return
-        spill.seek(0)
-        yield from iter(lambda: pickle.load(spill), None)
+        yield from _ByteRange(source.fileno(), start, cut).blocks()
+        if (spill := reaped()) is None:
+            yield from _ByteRange(source.fileno(), cut, stop).blocks()
+        else:
+            yield from iter(lambda: pickle.load(spill), None)
 
 
 def decode_log(source: IO[str], validate: bool = True) -> RunLog:
@@ -1137,7 +1181,7 @@ def write_atomic(path: str | os.PathLike, write: Callable[[IO[str]], None]) -> N
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as sink:
+        with _LogFile(open(fd, "wb")) as sink:  # as os.fdopen(fd, "w") opens it
             write(sink)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -1150,7 +1194,7 @@ def write_atomic(path: str | os.PathLike, write: Callable[[IO[str]], None]) -> N
 
 
 def write_log(run: RunLog, path: str | os.PathLike) -> None:
-    """Atomically write a run log file."""
+    """Atomically write a run log file, a large one on two processes."""
     write_atomic(path, lambda sink: encode_log(run, sink))
 
 

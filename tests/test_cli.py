@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -659,6 +660,42 @@ def test_out_of_memory_exits_2_with_one_line(command, log_file, capsys):
         assert main([command, "--log", str(log_file), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: out of memory running {command}\n" and captured.out == ""
+
+
+def test_a_sweep_grid_is_capped_before_it_is_built(log_file, tmp_path, capsys):
+    """The point count is checked before the grid is built: the cap passes
+    and the cap + 1 exits 2, naming ``--step`` and the count."""
+    assert len(cli._grid_values("0:99999ns", 1)) == cli._GRID_POINTS == 100_000
+    with pytest.raises(ConfigError, match="^--step: the range holds 100001 points, more than 100000$"):
+        cli._grid_values("0:100000ns", 1)
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", "--log", str(log_file), "--param", "tlre", "--step", "1us", "--out", str(out)]
+    with mock.patch.object(cli, "_GRID_POINTS", 3):
+        assert main([*argv, "--range", "0:2us"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3
+        capsys.readouterr()
+        assert main([*argv, "--range", "0:3us"]) == 2
+    assert capsys.readouterr().err == "error: --step: the range holds 4 points, more than 3\n"
+
+
+def test_a_nanosecond_step_over_a_second_fails_within_1_gb():
+    """``sweep --range 0:1s --step 1ns`` asks for 10^9 points. A child whose
+    address space is capped at 1 GB refuses it with the cap's message; an
+    uncapped grid would exhaust the host's memory, or here the cap's."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from prpwifi.cli import main\n"
+        "sys.exit(main(['sweep', '--log', 'absent.jsonl', '--param', 'tlre',"
+        " '--range', '0:1s', '--step', '1ns']))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == "error: --step: the range holds 1000000001 points, more than 100000\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])

@@ -39,7 +39,7 @@ from prpwifi import trace
 from prpwifi.cli import main
 from prpwifi.config import parse_config
 from prpwifi.da import FailedCopyPolicy, TraceRequiredError, policy_final_start
-from prpwifi.logblocks import BlockParser, line_blocks
+from prpwifi.logblocks import BlockFormatter, BlockParser, line_blocks
 from prpwifi.metrics import _leads, _other_ends
 from prpwifi.sim import RunFamily
 from prpwifi.trace import (
@@ -1991,17 +1991,17 @@ def _read(path, validate: bool = True, split: bool = True):
 
 
 @contextmanager
-def _in_the_child(before_parse):
-    """``BlockParser.parse`` calls ``before_parse()`` first in a forked child,
-    and only parses in this process."""
-    parent, parse = os.getpid(), BlockParser.parse
+def _in_the_child(before, owner=BlockParser, name="parse"):
+    """``owner.name``, ``BlockParser.parse`` unless given, calls ``before()``
+    first in a forked child, and only does its own work in this process."""
+    parent, method = os.getpid(), getattr(owner, name)
 
-    def child_parse(self, text):
+    def child_method(self, *args):
         if os.getpid() != parent:
-            before_parse()
-        return parse(self, text)
+            before()
+        return method(self, *args)
 
-    with mock.patch.object(BlockParser, "parse", child_parse):
+    with mock.patch.object(owner, name, child_method):
         yield
 
 
@@ -2152,31 +2152,155 @@ class TestSplitDecode:
         lines[2] = "{" + lines[2]
         path = tmp_path / "run.jsonl"
         path.write_text("".join(lines))
-        pids, reaped = [], []
-        fork, waitpid = trace._forked, os.waitpid
-
-        def forked(work):
-            pids.append(fork(work))
-            return pids[-1]
-
-        def waited(pid, options):
-            reaped.append(waitpid(pid, options))
-            return reaped[-1]
-
         with (
             _in_the_child(lambda: time.sleep(5)),
             mock.patch.object(trace, "_FORK_BYTES", 0),
-            mock.patch.object(trace, "_forked", forked),
-            mock.patch.object(os, "waitpid", waited),
+            _killed_child() as children,
             pytest.raises(LogFormatError, match="record 3: invalid JSON"),
         ):
             read_log(path)
-        [pid] = pids
-        assert [(p, os.WIFSIGNALED(s) and os.WTERMSIG(s)) for p, s in reaped] == [
-            (pid, signal.SIGKILL)
-        ]
+        assert len(children) == 1
+
+
+@contextmanager
+def _killed_child():
+    """The pids that ``os.fork`` returns in the body; once it has left, each
+    must have been reaped once, killed by SIGKILL, and be gone."""
+    pids, reaped = [], []
+    fork, waitpid = os.fork, os.waitpid
+
+    def forked():
+        pids.append(fork())
+        return pids[-1]
+
+    def waited(pid, options):
+        reaped.append(waitpid(pid, options))
+        return reaped[-1]
+
+    with mock.patch.object(os, "fork", forked), mock.patch.object(os, "waitpid", waited):
+        yield pids
+    assert [(p, os.WIFSIGNALED(s) and os.WTERMSIG(s)) for p, s in reaped] == [
+        (pid, signal.SIGKILL) for pid in pids
+    ]
+    for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def _written(run: RunLog, path, block: int, cut=None) -> tuple[bytes, int]:
+    """(bytes that ``write_log`` writes, children it forked), with blocks of
+    ``block`` packets, split at any size, at block ``cut`` if given."""
+    with (
+        mock.patch.object(trace, "_FORK_BYTES", 0),
+        mock.patch.object(trace, "_ENCODE_BLOCK", block),
+        mock.patch.object(trace, "_forked", wraps=trace._forked) as forked,
+        mock.patch.object(
+            trace, "_block_cut", (lambda sink, first, blocks: cut) if cut else trace._block_cut
+        ),
+    ):
+        write_log(run, path)
+    return path.read_bytes(), forked.call_count
+
+
+class TestSplitEncode:
+    """``write_log`` formats a large run's packet lines on two processes, a
+    forked child taking the blocks after ``_block_cut`` into a temp file
+    that is appended after the parent's; the bytes are the serial encode's."""
+
+    @pytest.mark.parametrize("name", ["traced_run", "adapter_run", "key_letters"])
+    def test_every_cut_writes_the_serial_bytes(self, name, request, tmp_path):
+        """Blocks of 100 packets (1 for the five-packet six-channel run),
+        cut at each block boundary and where ``_block_cut`` puts it."""
+        run = _key_letter_run() if name == "key_letters" else request.getfixturevalue(name)
+        block = 1 if name == "key_letters" else 100
+        serial = _encoded(run, block).encode()
+        blocks = -(-len(run.index) // block)
+        assert blocks >= 5
+        for cut in [None, *range(1, blocks)]:
+            assert _written(run, tmp_path / "run.jsonl", block, cut) == (serial, 1)
+
+    def test_below_the_threshold_or_without_fork_the_encode_is_serial(
+        self, traced_run, tmp_path, monkeypatch
+    ):
+        """Split iff the first block's length times the blocks that the
+        parent formats after the fork reaches ``_FORK_BYTES``: of 7 blocks,
+        block 0 before the fork, 1 to 3 after it, and 4 to 6 in the child.
+        Without ``os.fork``, never."""
+        serial = _encoded(traced_run, 120)
+        lines = serial.splitlines(keepends=True)
+        estimate = len("".join(lines[1:121])) * 3
+        path = tmp_path / "run.jsonl"
+        for fork_bytes, forks in ((estimate, 1), (estimate + 1, 0)):
+            with (
+                mock.patch.object(trace, "_FORK_BYTES", fork_bytes),
+                mock.patch.object(trace, "_ENCODE_BLOCK", 120),
+                mock.patch.object(trace, "_forked", wraps=trace._forked) as forked,
+            ):
+                write_log(traced_run, path)
+            assert (path.read_text(), forked.call_count) == (serial, forks)
+        monkeypatch.delattr(os, "fork")
+        assert _written(traced_run, path, 120) == (serial.encode(), 0)
+
+    def test_only_the_file_write_log_opens_is_split(self, traced_run, tmp_path):
+        """A stream, or a text file the caller opened (which may translate
+        newlines), is written serially."""
+        serial = _encoded(traced_run, 100)
+        path = tmp_path / "run.jsonl"
+        with (
+            mock.patch.object(trace, "_FORK_BYTES", 0),
+            mock.patch.object(trace, "_ENCODE_BLOCK", 100),
+            mock.patch.object(trace, "_forked", wraps=trace._forked) as forked,
+        ):
+            buffer = io.StringIO()
+            encode_log(traced_run, buffer)
+            with open(path, "w", newline="\r\n") as sink:
+                encode_log(traced_run, sink)
+        assert forked.call_count == 0
+        assert buffer.getvalue() == serial
+        assert path.read_bytes() == serial.replace("\n", "\r\n").encode()
+
+    def test_a_failed_childs_blocks_are_formatted_by_the_parent(self, traced_run, tmp_path):
+        def fail():
+            raise MemoryError
+
+        with _in_the_child(fail, BlockFormatter, "format"):
+            assert _written(traced_run, tmp_path / "run.jsonl", 100) == (
+                _encoded(traced_run, 100).encode(), 1
+            )
+
+    @pytest.mark.parametrize(
+        "module, name, code",
+        [(os, "fork", errno.EAGAIN), (tempfile, "TemporaryFile", errno.ENOSPC)],
+        ids=["fork-EAGAIN", "spill-ENOSPC"],
+    )
+    def test_no_child_or_spill_file_encodes_serially(
+        self, module, name, code, traced_run, tmp_path
+    ):
+        with mock.patch.object(module, name, side_effect=OSError(code, os.strerror(code))):
+            assert _written(traced_run, tmp_path / "run.jsonl", 100) == (
+                _encoded(traced_run, 100).encode(), 1
+            )
+
+    def test_an_error_in_the_parents_blocks_kills_and_reaps_the_child(self, traced_run, tmp_path):
+        """The child sleeps before it formats, so only a kill ends it as the
+        parent's error leaves ``write_log``, which leaves no temp file."""
+        format_, calls = BlockFormatter.format, []
+
+        def parent_format(self, *args):
+            calls.append(None)
+            if len(calls) == 2:  # the parent's second block, after the fork
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return format_(self, *args)
+
+        with (
+            mock.patch.object(BlockFormatter, "format", parent_format),
+            _in_the_child(lambda: time.sleep(5), BlockFormatter, "format"),
+            _killed_child() as children,
+            pytest.raises(OSError, match="No space left on device"),
+        ):
+            _written(traced_run, tmp_path / "run.jsonl", 100)
+        assert len(children) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def _key_letter_run() -> RunLog:
