@@ -16,8 +16,15 @@ values of ROADMAP's table, in the adapter view and with full traces:
 5. ``analyze --mode rda --tlre 50us`` on the full-trace log;
 6. ``validate-deferral`` for the seed, on the adapter config.
 
+Each command runs through ``WRAPPER``, which calls ``prpwifi.cli.main``
+and then reports the peak RSS of the command's own process and of the
+children it reaped (``getrusage`` of ``RUSAGE_SELF`` and
+``RUSAGE_CHILDREN``) as the last line of its stderr. A forked child's
+peak counts the pages it shares with the command at the fork.
+
 For each command it prints one line: the wall seconds from start to exit,
-the child's ``ru_maxrss`` in MB (10^6 bytes), the sha256 of its output
+the command's own peak RSS in MB (10^6 bytes), its children's, the sha256
+of its output
 (the written log for ``simulate``, whose stdout holds its own wall time;
 stdout for the others), and ``same`` or ``CHANGED`` as that digest equals
 the one in ``DIGESTS`` or not. The last line is the same as one JSON
@@ -46,6 +53,16 @@ from workloads import ANALYZE_TLRE_NS, CONFIG_TEMPLATE, LOSS_PROB  # noqa: E402
 
 PACKETS = 1_000_000
 SEED = 5
+# runs the CLI on sys.argv[1:], then writes its own and its reaped
+# children's ru_maxrss (kB) to stderr
+WRAPPER = """\
+import resource, sys
+from prpwifi.cli import main
+code = main(sys.argv[1:])
+who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+print(*(resource.getrusage(w).ru_maxrss for w in who), file=sys.stderr)
+sys.exit(code)
+"""
 # the sha256 of each command's output at PACKETS and SEED
 DIGESTS = {
     "simulate-adapter": "a075ed4fe634c666b45304614b500a3872aecc14b72cfc46297a8784c7760d74",
@@ -83,22 +100,25 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _run(argv: list[str], stdout: Path) -> tuple[int, float, float]:
-    """Exit code, wall seconds and peak RSS in MB of one CLI call in a fresh
-    interpreter, its stdout written to ``stdout``."""
+def _run(argv: list[str], stdout: Path) -> tuple[int, float, float, float]:
+    """Exit code, wall seconds, and the peak RSS in MB of the command and of
+    its children, of one CLI call in a fresh interpreter, its stdout written
+    to ``stdout``. A peak the wrapper did not report is NaN."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     with open(stdout, "wb") as out:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "prpwifi.cli", *argv],
-                                stdout=out, stderr=subprocess.PIPE, env=env)
-        stderr = proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+        proc = subprocess.run([sys.executable, "-c", WRAPPER, *argv],
+                              stdout=out, stderr=subprocess.PIPE, env=env)
         seconds = time.perf_counter() - start
-    proc.returncode = code = os.waitstatus_to_exitcode(status)
-    proc.stderr.close()
-    if code != 0:
-        sys.stderr.write(stderr.decode(errors="replace"))
-    return code, seconds, usage.ru_maxrss * 1024 / 1e6
+    lines = proc.stderr.decode(errors="replace").splitlines()
+    try:
+        own, children = (int(kb) * 1024 / 1e6 for kb in lines[-1].split())
+        del lines[-1]
+    except (IndexError, ValueError):  # the command did not return
+        own = children = float("nan")
+    if proc.returncode != 0:
+        sys.stderr.write("".join(line + "\n" for line in lines))
+    return proc.returncode, seconds, own, children
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,18 +136,19 @@ def main(argv: list[str] | None = None) -> int:
             ))
         for name, cli_args, output in _commands(work):
             stdout = work / f"{name}.out"
-            code, seconds, peak_mb = _run(cli_args, stdout)
+            code, seconds, peak_mb, children_mb = _run(cli_args, stdout)
             row = {
                 "command": name,
                 "exit_code": code,
                 "wall_s": round(seconds, 3),
                 "peak_rss_mb": round(peak_mb, 1),
+                "children_rss_mb": round(children_mb, 1),
                 "sha256": _sha256(output or stdout) if code == 0 else None,
             }
             row["output"] = "same" if row["sha256"] == DIGESTS[name] else "CHANGED"
             rows.append(row)
-            print(f"{name:18} exit {code}  {seconds:7.2f} s  {peak_mb:7.1f} MB  {row['sha256']}"
-                  f"  {row['output']}", flush=True)
+            print(f"{name:18} exit {code}  {seconds:7.2f} s  {peak_mb:7.1f} MB"
+                  f"  children {children_mb:7.1f} MB  {row['sha256']}  {row['output']}", flush=True)
             if code != 0:
                 break
     finally:

@@ -61,6 +61,9 @@ _GAP_JUMP = "tests/test_sim.py::TestGapJump::test_equals_scalar_acquire"
 _SPLIT = "tests/test_trace.py::TestSplitDecode"
 _SPLIT_ENCODE = "tests/test_trace.py::TestSplitEncode"
 _ENCODER_SPEC = "tests/test_trace.py::TestBlockEncoder::test_simulated_runs_encode_as_the_spec"
+_LAST_FRAMES = "tests/test_trace.py::TestValidation::test_traced_copy_carries_its_last_attempts_frames"
+_DEFECTS = "tests/test_trace.py::TestValidation::test_defects_in_generated_runs_fail_as_the_per_packet_spec"
+_NO_LINES = "tests/test_trace.py::TestBlockDecoder::test_simulated_logs_never_decode_line_by_line"
 
 MUTANTS = (
     # the fixed-layout check of logblocks.BlockParser, one entry per test
@@ -203,7 +206,7 @@ MUTANTS = (
         "src/prpwifi/trace.py",
         'flags[np.searchsorted(t.offsets, bad_rows, side="right") - 1] = True',
         'flags[np.searchsorted(t.offsets, bad_rows, side="left") - 1] = True',
-        ("tests/test_trace.py::TestValidation::test_defects_in_generated_runs_fail_as_the_per_packet_spec",),
+        (_DEFECTS,),
     ),
     Mutant(
         "validate_run: a lost copy may carry Ta",
@@ -214,6 +217,22 @@ MUTANTS = (
             "tests/test_trace.py::TestBlockDecoder::test_lost_copy_that_carries_ta_is_refused_alike",
             "tests/test_trace.py::TestValidation::test_lost_copy_carries_no_ack_duration",
         ),
+    ),
+    # validate_run's row masks, widened by a trace's first row: a mask
+    # dropped fails every generated run, conftest's included
+    Mutant(
+        "validate_run: a trace's second start not compared",
+        "src/prpwifi/trace.py",
+        "(t.start[1:] <= t.start[:-1]) & ~bounds[1:-1]",
+        "(t.start[1:] <= t.start[:-1]) & ~(bounds[1:-1] | bounds[:-2])",
+        (_LAST_FRAMES,),
+    ),
+    Mutant(
+        "validate_run: a trace's first attempt may succeed",
+        "src/prpwifi/trace.py",
+        "copies_of(np.flatnonzero((t.ack != 0) & ~bounds[1:]))",
+        "copies_of(np.flatnonzero((t.ack != 0) & ~(bounds[1:] | bounds[:-1])))",
+        (_LAST_FRAMES,),
     ),
     Mutant(
         "decoder: first capacity beyond the file",
@@ -349,6 +368,47 @@ MUTANTS = (
         "first * (cut - 1) >= _FORK_BYTES",
         "first >= _FORK_BYTES",
         (f"{_SPLIT_ENCODE}::test_below_the_threshold_or_without_fork_the_encode_is_serial",),
+    ),
+    # the general grammar: a simulated log that it refuses is decoded line
+    # by line
+    Mutant(
+        "grammar: an entry's \"ok\":1 and \"ok\":0 swapped",
+        _GATE,
+        ''',"Ta":P,"ok":1|,"ok":0)''',
+        ''',"Ta":P,"ok":0|,"ok":1)''',
+        (_NO_LINES,),
+    ),
+    Mutant(
+        "grammar: a copy's Td and Ta groups swapped",
+        _GATE,
+        '''(?:,"Td":P)?+(?:,"Ta":P)?+''',
+        '''(?:,"Ta":P)?+(?:,"Td":P)?+''',
+        (_NO_LINES,),
+    ),
+    # BlockFormatter's fields: a literal then its number, which shows on
+    # the rows of any of the field's literals
+    Mutant(
+        "formatter: a field's digits laid before its literal",
+        _GATE,
+        "        q, shown, negative = number\n        at += size\n",
+        "        q, shown, negative = number\n"
+        "        span = matrix[at : at + size + signed + digits]\n"
+        "        span[:] = np.roll(span, signed + digits, axis=0)\n",
+        (_ENCODER_SPEC,),
+    ),
+    Mutant(
+        "formatter: the sign column dropped",
+        _GATE,
+        "signed, digits = negative.any(), len(str(magnitude.max()))",
+        "signed, digits = False, len(str(magnitude.max()))",
+        ("tests/test_trace.py::TestBlockEncoder::test_int64_extremes_in_every_field",),
+    ),
+    Mutant(
+        "formatter: a choice field's number shown only on its first choice's rows",
+        _GATE,
+        "shown = np.logical_or.reduce([s for _, s in choices])",
+        "shown = choices[0][1]",
+        (_ENCODER_SPEC,),
     ),
     # BlockFormatter's closers of a traced block's rows
     Mutant(

@@ -6,8 +6,9 @@ module owns that layout in both directions.
 
 :class:`BlockFormatter` writes a block of packet lines from one byte
 matrix: a row per copy, holding its first trace entry too, and per later
-entry; every literal and number a fixed range of columns. The parts a
-row lacks stay NUL and are dropped when the matrix is read out.
+entry; each field, a literal and any number after it, a fixed range of
+columns. The parts a row lacks stay NUL and are dropped when the matrix
+is read out.
 
 :class:`BlockParser` parses a block of whole lines in that layout with
 numpy instead of one ``json.loads`` per line: every number follows a
@@ -242,8 +243,10 @@ class BlockFormatter:
         # json.dumps escapes every control and non-ASCII character, so no
         # line holds a NUL byte, and NUL can pad the byte matrix
         encoded = [json.dumps(label).encode() for label in labels]
-        self._heads = [b',"copies":[{"ch":%s,"l":' % encoded[0]]
-        self._heads += [b',{"ch":%s,"l":' % e for e in encoded[1:]]
+        self._keys = [b',"%s":' % key.encode() for key in COPY_KEYS]
+        # a copy's head: its label, then the key of its first field
+        self._heads = [b',"copies":[{"ch":%s' % encoded[0] + self._keys[0]]
+        self._heads += [b',{"ch":%s' % e + self._keys[0] for e in encoded[1:]]
 
     def format(
         self,
@@ -279,23 +282,12 @@ class BlockFormatter:
             spread[at] = values
             return spread
 
-        lost, req, end, w, td, ta = (per_row(c, copy_row) for c in copies)
-        td_shown, ta_shown = td != 0, ta != 0
+        values = [per_row(c, copy_row) for c in copies]
+        shown = [v != 0 if key in ("Td", "Ta") else copy for key, v in zip(COPY_KEYS, values)]
         fields = [
-            [(b'{"i":', channel[0])],
-            (per_row(index, copy_row[::m]), channel[0]),
-            list(zip(self._heads, channel)),
-            (lost, copy),
-            [(b',"t_T":', copy)],
-            (req, copy),
-            [(b',"t_X":', copy)],
-            (end, copy),
-            [(b',"w":', copy)],
-            (w, copy),
-            [(b',"Td":', td_shown)],
-            (td, td_shown),
-            [(b',"Ta":', ta_shown)],
-            (ta, ta_shown),
+            ([(b'{"i":', channel[0])], per_row(index, copy_row[::m])),
+            (list(zip(self._heads, channel)), values[0]),
+            *(([(key, on)], v) for key, on, v in zip(self._keys[1:], shown[1:], values[1:])),
         ]
         closers = [(b"}", copy)]
         if len(start):  # the entry columns, only for a block with traces
@@ -306,67 +298,65 @@ class BlockFormatter:
             ack = per_row(ack, entry_row)
             ack_shown = ack != 0
             fields += [
-                [(b',"trace":[', copy & entry)],
-                [(b'{"tW":', entry)],
-                (per_row(start, entry_row), entry),
-                [(b',"Td":', entry)],
-                (per_row(data, entry_row), entry),
-                [(b',"Ta":', ack_shown)],
-                (ack, ack_shown),
-                [(b',"ok":', entry)],
-                (ack_shown.astype(np.int64), entry),
+                ([(b',"trace":[', copy & entry)], None),
+                ([(b'{"tW":', entry)], per_row(start, entry_row)),
+                ([(b',"Td":', entry)], per_row(data, entry_row)),
+                ([(b',"Ta":', ack_shown)], ack),
+                ([(b',"ok":', entry)], ack_shown.astype(np.int64)),
             ]
             closers = [(b"}", ~entry), (b"},", entry & ~ends), (b"}]}", entry & ends)]
         line_end = np.append(channel[0][1:], True)  # the last row of a line
-        return _render([*fields, closers, [(b"]}\n", line_end)]], rows)
+        return _render([*fields, (closers, None), ([(b"]}\n", line_end)], None)], rows)
 
 
 def _render(fields: list, rows: int) -> str:
     """Text of ``rows`` rows, each the concatenation of ``fields``. A field
-    is a list of (literal, the rows that show it) pairs, or a pair of int64
-    values and the rows that show them; a value not shown must be 0.
+    is a list of (literal, the rows that show it) choices, then int64
+    values or None; the values are shown on the rows that show one of the
+    field's literals, and a value not shown must be 0.
 
     Every field has a fixed range of columns in a byte matrix whose rows
-    are NUL where they show nothing. Numbers are right-aligned, their sign
-    in the first column of the range. The rows without their NULs are the
-    text.
+    are NUL where they show nothing: its literal's, then its number's,
+    right-aligned after a sign column if any value is negative. The rows
+    without their NULs are the text.
     """
     laid, width = [], 0
-    for field in fields:
-        if isinstance(field, list):
-            field = [(text, shown) for text, shown in field if shown.any()]
-            size = max((len(text) for text, _ in field), default=0)
-        elif field[1].any():
-            values, shown = field
+    for choices, values in fields:
+        choices = [(text, shown) for text, shown in choices if shown.any()]
+        if not choices:
+            continue
+        size = max(len(text) for text, _ in choices)
+        number, signed, digits = None, 0, 0
+        if values is not None:
             negative = values < 0
             magnitude = np.where(negative, -values, values).view(np.uint64)  # INT64_MIN too
-            digits = len(str(magnitude.max()))
-            size = negative.any() + digits
-            field = (magnitude, shown, negative, digits)
-        else:
-            continue
-        width += size
-        laid.append((width, size, field))
+            shown = np.logical_or.reduce([s for _, s in choices])
+            number = (magnitude, shown, negative)
+            signed, digits = negative.any(), len(str(magnitude.max()))
+        laid.append((width, size, choices, number, signed, digits))
+        width += size + signed + digits
 
     matrix = np.zeros((width, rows), dtype=np.uint8)
     tens = np.empty(rows, dtype=np.uint8)
-    for stop, size, field in laid:
-        if isinstance(field, list):
-            for text, shown in field:
-                code = np.frombuffer(text.ljust(size, b"\0"), dtype=np.uint8)
-                matrix[stop - size : stop] += code[:, None] * shown.view(np.uint8)
+    for at, size, choices, number, signed, digits in laid:
+        for text, shown in choices:
+            code = np.frombuffer(text.ljust(size, b"\0"), dtype=np.uint8)
+            matrix[at : at + size] += code[:, None] * shown.view(np.uint8)
+        if number is None:
             continue
-        q, shown, negative, digits = field
-        if size > digits:
-            matrix[stop - size] = negative.view(np.uint8) * np.uint8(ord("-"))
-        for col in range(stop - 1, stop - 1 - digits, -1):
+        q, shown, negative = number
+        at += size
+        if signed:
+            matrix[at] = negative.view(np.uint8) * np.uint8(ord("-"))
+        last = at + signed + digits - 1
+        for col in range(last, last - digits, -1):
             # the digit q - 10 * (q // 10) is below 256, so the low bytes give it
             nxt = q // _TEN
             np.copyto(matrix[col], q, casting="unsafe")
             np.copyto(tens, nxt, casting="unsafe")
             tens *= 10
             matrix[col] -= tens
-            show = shown if col == stop - 1 else q != 0  # no leading zeros
+            show = shown if col == last else q != 0  # no leading zeros
             matrix[col] += show.view(np.uint8) * np.uint8(ord("0"))
             q = nxt
     return matrix.T.tobytes().translate(None, b"\0").decode("ascii")

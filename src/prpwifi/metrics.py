@@ -568,7 +568,7 @@ def write_sweep_csv(reports: Iterable[MetricsReport], sink: IO[str]) -> None:
                 _sig4(lat.mean_ns / 1000) if lat else "",
                 _sig4(lat.p99_99_ns / 1000) if lat else "",
                 _pct(link.loss),
-                _pct(link.miss_10ms) if link.miss_10ms is not None else "",
-                _pct(link.miss_100ms) if link.miss_100ms is not None else "",
+                _pct(link.miss_10ms),
+                _pct(link.miss_100ms),
             ]
         )

@@ -941,10 +941,8 @@ def _first_capacity(source: IO[str], header: str, meta: RunMeta) -> int:
         status = None
     if status is None or not stat.S_ISREG(status.st_mode):
         return min(meta.n_packets, _FIRST_CAPACITY)
-    copies = ",".join(
-        '{"ch":"%s","l":0,"t_T":0,"t_X":0,"w":0}' % ("x" * len(cm.channel.label))
-        for cm in meta.channels
-    )
+    fields = "".join(',"%s":0' % key for key in COPY_KEYS if key not in ("Td", "Ta"))
+    copies = ",".join('{"ch":"%s"%s}' % ("x" * len(c.channel.label), fields) for c in meta.channels)
     shortest = len('{"i":0,"copies":[%s]}' % copies)
     rest = status.st_size - len(header.encode())
     return min(meta.n_packets, max(rest, 0) // shortest)
@@ -955,7 +953,7 @@ _TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}  # how a log file is 
 
 
 class _LogFile(io.TextIOWrapper):
-    """A file that :func:`read_log` opened, as ``_TEXT``, or :func:`write_atomic`."""
+    """A file that :func:`read_log` or :func:`write_atomic` opened, as ``_TEXT``."""
 
 
 class _ByteRange(io.RawIOBase):
@@ -1181,7 +1179,7 @@ def write_atomic(path: str | os.PathLike, write: Callable[[IO[str]], None]) -> N
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with _LogFile(open(fd, "wb")) as sink:  # as os.fdopen(fd, "w") opens it
+        with _LogFile(open(fd, "wb"), **_TEXT) as sink:
             write(sink)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -1203,7 +1201,7 @@ def read_log(path: str | os.PathLike, validate: bool = True) -> RunLog:
         return decode_log(source, validate=validate)
 
 
-CSV_COLUMNS = ("i", "ch", "l", "t_T", "t_X", "w", "Td", "Ta")
+CSV_COLUMNS = ("i", "ch", *COPY_KEYS)
 
 
 def export_csv(run: RunLog, sink: IO[str]) -> None:

@@ -82,6 +82,9 @@ class TestConfigParsing:
             ("loss_prob = lots", "loss_prob: could not convert string to float: 'lots'"),
             ("full_trace = maybe", "full_trace: expected a boolean, got 'maybe'"),
             ("deferral_primary = B", "unknown key 'deferral_primary'"),
+            ("channels = A,A", "channels: duplicate channel labels"),
+            ("packets 10", "expected 'key = value'"),
+            ("C.interferers = 1", "unknown channel 'C' in 'C.interferers'"),
         ],
     )
     def test_bad_value_names_line_and_key(self, line, message, tmp_path, capsys):
@@ -90,6 +93,16 @@ class TestConfigParsing:
         assert main(["simulate", str(path), "--out", str(tmp_path / "run.jsonl")]) == 2
         assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
         assert not (tmp_path / "run.jsonl").exists()
+
+    def test_data_frame_schedule_key(self, tmp_path):
+        path = tmp_path / "schedule.cfg"
+        path.write_text("packets = 20\ndata_frame_schedule = 300us,400us\n")
+        config = load_config(path)
+        assert [c.phy.data_frame_schedule_ns for c in config.channels] == [(300_000, 400_000)] * 2
+        log = tmp_path / "run.jsonl"
+        assert main(["simulate", str(path), "--out", str(log)]) == 0
+        header = json.loads(log.read_text().split("\n", 1)[0])
+        assert [c["phy"]["data_frame_schedule"] for c in header["channels"]] == [[300_000, 400_000]] * 2
 
     def test_readme_config_and_docstring_keys_match_the_key_table(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -144,6 +157,24 @@ class TestSimulateCommand:
         second = capsys.readouterr()
         assert second.out == first.out and "wall" not in first.out
         assert re.fullmatch(r"wall=[0-9]+\.[0-9]{2}s\n", second.err)
+
+    def test_csv_is_utf8_under_the_c_locale(self, tmp_path):
+        """A written file is coded as ``read_log`` reads one, whatever the
+        locale: a non-ASCII label reaches the CSV as UTF-8."""
+        config = tmp_path / "run.cfg"
+        config.write_text("channels = A,\u00e9\npackets = 3\n", encoding="utf-8")
+        out, csv_path = tmp_path / "run.jsonl", tmp_path / "run.csv"
+        code = "import sys\nfrom prpwifi.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8", "PYTHONUTF8": "0",
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        child = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", code, "simulate", str(config), "--out", str(out),
+             "--csv", str(csv_path)],
+            capture_output=True, timeout=60, env=env,
+        )
+        assert child.returncode == 0, child.stderr
+        assert ",\u00e9,".encode() in csv_path.read_bytes()
 
     def test_seed_override_changes_log(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -283,6 +314,12 @@ class TestAnalyzeCommand:
             )
             values[t] = json.loads(out.read_text())["link"]["e_pct"]
         assert values["1000us"] <= values["0"]
+
+    def test_fixed_lost_copy_charge_is_reported(self, log_file, capsys):
+        argv = ["analyze", "--log", str(log_file), "--mode", "rda", "--lost-attempts", "3"]
+        assert main(argv) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert (params["lost_copy_policy"], params["lost_copy_charge"]) == ("fixed", 3)
 
     def test_bad_log_path_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--log", str(tmp_path / "no.jsonl"), "--mode", "pow"]) == 2
@@ -531,6 +568,13 @@ class TestValidateDeferralCommand:
         argv = ["validate-deferral", str(config_file), "--td-list=50us", "--seeds", "1"]
         assert main(argv + ["--tol-e=-1"]) == 1
         assert "validation FAILED for 1 of 1 displacements" in capsys.readouterr().out
+
+    def test_nothing_delivered_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "lost.cfg"
+        config.write_text("packets = 20\nloss_prob = 1\nfull_trace = false\n")
+        assert main(["validate-deferral", str(config), "--td-list=50us", "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no delivered packets; cannot compare latencies\n"
 
     def test_guard_refuses_large_displacement(self, config_file, capsys):
         rc = main(

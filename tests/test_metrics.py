@@ -30,6 +30,7 @@ from prpwifi import (
 from prpwifi.trace import PacketRecord, write_log
 from prpwifi import metrics
 from prpwifi.cli import main
+from prpwifi.config import parse_config
 from prpwifi.da import (
     FailedCopyPolicy,
     TraceRequiredError,
@@ -340,6 +341,8 @@ class TestComputeReport:
         assert report_to_dict(fixed)["params"]["lost_copy_policy"] == "fixed"
         assert fixed.lost_copy_charge == 7
         assert fixed.channels["A"].attempts_bar == Fraction(7 + 1, 2)
+        with pytest.raises(ValueError, match="^fixed lost-copy attempt charge must be >= 1$"):
+            DaParams(lost_copy_attempts=0).validate()
 
     def test_vector_path_equals_reference(self, traced_run, adapter_run):
         cases = [
@@ -1065,6 +1068,12 @@ class TestRendering:
         assert d["params"]["mode"] == "rda"
         assert d["link"]["latency"]["population"] == 4
 
+    def test_channel_that_delivered_nothing_has_null_latency(self):
+        run = generate_run(parse_config("packets = 50\nB.loss_prob = 1\n"))
+        d = report_to_dict(compute_report(run, DaParams(mode=DaMode.RDA)))
+        assert d["channels"]["B"]["latency"] is None
+        assert d["channels"]["A"]["latency"] is not None and d["link"]["latency"] is not None
+
     def test_sweep_csv_columns(self, traced_run):
         grid = [DaParams(mode=DaMode.RDA, t_lre_ns=t) for t in (0, 50_000)]
         buf = io.StringIO()
@@ -1076,3 +1085,9 @@ class TestRendering:
         )
         assert len(lines) == 3
         assert lines[1].startswith("rda,0.0,0.0,")
+
+    def test_sweep_csv_leaves_undefined_quality_fields_empty(self):
+        run = generate_run(desk_config(50, seed=2, loss_prob=1.0, interferers_b=0))
+        buf = io.StringIO()
+        write_sweep_csv(sweep(run, [DaParams(mode=DaMode.RDA)]), buf)
+        assert buf.getvalue().splitlines()[1].endswith(",,,100.0,,")

@@ -193,6 +193,11 @@ class TestCodec:
             for copy in packet.copies.values()
         )
 
+    def test_packet_count_must_match_the_meta(self, adapter_run):
+        meta = replace(adapter_run.meta, n_packets=adapter_run.meta.n_packets + 1)
+        with pytest.raises(InvalidRunError, match="^packet count does not match meta$"):
+            encode_log(replace(adapter_run, meta=meta), io.StringIO())
+
     def test_any_int_config_seed_roundtrips(self):
         """Config files take any int seed, so its log must decode too."""
         run = generate_run(parse_config(f"packets = 20\nperiod = 4ms\nseed = {2**70}\n"))
@@ -539,13 +544,26 @@ class TestValidation:
                 ),
                 "final frame durations must be the last attempt's",
             ),
+            (
+                lambda b: _attempts_at(b, 50_000, 50_000, 200_000),
+                "attempt starts must strictly increase",
+            ),
+            (
+                lambda b: replace(
+                    c := _attempts_at(b, 50_000, 100_000, 200_000),
+                    trace=(replace(c.trace[0], ack_ns=24_000), *c.trace[1:]),
+                ),
+                "only the final attempt may succeed",
+            ),
         ],
-        ids=["same-sum-other-ack", "negative-data", "negative-ack", "lost-without-Td"],
+        ids=["same-sum-other-ack", "negative-data", "negative-ack", "lost-without-Td",
+             "second-start-repeats-the-first", "first-of-three-attempts-acked"],
     )
     def test_traced_copy_carries_its_last_attempts_frames(self, edit, message):
         """A traced copy's ``Td``/``Ta`` are its last attempt's DATA and ACK,
-        and every attempt's DATA, and ACK where carried, is positive. The
-        first two cases
+        and every attempt's DATA, and ACK where carried, is positive; its
+        attempt starts strictly increase, and only its last attempt may
+        carry an ACK, also in its first two rows. The first two cases
         used to validate: Td = 300 us and Ta = 24 us against an entry of
         200 us and 124 us, the same sum, so the reconstruction held while
         receive times used the 24 us ACK; and an entry DATA of -5 ns, whose
@@ -650,6 +668,12 @@ def _traced_pair(request_ns: int, index: int, b: CopyRecord | None = None) -> Pa
 
     b = delivered(request_ns + 500_000) if b is None else b
     return PacketRecord(index=index, copies={CH_A: delivered(request_ns + 400_000), CH_B: b})
+
+
+def _attempts_at(b: CopyRecord, *offsets: int) -> CopyRecord:
+    """A delivered copy requested as ``b`` whose attempts start at
+    ``offsets`` after its request."""
+    return copy_from_starts(b.request_ns, [b.request_ns + d for d in offsets], lost=False)
 
 
 class TestColumnarReconstruction:
@@ -944,6 +968,16 @@ class TestDecoderHoles:
             (("version",), True, "header key 'version' must be 1"),
             (("version",), 1.0, "header key 'version' must be 1"),
             (("epsilon",), -1, "bad meta header: request skew epsilon must be >= 0"),
+            (
+                ("channels", 0, "phy", "data_frame_schedule"),
+                [300_000, 0],
+                "bad meta header: channel A: scheduled frame durations must be positive",
+            ),
+            (("view",), "bogus", "bad meta header: unknown view 'bogus'"),
+            (("channels", 1), None, "bad meta header: a redundant link needs at least two channels"),
+            (("channels", 1, "ch"), "A", "bad meta header: channel labels and indices must be unique"),
+            (("channels", 0, "index"), 2, "bad meta header: channels must be listed in index order"),
+            (("channels",), {}, "header key 'channels' must be a list"),
         ],
         ids=lambda arg: ".".join(map(str, arg)) if type(arg) is tuple else None,
     )
@@ -965,6 +999,11 @@ class TestDecoderHoles:
             with pytest.raises(LogFormatError) as exc:
                 decode_log(io.StringIO("\n".join(lines)), validate=validate)
             assert str(exc.value) == f"record 1: {message}" and exc.value.record_index == 1
+
+    def test_empty_input_has_no_header(self):
+        with pytest.raises(LogFormatError, match="^empty input, expected a meta header$") as exc:
+            decode_log(io.StringIO(""))
+        assert exc.value.record_index is None
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_deeply_nested_json_names_the_line(self, adapter_run, line):
