@@ -251,9 +251,40 @@ MUTANTS = (
     Mutant(
         "decoder: growth past the header's count",
         "src/prpwifi/trace.py",
-        "if stop <= meta.n_packets:\n                    size = min(size, meta.n_packets)",
+        "if stop <= meta.n_packets:\n                size = min(size, meta.n_packets)",
         "pass",
         ("tests/test_trace.py::TestDecodeMemory::test_growth_stops_at_the_header_count",),
+    ),
+    # the packet-row form: _packet_rows, which encode_log, RunLog.packets
+    # and export_csv read, and from_packets' one block of rows for _from_rows
+    Mutant(
+        "_packet_rows: a copy's attempt rows all its first",
+        "src/prpwifi/trace.py",
+        "    rows += np.arange(len(rows))\n",
+        "",
+        (_ENCODER_SPEC, "tests/test_trace.py::TestColumns::test_from_packets_roundtrip"),
+    ),
+    Mutant(
+        "_packet_rows: hi not clipped to the run",
+        "src/prpwifi/trace.py",
+        "hi, m = min(hi, len(run.index)), len(run.channels)",
+        "m = len(run.channels)",
+        ("tests/test_trace.py::TestByteIdentity::test_outputs_match_pinned_digests",),
+    ),
+    Mutant(
+        "export_csv: block stride off by one",
+        "src/prpwifi/trace.py",
+        "for lo in range(0, len(run.index), _ENCODE_BLOCK):",
+        "for lo in range(0, len(run.index), _ENCODE_BLOCK + 1):",
+        ("tests/test_trace.py::TestCsvExport::test_blocks_write_the_rows_of_every_packet",),
+    ),
+    Mutant(
+        "from_packets: attempts in channel-major order",
+        "src/prpwifi/trace.py",
+        "for c in copies if c.trace for a in c.trace",
+        "for j in range(len(channels)) for c in copies[j :: len(channels)]"
+        " if c.trace for a in c.trace",
+        ("tests/test_trace.py::TestColumns::test_from_packets_roundtrip",),
     ),
     # the split decode of read_log: the cut, the order of the halves, a
     # failed child's half and the kill of a child left early

@@ -9,8 +9,9 @@ rda`` (at its T_LRE, ``perfbench/workloads.py``) one after the other:
 ``read_log`` without validation (decode), ``validate_run`` (validate) and
 ``compute_report`` (report). For a config it runs the stages of
 ``simulate``: ``generate_run`` (simulate), which ends with its own
-``validate_run``, and ``write_log`` of the run into a temporary directory
-(encode).
+``validate_run``, then ``write_log`` (encode) and ``export_csv`` (export),
+the log and the CSV of ``simulate --out --csv``, of the run into a
+temporary directory.
 
 For each stage it prints, in MB (10^6 bytes) of tracemalloc: ``peak``, the
 most the process held during the stage, ``transient``, that peak minus what
@@ -100,9 +101,15 @@ def _stages(args: argparse.Namespace) -> list[tuple[str, Callable]]:
                 trace.write_log(run, Path(directory) / "run.jsonl")
             return run
 
+        def export(run):
+            with tempfile.TemporaryDirectory() as directory:
+                trace.write_atomic(Path(directory) / "run.csv", lambda f: trace.export_csv(run, f))
+            return run
+
         return [
             ("simulate", lambda _: sim.generate_run(load_config(args.config))),
             ("encode", encode),
+            ("export", export),
         ]
     params = DaParams(DaMode.RDA, ANALYZE_TLRE_NS)
 

@@ -29,7 +29,7 @@ import signal
 import stat
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -286,30 +286,20 @@ class RunLog(_Columns):
         This is the input of the per-packet reference functions in
         :mod:`prpwifi.da`; it costs one object per copy and attempt.
         """
+        index, copies, lengths, (start, data, ack) = _packet_rows(self, 0, len(self.index))
+        traces: list[tuple[AttemptTrace, ...] | None] = [None] * len(lengths)
+        if len(start):
+            rows = zip(start.tolist(), data.tolist(), _optional(ack))
+            entries = [AttemptTrace(*row) for row in rows]
+            bounds = attempt_offsets(lengths).tolist()
+            for k in np.flatnonzero(lengths).tolist():
+                traces[k] = tuple(entries[bounds[k] : bounds[k + 1]])
+        columns = [c.tolist() for c in copies[:4]] + [_optional(c) for c in copies[4:]]
+        records = iter([CopyRecord(*row) for row in zip(*columns, traces)])
         channels = self.channels
-        n = len(self.index)
-        traces: list[tuple[AttemptTrace, ...] | None] = [None] * (len(channels) * n)
-        if self.trace is not None:
-            t = self.trace
-            rows = list(zip(t.start.tolist(), t.data.tolist(), _optional(t.ack)))
-            offsets = t.offsets.tolist()
-            for k in np.flatnonzero(t.lengths()).tolist():
-                traces[k] = tuple(AttemptTrace(*row) for row in rows[offsets[k] : offsets[k + 1]])
-        copies = []
-        for j in range(len(channels)):
-            columns = (
-                self.lost[j].tolist(),
-                self.req[j].tolist(),
-                self.end[j].tolist(),
-                self.attempts[j].tolist(),
-                _optional(self.td[j]),
-                _optional(self.ta[j]),
-                traces[j * n : (j + 1) * n],
-            )
-            copies.append([CopyRecord(*row) for row in zip(*columns)])
-        return tuple(
-            PacketRecord(index, dict(zip(channels, packet_copies)))
-            for index, *packet_copies in zip(self.index.tolist(), *copies)
+        return tuple(  # each packet takes the next copy of each channel
+            PacketRecord(i, dict(zip(channels, packet_copies)))
+            for i, *packet_copies in zip(index.tolist(), *[records] * len(channels))
         )
 
     @classmethod
@@ -317,7 +307,8 @@ class RunLog(_Columns):
         """Columns of per-packet records (hand-made logs, tests); each packet
         needs exactly one copy per channel of ``meta``. A carried frame
         duration of 0 and an empty trace have no column form, since 0
-        means not carried, and are refused."""
+        means not carried, and are refused. The records become one block of
+        packet rows, which the decoder's :func:`_from_rows` turns into columns."""
         channels = [cm.channel for cm in meta.channels]
         copies = []
         for p in packets:
@@ -335,25 +326,12 @@ class RunLog(_Columns):
             (c.lost, c.request_ns, c.end_ns, c.attempts, c.final_data_ns or 0, c.final_ack_ns or 0)
             for c in copies
         ]
-        m, n = len(channels), len(packets)
-        table = np.array(rows, dtype=np.int64).reshape(n, m, len(COPY_KEYS)).T
-        lengths = np.array([len(c.trace or ()) for c in copies], dtype=np.int64).reshape(n, m).T
-        trace = None
-        if lengths.any():
-            attempts = [
-                (a.start_ns, a.data_ns, a.ack_ns or 0)
-                for j in range(m)
-                for c in copies[j::m]
-                for a in c.trace or ()
-            ]
-            columns = np.array(attempts, dtype=np.int64).T.copy()
-            trace = AttemptTable(attempt_offsets(lengths), **dict(zip(ATTEMPT_COLUMNS, columns)))
-        return RunLog(
-            meta=meta,
-            index=np.array([p.index for p in packets], dtype=np.int64),
-            trace=trace,
-            **dict(zip(COPY_COLUMNS, [table[0].astype(bool), *table[1:].copy()])),
-        )
+        lengths = [len(c.trace or ()) for c in copies]
+        attempts = [
+            (a.start_ns, a.data_ns, a.ack_ns or 0) for c in copies if c.trace for a in c.trace
+        ]
+        block = _row_arrays([p.index for p in packets], rows, lengths, attempts)
+        return _from_rows(meta, [block], len(packets))
 
 
 def _optional(values: np.ndarray) -> list[int | None]:
@@ -735,34 +713,38 @@ def _check_keys(d: dict, allowed: frozenset, what: str, record_index: int) -> No
 _ENCODE_BLOCK = 4096  # packets formatted per write, to bound memory
 
 
+def _packet_rows(run: RunLog, lo: int, hi: int) -> tuple:
+    """Packets ``lo`` up to ``hi`` (clipped to the run) as the columns that
+    :meth:`BlockFormatter.format` takes: indices, packet-major copy columns,
+    trace length per copy and attempt columns. Reads only the block's part."""
+    hi, m = min(hi, len(run.index)), len(run.channels)
+    copies = [getattr(run, name)[:, lo:hi].T.ravel() for name in COPY_COLUMNS]
+    t = run.trace
+    if t is None:
+        attempts = [np.zeros(0, dtype=np.int64)] * len(ATTEMPT_COLUMNS)
+        return run.index[lo:hi], copies, np.zeros(m * (hi - lo), dtype=np.int64), attempts
+    # each copy's first attempt row, and its trace length
+    first = t.offsets[:-1].reshape(m, -1)[:, lo:hi].T.ravel()
+    lengths = t.offsets[1:].reshape(m, -1)[:, lo:hi].T.ravel() - first
+    # the attempt rows of the block's copies, in packet-major order
+    rows = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    rows += np.arange(len(rows))
+    return run.index[lo:hi], copies, lengths, [getattr(t, name)[rows] for name in ATTEMPT_COLUMNS]
+
+
 def encode_log(run: RunLog, sink: IO[str]) -> None:
-    """Write a run as JSON lines (meta header, then one packet per line); a
-    block's text is its packets' alone, so a child may format the later ones."""
+    """Write a run as JSON lines (meta header, then one packet per line), a
+    block of ``_ENCODE_BLOCK`` packets' rows (:func:`_packet_rows`) at a time;
+    a block's text is its packets' alone, so a child may format the later ones."""
     run.meta.validate()
     n = len(run.index)
     if n != run.meta.n_packets:
         raise InvalidRunError("packet count does not match meta")
     sink.write(json.dumps(_meta_to_dict(run.meta), separators=(",", ":")) + "\n")
     formatter = BlockFormatter([c.label for c in run.channels])
-    columns = [getattr(run, name) for name in COPY_COLUMNS]
-    m, t = len(run.channels), run.trace
-    if t is not None:
-        first_rows, trace_lengths = t.offsets[:-1].reshape(m, n), t.lengths().reshape(m, n)
 
     def text(lo: int) -> str:
-        hi = min(lo + _ENCODE_BLOCK, n)
-        copies = [c[:, lo:hi].T.ravel() for c in columns]  # packet-major
-        if t is None:
-            lengths = np.zeros(m * (hi - lo), dtype=np.int64)
-            attempts = [np.zeros(0, dtype=np.int64)] * len(ENTRY_KEYS)
-        else:
-            lengths = trace_lengths[:, lo:hi].T.ravel()
-            # the attempt rows of the block's copies, in packet-major order
-            before = np.cumsum(lengths) - lengths
-            rows = np.repeat(first_rows[:, lo:hi].T.ravel() - before, lengths)
-            rows += np.arange(len(rows))
-            attempts = [getattr(t, name)[rows] for name in ATTEMPT_COLUMNS]
-        return formatter.format(run.index[lo:hi], copies, lengths, attempts)
+        return formatter.format(*_packet_rows(run, lo, lo + _ENCODE_BLOCK))
 
     def spill_rest(spill: IO[bytes]) -> None:
         for lo in starts[cut:]:
@@ -909,12 +891,14 @@ def _decode_lines(
             copies.append(row)
             lengths.append(length)
             attempts += rows
-    return (
-        np.array(index, dtype=np.int64),
-        np.array(copies, dtype=np.int64).reshape(-1, len(COPY_KEYS)),
-        np.array(lengths, dtype=np.int64),
-        np.array(attempts, dtype=np.int64).reshape(-1, len(ENTRY_KEYS)),
-    )
+    return _row_arrays(index, copies, lengths, attempts)
+
+
+def _row_arrays(*rows: list) -> tuple[np.ndarray, ...]:
+    """Packet rows collected in lists (index, ``COPY_KEYS`` rows, trace
+    lengths, ``ENTRY_KEYS`` rows) as the arrays :meth:`BlockParser.parse` returns."""
+    shapes = ((-1,), (-1, len(COPY_KEYS)), (-1,), (-1, len(ENTRY_KEYS)))
+    return tuple(np.array(a, dtype=np.int64).reshape(shape) for a, shape in zip(rows, shapes))
 
 
 _DECODE_BLOCK = 1 << 18  # characters of packet lines per block, to bound memory
@@ -1082,7 +1066,9 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
 
     Packet lines in the encoder's exact layout are parsed in blocks; any
     other JSON layout, and any line that breaks those rules, is decoded
-    line by line, with the same result or error. A large file that
+    line by line, with the same result or error. Either way a block becomes
+    packet rows, which :func:`_from_rows` appends to the run's columns, as
+    it does for :meth:`RunLog.from_packets`. A large file that
     :func:`read_log` opened is parsed on two processes (``_halves``).
     """
     header = source.readline()
@@ -1094,11 +1080,33 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     labels = [cm.channel.label for cm in meta.channels]
     position = {label: j for j, label in enumerate(labels)}
     parser = BlockParser(labels)
-    m = len(labels)
 
-    # channel-major columns of the packets decoded so far: the loss flags,
+    def parsed(blocks: Iterator[str | tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
+        lineno = 2
+        for block in blocks:
+            rows = parser.parse(block) if isinstance(block, str) else block
+            if rows is None:
+                rows = _decode_lines(block, lineno, position)
+                lineno += block.count("\n") - len(rows[0])  # the lines without a packet
+            lineno += len(rows[0])  # a line per packet, cheaper than counting lines
+            yield rows
+
+    with contextlib.closing(_halves(source, parser)) as blocks:
+        run = _from_rows(meta, parsed(blocks), _first_capacity(source, header, meta))
+    if validate:
+        try:
+            validate_run(run)
+        except InvalidRunError as exc:
+            raise LogFormatError(str(exc)) from exc
+    return run
+
+
+def _from_rows(meta: RunMeta, blocks: Iterable[tuple[np.ndarray, ...]], size: int) -> RunLog:
+    """The run of ``meta`` whose packets come in ``blocks`` of packet rows as
+    :meth:`BlockParser.parse` returns them, the columns made for ``size`` first."""
+    m = len(meta.channels)
+    # channel-major columns of the packets appended so far: the loss flags,
     # the int64 copy fields after l in one buffer, and the trace lengths
-    size = _first_capacity(source, header, meta)
     index = np.empty(size, dtype=np.int64)
     lost = np.empty((m, size), dtype=bool)
     ints = np.empty((len(COPY_KEYS) - 1, m, size), dtype=np.int64)
@@ -1108,42 +1116,35 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
     # column is their concatenation, so no whole-run gather is needed
     grown = [[np.empty(0, dtype=np.int64)] * m for _ in ATTEMPT_COLUMNS]
     rows = [0] * m
-    count, lineno = 0, 2
-    with contextlib.closing(_halves(source, parser)) as blocks:
-        for block in blocks:
-            parsed = parser.parse(block) if isinstance(block, str) else block
-            if parsed is None:
-                parsed = _decode_lines(block, lineno, position)
-                lineno += block.count("\n") - len(parsed[0])  # the lines without a packet
-            lineno += len(parsed[0])  # a line per packet, cheaper than counting lines
-            block_index, block_copies, block_lengths, block_attempts = parsed
-            stop = count + len(block_index)
-            if stop > size:
-                size = max(stop, 2 * size)
-                if stop <= meta.n_packets:
-                    size = min(size, meta.n_packets)
-                index, lost, ints, lengths = (
-                    _extended(a, count, size) for a in (index, lost, ints, lengths)
-                )
-            index[count:stop] = block_index
-            copies = block_copies.reshape(-1, m, len(COPY_KEYS)).T
-            lost[:, count:stop], ints[..., count:stop] = copies[0], copies[1:]
-            lengths[:, count:stop] = block_lengths.reshape(-1, m).T
-            if len(block_attempts):
-                channel_of = np.repeat(np.arange(len(block_lengths)) % m, block_lengths)
-                for j in range(m):
-                    attempts = block_attempts[channel_of == j].T
-                    end = rows[j] + attempts.shape[1]
-                    if end > len(grown[0][j]):
-                        # room for as many attempts per packet as seen so far
-                        # over all the packets there is room for, and 1/8 more
-                        room = end * size // stop * 9 // 8
-                        for buffers in grown:
-                            buffers[j] = _extended(buffers[j], rows[j], room)
-                    for buffers, column in zip(grown, attempts):
-                        buffers[j][rows[j]:end] = column
-                    rows[j] = end
-            count = stop
+    count = 0
+    for block_index, block_copies, block_lengths, block_attempts in blocks:
+        stop = count + len(block_index)
+        if stop > size:
+            size = max(stop, 2 * size)
+            if stop <= meta.n_packets:
+                size = min(size, meta.n_packets)
+            index, lost, ints, lengths = (
+                _extended(a, count, size) for a in (index, lost, ints, lengths)
+            )
+        index[count:stop] = block_index
+        copies = block_copies.reshape(-1, m, len(COPY_KEYS)).T
+        lost[:, count:stop], ints[..., count:stop] = copies[0], copies[1:]
+        lengths[:, count:stop] = block_lengths.reshape(-1, m).T
+        if len(block_attempts):
+            channel_of = np.repeat(np.arange(len(block_lengths)) % m, block_lengths)
+            for j in range(m):
+                attempts = block_attempts[channel_of == j].T
+                end = rows[j] + attempts.shape[1]
+                if end > len(grown[0][j]):
+                    # room for as many attempts per packet as seen so far
+                    # over all the packets there is room for, and 1/8 more
+                    room = end * size // stop * 9 // 8
+                    for buffers in grown:
+                        buffers[j] = _extended(buffers[j], rows[j], room)
+                for buffers, column in zip(grown, attempts):
+                    buffers[j][rows[j]:end] = column
+                rows[j] = end
+        count = stop
 
     # the buffers reach their final size when the header's count is right;
     # otherwise the run keeps copies, so it holds no slack
@@ -1160,14 +1161,7 @@ def decode_log(source: IO[str], validate: bool = True) -> RunLog:
             columns[name] = np.concatenate([b[:r] for b, r in zip(buffers, rows)])
             buffers.clear()
         trace = AttemptTable(offsets=offsets, **columns)
-    run = RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, [lost, *ints])))
-    del index, lost, ints  # free what the run does not hold before validation
-    if validate:
-        try:
-            validate_run(run)
-        except InvalidRunError as exc:
-            raise LogFormatError(str(exc)) from exc
-    return run
+    return RunLog(meta=meta, index=index, trace=trace, **dict(zip(COPY_COLUMNS, [lost, *ints])))
 
 
 def write_atomic(path: str | os.PathLike, write: Callable[[IO[str]], None]) -> None:
@@ -1205,24 +1199,17 @@ CSV_COLUMNS = ("i", "ch", *COPY_KEYS)
 
 
 def export_csv(run: RunLog, sink: IO[str]) -> None:
-    """Flat spreadsheet export: one row per packet copy."""
+    """Flat spreadsheet export: one row per packet copy, written from the
+    packet rows (:func:`_packet_rows`) of ``_ENCODE_BLOCK`` packets at a time."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    index = run.index.tolist()
-    per_channel = [
-        zip(
-            index,
-            [channel.label] * len(index),
-            run.lost[j].astype(np.int64).tolist(),
-            run.req[j].tolist(),
-            run.end[j].tolist(),
-            run.attempts[j].tolist(),
-            [td or "" for td in run.td[j].tolist()],
-            [ta or "" for ta in run.ta[j].tolist()],
-        )
-        for j, channel in enumerate(run.channels)
-    ]
-    writer.writerows(row for rows in zip(*per_channel) for row in rows)
+    labels = [c.label for c in run.channels]
+    for lo in range(0, len(run.index), _ENCODE_BLOCK):
+        index, copies, _, _ = _packet_rows(run, lo, lo + _ENCODE_BLOCK)
+        *ints, td, ta = (c.astype(np.int64).tolist() for c in copies)
+        optional = ([v or "" for v in td], [v or "" for v in ta])
+        heads = (np.repeat(index, len(labels)).tolist(), labels * len(index))
+        writer.writerows(zip(*heads, *ints, *optional))
 
 
 def shift_copy(copy: CopyRecord, offset_ns: int) -> CopyRecord:

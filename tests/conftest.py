@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import io
 import json
 
@@ -90,13 +91,15 @@ def duplex_runs(draw):
 # than ``w``), or a duplicated list entry (duplicate copy, extra attempt).
 
 
-def _encoded(full_trace: bool) -> list[str]:
+@functools.cache
+def _encoded(full_trace: bool) -> tuple[str, ...]:
+    """The lines of the valid log, encoded on first use, so that a broken
+    encoder fails the tests that draw it rather than the suite's collection."""
     buf = io.StringIO()
     encode_log(generate_run(lossy_config(12, seed=3, full_trace=full_trace)), buf)
-    return buf.getvalue().splitlines()
+    return tuple(buf.getvalue().splitlines())
 
 
-_VALID_LOGS = (_encoded(True), _encoded(False))
 _ODD_VALUES = (
     "x", "A", "B", "Z", 1.5, True, None, [], {}, 0, -1, 1, 2, 7,
     2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70,
@@ -114,7 +117,7 @@ def _slots(node, path=()):
 
 @st.composite
 def mutated_logs(draw) -> str:
-    lines = list(draw(st.sampled_from(_VALID_LOGS)))
+    lines = list(draw(st.sampled_from((True, False)).map(_encoded)))
     line = draw(st.integers(min_value=0, max_value=len(lines) - 1))
     record = json.loads(lines[line])
     path = draw(st.sampled_from(list(_slots(record))))

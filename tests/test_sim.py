@@ -789,6 +789,20 @@ class TestGapJump:
             s: f.tolist() for s, f in chunked[1].items()
         }
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=busy_and_lanes())
+    def test_a_later_time_never_starts_earlier(self, case):
+        """The premise of ROADMAP item 14's bound: for the same slots and
+        span, ``_acquire`` from a later time never starts earlier. Times are
+        the lanes' and the busy intervals' ends and starts, with their
+        neighbours."""
+        starts, ends, difs, slot, lanes = case
+        near = {b + d for b in starts + ends for d in (-1, 0, 1)}
+        times = sorted({t for t, _, _ in lanes} | near)
+        for pending, span in {(p, s) for _, p, s in lanes[:4]}:
+            got = [sim._acquire(starts, ends, 0, t, difs, slot, pending, span)[0] for t in times]
+            assert got == sorted(got)
+
     def test_edge_cases(self):
         # DIFS 10, slot 5; whole gaps of 30 (4 ticks), 8 (shorter than
         # DIFS), 60 (10 ticks) and 580 (114 ticks), then the one before

@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import io
@@ -739,6 +740,64 @@ class TestCsvExport:
         row = buf.getvalue().splitlines()[1]
         assert row == "1,A,1,0,2000000,21,,"
 
+    @pytest.mark.parametrize("full_trace", [False, True], ids=["adapter", "traced"])
+    def test_blocks_write_the_rows_of_every_packet(self, full_trace):
+        """``export_csv`` writes ``_ENCODE_BLOCK`` packets at a time; over
+        three blocks, the last of 3 packets, it writes what ``csv.writer``
+        writes from the per-packet records, lost copies and a label that
+        needs quoting included."""
+        run = _relabelled(
+            generate_run(lossy_config(2 * trace._ENCODE_BLOCK + 3, seed=31, full_trace=full_trace)),
+            "A", 'x,"y',
+        )
+        assert run.lost.any(axis=1).all()
+        spec = io.StringIO()
+        writer = csv.writer(spec, lineterminator="\n")
+        writer.writerow(["i", "ch", "l", "t_T", "t_X", "w", "Td", "Ta"])
+        for p in run.packets:
+            for channel, c in p.copies.items():
+                writer.writerow([
+                    p.index, channel.label, int(c.lost), c.request_ns, c.end_ns, c.attempts,
+                    c.final_data_ns or "", c.final_ack_ns or "",
+                ])
+        buf = io.StringIO()
+        export_csv(run, buf)
+        assert '"x,""y"' in buf.getvalue()
+        assert buf.getvalue() == spec.getvalue()
+
+    def test_peak_is_a_few_blocks_of_rows(self, tmp_path):
+        """Beside the run, ``export_csv`` holds the Python rows of one block
+        of ``_ENCODE_BLOCK`` packets at a time, 11x that block's CSV text
+        here. Building the rows of the whole run first held 36x the block's
+        text on this 8-block run, a share that grows with the run."""
+        packets = 1024  # per block, to keep the run small
+        run = generate_run(desk_config(8 * packets, seed=5, full_trace=False))
+        path = tmp_path / "run.csv"
+        with mock.patch.object(trace, "_ENCODE_BLOCK", packets):
+            write = lambda sink: export_csv(run, sink)  # noqa: E731
+            trace.write_atomic(path, write)  # one-time allocations out of the way
+            rows = path.read_text().splitlines(keepends=True)[1:]
+            step = len(run.channels) * packets
+            block = max(len("".join(rows[lo : lo + step])) for lo in range(0, len(rows), step))
+            del rows
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                trace.write_atomic(path, write)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before <= 15 * block
+
+
+def _relabelled(run: RunLog, *labels: str) -> RunLog:
+    """``run`` with its channels labelled ``labels``."""
+    channels = tuple(
+        replace(cm, channel=replace(cm.channel, label=label))
+        for cm, label in zip(run.meta.channels, labels)
+    )
+    return replace(run, meta=replace(run.meta, channels=channels))
+
 
 def test_shift_copy_moves_trace_too(traced_run):
     packet = traced_run.packets[0]
@@ -826,8 +885,49 @@ class TestByteIdentity:
         assert _sha256(capsys.readouterr().out) == VALIDATE_DEFERRAL_DIGEST
 
 
+@pytest.fixture
+def no_packets_run() -> RunLog:
+    return make_run([])
+
+
+@pytest.fixture
+def partly_traced_run() -> RunLog:
+    """Full-trace view, with traces of one and of three attempts beside
+    copies that carry none."""
+    three = copy_from_starts(1_000_000, [1_000_000, 1_100_000, 1_200_000], lost=False)
+    packets = [
+        _traced_pair(0, 1, b=make_success_copy(0, 500_000)),
+        _traced_pair(1_000_000, 2, b=three),
+        PacketRecord(3, {
+            CH_A: make_lost_copy(2_000_000, 2_900_000, 21),
+            CH_B: make_success_copy(2_000_000, 2_500_000),
+        }),
+    ]
+    return make_run(packets, view=VIEW_FULL_TRACE)
+
+
+@pytest.fixture
+def three_channel_run() -> RunLog:
+    """Three channels whose copies carry traces of 1 to 3 attempts."""
+    channels = (CH_A, CH_B, ChannelId(2, "C"))
+    packets = [
+        PacketRecord(i + 1, {
+            channel: copy_from_starts(
+                i * 1_000_000, [i * 1_000_000 + 1_000 * (a + j) for a in range(1 + (i + j) % 3)],
+                lost=(i + j) % 4 == 3,
+            )
+            for j, channel in enumerate(channels)
+        })
+        for i in range(4)
+    ]
+    return make_run(packets, view=VIEW_FULL_TRACE, channels=channels)
+
+
 class TestColumns:
-    @pytest.mark.parametrize("name", ["traced_run", "adapter_run"])
+    @pytest.mark.parametrize(
+        "name",
+        ["traced_run", "adapter_run", "no_packets_run", "partly_traced_run", "three_channel_run"],
+    )
     def test_from_packets_roundtrip(self, name, request):
         run = request.getfixturevalue(name)
         assert RunLog.from_packets(run.meta, run.packets) == run
