@@ -201,6 +201,34 @@ MUTANTS = (
         "pass",
         ("tests/test_metrics.py::TestNplexReport::test_vector_path_equals_reference",),
     ),
+    # each analysis rule once: the sweep CSV's column table, the parameter
+    # check where a report's parameters are resolved, and the CLI's one emitter
+    Mutant(
+        "sweep CSV: two columns' values swapped",
+        "src/prpwifi/metrics.py",
+        '("theta_hat", lambda r: _sig4(r.link.load_vs_pow)),\n'
+        '    ("Theta_hat", lambda r: _sig4(r.link.load_vs_simplex)),',
+        '("theta_hat", lambda r: _sig4(r.link.load_vs_simplex)),\n'
+        '    ("Theta_hat", lambda r: _sig4(r.link.load_vs_pow)),',
+        ("tests/test_trace.py::TestByteIdentity::test_outputs_match_pinned_digests",),
+    ),
+    Mutant(
+        "_resolve: parameters not checked",
+        "src/prpwifi/metrics.py",
+        "    params.validate()\n    t_d, recorded",
+        "    t_d, recorded",
+        (
+            "tests/test_metrics.py::TestOracleSummary::"
+            "test_negative_reaction_latency_is_refused_as_reports_refuse_it",
+        ),
+    ),
+    Mutant(
+        "_emit: the output file ignored",
+        "src/prpwifi/cli.py",
+        "    if out:\n        write_atomic(out, write)",
+        "    if False:\n        write_atomic(out, write)",
+        ("tests/test_cli.py::TestSweepCommand::test_td_zero_row_matches_rda_row",),
+    ),
     Mutant(
         "validate_run: searchsorted side",
         "src/prpwifi/trace.py",

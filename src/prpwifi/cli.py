@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from dataclasses import replace
-from io import StringIO
+from typing import IO, Callable
 
 from .config import ConfigError, load_config
 from .da import DEFAULT_VIRTUAL_DEFER_LIMIT_NS, DaMode, DaParams, FailedCopyPolicy
@@ -58,11 +58,12 @@ def _attempt_charge(text: str) -> int | None:
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(write: Callable[[IO[str]], None], out: str | None) -> None:
+    """``write`` into the file ``out``, atomically, or to stdout."""
     if out:
-        write_atomic(out, lambda sink: sink.write(text))
+        write_atomic(out, write)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -102,7 +103,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # every flag is checked before the log, whose decode takes seconds at 10^6 packets
     params = _da_params(args, DaMode(args.mode))
     report = compute_report(read_log(args.log), params)
-    _emit(json.dumps(report_to_dict(report), indent=2) + "\n", args.out)
+    _emit(lambda sink: sink.write(json.dumps(report_to_dict(report), indent=2) + "\n"), args.out)
     return 0
 
 
@@ -135,9 +136,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         t_lre = _flag("--tlre", "0" if args.tlre is None else args.tlre, _non_negative)
         grid = [DaParams(mode=DaMode.TDD, t_lre_ns=t_lre, t_d_ns=v) for v in values]
     reports = sweep(read_log(args.log), grid)
-    buffer = StringIO()
-    write_sweep_csv(reports, buffer)
-    _emit(buffer.getvalue(), args.out)
+    _emit(lambda sink: write_sweep_csv(reports, sink), args.out)
     return 0
 
 

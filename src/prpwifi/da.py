@@ -81,14 +81,6 @@ class DaFlags:
     quickest: ChannelId | None
 
     @property
-    def early_link(self) -> bool:
-        return any(self.early.values())
-
-    @property
-    def early_count(self) -> int:
-        return sum(self.early.values())
-
-    @property
     def simplex_link(self) -> bool:
         if self.quickest is None:
             return False

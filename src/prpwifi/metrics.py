@@ -164,10 +164,11 @@ class MetricsReport:
 
 
 def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...], int | None]:
-    """Effective displacement; per channel the offset c of the early
-    threshold T_LRE + c (``_Derived``): (T_D, -T_D) under a virtual
-    displacement, else 0; and the virtual T_D, or None on recorded
-    timestamps, which keys the link latencies.
+    """The parameters checked (``DaParams.validate``), then the effective
+    displacement; per channel the offset c of the early threshold T_LRE + c
+    (``_Derived``): (T_D, -T_D) under a virtual displacement, else 0; and
+    the virtual T_D, or None on recorded timestamps, which keys the link
+    latencies.
 
     Logs generated with real request displacement are analyzed on their
     recorded timestamps (the displacement is already physical); a TDD
@@ -176,6 +177,7 @@ def _resolve(run: RunLog, params: DaParams) -> tuple[int, tuple[int, ...], int |
     one, must stay below the period, and below ``TIME_LIMIT_NS`` so that
     shifted times stay int64.
     """
+    params.validate()
     t_d, recorded = params.t_d_ns, (0,) * len(run.channels)
     if params.mode is not DaMode.TDD:
         return t_d, recorded, None
@@ -404,7 +406,6 @@ def _assemble(
 
 
 def _evaluate(run: RunLog, params: DaParams, cols: _Derived) -> MetricsReport:
-    params.validate()
     t_d, offsets, virtual = _resolve(run, params)
     return _assemble(run, params, t_d, _accumulate(cols, params, offsets, virtual))
 
@@ -450,7 +451,6 @@ def oracle_attempt_summary(run: RunLog, t_lre_ns: int, t_d_ns: int = 0) -> Oracl
     a copy loses an attempt iff its ``_leads`` lead under the oracle policy
     exceeds it."""
     params = DaParams(DaMode.TDD if t_d_ns else DaMode.RDA, t_lre_ns, t_d_ns)
-    params.validate()
     _, offsets, _ = _resolve(run, params)
     t = run.trace
     if t is None or not t.lengths().all():
@@ -531,44 +531,27 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
-SWEEP_CSV_COLUMNS = (
-    "mode",
-    "T_LRE_us",
-    "T_D_us",
-    "e_bar",
-    "z_bar",
-    "theta_hat",
-    "Theta_hat",
-    "eta_check",
-    "d_mean_us",
-    "d_p9999_us",
-    "loss_pct",
-    "miss10ms_pct",
-    "miss100ms_pct",
+# the sweep CSV in column order: each column's name and its value for a report
+_SWEEP_COLUMNS: tuple[tuple[str, Callable[[MetricsReport], object]], ...] = (
+    ("mode", lambda r: r.params.mode.value),
+    ("T_LRE_us", lambda r: r.params.t_lre_ns / 1000),
+    ("T_D_us", lambda r: r.params.t_d_ns / 1000),
+    ("e_bar", lambda r: _sig4(r.link.early_bar)),
+    ("z_bar", lambda r: _sig4(r.link.simplex_bar)),
+    ("theta_hat", lambda r: _sig4(r.link.load_vs_pow)),
+    ("Theta_hat", lambda r: _sig4(r.link.load_vs_simplex)),
+    ("eta_check", lambda r: _sig4(r.link.efficiency_floor)),
+    ("d_mean_us", lambda r: _sig4(r.link.latency.mean_ns / 1000) if r.link.latency else ""),
+    ("d_p9999_us", lambda r: _sig4(r.link.latency.p99_99_ns / 1000) if r.link.latency else ""),
+    ("loss_pct", lambda r: _pct(r.link.loss)),
+    ("miss10ms_pct", lambda r: _pct(r.link.miss_10ms)),
+    ("miss100ms_pct", lambda r: _pct(r.link.miss_100ms)),
 )
 
 
 def write_sweep_csv(reports: Iterable[MetricsReport], sink: IO[str]) -> None:
-    """One row per grid point, ready for plotting."""
+    """One row per grid point, ready for plotting, in the columns of
+    ``_SWEEP_COLUMNS``."""
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for report in reports:
-        link = report.link
-        lat = link.latency
-        writer.writerow(
-            [
-                report.params.mode.value,
-                report.params.t_lre_ns / 1000,
-                report.params.t_d_ns / 1000,
-                _sig4(link.early_bar),
-                _sig4(link.simplex_bar),
-                _sig4(link.load_vs_pow),
-                _sig4(link.load_vs_simplex),
-                _sig4(link.efficiency_floor),
-                _sig4(lat.mean_ns / 1000) if lat else "",
-                _sig4(lat.p99_99_ns / 1000) if lat else "",
-                _pct(link.loss),
-                _pct(link.miss_10ms),
-                _pct(link.miss_100ms),
-            ]
-        )
+    writer.writerow(name for name, _ in _SWEEP_COLUMNS)
+    writer.writerows([value(report) for _, value in _SWEEP_COLUMNS] for report in reports)

@@ -844,7 +844,6 @@ def compute_report_reference(run: RunLog, params: DaParams) -> MetricsReport:
     """Same result as ``compute_report`` via the per-packet functions of
     :mod:`prpwifi.da` only; slower, used to cross-check the vectorized
     path."""
-    params.validate()
     t_d, offsets, _ = _resolve(run, params)
     # nonzero offsets mark a virtual T_D; the spec displaces by T_D itself,
     # so a sign error in the offsets is not shared with the report

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from prpwifi import LogFormatError, RunLog, decode_log
+from prpwifi import LogFormatError, RunLog, decode_log, write_sweep_csv
 from prpwifi import cli, sim
 from prpwifi.cli import main
 from prpwifi import config as config_module
@@ -531,6 +531,13 @@ class TestSweepCommand:
         zero_row = [r for r in td_rows if r.split(",")[2] == "0.0"][0].split(",")
         # identical metrics columns (mode and grid coordinates differ)
         assert zero_row[3:] == rda_row[3:]
+
+    def test_readme_header_is_the_written_one(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        documented = re.search(r"`(mode,T_LRE_us,[^`]*)`", readme).group(1)
+        buf = io.StringIO()
+        write_sweep_csv([], buf)
+        assert buf.getvalue() == documented + "\n"
 
     def test_bad_range_exits_2(self, log_file, capsys):
         assert (

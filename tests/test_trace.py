@@ -790,6 +790,24 @@ class TestCsvExport:
         assert peak - before <= 15 * block
 
 
+def test_write_atomic_passes_other_errors_on_and_keeps_the_target(tmp_path):
+    """An error other than ``OSError`` in ``write`` leaves ``write_atomic``
+    as it was raised; the temp file is removed and the target keeps its
+    bytes."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"kept\n")
+    error = KeyError("write")
+
+    def write(sink):
+        sink.write("partial\n")
+        raise error
+
+    with pytest.raises(KeyError) as raised:
+        trace.write_atomic(path, write)
+    assert raised.value is error
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"kept\n"
+
+
 def _relabelled(run: RunLog, *labels: str) -> RunLog:
     """``run`` with its channels labelled ``labels``."""
     channels = tuple(
@@ -938,6 +956,11 @@ class TestColumns:
         bumped = adapter_run.end.copy()
         bumped[1, 7] += 1
         assert replace(adapter_run, end=bumped) != adapter_run
+
+    def test_equality_with_another_type_is_left_to_it(self, traced_run):
+        assert traced_run.__eq__(5) is NotImplemented
+        assert (traced_run == 5) is False
+        assert (traced_run != traced_run.trace) is True
 
     def test_columns_are_read_only(self, traced_run):
         with pytest.raises(ValueError):
